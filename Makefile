@@ -203,5 +203,8 @@ rdma-smoke:
 bench-gate:
 	$(GO) run ./cmd/vbbench -benchgate
 
+# The paper-level benchmarks, then the evaluator alone (sequential Full
+# MM 96² and SWIM 192², ns per innermost iteration).
 bench:
 	$(GO) test -bench=. -benchmem .
+	$(GO) test -run '^$$' -bench InterpFull -benchmem ./internal/interp

@@ -466,6 +466,19 @@ func (c *Cluster) MaxClock() sim.Time {
 	return max
 }
 
+// TotalXferTime sums the data-transfer time charged so far over all
+// ranks, under the lock — what Snapshot().TotalXferTime() reports,
+// without copying the whole accounting state.
+func (c *Cluster) TotalXferTime() sim.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var s sim.Time
+	for _, t := range c.xferTime {
+		s += t
+	}
+	return s
+}
+
 // Report is a per-run accounting snapshot.
 type Report struct {
 	Clocks []sim.Time

@@ -15,6 +15,7 @@ import (
 	"context"
 	"fmt"
 	"strings"
+	"sync"
 	"time"
 
 	"vbuscluster/internal/analysis"
@@ -130,6 +131,18 @@ type Compiled struct {
 	// SPMD is the MPI-2 postpass output.
 	SPMD *postpass.Program
 	opts Options
+
+	// lowered is Prog's executable form, built by the first run and
+	// shared read-only by every later one (sequential, parallel,
+	// resilient, concurrent): Compile itself never pays for it.
+	lowerOnce sync.Once
+	lowered   *interp.Lowered
+}
+
+// exec returns the lowered program, lowering it on first use.
+func (c *Compiled) exec() *interp.Lowered {
+	c.lowerOnce.Do(func() { c.lowered = interp.Lower(c.Prog) })
+	return c.lowered
 }
 
 // Compile runs the whole pipeline on Fortran 77 source, as the
@@ -342,7 +355,7 @@ func (c *Compiled) RunSequential(mode Mode) (*interp.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return interp.RunSequential(c.Prog, cl, mode)
+	return c.exec().RunSequential(cl, mode)
 }
 
 // RunParallel executes the SPMD translation on NumProcs processors.
@@ -355,16 +368,17 @@ func (c *Compiled) RunParallel(mode Mode) (*interp.Result, error) {
 }
 
 // RunParallelWith executes the SPMD translation on NumProcs processors
-// with per-run overrides. The compiled plan itself is immutable at run
-// time (every run builds its own cluster, MPI world and per-rank
-// environments), so concurrent RunParallelWith calls on one Compiled
-// are safe as long as each passes its own RunParams.Recorder.
+// with per-run overrides. The compiled plan and its lowered form are
+// immutable at run time (every run builds its own cluster, MPI world
+// and per-rank environments), so concurrent RunParallelWith calls on
+// one Compiled are safe as long as each passes its own
+// RunParams.Recorder.
 func (c *Compiled) RunParallelWith(mode Mode, rp RunParams) (*interp.Result, error) {
 	cl, err := c.clusterWith(c.opts.NumProcs, rp)
 	if err != nil {
 		return nil, err
 	}
-	return interp.RunParallelConfig(c.SPMD, cl, mode, interp.RunConfig{Workers: rp.Workers, Ctx: rp.Ctx})
+	return c.exec().RunParallel(c.SPMD, cl, mode, interp.RunConfig{Workers: rp.Workers, Ctx: rp.Ctx})
 }
 
 // RunResilient executes the SPMD translation with coordinated
@@ -398,7 +412,7 @@ func (c *Compiled) RunResilient(mode Mode) (*interp.Result, error) {
 			Machine:        &machine,
 		})
 	}
-	return interp.RunResilient(c.SPMD, cl, mode, interp.ResilientConfig{
+	return c.exec().RunResilient(c.SPMD, cl, mode, interp.ResilientConfig{
 		Retranslate: retranslate,
 		Dir:         c.opts.CkptDir,
 		Workers:     c.opts.Workers,

@@ -7,6 +7,7 @@ import (
 
 	"vbuscluster/internal/bench"
 	"vbuscluster/internal/core"
+	"vbuscluster/internal/interp"
 	"vbuscluster/internal/trace"
 )
 
@@ -131,5 +132,65 @@ func TestCompiledConcurrentReuseAutoGrain(t *testing.T) {
 		if err != nil {
 			t.Fatalf("concurrent auto-grain run %d: %v", i, err)
 		}
+	}
+}
+
+// TestCompiledFirstUseLoweringRace starts every kind of run on a fresh
+// Compiled at once, so the goroutines race to lower the program (the
+// once-per-plan build), then to lower each loop body on its first
+// execution while other ranks and runs already execute it. Under -race
+// this fails on any write into the shared lowered form after it is
+// published; without -race it still pins parallel ≡ sequential output
+// and equal virtual time across all of them.
+func TestCompiledFirstUseLoweringRace(t *testing.T) {
+	for _, tc := range []struct{ name, src string }{
+		{"mm", bench.MMSource(24)},
+		{"swim", bench.SwimSource(24, 24)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			c, err := core.Compile(tc.src, core.Options{NumProcs: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			const concurrent = 8
+			outs := make([]string, concurrent)
+			elapsed := make([]int64, concurrent)
+			errs := make([]error, concurrent)
+			start := make(chan struct{})
+			var wg sync.WaitGroup
+			for i := 0; i < concurrent; i++ {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					<-start
+					run := func() (*interp.Result, error) { return c.RunParallelWith(core.Full, core.RunParams{}) }
+					if i%2 == 1 {
+						run = func() (*interp.Result, error) { return c.RunSequential(core.Full) }
+					}
+					res, err := run()
+					if err != nil {
+						errs[i] = err
+						return
+					}
+					outs[i], elapsed[i] = res.Output, int64(res.Elapsed)
+				}(i)
+			}
+			close(start)
+			wg.Wait()
+			for i, err := range errs {
+				if err != nil {
+					t.Fatalf("run %d: %v", i, err)
+				}
+			}
+			for i := range outs {
+				if outs[i] != outs[0] {
+					t.Errorf("run %d: output %q, run 0 printed %q", i, outs[i], outs[0])
+				}
+				if elapsed[i] != elapsed[i%2] {
+					t.Errorf("run %d: elapsed %d, run %d took %d", i, elapsed[i], i%2, elapsed[i%2])
+				}
+			}
+		})
 	}
 }

@@ -8,6 +8,18 @@
 //     boundaries, data scattering/collecting via window PUTs, exactly
 //     the §3/§5 execution model.
 //
+// There is one evaluator. Lower turns an analysed f77.Program once into
+// an immutable Lowered form: every symbol has a dense slot in a
+// per-process frame, every expression is a node already specialised by
+// its static type (a plain function over fields carved from the plan's
+// own chunks, so the hot data of a loop body is placed the same way in
+// every process), constant-layout array references carry
+// pre-multiplied strides and a folded base, GOTO labels, intrinsics and
+// callees are resolved, and every statement and loop carries its static
+// cost as a form over cluster.CPUParams. Any number of runs, ranks and
+// goroutines execute one Lowered concurrently; all mutable state lives
+// in each process's Env.
+//
 // Virtual time: every executed statement charges the CPU cost model;
 // every MPI call charges the NIC cost model. Two modes exist:
 //
@@ -49,11 +61,14 @@ func (m Mode) String() string {
 	return "full"
 }
 
-// Env is one process's execution environment.
+// Env is one process's execution environment: the mutable half of a
+// run. The program it executes is the shared, read-only Lowered.
 type Env struct {
-	prog *f77.Program
-	unit *f77.Unit
-	mem  map[*f77.Symbol][]float64
+	lw *Lowered
+	// mem is the process's frame: the backing cells of every symbol,
+	// indexed by the symbol's slot. A nil entry has no storage (a
+	// PARAMETER, an unbound dummy, a lazily deferred array).
+	mem [][]float64
 
 	cl   *cluster.Cluster
 	rank int
@@ -65,8 +80,7 @@ type Env struct {
 	// in Timing mode, where bulk-charged loops and charge-only
 	// transfers never read the arrays: a 1024-rank timing run then
 	// allocates the program's arrays once (on the master) instead of
-	// 1024 times. Layouts are still registered eagerly so subscript
-	// checking and cost analysis see constant bounds.
+	// 1024 times.
 	lazy bool
 
 	// pending accumulates compute charges between flushes so the
@@ -77,6 +91,13 @@ type Env struct {
 	// partitioned region: the generated SPMD code's extra address and
 	// bound arithmetic (what drags the paper's 1-node speedup to 0.96).
 	spmdTax sim.Time
+
+	// jump is the label a ctrlJump outcome is heading for.
+	jump int
+
+	// saved is the CALL stack: each active frame's shadowed bindings of
+	// the callee's slot range, restored when the call returns.
+	saved [][]float64
 
 	// regionStats collects the per-region profile on the master.
 	regionStats []RegionStat
@@ -91,13 +112,6 @@ type Env struct {
 	// commons backs COMMON blocks: per block, per member-index storage,
 	// shared by every unit executed in this env.
 	commons map[string][][]float64
-
-	// caches
-	types    map[f77.Expr]f77.Type
-	layouts  map[*f77.Symbol]*analysis.ArrayLayout
-	aCosts   map[*f77.Assign]sim.Time
-	bulkable map[*f77.DoLoop]bool
-	varDep   map[*f77.DoLoop]bool
 }
 
 // runtimeError aborts execution through a panic recovered at the run
@@ -119,37 +133,44 @@ func (e *Env) checkCancelled() {
 	}
 }
 
-// newEnv allocates the environment for one rank executing unit.
-func newEnv(prog *f77.Program, unit *f77.Unit, cl *cluster.Cluster, rank int, mode Mode, out io.Writer) (*Env, error) {
+// newEnv allocates the environment for one rank executing the main
+// unit of lw.
+func newEnv(lw *Lowered, cl *cluster.Cluster, rank int, mode Mode, out io.Writer) (*Env, error) {
 	env := &Env{
-		prog:     prog,
-		unit:     unit,
-		mem:      map[*f77.Symbol][]float64{},
-		cl:       cl,
-		rank:     rank,
-		cpu:      cl.Params().CPU,
-		mode:     mode,
-		out:      out,
-		types:    map[f77.Expr]f77.Type{},
-		layouts:  map[*f77.Symbol]*analysis.ArrayLayout{},
-		aCosts:   map[*f77.Assign]sim.Time{},
-		bulkable: map[*f77.DoLoop]bool{},
-		varDep:   map[*f77.DoLoop]bool{},
-		commons:  map[string][][]float64{},
+		lw:   lw,
+		mem:  make([][]float64, len(lw.syms)),
+		cl:   cl,
+		rank: rank,
+		cpu:  cl.Params().CPU,
+		mode: mode,
+		out:  out,
+		lazy: mode == Timing && rank != 0,
 	}
-	env.lazy = mode == Timing && rank != 0
-	if err := env.allocUnit(unit); err != nil {
+	if err := env.allocMain(); err != nil {
 		return nil, err
 	}
 	return env, nil
 }
 
-// allocUnit allocates storage for every symbol of the unit. All array
-// bounds must be compile-time constants (the front end inlined
-// subroutines into the main unit; adjustable arrays remain only in
-// units executed via CALL, which allocate at call time).
-func (env *Env) allocUnit(u *f77.Unit) error {
-	for _, sym := range u.Syms.Order {
+// linePad is one 64-byte cache line in float64 cells.
+const linePad = 8
+
+// allocMain allocates storage for every symbol of the main unit. All
+// its array bounds must be compile-time constants (the front end
+// inlined subroutines into the main unit; adjustable arrays remain only
+// in units executed via CALL, which allocate at call time).
+func (env *Env) allocMain() error {
+	u := env.lw.main
+	// The ranks of a run allocate their scalar blocks back to back, and
+	// blocks of a few words would share cache lines. Every rank stores
+	// its loop variables on each iteration, so two ranks computing on
+	// different cores would keep invalidating each other's line (up to
+	// three times slower, or not, by how the blocks happen to fall). A
+	// line of padding either side keeps a rank's scalars on lines of
+	// their own.
+	scalars := make([]float64, u.scalars+2*linePad)[linePad:]
+	for slot := u.lo; slot < u.hi; slot++ {
+		sym := env.lw.syms[slot]
 		if sym.IsConst || sym.IsArg {
 			continue
 		}
@@ -158,23 +179,17 @@ func (env *Env) allocUnit(u *f77.Unit) error {
 			if err != nil {
 				return err
 			}
-			env.mem[sym] = buf
+			env.mem[slot] = buf
 			continue
 		}
 		if !sym.IsArray() {
-			env.mem[sym] = make([]float64, 1)
+			env.mem[slot], scalars = scalars[:1:1], scalars[1:]
 			continue
 		}
-		lay, err := analysis.LayoutOf(sym)
-		if err != nil || lay.Size == 0 {
-			// Adjustable or assumed arrays allocate lazily at CALL
-			// binding; in the main unit they are an error caught on
-			// first access.
-			continue
-		}
-		env.layouts[sym] = &lay
-		if !env.lazy {
-			env.mem[sym] = make([]float64, lay.Size)
+		// Adjustable or assumed-size arrays have no constant layout: in
+		// the main unit they are an error caught on first access.
+		if lay := env.lw.layouts[slot]; lay != nil && lay.Size > 0 && !env.lazy {
+			env.mem[slot] = make([]float64, lay.Size)
 		}
 	}
 	return nil
@@ -191,6 +206,9 @@ func (env *Env) commonSlot(sym *f77.Symbol) ([]float64, error) {
 		}
 		size = lay.Size
 	}
+	if env.commons == nil {
+		env.commons = map[string][][]float64{}
+	}
 	members := env.commons[sym.Common]
 	for int64(len(members)) <= int64(sym.CommonIndex) {
 		members = append(members, nil)
@@ -205,41 +223,40 @@ func (env *Env) commonSlot(sym *f77.Symbol) ([]float64, error) {
 	return members[sym.CommonIndex], nil
 }
 
-// applyDataInits runs the unit's DATA statements into this env.
-func (env *Env) applyDataInits(u *f77.Unit) {
-	for _, di := range u.DataInits {
-		buf := env.storage(di.Sym, 0)
-		for i, v := range di.Vals {
-			if i < len(buf) {
-				buf[i] = v
-			}
-		}
+// applyData runs a unit's DATA statements into this env.
+func (env *Env) applyData(u *unit) {
+	for _, di := range u.src.DataInits {
+		copy(env.storage(env.lw.slots[di.Sym], 0), di.Vals)
 	}
 }
 
-// storage returns the backing slice of a symbol, allocating scalars on
-// demand (implicitly declared in subroutine frames).
-func (env *Env) storage(sym *f77.Symbol, line int) []float64 {
-	if buf, ok := env.mem[sym]; ok {
+// storage returns the backing cells of a slot, allocating on first
+// touch what was deferred: scalars, and the constant-layout arrays a
+// lazy env skipped (zero-filled, exactly as the eager path would have
+// left them). Lowered code reads env.mem directly and comes here only
+// when it finds nil.
+func (env *Env) storage(slot, line int) []float64 {
+	if buf := env.mem[slot]; buf != nil {
 		return buf
 	}
+	sym := env.lw.syms[slot]
 	if sym.IsConst {
 		env.fail(line, "storage of PARAMETER %s", sym.Name)
 	}
 	if !sym.IsArray() {
-		buf := make([]float64, 1)
-		env.mem[sym] = buf
-		return buf
+		env.mem[slot] = make([]float64, 1)
+	} else if lay := env.lw.layouts[slot]; lay != nil && lay.Size > 0 {
+		env.mem[slot] = make([]float64, lay.Size)
+	} else {
+		env.fail(line, "array %s has no storage (unbound dummy or non-constant bounds)", sym.Name)
 	}
-	if lay, ok := env.layouts[sym]; ok && lay.Size > 0 {
-		// Lazily deferred array touched after all: allocate now.
-		// Zero-filled, exactly as the eager path would have left it.
-		buf := make([]float64, lay.Size)
-		env.mem[sym] = buf
-		return buf
-	}
-	env.fail(line, "array %s has no storage (unbound dummy or non-constant bounds)", sym.Name)
-	return nil
+	return env.mem[slot]
+}
+
+// symStorage is storage for callers that hold a symbol (the SPMD
+// runtime's windows, reductions and transfers).
+func (env *Env) symStorage(sym *f77.Symbol) []float64 {
+	return env.storage(env.lw.slots[sym], 0)
 }
 
 // winBacking returns the backing slice a window over sym should
@@ -248,17 +265,12 @@ func (env *Env) storage(sym *f77.Symbol, line int) []float64 {
 // never moves real data through them, so a nil region is fine (the
 // mpi layer only dereferences regions on actual data movement).
 func (env *Env) winBacking(sym *f77.Symbol) []float64 {
-	if buf, ok := env.mem[sym]; ok {
-		return buf
-	}
-	if env.lazy {
+	slot := env.lw.slots[sym]
+	if env.lazy && env.mem[slot] == nil {
 		return nil
 	}
-	return env.storage(sym, 0)
+	return env.storage(slot, 0)
 }
-
-// charge books compute time locally.
-func (env *Env) charge(d sim.Time) { env.pending += d }
 
 // flush publishes accumulated compute time to the cluster clock. Must
 // run before any MPI call and at run end.
@@ -269,69 +281,5 @@ func (env *Env) flush() {
 	}
 }
 
-// typeOf memoizes static expression types.
-func (env *Env) typeOf(e f77.Expr) f77.Type {
-	if t, ok := env.types[e]; ok {
-		return t
-	}
-	t := f77.TypeOf(e)
-	env.types[e] = t
-	return t
-}
-
-// layout returns the constant layout of sym if available.
-func (env *Env) layout(sym *f77.Symbol) *analysis.ArrayLayout {
-	if l, ok := env.layouts[sym]; ok {
-		return l
-	}
-	lay, err := analysis.LayoutOf(sym)
-	if err != nil {
-		return nil
-	}
-	env.layouts[sym] = &lay
-	return &lay
-}
-
-// index computes the linear element offset of an array reference.
-func (env *Env) index(sym *f77.Symbol, subs []f77.Expr, line int) int64 {
-	if lay := env.layout(sym); lay != nil && lay.Size > 0 {
-		var idx int64
-		for i, sub := range subs {
-			idx += (env.evalI(sub) - lay.Lows[i]) * lay.Mult[i]
-		}
-		if idx < 0 || idx >= lay.Size {
-			env.fail(line, "%s subscript out of bounds: linear index %d, size %d", sym.Name, idx, lay.Size)
-		}
-		return idx
-	}
-	// Adjustable/assumed-size: evaluate bounds in the current frame.
-	var idx, mult int64 = 0, 1
-	buf := env.storage(sym, line)
-	for i, d := range sym.Dims {
-		low := int64(1)
-		if d.Low != nil {
-			low = env.evalI(d.Low)
-		}
-		idx += (env.evalI(subs[i]) - low) * mult
-		if d.High != nil {
-			mult *= env.evalI(d.High) - low + 1
-		}
-	}
-	if idx < 0 || idx >= int64(len(buf)) {
-		env.fail(line, "%s subscript out of bounds: linear index %d, size %d", sym.Name, idx, len(buf))
-	}
-	return idx
-}
-
-// setInt stores an integer value into a scalar symbol.
-func (env *Env) setInt(sym *f77.Symbol, v int64, line int) {
-	env.storage(sym, line)[0] = float64(v)
-}
-
-// getInt loads a scalar symbol as an integer.
-func (env *Env) getInt(sym *f77.Symbol, line int) int64 {
-	if sym.IsConst {
-		return int64(sym.Const)
-	}
-	return int64(env.storage(sym, line)[0])
-}
+// setInt stores an integer value into a scalar slot.
+func (env *Env) setInt(slot int, v int64) { env.mem[slot][0] = float64(v) }

@@ -141,8 +141,8 @@ func TestSequentialPrintOutput(t *testing.T) {
 func TestIntegerSemantics(t *testing.T) {
 	src := `
       PROGRAM P
-      INTEGER I, J
-      REAL X(6)
+      INTEGER I, J, K
+      REAL X(12)
       I = 7 / 2
       J = MOD(17, 5)
       X(1) = REAL(I)
@@ -151,12 +151,28 @@ func TestIntegerSemantics(t *testing.T) {
       X(4) = 7.0 / 2.0
       X(5) = REAL(-7 / 2)
       X(6) = 2.0 ** (-1)
+      K = -3
+      X(7) = REAL(2 ** K)
+      X(8) = REAL(1 ** K)
+      X(9) = REAL((-1) ** K)
+      X(10) = REAL((-1) ** (K + 1))
+      X(11) = REAL((-7) ** K)
+      X(12) = REAL(3 ** (-K))
       END
 `
 	res := runSeq(t, src, Full)
 	x := res.Mem["X"]
-	want := []float64{3, 2, 9, 3.5, -3, 0.5}
+	// INTEGER ** negative INTEGER is 1/(base**|exp|) in truncating
+	// division: 0 unless the base is 1 or -1.
+	want := []float64{3, 2, 9, 3.5, -3, 0.5, 0, 1, -1, 1, 0, 27}
 	sameArray(t, "X", want, x, 1e-12)
+
+	// ... and a division by zero for base 0.
+	prog := compile(t, strings.Replace(src, "2 ** K", "(K + 3) ** K", 1))
+	_, err := RunSequential(prog, newCluster(t, 1), Full)
+	if err == nil || !strings.Contains(err.Error(), "integer division by zero") {
+		t.Fatalf("0 ** (-3): error %v, want an integer division by zero", err)
+	}
 }
 
 func TestIntrinsicEvaluation(t *testing.T) {

@@ -10,7 +10,6 @@ import (
 
 	"vbuscluster/internal/ckpt"
 	"vbuscluster/internal/cluster"
-	"vbuscluster/internal/f77"
 	"vbuscluster/internal/mpi"
 	"vbuscluster/internal/postpass"
 	"vbuscluster/internal/sim"
@@ -50,8 +49,15 @@ type ResilientConfig struct {
 // rounds and the recovery rounds all show up in the final report, so
 // the cost of surviving the crash is measured rather than hidden.
 func RunResilient(pp *postpass.Program, cl *cluster.Cluster, mode Mode, cfg ResilientConfig) (*Result, error) {
-	if cl.N() != pp.Opts.NumProcs {
-		return nil, fmt.Errorf("interp: program compiled for %d procs, cluster has %d", pp.Opts.NumProcs, cl.N())
+	return Lower(pp.Source).RunResilient(pp, cl, mode, cfg)
+}
+
+// RunResilient is the package-level RunResilient on an already lowered
+// program. Retranslations for a shrunken world are translations of the
+// same program, so every attempt executes this one Lowered.
+func (lw *Lowered) RunResilient(pp *postpass.Program, cl *cluster.Cluster, mode Mode, cfg ResilientConfig) (*Result, error) {
+	if err := lw.translated(pp, cl); err != nil {
+		return nil, err
 	}
 	if pp.Epochs == nil && len(pp.Regions) > 0 {
 		return nil, fmt.Errorf("interp: resilient run needs a program compiled with Resilient (no checkpoint epochs)")
@@ -114,7 +120,7 @@ func RunResilient(pp *postpass.Program, cl *cluster.Cluster, mode Mode, cfg Resi
 					sched.acquire(nodes[rank])
 					defer sched.release()
 				}
-				errs[rank] = runRankEpochs(cur, world.Rank(rank), mode, &out, &envs[rank], st)
+				errs[rank] = lw.runRankEpochs(cur, world.Rank(rank), mode, &out, &envs[rank], st)
 				if errs[rank] != nil {
 					// ULFM: the rank observing a failure revokes the
 					// communicator so every blocked peer fails over to
@@ -158,6 +164,10 @@ func RunResilient(pp *postpass.Program, cl *cluster.Cluster, mode Mode, cfg Resi
 		if err != nil {
 			world.Shutdown()
 			return nil, fmt.Errorf("interp: retranslate for %d survivors: %w", world.Size(), err)
+		}
+		if npp.Source != lw.prog {
+			world.Shutdown()
+			return nil, fmt.Errorf("interp: retranslation for %d survivors is of a different program", world.Size())
 		}
 		cur = npp
 		recovering = last != nil
@@ -205,29 +215,24 @@ type epochState struct {
 // per-region execution is identical, but regions run epoch by epoch
 // with a coordinated checkpoint at every epoch boundary, and the whole
 // run may start mid-program from a restored snapshot.
-func runRankEpochs(pp *postpass.Program, p *mpi.Proc, mode Mode, masterOut *bytes.Buffer, envOut **Env, st *epochState) (err error) {
+func (lw *Lowered) runRankEpochs(pp *postpass.Program, p *mpi.Proc, mode Mode, masterOut *bytes.Buffer, envOut **Env, st *epochState) (err error) {
 	defer recoverRun(&err)
-	var sink *bytes.Buffer
-	if p.Rank() == 0 {
-		sink = masterOut // already holds the snapshot's restored output
-	} else {
-		sink = &bytes.Buffer{}
-	}
-	env, err := newEnv(pp.Source, pp.Main, p.World().Cluster(), p.Rank(), mode, sink)
+	// masterOut already holds the snapshot's restored output.
+	r, err := lw.newRankRun(pp, p, mode, masterOut)
 	if err != nil {
 		return err
 	}
+	env := r.env
 	*envOut = env
 
-	halted := false
 	startEpoch := 0
 	if st.snap != nil {
 		startEpoch = st.snap.Epoch
-		halted = st.snap.Halted
+		r.halted = st.snap.Halted
 	}
 	if p.Rank() == 0 {
 		if st.snap == nil {
-			env.applyDataInits(pp.Main)
+			env.applyData(lw.main)
 		} else if err := env.restoreSnapshot(st.snap); err != nil {
 			return err
 		}
@@ -245,88 +250,13 @@ func runRankEpochs(pp *postpass.Program, p *mpi.Proc, mode Mode, masterOut *byte
 			return err
 		}
 	}
-
-	wins := map[*f77.Symbol]*mpi.Win{}
-	for _, sym := range pp.Windows {
-		wins[sym] = p.WinCreate(sym.Name, env.winBacking(sym))
-	}
-	redWins := map[*f77.Symbol]*mpi.Win{}
-	if pp.Opts.LockReductions {
-		seen := map[*f77.Symbol]bool{}
-		for _, region := range pp.Regions {
-			if region.Par == nil {
-				continue
-			}
-			for _, red := range region.Par.Reductions {
-				if !seen[red.Sym] {
-					seen[red.Sym] = true
-					redWins[red.Sym] = p.WinCreate(red.Sym.Name+"$RED", make([]float64, 1))
-				}
-			}
-		}
-	}
-	hasStop := false
-	f77.WalkStmts(pp.Main.Body, func(s f77.Stmt) bool {
-		if _, ok := s.(*f77.StopStmt); ok {
-			hasStop = true
-		}
-		return true
-	})
+	r.createWindows()
 
 	for e := startEpoch; e < len(pp.Epochs); e++ {
 		for _, ri := range pp.Epochs[e] {
-			region := pp.Regions[ri]
-			var startClock, startComm sim.Time
-			if p.Rank() == 0 {
-				startClock = env.cl.Clock(0)
-				startComm = env.cl.Snapshot().TotalXferTime()
-			}
-			recordRegion := func() {
-				if p.Rank() != 0 {
-					return
-				}
-				stRec := RegionStat{Index: ri, Parallel: region.Par != nil}
-				if region.Par != nil {
-					stRec.LoopVar = region.Par.Loop.Var.Name
-					stRec.Line = region.Par.Loop.Line()
-				} else if len(region.Stmts) > 0 {
-					stRec.Line = region.Stmts[0].Line()
-				}
-				stRec.Elapsed = env.cl.Clock(0) - startClock
-				stRec.Comm = env.cl.Snapshot().TotalXferTime() - startComm
-				env.regionStats = append(env.regionStats, stRec)
-			}
-			if region.Par == nil {
-				if p.Rank() == 0 && !halted {
-					if c, _ := env.execStmts(region.Stmts); c == ctrlStop {
-						halted = true
-					}
-				}
-				env.flush()
-				p.Barrier()
-				if hasStop {
-					flag := 0.0
-					if halted {
-						flag = 1
-					}
-					if got := p.Bcast(0, []float64{flag}); got[0] != 0 {
-						halted = true
-					}
-				}
-				recordRegion()
-				continue
-			}
-			if halted {
-				env.flush()
-				p.Barrier()
-				p.Barrier()
-				p.Barrier()
-				continue
-			}
-			if err := env.runParRegion(pp, region.Par, p, wins, redWins); err != nil {
+			if err := r.region(ri); err != nil {
 				return err
 			}
-			recordRegion()
 		}
 		if e == len(pp.Epochs)-1 {
 			break // the final epoch ends the run; nothing left to protect
@@ -336,7 +266,7 @@ func runRankEpochs(pp *postpass.Program, p *mpi.Proc, mode Mode, masterOut *byte
 		var blob []byte
 		size := 0
 		if p.Rank() == 0 {
-			snap = env.buildSnapshot(e+1, halted, p.World().Nodes(), sink)
+			snap = env.buildSnapshot(e+1, r.halted, p.World().Nodes(), masterOut)
 			blob = snap.Encode()
 			size = len(blob)
 		}
@@ -377,9 +307,9 @@ func (env *Env) buildSnapshot(epoch int, halted bool, nodes []int, out *bytes.Bu
 			Line: r.Line, Elapsed: r.Elapsed, Comm: r.Comm,
 		})
 	}
-	for sym, buf := range env.mem {
-		s.Arrays[sym.Name] = append([]float64(nil), buf...)
-	}
+	env.eachMainCell(func(name string, buf []float64) {
+		s.Arrays[name] = append([]float64(nil), buf...)
+	})
 	return s
 }
 
@@ -387,16 +317,20 @@ func (env *Env) buildSnapshot(epoch int, halted bool, nodes []int, out *bytes.Bu
 // every program array takes its checkpointed values (symbols the
 // snapshot does not know stay zero, like a fresh start would leave
 // them), and the region profile continues from the checkpointed rows.
-func (env *Env) restoreSnapshot(s *ckpt.Snapshot) error {
-	for sym, buf := range env.mem {
-		vals, ok := s.Arrays[sym.Name]
-		if !ok {
-			continue
+func (env *Env) restoreSnapshot(s *ckpt.Snapshot) (err error) {
+	env.eachMainCell(func(name string, buf []float64) {
+		vals, ok := s.Arrays[name]
+		if !ok || err != nil {
+			return
 		}
 		if len(vals) != len(buf) {
-			return fmt.Errorf("interp: checkpoint array %s has %d cells, program needs %d", sym.Name, len(vals), len(buf))
+			err = fmt.Errorf("interp: checkpoint array %s has %d cells, program needs %d", name, len(vals), len(buf))
+			return
 		}
 		copy(buf, vals)
+	})
+	if err != nil {
+		return err
 	}
 	env.regionStats = env.regionStats[:0]
 	for _, r := range s.Regions {

@@ -73,13 +73,25 @@ func FormatRegions(stats []RegionStat) string {
 	return sb.String()
 }
 
-// snapshotMem copies an env's memory for result inspection.
+// snapshotMem copies the master's memory — the main unit's symbols —
+// for result inspection.
 func snapshotMem(env *Env) map[string][]float64 {
 	out := map[string][]float64{}
-	for sym, buf := range env.mem {
-		out[sym.Name] = append([]float64(nil), buf...)
-	}
+	env.eachMainCell(func(name string, buf []float64) {
+		out[name] = append([]float64(nil), buf...)
+	})
 	return out
+}
+
+// eachMainCell visits the storage of every main-unit symbol that has
+// any.
+func (env *Env) eachMainCell(f func(name string, buf []float64)) {
+	u := env.lw.main
+	for slot := u.lo; slot < u.hi; slot++ {
+		if buf := env.mem[slot]; buf != nil {
+			f(env.lw.syms[slot].Name, buf)
+		}
+	}
 }
 
 // recoverRun converts interpreter panics into errors; STOP is clean
@@ -104,24 +116,30 @@ func recoverRun(err *error) {
 
 // RunSequential executes the main unit of prog on a single processor —
 // the paper's sequential baseline for speedup measurements. The
-// cluster must have exactly one process.
+// cluster must have exactly one process. It lowers prog for this one
+// run; callers that run a program repeatedly keep the Lowered.
 func RunSequential(prog *f77.Program, cl *cluster.Cluster, mode Mode) (*Result, error) {
+	return Lower(prog).RunSequential(cl, mode)
+}
+
+// RunSequential executes the lowered program's main unit on a
+// 1-process cluster.
+func (lw *Lowered) RunSequential(cl *cluster.Cluster, mode Mode) (*Result, error) {
 	if cl.N() != 1 {
 		return nil, fmt.Errorf("interp: sequential run needs a 1-process cluster, got %d", cl.N())
 	}
-	main := prog.Main()
-	if main == nil {
+	if lw.main == nil {
 		return nil, fmt.Errorf("interp: program has no main unit")
 	}
 	var out bytes.Buffer
-	env, err := newEnv(prog, main, cl, 0, mode, &out)
+	env, err := newEnv(lw, cl, 0, mode, &out)
 	if err != nil {
 		return nil, err
 	}
 	err = func() (err error) {
 		defer recoverRun(&err)
-		env.applyDataInits(main)
-		env.execUnitBody(main)
+		env.applyData(lw.main)
+		env.runBody(lw.main, lw.main.body)
 		return nil
 	}()
 	if err != nil {
@@ -147,12 +165,32 @@ func RunParallel(pp *postpass.Program, cl *cluster.Cluster, mode Mode) (*Result,
 }
 
 // RunParallelConfig is RunParallel with an explicit run configuration
-// (worker-pool sizing; see RunConfig).
+// (worker-pool sizing; see RunConfig). It lowers the translated program
+// once for this run, shared by every rank.
 func RunParallelConfig(pp *postpass.Program, cl *cluster.Cluster, mode Mode, cfg RunConfig) (*Result, error) {
-	P := cl.N()
-	if P != pp.Opts.NumProcs {
-		return nil, fmt.Errorf("interp: program compiled for %d procs, cluster has %d", pp.Opts.NumProcs, P)
+	return Lower(pp.Source).RunParallel(pp, cl, mode, cfg)
+}
+
+// translated checks that pp is a translation of the lowered program
+// (its regions must point at the statements that were lowered) for a
+// cluster of cl's size.
+func (lw *Lowered) translated(pp *postpass.Program, cl *cluster.Cluster) error {
+	if cl.N() != pp.Opts.NumProcs {
+		return fmt.Errorf("interp: program compiled for %d procs, cluster has %d", pp.Opts.NumProcs, cl.N())
 	}
+	if pp.Source != lw.prog {
+		return fmt.Errorf("interp: SPMD translation is of a different program than the lowered one")
+	}
+	return nil
+}
+
+// RunParallel executes pp, an SPMD translation of the lowered program,
+// on the cluster. Every rank executes the same Lowered.
+func (lw *Lowered) RunParallel(pp *postpass.Program, cl *cluster.Cluster, mode Mode, cfg RunConfig) (*Result, error) {
+	if err := lw.translated(pp, cl); err != nil {
+		return nil, err
+	}
+	P := cl.N()
 	world := mpi.NewWorld(cl)
 	defer world.Shutdown()
 	var sched *pool
@@ -190,7 +228,7 @@ func RunParallelConfig(pp *postpass.Program, cl *cluster.Cluster, mode Mode, cfg
 				sched.acquire(nodes[rank])
 				defer sched.release()
 			}
-			errs[rank] = runRank(pp, world.Rank(rank), mode, &out, &envs[rank])
+			errs[rank] = lw.runRank(pp, world.Rank(rank), mode, &out, &envs[rank])
 			if errs[rank] != nil {
 				// A rank that dies on an error must not strand its
 				// peers in a rendezvous: mark it departed so blocked
@@ -215,122 +253,144 @@ func RunParallelConfig(pp *postpass.Program, cl *cluster.Cluster, mode Mode, cfg
 	}, nil
 }
 
-func runRank(pp *postpass.Program, p *mpi.Proc, mode Mode, masterOut *bytes.Buffer, envOut **Env) (err error) {
-	defer recoverRun(&err)
-	var sink *bytes.Buffer
-	if p.Rank() == 0 {
-		sink = masterOut
-	} else {
-		sink = &bytes.Buffer{} // slaves' prints are discarded
+// rankRun is one rank's pass over the SPMD regions: the rank's env and
+// MPI handle, its windows, and the halt flag every rank agrees on.
+type rankRun struct {
+	env *Env
+	pp  *postpass.Program
+	p   *mpi.Proc
+	// wins are the §5.1 windows over every remotely accessed variable;
+	// redWins the dedicated one-cell windows lock-based reductions
+	// merge through (separate from the live scalar, which the owning
+	// rank keeps updating during the partitioned loop).
+	wins, redWins map[*f77.Symbol]*mpi.Win
+	halted        bool
+}
+
+// newRankRun builds the rank's env (slaves' prints are discarded).
+func (lw *Lowered) newRankRun(pp *postpass.Program, p *mpi.Proc, mode Mode, masterOut *bytes.Buffer) (*rankRun, error) {
+	sink := masterOut
+	if p.Rank() != 0 {
+		sink = &bytes.Buffer{}
 	}
-	env, err := newEnv(pp.Source, pp.Main, p.World().Cluster(), p.Rank(), mode, sink)
+	env, err := newEnv(lw, p.World().Cluster(), p.Rank(), mode, sink)
+	if err != nil {
+		return nil, err
+	}
+	return &rankRun{env: env, pp: pp, p: p}, nil
+}
+
+// createWindows generates the rank's MPI environment (§5.1): a window
+// over every remotely accessed variable and, under lock-based combining, a one-cell window per reduction
+// scalar. Window creation is collective, so every rank calls this at
+// the same point of its run.
+func (r *rankRun) createWindows() {
+	r.wins = make(map[*f77.Symbol]*mpi.Win, len(r.pp.Windows))
+	for _, sym := range r.pp.Windows {
+		r.wins[sym] = r.p.WinCreate(sym.Name, r.env.winBacking(sym))
+	}
+	if !r.pp.Opts.LockReductions {
+		return
+	}
+	r.redWins = map[*f77.Symbol]*mpi.Win{}
+	for _, region := range r.pp.Regions {
+		if region.Par == nil {
+			continue
+		}
+		for _, red := range region.Par.Reductions {
+			if r.redWins[red.Sym] == nil {
+				r.redWins[red.Sym] = r.p.WinCreate(red.Sym.Name+"$RED", make([]float64, 1))
+			}
+		}
+	}
+}
+
+func (lw *Lowered) runRank(pp *postpass.Program, p *mpi.Proc, mode Mode, masterOut *bytes.Buffer, envOut **Env) (err error) {
+	defer recoverRun(&err)
+	r, err := lw.newRankRun(pp, p, mode, masterOut)
 	if err != nil {
 		return err
 	}
-	env.world = p.World()
-	*envOut = env
+	r.env.world = p.World()
+	*envOut = r.env
 	if p.Rank() == 0 {
 		// "the master initially holds all program data objects".
-		env.applyDataInits(pp.Main)
+		r.env.applyData(lw.main)
 	}
-
-	// §5.1 MPI environment generation: windows over every remotely
-	// accessed variable.
-	wins := map[*f77.Symbol]*mpi.Win{}
-	for _, sym := range pp.Windows {
-		wins[sym] = p.WinCreate(sym.Name, env.winBacking(sym))
-	}
-	// Lock-based reductions merge through dedicated one-cell windows
-	// (separate from the live scalar, which the owning rank keeps
-	// updating during the partitioned loop).
-	redWins := map[*f77.Symbol]*mpi.Win{}
-	if pp.Opts.LockReductions {
-		seen := map[*f77.Symbol]bool{}
-		for _, region := range pp.Regions {
-			if region.Par == nil {
-				continue
-			}
-			for _, red := range region.Par.Reductions {
-				if !seen[red.Sym] {
-					seen[red.Sym] = true
-					redWins[red.Sym] = p.WinCreate(red.Sym.Name+"$RED", make([]float64, 1))
-				}
-			}
-		}
-	}
-
-	// Programs containing STOP need the master's halt decision shared
-	// with the slaves after each sequential section; STOP-free programs
-	// (all the benchmarks) skip the extra broadcast.
-	hasStop := false
-	f77.WalkStmts(pp.Main.Body, func(s f77.Stmt) bool {
-		if _, ok := s.(*f77.StopStmt); ok {
-			hasStop = true
-		}
-		return true
-	})
-
-	halted := false
-	for ri, region := range pp.Regions {
-		env.checkCancelled()
-		var startClock, startComm sim.Time
-		if p.Rank() == 0 {
-			startClock = env.cl.Clock(0)
-			startComm = env.cl.Snapshot().TotalXferTime()
-		}
-		recordRegion := func() {
-			if p.Rank() != 0 {
-				return
-			}
-			st := RegionStat{Index: ri, Parallel: region.Par != nil}
-			if region.Par != nil {
-				st.LoopVar = region.Par.Loop.Var.Name
-				st.Line = region.Par.Loop.Line()
-			} else if len(region.Stmts) > 0 {
-				st.Line = region.Stmts[0].Line()
-			}
-			st.Elapsed = env.cl.Clock(0) - startClock
-			st.Comm = env.cl.Snapshot().TotalXferTime() - startComm
-			env.regionStats = append(env.regionStats, st)
-		}
-		if region.Par == nil {
-			// Sequential section: "the master executes all sequential
-			// sections... slaves wait at barriers".
-			if p.Rank() == 0 && !halted {
-				if c, _ := env.execStmts(region.Stmts); c == ctrlStop {
-					halted = true
-				}
-			}
-			env.flush()
-			p.Barrier()
-			if hasStop {
-				flag := 0.0
-				if halted {
-					flag = 1
-				}
-				if got := p.Bcast(0, []float64{flag}); got[0] != 0 {
-					halted = true
-				}
-			}
-			recordRegion()
-			continue
-		}
-		if halted {
-			// Everyone agreed to halt; the remaining regions are
-			// skipped, with the region's three barriers kept so clocks
-			// stay reconciled.
-			env.flush()
-			p.Barrier()
-			p.Barrier()
-			p.Barrier()
-			continue
-		}
-		if err := env.runParRegion(pp, region.Par, p, wins, redWins); err != nil {
+	r.createWindows()
+	for ri := range pp.Regions {
+		r.env.checkCancelled()
+		if err := r.region(ri); err != nil {
 			return err
 		}
-		recordRegion()
 	}
-	env.flush()
+	r.env.flush()
+	return nil
+}
+
+// region executes region ri of the translation and, on the master,
+// appends its profile row.
+func (r *rankRun) region(ri int) error {
+	env, p, region := r.env, r.p, r.pp.Regions[ri]
+	master := p.Rank() == 0
+	var startClock, startComm sim.Time
+	if master {
+		startClock = env.cl.Clock(0)
+		startComm = env.cl.TotalXferTime()
+	}
+	if region.Par == nil {
+		// Sequential section: "the master executes all sequential
+		// sections... slaves wait at barriers".
+		if master && !r.halted {
+			lo, hi, err := env.lw.span(region.Stmts)
+			if err != nil {
+				return err
+			}
+			if env.lw.main.body.execRange(env, lo, hi) == ctrlStop {
+				r.halted = true
+			}
+		}
+		env.flush()
+		p.Barrier()
+		// Programs containing STOP need the master's halt decision
+		// shared with the slaves after each sequential section;
+		// STOP-free programs (all the benchmarks) skip the broadcast.
+		if env.lw.hasStop {
+			flag := 0.0
+			if r.halted {
+				flag = 1
+			}
+			if got := p.Bcast(0, []float64{flag}); got[0] != 0 {
+				r.halted = true
+			}
+		}
+	} else if r.halted {
+		// Everyone agreed to halt; the remaining regions are skipped,
+		// with the region's three barriers kept so clocks stay
+		// reconciled.
+		env.flush()
+		p.Barrier()
+		p.Barrier()
+		p.Barrier()
+		return nil
+	} else if err := env.runParRegion(r.pp, region.Par, p, r.wins, r.redWins); err != nil {
+		return err
+	}
+	if master {
+		st := RegionStat{
+			Index:    ri,
+			Parallel: region.Par != nil,
+			Elapsed:  env.cl.Clock(0) - startClock,
+			Comm:     env.cl.TotalXferTime() - startComm,
+		}
+		if region.Par != nil {
+			st.LoopVar = region.Par.Loop.Var.Name
+			st.Line = region.Par.Loop.Line()
+		} else if len(region.Stmts) > 0 {
+			st.Line = region.Stmts[0].Line()
+		}
+		env.regionStats = append(env.regionStats, st)
+	}
 	return nil
 }
 
@@ -338,6 +398,10 @@ func runRank(pp *postpass.Program, p *mpi.Proc, mode Mode, masterOut *bytes.Buff
 // partitioned loop, reduction combine, collect+fence.
 func (env *Env) runParRegion(pp *postpass.Program, par *postpass.ParInfo, p *mpi.Proc, wins, redWins map[*f77.Symbol]*mpi.Win) error {
 	P := p.Size()
+	loop, err := env.lw.topLoop(par.Loop)
+	if err != nil {
+		return err // before any rank communicates: every rank fails alike
+	}
 	env.flush()
 	p.Barrier()
 
@@ -348,7 +412,7 @@ func (env *Env) runParRegion(pp *postpass.Program, par *postpass.ParInfo, p *mpi
 	// every slave's later critical section is ordered after it.
 	var reds []redState
 	for _, red := range par.Reductions {
-		buf := env.storage(red.Sym, par.Loop.Line())
+		buf := env.storage(env.lw.slots[red.Sym], par.Loop.Line())
 		reds = append(reds, redState{red: red, pre: buf[0]})
 		buf[0] = reductionIdentity(red.Op)
 		if pp.Opts.LockReductions && p.Rank() == 0 {
@@ -385,7 +449,7 @@ func (env *Env) runParRegion(pp *postpass.Program, par *postpass.ParInfo, p *mpi
 	// ---- Partitioned execution (§5.3).
 	trips := par.Ctx.Trips()
 	myTrips := postpass.RankTrips(trips, p.Rank(), P, par.Schedule)
-	env.runPartition(par.Loop, par.Ctx, myTrips)
+	env.runPartition(loop, par.Ctx, myTrips)
 
 	// ---- Combine reductions.
 	if len(reds) > 0 {
@@ -395,7 +459,7 @@ func (env *Env) runParRegion(pp *postpass.Program, par *postpass.ParInfo, p *mpi
 		} else {
 			contrib := make([]float64, len(reds))
 			for i, rs := range reds {
-				partial := env.storage(rs.red.Sym, 0)[0]
+				partial := env.symStorage(rs.red.Sym)[0]
 				if p.Rank() == 0 {
 					partial = applyReduction(rs.red.Op, rs.pre, partial)
 				}
@@ -403,7 +467,7 @@ func (env *Env) runParRegion(pp *postpass.Program, par *postpass.ParInfo, p *mpi
 			}
 			total := p.Allreduce(mpiOp(reds), contrib)
 			for i, rs := range reds {
-				env.storage(rs.red.Sym, 0)[0] = total[i]
+				env.symStorage(rs.red.Sym)[0] = total[i]
 			}
 		}
 	}
@@ -444,7 +508,7 @@ func (env *Env) combineReductionsLocked(par *postpass.ParInfo, p *mpi.Proc, redW
 		if win == nil {
 			env.fail(par.Loop.Line(), "no reduction window for %s", rs.red.Sym.Name)
 		}
-		partial := env.storage(rs.red.Sym, 0)[0]
+		partial := env.symStorage(rs.red.Sym)[0]
 		tmp := make([]float64, 1)
 		p.Lock(win, 0)
 		p.Get(win, 0, 0, tmp)
@@ -463,7 +527,7 @@ func (env *Env) combineReductionsLocked(par *postpass.ParInfo, p *mpi.Proc, redW
 	}
 	total := p.Bcast(0, contrib)
 	for i, rs := range reds {
-		env.storage(rs.red.Sym, 0)[0] = total[i]
+		env.symStorage(rs.red.Sym)[0] = total[i]
 	}
 }
 
@@ -529,9 +593,9 @@ func applyReduction(op string, a, b float64) float64 {
 
 // runPartition executes (or bulk-charges) the rank's share of a
 // parallel loop under the region's schedule.
-func (env *Env) runPartition(loop *f77.DoLoop, ctx analysis.LoopCtx, myTrips []int64) {
-	env.charge(3 * env.cpu.IntOpTime)
-	defer env.setInt(loop.Var, ctx.From+ctx.Trips()*ctx.Step, loop.Line())
+func (env *Env) runPartition(l *loop, ctx analysis.LoopCtx, myTrips []int64) {
+	env.pending += 3 * env.cpu.IntOpTime
+	defer env.setInt(l.v, ctx.From+ctx.Trips()*ctx.Step)
 	if len(myTrips) == 0 {
 		return
 	}
@@ -541,29 +605,28 @@ func (env *Env) runPartition(loop *f77.DoLoop, ctx analysis.LoopCtx, myTrips []i
 	env.spmdTax = env.cpu.SPMDIterOverhead
 	defer func() { env.spmdTax = 0 }()
 	iterCost := env.cpu.LoopOverhead + env.spmdTax
-	if env.mode == Timing && env.isBulkable(loop) {
-		if !env.loopVarDependent(loop) {
-			env.setInt(loop.Var, ctx.From, loop.Line())
-			per := iterCost + env.stmtsCost(loop.Body)
-			env.charge(sim.Time(len(myTrips)) * per)
+	if env.mode == Timing && l.bulkable {
+		if !l.varDep {
+			env.setInt(l.v, ctx.From)
+			env.pending += sim.Time(len(myTrips)) * (iterCost + l.bodyCost(env))
 			return
 		}
 		var total sim.Time
 		for _, k := range myTrips {
 			env.checkCancelled()
-			env.setInt(loop.Var, ctx.From+k*ctx.Step, loop.Line())
-			total += iterCost + env.stmtsCost(loop.Body)
+			env.setInt(l.v, ctx.From+k*ctx.Step)
+			total += iterCost + l.bodyCost(env)
 		}
-		env.charge(total)
+		env.pending += total
 		return
 	}
+	body := l.block()
 	for _, k := range myTrips {
 		env.checkCancelled()
-		env.setInt(loop.Var, ctx.From+k*ctx.Step, loop.Line())
-		env.charge(iterCost)
-		c, _ := env.execStmts(loop.Body)
-		if c != ctrlNormal {
-			env.fail(loop.Line(), "control transfer out of a parallel loop")
+		env.setInt(l.v, ctx.From+k*ctx.Step)
+		env.pending += iterCost
+		if body.exec(env) != ctrlNormal {
+			env.fail(l.line, "control transfer out of a parallel loop")
 		}
 	}
 }
@@ -664,7 +727,7 @@ func (env *Env) sendOps(p *mpi.Proc, par *postpass.ParInfo, ops []*postpass.Comm
 				p.SendRegion(dst, tag, int(tr.Elems), nil)
 				continue
 			}
-			src := env.storage(pl.sym, 0)
+			src := env.symStorage(pl.sym)
 			payload := make([]float64, tr.Elems)
 			for i := range payload {
 				payload[i] = src[tr.Offset+int64(i)*tr.Stride]
@@ -687,7 +750,7 @@ func (env *Env) recvOps(p *mpi.Proc, par *postpass.ParInfo, ops []*postpass.Comm
 			if env.mode == Timing || len(payload) == 0 {
 				continue
 			}
-			buf := env.storage(pl.sym, 0)
+			buf := env.symStorage(pl.sym)
 			for i, v := range payload {
 				buf[tr.Offset+int64(i)*tr.Stride] = v
 			}
@@ -707,7 +770,7 @@ func (env *Env) pullOps(p *mpi.Proc, wins map[*f77.Symbol]*mpi.Win, par *postpas
 				p.ChargePutD(0, d)
 				continue
 			}
-			dst := env.storage(pl.sym, 0)
+			dst := env.symStorage(pl.sym)
 			if tr.Stride == 1 {
 				p.GetD(win, 0, d, dst[tr.Offset:tr.Offset+tr.Elems])
 			} else {
@@ -729,7 +792,7 @@ func (env *Env) execTransfers(p *mpi.Proc, win *mpi.Win, sym *f77.Symbol, plan [
 			p.ChargePutD(target, d)
 			continue
 		}
-		src := env.storage(sym, 0)
+		src := env.symStorage(sym)
 		if tr.Stride == 1 {
 			p.PutD(win, target, d, src[tr.Offset:tr.Offset+tr.Elems])
 		} else {
