@@ -6,10 +6,10 @@ package main
 
 import (
 	"fmt"
-	"log"
 
+	"vbuscluster/internal/cluster"
+	"vbuscluster/internal/commcost"
 	"vbuscluster/internal/lmad"
-	"vbuscluster/internal/nic"
 )
 
 func main() {
@@ -18,27 +18,17 @@ func main() {
 	fmt.Printf("access region:\n%s", l.Diagram(36))
 	fmt.Printf("exact elements: %v\n\n", l.Enumerate(100))
 
-	card, err := nic.NewVBus(nic.DefaultVBusConfig())
-	if err != nil {
-		log.Fatal(err)
-	}
+	kernel := cluster.DefaultParams().CommCost()
 
 	for _, g := range []lmad.Grain{lmad.Fine, lmad.Middle, lmad.Coarse} {
 		plan := lmad.Plan(l, 0, g)
-		if g == lmad.Coarse {
-			plan = lmad.MergeContiguous(plan)
-		}
 		st := lmad.Stats(l, plan)
 		fmt.Printf("%v grain: %d message(s), %d strided, %d elements on the wire (%d exact)\n",
 			g, st.Messages, st.StridedMsgs, st.Elements, st.ExactElements)
 		var total float64
 		for _, tr := range plan {
-			var t float64
-			if tr.Stride > 1 {
-				t = (card.SendSetup() + card.StridedTime(int(tr.Elems), 8, 2)).Seconds()
-			} else {
-				t = (card.SendSetup() + card.ContigTime(int(tr.Elems)*8, 2)).Seconds()
-			}
+			cost, _ := kernel.Price(commcost.FromTransfer("A", tr), 2, nil)
+			t := cost.Seconds()
 			fmt.Printf("  PUT offset=%-4d elems=%-4d stride=%-2d  cost %.2fus\n",
 				tr.Offset, tr.Elems, tr.Stride, t*1e6)
 			total += t

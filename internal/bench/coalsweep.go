@@ -7,7 +7,6 @@ import (
 
 	"vbuscluster/internal/cluster"
 	"vbuscluster/internal/mpi"
-	"vbuscluster/internal/nic"
 	"vbuscluster/internal/sim"
 )
 
@@ -24,8 +23,9 @@ type CoalPoint struct {
 	// PIOBW and PackedBW are the corresponding payload bandwidths in
 	// MB/s of useful (non-padding) bytes.
 	PIOBW, PackedBW float64
-	// ModelPacks reports the nic.PackModel decision for this shape —
-	// the coalescer packs exactly when this is true.
+	// ModelPacks reports the cost model's decision for this shape: the
+	// element count reaches the machine's commcost pack threshold — the
+	// coalescer packs exactly when this is true.
 	ModelPacks bool
 }
 
@@ -42,7 +42,7 @@ func (pt CoalPoint) Winner() string {
 // fresh two-rank cluster, PUTs the same strided region once over the
 // programmed-I/O path and once over the coalesced pack path, verifies
 // at the target that both paths delivered byte-identical payloads, and
-// checks the measured times against the nic.PackModel decision (the
+// checks the measured times against the cost model's decision (the
 // packed path must be the cheaper one whenever the model says pack).
 // fabric selects the interconnect backend ("" = default V-Bus).
 func CoalSweep(elemCounts, strides []int, fabric string) ([]CoalPoint, error) {
@@ -54,14 +54,14 @@ func CoalSweep(elemCounts, strides []int, fabric string) ([]CoalPoint, error) {
 			return nil, err
 		}
 	}
-	pm := nic.PackModelFor(params)
+	packFrom := params.CommCost().PackThreshold()
 	var out []CoalPoint
 	for _, elems := range elemCounts {
 		for _, stride := range strides {
 			if stride < 2 {
 				return nil, fmt.Errorf("bench: coalsweep stride %d must be >= 2 (stride 1 is already contiguous DMA)", stride)
 			}
-			pt, err := coalCell(params, pm, elems, stride)
+			pt, err := coalCell(params, packFrom, elems, stride)
 			if err != nil {
 				return nil, err
 			}
@@ -71,8 +71,9 @@ func CoalSweep(elemCounts, strides []int, fabric string) ([]CoalPoint, error) {
 	return out, nil
 }
 
-// coalCell times one (elems, stride) cell on a fresh cluster.
-func coalCell(params cluster.Params, pm nic.PackModel, elems, stride int) (CoalPoint, error) {
+// coalCell times one (elems, stride) cell on a fresh cluster; packFrom
+// is the machine's pack threshold in elements (0 = never).
+func coalCell(params cluster.Params, packFrom int64, elems, stride int) (CoalPoint, error) {
 	cl, err := cluster.New(2, params)
 	if err != nil {
 		return CoalPoint{}, err
@@ -81,7 +82,7 @@ func coalCell(params cluster.Params, pm nic.PackModel, elems, stride int) (CoalP
 	pt := CoalPoint{
 		Elems:      elems,
 		Stride:     stride,
-		ModelPacks: pm.PackWins(elems, mpi.WordBytes, params.Hops(0, 1)),
+		ModelPacks: packFrom > 0 && int64(elems) >= packFrom,
 	}
 	span := (elems-1)*stride + 1
 	region := make([]float64, span)
@@ -111,7 +112,7 @@ func coalCell(params cluster.Params, pm nic.PackModel, elems, stride int) (CoalP
 					data[i] = 1 + float64(i)
 				}
 				t0 := cl.Clock(0)
-				p.PutD(win, 1, mpi.StridedDesc(0, int64(elems), int64(stride)), data)
+				mpi.Must(p.Put(win, 1, mpi.StridedDesc(0, int64(elems), int64(stride)), data))
 				pt.PIO = cl.Clock(0) - t0
 			}
 			p.Fence(win)
@@ -127,7 +128,7 @@ func coalCell(params cluster.Params, pm nic.PackModel, elems, stride int) (CoalP
 				d := mpi.StridedDesc(0, int64(elems), int64(stride))
 				d.Packed = true
 				t0 := cl.Clock(0)
-				p.PutD(win, 1, d, data)
+				mpi.Must(p.Put(win, 1, d, data))
 				pt.Packed = cl.Clock(0) - t0
 			}
 			p.Fence(win)

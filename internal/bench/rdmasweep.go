@@ -23,7 +23,6 @@ import (
 	"vbuscluster/internal/interconnect"
 	"vbuscluster/internal/lmad"
 	"vbuscluster/internal/mpi"
-	"vbuscluster/internal/nic"
 	"vbuscluster/internal/sim"
 )
 
@@ -96,8 +95,8 @@ func RdmaGate() (RdmaGateRow, error) {
 	if err != nil {
 		return RdmaGateRow{}, err
 	}
-	pm, ok := nic.ProtocolModelFor(params)
-	if !ok {
+	pm := params.CommCost().Protocol()
+	if pm == nil {
 		return RdmaGateRow{}, fmt.Errorf("bench: rdma card does not implement interconnect.ProtocolModel")
 	}
 	hops := params.Hops(0, 1)
@@ -121,8 +120,8 @@ func RdmaSweep(quick bool) (*RdmaResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	pm, ok := nic.ProtocolModelFor(params)
-	if !ok {
+	pm := params.CommCost().Protocol()
+	if pm == nil {
 		return nil, fmt.Errorf("bench: rdma card does not implement interconnect.ProtocolModel")
 	}
 	hops := params.Hops(0, 1)
@@ -215,7 +214,7 @@ func rdmaProtoCell(params cluster.Params, pm interconnect.ProtocolModel, hops, e
 		d.Region = "rdma-bench"
 		d.Proto = proto
 		t0 := cl.Clock(0)
-		p.PutD(win, 1, d, data)
+		mpi.Must(p.Put(win, 1, d, data))
 		return cl.Clock(0) - t0
 	}
 	var wg sync.WaitGroup
@@ -295,7 +294,7 @@ func rdmaMeasureCrossover(params cluster.Params, pm interconnect.ProtocolModel, 
 		}
 		p := mpi.NewWorld(cl).Rank(0)
 		t0 := cl.Clock(0)
-		p.ChargePutD(1, mpi.ContigDesc(0, int64(elems)))
+		mpi.Must(p.Charge(1, mpi.ContigDesc(0, int64(elems))))
 		cost := cl.Clock(0) - t0
 		bytes := elems * mpi.WordBytes
 		switch cost {
@@ -358,7 +357,7 @@ func rdmaCachePressure(params cluster.Params, pm interconnect.ProtocolModel, hop
 		d.Region = "pressure"
 		d.Proto = lmad.ProtoRndv
 		t0 := cl.Clock(0)
-		p.ChargePutD(1, d)
+		mpi.Must(p.Charge(1, d))
 		return cl.Clock(0) - t0
 	}
 	cap := pm.RegCacheCapacity()

@@ -14,6 +14,7 @@ import (
 	"strings"
 	"sync"
 
+	"vbuscluster/internal/commcost"
 	"vbuscluster/internal/fault"
 	"vbuscluster/internal/interconnect"
 	"vbuscluster/internal/mesh"
@@ -124,13 +125,12 @@ func ParamsForFabric(name string) (Params, error) {
 	return p, nil
 }
 
-// FabricCard implements nic.Machine: the machine's interconnect cost
-// model.
-func (p Params) FabricCard() interconnect.Interconnect { return p.Fabric }
-
-// MemCopyCost implements nic.Machine: the CPU's per-byte memory-copy
-// charge.
-func (p Params) MemCopyCost() sim.Time { return p.CPU.MemCopyPerByte }
+// CommCost builds the machine's transfer-pricing kernel — the single
+// construction point for the runtime (one per Cluster), the compiler's
+// coalesce stage, the static estimator and the benchmark sweeps.
+func (p Params) CommCost() *commcost.Kernel {
+	return commcost.New(p.Fabric, p.CPU.MemCopyPerByte)
+}
 
 // Dims is the normalized mesh geometry: MeshDims when set, otherwise
 // [MeshWidth, MeshHeight].
@@ -158,10 +158,9 @@ func dimStrides(dims []int) []int {
 // the compiler's static cost estimator, so the two cannot disagree.
 func (p Params) Hops(a, b int) int {
 	dims := p.Dims()
-	strides := dimStrides(dims)
-	total := 0
+	total, stride := 0, 1 // stride: row-major coordinate stride of dimension i
 	for i, size := range dims {
-		ac, bc := a/strides[i], b/strides[i]
+		ac, bc := a/stride, b/stride
 		if i < len(dims)-1 {
 			ac, bc = ac%size, bc%size
 		}
@@ -175,6 +174,7 @@ func (p Params) Hops(a, b int) int {
 			}
 		}
 		total += d
+		stride *= size
 	}
 	return total
 }
@@ -236,6 +236,8 @@ func (p Params) Path(a, b int) []int {
 type Cluster struct {
 	params Params
 	n      int
+	// kernel prices every data transfer charged on this machine.
+	kernel *commcost.Kernel
 
 	// rec is the optional event recorder. It is attached once, before
 	// the per-rank goroutines start, and read (nil-checked) on every
@@ -255,8 +257,8 @@ type Cluster struct {
 	opsSeen []int64
 
 	// regCaches holds one memory-registration cache per physical node
-	// when the fabric prices an eager/rendezvous protocol choice
-	// (interconnect.ProtocolModel), nil otherwise. Like opsSeen, the
+	// when the fabric prices an eager/rendezvous protocol choice, nil
+	// otherwise (commcost.Kernel.NewRegCaches). Like opsSeen, the
 	// caches are per-node sender-side state that survives communicator
 	// rebuilds and is cleared by Reset. They live here rather than in
 	// the card because core.Compiled shares one card instance across
@@ -288,9 +290,12 @@ func New(n int, params Params) (*Cluster, error) {
 	if params.Fabric == nil {
 		return nil, fmt.Errorf("cluster: nil interconnect backend")
 	}
+	kernel := params.CommCost()
 	c := &Cluster{
 		params:    params,
 		n:         n,
+		kernel:    kernel,
+		regCaches: kernel.NewRegCaches(n),
 		clocks:    make([]sim.Time, n),
 		commTime:  make([]sim.Time, n),
 		xferTime:  make([]sim.Time, n),
@@ -298,12 +303,6 @@ func New(n int, params Params) (*Cluster, error) {
 		commBytes: make([]int64, n),
 		commOps:   make([]int64, n),
 		opsSeen:   make([]int64, n),
-	}
-	if pm, ok := params.Fabric.(interconnect.ProtocolModel); ok {
-		c.regCaches = make([]*interconnect.RegCache, n)
-		for i := range c.regCaches {
-			c.regCaches[i] = interconnect.NewRegCache(pm.RegCacheCapacity())
-		}
 	}
 	return c, nil
 }
@@ -327,6 +326,9 @@ func (c *Cluster) Recorder() *trace.Recorder { return c.rec }
 
 // Hops reports the mesh hop distance between two ranks' nodes.
 func (c *Cluster) Hops(a, b int) int { return c.params.Hops(a, b) }
+
+// CommCost returns the machine's transfer-pricing kernel.
+func (c *Cluster) CommCost() *commcost.Kernel { return c.kernel }
 
 // RegCache returns node's memory-registration cache, or nil when the
 // fabric has no eager/rendezvous protocol model.

@@ -2,6 +2,8 @@ package core
 
 import (
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -194,26 +196,41 @@ func TestEstimateMatchesMeasured(t *testing.T) {
 // The estimator must stay exact on the protocol-switched rdma fabric
 // too: its simulated registration caches have to replay the runtime's
 // eager/rendezvous decisions — including the coalesce stage's
-// rendezvous stamps — transfer for transfer.
+// rendezvous stamps — transfer for transfer, from the node that issues
+// them. Under pull-scatter that is the slave, whose own cache the GET
+// warms for its later collect of the same region (jacobi and matmul
+// collect what they scattered).
 func TestEstimateMatchesMeasuredRdma(t *testing.T) {
 	params, err := cluster.ParamsForFabric("rdma")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, coalesce := range []bool{false, true} {
-		for _, grain := range []lmad.Grain{lmad.Fine, lmad.Middle, lmad.Coarse} {
-			c, err := Compile(testSrc, Options{NumProcs: 4, Grain: grain, Fabric: "rdma", Coalesce: coalesce})
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := c.RunParallel(Timing)
-			if err != nil {
-				t.Fatal(err)
-			}
-			est := postpass.EstimateCommCost(c.SPMD, params)
-			if est != res.Report.TotalXferTime() {
-				t.Fatalf("grain %v coalesce %v: estimate %v != measured %v",
-					grain, coalesce, est, res.Report.TotalXferTime())
+	srcs := map[string]string{"testSrc": testSrc}
+	for _, name := range []string{"jacobi.f", "matmul.f"} {
+		b, err := os.ReadFile(filepath.Join("..", "..", "testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		srcs[name] = string(b)
+	}
+	for name, src := range srcs {
+		for _, pull := range []bool{false, true} {
+			for _, coalesce := range []bool{false, true} {
+				for _, grain := range []lmad.Grain{lmad.Fine, lmad.Middle, lmad.Coarse} {
+					c, err := Compile(src, Options{NumProcs: 4, Grain: grain, Fabric: "rdma", Coalesce: coalesce, PullScatter: pull})
+					if err != nil {
+						t.Fatal(err)
+					}
+					res, err := c.RunParallel(Timing)
+					if err != nil {
+						t.Fatal(err)
+					}
+					est := postpass.EstimateCommCost(c.SPMD, params)
+					if est != res.Report.TotalXferTime() {
+						t.Errorf("%s grain %v coalesce %v pull %v: estimate %v != measured %v",
+							name, grain, coalesce, pull, est, res.Report.TotalXferTime())
+					}
+				}
 			}
 		}
 	}

@@ -129,10 +129,10 @@ type GeometryHinter interface {
 // Two paths are priced per transfer: eager copies the payload into a
 // pre-registered bounce buffer (per-byte copy cost, no handshake) and
 // rendezvous runs an RTS/CTS handshake plus on-demand memory
-// registration before a zero-copy DMA. The runtime charges whichever
-// path is chosen per message; the compiler's coalesce stage and the
-// static estimator consult the same model, so compile-time stamps and
-// runtime charges agree by construction.
+// registration before a zero-copy DMA. internal/commcost is the model's
+// one consumer: it chooses the path per message for the runtime and the
+// static estimator alike, and derives the coalesce stage's stamping
+// threshold.
 //
 // Both time functions are full origin-side costs (send setup included,
 // unlike ContigTime) and must be non-negative and monotone

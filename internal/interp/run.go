@@ -9,8 +9,8 @@ import (
 
 	"vbuscluster/internal/analysis"
 	"vbuscluster/internal/cluster"
+	"vbuscluster/internal/commcost"
 	"vbuscluster/internal/f77"
-	"vbuscluster/internal/lmad"
 	"vbuscluster/internal/mpi"
 	"vbuscluster/internal/postpass"
 	"vbuscluster/internal/sim"
@@ -436,11 +436,11 @@ func (env *Env) runParRegion(pp *postpass.Program, par *postpass.ParInfo, p *mpi
 	} else if pp.Opts.PullScatter {
 		// One-sided pull: each slave GETs its own regions concurrently.
 		if p.Rank() != 0 {
-			env.pullOps(p, wins, par, par.Scatters, p.Rank())
+			env.moveOps(p, wins, par, par.Scatters, p.Rank(), 0, true)
 		}
 	} else if p.Rank() == 0 {
 		for dst := 1; dst < P; dst++ {
-			env.transferOps(p, wins, par, par.Scatters, dst, true)
+			env.moveOps(p, wins, par, par.Scatters, dst, dst, false)
 		}
 	}
 	env.flush()
@@ -483,7 +483,7 @@ func (env *Env) runParRegion(pp *postpass.Program, par *postpass.ParInfo, p *mpi
 			}
 		}
 	} else if p.Rank() != 0 {
-		env.transferOps(p, wins, par, par.Collects, p.Rank(), false)
+		env.moveOps(p, wins, par, par.Collects, p.Rank(), 0, false)
 	}
 	env.flush()
 	p.Barrier() // fence: all collects land before the master continues
@@ -510,10 +510,11 @@ func (env *Env) combineReductionsLocked(par *postpass.ParInfo, p *mpi.Proc, redW
 		}
 		partial := env.symStorage(rs.red.Sym)[0]
 		tmp := make([]float64, 1)
+		cell := mpi.ContigDesc(0, 1)
 		p.Lock(win, 0)
-		p.Get(win, 0, 0, tmp)
+		mpi.Must(p.Get(win, 0, cell, tmp))
 		tmp[0] = applyReduction(rs.red.Op, tmp[0], partial)
-		p.Put(win, 0, 0, tmp)
+		mpi.Must(p.Put(win, 0, cell, tmp))
 		p.Unlock(win, 0)
 	}
 	env.flush()
@@ -631,103 +632,20 @@ func (env *Env) runPartition(l *loop, ctx analysis.LoopCtx, myTrips []int64) {
 	}
 }
 
-// transferOps performs (or, in timing mode, charges) the rank's plans
-// of all ops in one direction. scatter=true moves master→rank;
-// otherwise the calling slave moves its regions to the master.
-// Coarse-grain plans of the same array merge across ops into the "one
-// big approximate region" of Figure 9(d).
-func (env *Env) transferOps(p *mpi.Proc, wins map[*f77.Symbol]*mpi.Win, par *postpass.ParInfo, ops []*postpass.CommOp, rank int, scatter bool) {
-	target := 0 // collects go to the master
-	if scatter {
-		target = rank
-	}
-	coarse := map[*f77.Symbol][]lmad.Transfer{}
-	var coarseOrder []*f77.Symbol
-	for _, op := range ops {
-		plan := postpass.RankPlan(op, par.Ctx, rank, p.Size(), par.Schedule)
-		if op.Grain == lmad.Coarse {
-			if _, seen := coarse[op.Sym]; !seen {
-				coarseOrder = append(coarseOrder, op.Sym)
-			}
-			coarse[op.Sym] = append(coarse[op.Sym], plan...)
-			continue
-		}
-		env.execTransfers(p, wins[op.Sym], op.Sym, plan, target)
-	}
-	thr := rndvThreshold(ops)
-	for _, sym := range coarseOrder {
-		env.execTransfers(p, wins[sym], sym,
-			lmad.MarkRendezvous(lmad.MergeContiguous(coarse[sym]), thr), target)
-	}
-}
-
-// rndvThreshold is the eager/rendezvous stamp threshold to re-apply
-// after coarse plans merge across ops: merging can grow a transfer past
-// its pre-merge stamp, so the merged plan is re-stamped. The threshold
-// is machine-global (every op of a coalesced compile carries the same
-// value; unstamped ops carry 0), so the max over the list recovers it.
-func rndvThreshold(ops []*postpass.CommOp) int64 {
-	var thr int64
-	for _, op := range ops {
-		if op.RndvThreshold > thr {
-			thr = op.RndvThreshold
-		}
-	}
-	return thr
-}
-
-// rankPlans enumerates the per-op plans of one rank in deterministic
-// order, with coarse-grain plans merged per array — the shared plan
-// shape used by both the one-sided and two-sided paths (the two sides
-// of a SEND/RECEIVE pair must enumerate identically).
-func rankPlans(p *mpi.Proc, par *postpass.ParInfo, ops []*postpass.CommOp, rank int) []struct {
-	sym  *f77.Symbol
-	plan []lmad.Transfer
-} {
-	var out []struct {
-		sym  *f77.Symbol
-		plan []lmad.Transfer
-	}
-	coarse := map[*f77.Symbol][]lmad.Transfer{}
-	var coarseOrder []*f77.Symbol
-	for _, op := range ops {
-		plan := postpass.RankPlan(op, par.Ctx, rank, p.Size(), par.Schedule)
-		if op.Grain == lmad.Coarse {
-			if _, seen := coarse[op.Sym]; !seen {
-				coarseOrder = append(coarseOrder, op.Sym)
-			}
-			coarse[op.Sym] = append(coarse[op.Sym], plan...)
-			continue
-		}
-		out = append(out, struct {
-			sym  *f77.Symbol
-			plan []lmad.Transfer
-		}{op.Sym, plan})
-	}
-	thr := rndvThreshold(ops)
-	for _, sym := range coarseOrder {
-		out = append(out, struct {
-			sym  *f77.Symbol
-			plan []lmad.Transfer
-		}{sym, lmad.MarkRendezvous(lmad.MergeContiguous(coarse[sym]), thr)})
-	}
-	return out
-}
-
 // sendOps is the two-sided sending half: pack each transfer of rank's
 // plan and SEND it (tag identifies the peer pairing).
 func (env *Env) sendOps(p *mpi.Proc, par *postpass.ParInfo, ops []*postpass.CommOp, rank, tag int) {
-	for _, pl := range rankPlans(p, par, ops, rank) {
+	for _, pl := range postpass.RankPlans(par, ops, rank, p.Size()) {
 		dst := 0
 		if p.Rank() == 0 {
 			dst = rank
 		}
-		for _, tr := range pl.plan {
+		for _, tr := range pl.Plan {
 			if env.mode == Timing {
 				p.SendRegion(dst, tag, int(tr.Elems), nil)
 				continue
 			}
-			src := env.symStorage(pl.sym)
+			src := env.symStorage(pl.Sym)
 			payload := make([]float64, tr.Elems)
 			for i := range payload {
 				payload[i] = src[tr.Offset+int64(i)*tr.Stride]
@@ -744,13 +662,13 @@ func (env *Env) recvOps(p *mpi.Proc, par *postpass.ParInfo, ops []*postpass.Comm
 	if p.Rank() == 0 {
 		from = rank
 	}
-	for _, pl := range rankPlans(p, par, ops, rank) {
-		for _, tr := range pl.plan {
+	for _, pl := range postpass.RankPlans(par, ops, rank, p.Size()) {
+		for _, tr := range pl.Plan {
 			payload := p.RecvRegion(from, tag, int(tr.Elems))
 			if env.mode == Timing || len(payload) == 0 {
 				continue
 			}
-			buf := env.symStorage(pl.sym)
+			buf := env.symStorage(pl.Sym)
 			for i, v := range payload {
 				buf[tr.Offset+int64(i)*tr.Stride] = v
 			}
@@ -758,49 +676,39 @@ func (env *Env) recvOps(p *mpi.Proc, par *postpass.ParInfo, ops []*postpass.Comm
 	}
 }
 
-// pullOps is the GET-driven scatter: the calling slave fetches its
-// plan's regions from the master's window into its own storage.
-func (env *Env) pullOps(p *mpi.Proc, wins map[*f77.Symbol]*mpi.Win, par *postpass.ParInfo, ops []*postpass.CommOp, rank int) {
-	for _, pl := range rankPlans(p, par, ops, rank) {
-		win := wins[pl.sym]
-		for _, tr := range pl.plan {
-			d := mpi.DescFromTransfer(tr)
-			d.Region = pl.sym.Name
+// moveOps performs (or, in timing mode, charges) rank's plans of ops as
+// one-sided transfers between the caller's storage and target's
+// window: PUTs (the master scattering to rank, or slave rank collecting
+// to the master), or with get set GETs (slave rank pulling its scatter
+// regions from the master).
+func (env *Env) moveOps(p *mpi.Proc, wins map[*f77.Symbol]*mpi.Win, par *postpass.ParInfo, ops []*postpass.CommOp, rank, target int, get bool) {
+	for _, pl := range postpass.RankPlans(par, ops, rank, p.Size()) {
+		win := wins[pl.Sym]
+		for _, tr := range pl.Plan {
+			d := commcost.FromTransfer(pl.Sym.Name, tr)
 			if env.mode == Timing {
-				p.ChargePutD(0, d)
+				mpi.Must(p.Charge(target, d))
 				continue
 			}
-			dst := env.symStorage(pl.sym)
-			if tr.Stride == 1 {
-				p.GetD(win, 0, d, dst[tr.Offset:tr.Offset+tr.Elems])
-			} else {
+			local := env.symStorage(pl.Sym)
+			switch {
+			case tr.Stride == 1 && get:
+				mpi.Must(p.Get(win, target, d, local[tr.Offset:tr.Offset+tr.Elems]))
+			case tr.Stride == 1:
+				mpi.Must(p.Put(win, target, d, local[tr.Offset:tr.Offset+tr.Elems]))
+			case get:
 				tmp := make([]float64, tr.Elems)
-				p.GetD(win, 0, d, tmp)
+				mpi.Must(p.Get(win, target, d, tmp))
 				for i, v := range tmp {
-					dst[tr.Offset+int64(i)*tr.Stride] = v
+					local[tr.Offset+int64(i)*tr.Stride] = v
 				}
+			default:
+				tmp := make([]float64, tr.Elems)
+				for i := range tmp {
+					tmp[i] = local[tr.Offset+int64(i)*tr.Stride]
+				}
+				mpi.Must(p.Put(win, target, d, tmp))
 			}
-		}
-	}
-}
-
-func (env *Env) execTransfers(p *mpi.Proc, win *mpi.Win, sym *f77.Symbol, plan []lmad.Transfer, target int) {
-	for _, tr := range plan {
-		d := mpi.DescFromTransfer(tr)
-		d.Region = sym.Name
-		if env.mode == Timing {
-			p.ChargePutD(target, d)
-			continue
-		}
-		src := env.symStorage(sym)
-		if tr.Stride == 1 {
-			p.PutD(win, target, d, src[tr.Offset:tr.Offset+tr.Elems])
-		} else {
-			tmp := make([]float64, tr.Elems)
-			for i := range tmp {
-				tmp[i] = src[tr.Offset+int64(i)*tr.Stride]
-			}
-			p.PutD(win, target, d, tmp)
 		}
 	}
 }

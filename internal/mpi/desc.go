@@ -1,53 +1,25 @@
 package mpi
 
-// The descriptor-based one-sided API: PutD/GetD take an LMAD-backed
-// AccessDesc, so contiguous (DMA), strided (programmed I/O) and packed
-// (pack → contiguous DMA burst → unpack) transfers share one
-// entrypoint, one validation site, one fault/retry path and one trace
-// charge site. The legacy Put/PutStrided/Get/GetStrided names are thin
-// compatibility wrappers over this core (win.go).
+// The one-sided API: Put, Get, Accumulate and the charge-only Charge
+// each take an LMAD-backed AccessDesc, so contiguous (DMA), strided
+// (programmed I/O) and packed (pack → contiguous DMA burst → unpack)
+// transfers share one entry point per verb, one validation site, one
+// fault/retry path and one charge site (charge, which two-sided sends
+// share). What a transfer costs and which path it rides is decided by
+// internal/commcost, not here.
 
 import (
 	"fmt"
 
+	"vbuscluster/internal/commcost"
 	"vbuscluster/internal/interconnect"
-	"vbuscluster/internal/lmad"
-	"vbuscluster/internal/nic"
 	"vbuscluster/internal/sim"
 	"vbuscluster/internal/trace"
 )
 
 // AccessDesc describes one one-sided access region in the target
-// window: Elems elements starting at Offset, Stride apart (the
-// innermost dimension of a split LMAD — the unit the compiler's §5.4
-// scatter/collect generation emits one MPI_PUT/MPI_GET for).
-type AccessDesc struct {
-	// Offset is the first element's index in the target window.
-	Offset int64
-	// Elems is the element count.
-	Elems int64
-	// Stride is the element stride; 1 means contiguous.
-	Stride int64
-	// Packed routes a strided access over the pack-and-coalesce path:
-	// the origin packs the region into a staging buffer, one contiguous
-	// DMA burst moves it, and the far side unpacks. Set by the
-	// compiler's coalesce stage when the fabric's pack cost model says
-	// the burst beats per-element PIO; ignored for contiguous accesses
-	// and rank-local copies (no NIC is involved).
-	Packed bool
-	// Region names the source buffer the access reads from (the
-	// compiler uses the array symbol name) — the registration-cache key
-	// space on protocol-switched fabrics. Empty marks an anonymous
-	// buffer, which is never cached: its rendezvous transfers always
-	// pay registration. Ignored on fabrics without a protocol model.
-	Region string
-	// Proto is the compiler's eager/rendezvous stamp for contiguous
-	// accesses on protocol-switched fabrics. ProtoAuto (the zero value)
-	// lets the runtime pick per message by consulting the live
-	// registration cache. Ignored on other fabrics, for strided
-	// accesses and for rank-local copies.
-	Proto lmad.Protocol
-}
+// window; see commcost.Access for the fields.
+type AccessDesc = commcost.Access
 
 // ContigDesc describes a contiguous run of elems elements at offset.
 func ContigDesc(offset, elems int64) AccessDesc {
@@ -59,18 +31,15 @@ func StridedDesc(offset, elems, stride int64) AccessDesc {
 	return AccessDesc{Offset: offset, Elems: elems, Stride: stride}
 }
 
-// DescFromTransfer converts one compiler-planned transfer (a split
-// LMAD's innermost dimension, possibly marked packed by the coalesce
-// stage) into its access descriptor.
-func DescFromTransfer(t lmad.Transfer) AccessDesc {
-	return AccessDesc{Offset: t.Offset, Elems: t.Elems, Stride: t.Stride, Packed: t.Packed, Proto: t.Proto}
+// Must panics with err when it is non-nil. Rank bodies that treat a
+// failed operation as fatal wrap the error-returning verbs in it: the
+// panic value is the operation's *Error, which the interpreter's
+// per-rank recover turns back into the run's error.
+func Must(err error) {
+	if err != nil {
+		panic(err)
+	}
 }
-
-// Contig reports whether the descriptor is a contiguous run.
-func (d AccessDesc) Contig() bool { return d.Stride <= 1 }
-
-// Bytes is the wire payload of the access.
-func (d AccessDesc) Bytes() int { return int(d.Elems) * WordBytes }
 
 // putOp names the trace operation of a PUT-direction access: "put"
 // for contiguous runs, "put.p" for packed strided bursts (remote
@@ -84,7 +53,7 @@ func putOp(local bool, d AccessDesc) string {
 	case d.Packed && !local:
 		return trace.OpPutPacked
 	default:
-		return trace.OpPutStrided
+		return trace.OpPutStride
 	}
 }
 
@@ -96,69 +65,16 @@ func getOp(local bool, d AccessDesc) string {
 	case d.Packed && !local:
 		return trace.OpGetPacked
 	default:
-		return trace.OpGetStrided
+		return trace.OpGetStride
 	}
-}
-
-// packModel is the fabric's pack-vs-PIO cost model, shared with the
-// compiler's coalesce stage and static estimator so runtime charges
-// and compile-time decisions agree by construction.
-func (p *Proc) packModel() nic.PackModel {
-	return nic.PackModelFor(p.w.cl.Params())
-}
-
-// regKey is the access's registration-cache key; ok is false for
-// anonymous (unnamed) source buffers, which are never cached.
-func (d AccessDesc) regKey() (interconnect.RegKey, bool) {
-	if d.Region == "" {
-		return interconnect.RegKey{}, false
-	}
-	return interconnect.RegKey{Space: d.Region, Offset: d.Offset, Elems: d.Elems}, true
-}
-
-// contigCost prices a remote contiguous access and names its traced
-// transport. On fabrics without a protocol model it is the classic
-// DMA charge (setup + wire on the capability-derived transport). On a
-// protocol-switched fabric (interconnect.ProtocolModel) the access
-// rides the eager or rendezvous path: a compiler stamp (d.Proto) is
-// followed as-is; an unstamped access picks whichever path the model
-// prices cheaper given the origin node's live registration-cache
-// state. Only a charged rendezvous transfer touches the cache —
-// eager payloads ride pre-registered bounce buffers, so the eager
-// path neither warms nor consults registration state.
-func (p *Proc) contigCost(target int, d AccessDesc) (sim.Time, interconnect.Transport) {
-	card := p.w.cl.Fabric()
-	pm, ok := card.(interconnect.ProtocolModel)
-	if !ok {
-		return card.SendSetup() + card.ContigTime(d.Bytes(), p.hops(target)),
-			card.Caps().ContigTransport()
-	}
-	bytes, hops := d.Bytes(), p.hops(target)
-	cache := p.w.cl.RegCache(p.node())
-	key, cacheable := d.regKey()
-	cacheable = cacheable && cache != nil
-	proto := d.Proto
-	if proto == lmad.ProtoAuto {
-		registered := cacheable && cache.Lookup(key)
-		if pm.RendezvousTime(bytes, hops, registered) < pm.EagerTime(bytes, hops) {
-			proto = lmad.ProtoRndv
-		} else {
-			proto = lmad.ProtoEager
-		}
-	}
-	if proto == lmad.ProtoEager {
-		return pm.EagerTime(bytes, hops), interconnect.TransportEager
-	}
-	registered := cacheable && cache.Use(key)
-	return pm.RendezvousTime(bytes, hops, registered), interconnect.TransportRndv
 }
 
 // validateAccess is the single validation site of the one-sided layer
 // (argument errors panic: they are programming errors, not faults —
-// the same rule SendE documents). name is the public entry point, so
-// wrapper panics read exactly as they always have. dataLen is the
-// caller's buffer length (-1 for the charge-only paths, which move no
-// data). Returns the target window buffer (nil without a window).
+// the same rule SendE documents). name is the public entry point;
+// dataLen is the caller's buffer length (-1 for the charge-only path,
+// which moves no data). Returns the target window buffer (nil without a
+// window).
 func (p *Proc) validateAccess(name string, win *Win, target int, d AccessDesc, dataLen int) []float64 {
 	if d.Stride <= 0 {
 		panic(fmt.Sprintf("mpi: %s stride %d must be positive", name, d.Stride))
@@ -188,72 +104,51 @@ func (p *Proc) validateAccess(name string, win *Win, target int, d AccessDesc, d
 	return buf
 }
 
-// chargeAccessE is the single charge site of the one-sided layer: it
-// prices moving the described region to/from target and charges the
-// origin rank. Rank-local accesses cost a memory copy; remote
-// contiguous accesses cost DMA setup + wire (or the eager/rendezvous
-// protocol path on fabrics with a protocol model — contigCost); remote
-// strided accesses
-// cost the per-element PIO path; remote packed accesses cost the
-// pack/unpack copies plus one contiguous DMA burst, charged to the
-// dedicated pack transport class. The traced transport otherwise
-// follows the fabric's capabilities (a card without a DMA engine
-// moves contiguous data as p2p messages). Under fault injection the
-// access also pays the reliable-transport overhead and can fail with
-// an *Error; callers must not move the payload on error.
-func (p *Proc) chargeAccessE(op string, target int, d AccessDesc) *Error {
+// charge is the single charge site of the data-moving operations —
+// PUT, GET, ACCUMULATE, the charge-only verb and two-sided sends. It
+// charges the origin rank for moving the described region to/from
+// target: a rank-local access costs a memory copy; a remote one costs
+// what the machine's commcost kernel prices it at given the origin
+// node's live registration cache, traced on the transport class the
+// kernel names. A two-sided message (op is trace.OpSend) is never a
+// one-sided DMA, so on a classic fabric it traces as a p2p message;
+// msgPack adds SendRegion's per-byte copy of the region into its
+// message buffer (booked as communication inside the same traced
+// interval: it exists only to feed the send). Under fault injection the
+// access also pays the reliable-transport overhead and can fail with an
+// *Error; callers must not move the payload on error.
+func (p *Proc) charge(op string, target int, d AccessDesc, msgPack bool) *Error {
 	if err := p.enter(op, target); err != nil {
 		return err
 	}
 	entry := p.entryClock()
 	rec, begin := p.traceBegin()
-	bytes := d.Bytes()
+	cl, node, bytes := p.w.cl, p.node(), d.Bytes()
+	if msgPack {
+		cl.ChargeComm(node, sim.Time(bytes)*cl.Params().CPU.MemCopyPerByte, 0)
+	}
+	tr := interconnect.TransportLocal
 	if target == p.rank {
-		p.w.cl.ChargeComm(p.node(), p.localCopyCost(bytes), bytes)
-		p.traceEnd(rec, begin, op, target, int64(bytes), int64(bytes), interconnect.TransportLocal)
-		return nil
+		cl.ChargeComm(node, p.localCopyCost(bytes), bytes)
+	} else {
+		var cost sim.Time
+		cost, tr = cl.CommCost().Price(d, p.hops(target), cl.RegCache(node))
+		if op == trace.OpSend && tr == interconnect.TransportDMA {
+			tr = interconnect.TransportP2P
+		}
+		cl.ChargeComm(node, cost, bytes)
 	}
-	card := p.w.cl.Fabric()
-	caps := card.Caps()
-	var cost sim.Time
-	var tr interconnect.Transport
-	switch {
-	case d.Stride > 1 && d.Packed:
-		cost = p.packModel().PackedTime(int(d.Elems), WordBytes, p.hops(target))
-		tr = interconnect.TransportPack
-	case d.Stride > 1:
-		cost = card.SendSetup() + card.StridedTime(int(d.Elems), WordBytes, p.hops(target))
-		tr = caps.StridedTransport()
-	default:
-		cost, tr = p.contigCost(target, d)
-	}
-	p.w.cl.ChargeComm(p.node(), cost, bytes)
 	p.traceEnd(rec, begin, op, target, int64(bytes), int64(bytes), tr)
 	return p.chargeReliability(op, target, bytes, entry)
 }
 
-// PutD transfers data into target's window region described by d
-// (descriptor MPI_PUT). Contiguous, strided and packed descriptors all
-// enter here; the legacy Put/PutStrided names are wrappers over this
-// API. Under fault injection a failed transfer panics with the
-// *Error; use PutDE for error returns.
-func (p *Proc) PutD(win *Win, target int, d AccessDesc, data []float64) {
-	if err := p.PutDE(win, target, d, data); err != nil {
-		panic(err)
-	}
-}
-
-// PutDE is PutD with structured error reporting under fault injection.
-// On error the target window is not modified.
-func (p *Proc) PutDE(win *Win, target int, d AccessDesc, data []float64) error {
-	return p.putDE("PutD", win, target, d, data)
-}
-
-// putDE is the shared PUT body; name labels validation panics with the
-// public entry point that was called.
-func (p *Proc) putDE(name string, win *Win, target int, d AccessDesc, data []float64) error {
-	buf := p.validateAccess(name, win, target, d, len(data))
-	if err := p.chargeAccessE(putOp(target == p.rank, d), target, d); err != nil {
+// Put transfers data into target's window region described by d
+// (MPI_PUT): data[i] lands at d.Offset + i*d.Stride. Under fault
+// injection a failed transfer returns the *Error and leaves the target
+// window unmodified.
+func (p *Proc) Put(win *Win, target int, d AccessDesc, data []float64) error {
+	buf := p.validateAccess("Put", win, target, d, len(data))
+	if err := p.charge(putOp(target == p.rank, d), target, d, false); err != nil {
 		return err
 	}
 	win.applyMu[target].Lock()
@@ -268,27 +163,12 @@ func (p *Proc) putDE(name string, win *Win, target int, d AccessDesc, data []flo
 	return nil
 }
 
-// GetD reads the region described by d from target's window into dst
-// (descriptor MPI_GET); len(dst) must equal d.Elems. Under fault
-// injection a failed transfer panics with the *Error; use GetDE for
-// error returns.
-func (p *Proc) GetD(win *Win, target int, d AccessDesc, dst []float64) {
-	if err := p.GetDE(win, target, d, dst); err != nil {
-		panic(err)
-	}
-}
-
-// GetDE is GetD with structured error reporting under fault injection.
-// On error dst is not modified.
-func (p *Proc) GetDE(win *Win, target int, d AccessDesc, dst []float64) error {
-	return p.getDE("GetD", win, target, d, dst)
-}
-
-// getDE is the shared GET body; name labels validation panics with the
-// public entry point that was called.
-func (p *Proc) getDE(name string, win *Win, target int, d AccessDesc, dst []float64) error {
-	buf := p.validateAccess(name, win, target, d, len(dst))
-	if err := p.chargeAccessE(getOp(target == p.rank, d), target, d); err != nil {
+// Get reads the region described by d from target's window into dst
+// (MPI_GET); len(dst) must equal d.Elems. Under fault injection a
+// failed transfer returns the *Error and leaves dst unmodified.
+func (p *Proc) Get(win *Win, target int, d AccessDesc, dst []float64) error {
+	buf := p.validateAccess("Get", win, target, d, len(dst))
+	if err := p.charge(getOp(target == p.rank, d), target, d, false); err != nil {
 		return err
 	}
 	win.applyMu[target].Lock()
@@ -303,25 +183,32 @@ func (p *Proc) getDE(name string, win *Win, target int, d AccessDesc, dst []floa
 	return nil
 }
 
-// ChargePutD charges the cost of the described PUT/GET to target
-// without moving data — the interpreter's timing-only mode, where
-// large experiments cost the same virtual time as full execution
-// without touching real arrays. The descriptor is validated exactly
-// like the data-moving paths (window bounds excepted: there is no
-// window); a charged transfer can no longer price a shape the real
-// API would reject. Panics with the *Error on fault; use ChargePutDE
-// for error returns.
-func (p *Proc) ChargePutD(target int, d AccessDesc) {
-	if err := p.ChargePutDE(target, d); err != nil {
-		panic(err)
+// Accumulate adds data element-wise into target's window region
+// described by d (MPI_ACCUMULATE with MPI_SUM). The per-target apply
+// lock makes concurrent accumulations from different origins atomic.
+// Under fault injection a failed transfer returns the *Error and leaves
+// the target window unmodified.
+func (p *Proc) Accumulate(win *Win, target int, d AccessDesc, data []float64) error {
+	buf := p.validateAccess("Accumulate", win, target, d, len(data))
+	if err := p.charge(trace.OpAccumulate, target, d, false); err != nil {
+		return err
 	}
+	win.applyMu[target].Lock()
+	for i, v := range data {
+		buf[d.Offset+int64(i)*d.Stride] += v
+	}
+	win.applyMu[target].Unlock()
+	return nil
 }
 
-// ChargePutDE is ChargePutD with structured error reporting under
-// fault injection.
-func (p *Proc) ChargePutDE(target int, d AccessDesc) error {
-	p.validateAccess("ChargePutD", nil, target, d, -1)
-	if err := p.chargeAccessE(putOp(target == p.rank, d), target, d); err != nil {
+// Charge charges the cost of the described PUT/GET to target without
+// moving data — the interpreter's timing-only mode, where large
+// experiments cost the same virtual time as full execution without
+// touching real arrays. The descriptor is validated exactly like the
+// data-moving paths (window bounds excepted: there is no window).
+func (p *Proc) Charge(target int, d AccessDesc) error {
+	p.validateAccess("Charge", nil, target, d, -1)
+	if err := p.charge(putOp(target == p.rank, d), target, d, false); err != nil {
 		return err
 	}
 	return nil

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"vbuscluster/internal/cluster"
 	"vbuscluster/internal/interconnect"
 	"vbuscluster/internal/nic"
 	"vbuscluster/internal/trace"
@@ -21,119 +22,43 @@ func seq(n int, base float64) []float64 {
 	return out
 }
 
-// descRun captures everything observable about one equivalence run:
-// the values the origin read back and the target window's final state.
+// descRun captures the target window's final state of one run.
 type descRun struct {
 	mu     sync.Mutex
-	reads  [][]float64
 	window []float64
 }
 
-func (r *descRun) record(dst []float64) {
-	r.mu.Lock()
-	r.reads = append(r.reads, append([]float64(nil), dst...))
-	r.mu.Unlock()
+// The contiguous and strided spellings the tests issue most, over the
+// descriptor verbs; failures are fatal to the rank.
+func putAt(p *Proc, win *Win, target, off int, data []float64) {
+	Must(p.Put(win, target, ContigDesc(int64(off), int64(len(data))), data))
 }
 
-// The legacy names must be pure sugar over the descriptor core: the
-// same logical workload issued through Put/PutStrided/Get/GetStrided/
-// ChargePutContig/ChargePutStrided and through PutD/GetD/ChargePutD
-// produces identical trace event lists (ops, peers, bytes, payloads,
-// transports, begin/end times), identical final clocks and identical
-// window contents on every fabric.
-func TestDescEquivalenceWithLegacyWrappers(t *testing.T) {
-	legacy := func(obs *descRun) func(p *Proc) {
-		return func(p *Proc) {
-			win := p.WinCreate("eq", make([]float64, 256))
-			if p.Rank() == 0 {
-				p.Put(win, 1, 3, seq(8, 100))
-				p.PutStrided(win, 1, 1, 5, seq(7, 200))
-				got := make([]float64, 6)
-				p.Get(win, 1, 2, got)
-				obs.record(got)
-				gs := make([]float64, 5)
-				p.GetStrided(win, 1, 4, 3, gs)
-				obs.record(gs)
-				p.Accumulate(win, 1, 10, seq(4, 300))
-				p.ChargePutContig(1, 100)
-				p.ChargePutStrided(1, 40)
-				// Rank-local traffic goes through the same wrappers.
-				p.Put(win, 0, 0, seq(4, 400))
-				p.PutStrided(win, 0, 2, 7, seq(3, 500))
-			}
-			p.Fence(win)
-			if p.Rank() == 1 {
-				obs.mu.Lock()
-				obs.window = append([]float64(nil), win.target(1)...)
-				obs.mu.Unlock()
-			}
-		}
-	}
-	desc := func(obs *descRun) func(p *Proc) {
-		return func(p *Proc) {
-			win := p.WinCreate("eq", make([]float64, 256))
-			if p.Rank() == 0 {
-				p.PutD(win, 1, ContigDesc(3, 8), seq(8, 100))
-				p.PutD(win, 1, StridedDesc(1, 7, 5), seq(7, 200))
-				got := make([]float64, 6)
-				p.GetD(win, 1, ContigDesc(2, 6), got)
-				obs.record(got)
-				gs := make([]float64, 5)
-				p.GetD(win, 1, StridedDesc(4, 5, 3), gs)
-				obs.record(gs)
-				p.Accumulate(win, 1, 10, seq(4, 300))
-				p.ChargePutD(1, ContigDesc(0, 100))
-				// ChargePutStrided's synthetic descriptor: the strided cost
-				// does not depend on the stride value, only on elems.
-				p.ChargePutD(1, AccessDesc{Elems: 40, Stride: 2})
-				p.PutD(win, 0, ContigDesc(0, 4), seq(4, 400))
-				p.PutD(win, 0, StridedDesc(2, 3, 7), seq(3, 500))
-			}
-			p.Fence(win)
-			if p.Rank() == 1 {
-				obs.mu.Lock()
-				obs.window = append([]float64(nil), win.target(1)...)
-				obs.mu.Unlock()
-			}
-		}
-	}
-	for _, fabric := range []string{"vbus", "ethernet", "ideal"} {
-		t.Run(fabric, func(t *testing.T) {
-			var obsL, obsD descRun
-			recL, clL := runTraced(t, 2, fabric, legacy(&obsL))
-			recD, clD := runTraced(t, 2, fabric, desc(&obsD))
-			evL, evD := recL.Events(), recD.Events()
-			if len(evL) != len(evD) {
-				t.Fatalf("event counts differ: legacy %d, descriptor %d", len(evL), len(evD))
-			}
-			for i := range evL {
-				if evL[i] != evD[i] {
-					t.Fatalf("event %d differs:\n  legacy     %+v\n  descriptor %+v", i, evL[i], evD[i])
-				}
-			}
-			for r := 0; r < 2; r++ {
-				if clL.Clock(r) != clD.Clock(r) {
-					t.Errorf("rank %d clock differs: legacy %v, descriptor %v", r, clL.Clock(r), clD.Clock(r))
-				}
-			}
-			if len(obsL.reads) != len(obsD.reads) {
-				t.Fatalf("read counts differ: %d vs %d", len(obsL.reads), len(obsD.reads))
-			}
-			for i := range obsL.reads {
-				for j := range obsL.reads[i] {
-					if obsL.reads[i][j] != obsD.reads[i][j] {
-						t.Errorf("read %d element %d differs: %v vs %v",
-							i, j, obsL.reads[i][j], obsD.reads[i][j])
-					}
-				}
-			}
-			for i := range obsL.window {
-				if obsL.window[i] != obsD.window[i] {
-					t.Errorf("window element %d differs: %v vs %v", i, obsL.window[i], obsD.window[i])
-				}
-			}
-		})
-	}
+func getAt(p *Proc, win *Win, target, off int, dst []float64) {
+	Must(p.Get(win, target, ContigDesc(int64(off), int64(len(dst))), dst))
+}
+
+func putStride(p *Proc, win *Win, target, off, stride int, data []float64) {
+	Must(p.Put(win, target, StridedDesc(int64(off), int64(len(data)), int64(stride)), data))
+}
+
+func getStride(p *Proc, win *Win, target, off, stride int, dst []float64) {
+	Must(p.Get(win, target, StridedDesc(int64(off), int64(len(dst)), int64(stride)), dst))
+}
+
+func accumAt(p *Proc, win *Win, target, off int, data []float64) {
+	Must(p.Accumulate(win, target, ContigDesc(int64(off), int64(len(data))), data))
+}
+
+// chargeContig and chargeStride charge a PUT of elems words without a
+// window; the strided charge depends only on the element count, so the
+// descriptor carries a placeholder stride.
+func chargeContig(p *Proc, target, elems int) {
+	Must(p.Charge(target, ContigDesc(0, int64(elems))))
+}
+
+func chargeStride(p *Proc, target, elems int) {
+	Must(p.Charge(target, StridedDesc(0, int64(elems), 2)))
 }
 
 // mustPanic runs fn and asserts it panics with a message containing
@@ -153,49 +78,41 @@ func mustPanic(t *testing.T, want string, fn func()) {
 	fn()
 }
 
-// The descriptor core is the single validation site: direct PutD/GetD/
-// ChargePutD calls panic with PutD-named messages, while the legacy
-// wrappers keep their historical message formats (the entry-point name
-// is threaded through). The charge-only path validates stride and
-// element count exactly like the data-moving paths — the bounds-check
-// asymmetry the redesign removed — but skips window bounds (it has no
-// window).
+// validateAccess is the single validation site: every verb panics with
+// a message naming its entry point. The charge-only path validates
+// stride and element count exactly like the data-moving paths but skips
+// window bounds (it has no window).
 func TestDescValidationPanics(t *testing.T) {
 	runWorld(t, 2, func(p *Proc) {
 		win := p.WinCreate("w", make([]float64, 64))
 		if p.Rank() == 0 {
-			// Descriptor API, PutD/GetD-named messages.
-			mustPanic(t, "mpi: PutD stride 0 must be positive", func() {
-				p.PutD(win, 1, AccessDesc{Elems: 4, Stride: 0}, seq(4, 0))
+			mustPanic(t, "mpi: Put stride 0 must be positive", func() {
+				Must(p.Put(win, 1, AccessDesc{Elems: 4, Stride: 0}, seq(4, 0)))
 			})
-			mustPanic(t, "mpi: PutD element count -1 must be non-negative", func() {
-				p.PutD(win, 1, AccessDesc{Elems: -1, Stride: 1}, nil)
+			mustPanic(t, "mpi: Put element count -1 must be non-negative", func() {
+				Must(p.Put(win, 1, AccessDesc{Elems: -1, Stride: 1}, nil))
 			})
-			mustPanic(t, "mpi: PutD buffer has 3 elements, descriptor wants 4", func() {
-				p.PutD(win, 1, ContigDesc(0, 4), seq(3, 0))
+			mustPanic(t, "mpi: Put buffer has 3 elements, descriptor wants 4", func() {
+				Must(p.Put(win, 1, ContigDesc(0, 4), seq(3, 0)))
 			})
-			mustPanic(t, `mpi: PutD "w" rank 1 [60,70) outside window size 64`, func() {
-				p.PutD(win, 1, ContigDesc(60, 10), seq(10, 0))
+			mustPanic(t, `mpi: Put "w" rank 1 [60,70) outside window size 64`, func() {
+				Must(p.Put(win, 1, ContigDesc(60, 10), seq(10, 0)))
 			})
-			mustPanic(t, `mpi: GetD "w" rank 1 last index 64 outside window size 64`, func() {
-				p.GetD(win, 1, StridedDesc(0, 5, 16), make([]float64, 5))
+			mustPanic(t, `mpi: Get "w" rank 1 last index 64 outside window size 64`, func() {
+				Must(p.Get(win, 1, StridedDesc(0, 5, 16), make([]float64, 5)))
 			})
-			// Legacy wrappers keep their historical entry-point names.
-			mustPanic(t, `mpi: Put "w" rank 1 [62,66) outside window size 64`, func() {
-				p.Put(win, 1, 62, seq(4, 0))
+			mustPanic(t, `mpi: Get "w" rank 1 last index 99 outside window size 64`, func() {
+				Must(p.Get(win, 1, StridedDesc(0, 4, 33), make([]float64, 4)))
 			})
-			mustPanic(t, "mpi: PutStrided stride 0 must be positive", func() {
-				p.PutStrided(win, 1, 0, 0, seq(4, 0))
-			})
-			mustPanic(t, `mpi: GetStrided "w" rank 1 last index 99 outside window size 64`, func() {
-				p.GetStrided(win, 1, 0, 33, make([]float64, 4))
+			mustPanic(t, `mpi: Accumulate "w" rank 1 [62,66) outside window size 64`, func() {
+				Must(p.Accumulate(win, 1, ContigDesc(62, 4), seq(4, 0)))
 			})
 			// Charge-only paths validate shape too (no window to bound).
-			mustPanic(t, "mpi: ChargePutD stride -2 must be positive", func() {
-				p.ChargePutD(1, AccessDesc{Elems: 8, Stride: -2})
+			mustPanic(t, "mpi: Charge stride -2 must be positive", func() {
+				Must(p.Charge(1, AccessDesc{Elems: 8, Stride: -2}))
 			})
-			mustPanic(t, "mpi: ChargePutD element count -5 must be non-negative", func() {
-				p.ChargePutD(1, AccessDesc{Elems: -5, Stride: 1})
+			mustPanic(t, "mpi: Charge element count -5 must be non-negative", func() {
+				Must(p.Charge(1, AccessDesc{Elems: -5, Stride: 1}))
 			})
 			// A panicked call charges nothing and moves nothing.
 			if got := p.w.cl.Snapshot().CommBytes[0]; got != 0 {
@@ -220,13 +137,13 @@ func TestDescPackedClassificationAndCost(t *testing.T) {
 		if p.Rank() == 0 {
 			d := StridedDesc(0, elems, 3)
 			d.Packed = true
-			p.PutD(win, 1, d, seq(elems, 1000))
+			Must(p.Put(win, 1, d, seq(elems, 1000)))
 			g := StridedDesc(1, 40, 2)
 			g.Packed = true
-			p.GetD(win, 1, g, make([]float64, 40))
+			Must(p.Get(win, 1, g, make([]float64, 40)))
 			l := StridedDesc(0, 20, 2)
 			l.Packed = true
-			p.PutD(win, 0, l, seq(20, 2000))
+			Must(p.Put(win, 0, l, seq(20, 2000)))
 		}
 		p.Fence(win)
 		if p.Rank() == 1 {
@@ -236,7 +153,7 @@ func TestDescPackedClassificationAndCost(t *testing.T) {
 		}
 	})
 	params := cl.Params()
-	pm := nic.PackModelFor(params)
+	pm := nic.PackModel{Card: params.Fabric, MemCopyPerByte: params.CPU.MemCopyPerByte}
 	hops := params.Hops(0, 1)
 	var sawPutPacked, sawGetPacked, sawLocal bool
 	for _, e := range rec.Events() {
@@ -260,7 +177,7 @@ func TestDescPackedClassificationAndCost(t *testing.T) {
 			if e.Transport != interconnect.TransportPack {
 				t.Errorf("get.p on transport %v, want pack", e.Transport)
 			}
-		case e.Op == trace.OpPutStrided && e.Transport == interconnect.TransportLocal:
+		case e.Op == trace.OpPutStride && e.Transport == interconnect.TransportLocal:
 			sawLocal = true
 		case e.Transport == interconnect.TransportPack:
 			t.Errorf("pack transport carries op %q", e.Op)
@@ -293,7 +210,7 @@ func TestDescPackedPayloadEquivalence(t *testing.T) {
 			if p.Rank() == 0 {
 				d := StridedDesc(2, elems, 4)
 				d.Packed = packed
-				p.PutD(win, 1, d, seq(elems, 7))
+				Must(p.Put(win, 1, d, seq(elems, 7)))
 			}
 			p.Fence(win)
 			if p.Rank() == 1 {
@@ -313,5 +230,35 @@ func TestDescPackedPayloadEquivalence(t *testing.T) {
 	}
 	if clkPacked[0] >= clkPIO[0] {
 		t.Errorf("packed origin clock %v not below PIO clock %v at %d elems", clkPacked[0], clkPIO[0], elems)
+	}
+}
+
+// Charge runs once per planned transfer on every rank of a timing-mode
+// run: on an untraced, fault-free world it must not allocate — on a
+// classic fabric, nor on the protocol-switched one once the region is
+// registered.
+func TestChargeDoesNotAllocate(t *testing.T) {
+	for _, fabric := range []string{"vbus", "rdma"} {
+		params, err := cluster.ParamsForFabric(fabric)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cl, err := cluster.New(2, params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := NewWorld(cl).Rank(0)
+		big := ContigDesc(0, 4096)
+		big.Region = "A"
+		packed := StridedDesc(0, 64, 3)
+		packed.Packed = true
+		Must(p.Charge(1, big)) // registers the region on rdma
+		for name, d := range map[string]AccessDesc{
+			"contig": big, "small": ContigDesc(0, 8), "strided": StridedDesc(0, 64, 3), "packed": packed,
+		} {
+			if n := testing.AllocsPerRun(100, func() { Must(p.Charge(1, d)) }); n != 0 {
+				t.Errorf("%s %s: Charge allocates %v times per call", fabric, name, n)
+			}
+		}
 	}
 }

@@ -74,10 +74,10 @@ func faultWorkload(p *Proc) []float64 {
 		for i := range put {
 			put[i] = float64(r) + float64(i)/64
 		}
-		p.Put(win, (r+1)%n, 0, put)
+		putAt(p, win, (r+1)%n, 0, put)
 		p.Fence(win)
 		back := make([]float64, len(put))
-		p.Get(win, (r+1)%n, 0, back)
+		getAt(p, win, (r+1)%n, 0, back)
 		got = append(got, back...)
 		// Collectives: root rotates; bcast exercises the V-Bus path
 		// (and its degradation under busfail specs).

@@ -260,7 +260,7 @@ func TestWinCreatePutGet(t *testing.T) {
 		local := make([]float64, 8)
 		win := p.WinCreate("A", local)
 		if p.Rank() == 0 {
-			p.Put(win, 1, 2, []float64{7, 8})
+			putAt(p, win, 1, 2, []float64{7, 8})
 		}
 		p.Fence(win)
 		if p.Rank() == 1 {
@@ -271,7 +271,7 @@ func TestWinCreatePutGet(t *testing.T) {
 		p.Fence(win)
 		if p.Rank() == 1 {
 			dst := make([]float64, 2)
-			p.Get(win, 1, 2, dst)
+			getAt(p, win, 1, 2, dst)
 			if dst[0] != 7 {
 				t.Errorf("self get: %v", dst)
 			}
@@ -284,7 +284,7 @@ func TestPutStrided(t *testing.T) {
 		local := make([]float64, 10)
 		win := p.WinCreate("S", local)
 		if p.Rank() == 0 {
-			p.PutStrided(win, 1, 1, 3, []float64{1, 2, 3})
+			putStride(p, win, 1, 1, 3, []float64{1, 2, 3})
 		}
 		p.Fence(win)
 		if p.Rank() == 1 {
@@ -311,7 +311,7 @@ func TestGetStrided(t *testing.T) {
 		p.Fence(win)
 		if p.Rank() == 1 {
 			dst := make([]float64, 3)
-			p.GetStrided(win, 0, 1, 4, dst)
+			getStride(p, win, 0, 1, 4, dst)
 			if dst[0] != 1 || dst[1] != 5 || dst[2] != 9 {
 				t.Errorf("strided get %v", dst)
 			}
@@ -326,7 +326,7 @@ func TestStridedPutCostsMoreThanContig(t *testing.T) {
 		local := make([]float64, 20000)
 		win := p.WinCreate("x", local)
 		if p.Rank() == 0 {
-			p.Put(win, 1, 0, make([]float64, 8192))
+			putAt(p, win, 1, 0, make([]float64, 8192))
 		}
 		p.Fence(win)
 	})
@@ -334,7 +334,7 @@ func TestStridedPutCostsMoreThanContig(t *testing.T) {
 		local := make([]float64, 20000)
 		win := p.WinCreate("x", local)
 		if p.Rank() == 0 {
-			p.PutStrided(win, 1, 0, 2, make([]float64, 8192))
+			putStride(p, win, 1, 0, 2, make([]float64, 8192))
 		}
 		p.Fence(win)
 	})
@@ -355,7 +355,7 @@ func TestPutBoundsPanic(t *testing.T) {
 						t.Error("out-of-bounds put did not panic")
 					}
 				}()
-				p.Put(win, 1, 3, []float64{1, 2})
+				putAt(p, win, 1, 3, []float64{1, 2})
 			}()
 		}
 		p.Fence(win)
@@ -366,7 +366,7 @@ func TestAccumulate(t *testing.T) {
 	runWorld(t, 4, func(p *Proc) {
 		local := make([]float64, 1)
 		win := p.WinCreate("acc", local)
-		p.Accumulate(win, 0, 0, []float64{float64(p.Rank() + 1)})
+		accumAt(p, win, 0, 0, []float64{float64(p.Rank() + 1)})
 		p.Fence(win)
 		if p.Rank() == 0 && local[0] != 10 {
 			t.Errorf("accumulate total = %v, want 10", local[0])
@@ -381,9 +381,9 @@ func TestLockUnlockCriticalSection(t *testing.T) {
 		for i := 0; i < 25; i++ {
 			p.Lock(win, 0)
 			v := make([]float64, 1)
-			p.Get(win, 0, 0, v)
+			getAt(p, win, 0, 0, v)
 			v[0]++
-			p.Put(win, 0, 0, v)
+			putAt(p, win, 0, 0, v)
 			p.Unlock(win, 0)
 		}
 		p.Fence(win)
@@ -403,7 +403,7 @@ func TestFenceCompletesAllPuts(t *testing.T) {
 		win := p.WinCreate("f", local)
 		// Everyone puts its rank into everyone's window slot.
 		for dst := 0; dst < n; dst++ {
-			p.Put(win, dst, p.Rank(), []float64{float64(p.Rank() + 1)})
+			putAt(p, win, dst, p.Rank(), []float64{float64(p.Rank() + 1)})
 		}
 		p.Fence(win)
 		for i := 0; i < n; i++ {
@@ -424,16 +424,16 @@ func TestChargeOnlyHelpersMatchRealCosts(t *testing.T) {
 	_, clReal := runWorld(t, 2, func(p *Proc) {
 		win := p.WinCreate("c", make([]float64, 4096))
 		if p.Rank() == 0 {
-			p.Put(win, 1, 0, make([]float64, 4096))
-			p.PutStrided(win, 1, 0, 2, make([]float64, 2048))
+			putAt(p, win, 1, 0, make([]float64, 4096))
+			putStride(p, win, 1, 0, 2, make([]float64, 2048))
 		}
 		p.Fence(win)
 	})
 	_, clCharge := runWorld(t, 2, func(p *Proc) {
 		win := p.WinCreate("c", make([]float64, 4096))
 		if p.Rank() == 0 {
-			p.ChargePutContig(1, 4096)
-			p.ChargePutStrided(1, 2048)
+			chargeContig(p, 1, 4096)
+			chargeStride(p, 1, 2048)
 		}
 		p.Fence(win)
 	})
@@ -501,7 +501,7 @@ func TestRegionCostExceedsPut(t *testing.T) {
 	_, clPut := runWorld(t, 2, func(p *Proc) {
 		win := p.WinCreate("x", make([]float64, 8192))
 		if p.Rank() == 0 {
-			p.Put(win, 1, 0, make([]float64, 8192))
+			putAt(p, win, 1, 0, make([]float64, 8192))
 		}
 		p.Fence(win)
 	})
@@ -532,7 +532,7 @@ func TestFenceClockSoundnessUnderLoad(t *testing.T) {
 		for round := 0; round < 5; round++ {
 			// Everyone puts a round-stamped value everywhere.
 			for dst := 0; dst < n; dst++ {
-				p.Put(win, dst, p.Rank()*8, []float64{float64(round*100 + p.Rank())})
+				putAt(p, win, dst, p.Rank()*8, []float64{float64(round*100 + p.Rank())})
 			}
 			p.Fence(win)
 			// After the fence, every slot must hold this round's stamp.
@@ -554,8 +554,8 @@ func TestMixedPutsInterleaved(t *testing.T) {
 		win := p.WinCreate("mix", local)
 		if p.Rank() != 0 {
 			base := (p.Rank() - 1) * 20
-			p.Put(win, 0, base, []float64{1, 2, 3, 4, 5})
-			p.PutStrided(win, 0, base+5, 3, []float64{9, 9, 9})
+			putAt(p, win, 0, base, []float64{1, 2, 3, 4, 5})
+			putStride(p, win, 0, base+5, 3, []float64{9, 9, 9})
 		}
 		p.Fence(win)
 		if p.Rank() == 0 {

@@ -56,41 +56,11 @@ func (p *Proc) SendE(dst, tag int, data []float64) error {
 	if tag < 0 {
 		panic(fmt.Sprintf("mpi: Send tag %d must be non-negative", tag))
 	}
-	if err := p.enter(trace.OpSend, dst); err != nil {
-		return err
-	}
-	entry := p.entryClock()
-	rec, begin := p.traceBegin()
-	bytes := len(data) * WordBytes
-	tr := interconnect.TransportLocal
-	if dst == p.rank {
-		w.cl.ChargeComm(p.node(), p.localCopyCost(bytes), bytes)
-	} else {
-		cost, sendTr := p.sendCost(dst, int64(len(data)))
-		tr = sendTr
-		w.cl.ChargeComm(p.node(), cost, bytes)
-	}
-	p.traceEnd(rec, begin, trace.OpSend, dst, int64(bytes), int64(bytes), tr)
-	if err := p.chargeReliability(trace.OpSend, dst, bytes, entry); err != nil {
+	if err := p.charge(trace.OpSend, dst, ContigDesc(0, int64(len(data))), false); err != nil {
 		return err
 	}
 	p.post(dst, tag, append([]float64(nil), data...))
 	return nil
-}
-
-// sendCost prices a remote two-sided send of elems words. Classic
-// fabrics charge setup + contiguous wire on the p2p transport class,
-// exactly as before protocol switching existed. A protocol-switched
-// fabric routes the message body through contigCost — the payload is
-// an anonymous message buffer (no Region), so its rendezvous path
-// always re-registers and never warms the cache.
-func (p *Proc) sendCost(dst int, elems int64) (sim.Time, interconnect.Transport) {
-	card := p.w.cl.Fabric()
-	if _, ok := card.(interconnect.ProtocolModel); ok {
-		return p.contigCost(dst, ContigDesc(0, elems))
-	}
-	bytes := int(elems) * WordBytes
-	return card.SendSetup() + card.ContigTime(bytes, p.hops(dst)), interconnect.TransportP2P
 }
 
 // post delivers a ready message into dst's mailbox, stamped with the
@@ -274,26 +244,10 @@ func (p *Proc) SendRegion(dst, tag, elems int, data []float64) {
 	if dst < 0 || dst >= w.n {
 		panic(fmt.Sprintf("mpi: SendRegion to rank %d out of range", dst))
 	}
-	if err := p.enter(trace.OpSend, dst); err != nil {
-		panic(err)
-	}
-	entry := p.entryClock()
-	rec, begin := p.traceBegin()
-	bytes := elems * WordBytes
-	cpu := w.cl.Params().CPU
-	// Pack: user region → message buffer (booked as communication: it
-	// exists only to feed the send).
-	w.cl.ChargeComm(p.node(), sim.Time(bytes)*cpu.MemCopyPerByte, 0)
-	tr := interconnect.TransportLocal
-	if dst == p.rank {
-		w.cl.ChargeComm(p.node(), p.localCopyCost(bytes), bytes)
-	} else {
-		cost, sendTr := p.sendCost(dst, int64(elems))
-		tr = sendTr
-		w.cl.ChargeComm(p.node(), cost, bytes)
-	}
-	p.traceEnd(rec, begin, trace.OpSend, dst, int64(bytes), int64(bytes), tr)
-	if err := p.chargeReliability(trace.OpSend, dst, bytes, entry); err != nil {
+	// The payload is an anonymous message buffer: on a protocol-switched
+	// fabric its rendezvous path always re-registers and never warms the
+	// registration cache.
+	if err := p.charge(trace.OpSend, dst, ContigDesc(0, int64(elems)), true); err != nil {
 		panic(err)
 	}
 	payload := make([]float64, 0)

@@ -31,7 +31,7 @@ func rdmaRank0(t *testing.T) (*Proc, *cluster.Cluster, interconnect.ProtocolMode
 
 func chargeDesc(cl *cluster.Cluster, p *Proc, d AccessDesc) sim.Time {
 	t0 := cl.Clock(0)
-	p.ChargePutD(1, d)
+	Must(p.Charge(1, d))
 	return cl.Clock(0) - t0
 }
 

@@ -57,16 +57,16 @@ func mixedWorkload(p *Proc) {
 	win := p.WinCreate("prop", local)
 	for round := 0; round < 3; round++ {
 		dst := (p.Rank() + 1 + round) % n
-		p.Put(win, dst, 0, make([]float64, next(256)))
-		p.PutStrided(win, dst, next(16), 3, make([]float64, next(128)))
+		putAt(p, win, dst, 0, make([]float64, next(256)))
+		putStride(p, win, dst, next(16), 3, make([]float64, next(128)))
 		got := make([]float64, next(64))
-		p.Get(win, dst, next(32), got)
-		p.GetStrided(win, dst, next(16), 2, make([]float64, next(32)))
-		p.Accumulate(win, 0, 0, make([]float64, next(8)))
+		getAt(p, win, dst, next(32), got)
+		getStride(p, win, dst, next(16), 2, make([]float64, next(32)))
+		accumAt(p, win, 0, 0, make([]float64, next(8)))
 		p.Fence(win)
 	}
 	p.Lock(win, 0)
-	p.Put(win, 0, 8*p.Rank(), []float64{float64(p.Rank())})
+	putAt(p, win, 0, 8*p.Rank(), []float64{float64(p.Rank())})
 	p.Unlock(win, 0)
 	p.Fence(win)
 
@@ -90,8 +90,8 @@ func mixedWorkload(p *Proc) {
 
 	// Charge-only helpers (the interpreter's Timing mode path).
 	if p.Rank() == 0 {
-		p.ChargePutContig(1, next(512))
-		p.ChargePutStrided(1, next(128))
+		chargeContig(p, 1, next(512))
+		chargeStride(p, 1, next(128))
 	}
 	p.Barrier()
 }
@@ -193,8 +193,8 @@ func TestTraceTransportClasses(t *testing.T) {
 		rec, _ := runTraced(t, 2, tc.fabric, func(p *Proc) {
 			win := p.WinCreate("t", make([]float64, 64))
 			if p.Rank() == 0 {
-				p.Put(win, 1, 0, make([]float64, 8))
-				p.PutStrided(win, 1, 0, 2, make([]float64, 8))
+				putAt(p, win, 1, 0, make([]float64, 8))
+				putStride(p, win, 1, 0, 2, make([]float64, 8))
 				p.Send(1, 0, make([]float64, 4))
 			} else {
 				p.Recv(0, 0)
@@ -210,8 +210,8 @@ func TestTraceTransportClasses(t *testing.T) {
 		if got[trace.OpPut] != tc.contig {
 			t.Errorf("%s: contiguous put on %v, want %v", tc.fabric, got[trace.OpPut], tc.contig)
 		}
-		if got[trace.OpPutStrided] != tc.strided {
-			t.Errorf("%s: strided put on %v, want %v", tc.fabric, got[trace.OpPutStrided], tc.strided)
+		if got[trace.OpPutStride] != tc.strided {
+			t.Errorf("%s: strided put on %v, want %v", tc.fabric, got[trace.OpPutStride], tc.strided)
 		}
 		if got[trace.OpSend] != interconnect.TransportP2P {
 			t.Errorf("%s: send on %v, want p2p", tc.fabric, got[trace.OpSend])
@@ -228,7 +228,7 @@ func TestTraceTransportClasses(t *testing.T) {
 func TestTraceLocalTransport(t *testing.T) {
 	rec, cl := runTraced(t, 2, "", func(p *Proc) {
 		win := p.WinCreate("l", make([]float64, 16))
-		p.Put(win, p.Rank(), 0, make([]float64, 4))
+		putAt(p, win, p.Rank(), 0, make([]float64, 4))
 		p.Fence(win)
 	})
 	var localEvents int
@@ -253,16 +253,16 @@ func TestChargeOnlyHelpersTraceLikeRealPuts(t *testing.T) {
 	realBody := func(p *Proc) {
 		win := p.WinCreate("c", make([]float64, 4096))
 		if p.Rank() == 0 {
-			p.Put(win, 1, 0, make([]float64, 4096))
-			p.PutStrided(win, 1, 0, 2, make([]float64, 2048))
+			putAt(p, win, 1, 0, make([]float64, 4096))
+			putStride(p, win, 1, 0, 2, make([]float64, 2048))
 		}
 		p.Fence(win)
 	}
 	chargeBody := func(p *Proc) {
 		win := p.WinCreate("c", make([]float64, 4096))
 		if p.Rank() == 0 {
-			p.ChargePutContig(1, 4096)
-			p.ChargePutStrided(1, 2048)
+			chargeContig(p, 1, 4096)
+			chargeStride(p, 1, 2048)
 		}
 		p.Fence(win)
 	}

@@ -85,108 +85,6 @@ func (win *Win) target(rank int) []float64 {
 	return b
 }
 
-// Put transfers data into target's window region starting at
-// targetOff, using the contiguous DMA path (contiguous MPI_PUT).
-// Compatibility wrapper over the descriptor API: new code should
-// prefer PutD with a ContigDesc. Under fault injection a failed
-// transfer panics with the *Error; use PutE for error returns.
-func (p *Proc) Put(win *Win, target, targetOff int, data []float64) {
-	if err := p.PutE(win, target, targetOff, data); err != nil {
-		panic(err)
-	}
-}
-
-// PutE is Put with structured error reporting under fault injection.
-// On error the target window is not modified.
-func (p *Proc) PutE(win *Win, target, targetOff int, data []float64) error {
-	return p.putDE("Put", win, target, ContigDesc(int64(targetOff), int64(len(data))), data)
-}
-
-// PutStrided transfers data into target's window with a constant
-// element stride: data[i] lands at targetOff + i*stride (strided
-// MPI_PUT, the programmed-I/O path). Compatibility wrapper over the
-// descriptor API: new code should prefer PutD with a StridedDesc,
-// which can also route large transfers over the coalesced pack path.
-func (p *Proc) PutStrided(win *Win, target, targetOff, stride int, data []float64) {
-	if err := p.PutStridedE(win, target, targetOff, stride, data); err != nil {
-		panic(err)
-	}
-}
-
-// PutStridedE is PutStrided with structured error reporting under
-// fault injection. On error the target window is not modified.
-func (p *Proc) PutStridedE(win *Win, target, targetOff, stride int, data []float64) error {
-	if stride == 1 {
-		return p.PutE(win, target, targetOff, data)
-	}
-	return p.putDE("PutStrided", win, target,
-		StridedDesc(int64(targetOff), int64(len(data)), int64(stride)), data)
-}
-
-// Get reads elems words from target's window starting at targetOff
-// into dst (contiguous MPI_GET). dst must have length >= elems.
-// Compatibility wrapper over the descriptor API: new code should
-// prefer GetD with a ContigDesc. Under fault injection a failed
-// transfer panics with the *Error; use GetE for error returns.
-func (p *Proc) Get(win *Win, target, targetOff int, dst []float64) {
-	if err := p.GetE(win, target, targetOff, dst); err != nil {
-		panic(err)
-	}
-}
-
-// GetE is Get with structured error reporting under fault injection.
-// On error dst is not modified.
-func (p *Proc) GetE(win *Win, target, targetOff int, dst []float64) error {
-	return p.getDE("Get", win, target, ContigDesc(int64(targetOff), int64(len(dst))), dst)
-}
-
-// GetStrided reads len(dst) words with a constant stride from target's
-// window: dst[i] = window[targetOff + i*stride] (strided MPI_GET).
-// Compatibility wrapper over the descriptor API: new code should
-// prefer GetD with a StridedDesc.
-func (p *Proc) GetStrided(win *Win, target, targetOff, stride int, dst []float64) {
-	if err := p.GetStridedE(win, target, targetOff, stride, dst); err != nil {
-		panic(err)
-	}
-}
-
-// GetStridedE is GetStrided with structured error reporting under
-// fault injection. On error dst is not modified.
-func (p *Proc) GetStridedE(win *Win, target, targetOff, stride int, dst []float64) error {
-	if stride == 1 {
-		return p.GetE(win, target, targetOff, dst)
-	}
-	return p.getDE("GetStrided", win, target,
-		StridedDesc(int64(targetOff), int64(len(dst)), int64(stride)), dst)
-}
-
-// Accumulate adds data element-wise into target's window starting at
-// targetOff (MPI_ACCUMULATE with MPI_SUM). The per-target apply lock
-// makes concurrent accumulations from different origins atomic. Under
-// fault injection a failed transfer panics with the *Error; use
-// AccumulateE for error returns.
-func (p *Proc) Accumulate(win *Win, target, targetOff int, data []float64) {
-	if err := p.AccumulateE(win, target, targetOff, data); err != nil {
-		panic(err)
-	}
-}
-
-// AccumulateE is Accumulate with structured error reporting under
-// fault injection. On error the target window is not modified.
-func (p *Proc) AccumulateE(win *Win, target, targetOff int, data []float64) error {
-	d := ContigDesc(int64(targetOff), int64(len(data)))
-	buf := p.validateAccess("Accumulate", win, target, d, len(data))
-	if err := p.chargeAccessE(trace.OpAccumulate, target, d); err != nil {
-		return err
-	}
-	win.applyMu[target].Lock()
-	for i, v := range data {
-		buf[targetOff+i] += v
-	}
-	win.applyMu[target].Unlock()
-	return nil
-}
-
 // Fence completes all outstanding one-sided operations on the window
 // and synchronizes all ranks (MPI_WIN_FENCE). Because transfer time is
 // charged to the origin, synchronizing every clock to the global
@@ -284,21 +182,4 @@ func (p *Proc) Unlock(win *Win, target int) {
 	p.w.cl.ChargeComm(p.node(), card.SendSetup()+card.ContigTime(WordBytes, p.hops(target)), 0)
 	<-win.lockCh[target]
 	p.traceEnd(rec, begin, trace.OpUnlock, target, 0, 0, interconnect.TransportSync)
-}
-
-// ChargePutContig charges the cost of a contiguous PUT/GET of elems
-// words to target without moving data. Compatibility wrapper over
-// ChargePutD with a ContigDesc.
-func (p *Proc) ChargePutContig(target, elems int) {
-	p.ChargePutD(target, ContigDesc(0, int64(elems)))
-}
-
-// ChargePutStrided charges the cost of a strided PUT/GET of elems words
-// to target without moving data. Compatibility wrapper over ChargePutD;
-// the strided charge depends only on the element count, so the
-// descriptor carries a placeholder stride. New code should pass the
-// real descriptor, which also lets the coalescer's packed marking
-// through.
-func (p *Proc) ChargePutStrided(target, elems int) {
-	p.ChargePutD(target, AccessDesc{Elems: int64(elems), Stride: 2})
 }

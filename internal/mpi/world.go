@@ -1,20 +1,24 @@
 // Package mpi implements the MPI-2 subset the paper's environment
 // provides on the V-Bus PC-cluster: the traditional two-sided
 // SEND/RECEIVE of MPI-1 plus the MPI-2 one-sided extensions — memory
-// windows, MPI_PUT/MPI_GET in contiguous (DMA) and strided (programmed
-// I/O) flavors, fences, locks — and collectives that exploit the V-Bus
-// hardware broadcast.
+// windows, one descriptor-based MPI_PUT/MPI_GET/MPI_ACCUMULATE verb each
+// (Put, Get, Accumulate, and the charge-only Charge; desc.go) covering
+// contiguous (DMA), strided (programmed I/O) and packed transfers,
+// fences, locks — and collectives that exploit the V-Bus hardware
+// broadcast.
 //
 // Each MPI process is a goroutine holding a *Proc handle. Data really
 // moves between Go buffers; time is virtual: every operation charges
-// the calling rank's clock in the underlying cluster.Cluster with its
-// pluggable interconnect cost model (internal/interconnect) — the same
-// interface the compiler's static estimator prices against, so runtime
-// and compile-time comm costs agree backend by backend — and
-// synchronizing operations (barrier, fence,
-// collectives) reconcile the clocks. Charging the full transfer time to
-// the origin rank makes the fence-time reconciliation sound: data
-// always lands at or before the origin's post-call clock.
+// the calling rank's clock in the underlying cluster.Cluster. What a
+// data transfer costs, and on which path, is the machine's
+// commcost.Kernel's answer — the same kernel the compiler's static
+// estimator folds over the plan, so runtime and compile-time comm costs
+// are one function, backend by backend. Collectives, barriers and locks
+// price their control messages against the interconnect cost model
+// (internal/interconnect) directly, and synchronizing operations
+// (barrier, fence, collectives) reconcile the clocks. Charging the full
+// transfer time to the origin rank makes the fence-time reconciliation
+// sound: data always lands at or before the origin's post-call clock.
 //
 // The element type of all buffers is float64 — the machine word of the
 // Fortran system built on top (REAL and INTEGER values both travel as
@@ -27,6 +31,7 @@ import (
 	"sync/atomic"
 
 	"vbuscluster/internal/cluster"
+	"vbuscluster/internal/commcost"
 	"vbuscluster/internal/fault"
 	"vbuscluster/internal/interconnect"
 	"vbuscluster/internal/sim"
@@ -34,7 +39,7 @@ import (
 )
 
 // WordBytes is the wire size of one element.
-const WordBytes = 8
+const WordBytes = commcost.WordBytes
 
 // World is a communicator spanning every process of the cluster (the
 // analogue of MPI_COMM_WORLD).

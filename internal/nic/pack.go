@@ -12,11 +12,12 @@ package nic
 // driver transaction (the staging-buffer DMA launch), so below a
 // crossover element count the PIO path is still cheaper.
 //
-// PackModel prices both paths against any registered interconnect so
-// the compiler's coalesce stage, the MPI runtime's charge site and the
-// static cost estimator agree on the crossover by construction. The
-// memcpy rate comes from the cluster's CPU parameterization (passed
-// in, not imported: cluster sits above nic in the dependency order).
+// PackModel prices both paths against any registered interconnect.
+// internal/commcost builds the one instance per machine that the
+// compiler's coalesce stage, the MPI runtime's charge site and the
+// static cost estimator all price through. The memcpy rate comes from
+// the cluster's CPU parameterization (passed in, not imported: cluster
+// sits above nic in the dependency order).
 
 import (
 	"vbuscluster/internal/interconnect"
@@ -27,35 +28,6 @@ import (
 // path has not beaten PIO by this many elements never benefits from
 // coalescing (an idealized fabric with free PIO, for example).
 const packCrossoverCap = 1 << 20
-
-// Machine is the narrow view of the cluster parameterization the NIC
-// cost models need: the fabric card and the CPU's memory-copy rate.
-// cluster.Params implements it (passed in, not imported: cluster sits
-// above nic in the dependency order).
-type Machine interface {
-	// FabricCard returns the machine's interconnect cost model.
-	FabricCard() interconnect.Interconnect
-	// MemCopyCost returns the charged time per byte of a local memory
-	// copy.
-	MemCopyCost() sim.Time
-}
-
-// PackModelFor builds the machine's pack-vs-PIO cost model — the
-// single construction point shared by the MPI runtime's charge site,
-// the compiler's coalesce stage, the static estimator and the
-// benchmark sweeps, so every layer prices the same crossover by
-// construction.
-func PackModelFor(m Machine) PackModel {
-	return PackModel{Card: m.FabricCard(), MemCopyPerByte: m.MemCopyCost()}
-}
-
-// ProtocolModelFor returns the machine's eager/rendezvous protocol
-// model when its card prices one (the rdma card), following the same
-// single-construction-point discipline as PackModelFor.
-func ProtocolModelFor(m Machine) (interconnect.ProtocolModel, bool) {
-	pm, ok := m.FabricCard().(interconnect.ProtocolModel)
-	return pm, ok
-}
 
 // PackModel prices the strided-PIO path against the
 // pack→contiguous-DMA→unpack path on one interconnect.

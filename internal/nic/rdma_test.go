@@ -92,27 +92,3 @@ func TestRDMADefaultCrossoverShape(t *testing.T) {
 		t.Errorf("warm crossover %d bytes, want at most 1KB", warm)
 	}
 }
-
-// ProtocolModelFor resolves the model through the Machine interface the
-// compiler uses, and only for cards that actually price protocols.
-func TestProtocolModelFor(t *testing.T) {
-	r, err := NewRDMA(DefaultRDMAConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := machineStub{card: r}
-	pm, ok := ProtocolModelFor(m)
-	if !ok || pm == nil {
-		t.Fatal("ProtocolModelFor did not resolve the rdma card")
-	}
-	v, _ := defaultCards(t)
-	if _, ok := ProtocolModelFor(machineStub{card: v}); ok {
-		t.Error("ProtocolModelFor resolved a protocol model for the vbus card")
-	}
-}
-
-// machineStub adapts a bare card to the Machine interface.
-type machineStub struct{ card Card }
-
-func (m machineStub) FabricCard() Card      { return m.card }
-func (m machineStub) MemCopyCost() sim.Time { return testMemCopyPerByte }

@@ -4,34 +4,26 @@ import (
 	"fmt"
 
 	"vbuscluster/internal/cluster"
-	"vbuscluster/internal/nic"
 )
 
 // The coalesce stage rewrites strided scatter/collect transfers into
-// pack → contiguous DMA burst → unpack when the target machine's pack
-// cost model (nic.PackModel) says the burst beats per-element PIO.
-// The decision is a single per-machine crossover element count: both
-// cost curves are linear in the element count with the same wire term,
-// so the crossover is independent of the transfer's stride and of the
-// hop distance, and one threshold stamped on each comm op is exact.
+// pack → contiguous DMA burst → unpack when the target machine's
+// commcost kernel says the burst beats per-element PIO. The decision is
+// a single per-machine crossover element count (Kernel.PackThreshold),
+// so one threshold stamped on each comm op is exact.
 // RankPlan applies the threshold when a rank's plan is materialized,
 // marking qualifying strided transfers Packed; the MPI layer routes
 // Packed descriptors over the pack transport class and charges the
 // pack/unpack copies plus one contiguous burst.
 
-// wordBytes is the element size every planned transfer moves (REAL*8),
-// matching mpi.WordBytes.
-const wordBytes = 8
-
 // coalesce stamps the machine's pack crossover on every remaining
 // scatter/collect op. Runs after grain-opt (so it sees the effective
 // grains — a race-demoted fine collect is exactly the strided traffic
 // that profits most) and before the AVPG (which only removes ops, never
-// reshapes them). On a protocol-switched fabric
-// (interconnect.ProtocolModel) the stage also stamps the
-// eager/rendezvous crossover in elements — the cold-cache hops-1
-// figure, ceil(ProtocolCrossoverBytes / wordBytes) — so rank plans
-// carry the compiler's protocol decision per contiguous transfer.
+// reshapes them). On a protocol-switched fabric the stage also stamps
+// the eager/rendezvous crossover in elements (Kernel.RndvThreshold), so
+// rank plans carry the compiler's protocol decision per contiguous
+// transfer.
 func (t *translator) coalesce() string {
 	if !t.p.Opts.Coalesce {
 		return "off"
@@ -40,14 +32,8 @@ func (t *translator) coalesce() string {
 	if t.p.Opts.Machine != nil {
 		params = *t.p.Opts.Machine
 	}
-	pm := nic.PackModelFor(params)
-	threshold := pm.CrossoverElems(wordBytes, 1)
-	var rndvElems int64
-	if proto, ok := nic.ProtocolModelFor(params); ok {
-		if b := proto.ProtocolCrossoverBytes(1, 0); b > 0 {
-			rndvElems = (b + wordBytes - 1) / wordBytes
-		}
-	}
+	k := params.CommCost()
+	threshold, rndvElems := k.PackThreshold(), k.RndvThreshold()
 	if threshold == 0 && rndvElems == 0 {
 		return fmt.Sprintf("packing never beats PIO on %s", params.Fabric.Name())
 	}

@@ -2,124 +2,57 @@ package postpass
 
 import (
 	"vbuscluster/internal/cluster"
+	"vbuscluster/internal/commcost"
 	"vbuscluster/internal/interconnect"
-	"vbuscluster/internal/lmad"
-	"vbuscluster/internal/nic"
 	"vbuscluster/internal/sim"
 )
 
 // EstimateCommCost predicts the total data scattering/collecting time
-// of the SPMD program on the given machine without executing it, by
-// pricing every rank's transfer plan with the machine's interconnect
-// cost model (any registered backend, not just the V-Bus card) — the
+// of the SPMD program on the given machine without executing it — the
 // §5.6 "precise analysis of data access pattern" turned into a static
-// cost estimate. It mirrors the interpreter's charging exactly (master
-// performs all scatters, each slave its own collects, rank-local moves
-// are skipped), so the estimate equals the measured TotalXferTime for
-// any program whose region structure is execution-independent.
-//
-// On a protocol-switched fabric (interconnect.ProtocolModel) the
-// estimator replays a simulated registration cache per origin node —
-// the master's for scatters, each slave's own for collects — applying
-// the same per-transfer eager/rendezvous decision the MPI runtime
-// makes, so warm-cache discounts are predicted, not averaged. The
-// replay assumes the runtime's default push-mode scattering; pull-mode
-// and two-sided runs shift which node's cache warms and the estimate
-// stays an approximation there, as it always has for those modes.
+// cost estimate. It folds the machine's commcost kernel (any registered
+// backend, not just the V-Bus card) over the same per-rank transfer
+// lists the interpreter issues (RankPlans), in the same order, from the
+// same origin nodes: the master performs push scatters, each slave its
+// own pull scatters and collects, rank-local moves are skipped. On a
+// protocol-switched fabric each origin node gets a simulated
+// registration cache, shared across regions like the runtime's per-node
+// state. Kernel, plans and cache states being the runtime's own, the
+// estimate equals the measured TotalXferTime of a one-sided run for any
+// program whose region structure is execution-independent. Two-sided
+// runs pay message pack/unpack copies and send anonymous buffers, which
+// this estimate does not model; it stays an approximation there.
 func EstimateCommCost(p *Program, params cluster.Params) sim.Time {
-	card := params.Fabric
+	k := params.CommCost()
 	procs := p.Opts.NumProcs
-	pm := nic.PackModelFor(params)
-	proto, hasProto := nic.ProtocolModelFor(params)
-	// caches holds the per-origin-node simulated registration caches,
-	// shared across regions like the runtime's per-node state.
-	var caches map[int]*interconnect.RegCache
-	if hasProto {
-		caches = map[int]*interconnect.RegCache{}
-	}
-	cacheFor := func(origin int) *interconnect.RegCache {
-		if c, ok := caches[origin]; ok {
-			return c
-		}
-		c := interconnect.NewRegCache(proto.RegCacheCapacity())
-		caches[origin] = c
-		return c
-	}
-	// contigTime mirrors mpi's contigCost decision switch: follow the
-	// compiler stamp when present, otherwise pick the cheaper path
-	// against the origin's current cache state; only a charged
-	// rendezvous transfer touches the cache.
-	contigTime := func(tr lmad.Transfer, sym string, hops, origin int) sim.Time {
-		if !hasProto {
-			return card.SendSetup() + card.ContigTime(int(tr.Elems)*8, hops)
-		}
-		bytes := int(tr.Elems) * 8
-		cache := cacheFor(origin)
-		key := interconnect.RegKey{Space: sym, Offset: tr.Offset, Elems: tr.Elems}
-		choice := tr.Proto
-		if choice == lmad.ProtoAuto {
-			if proto.RendezvousTime(bytes, hops, cache.Lookup(key)) < proto.EagerTime(bytes, hops) {
-				choice = lmad.ProtoRndv
-			} else {
-				choice = lmad.ProtoEager
-			}
-		}
-		if choice == lmad.ProtoEager {
-			return proto.EagerTime(bytes, hops)
-		}
-		return proto.RendezvousTime(bytes, hops, cache.Use(key))
-	}
-	pricePlan := func(plan []lmad.Transfer, sym string, target, origin int) sim.Time {
-		var t sim.Time
-		for _, tr := range plan {
-			switch {
-			case tr.Stride > 1 && tr.Packed:
-				// PackedTime covers both setups (request + staging burst),
-				// mirroring the runtime's pack charge exactly.
-				t += pm.PackedTime(int(tr.Elems), 8, params.Hops(0, target))
-			case tr.Stride > 1:
-				t += card.SendSetup() + card.StridedTime(int(tr.Elems), 8, params.Hops(0, target))
-			default:
-				t += contigTime(tr, sym, params.Hops(0, target), origin)
-			}
-		}
-		return t
-	}
+	caches := k.NewRegCaches(procs)
 	var total sim.Time
+	price := func(par *ParInfo, ops []*CommOp, rank, origin int) {
+		var cache *interconnect.RegCache
+		if caches != nil {
+			cache = caches[origin]
+		}
+		hops := params.Hops(0, rank)
+		for _, pl := range RankPlans(par, ops, rank, procs) {
+			for _, tr := range pl.Plan {
+				t, _ := k.Price(commcost.FromTransfer(pl.Sym.Name, tr), hops, cache)
+				total += t
+			}
+		}
+	}
 	for _, r := range p.Regions {
 		if r.Par == nil {
 			continue
 		}
-		price := func(ops []*CommOp, rank, target, origin int) sim.Time {
-			var t sim.Time
-			coarse := map[string][]lmad.Transfer{}
-			var order []string
-			var thr int64 // re-stamp threshold for merged coarse plans
-			for _, op := range ops {
-				if op.RndvThreshold > thr {
-					thr = op.RndvThreshold
-				}
-				plan := RankPlan(op, r.Par.Ctx, rank, procs, r.Par.Schedule)
-				if op.Grain == lmad.Coarse {
-					if _, ok := coarse[op.Sym.Name]; !ok {
-						order = append(order, op.Sym.Name)
-					}
-					coarse[op.Sym.Name] = append(coarse[op.Sym.Name], plan...)
-					continue
-				}
-				t += pricePlan(plan, op.Sym.Name, target, origin)
-			}
-			for _, name := range order {
-				t += pricePlan(lmad.MarkRendezvous(lmad.MergeContiguous(coarse[name]), thr),
-					name, target, origin)
-			}
-			return t
-		}
 		for dst := 1; dst < procs; dst++ {
-			total += price(r.Par.Scatters, dst, dst, 0)
+			origin := 0
+			if p.Opts.PullScatter {
+				origin = dst
+			}
+			price(r.Par, r.Par.Scatters, dst, origin)
 		}
 		for rank := 1; rank < procs; rank++ {
-			total += price(r.Par.Collects, rank, rank, rank)
+			price(r.Par, r.Par.Collects, rank, rank)
 		}
 	}
 	return total

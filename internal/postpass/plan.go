@@ -95,6 +95,49 @@ func rankPlan(op *CommOp, ctx analysis.LoopCtx, rank, procs int, sched f77.Sched
 	}
 }
 
+// SymPlan is one entry of a rank's transfer list: the transfers that
+// move one array's regions.
+type SymPlan struct {
+	Sym  *f77.Symbol
+	Plan []lmad.Transfer
+}
+
+// RankPlans enumerates everything rank transfers for ops (one
+// direction of one parallel region) in the deterministic order the
+// runtime issues it: each non-coarse op's plan as planned, then the
+// coarse-grain plans merged per array across ops into the "one big
+// approximate region" of Figure 9(d). Merging can grow a transfer past
+// its pre-merge eager/rendezvous stamp, so merged plans are re-stamped;
+// the threshold is machine-global (every op of a coalesced compile
+// carries the same value, unstamped ops carry 0), so the max over ops
+// recovers it. The interpreter's one-sided, pull and two-sided paths
+// (both halves of a SEND/RECEIVE pair) and the static estimator all
+// iterate this list, so they price and move exactly the same transfers.
+func RankPlans(par *ParInfo, ops []*CommOp, rank, procs int) []SymPlan {
+	out := make([]SymPlan, 0, len(ops))
+	coarse := map[*f77.Symbol][]lmad.Transfer{}
+	var coarseOrder []*f77.Symbol
+	var rndvThreshold int64
+	for _, op := range ops {
+		if op.RndvThreshold > rndvThreshold {
+			rndvThreshold = op.RndvThreshold
+		}
+		plan := RankPlan(op, par.Ctx, rank, procs, par.Schedule)
+		if op.Grain == lmad.Coarse {
+			if _, seen := coarse[op.Sym]; !seen {
+				coarseOrder = append(coarseOrder, op.Sym)
+			}
+			coarse[op.Sym] = append(coarse[op.Sym], plan...)
+			continue
+		}
+		out = append(out, SymPlan{op.Sym, plan})
+	}
+	for _, sym := range coarseOrder {
+		out = append(out, SymPlan{sym, lmad.MarkRendezvous(lmad.MergeContiguous(coarse[sym]), rndvThreshold)})
+	}
+	return out
+}
+
 // PlanBytes sums the wire elements of a plan.
 func PlanBytes(plan []lmad.Transfer) int64 {
 	var n int64

@@ -566,11 +566,7 @@ func demoteUnsafeCollects(info *ParInfo, procs int) {
 				}
 				shadow := *op
 				shadow.Grain = grain
-				plan := RankPlan(&shadow, info.Ctx, r, procs, info.Schedule)
-				if grain == lmad.Coarse {
-					plan = lmad.MergeContiguous(plan)
-				}
-				for _, tr := range plan {
+				for _, tr := range RankPlan(&shadow, info.Ctx, r, procs, info.Schedule) {
 					boxes[r] = append(boxes[r], iv{tr.Offset, tr.Offset + (tr.Elems-1)*tr.Stride})
 				}
 			}

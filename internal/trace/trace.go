@@ -35,13 +35,13 @@ const CompilerRank = -1
 // Operation names recorded by the MPI runtime. Ops are plain strings
 // so auxiliary tracks (compiler passes) can use their own names.
 const (
-	OpSend       = "send"
-	OpRecv       = "recv"
-	OpUnpack     = "unpack"
-	OpPut        = "put"
-	OpPutStrided = "put.s"
-	OpGet        = "get"
-	OpGetStrided = "get.s"
+	OpSend      = "send"
+	OpRecv      = "recv"
+	OpUnpack    = "unpack"
+	OpPut       = "put"
+	OpPutStride = "put.s"
+	OpGet       = "get"
+	OpGetStride = "get.s"
 	// OpPutPacked / OpGetPacked are strided one-sided transfers the
 	// coalescer rewrote into pack → contiguous DMA burst → unpack; they
 	// travel the dedicated pack transport class so profiles separate
