@@ -4,9 +4,9 @@
 
 GO ?= go
 
-.PHONY: ci fmt vet build test race smoke trace-smoke fault-smoke recovery-smoke coalesce-smoke scale-smoke workers-smoke serve-smoke chaos-smoke peer-smoke rdma-smoke bench-gate bench
+.PHONY: ci fmt vet build test race smoke trace-smoke fault-smoke recovery-smoke coalesce-smoke scale-smoke serve-smoke chaos-smoke peer-smoke rdma-smoke bench-gate bench
 
-ci: fmt vet build test race smoke trace-smoke fault-smoke recovery-smoke coalesce-smoke scale-smoke workers-smoke serve-smoke chaos-smoke peer-smoke rdma-smoke bench-gate
+ci: fmt vet build test race smoke trace-smoke fault-smoke recovery-smoke coalesce-smoke scale-smoke serve-smoke chaos-smoke peer-smoke rdma-smoke bench-gate
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -83,17 +83,6 @@ scale-smoke:
 	$(GO) run ./cmd/vbrun -fabric vbus3d -mode timing -trace /tmp/vbus-3d-smoke.json testdata/jacobi.f > /dev/null
 	$(GO) run ./cmd/vbtrace -ranks 4 -dims 2x2x1 /tmp/vbus-3d-smoke.json > /dev/null
 	@rm -f /tmp/vbus-3d-smoke.json
-
-# Worker-pool gate: program output must be byte-identical with one
-# worker, the default pool (GOMAXPROCS) and the legacy unpooled
-# launcher.
-workers-smoke:
-	$(GO) run ./cmd/vbrun -workers 1 testdata/matmul.f > /tmp/vbus-w1.txt
-	$(GO) run ./cmd/vbrun testdata/matmul.f > /tmp/vbus-wn.txt
-	$(GO) run ./cmd/vbrun -workers -1 testdata/matmul.f > /tmp/vbus-wu.txt
-	cmp /tmp/vbus-w1.txt /tmp/vbus-wn.txt
-	cmp /tmp/vbus-w1.txt /tmp/vbus-wu.txt
-	@rm -f /tmp/vbus-w1.txt /tmp/vbus-wn.txt /tmp/vbus-wu.txt
 
 # Service gate: a race-built vbserve must accept the example MM job
 # twice over HTTP (the second as a plan-cache hit), then drain clean on
@@ -207,4 +196,4 @@ bench-gate:
 # MM 96² and SWIM 192², ns per innermost iteration).
 bench:
 	$(GO) test -bench=. -benchmem .
-	$(GO) test -run '^$$' -bench InterpFull -benchmem ./internal/interp
+	$(GO) test -run '^$$' -bench 'InterpFull|RunTiming1024' -benchmem ./internal/interp

@@ -19,10 +19,6 @@
 //	vbbench -benchgate          # re-run -corebench; fail on >10% events/sec regression vs BENCH_core.json
 //	vbbench -all -quick         # everything at reduced sizes
 //
-// -workers bounds the rank scheduler's worker pool for every run
-// (0 = GOMAXPROCS, negative = legacy unpooled); virtual results are
-// bit-identical across all settings.
-//
 // -faults applies a deterministic fault-injection spec (see
 // internal/fault) to the Table 1/2 runs; -faultsweep runs its own
 // per-rate specs.
@@ -77,7 +73,6 @@ func main() {
 	rdmaOut := flag.String("rdmaout", "BENCH_core.json", "merge the -rdmasweep crossover row into this JSON file under \"rdma\" ('' = stdout only)")
 	benchGate := flag.Bool("benchgate", false, "re-run -corebench and fail if events/sec regresses >10% vs the checked-in baseline")
 	benchBase := flag.String("benchbase", "BENCH_core.json", "baseline file for -benchgate")
-	workers := flag.Int("workers", 0, "rank scheduler worker-pool size: 0 = GOMAXPROCS, negative = unpooled (results identical)")
 	flag.Parse()
 
 	check(cliutil.ValidateFabric(*fabric))
@@ -89,9 +84,6 @@ func main() {
 	}
 	if *coalesce {
 		tableOpts = append(tableOpts, bench.WithCoalesce())
-	}
-	if *workers != 0 {
-		tableOpts = append(tableOpts, bench.WithWorkers(*workers))
 	}
 	runT1 := *table == 1 || *all
 	runT2 := *table == 2 || *all

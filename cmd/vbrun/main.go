@@ -4,11 +4,7 @@
 //
 // Usage:
 //
-//	vbrun [-procs N] [-grain g] [-fabric vbus|vbus3d|ethernet|ideal] [-workers W] [-seq] [-mode full|timing] [-trace out.json] [-profile] [-faults spec] [-resilient [-ckpt-every N] [-ckpt-dir d]] file.f
-//
-// -workers bounds the rank scheduler's worker pool (0 = GOMAXPROCS,
-// negative = one free-running goroutine per rank); all settings
-// produce bit-identical virtual results.
+//	vbrun [-procs N] [-grain g] [-fabric vbus|vbus3d|ethernet|ideal] [-seq] [-mode full|timing] [-trace out.json] [-profile] [-faults spec] [-resilient [-ckpt-every N] [-ckpt-dir d]] file.f
 //
 // -trace writes the run's per-rank event timeline (plus the compiler's
 // pass spans as a "compiler" track) as Chrome trace-event JSON,
@@ -55,7 +51,6 @@ func main() {
 	ckptEvery := flag.Int("ckpt-every", 1, "checkpoint cadence in parallel regions (with -resilient)")
 	ckptDir := flag.String("ckpt-dir", "", "persist checkpoint blobs to this directory (with -resilient)")
 	coalesce := flag.Bool("coalesce", false, "enable the pack-and-coalesce stage: strided transfers past the NIC's crossover go as packed DMA bursts")
-	workers := flag.Int("workers", 0, "rank scheduler worker-pool size: 0 = GOMAXPROCS, negative = unpooled (results identical)")
 	flag.Parse()
 
 	if *resilient && *seq {
@@ -119,7 +114,6 @@ func main() {
 		CkptEvery: *ckptEvery,
 		CkptDir:   *ckptDir,
 		Coalesce:  *coalesce,
-		Workers:   *workers,
 	})
 	check(err)
 	if auto {

@@ -7,7 +7,7 @@
 //
 // Usage:
 //
-//	vbserve [-addr :8077] [-clusters N] [-queue D] [-cache P] [-workers W] [-fabric vbus|vbus3d|ethernet|ideal]
+//	vbserve [-addr :8077] [-clusters N] [-queue D] [-cache P] [-fabric vbus|vbus3d|ethernet|ideal]
 //	        [-cache-journal F] [-default-deadline D] [-max-deadline D] [-retries N] [-rate R] [-burst B]
 //	        [-peers a:p,b:p,c:p -self a:p] [-gossip-interval D]
 //
@@ -61,7 +61,6 @@ func main() {
 	clusters := flag.Int("clusters", 2, "concurrent simulated clusters (job workers)")
 	queueDepth := flag.Int("queue", 64, "admission queue depth; beyond it submissions shed with 429")
 	cacheEntries := flag.Int("cache", 32, "compiled-plan LRU capacity")
-	workers := flag.Int("workers", 0, "per-run rank scheduler pool size (0 = GOMAXPROCS)")
 	fabric := flag.String("fabric", "", cliutil.FabricFlagUsage("default interconnect backend for jobs that omit one: "))
 	drainTimeout := flag.Duration("drain-timeout", 60*time.Second, "maximum time to wait for in-flight jobs on shutdown")
 	journal := flag.String("cache-journal", "", "plan-cache journal file: replayed on boot, written on drain (empty = no persistence)")
@@ -87,7 +86,6 @@ func main() {
 		Clusters:        *clusters,
 		QueueDepth:      *queueDepth,
 		CacheEntries:    *cacheEntries,
-		RankWorkers:     *workers,
 		DefaultFabric:   *fabric,
 		DefaultDeadline: *defaultDeadline,
 		MaxDeadline:     *maxDeadline,

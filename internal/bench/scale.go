@@ -12,14 +12,6 @@ import (
 	"vbuscluster/internal/lmad"
 )
 
-// WithWorkers bounds the scheduler's worker pool for every run a
-// table or sweep builds (vbbench -workers). Zero means
-// runtime.GOMAXPROCS(0); negative runs the legacy unpooled launcher.
-// Virtual results are bit-identical across all settings.
-func WithWorkers(n int) RunOption {
-	return func(o *core.Options) { o.Workers = n }
-}
-
 // ScaleRow is one point of the weak-scaling sweep: one benchmark on
 // one fabric at one rank count, with the problem scaled to the rank
 // count (N = P, so per-rank work stays constant as the machine grows).

@@ -109,12 +109,6 @@ type Options struct {
 	// (vbcc/vbrun/vbbench -coalesce). Off by default, keeping every
 	// translation and table bit-identical to earlier builds.
 	Coalesce bool
-	// Workers bounds the number of rank goroutines executing
-	// concurrently (vbrun/vbbench -workers). Zero uses
-	// runtime.GOMAXPROCS(0); negative launches one free-running
-	// goroutine per rank. Results are bit-identical across all
-	// settings. See interp.RunConfig.
-	Workers int
 }
 
 func (o Options) withDefaults() Options {
@@ -318,9 +312,6 @@ type RunParams struct {
 	// Faults, when non-nil, injects deterministic faults into this
 	// run's cluster.
 	Faults *fault.Injector
-	// Workers bounds the rank scheduler's worker pool for this run
-	// (same semantics as Options.Workers).
-	Workers int
 	// Ctx, when non-nil, bounds the run: cancelling it (a job
 	// deadline, a client abort) stops the simulated cluster and the
 	// run returns an mpi.Error of kind ErrCancelled. Nil means
@@ -363,7 +354,6 @@ func (c *Compiled) RunParallel(mode Mode) (*interp.Result, error) {
 	return c.RunParallelWith(mode, RunParams{
 		Recorder: c.opts.Recorder,
 		Faults:   c.opts.Faults,
-		Workers:  c.opts.Workers,
 	})
 }
 
@@ -378,7 +368,7 @@ func (c *Compiled) RunParallelWith(mode Mode, rp RunParams) (*interp.Result, err
 	if err != nil {
 		return nil, err
 	}
-	return c.exec().RunParallel(c.SPMD, cl, mode, interp.RunConfig{Workers: rp.Workers, Ctx: rp.Ctx})
+	return c.exec().RunParallel(c.SPMD, cl, mode, interp.RunConfig{Ctx: rp.Ctx})
 }
 
 // RunResilient executes the SPMD translation with coordinated
@@ -415,7 +405,6 @@ func (c *Compiled) RunResilient(mode Mode) (*interp.Result, error) {
 	return c.exec().RunResilient(c.SPMD, cl, mode, interp.ResilientConfig{
 		Retranslate: retranslate,
 		Dir:         c.opts.CkptDir,
-		Workers:     c.opts.Workers,
 	})
 }
 

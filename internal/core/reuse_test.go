@@ -2,12 +2,14 @@ package core_test
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
 	"vbuscluster/internal/bench"
 	"vbuscluster/internal/core"
 	"vbuscluster/internal/interp"
+	"vbuscluster/internal/postpass"
 	"vbuscluster/internal/trace"
 )
 
@@ -189,6 +191,86 @@ func TestCompiledFirstUseLoweringRace(t *testing.T) {
 				}
 				if elapsed[i] != elapsed[i%2] {
 					t.Errorf("run %d: elapsed %d, run %d took %d", i, elapsed[i], i%2, elapsed[i%2])
+				}
+			}
+		})
+	}
+}
+
+// TestCompiledFirstUsePlanMemoRace starts eight runs at once on a fresh
+// Compiled, so rank goroutines of different runs race to fill the
+// per-region rank-plan memo (postpass.RankPlans) that all of them then
+// read. Under -race this fails on any unsynchronised fill or any write
+// into a published plan; without -race it still pins every run
+// bit-identical to a single run of a separate compilation, on each
+// transfer path that iterates the memo.
+func TestCompiledFirstUsePlanMemoRace(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		src  string
+		opts core.Options
+	}{
+		{"push", bench.SwimSource(24, 24), core.Options{NumProcs: 4}},
+		{"pull-scatter", bench.SwimSource(24, 24), core.Options{NumProcs: 4, PullScatter: true}},
+		{"two-sided", bench.MMSource(24), core.Options{NumProcs: 4, TwoSided: true}},
+		{"coalesce", bench.CFFTSource(8), core.Options{NumProcs: 4, Coalesce: true}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			single, err := core.Compile(tc.src, tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := single.RunParallelWith(core.Full, core.RunParams{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			c, err := core.Compile(tc.src, tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const concurrent = 8
+			results := make([]*interp.Result, concurrent)
+			errs := make([]error, concurrent)
+			start := make(chan struct{})
+			var wg sync.WaitGroup
+			for i := 0; i < concurrent; i++ {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					<-start
+					results[i], errs[i] = c.RunParallelWith(core.Full, core.RunParams{})
+				}(i)
+			}
+			close(start)
+			wg.Wait()
+			for i, err := range errs {
+				if err != nil {
+					t.Fatalf("run %d: %v", i, err)
+				}
+			}
+			for i, res := range results {
+				if res.Output != ref.Output || res.Elapsed != ref.Elapsed {
+					t.Errorf("run %d: output %q in %v, single run printed %q in %v", i, res.Output, res.Elapsed, ref.Output, ref.Elapsed)
+				}
+				if !reflect.DeepEqual(res.Report, ref.Report) {
+					t.Errorf("run %d: cluster report differs from the single run's", i)
+				}
+				if !reflect.DeepEqual(res.Mem, ref.Mem) {
+					t.Errorf("run %d: master memory differs from the single run's", i)
+				}
+			}
+			// The runs shared one memo: asking again returns the very
+			// slices they filled, not a recomputation.
+			for _, r := range c.SPMD.Regions {
+				if r.Par == nil {
+					continue
+				}
+				for _, dir := range []postpass.Direction{postpass.Scatter, postpass.Collect} {
+					a, b := postpass.RankPlans(r.Par, dir, 1), postpass.RankPlans(r.Par, dir, 1)
+					if len(a) != len(b) || (len(a) > 0 && &a[0] != &b[0]) {
+						t.Errorf("RankPlans recomputed a memoised plan (dir %d)", dir)
+					}
 				}
 			}
 		})

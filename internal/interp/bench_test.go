@@ -50,3 +50,19 @@ func BenchmarkInterpFull(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkRunTiming1024 is one Timing-mode run of SWIM 1024² on 1024
+// ranks at coarse grain on a fresh cluster — the benchmark's swim_scale
+// op: what 1024 rank goroutines, 21 barriers each and ~57 000 charged
+// transfers cost the host once the plan is lowered and its rank plans
+// are memoised.
+func BenchmarkRunTiming1024(b *testing.B) {
+	pp := translate(b, bench.SwimSource(1024, 1024), 1024)
+	lw := interp.Lower(pp.Source)
+	timingRun(b, lw, pp)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		timingRun(b, lw, pp)
+	}
+}

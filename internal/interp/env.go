@@ -76,13 +76,6 @@ type Env struct {
 	mode Mode
 	out  io.Writer
 
-	// lazy defers array allocation to first touch. Set on slave ranks
-	// in Timing mode, where bulk-charged loops and charge-only
-	// transfers never read the arrays: a 1024-rank timing run then
-	// allocates the program's arrays once (on the master) instead of
-	// 1024 times.
-	lazy bool
-
 	// pending accumulates compute charges between flushes so the
 	// cluster mutex is not taken per statement.
 	pending sim.Time
@@ -144,7 +137,6 @@ func newEnv(lw *Lowered, cl *cluster.Cluster, rank int, mode Mode, out io.Writer
 		cpu:  cl.Params().CPU,
 		mode: mode,
 		out:  out,
-		lazy: mode == Timing && rank != 0,
 	}
 	if err := env.allocMain(); err != nil {
 		return nil, err
@@ -188,7 +180,12 @@ func (env *Env) allocMain() error {
 		}
 		// Adjustable or assumed-size arrays have no constant layout: in
 		// the main unit they are an error caught on first access.
-		if lay := env.lw.layouts[slot]; lay != nil && lay.Size > 0 && !env.lazy {
+		// Timing mode leaves every array to first touch (storage):
+		// bulk-charged loops and charge-only transfers never read one,
+		// so a timing run allocates — and zero-fills — only what its
+		// sequential sections and executed loops really use, on the
+		// master as on the slaves.
+		if lay := env.lw.layouts[slot]; lay != nil && lay.Size > 0 && env.mode != Timing {
 			env.mem[slot] = make([]float64, lay.Size)
 		}
 	}
@@ -232,9 +229,9 @@ func (env *Env) applyData(u *unit) {
 
 // storage returns the backing cells of a slot, allocating on first
 // touch what was deferred: scalars, and the constant-layout arrays a
-// lazy env skipped (zero-filled, exactly as the eager path would have
-// left them). Lowered code reads env.mem directly and comes here only
-// when it finds nil.
+// Timing-mode env skipped (zero-filled, exactly as the eager path would
+// have left them). Lowered code reads env.mem directly and comes here
+// only when it finds nil.
 func (env *Env) storage(slot, line int) []float64 {
 	if buf := env.mem[slot]; buf != nil {
 		return buf
@@ -260,13 +257,13 @@ func (env *Env) symStorage(sym *f77.Symbol) []float64 {
 }
 
 // winBacking returns the backing slice a window over sym should
-// expose, without forcing a lazily deferred array into existence: a
-// Timing-mode slave creates windows for charge accounting only and
-// never moves real data through them, so a nil region is fine (the
-// mpi layer only dereferences regions on actual data movement).
+// expose, without forcing a deferred array into existence: a Timing
+// run creates windows for charge accounting only and never moves real
+// data through them, so a nil region is fine (the mpi layer reports a
+// real access to one as ErrNoRegion).
 func (env *Env) winBacking(sym *f77.Symbol) []float64 {
 	slot := env.lw.slots[sym]
-	if env.lazy && env.mem[slot] == nil {
+	if env.mode == Timing && env.mem[slot] == nil {
 		return nil
 	}
 	return env.storage(slot, 0)

@@ -44,9 +44,25 @@ type goldenRun struct {
 	Err string `json:"err,omitempty"`
 }
 
-func memSHA(mem map[string][]float64) string {
-	names := make([]string, 0, len(mem))
+// memSHA hashes the master's final memory. A Timing run leaves out the
+// arrays it never touched; the golden file was recorded when every
+// array was allocated up front, so an absent constant-layout array of
+// prog's main unit is hashed as the zeros it would have held.
+func memSHA(prog *f77.Program, mem map[string][]float64) string {
+	untouched := map[string]int64{}
+	for _, sym := range prog.Main().Syms.Order {
+		if _, ok := mem[sym.Name]; ok || !sym.IsArray() || sym.IsConst || sym.IsArg || sym.Common != "" {
+			continue
+		}
+		if lay, err := analysis.LayoutOf(sym); err == nil && lay.Size > 0 {
+			untouched[sym.Name] = lay.Size
+		}
+	}
+	names := make([]string, 0, len(mem)+len(untouched))
 	for n := range mem {
+		names = append(names, n)
+	}
+	for n := range untouched {
 		names = append(names, n)
 	}
 	sort.Strings(names)
@@ -54,6 +70,15 @@ func memSHA(mem map[string][]float64) string {
 	var word [8]byte
 	for _, n := range names {
 		h.Write([]byte(n))
+		if size, ok := untouched[n]; ok {
+			binary.LittleEndian.PutUint64(word[:], uint64(size))
+			h.Write(word[:])
+			word = [8]byte{}
+			for i := int64(0); i < size; i++ {
+				h.Write(word[:])
+			}
+			continue
+		}
 		binary.LittleEndian.PutUint64(word[:], uint64(len(mem[n])))
 		h.Write(word[:])
 		for _, v := range mem[n] {
@@ -64,7 +89,7 @@ func memSHA(mem map[string][]float64) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-func record(res *Result, err error) goldenRun {
+func record(prog *f77.Program, res *Result, err error) goldenRun {
 	if err != nil {
 		return goldenRun{Err: err.Error()}
 	}
@@ -73,7 +98,7 @@ func record(res *Result, err error) goldenRun {
 		ElapsedPs: int64(res.Elapsed),
 		CommOps:   res.Report.TotalCommOps(),
 		CommBytes: res.Report.TotalCommBytes(),
-		MemSHA:    memSHA(res.Mem),
+		MemSHA:    memSHA(prog, res.Mem),
 	}
 }
 
@@ -116,7 +141,8 @@ func goldenRuns(src string) (map[string]goldenRun, error) {
 		if err != nil {
 			return nil, err
 		}
-		runs["seq/"+mode.String()] = record(RunSequential(prog, cl, mode))
+		res, err := RunSequential(prog, cl, mode)
+		runs["seq/"+mode.String()] = record(prog, res, err)
 		for _, procs := range []int{2, 4} {
 			for _, grain := range []lmad.Grain{lmad.Fine, lmad.Middle, lmad.Coarse} {
 				pp, err := postpass.Translate(prog, postpass.Options{NumProcs: procs, Grain: grain, LiveOutAll: true})
@@ -128,7 +154,8 @@ func goldenRuns(src string) (map[string]goldenRun, error) {
 					return nil, err
 				}
 				key := fmt.Sprintf("p%d/%s/%s", procs, grain, mode)
-				runs[key] = record(RunParallel(pp, cl, mode))
+				res, err := RunParallel(pp, cl, mode)
+				runs[key] = record(prog, res, err)
 			}
 		}
 	}

@@ -26,9 +26,6 @@ type ResilientConfig struct {
 	// keeps checkpoints in memory only — the recovery protocol is
 	// identical, nothing touches the filesystem.
 	Dir string
-	// Workers bounds concurrent rank goroutines exactly as
-	// RunConfig.Workers does; each recovery attempt gets a fresh pool.
-	Workers int
 }
 
 // RunResilient executes the SPMD translation with coordinated
@@ -82,14 +79,6 @@ func (lw *Lowered) RunResilient(pp *postpass.Program, cl *cluster.Cluster, mode 
 	)
 	for {
 		P := world.Size()
-		var sched *pool
-		if cfg.Workers >= 0 {
-			// A fresh pool per attempt: a shrunken world re-parks on
-			// clean state, and crashed ranks cannot leak slots across
-			// attempts.
-			sched = newPool(cl, effectiveWorkers(cfg.Workers))
-			world.SetScheduler(sched)
-		}
 		var out bytes.Buffer
 		if last != nil {
 			out.Write(last.Output)
@@ -110,16 +99,11 @@ func (lw *Lowered) RunResilient(pp *postpass.Program, cl *cluster.Cluster, mode 
 		}
 		envs := make([]*Env, P)
 		errs := make([]error, P)
-		nodes := world.Nodes()
 		var wg sync.WaitGroup
 		for r := 0; r < P; r++ {
 			wg.Add(1)
 			go func(rank int) {
 				defer wg.Done()
-				if sched != nil {
-					sched.acquire(nodes[rank])
-					defer sched.release()
-				}
 				errs[rank] = lw.runRankEpochs(cur, world.Rank(rank), mode, &out, &envs[rank], st)
 				if errs[rank] != nil {
 					// ULFM: the rank observing a failure revokes the
@@ -139,7 +123,7 @@ func (lw *Lowered) RunResilient(pp *postpass.Program, cl *cluster.Cluster, mode 
 			return &Result{
 				Report:      rep,
 				Elapsed:     rep.ElapsedVirtual(),
-				Mem:         snapshotMem(envs[0]),
+				Mem:         finalMem(envs[0]),
 				Output:      out.String(),
 				Regions:     envs[0].regionStats,
 				Recoveries:  recoveries,
@@ -307,7 +291,10 @@ func (env *Env) buildSnapshot(epoch int, halted bool, nodes []int, out *bytes.Bu
 			Line: r.Line, Elapsed: r.Elapsed, Comm: r.Comm,
 		})
 	}
-	env.eachMainCell(func(name string, buf []float64) {
+	// A checkpoint observes every array, so a Timing run's untouched
+	// ones come into existence here: the blob — and what the quiesce
+	// is charged for it — is the Full run's.
+	env.eachMainCell(true, func(name string, buf []float64) {
 		s.Arrays[name] = append([]float64(nil), buf...)
 	})
 	return s
@@ -318,7 +305,7 @@ func (env *Env) buildSnapshot(epoch int, halted bool, nodes []int, out *bytes.Bu
 // snapshot does not know stay zero, like a fresh start would leave
 // them), and the region profile continues from the checkpointed rows.
 func (env *Env) restoreSnapshot(s *ckpt.Snapshot) (err error) {
-	env.eachMainCell(func(name string, buf []float64) {
+	env.eachMainCell(true, func(name string, buf []float64) {
 		vals, ok := s.Arrays[name]
 		if !ok || err != nil {
 			return

@@ -2,6 +2,7 @@ package interp
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -23,7 +24,12 @@ type Result struct {
 	Report cluster.Report
 	// Elapsed is the makespan in virtual time.
 	Elapsed sim.Time
-	// Mem is the master's final memory, keyed by symbol name.
+	// Mem is the master's final memory, keyed by symbol name. The
+	// slices are the finished master's own storage, not copies: the
+	// run is over and nothing else refers to them, so the caller owns
+	// them. In Timing mode arrays are allocated on first touch, so an
+	// array that no sequential section or executed loop touched is
+	// absent (it would have been all zeros).
 	Mem map[string][]float64
 	// Output is what the program printed (master only).
 	Output string
@@ -73,22 +79,27 @@ func FormatRegions(stats []RegionStat) string {
 	return sb.String()
 }
 
-// snapshotMem copies the master's memory — the main unit's symbols —
-// for result inspection.
-func snapshotMem(env *Env) map[string][]float64 {
+// finalMem hands the finished master's memory — the main unit's
+// symbols that have storage — to the result. env must not run again.
+func finalMem(env *Env) map[string][]float64 {
 	out := map[string][]float64{}
-	env.eachMainCell(func(name string, buf []float64) {
-		out[name] = append([]float64(nil), buf...)
-	})
+	env.eachMainCell(false, func(name string, buf []float64) { out[name] = buf })
 	return out
 }
 
 // eachMainCell visits the storage of every main-unit symbol that has
-// any.
-func (env *Env) eachMainCell(f func(name string, buf []float64)) {
+// any. With force set it first allocates the constant-layout arrays
+// Timing mode had left to first touch.
+func (env *Env) eachMainCell(force bool, f func(name string, buf []float64)) {
 	u := env.lw.main
 	for slot := u.lo; slot < u.hi; slot++ {
-		if buf := env.mem[slot]; buf != nil {
+		buf := env.mem[slot]
+		if buf == nil && force {
+			if lay := env.lw.layouts[slot]; lay != nil && lay.Size > 0 {
+				buf = env.storage(slot, 0)
+			}
+		}
+		if buf != nil {
 			f(env.lw.syms[slot].Name, buf)
 		}
 	}
@@ -150,23 +161,31 @@ func (lw *Lowered) RunSequential(cl *cluster.Cluster, mode Mode) (*Result, error
 	return &Result{
 		Report:  rep,
 		Elapsed: rep.ElapsedVirtual(),
-		Mem:     snapshotMem(env),
+		Mem:     finalMem(env),
 		Output:  out.String(),
 	}, nil
 }
 
-// RunParallel executes the SPMD translation on the cluster with the
-// default run configuration: rank goroutines multiplexed over a
-// GOMAXPROCS-sized worker pool, master/slave execution with
+// RunConfig bounds a parallel execution from outside.
+type RunConfig struct {
+	// Ctx, when non-nil, bounds the run: once it is cancelled (a job
+	// deadline, an HTTP client abort) the MPI world is cancelled and
+	// every rank unwinds with an mpi.ErrCancelled error instead of
+	// running — or blocking — forever. Nil means no external bound.
+	Ctx context.Context
+}
+
+// RunParallel executes the SPMD translation on the cluster: one
+// goroutine per rank, master/slave execution with
 // scatter/fence/compute/collect/fence per parallel region (§3, §5.4,
 // §5.5).
 func RunParallel(pp *postpass.Program, cl *cluster.Cluster, mode Mode) (*Result, error) {
 	return RunParallelConfig(pp, cl, mode, RunConfig{})
 }
 
-// RunParallelConfig is RunParallel with an explicit run configuration
-// (worker-pool sizing; see RunConfig). It lowers the translated program
-// once for this run, shared by every rank.
+// RunParallelConfig is RunParallel with an explicit run configuration.
+// It lowers the translated program once for this run, shared by every
+// rank.
 func RunParallelConfig(pp *postpass.Program, cl *cluster.Cluster, mode Mode, cfg RunConfig) (*Result, error) {
 	return Lower(pp.Source).RunParallel(pp, cl, mode, cfg)
 }
@@ -193,11 +212,6 @@ func (lw *Lowered) RunParallel(pp *postpass.Program, cl *cluster.Cluster, mode M
 	P := cl.N()
 	world := mpi.NewWorld(cl)
 	defer world.Shutdown()
-	var sched *pool
-	if cfg.Workers >= 0 {
-		sched = newPool(cl, effectiveWorkers(cfg.Workers))
-		world.SetScheduler(sched)
-	}
 	if cfg.Ctx != nil {
 		// Context monitor: translate an external cancellation into a
 		// world cancel so blocked and computing ranks both unwind. The
@@ -216,18 +230,11 @@ func (lw *Lowered) RunParallel(pp *postpass.Program, cl *cluster.Cluster, mode M
 
 	envs := make([]*Env, P)
 	errs := make([]error, P)
-	nodes := world.Nodes()
 	var wg sync.WaitGroup
 	for r := 0; r < P; r++ {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
-			if sched != nil {
-				// Hold a worker slot while runnable; release runs
-				// before wg.Done (LIFO), after any Depart below.
-				sched.acquire(nodes[rank])
-				defer sched.release()
-			}
 			errs[rank] = lw.runRank(pp, world.Rank(rank), mode, &out, &envs[rank])
 			if errs[rank] != nil {
 				// A rank that dies on an error must not strand its
@@ -247,7 +254,7 @@ func (lw *Lowered) RunParallel(pp *postpass.Program, cl *cluster.Cluster, mode M
 	return &Result{
 		Report:  rep,
 		Elapsed: rep.ElapsedVirtual(),
-		Mem:     snapshotMem(envs[0]),
+		Mem:     finalMem(envs[0]),
 		Output:  out.String(),
 		Regions: envs[0].regionStats,
 	}, nil
@@ -428,19 +435,19 @@ func (env *Env) runParRegion(pp *postpass.Program, par *postpass.ParInfo, p *mpi
 		// RECEIVE on each slave (both processors involved).
 		if p.Rank() == 0 {
 			for dst := 1; dst < P; dst++ {
-				env.sendOps(p, par, par.Scatters, dst, dst)
+				env.sendOps(p, par, postpass.Scatter, dst, dst)
 			}
 		} else {
-			env.recvOps(p, par, par.Scatters, p.Rank(), p.Rank())
+			env.recvOps(p, par, postpass.Scatter, p.Rank(), p.Rank())
 		}
 	} else if pp.Opts.PullScatter {
 		// One-sided pull: each slave GETs its own regions concurrently.
 		if p.Rank() != 0 {
-			env.moveOps(p, wins, par, par.Scatters, p.Rank(), 0, true)
+			env.moveOps(p, wins, par, postpass.Scatter, p.Rank(), 0, true)
 		}
 	} else if p.Rank() == 0 {
 		for dst := 1; dst < P; dst++ {
-			env.moveOps(p, wins, par, par.Scatters, dst, dst, false)
+			env.moveOps(p, wins, par, postpass.Scatter, dst, dst, false)
 		}
 	}
 	env.flush()
@@ -476,14 +483,14 @@ func (env *Env) runParRegion(pp *postpass.Program, par *postpass.ParInfo, p *mpi
 	env.flush()
 	if pp.Opts.TwoSided {
 		if p.Rank() != 0 {
-			env.sendOps(p, par, par.Collects, p.Rank(), p.Rank())
+			env.sendOps(p, par, postpass.Collect, p.Rank(), p.Rank())
 		} else {
 			for src := 1; src < P; src++ {
-				env.recvOps(p, par, par.Collects, src, src)
+				env.recvOps(p, par, postpass.Collect, src, src)
 			}
 		}
 	} else if p.Rank() != 0 {
-		env.moveOps(p, wins, par, par.Collects, p.Rank(), 0, false)
+		env.moveOps(p, wins, par, postpass.Collect, p.Rank(), 0, false)
 	}
 	env.flush()
 	p.Barrier() // fence: all collects land before the master continues
@@ -634,8 +641,8 @@ func (env *Env) runPartition(l *loop, ctx analysis.LoopCtx, myTrips []int64) {
 
 // sendOps is the two-sided sending half: pack each transfer of rank's
 // plan and SEND it (tag identifies the peer pairing).
-func (env *Env) sendOps(p *mpi.Proc, par *postpass.ParInfo, ops []*postpass.CommOp, rank, tag int) {
-	for _, pl := range postpass.RankPlans(par, ops, rank, p.Size()) {
+func (env *Env) sendOps(p *mpi.Proc, par *postpass.ParInfo, dir postpass.Direction, rank, tag int) {
+	for _, pl := range postpass.RankPlans(par, dir, rank) {
 		dst := 0
 		if p.Rank() == 0 {
 			dst = rank
@@ -657,12 +664,12 @@ func (env *Env) sendOps(p *mpi.Proc, par *postpass.ParInfo, ops []*postpass.Comm
 
 // recvOps is the matching receiving half: receive each transfer of
 // rank's plan (enumerated identically) and unpack it into storage.
-func (env *Env) recvOps(p *mpi.Proc, par *postpass.ParInfo, ops []*postpass.CommOp, rank, tag int) {
+func (env *Env) recvOps(p *mpi.Proc, par *postpass.ParInfo, dir postpass.Direction, rank, tag int) {
 	from := 0
 	if p.Rank() == 0 {
 		from = rank
 	}
-	for _, pl := range postpass.RankPlans(par, ops, rank, p.Size()) {
+	for _, pl := range postpass.RankPlans(par, dir, rank) {
 		for _, tr := range pl.Plan {
 			payload := p.RecvRegion(from, tag, int(tr.Elems))
 			if env.mode == Timing || len(payload) == 0 {
@@ -681,8 +688,8 @@ func (env *Env) recvOps(p *mpi.Proc, par *postpass.ParInfo, ops []*postpass.Comm
 // window: PUTs (the master scattering to rank, or slave rank collecting
 // to the master), or with get set GETs (slave rank pulling its scatter
 // regions from the master).
-func (env *Env) moveOps(p *mpi.Proc, wins map[*f77.Symbol]*mpi.Win, par *postpass.ParInfo, ops []*postpass.CommOp, rank, target int, get bool) {
-	for _, pl := range postpass.RankPlans(par, ops, rank, p.Size()) {
+func (env *Env) moveOps(p *mpi.Proc, wins map[*f77.Symbol]*mpi.Win, par *postpass.ParInfo, dir postpass.Direction, rank, target int, get bool) {
+	for _, pl := range postpass.RankPlans(par, dir, rank) {
 		win := wins[pl.Sym]
 		for _, tr := range pl.Plan {
 			d := commcost.FromTransfer(pl.Sym.Name, tr)

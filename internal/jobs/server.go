@@ -20,9 +20,8 @@ import (
 // Config sizes the server.
 type Config struct {
 	// Clusters is the number of concurrent simulated clusters — worker
-	// goroutines executing jobs (default 2). Each job still runs its
-	// ranks over the interpreter's own bounded pool, so total host
-	// parallelism is Clusters × per-run workers.
+	// goroutines executing jobs (default 2). Each job runs one
+	// goroutine per rank of its own.
 	Clusters int
 	// QueueDepth bounds admitted-but-not-running jobs across all
 	// tenants (default 64). Beyond it, submissions shed with
@@ -30,9 +29,6 @@ type Config struct {
 	QueueDepth int
 	// CacheEntries sizes the compiled-plan LRU (default 32 plans).
 	CacheEntries int
-	// RankWorkers is each run's rank-scheduler pool size
-	// (core.Options.Workers semantics: 0 = GOMAXPROCS).
-	RankWorkers int
 	// DefaultFabric is the backend for specs that omit one ("" = vbus).
 	DefaultFabric string
 	// TenantWeights overrides fair-share weights (default 1 each).
@@ -424,7 +420,6 @@ func (s *Server) process(j *Job) (killWorker bool) {
 		}
 		res, runErr = cc.RunParallelWith(j.Spec.runMode(), core.RunParams{
 			Recorder: rec,
-			Workers:  s.cfg.RankWorkers,
 			Ctx:      j.ctx,
 			Faults:   inj,
 		})

@@ -77,18 +77,6 @@ func (w *World) collectiveE(rank int, op string, contrib []float64,
 		entry = w.cl.Clock(node)
 		wallStart = time.Now()
 	}
-	// A waiter releases its worker slot while blocked in the rendezvous
-	// (Park under w.mu is non-blocking by contract) and reclaims one on
-	// every exit path — release, revocation, crashed peer, watchdog —
-	// after w.mu is dropped. The last arrival never parks: it runs
-	// finish and returns holding its slot.
-	sched := w.sched
-	parked := false
-	defer func() {
-		if parked {
-			sched.Unpark(node)
-		}
-	}()
 	w.mu.Lock()
 	if w.nDown > 0 {
 		w.mu.Unlock()
@@ -97,16 +85,28 @@ func (w *World) collectiveE(rank int, op string, contrib []float64,
 	gen := w.gen
 	slot, ok := w.slots[gen]
 	if !ok {
-		slot = &collSlot{vals: make([][]float64, w.n), remaining: w.n}
+		slot = &collSlot{remaining: w.n}
 		w.slots[gen] = slot
 	}
-	slot.vals[rank] = contrib
+	if contrib != nil {
+		// A barrier contributes nothing and never pays for the P-entry
+		// table; the last arrival then sees the world's shared all-nil
+		// one.
+		if slot.vals == nil {
+			slot.vals = make([][]float64, w.n)
+		}
+		slot.vals[rank] = contrib
+	}
 	if t := w.cl.Clock(node); t > w.maxT {
 		w.maxT = t
 	}
 	w.arrived++
 	if w.arrived == w.n {
-		release, result, commCost, tr := finish(w.maxT, slot.vals)
+		vals := slot.vals
+		if vals == nil {
+			vals = w.noVals
+		}
+		release, result, commCost, tr := finish(w.maxT, vals)
 		slot.result = result
 		slot.commCost = commCost
 		slot.transport = tr
@@ -136,10 +136,6 @@ func (w *World) collectiveE(rank int, op string, contrib []float64,
 				w.arrived--
 				w.mu.Unlock()
 				return nil, 0, &Error{Kind: ErrTimeout, Rank: rank, Op: op, Peer: -1, Time: entry + deadline}
-			}
-			if sched != nil && !parked {
-				parked = true
-				sched.Park(node)
 			}
 			w.cond.Wait()
 		}

@@ -74,8 +74,9 @@ func getOp(local bool, d AccessDesc) string {
 // the same rule SendE documents). name is the public entry point;
 // dataLen is the caller's buffer length (-1 for the charge-only path,
 // which moves no data). Returns the target window buffer (nil without a
-// window).
-func (p *Proc) validateAccess(name string, win *Win, target int, d AccessDesc, dataLen int) []float64 {
+// window). A window on which target exposes no region is not an
+// argument error but a state of the run, reported as ErrNoRegion.
+func (p *Proc) validateAccess(name string, win *Win, target int, d AccessDesc, dataLen int) ([]float64, *Error) {
 	if d.Stride <= 0 {
 		panic(fmt.Sprintf("mpi: %s stride %d must be positive", name, d.Stride))
 	}
@@ -86,9 +87,12 @@ func (p *Proc) validateAccess(name string, win *Win, target int, d AccessDesc, d
 		panic(fmt.Sprintf("mpi: %s buffer has %d elements, descriptor wants %d", name, dataLen, d.Elems))
 	}
 	if win == nil {
-		return nil
+		return nil, nil
 	}
 	buf := win.target(target)
+	if buf == nil {
+		return nil, &Error{Kind: ErrNoRegion, Rank: p.rank, Op: name, Peer: target, Win: win.name, Time: p.Wtime()}
+	}
 	if d.Stride == 1 {
 		if d.Offset < 0 || d.Offset+d.Elems > int64(len(buf)) {
 			panic(fmt.Sprintf("mpi: %s %q rank %d [%d,%d) outside window size %d",
@@ -101,7 +105,7 @@ func (p *Proc) validateAccess(name string, win *Win, target int, d AccessDesc, d
 				name, win.name, target, last, len(buf)))
 		}
 	}
-	return buf
+	return buf, nil
 }
 
 // charge is the single charge site of the data-moving operations —
@@ -147,7 +151,10 @@ func (p *Proc) charge(op string, target int, d AccessDesc, msgPack bool) *Error 
 // injection a failed transfer returns the *Error and leaves the target
 // window unmodified.
 func (p *Proc) Put(win *Win, target int, d AccessDesc, data []float64) error {
-	buf := p.validateAccess("Put", win, target, d, len(data))
+	buf, verr := p.validateAccess("Put", win, target, d, len(data))
+	if verr != nil {
+		return verr
+	}
 	if err := p.charge(putOp(target == p.rank, d), target, d, false); err != nil {
 		return err
 	}
@@ -167,7 +174,10 @@ func (p *Proc) Put(win *Win, target int, d AccessDesc, data []float64) error {
 // (MPI_GET); len(dst) must equal d.Elems. Under fault injection a
 // failed transfer returns the *Error and leaves dst unmodified.
 func (p *Proc) Get(win *Win, target int, d AccessDesc, dst []float64) error {
-	buf := p.validateAccess("Get", win, target, d, len(dst))
+	buf, verr := p.validateAccess("Get", win, target, d, len(dst))
+	if verr != nil {
+		return verr
+	}
 	if err := p.charge(getOp(target == p.rank, d), target, d, false); err != nil {
 		return err
 	}
@@ -189,7 +199,10 @@ func (p *Proc) Get(win *Win, target int, d AccessDesc, dst []float64) error {
 // Under fault injection a failed transfer returns the *Error and leaves
 // the target window unmodified.
 func (p *Proc) Accumulate(win *Win, target int, d AccessDesc, data []float64) error {
-	buf := p.validateAccess("Accumulate", win, target, d, len(data))
+	buf, verr := p.validateAccess("Accumulate", win, target, d, len(data))
+	if verr != nil {
+		return verr
+	}
 	if err := p.charge(trace.OpAccumulate, target, d, false); err != nil {
 		return err
 	}
@@ -207,7 +220,7 @@ func (p *Proc) Accumulate(win *Win, target int, d AccessDesc, data []float64) er
 // touching real arrays. The descriptor is validated exactly like the
 // data-moving paths (window bounds excepted: there is no window).
 func (p *Proc) Charge(target int, d AccessDesc) error {
-	p.validateAccess("Charge", nil, target, d, -1)
+	p.validateAccess("Charge", nil, target, d, -1) // no window, so no error
 	if err := p.charge(putOp(target == p.rank, d), target, d, false); err != nil {
 		return err
 	}

@@ -262,3 +262,53 @@ func TestChargeDoesNotAllocate(t *testing.T) {
 		}
 	}
 }
+
+// A window may be created over memory a rank has not allocated yet (a
+// Timing-mode run exposes lazily deferred arrays as nil regions).
+// Charging an access to such a target is legal — nothing is
+// dereferenced — but moving real data through it must fail with a
+// structured error naming the window and the target, leave the clocks
+// alone, and not panic on an index.
+func TestAccessThroughNilRegion(t *testing.T) {
+	runWorld(t, 2, func(p *Proc) {
+		var local []float64
+		if p.Rank() == 0 {
+			local = make([]float64, 8)
+		}
+		win := p.WinCreate("LAZY", local)
+		if p.Rank() != 0 {
+			p.Barrier()
+			return
+		}
+		before := p.Wtime()
+		data := seq(4, 1)
+		for verb, err := range map[string]error{
+			"Put":        p.Put(win, 1, ContigDesc(0, 4), data),
+			"Get":        p.Get(win, 1, StridedDesc(0, 4, 2), data),
+			"Accumulate": p.Accumulate(win, 1, ContigDesc(0, 4), data),
+		} {
+			me, ok := err.(*Error)
+			if !ok {
+				t.Errorf("%s through a nil region returned %v, want *Error", verb, err)
+				continue
+			}
+			if me.Kind != ErrNoRegion || me.Win != "LAZY" || me.Rank != 0 || me.Peer != 1 || me.Op != verb {
+				t.Errorf("%s: error %+v, want ErrNoRegion on window LAZY, rank 0, peer 1", verb, *me)
+			}
+			if msg := me.Error(); !strings.Contains(msg, `"LAZY"`) || !strings.Contains(msg, "peer 1") || !strings.Contains(msg, "no-region") {
+				t.Errorf("%s: message %q does not name window, target and kind", verb, msg)
+			}
+		}
+		if now := p.Wtime(); now != before {
+			t.Errorf("failed accesses charged the clock: %v -> %v", before, now)
+		}
+		if err := p.Charge(1, ContigDesc(0, 4)); err != nil {
+			t.Errorf("Charge to a rank with a nil region: %v", err)
+		}
+		// The rank's own region is real and still works.
+		if err := p.Put(win, 0, ContigDesc(0, 4), data); err != nil || win.Local(0)[3] != 4 {
+			t.Errorf("Put into the allocated region: err %v, window %v", err, win.Local(0))
+		}
+		p.Barrier()
+	})
+}

@@ -28,6 +28,11 @@ const (
 	// the operation was abandoned so the rank goroutine can unwind
 	// instead of leaking a running cluster.
 	ErrCancelled
+	// ErrNoRegion means a one-sided access moved real data through a
+	// window on which the target rank exposes no memory — a window
+	// created over a lazily deferred array that was never allocated.
+	// Charge-only accesses need no region and never fail this way.
+	ErrNoRegion
 )
 
 // String names the kind.
@@ -43,6 +48,8 @@ func (k ErrorKind) String() string {
 		return "revoked"
 	case ErrCancelled:
 		return "cancelled"
+	case ErrNoRegion:
+		return "no-region"
 	default:
 		return "invalid"
 	}
@@ -62,6 +69,8 @@ type Error struct {
 	// Peer is the remote rank involved (-1 when the operation has no
 	// single peer, e.g. a collective).
 	Peer int
+	// Win names the window of an ErrNoRegion failure ("" otherwise).
+	Win string
 	// Time is the virtual time of the failure: the deadline expiry for
 	// timeouts, the injected crash time for crashes.
 	Time sim.Time
@@ -69,6 +78,9 @@ type Error struct {
 
 // Error implements error.
 func (e *Error) Error() string {
+	if e.Win != "" {
+		return fmt.Sprintf("mpi: rank %d %s window %q (peer %d) %s at %v", e.Rank, e.Op, e.Win, e.Peer, e.Kind, e.Time)
+	}
 	if e.Peer >= 0 {
 		return fmt.Sprintf("mpi: rank %d %s (peer %d) %s at %v", e.Rank, e.Op, e.Peer, e.Kind, e.Time)
 	}

@@ -159,17 +159,6 @@ func (p *Proc) RecvE(src, tag int) ([]float64, error) {
 		wallStart = time.Now()
 	}
 	rec, begin := p.traceBegin()
-	// A rank that has to wait for its sender releases its worker slot
-	// (Park, under w.mu: non-blocking by contract) and reclaims one on
-	// every exit path — match, deadline push-back, revocation, crashed
-	// peer or watchdog — after w.mu is dropped.
-	sched := w.sched
-	parked := false
-	defer func() {
-		if parked {
-			sched.Unpark(node)
-		}
-	}()
 	w.mu.Lock()
 	var item *pendingSend
 	for {
@@ -206,10 +195,6 @@ func (p *Proc) RecvE(src, tag int) ([]float64, error) {
 		if deadline > 0 && time.Since(wallStart) > WatchdogWall {
 			w.mu.Unlock()
 			return nil, &Error{Kind: ErrTimeout, Rank: p.rank, Op: trace.OpRecv, Peer: src, Time: entry + deadline}
-		}
-		if sched != nil && !parked {
-			parked = true
-			sched.Park(node)
 		}
 		w.cond.Wait()
 	}

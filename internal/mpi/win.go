@@ -17,15 +17,30 @@ type Win struct {
 	world *World
 	name  string
 
-	mu   sync.Mutex // guards bufs wiring during creation
+	mu   sync.Mutex // guards bufs wiring during creation, and lockCh
 	bufs [][]float64
 
 	applyMu []sync.Mutex // per-target apply serialization
 	// lockCh holds the MPI_Win_lock exclusive locks as one-slot
 	// channels: a send acquires, a receive releases. Channels (rather
 	// than mutexes) let a deadline-carrying Lock time out in a select
-	// instead of blocking forever on a dead lock holder.
+	// instead of blocking forever on a dead lock holder. Most windows
+	// are never locked, so the table and each target's channel are made
+	// by the first Lock that needs them (lockOf).
 	lockCh []chan struct{}
+}
+
+// lockOf returns the lock channel of target's region.
+func (win *Win) lockOf(target int) chan struct{} {
+	win.mu.Lock()
+	defer win.mu.Unlock()
+	if win.lockCh == nil {
+		win.lockCh = make([]chan struct{}, len(win.bufs))
+	}
+	if win.lockCh[target] == nil {
+		win.lockCh[target] = make(chan struct{}, 1)
+	}
+	return win.lockCh[target]
 }
 
 // WinCreate collectively creates (or attaches to) the window named
@@ -41,10 +56,6 @@ func (p *Proc) WinCreate(name string, local []float64) *Win {
 			name:    name,
 			bufs:    make([][]float64, w.n),
 			applyMu: make([]sync.Mutex, w.n),
-			lockCh:  make([]chan struct{}, w.n),
-		}
-		for i := range win.lockCh {
-			win.lockCh[i] = make(chan struct{}, 1)
 		}
 		w.wins[name] = win
 	}
@@ -74,15 +85,12 @@ func (win *Win) Name() string { return win.name }
 // Local returns the calling rank's exposed region.
 func (win *Win) Local(rank int) []float64 { return win.bufs[rank] }
 
+// target returns rank's exposed region; nil when the rank exposes none.
 func (win *Win) target(rank int) []float64 {
 	if rank < 0 || rank >= len(win.bufs) {
 		panic(fmt.Sprintf("mpi: window %q target rank %d out of range", win.name, rank))
 	}
-	b := win.bufs[rank]
-	if b == nil {
-		panic(fmt.Sprintf("mpi: window %q has no region on rank %d", win.name, rank))
-	}
-	return b
+	return win.bufs[rank]
 }
 
 // Fence completes all outstanding one-sided operations on the window
@@ -123,51 +131,19 @@ func (p *Proc) LockE(win *Win, target int) error {
 	}
 	entry := p.entryClock()
 	rec, begin := p.traceBegin()
+	// With a deadline set the wall-clock watchdog bounds the wait; a nil
+	// channel never fires.
+	var watchdog <-chan time.Time
 	d := p.w.inj.Deadline()
-	if sched := p.w.sched; sched != nil {
-		// Contended acquisitions release the worker slot while blocked
-		// so the lock holder can run to its Unlock even when every slot
-		// is busy (critical sections contain no blocking operations, so
-		// a holder always progresses). The uncontended fast path keeps
-		// the slot.
-		select {
-		case win.lockCh[target] <- struct{}{}:
-		default:
-			sched.Park(p.node())
-			if d > 0 {
-				select {
-				case win.lockCh[target] <- struct{}{}:
-				case <-p.w.cancelCh:
-					sched.Unpark(p.node())
-					return p.cancelErr(trace.OpLock, target)
-				case <-time.After(WatchdogWall):
-					sched.Unpark(p.node())
-					return &Error{Kind: ErrTimeout, Rank: p.rank, Op: trace.OpLock, Peer: target, Time: entry + d}
-				}
-			} else {
-				select {
-				case win.lockCh[target] <- struct{}{}:
-				case <-p.w.cancelCh:
-					sched.Unpark(p.node())
-					return p.cancelErr(trace.OpLock, target)
-				}
-			}
-			sched.Unpark(p.node())
-		}
-	} else if d > 0 {
-		select {
-		case win.lockCh[target] <- struct{}{}:
-		case <-p.w.cancelCh:
-			return p.cancelErr(trace.OpLock, target)
-		case <-time.After(WatchdogWall):
-			return &Error{Kind: ErrTimeout, Rank: p.rank, Op: trace.OpLock, Peer: target, Time: entry + d}
-		}
-	} else {
-		select {
-		case win.lockCh[target] <- struct{}{}:
-		case <-p.w.cancelCh:
-			return p.cancelErr(trace.OpLock, target)
-		}
+	if d > 0 {
+		watchdog = time.After(WatchdogWall)
+	}
+	select {
+	case win.lockOf(target) <- struct{}{}:
+	case <-p.w.cancelCh:
+		return p.cancelErr(trace.OpLock, target)
+	case <-watchdog:
+		return &Error{Kind: ErrTimeout, Rank: p.rank, Op: trace.OpLock, Peer: target, Time: entry + d}
 	}
 	card := p.w.cl.Fabric()
 	p.w.cl.ChargeComm(p.node(), card.SendSetup()+card.ContigTime(WordBytes, p.hops(target)), 0)
@@ -180,6 +156,6 @@ func (p *Proc) Unlock(win *Win, target int) {
 	rec, begin := p.traceBegin()
 	card := p.w.cl.Fabric()
 	p.w.cl.ChargeComm(p.node(), card.SendSetup()+card.ContigTime(WordBytes, p.hops(target)), 0)
-	<-win.lockCh[target]
+	<-win.lockOf(target)
 	p.traceEnd(rec, begin, trace.OpUnlock, target, 0, 0, interconnect.TransportSync)
 }

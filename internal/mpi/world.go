@@ -62,6 +62,9 @@ type World struct {
 	gen     uint64
 	maxT    sim.Time
 	slots   map[uint64]*collSlot
+	// noVals is what a collective's finish sees when no rank
+	// contributed a value (every barrier): n nil entries, read-only.
+	noVals [][]float64
 
 	// Window registry (windows are created collectively by name).
 	wins map[string]*Win
@@ -75,7 +78,8 @@ type World struct {
 	// machine; the remaining fields are then never touched on hot paths.
 	inj *fault.Injector
 	// pktSeq hands out per-(src,dst) packet sequence numbers, flattened
-	// [src*n+dst]. Each element is written only by src's goroutine.
+	// [src*n+dst]; nil on a clean machine. Each element is written only
+	// by src's goroutine.
 	pktSeq []int
 	// bcastSeq numbers broadcasts deterministically (guarded by mu: it
 	// is only consumed inside collective finish closures).
@@ -101,35 +105,7 @@ type World struct {
 	// lock acquisition) can select on cancellation.
 	cancelled atomic.Bool
 	cancelCh  chan struct{}
-
-	// sched, when non-nil, is notified whenever a rank blocks inside
-	// the runtime (SetScheduler). Nil — the default — keeps every
-	// blocking operation exactly as before.
-	sched Scheduler
 }
-
-// Scheduler lets the rank-execution layer above multiplex many ranks
-// over a bounded set of worker goroutine slots: a rank about to block
-// inside the runtime (receive wait, collective rendezvous, lock
-// acquisition) Parks — releasing its slot so a runnable rank can use
-// the goroutine budget — and Unparks once the wait is over, which may
-// block until a slot frees up again.
-//
-// Contract: Park may be called with runtime-internal locks held and
-// must never block; Unpark is always called with no runtime locks held
-// and may block. Both are keyed by the rank's physical cluster node,
-// which stays stable across communicator shrinks. The scheduler only
-// affects which goroutines run when — it adds no virtual-time charges,
-// so results are bit-identical with and without one.
-type Scheduler interface {
-	Park(node int)
-	Unpark(node int)
-}
-
-// SetScheduler attaches the blocked-rank scheduler. It must be called
-// before the world's rank goroutines start issuing operations; nil
-// detaches.
-func (w *World) SetScheduler(s Scheduler) { w.sched = s }
 
 // NewWorld creates the communicator for all ranks of c.
 func NewWorld(c *cluster.Cluster) *World {
@@ -163,15 +139,18 @@ func newWorld(c *cluster.Cluster, nodes []int) *World {
 		n:        n,
 		nodes:    nodes,
 		slots:    make(map[uint64]*collSlot),
+		noVals:   make([][]float64, n),
 		wins:     make(map[string]*Win),
 		boxes:    make(map[mbKey][]*pendingSend),
 		inj:      c.Faults(),
-		pktSeq:   make([]int, n*n),
 		down:     make([]bool, n),
 		crashed:  make([]bool, n),
 		cancelCh: make(chan struct{}),
 	}
 	w.cond = sync.NewCond(&w.mu)
+	if w.inj != nil {
+		w.pktSeq = make([]int, n*n)
+	}
 	if w.inj.Deadline() > 0 {
 		w.startWatchdog()
 	}

@@ -12,8 +12,10 @@ import (
 // §5.6 "precise analysis of data access pattern" turned into a static
 // cost estimate. It folds the machine's commcost kernel (any registered
 // backend, not just the V-Bus card) over the same per-rank transfer
-// lists the interpreter issues (RankPlans), in the same order, from the
-// same origin nodes: the master performs push scatters, each slave its
+// lists the interpreter issues (planRank, the enumerator behind
+// RankPlans — unmemoised here, because AutoGrain prices three candidate
+// translations at compile time and keeps one), in the same order, from
+// the same origin nodes: the master performs push scatters, each slave its
 // own pull scatters and collects, rank-local moves are skipped. On a
 // protocol-switched fabric each origin node gets a simulated
 // registration cache, shared across regions like the runtime's per-node
@@ -27,13 +29,13 @@ func EstimateCommCost(p *Program, params cluster.Params) sim.Time {
 	procs := p.Opts.NumProcs
 	caches := k.NewRegCaches(procs)
 	var total sim.Time
-	price := func(par *ParInfo, ops []*CommOp, rank, origin int) {
+	price := func(par *ParInfo, dir Direction, rank, origin int) {
 		var cache *interconnect.RegCache
 		if caches != nil {
 			cache = caches[origin]
 		}
 		hops := params.Hops(0, rank)
-		for _, pl := range RankPlans(par, ops, rank, procs) {
+		for _, pl := range planRank(par, dir, rank) {
 			for _, tr := range pl.Plan {
 				t, _ := k.Price(commcost.FromTransfer(pl.Sym.Name, tr), hops, cache)
 				total += t
@@ -49,10 +51,10 @@ func EstimateCommCost(p *Program, params cluster.Params) sim.Time {
 			if p.Opts.PullScatter {
 				origin = dst
 			}
-			price(r.Par, r.Par.Scatters, dst, origin)
+			price(r.Par, Scatter, dst, origin)
 		}
 		for rank := 1; rank < procs; rank++ {
-			price(r.Par, r.Par.Collects, rank, rank)
+			price(r.Par, Collect, rank, rank)
 		}
 	}
 	return total

@@ -1,6 +1,8 @@
 package postpass
 
 import (
+	"sync"
+
 	"vbuscluster/internal/analysis"
 	"vbuscluster/internal/f77"
 	"vbuscluster/internal/lmad"
@@ -102,18 +104,63 @@ type SymPlan struct {
 	Plan []lmad.Transfer
 }
 
-// RankPlans enumerates everything rank transfers for ops (one
-// direction of one parallel region) in the deterministic order the
-// runtime issues it: each non-coarse op's plan as planned, then the
-// coarse-grain plans merged per array across ops into the "one big
-// approximate region" of Figure 9(d). Merging can grow a transfer past
-// its pre-merge eager/rendezvous stamp, so merged plans are re-stamped;
-// the threshold is machine-global (every op of a coalesced compile
-// carries the same value, unstamped ops carry 0), so the max over ops
-// recovers it. The interpreter's one-sided, pull and two-sided paths
-// (both halves of a SEND/RECEIVE pair) and the static estimator all
-// iterate this list, so they price and move exactly the same transfers.
-func RankPlans(par *ParInfo, ops []*CommOp, rank, procs int) []SymPlan {
+// Direction selects one of a parallel region's two transfer lists.
+type Direction int
+
+const (
+	// Scatter is the region-entry direction, master → slaves.
+	Scatter Direction = iota
+	// Collect is the region-exit direction, slaves → master.
+	Collect
+)
+
+// planMemo holds a region's per-rank transfer lists, indexed
+// [dir*Procs + rank]. The table is made by the first RankPlans call on
+// the region — a run's, never the compiler's — so compiling pays
+// nothing for it; each entry is computed once by whoever asks first
+// and is immutable afterwards.
+type planMemo struct {
+	once  sync.Once
+	table []rankPlans
+}
+
+type rankPlans struct {
+	once  sync.Once
+	plans []SymPlan
+}
+
+// RankPlans returns everything rank transfers in one direction of a
+// parallel region (see planRank for the order). The list is a function
+// of the finished translation alone — the postpass generates the
+// scatter/collect code once (§5.4–5.6) — so it is computed on first
+// request and then shared by every run and rank goroutine of the
+// program: callers must not modify it, and must not ask while the
+// translation is still being built.
+func RankPlans(par *ParInfo, dir Direction, rank int) []SymPlan {
+	m := &par.plans
+	m.once.Do(func() { m.table = make([]rankPlans, 2*par.Procs) })
+	e := &m.table[int(dir)*par.Procs+rank]
+	e.once.Do(func() { e.plans = planRank(par, dir, rank) })
+	return e.plans
+}
+
+// planRank enumerates everything rank transfers in one direction of a
+// parallel region in the deterministic order the runtime issues it:
+// each non-coarse op's plan as planned, then the coarse-grain plans
+// merged per array across ops into the "one big approximate region" of
+// Figure 9(d). Merging can grow a transfer past its pre-merge
+// eager/rendezvous stamp, so merged plans are re-stamped; the
+// threshold is machine-global (every op of a coalesced compile carries
+// the same value, unstamped ops carry 0), so the max over ops recovers
+// it. It is the only enumerator: the interpreter's one-sided, pull and
+// two-sided paths (both halves of a SEND/RECEIVE pair) read it through
+// RankPlans and the static estimator calls it directly, so they price
+// and move exactly the same transfers.
+func planRank(par *ParInfo, dir Direction, rank int) []SymPlan {
+	ops := par.Scatters
+	if dir == Collect {
+		ops = par.Collects
+	}
 	out := make([]SymPlan, 0, len(ops))
 	coarse := map[*f77.Symbol][]lmad.Transfer{}
 	var coarseOrder []*f77.Symbol
@@ -122,7 +169,7 @@ func RankPlans(par *ParInfo, ops []*CommOp, rank, procs int) []SymPlan {
 		if op.RndvThreshold > rndvThreshold {
 			rndvThreshold = op.RndvThreshold
 		}
-		plan := RankPlan(op, par.Ctx, rank, procs, par.Schedule)
+		plan := RankPlan(op, par.Ctx, rank, par.Procs, par.Schedule)
 		if op.Grain == lmad.Coarse {
 			if _, seen := coarse[op.Sym]; !seen {
 				coarseOrder = append(coarseOrder, op.Sym)

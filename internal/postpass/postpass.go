@@ -144,6 +144,13 @@ type ParInfo struct {
 	// one-element windows).
 	Reductions []*f77.Reduction
 	Schedule   f77.Schedule
+	// Procs is the rank count the region was partitioned for
+	// (Options.NumProcs).
+	Procs int
+
+	// plans memoises RankPlans: once translation has finished, each
+	// rank's transfer list is a pure function of the fields above.
+	plans planMemo
 }
 
 // Program is the SPMD translation of one Fortran program.
@@ -347,6 +354,7 @@ func (t *translator) spmdize() string {
 			Ctx:        cand.ctx,
 			Reductions: loop.Reductions,
 			Schedule:   loop.Schedule,
+			Procs:      p.Opts.NumProcs,
 		}})
 	}
 	flush()
