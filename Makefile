@@ -192,8 +192,11 @@ rdma-smoke:
 bench-gate:
 	$(GO) run ./cmd/vbbench -benchgate
 
-# The paper-level benchmarks, then the evaluator alone (sequential Full
-# MM 96² and SWIM 192², ns per innermost iteration).
+# The paper-level benchmarks and the compile path (Compile24 is one
+# round of the repository benchmark's compile_cold mix; DetectParallel,
+# EstimateCommCost and RaceCheck are the passes that dominated it), then
+# the evaluator alone (sequential Full MM 96² and SWIM 192², ns per
+# innermost iteration).
 bench:
 	$(GO) test -bench=. -benchmem .
 	$(GO) test -run '^$$' -bench 'InterpFull|RunTiming1024' -benchmem ./internal/interp

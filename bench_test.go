@@ -7,6 +7,11 @@
 //	BenchmarkLatencyVsEthernet — §2.1, V-Bus vs Fast Ethernet latency
 //	BenchmarkBroadcast         — §2.1, virtual bus vs software trees
 //
+// and time the compile path the repository benchmark's compile_cold
+// workload measures: BenchmarkCompile24 (its 24 configs), and the three
+// passes that dominated it — BenchmarkDetectParallel,
+// BenchmarkEstimateCommCost, BenchmarkRaceCheck.
+//
 // Virtual-time results are attached as custom metrics (speedup,
 // comm-seconds, ratios); wall-clock ns/op only measures the simulator.
 package vbuscluster
@@ -14,13 +19,17 @@ package vbuscluster
 import (
 	"fmt"
 	"testing"
+	"time"
 
+	"vbuscluster/internal/analysis"
 	"vbuscluster/internal/bench"
 	"vbuscluster/internal/cluster"
 	"vbuscluster/internal/core"
+	"vbuscluster/internal/f77"
 	"vbuscluster/internal/fabric"
 	"vbuscluster/internal/lmad"
 	"vbuscluster/internal/nic"
+	"vbuscluster/internal/postpass"
 	"vbuscluster/internal/sim"
 )
 
@@ -289,4 +298,146 @@ func BenchmarkAblationVBusVsEthernet(b *testing.B) {
 		}
 		b.ReportMetric(t.Seconds(), "comm-s")
 	})
+}
+
+// compileCase is one entry of the repository benchmark's compile_cold
+// mix rebuilt from the bench package's kernels.
+type compileCase struct {
+	src  string
+	opts core.Options
+}
+
+// compileKernels are the three programs compile_cold compiles.
+func compileKernels() []struct{ name, src string } {
+	return []struct{ name, src string }{
+		{"mm1024", bench.MMSource(1024)},
+		{"swim512", bench.SwimSource(512, 512)},
+		{"cfft11", bench.CFFTSource(11)},
+	}
+}
+
+// compile24 is {MM 1024², SWIM 512², CFFT M=11} × {4, 64 ranks} ×
+// {fine, middle, coarse, AutoGrain}.
+func compile24() []compileCase {
+	var out []compileCase
+	for _, k := range compileKernels() {
+		for _, procs := range []int{4, 64} {
+			for _, g := range []lmad.Grain{lmad.Fine, lmad.Middle, lmad.Coarse} {
+				out = append(out, compileCase{k.src, core.Options{NumProcs: procs, Grain: g}})
+			}
+			out = append(out, compileCase{k.src, core.Options{NumProcs: procs, AutoGrain: true}})
+		}
+	}
+	return out
+}
+
+// BenchmarkCompile24 is one round of the compile_cold workload: all 24
+// configs compiled once per iteration.
+func BenchmarkCompile24(b *testing.B) {
+	cfgs := compile24()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, c := range cfgs {
+			if _, err := core.Compile(c.src, c.opts); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// analyzed parses src and runs the front end, as core.Compile does
+// before the postpass.
+func analyzed(b *testing.B, src string) *f77.Program {
+	b.Helper()
+	prog, err := f77.Parse(src)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := analysis.FrontEnd(prog); err != nil {
+		b.Fatal(err)
+	}
+	return prog
+}
+
+// BenchmarkDetectParallel times the parallel-detect pass (reduction
+// recognition, privatization and the Access Region Test on every loop)
+// alone. Each iteration clears the verdicts first: a loop already
+// marked parallel is skipped as if a directive had marked it.
+func BenchmarkDetectParallel(b *testing.B) {
+	for _, k := range compileKernels() {
+		b.Run(k.name, func(b *testing.B) {
+			main := analyzed(b, k.src).Main()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				f77.WalkStmts(main.Body, func(s f77.Stmt) bool {
+					if l, ok := s.(*f77.DoLoop); ok {
+						l.Parallel = false
+					}
+					return true
+				})
+				analysis.DetectParallel(main)
+			}
+		})
+	}
+}
+
+// translate64 runs the postpass for 64 ranks and returns the plan and
+// the wall time of its grain-opt stage (the §5.6 race check).
+func translate64(b *testing.B, prog *f77.Program, g lmad.Grain) (*postpass.Program, time.Duration) {
+	b.Helper()
+	var raceCheck time.Duration
+	pp, err := postpass.TranslateStaged(prog, postpass.Options{NumProcs: 64, Grain: g, LiveOutAll: true},
+		func(stage string, wall time.Duration, _ string, _ *postpass.Program) {
+			if stage == postpass.StageGrainOpt {
+				raceCheck = wall
+			}
+		})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return pp, raceCheck
+}
+
+// BenchmarkEstimateCommCost times the static estimator AutoGrain calls
+// once per candidate grain, on 64-rank plans.
+func BenchmarkEstimateCommCost(b *testing.B) {
+	params := cluster.DefaultParams()
+	params.MeshWidth, params.MeshHeight = core.MeshFor(64)
+	for _, k := range compileKernels() {
+		prog := analyzed(b, k.src)
+		for _, g := range []lmad.Grain{lmad.Fine, lmad.Middle, lmad.Coarse} {
+			b.Run(fmt.Sprintf("%s/%s", k.name, g), func(b *testing.B) {
+				pp, _ := translate64(b, prog, g)
+				b.ReportAllocs()
+				b.ResetTimer()
+				var cost sim.Time
+				for i := 0; i < b.N; i++ {
+					cost = postpass.EstimateCommCost(pp, params)
+				}
+				b.ReportMetric(cost.Seconds(), "comm-s")
+			})
+		}
+	}
+}
+
+// BenchmarkRaceCheck times the postpass at the two approximate grains
+// on 64 ranks and reports the share its grain-opt stage — the §5.6
+// race check — takes as race-check-ns/op.
+func BenchmarkRaceCheck(b *testing.B) {
+	for _, k := range compileKernels() {
+		prog := analyzed(b, k.src)
+		for _, g := range []lmad.Grain{lmad.Middle, lmad.Coarse} {
+			b.Run(fmt.Sprintf("%s/%s", k.name, g), func(b *testing.B) {
+				b.ReportAllocs()
+				var total time.Duration
+				for i := 0; i < b.N; i++ {
+					_, d := translate64(b, prog, g)
+					total += d
+				}
+				b.ReportMetric(float64(total.Nanoseconds())/float64(b.N), "race-check-ns/op")
+			})
+		}
+	}
 }

@@ -7,9 +7,9 @@ import (
 	"vbuscluster/internal/lmad"
 )
 
-// maxShiftChecks bounds the per-pair iteration-distance sweep of the
-// Access Region Test. Loops with more iterations than this are treated
-// conservatively (serial) unless an early-exit proves independence.
+// maxShiftChecks bounds the iteration distances the Access Region Test
+// considers per pair. Loops whose regions could meet at more distances
+// than this are treated conservatively (serial).
 const maxShiftChecks = 1 << 14
 
 // enumLimit bounds exact enumeration inside overlap tests.
@@ -153,31 +153,45 @@ func IndependentIterations(loop *f77.DoLoop, ctx LoopCtx, outer []LoopCtx) bool 
 		return false
 	}
 
-	var writes, all []classified
+	// Distinct references only: the test's answer for a pair depends on
+	// the two descriptors and their coefficients of the loop variable, so
+	// a reference repeated in the body (C(I,J) read and written) is one
+	// entry.
+	var writes, all []Access
 	for _, c := range riFixed.Accesses {
-		all = append(all, c)
+		all = addDistinct(all, c.acc, loop.Var)
 		if c.write {
-			writes = append(writes, c)
-		}
-	}
-	// Scalars written in the loop (not privatized, not reductions)
-	// serialize it.
-	for _, w := range writes {
-		if !w.acc.Sym.IsArray() {
-			return false
+			// Scalars written in the loop (not privatized, not
+			// reductions) serialize it.
+			if !c.acc.Sym.IsArray() {
+				return false
+			}
+			writes = addDistinct(writes, c.acc, loop.Var)
 		}
 	}
 	for _, w := range writes {
 		for _, x := range all {
-			if x.acc.Sym != w.acc.Sym {
+			if x.Sym != w.Sym {
 				continue
 			}
-			if !crossIterationDisjoint(w.acc, x.acc, loop.Var, ctx) {
+			if !crossIterationDisjoint(w, x, loop.Var, ctx) {
 				return false
 			}
 		}
 	}
 	return true
+}
+
+// addDistinct appends acc unless the list already holds the same
+// reference as far as the Access Region Test on loop variable v can
+// tell: same array, same per-iteration descriptor, same coefficient.
+func addDistinct(list []Access, acc Access, v *f77.Symbol) []Access {
+	for _, have := range list {
+		if have.Sym == acc.Sym && have.Coeffs[v] == acc.Coeffs[v] && have.L.Equal(acc.L) {
+			return list
+		}
+	}
+	return append(list, acc)
 }
 
 // iterCtx builds a one-trip context pinning the loop variable to its
@@ -208,14 +222,14 @@ func crossIterationDisjoint(w, x Access, v *f77.Symbol, ctx LoopCtx) bool {
 		return !lmad.Overlap(wFull, xFull, enumLimit)
 	}
 	// Equal coefficients: iterations i and i+d are shifted by
-	// shift = c·step·d; disjoint iff W ∩ X+shift = ∅ for d = 1..trips-1
+	// shift = c·step·d; disjoint iff W ∩ X+shift·d = ∅ for d = 1..trips-1
 	// (and the symmetric direction).
 	shift := cw * ctx.Step
 	if shift < 0 {
 		shift = -shift
 	}
-	// Early exit: the regions are bounded; once the shift exceeds the
-	// combined extent the intervals cannot meet.
+	// The regions are bounded; once the shift exceeds the combined
+	// extent the intervals cannot meet.
 	extent := (w.L.High() - w.L.Low()) + (x.L.High() - x.L.Low())
 	maxD := trips - 1
 	if lim := extent/shift + 1; lim < maxD {
@@ -224,15 +238,7 @@ func crossIterationDisjoint(w, x Access, v *f77.Symbol, ctx LoopCtx) bool {
 	if maxD > maxShiftChecks {
 		return false // conservative for enormous loops
 	}
-	for d := int64(1); d <= maxD; d++ {
-		if lmad.Overlap(w.L, x.L.Translate(shift*d), enumLimit) {
-			return false
-		}
-		if lmad.Overlap(x.L, w.L.Translate(shift*d), enumLimit) {
-			return false
-		}
-	}
-	return true
+	return !lmad.OverlapShifts(w.L, x.L, shift, maxD, enumLimit)
 }
 
 // RecognizeReductions finds scalar reduction statements S = S op expr

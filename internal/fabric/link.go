@@ -170,10 +170,16 @@ type LinkConfig struct {
 }
 
 // Link is a unidirectional channel between two routers (or a router and
-// a NIC). It computes launch intervals and serialization times from the
-// physical model.
+// a NIC). NewLink derives the three terms every wire-time formula reads
+// — bundle width, propagation delay and launch interval — from the
+// physical model once; the link keeps those and no reference to the
+// configuration's delay slice, so it is immutable whatever the caller
+// does with that slice afterwards.
 type Link struct {
-	cfg LinkConfig
+	mode        PipelineMode
+	width       int
+	propagation sim.Time
+	launch      sim.Time
 }
 
 // NewLink validates the configuration and returns a link.
@@ -190,49 +196,73 @@ func NewLink(cfg LinkConfig) (*Link, error) {
 	if cfg.AccumulatedHops < 0 {
 		return nil, fmt.Errorf("fabric: negative accumulated hops")
 	}
-	return &Link{cfg: cfg}, nil
+	launch, err := launchInterval(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return &Link{
+		mode:        cfg.Mode,
+		width:       cfg.Lines.Width(),
+		propagation: cfg.Lines.MaxDelay(),
+		launch:      launch,
+	}, nil
 }
 
 // Mode reports the signalling discipline.
-func (l *Link) Mode() PipelineMode { return l.cfg.Mode }
+func (l *Link) Mode() PipelineMode { return l.mode }
 
 // Width reports the number of parallel data lines, i.e. bits moved per
 // launch.
-func (l *Link) Width() int { return l.cfg.Lines.Width() }
+func (l *Link) Width() int { return l.width }
 
 // PropagationDelay is the time for one wavefront to cross the link
 // (slowest line).
-func (l *Link) PropagationDelay() sim.Time { return l.cfg.Lines.MaxDelay() }
+func (l *Link) PropagationDelay() sim.Time { return l.propagation }
 
 // LaunchInterval is the minimum spacing between consecutive words on
 // the link. This is the inverse of link throughput.
-func (l *Link) LaunchInterval() sim.Time {
-	switch l.cfg.Mode {
+func (l *Link) LaunchInterval() sim.Time { return l.launch }
+
+// launchInterval derives the launch interval of a link from its
+// physical model; an unknown signalling discipline is an error.
+func launchInterval(cfg LinkConfig) (sim.Time, error) {
+	var iv sim.Time
+	switch cfg.Mode {
 	case Conventional:
 		// One wave in flight at a time.
-		return l.cfg.Lines.MaxDelay() + l.cfg.Margin
+		return cfg.Lines.MaxDelay() + cfg.Margin, nil
 	case Wave:
 		// Skew accumulates linearly with unsampled hops (paper: "the
 		// end-to-end skew between signal lines can be magnified while
 		// passing through several wave-pipelined network cards").
-		sk := l.cfg.Lines.Skew() * sim.Time(l.cfg.AccumulatedHops+1)
-		if pd := l.cfg.Lines.MaxDelay(); sk > pd {
+		sk := cfg.Lines.Skew() * sim.Time(cfg.AccumulatedHops+1)
+		if pd := cfg.Lines.MaxDelay(); sk > pd {
 			sk = pd // cannot be worse than conventional
 		}
-		iv := sk + l.cfg.Margin
-		if iv < 1 {
-			iv = 1
-		}
-		return iv
+		iv = sk + cfg.Margin
 	case SKWP:
-		iv := l.cfg.Sampler.Residual(l.cfg.Lines) + l.cfg.Margin
-		if iv < 1 {
-			iv = 1
-		}
-		return iv
+		iv = cfg.Sampler.Residual(cfg.Lines) + cfg.Margin
 	default:
-		panic(fmt.Sprintf("fabric: unknown mode %v", l.cfg.Mode))
+		return 0, fmt.Errorf("fabric: unknown pipeline mode %v", cfg.Mode)
 	}
+	if iv < 1 {
+		iv = 1
+	}
+	return iv, nil
+}
+
+// WormholeTime is the wormhole pipeline time of a payload over hops
+// routed channels of this link type (+2 for inject/eject): the head
+// flit pays router latency and propagation per channel, every later
+// flit one launch interval.
+func (l *Link) WormholeTime(bytes, hops int, routerLatency sim.Time) sim.Time {
+	bpf := l.width / 8
+	flits := (bytes + bpf - 1) / bpf
+	if flits == 0 {
+		flits = 1
+	}
+	head := sim.Time(hops+2) * (routerLatency + l.propagation)
+	return head + sim.Time(flits-1)*l.launch
 }
 
 // WordsPerSecond reports link throughput in words (Width bits) per

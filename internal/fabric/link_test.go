@@ -206,6 +206,50 @@ func TestLinkValidation(t *testing.T) {
 	if _, err := NewLink(LinkConfig{Mode: Conventional, Lines: ls, AccumulatedHops: -1}); err == nil {
 		t.Fatal("negative hops accepted")
 	}
+	if _, err := NewLink(LinkConfig{Mode: PipelineMode(42), Lines: ls}); err == nil {
+		t.Fatal("unknown pipeline mode accepted")
+	}
+}
+
+// The wire terms are computed once in NewLink: they must equal what the
+// configuration says for every discipline, stay put when the caller
+// later rewrites the delay slice it passed in, and cost no allocation
+// to read.
+func TestLinkConstantsMatchConfig(t *testing.T) {
+	for _, mode := range []PipelineMode{Conventional, Wave, SKWP} {
+		ls := testLines()
+		cfg := LinkConfig{
+			Mode: mode, Lines: ls, Margin: 2 * sim.Nanosecond,
+			Sampler: SkewSampler{Resolution: 8 * sim.Nanosecond}, AccumulatedHops: 2,
+		}
+		l := mustLink(t, cfg)
+		ref := cfg
+		ref.Lines = LineSet{Delays: append([]sim.Time(nil), ls.Delays...)}
+		for i := range ls.Delays {
+			ls.Delays[i] = 1 // the caller's slice, not the link's
+		}
+		wantLaunch, err := launchInterval(ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if l.LaunchInterval() != wantLaunch || l.PropagationDelay() != ref.Lines.MaxDelay() || l.Width() != ref.Lines.Width() {
+			t.Fatalf("%v: cached width/propagation/launch = %d/%v/%v, config says %d/%v/%v", mode,
+				l.Width(), l.PropagationDelay(), l.LaunchInterval(),
+				ref.Lines.Width(), ref.Lines.MaxDelay(), wantLaunch)
+		}
+		const router = 3 * sim.Nanosecond
+		wantWire := sim.Time(5+2)*(router+ref.Lines.MaxDelay()) + sim.Time(100/4-1)*wantLaunch
+		if got := l.WormholeTime(100, 5, router); got != wantWire {
+			t.Fatalf("%v: WormholeTime(100, 5) = %v, want %v", mode, got, wantWire)
+		}
+		var sink sim.Time
+		if n := testing.AllocsPerRun(100, func() {
+			sink += l.LaunchInterval() + l.PropagationDelay() + l.WormholeTime(4096, 3, router)
+		}); n != 0 {
+			t.Fatalf("%v: reading the wire terms allocates %v times", mode, n)
+		}
+		_ = sink
+	}
 }
 
 func TestModeString(t *testing.T) {

@@ -125,15 +125,9 @@ func (v *VBus) SendSetup() sim.Time { return v.cfg.DMASetup }
 func (v *VBus) PerElementOverhead() sim.Time { return v.cfg.PIOPerElement }
 
 // wireTime is the wormhole pipeline time for a payload over hops mesh
-// channels (+2 for inject/eject).
+// channels.
 func (v *VBus) wireTime(bytes, hops int) sim.Time {
-	bpf := v.link.Width() / 8
-	flits := (bytes + bpf - 1) / bpf
-	if flits == 0 {
-		flits = 1
-	}
-	head := sim.Time(hops+2) * (v.cfg.RouterLatency + v.link.PropagationDelay())
-	return head + sim.Time(flits-1)*v.link.LaunchInterval()
+	return v.link.WormholeTime(bytes, hops, v.cfg.RouterLatency)
 }
 
 // ContigTime implements Card: pure DMA + wire, no per-element work.

@@ -99,15 +99,9 @@ func (v *VBus3D) SendSetup() sim.Time { return v.cfg.DMASetup }
 func (v *VBus3D) PerElementOverhead() sim.Time { return v.cfg.PIOPerElement }
 
 // wireTime is the wormhole pipeline time for a payload over hops torus
-// channels (+2 for inject/eject), identical in form to the 2D card.
+// channels: the 2D card's formula on the same links.
 func (v *VBus3D) wireTime(bytes, hops int) sim.Time {
-	bpf := v.link.Width() / 8
-	flits := (bytes + bpf - 1) / bpf
-	if flits == 0 {
-		flits = 1
-	}
-	head := sim.Time(hops+2) * (v.cfg.RouterLatency + v.link.PropagationDelay())
-	return head + sim.Time(flits-1)*v.link.LaunchInterval()
+	return v.link.WormholeTime(bytes, hops, v.cfg.RouterLatency)
 }
 
 // ContigTime implements Card: pure RDMA + wire, no per-element work.

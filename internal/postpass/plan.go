@@ -41,18 +41,38 @@ func RankTrips(trips int64, rank, procs int, sched f77.Schedule) []int64 {
 // moves nothing. When the coalesce stage stamped a pack threshold on
 // the op, qualifying strided transfers come back marked Packed; a
 // rendezvous threshold likewise stamps contiguous transfers with the
-// compiler's eager/rendezvous protocol choice.
+// compiler's eager/rendezvous protocol choice. It is the
+// materialisation of rankRuns.
 func RankPlan(op *CommOp, ctx analysis.LoopCtx, rank, procs int, sched f77.Schedule) []lmad.Transfer {
-	return lmad.MarkRendezvous(
-		lmad.MarkPacked(rankPlan(op, ctx, rank, procs, sched), op.PackThreshold),
-		op.RndvThreshold)
+	return materialise(op, rankRuns(op, op.Grain, rank, procs, sched))
 }
 
-func rankPlan(op *CommOp, ctx analysis.LoopCtx, rank, procs int, sched f77.Schedule) []lmad.Transfer {
+// materialise enumerates an op's runs into stamped transfers; nil when
+// there are none.
+func materialise(op *CommOp, runs lmad.Runs) []lmad.Transfer {
+	if runs.N == 0 {
+		return nil
+	}
+	return stamp(op, runs.Transfers())
+}
+
+// stamp applies the op's coalesce-stage thresholds to a plan in place.
+// Both marks depend only on a transfer's shape, so stamping one run's
+// shape stamps all its transfers.
+func stamp(op *CommOp, plan []lmad.Transfer) []lmad.Transfer {
+	return lmad.MarkRendezvous(lmad.MarkPacked(plan, op.PackThreshold), op.RndvThreshold)
+}
+
+// rankRuns is RankPlan before enumeration and stamping, at granularity g
+// (the op's own, except where the §5.6 race check asks what another
+// grain would move): the rank's partition of the op's region as a count
+// of equal-shaped transfers. Zero runs (N == 0) means the rank moves
+// nothing.
+func rankRuns(op *CommOp, g lmad.Grain, rank, procs int, sched f77.Schedule) lmad.Runs {
 	l := op.Acc.L
 	pd := op.ParallelDim
 	if pd < 0 {
-		return lmad.Plan(l, -1, op.Grain)
+		return lmad.PlanRuns(l, g)
 	}
 	trips := l.Dims[pd].Trips()
 	switch sched {
@@ -70,17 +90,13 @@ func rankPlan(op *CommOp, ctx analysis.LoopCtx, rank, procs int, sched f77.Sched
 		}
 		part, ok := l.CycleDim(pd, phase, int64(procs))
 		if !ok {
-			return nil
+			return lmad.Runs{}
 		}
-		newPD := pd
-		if part.Rank() < l.Rank() {
-			newPD = -1 // the dimension collapsed to a single trip
-		}
-		return lmad.Plan(part, newPD, op.Grain)
+		return lmad.PlanRuns(part, g)
 	default:
 		start, count := BlockPart(trips, rank, procs)
 		if count == 0 {
-			return nil
+			return lmad.Runs{}
 		}
 		if op.Reversed {
 			// Loop trip k maps to lattice position trips-1-k, so the
@@ -88,12 +104,7 @@ func rankPlan(op *CommOp, ctx analysis.LoopCtx, rank, procs int, sched f77.Sched
 			// [trips-start-count, trips-start).
 			start = trips - start - count
 		}
-		part := l.RestrictDim(pd, start, count)
-		newPD := pd
-		if part.Rank() < l.Rank() {
-			newPD = -1
-		}
-		return lmad.Plan(part, newPD, op.Grain)
+		return lmad.PlanRuns(l.RestrictDim(pd, start, count), g)
 	}
 }
 
@@ -144,44 +155,64 @@ func RankPlans(par *ParInfo, dir Direction, rank int) []SymPlan {
 	return e.plans
 }
 
-// planRank enumerates everything rank transfers in one direction of a
+// eachRankRun walks everything rank transfers in one direction of a
 // parallel region in the deterministic order the runtime issues it:
-// each non-coarse op's plan as planned, then the coarse-grain plans
-// merged per array across ops into the "one big approximate region" of
-// Figure 9(d). Merging can grow a transfer past its pre-merge
-// eager/rendezvous stamp, so merged plans are re-stamped; the
-// threshold is machine-global (every op of a coalesced compile carries
-// the same value, unstamped ops carry 0), so the max over ops recovers
-// it. It is the only enumerator: the interpreter's one-sided, pull and
-// two-sided paths (both halves of a SEND/RECEIVE pair) read it through
-// RankPlans and the static estimator calls it directly, so they price
-// and move exactly the same transfers.
-func planRank(par *ParInfo, dir Direction, rank int) []SymPlan {
+// each non-coarse op's plan, handed to run unenumerated, then the
+// coarse-grain plans merged per array across ops into the "one big
+// approximate region" of Figure 9(d), handed to merged. Merging can
+// grow a transfer past its pre-merge eager/rendezvous stamp, so merged
+// plans are re-stamped; the threshold is machine-global (every op of a
+// coalesced compile carries the same value, unstamped ops carry 0), so
+// the max over ops recovers it. It is the only walk over a region's
+// ops: planRank materialises it for the interpreter's one-sided, pull
+// and two-sided paths (both halves of a SEND/RECEIVE pair, through
+// RankPlans) and the static estimator prices it, so they price and
+// move exactly the same transfers.
+func eachRankRun(par *ParInfo, dir Direction, rank int,
+	run func(op *CommOp, runs lmad.Runs), merged func(sym *f77.Symbol, plan []lmad.Transfer)) {
 	ops := par.Scatters
 	if dir == Collect {
 		ops = par.Collects
 	}
-	out := make([]SymPlan, 0, len(ops))
-	coarse := map[*f77.Symbol][]lmad.Transfer{}
-	var coarseOrder []*f77.Symbol
+	var coarse []SymPlan // per array, in first-seen order
 	var rndvThreshold int64
 	for _, op := range ops {
 		if op.RndvThreshold > rndvThreshold {
 			rndvThreshold = op.RndvThreshold
 		}
-		plan := RankPlan(op, par.Ctx, rank, par.Procs, par.Schedule)
-		if op.Grain == lmad.Coarse {
-			if _, seen := coarse[op.Sym]; !seen {
-				coarseOrder = append(coarseOrder, op.Sym)
-			}
-			coarse[op.Sym] = append(coarse[op.Sym], plan...)
+		runs := rankRuns(op, op.Grain, rank, par.Procs, par.Schedule)
+		if op.Grain != lmad.Coarse {
+			run(op, runs)
 			continue
 		}
-		out = append(out, SymPlan{op.Sym, plan})
+		i := 0
+		for i < len(coarse) && coarse[i].Sym != op.Sym {
+			i++
+		}
+		if i == len(coarse) {
+			coarse = append(coarse, SymPlan{Sym: op.Sym})
+		}
+		coarse[i].Plan = append(coarse[i].Plan, materialise(op, runs)...)
 	}
-	for _, sym := range coarseOrder {
-		out = append(out, SymPlan{sym, lmad.MarkRendezvous(lmad.MergeContiguous(coarse[sym]), rndvThreshold)})
+	for _, c := range coarse {
+		merged(c.Sym, lmad.MarkRendezvous(lmad.MergeContiguous(c.Plan), rndvThreshold))
 	}
+}
+
+// planRank materialises eachRankRun into the rank's transfer list.
+func planRank(par *ParInfo, dir Direction, rank int) []SymPlan {
+	n := len(par.Scatters)
+	if dir == Collect {
+		n = len(par.Collects)
+	}
+	out := make([]SymPlan, 0, n)
+	eachRankRun(par, dir, rank,
+		func(op *CommOp, runs lmad.Runs) {
+			out = append(out, SymPlan{op.Sym, materialise(op, runs)})
+		},
+		func(sym *f77.Symbol, plan []lmad.Transfer) {
+			out = append(out, SymPlan{sym, plan})
+		})
 	return out
 }
 

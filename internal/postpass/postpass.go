@@ -24,6 +24,7 @@ package postpass
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
 	"time"
@@ -384,14 +385,16 @@ func (t *translator) scatterCollect() string {
 			}
 			return op
 		}
-		seen := map[string]bool{}
 		for _, typ := range []lmad.AccType{lmad.ReadOnly, lmad.WriteFirst, lmad.ReadWrite} {
+			var seen []lmad.LMAD // descriptors of this type already given an op
+		access:
 			for _, acc := range cand.ri.AccessesOf(typ) {
-				key := fmt.Sprintf("%v|%s", typ, acc.L.String())
-				if seen[key] {
-					continue
+				for _, l := range seen {
+					if l.Equal(acc.L) {
+						continue access
+					}
 				}
-				seen[key] = true
+				seen = append(seen, acc.L)
 				op := mk(acc, typ)
 				switch typ {
 				case lmad.ReadOnly:
@@ -417,9 +420,10 @@ func (t *translator) scatterCollect() string {
 // master data it does not own. Checked per array across every collect
 // op of every parallel region; violations demote to fine grain.
 func (t *translator) grainOpt() string {
+	var rc raceCheck
 	for _, r := range t.p.Regions {
 		if r.Par != nil {
-			demoteUnsafeCollects(r.Par, t.p.Opts.NumProcs)
+			rc.demoteUnsafeCollects(r.Par, t.p.Opts.NumProcs)
 		}
 	}
 	demoted := 0
@@ -522,6 +526,10 @@ func (t *translator) resilience() string {
 	return fmt.Sprintf("%d epochs (checkpoint every %d parallel regions)", len(epochs), every)
 }
 
+// coverLimit bounds the elements the §5.6 validity rule will account
+// for per slave and array; past it the check answers "unsafe".
+const coverLimit = 1 << 22
+
 // demoteUnsafeCollects applies the §5.6 safety rule per array:
 //
 //	(a) the approximate regions transferred by different slaves — and
@@ -534,114 +542,226 @@ func (t *translator) resilience() string {
 //
 // A violation demotes every collect op of the array to fine grain
 // (exact regions are disjoint by the parallelism proof).
-func demoteUnsafeCollects(info *ParInfo, procs int) {
+func (rc *raceCheck) demoteUnsafeCollects(info *ParInfo, procs int) {
 	if procs == 1 {
 		return
 	}
-	type iv struct{ lo, hi int64 }
-	byArray := map[*f77.Symbol][]*CommOp{}
-	for _, op := range info.Collects {
-		byArray[op.Sym] = append(byArray[op.Sym], op)
-	}
-	const coverLimit = 1 << 22
-	for sym, ops := range byArray {
+	for i, first := range info.Collects {
+		handled := false // with the array's first op
+		for _, op := range info.Collects[:i] {
+			handled = handled || op.Sym == first.Sym
+		}
+		if handled {
+			continue
+		}
+		var ops []*CommOp
 		approx := false
+		for _, op := range info.Collects[i:] {
+			if op.Sym == first.Sym {
+				ops = append(ops, op)
+				approx = approx || op.Grain != lmad.Fine
+			}
+		}
+		if !approx || rc.safe(info, ops, procs) {
+			continue
+		}
 		for _, op := range ops {
 			if op.Grain != lmad.Fine {
-				approx = true
+				op.Grain = lmad.Fine
+				op.RaceFallback = true
 			}
-		}
-		if !approx {
-			continue
-		}
-		demote := func() {
-			for _, op := range ops {
-				if op.Grain != lmad.Fine {
-					op.Grain = lmad.Fine
-					op.RaceFallback = true
-				}
-			}
-		}
-		// Per-rank transferred intervals (master: exact writes, since
-		// it transfers nothing but its results must not be clobbered).
-		boxes := make([][]iv, procs)
-		safe := true
-		for r := 0; r < procs && safe; r++ {
-			for _, op := range ops {
-				grain := op.Grain
-				if r == 0 {
-					grain = lmad.Fine
-				}
-				shadow := *op
-				shadow.Grain = grain
-				for _, tr := range RankPlan(&shadow, info.Ctx, r, procs, info.Schedule) {
-					boxes[r] = append(boxes[r], iv{tr.Offset, tr.Offset + (tr.Elems-1)*tr.Stride})
-				}
-			}
-		}
-		// (a) pairwise disjointness across ranks.
-		for a := 0; a < procs && safe; a++ {
-			for b := a + 1; b < procs && safe; b++ {
-				for _, x := range boxes[a] {
-					for _, y := range boxes[b] {
-						if x.lo <= y.hi && y.lo <= x.hi {
-							safe = false
-						}
-					}
-				}
-			}
-		}
-		if !safe {
-			demote()
-			continue
-		}
-		// (b) slave-side validity: box elements ⊆ writes ∪ scattered.
-		var scatters []*CommOp
-		for _, sop := range info.Scatters {
-			if sop.Sym == sym {
-				scatters = append(scatters, sop)
-			}
-		}
-		for r := 1; r < procs && safe; r++ {
-			var need int64
-			for _, b := range boxes[r] {
-				need += b.hi - b.lo + 1
-			}
-			if need > coverLimit {
-				safe = false
-				break
-			}
-			covered := map[int64]bool{}
-			markPlan := func(op *CommOp, grain lmad.Grain) {
-				shadow := *op
-				shadow.Grain = grain
-				for _, tr := range RankPlan(&shadow, info.Ctx, r, procs, info.Schedule) {
-					for i := int64(0); i < tr.Elems; i++ {
-						if int64(len(covered)) > coverLimit {
-							return
-						}
-						covered[tr.Offset+i*tr.Stride] = true
-					}
-				}
-			}
-			for _, op := range ops {
-				markPlan(op, lmad.Fine) // exact writes
-			}
-			for _, sop := range scatters {
-				markPlan(sop, sop.Grain)
-			}
-			for _, b := range boxes[r] {
-				for e := b.lo; e <= b.hi && safe; e++ {
-					if !covered[e] {
-						safe = false
-					}
-				}
-			}
-		}
-		if !safe {
-			demote()
 		}
 	}
+}
+
+// box is one transfer's bounding interval and the rank that issues it.
+type box struct {
+	lo, hi int64
+	rank   int
+}
+
+// span is one of a slave's merged boxes; pos is its first element's
+// index in the coverage bitmap.
+type span struct{ lo, hi, pos int64 }
+
+// raceCheck is the working state of the §5.6 check, its buffers reused
+// across the regions, arrays and ranks of a translation.
+type raceCheck struct {
+	boxes []box
+
+	// Rule (b)'s account of one slave: a bit per element of the slave's
+	// boxes, addressed by position inside the merged boxes (spans), so
+	// its size follows what the slave transfers and not the array
+	// extent. size is the number of elements in the boxes, set how many
+	// of them are marked, outside how many marks fell outside every box.
+	spans              []span
+	bitmap             []uint64
+	size, set, outside int64
+	// full records that the marks ran into coverLimit; later marks are
+	// dropped, as they were when the limit bounded a per-element set.
+	full bool
+}
+
+// safe decides rules (a) and (b) for the collect ops of one array,
+// reading boxes and marks off the ops' run forms (rankRuns) — no
+// transfer list is built.
+func (rc *raceCheck) safe(info *ParInfo, ops []*CommOp, procs int) bool {
+	// Per-rank transferred intervals (master: exact writes, since it
+	// transfers nothing but its results must not be clobbered).
+	rc.boxes = rc.boxes[:0]
+	for r := 0; r < procs; r++ {
+		for _, op := range ops {
+			grain := op.Grain
+			if r == 0 {
+				grain = lmad.Fine
+			}
+			runs := rankRuns(op, grain, r, procs, info.Schedule)
+			reach := (runs.Elems - 1) * runs.Stride
+			runs.Each(func(off int64) { rc.boxes = append(rc.boxes, box{off, off + reach, r}) })
+		}
+	}
+	// (a) disjointness across ranks: in order of lower bound, a box
+	// meets an earlier box of another rank iff the highest upper bound
+	// seen so far on another rank reaches it. Tracking the highest
+	// bound, and the highest on any rank other than that one's, answers
+	// that for every rank.
+	boxes := rc.boxes
+	sort.Slice(boxes, func(i, j int) bool { return boxes[i].lo < boxes[j].lo })
+	top, next := box{hi: -1 << 62, rank: -1}, box{hi: -1 << 62, rank: -1}
+	for _, b := range boxes {
+		other := top
+		if b.rank == top.rank {
+			other = next
+		}
+		if other.hi >= b.lo {
+			return false
+		}
+		switch {
+		case b.hi > top.hi && b.rank == top.rank:
+			top = b
+		case b.hi > top.hi:
+			top, next = b, top
+		case b.hi > next.hi && b.rank != top.rank:
+			next = b
+		}
+	}
+	// (b) slave-side validity: box elements ⊆ writes ∪ scattered.
+	var scatters []*CommOp
+	for _, sop := range info.Scatters {
+		if sop.Sym == ops[0].Sym {
+			scatters = append(scatters, sop)
+		}
+	}
+	// Group the boxes by rank, still ordered by lower bound within one.
+	sort.SliceStable(boxes, func(i, j int) bool { return boxes[i].rank < boxes[j].rank })
+	for len(boxes) > 0 {
+		r := boxes[0].rank
+		n := 1
+		for n < len(boxes) && boxes[n].rank == r {
+			n++
+		}
+		mine := boxes[:n]
+		boxes = boxes[n:]
+		if r == 0 {
+			continue
+		}
+		if !rc.cover(mine) {
+			return false
+		}
+		for _, op := range ops {
+			rc.mark(rankRuns(op, lmad.Fine, r, procs, info.Schedule)) // exact writes
+		}
+		for _, sop := range scatters {
+			rc.mark(rankRuns(sop, sop.Grain, r, procs, info.Schedule))
+		}
+		if rc.set != rc.size {
+			return false
+		}
+	}
+	return true
+}
+
+// cover starts rule (b)'s account of one slave: its boxes (ordered by
+// lower bound) merged into disjoint spans, and a cleared bitmap over
+// them. It reports false when the boxes hold more than coverLimit
+// elements, counted box by box.
+func (rc *raceCheck) cover(boxes []box) bool {
+	rc.spans = rc.spans[:0]
+	rc.size, rc.set, rc.outside, rc.full = 0, 0, 0, false
+	var need int64
+	for _, b := range boxes {
+		need += b.hi - b.lo + 1
+		if n := len(rc.spans); n > 0 && b.lo <= rc.spans[n-1].hi+1 {
+			if last := &rc.spans[n-1]; b.hi > last.hi {
+				rc.size += b.hi - last.hi
+				last.hi = b.hi
+			}
+			continue
+		}
+		rc.spans = append(rc.spans, span{b.lo, b.hi, rc.size})
+		rc.size += b.hi - b.lo + 1
+	}
+	if need > coverLimit {
+		return false
+	}
+	words := int((rc.size + 63) / 64)
+	if cap(rc.bitmap) < words {
+		rc.bitmap = make([]uint64, words)
+	}
+	rc.bitmap = rc.bitmap[:words]
+	clear(rc.bitmap)
+	return true
+}
+
+// mark records every element of every transfer of runs as valid on the
+// slave being covered.
+func (rc *raceCheck) mark(runs lmad.Runs) {
+	runs.Each(func(off int64) {
+		// The limit counts distinct marked elements inside the boxes and
+		// every mark outside them, and stops before a transfer that
+		// could pass it: never later than a count of distinct elements.
+		if rc.full || rc.set+rc.outside+runs.Elems > coverLimit {
+			rc.full = true
+			return
+		}
+		hi := off + (runs.Elems-1)*runs.Stride
+		i := sort.Search(len(rc.spans), func(i int) bool { return rc.spans[i].hi >= off })
+		inside := int64(0)
+		if runs.Stride == 1 {
+			for ; i < len(rc.spans) && rc.spans[i].lo <= hi; i++ {
+				sp := rc.spans[i]
+				from, to := max(off, sp.lo), min(hi, sp.hi)
+				inside += to - from + 1
+				rc.set += setBits(rc.bitmap, sp.pos+from-sp.lo, sp.pos+to-sp.lo+1)
+			}
+		} else {
+			for e := off; e <= hi && i < len(rc.spans); e += runs.Stride {
+				for i < len(rc.spans) && rc.spans[i].hi < e {
+					i++
+				}
+				if i < len(rc.spans) && rc.spans[i].lo <= e {
+					at := rc.spans[i].pos + e - rc.spans[i].lo
+					inside++
+					rc.set += setBits(rc.bitmap, at, at+1)
+				}
+			}
+		}
+		rc.outside += runs.Elems - inside
+	})
+}
+
+// setBits sets bits [from, to) and returns how many were clear.
+func setBits(bitmap []uint64, from, to int64) int64 {
+	fresh := 0
+	for from < to {
+		w, lo := from/64, uint(from%64)
+		n := min(int64(64-lo), to-from)
+		mask := (^uint64(0) >> (64 - uint(n))) << lo
+		fresh += bits.OnesCount64(mask &^ bitmap[w])
+		bitmap[w] |= mask
+		from += n
+	}
+	return int64(fresh)
 }
 
 // buildGraph records array usage per region into the AVPG, with a
