@@ -43,7 +43,7 @@ func BenchmarkTable1MM(b *testing.B) {
 			b.Run(fmt.Sprintf("n=%d/procs=%d", size, procs), func(b *testing.B) {
 				var speedup float64
 				for i := 0; i < b.N; i++ {
-					rows, err := bench.Table1([]int{size}, []int{procs}, lmad.Fine, "")
+					rows, err := bench.Table1([]int{size}, []int{procs}, lmad.Fine, bench.Env{})
 					if err != nil {
 						b.Fatal(err)
 					}

@@ -3,9 +3,11 @@
 package vbuscluster
 
 import (
+	"bytes"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -33,6 +35,29 @@ func run(t *testing.T, bin string, args ...string) string {
 		t.Fatalf("%s %v: %v\n%s", filepath.Base(bin), args, err, out)
 	}
 	return string(out)
+}
+
+// stdout is run without stderr: what the program printed, not the
+// tool's own "wrote N trace events" notes.
+func stdout(t *testing.T, bin string, args ...string) string {
+	t.Helper()
+	out, err := exec.Command(bin, args...).Output()
+	if err != nil {
+		t.Fatalf("%s %v: %v\n%s", filepath.Base(bin), args, err, out)
+	}
+	return string(out)
+}
+
+// programText drops vbrun's "---" report lines, leaving what the
+// program itself printed.
+func programText(out string) string {
+	var kept []string
+	for _, line := range strings.SplitAfter(out, "\n") {
+		if !strings.HasPrefix(line, "---") {
+			kept = append(kept, line)
+		}
+	}
+	return strings.Join(kept, "")
 }
 
 func TestCLIEndToEnd(t *testing.T) {
@@ -102,7 +127,7 @@ func TestCLIEndToEnd(t *testing.T) {
 	})
 
 	t.Run("vbbench-quick", func(t *testing.T) {
-		out := run(t, filepath.Join(bins, "vbbench"), "-table", "2", "-quick")
+		out := run(t, filepath.Join(bins, "vbbench"), "-sweep", "table2", "-quick")
 		if !strings.Contains(out, "Table 2") || !strings.Contains(out, "CFFT2INIT") {
 			t.Fatalf("bench output:\n%s", out)
 		}
@@ -160,7 +185,7 @@ func TestCLIEndToEnd(t *testing.T) {
 	})
 
 	t.Run("vbbench-fabric", func(t *testing.T) {
-		out := run(t, filepath.Join(bins, "vbbench"), "-table", "1", "-quick", "-fabric", "ideal")
+		out := run(t, filepath.Join(bins, "vbbench"), "-sweep", "table1", "-quick", "-fabric", "ideal")
 		if !strings.Contains(out, "Table 1") {
 			t.Fatalf("bench output:\n%s", out)
 		}
@@ -195,7 +220,7 @@ func TestCLIEndToEnd(t *testing.T) {
 	})
 
 	t.Run("vbbench-profile", func(t *testing.T) {
-		out := run(t, filepath.Join(bins, "vbbench"), "-profile", "-quick")
+		out := run(t, filepath.Join(bins, "vbbench"), "-sweep", "profile", "-quick")
 		if !strings.Contains(out, "Communication matrices") ||
 			!strings.Contains(out, "communication matrix") {
 			t.Fatalf("bench profile output:\n%s", out)
@@ -213,10 +238,98 @@ func TestCLIEndToEnd(t *testing.T) {
 	// plain runs of the same table are bit-identical, the determinism the
 	// trace exports inherit.
 	t.Run("vbbench-deterministic", func(t *testing.T) {
-		a := run(t, filepath.Join(bins, "vbbench"), "-table", "2", "-quick")
-		b := run(t, filepath.Join(bins, "vbbench"), "-table", "2", "-quick")
+		a := run(t, filepath.Join(bins, "vbbench"), "-sweep", "table2", "-quick")
+		b := run(t, filepath.Join(bins, "vbbench"), "-sweep", "table2", "-quick")
 		if a != b {
 			t.Fatal("table 2 output differs across runs")
 		}
 	})
+
+	// Without -json no sweep writes a file, so a reduced-size run cannot
+	// clobber the checked-in paper-size BENCH_*.json; with it, only the
+	// sweep's own document appears.
+	t.Run("vbbench-json-opt-in", func(t *testing.T) {
+		dir := t.TempDir()
+		for _, c := range []struct {
+			args []string
+			want []string
+		}{
+			{[]string{"-sweep", "all", "-quick"}, nil},
+			{[]string{"-sweep", "scalesweep", "-quick", "-json"}, []string{"BENCH_scale.json"}},
+		} {
+			cmd := exec.Command(filepath.Join(bins, "vbbench"), c.args...)
+			cmd.Dir = dir
+			if out, err := cmd.CombinedOutput(); err != nil {
+				t.Fatalf("vbbench %v: %v\n%s", c.args, err, out)
+			}
+			entries, err := os.ReadDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []string
+			for _, e := range entries {
+				got = append(got, e.Name())
+			}
+			if !slices.Equal(got, c.want) {
+				t.Fatalf("vbbench %v left %v in its directory, want %v", c.args, got, c.want)
+			}
+		}
+	})
+
+	t.Run("vbbench-unknown-sweep", func(t *testing.T) {
+		out, err := exec.Command(filepath.Join(bins, "vbbench"), "-sweep", "table3").CombinedOutput()
+		if err == nil {
+			t.Fatalf("unknown sweep accepted:\n%s", out)
+		}
+		for _, want := range []string{`no sweep "table3"`, "table1", "killsweep", "peers"} {
+			if !strings.Contains(string(out), want) {
+				t.Fatalf("sweep listing missing %q:\n%s", want, out)
+			}
+		}
+	})
+
+	// Paired vbrun runs: the second must print what the first printed —
+	// the whole stdout when the flags are the same (seeded faults and
+	// virtual time are deterministic), the program text above the "---"
+	// report otherwise (a recovered crash, a coalesced transport, another
+	// fabric change timing, never results) — and its exported timeline
+	// must validate under vbtrace, which pins event classes per transport
+	// and, when told, the rank count and mesh geometry.
+	for _, c := range []struct {
+		name, prog    string
+		first, second []string
+		traceHas      string
+		vbtrace       []string
+	}{
+		{name: "fault-replay", prog: "testdata/matmul.f",
+			first: []string{"-faults", "seed=1,flitdrop=1e-3"}, second: []string{"-faults", "seed=1,flitdrop=1e-3"}},
+		{name: "crash-recovery", prog: "testdata/matmul.f",
+			first: []string{"-resilient"}, second: []string{"-resilient", "-faults", "seed=0,crashafter=1/5"}},
+		{name: "coalesce", prog: "testdata/stride.f", second: []string{"-coalesce"}, traceHas: `"cat":"pack"`},
+		{name: "rdma", prog: "testdata/jacobi.f", second: []string{"-fabric", "rdma"}, traceHas: `"cat":"eager"`},
+		{name: "vbus3d-geometry", prog: "testdata/jacobi.f",
+			first: []string{"-fabric", "vbus3d", "-mode", "timing"}, second: []string{"-fabric", "vbus3d", "-mode", "timing"},
+			vbtrace: []string{"-ranks", "4", "-dims", "2x2x1"}},
+	} {
+		t.Run("vbrun-pair-"+c.name, func(t *testing.T) {
+			vbrun := filepath.Join(bins, "vbrun")
+			traceFile := filepath.Join(t.TempDir(), "run.json")
+			a := stdout(t, vbrun, append(slices.Clone(c.first), c.prog)...)
+			b := stdout(t, vbrun, append(slices.Clone(c.second), "-trace", traceFile, c.prog)...)
+			if !slices.Equal(c.first, c.second) {
+				a, b = programText(a), programText(b)
+			}
+			if a != b {
+				t.Fatalf("vbrun %v and vbrun %v print differently:\n%s--- vs\n%s", c.first, c.second, a, b)
+			}
+			trace, err := os.ReadFile(traceFile)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Contains(trace, []byte(c.traceHas)) {
+				t.Fatalf("trace of vbrun %v has no %s event", c.second, c.traceHas)
+			}
+			run(t, filepath.Join(bins, "vbtrace"), append(slices.Clone(c.vbtrace), traceFile)...)
+		})
+	}
 }

@@ -14,11 +14,12 @@ import (
 )
 
 func main() {
-	rows, err := bench.Table1([]int{64, 128, 256}, []int{1, 2, 4}, lmad.Fine, "")
+	table1, _ := bench.Lookup("table1")
+	rep, err := table1.Run(bench.Env{Quick: true}) // 64..256, 1/2/4 nodes
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Print(bench.FormatTable1(rows))
+	fmt.Print(rep.Tables[0])
 
 	// Correctness: full-mode parallel result equals sequential.
 	fmt.Println("\nverifying 4-node result at 64x64 ...")

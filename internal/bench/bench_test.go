@@ -100,7 +100,7 @@ func TestCFFTSourceCorrect(t *testing.T) {
 func TestTable1Shape(t *testing.T) {
 	// 64² is still comm-dominated (like the paper's 256² cell, where 2
 	// nodes manage only 1.086); 128² shows real scaling.
-	rows, err := Table1([]int{64, 128}, []int{1, 2, 4}, lmad.Coarse, "")
+	rows, err := Table1([]int{64, 128}, []int{1, 2, 4}, lmad.Coarse, Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestTable1Shape(t *testing.T) {
 // ---- Table 2 shape (the §6 findings) ----
 
 func TestTable2Shape(t *testing.T) {
-	rows, err := Table2(Table2Benchmarks(64, 64, 9), 4, "")
+	rows, err := Table2(Table2Benchmarks(64, 64, 9), Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,21 +178,18 @@ func TestTable2Shape(t *testing.T) {
 }
 
 func TestFormatting(t *testing.T) {
-	rows, err := Table1([]int{16}, []int{1, 2}, lmad.Coarse, "")
-	if err != nil {
-		t.Fatal(err)
+	grid := pivot("Speedups", "# of Nodes", "%.3f", []cell{
+		{"1", "16*16", 0.9}, {"2", "16*16", 1.5}, {"1", "32*32", 0.95}, {"2", "32*32", 1.75},
+	})
+	want := "Speedups\n# of Nodes\t16*16\t32*32\n1\t0.900\t0.950\n2\t1.500\t1.750\n"
+	if got := grid.String(); got != want {
+		t.Fatalf("pivot render:\n%q\nwant\n%q", got, want)
 	}
-	out := FormatTable1(rows)
-	if !strings.Contains(out, "16*16") || !strings.Contains(out, "# of Nodes") {
-		t.Fatalf("table 1 render:\n%s", out)
-	}
-	rows2, err := Table2(map[string]string{"CFFT2INIT(M=6)": CFFTSource(6)}, 2, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	out2 := FormatTable2(rows2)
-	if !strings.Contains(out2, "fine\tmiddle\tcoarse") {
-		t.Fatalf("table 2 render:\n%s", out2)
+	raw := Table{Title: "raw cells:", RowFormat: "  %s=%d\n"}
+	raw.Add("a", 1)
+	raw.Add("b", 2)
+	if got, want := raw.String(), "raw cells:\n  a=1\n  b=2\n"; got != want {
+		t.Fatalf("headerless table render: %q, want %q", got, want)
 	}
 }
 
@@ -232,9 +229,6 @@ func TestMicroShapes(t *testing.T) {
 			t.Fatalf("bytes %d: v-bus (%v) should beat ethernet (%v)", p.Bytes, p.VBus, p.Ethernet)
 		}
 	}
-	if !strings.Contains(r.String(), "SKWP bandwidth") {
-		t.Fatal("report render broken")
-	}
 }
 
 // The extension experiment quantifying the paper's §6 conclusion ("any
@@ -244,7 +238,7 @@ func TestMicroShapes(t *testing.T) {
 // PIOPerElement / wireTimePerElement + 1 ≈ 7 under the default
 // calibration.
 func TestCrossoverShape(t *testing.T) {
-	points, err := Crossover(1<<12, []int{2, 4, 16, 32}, 4, "")
+	points, err := Crossover(1<<12, []int{2, 4, 16, 32}, Env{})
 	if err != nil {
 		t.Fatal(err)
 	}

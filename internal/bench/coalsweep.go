@@ -2,8 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"strings"
-	"sync"
 
 	"vbuscluster/internal/cluster"
 	"vbuscluster/internal/mpi"
@@ -37,19 +35,18 @@ func (pt CoalPoint) Winner() string {
 	return "pio"
 }
 
-// CoalSweep measures the pack-vs-PIO crossover of the fabric directly
+// CoalSweep measures the pack-vs-PIO crossover of env.Fabric directly
 // at the MPI layer: for every element count × stride cell it builds a
 // fresh two-rank cluster, PUTs the same strided region once over the
 // programmed-I/O path and once over the coalesced pack path, verifies
 // at the target that both paths delivered byte-identical payloads, and
 // checks the measured times against the cost model's decision (the
 // packed path must be the cheaper one whenever the model says pack).
-// fabric selects the interconnect backend ("" = default V-Bus).
-func CoalSweep(elemCounts, strides []int, fabric string) ([]CoalPoint, error) {
+func CoalSweep(elemCounts, strides []int, env Env) ([]CoalPoint, error) {
 	params := cluster.DefaultParams()
-	if fabric != "" {
+	if env.Fabric != "" {
 		var err error
-		params, err = cluster.ParamsForFabric(fabric)
+		params, err = cluster.ParamsForFabric(env.Fabric)
 		if err != nil {
 			return nil, err
 		}
@@ -71,76 +68,23 @@ func CoalSweep(elemCounts, strides []int, fabric string) ([]CoalPoint, error) {
 	return out, nil
 }
 
-// coalCell times one (elems, stride) cell on a fresh cluster; packFrom
-// is the machine's pack threshold in elements (0 = never).
+// coalCell times one (elems, stride) cell; packFrom is the machine's
+// pack threshold in elements (0 = never).
 func coalCell(params cluster.Params, packFrom int64, elems, stride int) (CoalPoint, error) {
-	cl, err := cluster.New(2, params)
+	pio := mpi.StridedDesc(0, int64(elems), int64(stride))
+	packed := pio
+	packed.Packed = true
+	cell := fmt.Sprintf("coalsweep %dx%d", elems, stride)
+	t, err := twoRankPuts(params, cell, []putStep{{"pio", pio, 1}, {"packed", packed, 1001}})
 	if err != nil {
 		return CoalPoint{}, err
 	}
-	w := mpi.NewWorld(cl)
 	pt := CoalPoint{
 		Elems:      elems,
 		Stride:     stride,
+		PIO:        t[0],
+		Packed:     t[1],
 		ModelPacks: packFrom > 0 && int64(elems) >= packFrom,
-	}
-	span := (elems-1)*stride + 1
-	region := make([]float64, span)
-	var verr error
-	verify := func(label string, base float64) {
-		for i := 0; i < elems && verr == nil; i++ {
-			if got, want := region[i*stride], base+float64(i); got != want {
-				verr = fmt.Errorf("bench: coalsweep %dx%d %s payload: element %d = %v, want %v",
-					elems, stride, label, i, got, want)
-			}
-		}
-	}
-	var wg sync.WaitGroup
-	wg.Add(2)
-	for rank := 0; rank < 2; rank++ {
-		go func(rank int) {
-			defer wg.Done()
-			p := w.Rank(rank)
-			var local []float64
-			if rank == 1 {
-				local = region
-			}
-			win := p.WinCreate("coal", local)
-			if rank == 0 {
-				data := make([]float64, elems)
-				for i := range data {
-					data[i] = 1 + float64(i)
-				}
-				t0 := cl.Clock(0)
-				mpi.Must(p.Put(win, 1, mpi.StridedDesc(0, int64(elems), int64(stride)), data))
-				pt.PIO = cl.Clock(0) - t0
-			}
-			p.Fence(win)
-			if rank == 1 {
-				verify("pio", 1)
-			}
-			p.Fence(win)
-			if rank == 0 {
-				data := make([]float64, elems)
-				for i := range data {
-					data[i] = 1001 + float64(i)
-				}
-				d := mpi.StridedDesc(0, int64(elems), int64(stride))
-				d.Packed = true
-				t0 := cl.Clock(0)
-				mpi.Must(p.Put(win, 1, d, data))
-				pt.Packed = cl.Clock(0) - t0
-			}
-			p.Fence(win)
-			if rank == 1 {
-				verify("packed", 1001)
-			}
-			p.Fence(win)
-		}(rank)
-	}
-	wg.Wait()
-	if verr != nil {
-		return CoalPoint{}, verr
 	}
 	payload := float64(elems * mpi.WordBytes)
 	secs := func(t sim.Time) float64 { return float64(t) / (1000 * float64(sim.Millisecond)) }
@@ -151,30 +95,28 @@ func coalCell(params cluster.Params, packFrom int64, elems, stride int) (CoalPoi
 		pt.PackedBW = payload / secs(pt.Packed) / 1e6
 	}
 	if pt.ModelPacks && pt.Packed > pt.PIO {
-		return CoalPoint{}, fmt.Errorf(
-			"bench: coalsweep %dx%d: model packs but packed path measured slower (%v > %v)",
-			elems, stride, pt.Packed, pt.PIO)
+		return CoalPoint{}, fmt.Errorf("bench: %s: model packs but packed path measured slower (%v > %v)", cell, pt.Packed, pt.PIO)
 	}
 	return pt, nil
 }
 
-// FormatCoalSweep renders the sweep as the crossover table: per cell
-// the two measured times, the payload bandwidths, the measured winner
-// and the cost-model decision.
-func FormatCoalSweep(points []CoalPoint, fabric string) string {
-	if fabric == "" {
-		fabric = "vbus"
+func runCoalSweep(env Env) (Report, error) {
+	elems := Sized(env.Quick, []int{8, 32, 64, 256}, []int{4, 8, 16, 32, 48, 64, 128, 256, 1024, 4096})
+	points, err := CoalSweep(elems, []int{2, 4, 16}, env)
+	if err != nil {
+		return Report{}, err
 	}
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "Pack-and-coalesce crossover on %s (payload-verified strided PUT, 2 ranks)\n", fabric)
-	sb.WriteString("elems\tstride\tpio\t\tpacked\t\tpioMB/s\tpackMB/s\twinner\tmodel\n")
+	t := Table{
+		Title:     fmt.Sprintf("Pack-and-coalesce crossover on %s (payload-verified strided PUT, 2 ranks)", fabricLabel(env.Fabric)),
+		Header:    "elems\tstride\tpio\t\tpacked\t\tpioMB/s\tpackMB/s\twinner\tmodel",
+		RowFormat: "%d\t%d\t%-10v\t%-10v\t%.1f\t%.1f\t%s\t%s\n",
+	}
 	for _, p := range points {
 		model := "pio"
 		if p.ModelPacks {
 			model = "packed"
 		}
-		fmt.Fprintf(&sb, "%d\t%d\t%-10v\t%-10v\t%.1f\t%.1f\t%s\t%s\n",
-			p.Elems, p.Stride, p.PIO, p.Packed, p.PIOBW, p.PackedBW, p.Winner(), model)
+		t.Add(p.Elems, p.Stride, p.PIO, p.Packed, p.PIOBW, p.PackedBW, p.Winner(), model)
 	}
-	return sb.String()
+	return Report{Tables: []Table{t}}, nil
 }

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"strings"
 
 	"vbuscluster/internal/core"
 	"vbuscluster/internal/lmad"
@@ -47,49 +46,41 @@ type CrossoverPoint struct {
 // large strides where dense approximations ship mostly padding; middle
 // and coarse win at small strides, where one dense DMA beats
 // per-element programmed I/O — the crossover is where
-// stride · wireTimePerElement ≈ PIOPerElement. fabric selects the
-// interconnect backend ("" = default V-Bus; the crossover moves with
-// the card's per-element vs per-message cost ratio).
-func Crossover(n int, strides []int, procs int, fabric string) ([]CrossoverPoint, error) {
+// stride · wireTimePerElement ≈ PIOPerElement (it moves with the card's
+// per-element vs per-message cost ratio).
+func Crossover(n int, strides []int, env Env) ([]CrossoverPoint, error) {
 	var out []CrossoverPoint
 	for _, s := range strides {
-		pt := CrossoverPoint{Stride: s}
-		best := sim.MaxTime
-		for _, grain := range []lmad.Grain{lmad.Fine, lmad.Middle, lmad.Coarse} {
-			c, err := core.Compile(StrideSource(n, s), core.Options{NumProcs: procs, Grain: grain, Fabric: fabric})
+		var t [3]sim.Time
+		best := 0
+		for i, grain := range grains {
+			res, err := compileRun(fmt.Sprintf("stride %d/%v", s, grain), StrideSource(n, s),
+				core.Options{NumProcs: env.procs(), Grain: grain, Fabric: env.Fabric}, (*core.Compiled).RunParallel, core.Timing)
 			if err != nil {
-				return nil, fmt.Errorf("bench: stride %d: %w", s, err)
+				return nil, err
 			}
-			res, err := c.RunParallel(core.Timing)
-			if err != nil {
-				return nil, fmt.Errorf("bench: stride %d run: %w", s, err)
-			}
-			t := res.Report.TotalXferTime()
-			switch grain {
-			case lmad.Fine:
-				pt.Fine = t
-			case lmad.Middle:
-				pt.Middle = t
-			case lmad.Coarse:
-				pt.Coarse = t
-			}
-			if t < best {
-				best = t
-				pt.BestGrain = grain
+			t[i] = res.Report.TotalXferTime()
+			if t[i] < t[best] {
+				best = i
 			}
 		}
-		out = append(out, pt)
+		out = append(out, CrossoverPoint{Stride: s, Fine: t[0], Middle: t[1], Coarse: t[2], BestGrain: grains[best]})
 	}
 	return out, nil
 }
 
-// FormatCrossover renders the sweep.
-func FormatCrossover(points []CrossoverPoint) string {
-	var sb strings.Builder
-	sb.WriteString("Granularity crossover: comm time vs write stride (stride-s kernel)\n")
-	sb.WriteString("stride\tfine\t\tmiddle\t\tcoarse\t\tbest\n")
-	for _, p := range points {
-		fmt.Fprintf(&sb, "%d\t%-10v\t%-10v\t%-10v\t%v\n", p.Stride, p.Fine, p.Middle, p.Coarse, p.BestGrain)
+func runCrossover(env Env) (Report, error) {
+	points, err := Crossover(Sized(env.Quick, 1<<12, 1<<15), []int{1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64}, env)
+	if err != nil {
+		return Report{}, err
 	}
-	return sb.String()
+	t := Table{
+		Title:     "Granularity crossover: comm time vs write stride (stride-s kernel)",
+		Header:    "stride\tfine\t\tmiddle\t\tcoarse\t\tbest",
+		RowFormat: "%d\t%-10v\t%-10v\t%-10v\t%v\n",
+	}
+	for _, p := range points {
+		t.Add(p.Stride, p.Fine, p.Middle, p.Coarse, p.BestGrain)
+	}
+	return Report{Tables: []Table{t}}, nil
 }

@@ -9,139 +9,62 @@ package bench
 
 import (
 	"fmt"
-	"math"
-	"sort"
-	"strings"
 
 	"vbuscluster/internal/core"
-	"vbuscluster/internal/fault"
+	"vbuscluster/internal/interp"
 	"vbuscluster/internal/lmad"
 	"vbuscluster/internal/sim"
 	"vbuscluster/internal/trace"
 )
 
-// FaultSweepRow is one fault rate's outcome.
-type FaultSweepRow struct {
-	// Rate is the injected per-packet flit-drop probability.
-	Rate float64
-	// Elapsed is the run's virtual completion time.
-	Elapsed sim.Time
-	// CommTime is the total transfer time including retries.
-	CommTime sim.Time
-	// RetryTime and RetryOps aggregate the traced trace.OpRetry
-	// intervals — the overhead the faulty fabric added.
-	RetryTime sim.Time
-	RetryOps  int
-	// RetransBytes is the wire traffic re-sent by the go-back-N
-	// protocol (the OpRetry events' payloads).
-	RetransBytes int64
-	// DeliveredMBps is delivered payload bandwidth: accounted bytes
-	// over elapsed virtual time, in MB/s.
-	DeliveredMBps float64
-	// Verified reports that every final array matched the fault-free
-	// run bit for bit.
-	Verified bool
-}
-
-// FaultSweep runs MM(n) on procs ranks in full (data-moving) mode at
-// each flit-drop rate, all derived from one seed, and verifies each
-// run's final memory against the rate-0 baseline. fabric selects the
-// interconnect backend ("" = default V-Bus).
-func FaultSweep(n, procs int, seed uint64, rates []float64, fabric string) ([]FaultSweepRow, error) {
-	src := MMSource(n)
-	run := func(inj *fault.Injector) (map[string][]float64, FaultSweepRow, error) {
-		rec := trace.New()
-		c, err := core.Compile(src, core.Options{
-			NumProcs: procs,
-			Grain:    lmad.Fine,
-			Fabric:   fabric,
-			Recorder: rec,
-			Faults:   inj,
-		})
-		if err != nil {
-			return nil, FaultSweepRow{}, err
-		}
-		res, err := c.RunParallel(core.Full)
-		if err != nil {
-			return nil, FaultSweepRow{}, err
-		}
-		row := FaultSweepRow{
-			Elapsed:  res.Elapsed,
-			CommTime: res.Report.TotalXferTime(),
-		}
-		for _, ev := range rec.Events() {
-			if ev.Op == trace.OpRetry {
-				row.RetryOps++
-				row.RetryTime += ev.Duration()
-				row.RetransBytes += ev.Payload
-			}
-		}
-		if res.Elapsed > 0 {
-			bytes := float64(res.Report.TotalCommBytes())
-			secs := float64(res.Elapsed) / float64(sim.Second)
-			row.DeliveredMBps = bytes / (1 << 20) / secs
-		}
-		return res.Mem, row, nil
-	}
-
-	base, _, err := run(nil)
-	if err != nil {
-		return nil, fmt.Errorf("bench: fault-free baseline: %w", err)
-	}
-	sorted := append([]float64(nil), rates...)
-	sort.Float64s(sorted)
-	var rows []FaultSweepRow
-	for _, rate := range sorted {
-		var inj *fault.Injector
+// runFaultSweep runs MM on env.Procs ranks in full (data-moving) mode
+// at each flit-drop rate, all derived from env.Seed (default 1). Per
+// rate it reports the virtual completion time, the total transfer time
+// including retries, the traced trace.OpRetry intervals (time, count
+// and the wire bytes go-back-N re-sent), delivered payload bandwidth
+// (accounted bytes over elapsed time) and whether every final array
+// matched the fault-free run bit for bit.
+func runFaultSweep(env Env) (Report, error) {
+	rates := []float64{0, 1e-4, 1e-3, 1e-2, 5e-2}
+	specs := make([]string, len(rates))
+	for i, rate := range rates {
 		if rate > 0 {
-			inj, err = fault.FromString(fmt.Sprintf("seed=%d,flitdrop=%g", seed, rate))
-			if err != nil {
-				return nil, fmt.Errorf("bench: rate %g: %w", rate, err)
-			}
+			specs[i] = fmt.Sprintf("seed=%d,flitdrop=%g", env.SeedOr(1), rate)
 		}
-		mem, row, err := run(inj)
-		if err != nil {
-			return nil, fmt.Errorf("bench: rate %g: %w", rate, err)
-		}
-		row.Rate = rate
-		row.Verified = memEqual(base, mem)
-		rows = append(rows, row)
 	}
-	return rows, nil
+	t := Table{
+		Title:     "Fault sweep: completion time and delivered bandwidth vs flit-drop rate",
+		Header:    "rate\telapsed\tcomm\tretry-time\tretries\tresent-bytes\tMB/s\tpayload",
+		RowFormat: "%g\t%v\t%v\t%v\t%d\t%d\t%.1f\t%s\n",
+	}
+	err := injectedRuns("faultsweep", MMSource(Sized(env.Quick, 32, 64)),
+		core.Options{NumProcs: env.procs(), Grain: lmad.Fine, Fabric: env.Fabric}, (*core.Compiled).RunParallel, specs,
+		func(i int, res *interp.Result, events []trace.Event, verified bool) {
+			if i < 0 {
+				return
+			}
+			var retryTime sim.Time
+			var retries, resent int64
+			for _, ev := range events {
+				if ev.Op == trace.OpRetry {
+					retries++
+					retryTime += ev.Duration()
+					resent += ev.Payload
+				}
+			}
+			mbps := 0.0
+			if res.Elapsed > 0 {
+				mbps = float64(res.Report.TotalCommBytes()) / (1 << 20) / (float64(res.Elapsed) / float64(sim.Second))
+			}
+			t.Add(rates[i], res.Elapsed, res.Report.TotalXferTime(), retryTime, retries, resent, mbps, payloadMark(verified))
+		})
+	return Report{Tables: []Table{t}}, err
 }
 
-// memEqual compares two final-memory snapshots bit for bit.
-func memEqual(a, b map[string][]float64) bool {
-	if len(a) != len(b) {
-		return false
+// payloadMark renders a row's verification verdict.
+func payloadMark(verified bool) string {
+	if verified {
+		return "ok"
 	}
-	for name, av := range a {
-		bv, ok := b[name]
-		if !ok || len(av) != len(bv) {
-			return false
-		}
-		for i := range av {
-			if math.Float64bits(av[i]) != math.Float64bits(bv[i]) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// FormatFaultSweep renders the delivered-bandwidth / completion-time
-// vs fault-rate table.
-func FormatFaultSweep(rows []FaultSweepRow) string {
-	var sb strings.Builder
-	sb.WriteString("Fault sweep: completion time and delivered bandwidth vs flit-drop rate\n")
-	sb.WriteString("rate\telapsed\tcomm\tretry-time\tretries\tresent-bytes\tMB/s\tpayload\n")
-	for _, r := range rows {
-		ok := "ok"
-		if !r.Verified {
-			ok = "CORRUPT"
-		}
-		fmt.Fprintf(&sb, "%g\t%v\t%v\t%v\t%d\t%d\t%.1f\t%s\n",
-			r.Rate, r.Elapsed, r.CommTime, r.RetryTime, r.RetryOps, r.RetransBytes, r.DeliveredMBps, ok)
-	}
-	return sb.String()
+	return "CORRUPT"
 }

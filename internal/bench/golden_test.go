@@ -7,21 +7,29 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"vbuscluster/internal/lmad"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/sweeps from the current sweep output")
 
 // TestSweepGolden pins the printed quick output of every model sweep
-// against testdata/sweeps, recorded from `vbbench -<sweep> -quick`
-// before the sweeps were restructured.
-func TestSweepGolden(t *testing.T) { fromFolder(t, filepath.Join("testdata", "sweeps")) }
+// against testdata/sweeps, recorded from the hand-written sweeps the
+// registry replaced, and requires a golden file for every sweep this
+// package registers (the host-timed serve, chaos and peers sweeps
+// register from internal/bench/serve and assert their own invariants).
+func TestSweepGolden(t *testing.T) {
+	dir := filepath.Join("testdata", "sweeps")
+	fromFolder(t, dir)
+	for _, s := range Sweeps() {
+		if _, err := os.Stat(filepath.Join(dir, s.Name+".quick.txt")); err != nil {
+			t.Errorf("registered sweep %s has no golden file: %v", s.Name, err)
+		}
+	}
+}
 
 // maskedColumns names, per sweep, the columns whose values depend on the
 // host or on goroutine scheduling; they are dropped before comparing.
 var maskedColumns = map[string][]string{
-	"scalesweep": {"wall(s)", "peakRSS(MB)", "ops/s"},
+	"scalesweep": {"wall(s)", "ops/s"},
 	"killsweep":  {"elapsed"},
 }
 
@@ -65,10 +73,11 @@ func fromFolder(t *testing.T, dir string) {
 	}
 }
 
-// dropColumns removes the named columns from every table in out: a
-// line holding all the names as whitespace-separated fields is a
-// header, and it and the rows below it (up to the next blank line) are
-// re-joined with single spaces without those fields.
+// dropColumns removes the named columns from every table in out: the
+// first line of a block holding any of the names as a whitespace-
+// separated field is its header, and it and the rows below it (up to
+// the next blank line) are re-joined with single spaces without those
+// fields.
 func dropColumns(out string, names []string) string {
 	if len(names) == 0 {
 		return out
@@ -88,7 +97,7 @@ func dropColumns(out string, names []string) string {
 					}
 				}
 			}
-			if len(found) == len(names) {
+			if len(found) > 0 {
 				drop = found
 			}
 		}
@@ -107,96 +116,39 @@ func dropColumns(out string, names []string) string {
 	return sb.String()
 }
 
-// quickOutput reproduces what `vbbench -<sweep> -quick` prints on
-// stdout for one golden variant.
+// quickOutput is what `vbbench -sweep <sweep> -quick` prints on stdout
+// for one golden variant.
 func quickOutput(sweep, variant string) (string, error) {
-	fabric := ""
-	var opts []RunOption
+	env := Env{Quick: true}
 	switch {
 	case variant == "coalesce":
-		opts = append(opts, WithCoalesce())
+		env.Coalesce = true
 	case strings.HasPrefix(variant, "fabric-"):
-		fabric = strings.TrimPrefix(variant, "fabric-")
+		env.Fabric = strings.TrimPrefix(variant, "fabric-")
 	case variant != "":
 		return "", fmt.Errorf("unknown golden variant %q", variant)
 	}
-	var sb strings.Builder
-	switch sweep {
-	case "table1":
-		rows, err := Table1([]int{64, 128, 256}, []int{1, 2, 4}, lmad.Fine, fabric, opts...)
-		if err != nil {
-			return "", err
-		}
-		fmt.Fprintln(&sb, FormatTable1(rows))
-		fmt.Fprintln(&sb, "raw cells:")
-		for _, r := range rows {
-			fmt.Fprintf(&sb, "  MM %4d*%-4d procs=%d seq=%v par=%v speedup=%.3f\n",
-				r.Size, r.Size, r.Procs, r.Seq, r.Par, r.Speedup)
-		}
-		fmt.Fprintln(&sb)
-	case "table2":
-		rows, err := Table2(Table2Benchmarks(128, 128, 9), 4, fabric, opts...)
-		if err != nil {
-			return "", err
-		}
-		fmt.Fprintln(&sb, FormatTable2(rows))
-		fmt.Fprintln(&sb, "raw cells:")
-		for _, r := range rows {
-			fmt.Fprintf(&sb, "  %-22s %-6v comm=%-12v elapsed=%-12v msgs=%-6d bytes=%d\n",
-				r.Benchmark, r.Grain, r.CommTime, r.Elapsed, r.Messages, r.Bytes)
-		}
-		fmt.Fprintln(&sb)
-	case "micro":
-		res, err := RunMicro()
-		if err != nil {
-			return "", err
-		}
-		fmt.Fprintln(&sb, res)
-	case "crossover":
-		points, err := Crossover(1<<12, []int{1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64}, 4, fabric)
-		if err != nil {
-			return "", err
-		}
-		fmt.Fprintln(&sb, FormatCrossover(points))
-	case "profile":
-		out, err := CommProfiles(Table2Benchmarks(128, 128, 9), 4, lmad.Coarse, fabric)
-		if err != nil {
-			return "", err
-		}
-		fmt.Fprintln(&sb, "Communication matrices of the Table 2 programs (accounted bytes, origin row -> peer column):")
-		fmt.Fprintln(&sb, out)
-	case "faultsweep":
-		rows, err := FaultSweep(32, 4, 1, []float64{0, 1e-4, 1e-3, 1e-2, 5e-2}, fabric)
-		if err != nil {
-			return "", err
-		}
-		fmt.Fprintln(&sb, FormatFaultSweep(rows))
-	case "killsweep":
-		rows, err := KillSweep(24, 4, 1, 1, []int64{0, 5, 20, 45, 60}, fabric)
-		if err != nil {
-			return "", err
-		}
-		fmt.Fprintln(&sb, FormatKillSweep(rows))
-	case "coalsweep":
-		points, err := CoalSweep([]int{8, 32, 64, 256}, []int{2, 4, 16}, fabric)
-		if err != nil {
-			return "", err
-		}
-		fmt.Fprintln(&sb, FormatCoalSweep(points, fabric))
-	case "rdmasweep":
-		res, err := RdmaSweep(true)
-		if err != nil {
-			return "", err
-		}
-		fmt.Fprintln(&sb, FormatRdmaSweep(res))
-	case "scalesweep":
-		rows, err := ScaleSweep(nil, []int{4, 16, 64}, []string{"vbus", "vbus3d", "ethernet", "ideal"}, opts...)
-		if err != nil {
-			return "", err
-		}
-		fmt.Fprintln(&sb, FormatScaleSweep(rows))
-	default:
+	s, ok := Lookup(sweep)
+	if !ok {
 		return "", fmt.Errorf("no sweep %q", sweep)
 	}
-	return sb.String(), nil
+	rep, err := s.Run(env)
+	if err != nil {
+		return "", err
+	}
+	return rep.String(), nil
+}
+
+// The extra sweep used to range over a map: its row order changed from
+// run to run.
+func TestExtraDeterministic(t *testing.T) {
+	first, err := quickOutput("extra", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < 20; i++ {
+		if out, _ := quickOutput("extra", ""); out != first {
+			t.Fatalf("run %d differs from run 0:\n%s--- run 0\n%s", i, out, first)
+		}
+	}
 }

@@ -10,11 +10,9 @@ package bench
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 
 	"vbuscluster/internal/core"
-	"vbuscluster/internal/fault"
+	"vbuscluster/internal/interp"
 	"vbuscluster/internal/lmad"
 	"vbuscluster/internal/sim"
 	"vbuscluster/internal/trace"
@@ -40,89 +38,62 @@ type KillSweepRow struct {
 	Verified bool
 }
 
-// KillSweep runs MM(n) on procs ranks resiliently in full mode,
-// killing rank `victim` after each operation budget in ops, and
-// verifies every recovered run's final memory against the fault-free
-// resilient baseline. MM is reduction-free, so the shrunken replay
-// must reproduce the baseline bytes exactly. fabric selects the
-// interconnect backend ("" = default V-Bus).
-func KillSweep(n, procs, victim int, seed uint64, ops []int64, fabric string) ([]KillSweepRow, error) {
-	src := MMSource(n)
-	run := func(inj *fault.Injector) (map[string][]float64, KillSweepRow, error) {
-		rec := trace.New()
-		c, err := core.Compile(src, core.Options{
-			NumProcs:  procs,
-			Grain:     lmad.Fine,
-			Fabric:    fabric,
-			Recorder:  rec,
-			Faults:    inj,
-			Resilient: true,
-			CkptEvery: 1,
-		})
-		if err != nil {
-			return nil, KillSweepRow{}, err
-		}
-		res, err := c.RunResilient(core.Full)
-		if err != nil {
-			return nil, KillSweepRow{}, err
-		}
-		row := KillSweepRow{
-			Elapsed:     res.Elapsed,
-			Checkpoints: res.Checkpoints,
-			Recoveries:  res.Recoveries,
-		}
-		for _, ev := range rec.Events() {
-			switch ev.Op {
-			case trace.OpCheckpoint:
-				row.CkptTime += ev.Duration()
-			case trace.OpRecovery:
-				row.RecoveryTime += ev.Duration()
-			}
-		}
-		return res.Mem, row, nil
-	}
+// killVictim is the rank the kill sweep crashes.
+const killVictim = 1
 
-	base, baseRow, err := run(nil)
-	if err != nil {
-		return nil, fmt.Errorf("bench: fault-free resilient baseline: %w", err)
+// KillSweep runs MM(n) on env.Procs ranks resiliently in full mode,
+// killing rank killVictim after each operation budget in ops (seeded by
+// env.Seed, default 1), and verifies every recovered run's final memory
+// against the fault-free resilient baseline, which is the first row. MM
+// is reduction-free, so the shrunken replay must reproduce the baseline
+// bytes exactly.
+func KillSweep(n int, ops []int64, env Env) ([]KillSweepRow, error) {
+	specs := make([]string, len(ops))
+	for i, budget := range ops {
+		specs[i] = fmt.Sprintf("seed=%d,crashafter=%d/%d", env.SeedOr(1), killVictim, budget)
 	}
-	baseRow.Ops = -1
-	baseRow.Verified = true
-	rows := []KillSweepRow{baseRow}
-	sorted := append([]int64(nil), ops...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	for _, budget := range sorted {
-		inj, err := fault.FromString(fmt.Sprintf("seed=%d,crashafter=%d/%d", seed, victim, budget))
-		if err != nil {
-			return nil, fmt.Errorf("bench: kill@%d: %w", budget, err)
-		}
-		mem, row, err := run(inj)
-		if err != nil {
-			return nil, fmt.Errorf("bench: kill@%d: %w", budget, err)
-		}
-		row.Ops = budget
-		row.Verified = memEqual(base, mem)
-		rows = append(rows, row)
-	}
-	return rows, nil
+	var rows []KillSweepRow
+	err := injectedRuns("killsweep", MMSource(n),
+		core.Options{NumProcs: env.procs(), Grain: lmad.Fine, Fabric: env.Fabric, Resilient: true, CkptEvery: 1},
+		(*core.Compiled).RunResilient, specs,
+		func(i int, res *interp.Result, events []trace.Event, verified bool) {
+			row := KillSweepRow{Ops: -1, Elapsed: res.Elapsed, Checkpoints: res.Checkpoints, Recoveries: res.Recoveries, Verified: verified}
+			if i >= 0 {
+				row.Ops = ops[i]
+			}
+			for _, ev := range events {
+				switch ev.Op {
+				case trace.OpCheckpoint:
+					row.CkptTime += ev.Duration()
+				case trace.OpRecovery:
+					row.RecoveryTime += ev.Duration()
+				}
+			}
+			rows = append(rows, row)
+		})
+	return rows, err
 }
 
-// FormatKillSweep renders the crash-survival table.
-func FormatKillSweep(rows []KillSweepRow) string {
-	var sb strings.Builder
-	sb.WriteString("Kill sweep: checkpoint/restart survival vs crash point\n")
-	sb.WriteString("kill@ops\telapsed\tckpts\tckpt-time\trecoveries\trecovery-time\tpayload\n")
+func runKillSweep(env Env) (Report, error) {
+	// 0-20 crash during the first epoch (replay from program start),
+	// 45 crashes after the checkpoint committed (restore + replay),
+	// and 60 exceeds the victim's total operation count: a control
+	// row showing an unfired budget costs nothing.
+	rows, err := KillSweep(Sized(env.Quick, 24, 48), []int64{0, 5, 20, 45, 60}, env)
+	if err != nil {
+		return Report{}, err
+	}
+	t := Table{
+		Title:     "Kill sweep: checkpoint/restart survival vs crash point",
+		Header:    "kill@ops\telapsed\tckpts\tckpt-time\trecoveries\trecovery-time\tpayload",
+		RowFormat: "%s\t%v\t%d\t%v\t%d\t%v\t%s\n",
+	}
 	for _, r := range rows {
 		label := "none"
 		if r.Ops >= 0 {
-			label = fmt.Sprintf("%d", r.Ops)
+			label = fmt.Sprint(r.Ops)
 		}
-		ok := "ok"
-		if !r.Verified {
-			ok = "CORRUPT"
-		}
-		fmt.Fprintf(&sb, "%s\t%v\t%d\t%v\t%d\t%v\t%s\n",
-			label, r.Elapsed, r.Checkpoints, r.CkptTime, r.Recoveries, r.RecoveryTime, ok)
+		t.Add(label, r.Elapsed, r.Checkpoints, r.CkptTime, r.Recoveries, r.RecoveryTime, payloadMark(r.Verified))
 	}
-	return sb.String()
+	return Report{Tables: []Table{t}}, nil
 }

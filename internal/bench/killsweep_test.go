@@ -1,15 +1,12 @@
 package bench
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 // TestKillSweepShape: a small sweep completes, every recovered run
 // verifies bit-identical against the fault-free resilient baseline,
 // and the crash rows actually recovered.
 func TestKillSweepShape(t *testing.T) {
-	rows, err := KillSweep(16, 4, 1, 1, []int64{0, 8}, "")
+	rows, err := KillSweep(16, []int64{0, 8}, Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,9 +31,5 @@ func TestKillSweepShape(t *testing.T) {
 		if r.RecoveryTime == 0 {
 			t.Errorf("kill@%d: no recovery time traced", r.Ops)
 		}
-	}
-	out := FormatKillSweep(rows)
-	if !strings.Contains(out, "Kill sweep") || !strings.Contains(out, "none") {
-		t.Errorf("FormatKillSweep output malformed:\n%s", out)
 	}
 }

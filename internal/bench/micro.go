@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"strings"
 
 	"vbuscluster/internal/fabric"
 	"vbuscluster/internal/mesh"
@@ -185,26 +184,29 @@ func runTreeBroadcast(eng *sim.Engine, m *mesh.Mesh, bytes int) sim.Time {
 	return done
 }
 
-// String renders the microbenchmark report.
-func (r *MicroResults) String() string {
-	var sb strings.Builder
-	sb.WriteString("SKWP bandwidth vs conventional pipelining (3-hop path)\n")
-	sb.WriteString("bytes\tconventional\twave\tskwp\tskwp/conv\n")
+// runMicroSweep renders the microbenchmark report.
+func runMicroSweep(Env) (Report, error) {
+	r, err := RunMicro()
+	if err != nil {
+		return Report{}, err
+	}
+	bw := Table{
+		Title:     "SKWP bandwidth vs conventional pipelining (3-hop path)",
+		Header:    "bytes\tconventional\twave\tskwp\tskwp/conv",
+		RowFormat: "%d\t%.1f MB/s\t%.1f MB/s\t%.1f MB/s\t%.2fx\n",
+	}
 	for _, p := range r.SKWPBandwidth {
-		fmt.Fprintf(&sb, "%d\t%.1f MB/s\t%.1f MB/s\t%.1f MB/s\t%.2fx\n",
-			p.Bytes, p.Conventional/1e6, p.Wave/1e6, p.SKWP/1e6, p.SKWP/p.Conventional)
+		bw.Add(p.Bytes, p.Conventional/1e6, p.Wave/1e6, p.SKWP/1e6, p.SKWP/p.Conventional)
 	}
-	sb.WriteString("\nWave-pipelining skew accumulation (bottleneck launch interval)\n")
-	sb.WriteString("hops\twave\tskwp\n")
+	skew := Table{Title: "Wave-pipelining skew accumulation (bottleneck launch interval)", Header: "hops\twave\tskwp", RowFormat: "%d\t%v\t%v\n"}
 	for _, p := range r.WaveDegradation {
-		fmt.Fprintf(&sb, "%d\t%v\t%v\n", p.Hops, p.Wave, p.SKWP)
+		skew.Add(p.Hops, p.Wave, p.SKWP)
 	}
-	fmt.Fprintf(&sb, "\nSmall-message one-way latency: V-Bus %v vs Fast Ethernet %v (%.1fx)\n",
-		r.LatencyVBus, r.LatencyEthernet, float64(r.LatencyEthernet)/float64(r.LatencyVBus))
-	sb.WriteString("\nBroadcast on a 4x4 mesh: virtual bus vs software tree\n")
-	sb.WriteString("bytes\tv-bus\tp2p tree\tethernet tree\n")
+	latency := Table{Title: fmt.Sprintf("Small-message one-way latency: V-Bus %v vs Fast Ethernet %v (%.1fx)",
+		r.LatencyVBus, r.LatencyEthernet, float64(r.LatencyEthernet)/float64(r.LatencyVBus))}
+	bcast := Table{Title: "Broadcast on a 4x4 mesh: virtual bus vs software tree", Header: "bytes\tv-bus\tp2p tree\tethernet tree", RowFormat: "%d\t%v\t%v\t%v\n"}
 	for _, p := range r.Broadcast {
-		fmt.Fprintf(&sb, "%d\t%v\t%v\t%v\n", p.Bytes, p.VBus, p.TreeP2P, p.Ethernet)
+		bcast.Add(p.Bytes, p.VBus, p.TreeP2P, p.Ethernet)
 	}
-	return sb.String()
+	return Report{Tables: []Table{bw, skew, latency, bcast}}, nil
 }

@@ -1,10 +1,6 @@
 package bench
 
 import (
-	"fmt"
-	"sort"
-	"strings"
-
 	"vbuscluster/internal/core"
 	"vbuscluster/internal/lmad"
 	"vbuscluster/internal/trace"
@@ -14,35 +10,34 @@ import (
 // its N×N communication matrix (interconnect-accounted bytes, origin
 // row → peer column) — the communication-pattern view of the Table 2
 // workloads that the timing tables leave implicit.
-func CommMatrixFor(src string, procs int, grain lmad.Grain, fabric string) ([][]int64, error) {
+func CommMatrixFor(b Benchmark, grain lmad.Grain, env Env) ([][]int64, error) {
 	rec := trace.New()
-	c, err := core.Compile(src, core.Options{NumProcs: procs, Grain: grain, Fabric: fabric, Recorder: rec})
+	_, err := compileRun(b.Name+" profile", b.Source,
+		core.Options{NumProcs: env.procs(), Grain: grain, Fabric: env.Fabric, Recorder: rec}, (*core.Compiled).RunParallel, core.Timing)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := c.RunParallel(core.Timing); err != nil {
-		return nil, err
-	}
-	return rec.CommMatrix(procs), nil
+	return rec.CommMatrix(env.procs()), nil
 }
 
 // CommProfiles renders the communication matrix of every benchmark in
-// the set (sorted by name, so output is deterministic despite the map)
-// at the given granularity.
-func CommProfiles(benchmarks map[string]string, procs int, grain lmad.Grain, fabric string) (string, error) {
-	names := make([]string, 0, len(benchmarks))
-	for name := range benchmarks {
-		names = append(names, name)
+// the set at the given granularity.
+func CommProfiles(benchmarks []Benchmark, grain lmad.Grain, env Env) (Table, error) {
+	t := Table{
+		Title:     "Communication matrices of the Table 2 programs (accounted bytes, origin row -> peer column):",
+		RowFormat: "%s (grain=%v, %d procs) communication matrix (bytes):\n%s",
 	}
-	sort.Strings(names)
-	var sb strings.Builder
-	for _, name := range names {
-		m, err := CommMatrixFor(benchmarks[name], procs, grain, fabric)
+	for _, b := range benchmarks {
+		m, err := CommMatrixFor(b, grain, env)
 		if err != nil {
-			return "", fmt.Errorf("bench: %s profile: %w", name, err)
+			return Table{}, err
 		}
-		fmt.Fprintf(&sb, "%s (grain=%v, %d procs) communication matrix (bytes):\n", name, grain, procs)
-		sb.WriteString(trace.FormatCommMatrix(m))
+		t.Add(b.Name, grain, env.procs(), trace.FormatCommMatrix(m))
 	}
-	return sb.String(), nil
+	return t, nil
+}
+
+func runProfile(env Env) (Report, error) {
+	t, err := CommProfiles(table2Set(env), lmad.Coarse, env)
+	return Report{Tables: []Table{t}}, err
 }

@@ -9,7 +9,7 @@ import (
 
 func TestCommMatrixForMM(t *testing.T) {
 	const procs = 4
-	m, err := CommMatrixFor(MMSource(64), procs, lmad.Coarse, "")
+	m, err := CommMatrixFor(mmBenchmark(64), lmad.Coarse, Env{Procs: procs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,20 +40,21 @@ func TestCommMatrixForMM(t *testing.T) {
 
 func TestCommProfilesDeterministic(t *testing.T) {
 	set := Table2Benchmarks(64, 64, 7)
-	out1, err := CommProfiles(set, 4, lmad.Coarse, "")
+	t1, err := CommProfiles(set, lmad.Coarse, Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	out2, err := CommProfiles(set, 4, lmad.Coarse, "")
+	t2, err := CommProfiles(set, lmad.Coarse, Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out1 != out2 {
+	out1 := t1.String()
+	if out1 != t2.String() {
 		t.Fatal("profile output differs across identical runs")
 	}
-	for name := range set {
-		if !strings.Contains(out1, name) {
-			t.Fatalf("profile output missing benchmark %q:\n%s", name, out1)
+	for _, b := range set {
+		if !strings.Contains(out1, b.Name) {
+			t.Fatalf("profile output missing benchmark %q:\n%s", b.Name, out1)
 		}
 	}
 	if !strings.Contains(out1, "communication matrix") {
@@ -62,7 +63,7 @@ func TestCommProfilesDeterministic(t *testing.T) {
 }
 
 func TestCommProfilesBadFabric(t *testing.T) {
-	if _, err := CommProfiles(Table2Benchmarks(64, 64, 7), 4, lmad.Coarse, "nonsense"); err == nil {
+	if _, err := CommProfiles(Table2Benchmarks(64, 64, 7), lmad.Coarse, Env{Fabric: "nonsense"}); err == nil {
 		t.Fatal("unknown fabric accepted")
 	}
 }

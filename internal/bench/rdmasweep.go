@@ -14,9 +14,6 @@ package bench
 
 import (
 	"fmt"
-	"sort"
-	"strings"
-	"sync"
 
 	"vbuscluster/internal/cluster"
 	"vbuscluster/internal/core"
@@ -28,16 +25,6 @@ import (
 
 // RdmaFabrics is the five-fabric comparison set of the sweep.
 var RdmaFabrics = []string{"vbus", "vbus3d", "ethernet", "ideal", "rdma"}
-
-// RdmaFabricCell is one benchmark priced on one fabric (coarse grain,
-// the paper's best) for the Table-2-style comparison.
-type RdmaFabricCell struct {
-	Fabric    string
-	Caps      string
-	Benchmark string
-	CommTime  sim.Time
-	Elapsed   sim.Time
-}
 
 // RdmaProtoPoint is one payload size of the protocol table: the same
 // contiguous PUT timed over the forced-eager path, the forced-
@@ -61,45 +48,43 @@ func (p RdmaProtoPoint) Winner() string {
 	return "eager"
 }
 
-// RdmaGateRow is the drift-gated summary of the protocol model: the
-// crossover is a pure function of the card's calibration, so any
-// change to it shows up as an exact mismatch against the checked-in
-// baseline (serve.BenchGate).
+// RdmaGateRow is the exact summary of the protocol model: the crossover
+// is a pure function of the card's calibration, so a tier-1 test pins
+// it (TestRdmaGateExact) and any recalibration shows up as a mismatch.
 type RdmaGateRow struct {
 	// CrossoverBytes is the cold-cache eager/rendezvous crossover at
 	// one hop; WarmCrossoverBytes assumes every registration cached.
-	CrossoverBytes     int64 `json:"crossover_bytes"`
-	WarmCrossoverBytes int64 `json:"warm_crossover_bytes"`
+	CrossoverBytes     int64
+	WarmCrossoverBytes int64
 	// CrossoverElems is the measured element count at which the
 	// runtime's automatic choice switched — always
 	// ceil(CrossoverBytes/8), asserted by the sweep.
-	CrossoverElems int64 `json:"crossover_elems"`
+	CrossoverElems int64
 	// RegCacheEntries is the per-node registration-cache capacity.
-	RegCacheEntries int `json:"reg_cache_entries"`
+	RegCacheEntries int
 }
 
-// RdmaResult is everything RdmaSweep measured.
-type RdmaResult struct {
-	Fabrics    []RdmaFabricCell
-	Points     []RdmaProtoPoint
-	Gate       RdmaGateRow
-	CacheStats interconnect.RegCacheStats
-}
-
-// RdmaGate recomputes the protocol model's crossover row from the
-// current card calibration alone (no measurement) — the figure
-// serve.BenchGate diffs against the checked-in baseline, so any
-// recalibration of the rdma card shows up as an exact drift failure.
-func RdmaGate() (RdmaGateRow, error) {
+// rdmaModel returns the rdma machine, its protocol model and the hop
+// count between the sweep's two ranks.
+func rdmaModel() (cluster.Params, interconnect.ProtocolModel, int, error) {
 	params, err := cluster.ParamsForFabric("rdma")
 	if err != nil {
-		return RdmaGateRow{}, err
+		return params, nil, 0, err
 	}
 	pm := params.CommCost().Protocol()
 	if pm == nil {
-		return RdmaGateRow{}, fmt.Errorf("bench: rdma card does not implement interconnect.ProtocolModel")
+		return params, nil, 0, fmt.Errorf("bench: rdma card does not implement interconnect.ProtocolModel")
 	}
-	hops := params.Hops(0, 1)
+	return params, pm, params.Hops(0, 1), nil
+}
+
+// RdmaGate computes the protocol model's crossover row from the
+// current card calibration alone (no measurement).
+func RdmaGate() (RdmaGateRow, error) {
+	_, pm, hops, err := rdmaModel()
+	if err != nil {
+		return RdmaGateRow{}, err
+	}
 	coldB := pm.ProtocolCrossoverBytes(hops, 0)
 	warmB := pm.ProtocolCrossoverBytes(hops, 1)
 	if coldB <= 0 || warmB <= 0 {
@@ -113,154 +98,112 @@ func RdmaGate() (RdmaGateRow, error) {
 	}, nil
 }
 
-// RdmaSweep runs the full protocol sweep; quick shrinks the benchmark
-// problem sizes (the protocol table is cheap either way).
-func RdmaSweep(quick bool) (*RdmaResult, error) {
-	params, err := cluster.ParamsForFabric("rdma")
+// runRdmaSweep runs the full protocol sweep — env.Quick shrinks the
+// benchmark problem sizes (the protocol table is cheap either way) —
+// and renders the five-fabric comparison, the protocol table and the
+// cache/crossover summary.
+func runRdmaSweep(env Env) (Report, error) {
+	params, pm, hops, err := rdmaModel()
 	if err != nil {
-		return nil, err
+		return Report{}, err
 	}
-	pm := params.CommCost().Protocol()
-	if pm == nil {
-		return nil, fmt.Errorf("bench: rdma card does not implement interconnect.ProtocolModel")
-	}
-	hops := params.Hops(0, 1)
 	gate, err := RdmaGate()
 	if err != nil {
-		return nil, err
+		return Report{}, err
 	}
-	coldB := gate.CrossoverBytes
-	res := &RdmaResult{Gate: gate}
 
 	// Protocol table: payload sizes bracketing both crossovers.
-	coldE := int((coldB + mpi.WordBytes - 1) / mpi.WordBytes)
+	proto := Table{
+		Title:     "Eager/rendezvous protocol switch on rdma (payload-verified contiguous PUT, 2 ranks)",
+		Header:    "elems\tbytes\teager\t\trndv(cold)\trndv(warm)\twinner\tmodel",
+		RowFormat: "%d\t%d\t%-10v\t%-10v\t%-10v\t%s\t%s\n",
+	}
+	coldE := int(gate.CrossoverElems)
 	seen := map[int]bool{}
 	for _, e := range []int{1, coldE / 8, coldE / 4, coldE / 2, coldE - 1, coldE, 2 * coldE, 8 * coldE} {
 		if e < 1 || seen[e] {
 			continue
 		}
 		seen[e] = true
-		pt, err := rdmaProtoCell(params, pm, hops, e)
+		p, err := rdmaProtoCell(params, pm, hops, e)
 		if err != nil {
-			return nil, err
+			return Report{}, err
 		}
-		res.Points = append(res.Points, pt)
+		model := "eager"
+		if p.ModelRndv {
+			model = "rndv"
+		}
+		proto.Add(p.Elems, p.Bytes, p.Eager, p.RndvCold, p.RndvWarm, p.Winner(), model)
 	}
 
 	// The runtime's automatic switch must land exactly on the model's
 	// crossover, quantized to whole 8-byte elements.
 	measured, err := rdmaMeasureCrossover(params, pm, hops, coldE)
 	if err != nil {
-		return nil, err
+		return Report{}, err
 	}
-	if measured != int64(coldE) {
-		return nil, fmt.Errorf("bench: rdmasweep: auto protocol switched at %d elems, model crossover is %d bytes = %d elems",
-			measured, coldB, coldE)
+	if measured != gate.CrossoverElems {
+		return Report{}, fmt.Errorf("bench: rdmasweep: auto protocol switched at %d elems, model crossover is %d bytes = %d elems",
+			measured, gate.CrossoverBytes, coldE)
 	}
-	res.Gate.CrossoverElems = measured
 
 	// Registration-cache pressure: overflow the LRU and observe the
 	// eviction turn a would-be hit back into a cold registration.
 	stats, err := rdmaCachePressure(params, pm, hops)
 	if err != nil {
-		return nil, err
+		return Report{}, err
 	}
-	res.CacheStats = stats
+	summary := Table{
+		Title: fmt.Sprintf("crossover: cold %d bytes (measured switch at %d elems), warm %d bytes",
+			gate.CrossoverBytes, measured, gate.WarmCrossoverBytes),
+		RowFormat: "registration cache: %d/%d entries, %d hits, %d misses, %d evictions under pressure\n",
+	}
+	summary.Add(stats.Size, stats.Cap, stats.Hits, stats.Misses, stats.Evictions)
 
-	// Five-fabric Table-2-style comparison at the paper's best grain.
-	mmN, swimN, cfftM := 128, 128, 9
-	if quick {
-		mmN, swimN, cfftM = 64, 64, 9
+	// Five-fabric Table-2-style comparison: the benchmark set on four
+	// ranks at coarse grain, the paper's best.
+	var grid []cell
+	for _, fabric := range RdmaFabrics {
+		for _, b := range Table2Benchmarks(Sized(env.Quick, 64, 128), Sized(env.Quick, 64, 128), 9) {
+			r, err := compileRun(fmt.Sprintf("rdmasweep %s on %s", b.Name, fabric), b.Source,
+				core.Options{NumProcs: 4, Grain: lmad.Coarse, Fabric: fabric}, (*core.Compiled).RunParallel, core.Timing)
+			if err != nil {
+				return Report{}, err
+			}
+			grid = append(grid, cell{b.Name, fabric, r.Report.TotalXferTime().Seconds()})
+		}
 	}
-	cells, err := rdmaFabricTable(Table2Benchmarks(mmN, swimN, cfftM), 4)
-	if err != nil {
-		return nil, err
-	}
-	res.Fabrics = cells
-	return res, nil
+	return Report{Tables: []Table{
+		pivot("Communication time (s) by fabric, coarse grain (Table-2-style)", "Benchmark", "%.5f", grid),
+		proto, summary,
+	}}, nil
 }
 
-// rdmaProtoCell times one payload size over all three charged paths on
-// a fresh two-rank cluster, verifying payloads at the target and each
-// measured time against the model exactly.
+// rdmaProtoCell times one payload size over all three charged paths,
+// verifying payloads at the target and each measured time against the
+// model exactly.
 func rdmaProtoCell(params cluster.Params, pm interconnect.ProtocolModel, hops, elems int) (RdmaProtoPoint, error) {
-	cl, err := cluster.New(2, params)
+	bytes := elems * mpi.WordBytes
+	eager := mpi.ContigDesc(0, int64(elems))
+	eager.Region = "rdma-bench"
+	eager.Proto = lmad.ProtoEager
+	rndv := eager
+	rndv.Proto = lmad.ProtoRndv
+	// Eager first, over the same region key the rendezvous transfers
+	// use: if the eager path warmed the cache, the "cold" rendezvous
+	// would come back warm and fail its exactness check.
+	t, err := twoRankPuts(params, fmt.Sprintf("rdmasweep %d elems", elems),
+		[]putStep{{"eager", eager, 1}, {"rndv-cold", rndv, 1001}, {"rndv-warm", rndv, 2001}})
 	if err != nil {
 		return RdmaProtoPoint{}, err
 	}
-	w := mpi.NewWorld(cl)
-	bytes := elems * mpi.WordBytes
 	pt := RdmaProtoPoint{
 		Elems:     elems,
 		Bytes:     bytes,
+		Eager:     t[0],
+		RndvCold:  t[1],
+		RndvWarm:  t[2],
 		ModelRndv: pm.RendezvousTime(bytes, hops, false) < pm.EagerTime(bytes, hops),
-	}
-	region := make([]float64, elems)
-	var verr error
-	verify := func(label string, base float64) {
-		for i := 0; i < elems && verr == nil; i++ {
-			if got, want := region[i], base+float64(i); got != want {
-				verr = fmt.Errorf("bench: rdmasweep %d elems %s payload: element %d = %v, want %v",
-					elems, label, i, got, want)
-			}
-		}
-	}
-	put := func(p *mpi.Proc, win *mpi.Win, proto lmad.Protocol, base float64) sim.Time {
-		data := make([]float64, elems)
-		for i := range data {
-			data[i] = base + float64(i)
-		}
-		d := mpi.ContigDesc(0, int64(elems))
-		d.Region = "rdma-bench"
-		d.Proto = proto
-		t0 := cl.Clock(0)
-		mpi.Must(p.Put(win, 1, d, data))
-		return cl.Clock(0) - t0
-	}
-	var wg sync.WaitGroup
-	wg.Add(2)
-	for rank := 0; rank < 2; rank++ {
-		go func(rank int) {
-			defer wg.Done()
-			p := w.Rank(rank)
-			var local []float64
-			if rank == 1 {
-				local = region
-			}
-			win := p.WinCreate("rdma", local)
-			// Eager first, over the same region key the rendezvous
-			// transfers use: if the eager path warmed the cache, the
-			// "cold" rendezvous below would come back warm and fail its
-			// exactness check.
-			if rank == 0 {
-				pt.Eager = put(p, win, lmad.ProtoEager, 1)
-			}
-			p.Fence(win)
-			if rank == 1 {
-				verify("eager", 1)
-			}
-			p.Fence(win)
-			if rank == 0 {
-				pt.RndvCold = put(p, win, lmad.ProtoRndv, 1001)
-			}
-			p.Fence(win)
-			if rank == 1 {
-				verify("rndv-cold", 1001)
-			}
-			p.Fence(win)
-			if rank == 0 {
-				pt.RndvWarm = put(p, win, lmad.ProtoRndv, 2001)
-			}
-			p.Fence(win)
-			if rank == 1 {
-				verify("rndv-warm", 2001)
-			}
-			p.Fence(win)
-		}(rank)
-	}
-	wg.Wait()
-	if verr != nil {
-		return RdmaProtoPoint{}, verr
 	}
 	for _, c := range []struct {
 		label    string
@@ -378,84 +321,4 @@ func rdmaCachePressure(params cluster.Params, pm interconnect.ProtocolModel, hop
 		return interconnect.RegCacheStats{}, fmt.Errorf("bench: rdmasweep: cache stats %+v after overflow, want >= 2 evictions at full size", st)
 	}
 	return st, nil
-}
-
-// rdmaFabricTable prices the benchmark set at coarse grain on every
-// fabric of the comparison.
-func rdmaFabricTable(benchmarks map[string]string, procs int) ([]RdmaFabricCell, error) {
-	var cells []RdmaFabricCell
-	for _, fabric := range RdmaFabrics {
-		params, err := cluster.ParamsForFabric(fabric)
-		if err != nil {
-			return nil, err
-		}
-		caps := params.Fabric.Caps().String()
-		names := make([]string, 0, len(benchmarks))
-		for name := range benchmarks {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			c, err := core.Compile(benchmarks[name], core.Options{NumProcs: procs, Grain: lmad.Coarse, Fabric: fabric})
-			if err != nil {
-				return nil, fmt.Errorf("bench: rdmasweep %s on %s: %w", name, fabric, err)
-			}
-			r, err := c.RunParallel(core.Timing)
-			if err != nil {
-				return nil, fmt.Errorf("bench: rdmasweep %s on %s: %w", name, fabric, err)
-			}
-			cells = append(cells, RdmaFabricCell{
-				Fabric:    fabric,
-				Caps:      caps,
-				Benchmark: name,
-				CommTime:  r.Report.TotalXferTime(),
-				Elapsed:   r.Elapsed,
-			})
-		}
-	}
-	return cells, nil
-}
-
-// FormatRdmaSweep renders the sweep: the five-fabric comparison, the
-// protocol table and the cache/crossover summary.
-func FormatRdmaSweep(res *RdmaResult) string {
-	var sb strings.Builder
-	sb.WriteString("Communication time (s) by fabric, coarse grain (Table-2-style)\n")
-	order := []string{}
-	byBench := map[string]map[string]RdmaFabricCell{}
-	for _, c := range res.Fabrics {
-		if byBench[c.Benchmark] == nil {
-			byBench[c.Benchmark] = map[string]RdmaFabricCell{}
-			order = append(order, c.Benchmark)
-		}
-		byBench[c.Benchmark][c.Fabric] = c
-	}
-	sb.WriteString("Benchmark")
-	for _, f := range RdmaFabrics {
-		fmt.Fprintf(&sb, "\t%s", f)
-	}
-	sb.WriteByte('\n')
-	for _, name := range order {
-		fmt.Fprintf(&sb, "%s", name)
-		for _, f := range RdmaFabrics {
-			fmt.Fprintf(&sb, "\t%.5f", byBench[name][f].CommTime.Seconds())
-		}
-		sb.WriteByte('\n')
-	}
-	sb.WriteByte('\n')
-	sb.WriteString("Eager/rendezvous protocol switch on rdma (payload-verified contiguous PUT, 2 ranks)\n")
-	sb.WriteString("elems\tbytes\teager\t\trndv(cold)\trndv(warm)\twinner\tmodel\n")
-	for _, p := range res.Points {
-		model := "eager"
-		if p.ModelRndv {
-			model = "rndv"
-		}
-		fmt.Fprintf(&sb, "%d\t%d\t%-10v\t%-10v\t%-10v\t%s\t%s\n",
-			p.Elems, p.Bytes, p.Eager, p.RndvCold, p.RndvWarm, p.Winner(), model)
-	}
-	fmt.Fprintf(&sb, "\ncrossover: cold %d bytes (measured switch at %d elems), warm %d bytes\n",
-		res.Gate.CrossoverBytes, res.Gate.CrossoverElems, res.Gate.WarmCrossoverBytes)
-	fmt.Fprintf(&sb, "registration cache: %d/%d entries, %d hits, %d misses, %d evictions under pressure\n",
-		res.CacheStats.Size, res.CacheStats.Cap, res.CacheStats.Hits, res.CacheStats.Misses, res.CacheStats.Evictions)
-	return sb.String()
 }

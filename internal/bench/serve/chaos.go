@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"strings"
 	"time"
 
 	"vbuscluster/internal/bench"
@@ -19,7 +18,7 @@ import (
 // cluster faults, a rate-limited hostile tenant — driven against an
 // in-process server, with every robustness claim asserted rather than
 // eyeballed. The sweep fails (error, not a sad row) if any claim does
-// not hold, so `vbbench -chaossweep` doubles as a CI gate.
+// not hold, so `vbbench -sweep chaos` doubles as a CI gate.
 type ChaosResult struct {
 	Seed     uint64  `json:"seed"`
 	WallSec  float64 `json:"wall_seconds"`
@@ -297,16 +296,24 @@ func runJob(s *jobs.Server, sp jobs.Spec, want jobs.State) error {
 	return nil
 }
 
-// FormatChaos renders the sweep result as a readable block.
-func FormatChaos(r *ChaosResult) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "Chaos sweep (seed %d): all invariants held in %.2fs\n", r.Seed, r.WallSec)
-	fmt.Fprintf(&sb, "  jobs: %d submitted, %d done, %d failed, %d cancelled, %d quarantined, %d rate-limited\n",
-		r.Jobs, r.Done, r.Failed, r.Canceled, r.Quarantined, r.RateLimited)
-	fmt.Fprintf(&sb, "  faults absorbed: %d panics recovered, %d breaker trips, %d workers replaced, %d retries\n",
-		r.PanicsRecovered, r.BreakerTrips, r.WorkersReplaced, r.Retries)
-	fmt.Fprintf(&sb, "  worst deadline overrun: %.1fms; post-restart cache hit rate: %.2f\n",
-		r.MaxOverrunMs, r.WarmHitRate)
-	fmt.Fprintf(&sb, "  goroutines: %d before, %d after\n", r.GoroutinesBefore, r.GoroutinesAfter)
-	return sb.String()
+// runChaos renders the sweep result as a readable block.
+func runChaos(env bench.Env) (bench.Report, error) {
+	r, err := ChaosSweep(env.SeedOr(42))
+	if err != nil {
+		return bench.Report{}, err
+	}
+	t := bench.Table{
+		Title:     fmt.Sprintf("Chaos sweep (seed %d): all invariants held in %.2fs", r.Seed, r.WallSec),
+		RowFormat: "  %s\n",
+	}
+	t.Add(fmt.Sprintf("jobs: %d submitted, %d done, %d failed, %d cancelled, %d quarantined, %d rate-limited",
+		r.Jobs, r.Done, r.Failed, r.Canceled, r.Quarantined, r.RateLimited))
+	t.Add(fmt.Sprintf("faults absorbed: %d panics recovered, %d breaker trips, %d workers replaced, %d retries",
+		r.PanicsRecovered, r.BreakerTrips, r.WorkersReplaced, r.Retries))
+	t.Add(fmt.Sprintf("worst deadline overrun: %.1fms; post-restart cache hit rate: %.2f", r.MaxOverrunMs, r.WarmHitRate))
+	t.Add(fmt.Sprintf("goroutines: %d before, %d after", r.GoroutinesBefore, r.GoroutinesAfter))
+	return bench.Report{
+		Tables:  []bench.Table{t},
+		Section: &bench.Section{File: serveFile, Schema: serveSchema, Key: "chaos", Value: r},
+	}, nil
 }

@@ -21,7 +21,7 @@ import (
 // mid-run, with the robustness claims asserted rather than eyeballed —
 // ≥99% of submissions complete across the kill, and once the ring has
 // rebalanced the warm hit rate recovers to ≥0.8. Like the chaos sweep,
-// a violated claim is an error, so `vbbench -peersweep` doubles as a
+// a violated claim is an error, so `vbbench -sweep peers` doubles as a
 // CI gate.
 type PeerResult struct {
 	Seed    uint64  `json:"seed"`
@@ -274,17 +274,25 @@ func PeerSweep(seed uint64) (*PeerResult, error) {
 	return res, nil
 }
 
-// FormatPeers renders the sweep result as a readable block.
-func FormatPeers(r *PeerResult) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "peer sweep (seed %d, %d nodes, killed %s)\n", r.Seed, r.Nodes, r.Killed)
-	fmt.Fprintf(&b, "  jobs        %d submitted, %d completed (%.1f%%)\n",
-		r.Submitted, r.Completed, 100*r.CompletionRate)
-	fmt.Fprintf(&b, "  forwarding  %d forwarded, %d failovers, %d local fallbacks, %d received\n",
-		r.Forwarded, r.Failovers, r.LocalFallbacks, r.ReceivedForwards)
-	fmt.Fprintf(&b, "  detection   victim dead after %.0fms\n", r.DetectMs)
-	fmt.Fprintf(&b, "  cache       post-rebalance hit rate %.2f\n", r.PostKillHitRate)
-	fmt.Fprintf(&b, "  goroutines  %d -> %d\n", r.GoroutinesBefore, r.GoroutinesAfter)
-	fmt.Fprintf(&b, "  wall        %.2fs\n", r.WallSec)
-	return b.String()
+// runPeers renders the sweep result as a readable block.
+func runPeers(env bench.Env) (bench.Report, error) {
+	r, err := PeerSweep(env.SeedOr(42))
+	if err != nil {
+		return bench.Report{}, err
+	}
+	t := bench.Table{
+		Title:     fmt.Sprintf("peer sweep (seed %d, %d nodes, killed %s)", r.Seed, r.Nodes, r.Killed),
+		RowFormat: "  %-11s %s\n",
+	}
+	t.Add("jobs", fmt.Sprintf("%d submitted, %d completed (%.1f%%)", r.Submitted, r.Completed, 100*r.CompletionRate))
+	t.Add("forwarding", fmt.Sprintf("%d forwarded, %d failovers, %d local fallbacks, %d received",
+		r.Forwarded, r.Failovers, r.LocalFallbacks, r.ReceivedForwards))
+	t.Add("detection", fmt.Sprintf("victim dead after %.0fms", r.DetectMs))
+	t.Add("cache", fmt.Sprintf("post-rebalance hit rate %.2f", r.PostKillHitRate))
+	t.Add("goroutines", fmt.Sprintf("%d -> %d", r.GoroutinesBefore, r.GoroutinesAfter))
+	t.Add("wall", fmt.Sprintf("%.2fs", r.WallSec))
+	return bench.Report{
+		Tables:  []bench.Table{t},
+		Section: &bench.Section{File: serveFile, Schema: serveSchema, Key: "peers", Value: r},
+	}, nil
 }

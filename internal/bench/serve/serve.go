@@ -1,16 +1,15 @@
 // Package serve benchmarks the vbserve job service: a closed-loop
-// client sweep and the core-baseline regression gate. It lives below
-// internal/bench so the bench package itself stays importable from
-// the jobs package's tests (bench must not import jobs).
+// client sweep, the seeded chaos gauntlet and the three-peer federation
+// scenario, registered with the bench sweep registry as "serve",
+// "chaos" and "peers". It lives below internal/bench so the bench
+// package itself stays importable from the jobs package's tests (bench
+// must not import jobs).
 package serve
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"os"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -136,93 +135,37 @@ func quantile(sorted []float64, q float64) float64 {
 	return sorted[i]
 }
 
-// FormatServeSweep renders the sweep as an aligned text table.
-func FormatServeSweep(rows []ServeRow) string {
-	var sb strings.Builder
-	sb.WriteString("Service throughput (closed loop, MM48/SWIM64/CFFT9 mix, timing mode)\n")
-	sb.WriteString("clients  clusters  jobs    wall(s)  jobs/s   p50(ms)  p99(ms)  hit-rate  cold\n")
-	for _, r := range rows {
-		fmt.Fprintf(&sb, "%-8d %-9d %-7d %-8.3f %-8.1f %-8.3f %-8.3f %-9.3f %d\n",
-			r.Clients, r.Clusters, r.Jobs, r.WallSec, r.JobsPerSec,
-			r.P50TotalMs, r.P99TotalMs, r.CacheHitRate, r.ColdCompiles)
-	}
-	return sb.String()
+// serveFile is the checked-in document all three service sweeps report
+// into, each under its own key.
+const serveFile, serveSchema = "BENCH_serve.json", "vbbench-servesweep/v1"
+
+// serveClusters is the simulated cluster (worker) count of the sweep.
+const serveClusters = 4
+
+func init() {
+	bench.Register(bench.Sweep{Name: "serve", Run: runServeSweep,
+		Doc: "closed-loop throughput vs client count against an in-process vbserve (BENCH_serve.json)"})
+	bench.Register(bench.Sweep{Name: "chaos", Run: runChaos,
+		Doc: "seeded hostile workload asserting the server's robustness invariants (BENCH_serve.json)"})
+	bench.Register(bench.Sweep{Name: "peers", Run: runPeers,
+		Doc: "three-peer federation: forwarding, mid-run kill, failover and rebalance assertions (BENCH_serve.json)"})
 }
 
-// BenchGate re-runs the core baseline and compares it against the
-// checked-in BENCH_core.json: any benchmark whose events/sec falls
-// below baseline × (1 - tolerance) fails the gate. The current run
-// takes the best of `runs` attempts so a noisy host does not fail a
-// healthy build. When the baseline carries an "rdma" section
-// (-rdmasweep), the rdma card's eager/rendezvous crossover is also
-// recomputed and must match the checked-in row exactly — the
-// crossover is a pure function of the card calibration, so any drift
-// is a recalibration, not noise.
-func BenchGate(baselinePath, fabric string, runs int, tolerance float64) error {
-	data, err := os.ReadFile(baselinePath)
+func runServeSweep(env bench.Env) (bench.Report, error) {
+	rows, err := ServeSweep(bench.Sized(env.Quick, []int{1, 4}, []int{1, 2, 4, 8, 16}), bench.Sized(env.Quick, 8, 24), serveClusters)
 	if err != nil {
-		return fmt.Errorf("bench: gate baseline: %w", err)
+		return bench.Report{}, err
 	}
-	var envelope struct {
-		Schema string             `json:"schema"`
-		Rows   []bench.CoreRow    `json:"rows"`
-		Rdma   *bench.RdmaGateRow `json:"rdma"`
+	t := bench.Table{
+		Title:     "Service throughput (closed loop, MM48/SWIM64/CFFT9 mix, timing mode)",
+		Header:    "clients  clusters  jobs    wall(s)  jobs/s   p50(ms)  p99(ms)  hit-rate  cold",
+		RowFormat: "%-8d %-9d %-7d %-8.3f %-8.1f %-8.3f %-8.3f %-9.3f %d\n",
 	}
-	if err := json.Unmarshal(data, &envelope); err != nil {
-		return fmt.Errorf("bench: gate baseline %s: %w", baselinePath, err)
+	for _, r := range rows {
+		t.Add(r.Clients, r.Clusters, r.Jobs, r.WallSec, r.JobsPerSec, r.P50TotalMs, r.P99TotalMs, r.CacheHitRate, r.ColdCompiles)
 	}
-	if len(envelope.Rows) == 0 {
-		return fmt.Errorf("bench: gate baseline %s has no rows", baselinePath)
-	}
-	if envelope.Rdma != nil {
-		cur, err := bench.RdmaGate()
-		if err != nil {
-			return err
-		}
-		if cur != *envelope.Rdma {
-			return fmt.Errorf("bench: gate: rdma crossover drifted from baseline %+v to %+v (recalibrated card? rerun vbbench -rdmasweep)",
-				*envelope.Rdma, cur)
-		}
-		fmt.Printf("bench-gate rdma        crossover cold=%dB warm=%dB switch=%delems cache=%d ok\n",
-			cur.CrossoverBytes, cur.WarmCrossoverBytes, cur.CrossoverElems, cur.RegCacheEntries)
-	}
-
-	best := map[string]bench.CoreRow{}
-	if runs < 1 {
-		runs = 1
-	}
-	for i := 0; i < runs; i++ {
-		rows, err := bench.CoreBench(fabric)
-		if err != nil {
-			return err
-		}
-		for _, r := range rows {
-			if b, ok := best[r.Benchmark]; !ok || r.EventsPerSec > b.EventsPerSec {
-				best[r.Benchmark] = r
-			}
-		}
-	}
-
-	var failures []string
-	for _, base := range envelope.Rows {
-		cur, ok := best[base.Benchmark]
-		if !ok {
-			failures = append(failures, fmt.Sprintf("%s: missing from current run", base.Benchmark))
-			continue
-		}
-		floor := base.EventsPerSec * (1 - tolerance)
-		verdict := "ok"
-		if cur.EventsPerSec < floor {
-			verdict = "FAIL"
-			failures = append(failures, fmt.Sprintf("%s: %.0f events/s vs baseline %.0f (floor %.0f)",
-				base.Benchmark, cur.EventsPerSec, base.EventsPerSec, floor))
-		}
-		fmt.Printf("bench-gate %-11s baseline=%-9.0f current=%-9.0f floor=%-9.0f %s\n",
-			base.Benchmark, base.EventsPerSec, cur.EventsPerSec, floor, verdict)
-	}
-	if len(failures) > 0 {
-		return fmt.Errorf("bench: gate failed (>%d%% regression): %s",
-			int(tolerance*100), strings.Join(failures, "; "))
-	}
-	return nil
+	return bench.Report{
+		Tables:  []bench.Table{t},
+		Section: &bench.Section{File: serveFile, Schema: serveSchema, Key: "rows", Value: rows},
+	}, nil
 }

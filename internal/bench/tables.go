@@ -2,124 +2,102 @@ package bench
 
 import (
 	"fmt"
-	"sort"
-	"strings"
+	"strconv"
 
 	"vbuscluster/internal/core"
-	"vbuscluster/internal/fault"
 	"vbuscluster/internal/lmad"
 	"vbuscluster/internal/sim"
 )
 
-// RunOption adjusts the compile options of every program a table run
-// builds (vbbench -faults).
-type RunOption func(*core.Options)
-
-// WithFaults attaches a deterministic fault injector to every cluster
-// a table run executes on.
-func WithFaults(inj *fault.Injector) RunOption {
-	return func(o *core.Options) { o.Faults = inj }
-}
-
-// WithCoalesce enables the postpass coalesce stage for every program a
-// table run compiles (vbbench -coalesce), routing strided transfers
-// past the NIC's pack crossover over the packed-DMA path.
-func WithCoalesce() RunOption {
-	return func(o *core.Options) { o.Coalesce = true }
-}
-
-func applyRunOptions(o core.Options, opts []RunOption) core.Options {
-	for _, fn := range opts {
-		fn(&o)
-	}
-	return o
-}
-
-// Table1Row is one cell of the paper's Table 1: MM speedup for one
-// matrix size on one node count.
-type Table1Row struct {
-	Size    int
+// SpeedupCell is one program on Procs nodes against its sequential
+// run, both in timing mode.
+type SpeedupCell struct {
 	Procs   int
 	Seq     sim.Time
 	Par     sim.Time
 	Speedup float64
 }
 
+// speedups prices src sequentially once and then on every node count.
+func speedups(name, src string, procs []int, grain lmad.Grain, env Env) ([]SpeedupCell, error) {
+	seq, err := compileRun(name+" sequential", src, env.options(1, grain), (*core.Compiled).RunSequential, core.Timing)
+	if err != nil {
+		return nil, err
+	}
+	var cells []SpeedupCell
+	for _, p := range procs {
+		par, err := compileRun(fmt.Sprintf("%s on %d procs", name, p), src, env.options(p, grain), (*core.Compiled).RunParallel, core.Timing)
+		if err != nil {
+			return nil, err
+		}
+		cells = append(cells, SpeedupCell{p, seq.Elapsed, par.Elapsed, float64(seq.Elapsed) / float64(par.Elapsed)})
+	}
+	return cells, nil
+}
+
+// Table1Row is one cell of the paper's Table 1: MM speedup for one
+// matrix size on one node count.
+type Table1Row struct {
+	Size int
+	SpeedupCell
+}
+
 // Table1 reproduces "Table 1. Total execution time of the MM code":
 // speedups of MM for sizes × node counts, at the given granularity
-// (the paper's best: coarse). fabric selects the interconnect backend
-// ("" = the default V-Bus machine).
-func Table1(sizes []int, procs []int, grain lmad.Grain, fabric string, opts ...RunOption) ([]Table1Row, error) {
+// (the paper's best: coarse).
+func Table1(sizes []int, procs []int, grain lmad.Grain, env Env) ([]Table1Row, error) {
 	var rows []Table1Row
 	for _, n := range sizes {
-		src := MMSource(n)
-		var seq sim.Time
-		{
-			c, err := core.Compile(src, applyRunOptions(core.Options{NumProcs: 1, Grain: grain, Fabric: fabric}, opts))
-			if err != nil {
-				return nil, fmt.Errorf("bench: MM %d: %w", n, err)
-			}
-			res, err := c.RunSequential(core.Timing)
-			if err != nil {
-				return nil, fmt.Errorf("bench: MM %d sequential: %w", n, err)
-			}
-			seq = res.Elapsed
+		cells, err := speedups(fmt.Sprintf("MM %d", n), MMSource(n), procs, grain, env)
+		if err != nil {
+			return nil, err
 		}
-		for _, p := range procs {
-			c, err := core.Compile(src, applyRunOptions(core.Options{NumProcs: p, Grain: grain, Fabric: fabric}, opts))
-			if err != nil {
-				return nil, fmt.Errorf("bench: MM %d/%d: %w", n, p, err)
-			}
-			res, err := c.RunParallel(core.Timing)
-			if err != nil {
-				return nil, fmt.Errorf("bench: MM %d on %d procs: %w", n, p, err)
-			}
-			rows = append(rows, Table1Row{
-				Size:    n,
-				Procs:   p,
-				Seq:     seq,
-				Par:     res.Elapsed,
-				Speedup: float64(seq) / float64(res.Elapsed),
-			})
+		for _, c := range cells {
+			rows = append(rows, Table1Row{n, c})
 		}
 	}
 	return rows, nil
 }
 
-// FormatTable1 renders rows like the paper's Table 1 (speedups as a
-// nodes × sizes grid).
-func FormatTable1(rows []Table1Row) string {
-	sizes := []int{}
-	procs := []int{}
-	cell := map[[2]int]float64{}
-	seenS := map[int]bool{}
-	seenP := map[int]bool{}
+func runTable1(env Env) (Report, error) {
+	rows, err := Table1(Sized(env.Quick, []int{64, 128, 256}, []int{256, 512, 1024}), []int{1, 2, 4}, lmad.Fine, env)
+	if err != nil {
+		return Report{}, err
+	}
+	var grid []cell
+	raw := Table{Title: "raw cells:", RowFormat: "  MM %4d*%-4d procs=%d seq=%v par=%v speedup=%.3f\n"}
 	for _, r := range rows {
-		if !seenS[r.Size] {
-			seenS[r.Size] = true
-			sizes = append(sizes, r.Size)
-		}
-		if !seenP[r.Procs] {
-			seenP[r.Procs] = true
-			procs = append(procs, r.Procs)
-		}
-		cell[[2]int{r.Procs, r.Size}] = r.Speedup
+		grid = append(grid, cell{strconv.Itoa(r.Procs), fmt.Sprintf("%d*%d", r.Size, r.Size), r.Speedup})
+		raw.Add(r.Size, r.Size, r.Procs, r.Seq, r.Par, r.Speedup)
 	}
-	var sb strings.Builder
-	sb.WriteString("Table 1. Speedups of the MM code\n")
-	sb.WriteString("# of Nodes")
-	for _, s := range sizes {
-		fmt.Fprintf(&sb, "\t%d*%d", s, s)
+	return Report{Tables: []Table{pivot("Table 1. Speedups of the MM code", "# of Nodes", "%.3f", grid), raw}}, nil
+}
+
+// Benchmark is one named program of a benchmark set.
+type Benchmark struct{ Name, Source string }
+
+func mmBenchmark(n int) Benchmark { return Benchmark{fmt.Sprintf("MM(%d*%d)", n, n), MMSource(n)} }
+func swimBenchmark(n int) Benchmark {
+	return Benchmark{fmt.Sprintf("Swim(ITMAX=1,N=%d)", n), SwimSource(n, n)}
+}
+func cfftBenchmark(m int) Benchmark {
+	return Benchmark{fmt.Sprintf("CFFT2INIT(M=%d)", m), CFFTSource(m)}
+}
+
+// Table2Benchmarks returns the paper's Table 2 benchmark set in the
+// tables' row order: CFFT2INIT with M=11, MM at 1024² and SWIM with
+// ITMAX=1 at full size. Smaller sizes can be substituted for quick
+// runs.
+func Table2Benchmarks(mmN, swimN, cfftM int) []Benchmark {
+	return []Benchmark{cfftBenchmark(cfftM), mmBenchmark(mmN), swimBenchmark(swimN)}
+}
+
+// table2Set is the Table 2 set at the sweep's size.
+func table2Set(env Env) []Benchmark {
+	if env.Quick {
+		return Table2Benchmarks(128, 128, 9)
 	}
-	sb.WriteByte('\n')
-	for _, p := range procs {
-		fmt.Fprintf(&sb, "%d", p)
-		for _, s := range sizes {
-			fmt.Fprintf(&sb, "\t%.3f", cell[[2]int{p, s}])
-		}
-		sb.WriteByte('\n')
-	}
-	return sb.String()
+	return Table2Benchmarks(1024, 512, 11)
 }
 
 // Table2Row is one cell of Table 2: communication time of one benchmark
@@ -137,41 +115,19 @@ type Table2Row struct {
 	Bytes    int64
 }
 
-// Table2Benchmarks returns the paper's Table 2 benchmark set: MM at
-// 1024², SWIM with ITMAX=1, and CFFT2INIT with M=11. Smaller sizes can
-// be substituted for quick runs.
-func Table2Benchmarks(mmN, swimN, cfftM int) map[string]string {
-	return map[string]string{
-		fmt.Sprintf("MM(%d*%d)", mmN, mmN):       MMSource(mmN),
-		fmt.Sprintf("Swim(ITMAX=1,N=%d)", swimN): SwimSource(swimN, swimN),
-		fmt.Sprintf("CFFT2INIT(M=%d)", cfftM):    CFFTSource(cfftM),
-	}
-}
-
 // Table2 reproduces "Table 2. Communication time for matrix
 // multiplication, swim and CFFT2INIT of TFFT": the communication time
-// of each benchmark on procs processors at the three granularities.
-// fabric selects the interconnect backend ("" = default V-Bus).
-func Table2(benchmarks map[string]string, procs int, fabric string, opts ...RunOption) ([]Table2Row, error) {
-	names := make([]string, 0, len(benchmarks))
-	for name := range benchmarks {
-		names = append(names, name)
-	}
-	sort.Strings(names)
+// of each benchmark on env.Procs processors at the three granularities.
+func Table2(benchmarks []Benchmark, env Env) ([]Table2Row, error) {
 	var rows []Table2Row
-	for _, name := range names {
-		src := benchmarks[name]
-		for _, grain := range []lmad.Grain{lmad.Fine, lmad.Middle, lmad.Coarse} {
-			c, err := core.Compile(src, applyRunOptions(core.Options{NumProcs: procs, Grain: grain, Fabric: fabric}, opts))
+	for _, b := range benchmarks {
+		for _, grain := range grains {
+			res, err := compileRun(fmt.Sprintf("%s/%v", b.Name, grain), b.Source, env.options(env.procs(), grain), (*core.Compiled).RunParallel, core.Timing)
 			if err != nil {
-				return nil, fmt.Errorf("bench: %s/%v: %w", name, grain, err)
-			}
-			res, err := c.RunParallel(core.Timing)
-			if err != nil {
-				return nil, fmt.Errorf("bench: %s/%v run: %w", name, grain, err)
+				return nil, err
 			}
 			rows = append(rows, Table2Row{
-				Benchmark: name,
+				Benchmark: b.Name,
 				Grain:     grain,
 				CommTime:  res.Report.TotalXferTime(),
 				SyncTime:  res.Report.TotalCommTime() - res.Report.TotalXferTime(),
@@ -184,26 +140,49 @@ func Table2(benchmarks map[string]string, procs int, fabric string, opts ...RunO
 	return rows, nil
 }
 
-// FormatTable2 renders rows like the paper's Table 2.
-func FormatTable2(rows []Table2Row) string {
-	var sb strings.Builder
-	sb.WriteString("Table 2. Communication time (s) by granularity\n")
-	sb.WriteString("Benchmark\tfine\tmiddle\tcoarse\n")
-	order := []string{}
-	byName := map[string]map[lmad.Grain]Table2Row{}
+func runTable2(env Env) (Report, error) {
+	rows, err := Table2(table2Set(env), env)
+	if err != nil {
+		return Report{}, err
+	}
+	var grid []cell
+	raw := Table{Title: "raw cells:", RowFormat: "  %-22s %-6v comm=%-12v elapsed=%-12v msgs=%-6d bytes=%d\n"}
 	for _, r := range rows {
-		if byName[r.Benchmark] == nil {
-			byName[r.Benchmark] = map[lmad.Grain]Table2Row{}
-			order = append(order, r.Benchmark)
-		}
-		byName[r.Benchmark][r.Grain] = r
+		grid = append(grid, cell{r.Benchmark, r.Grain.String(), r.CommTime.Seconds()})
+		raw.Add(r.Benchmark, r.Grain, r.CommTime, r.Elapsed, r.Messages, r.Bytes)
 	}
-	for _, name := range order {
-		fmt.Fprintf(&sb, "%s", name)
-		for _, g := range []lmad.Grain{lmad.Fine, lmad.Middle, lmad.Coarse} {
-			fmt.Fprintf(&sb, "\t%.5f", byName[name][g].CommTime.Seconds())
-		}
-		sb.WriteByte('\n')
+	return Report{Tables: []Table{pivot("Table 2. Communication time (s) by granularity", "Benchmark", "%.5f", grid), raw}}, nil
+}
+
+// runExtra is the supplementary speedup experiment: the two Table 2
+// programs Table 1 does not cover, at Table 2's best grain, and MM past
+// the paper's four nodes.
+func runExtra(env Env) (Report, error) {
+	swimN, cfftM, mmN := 512, 11, 1024
+	if env.Quick {
+		swimN, cfftM, mmN = 128, 9, 128
 	}
-	return sb.String()
+	coarse := Table{Title: "Supplementary speedups (coarse grain, best of Table 2):", Header: "benchmark\tprocs\tspeedup", RowFormat: "%s\t%d\t%.3f\n"}
+	for _, b := range []Benchmark{cfftBenchmark(cfftM), swimBenchmark(swimN)} {
+		cells, err := speedups(b.Name, b.Source, []int{1, 2, 4}, lmad.Coarse, env)
+		if err != nil {
+			return Report{}, err
+		}
+		for _, c := range cells {
+			coarse.Add(b.Name, c.Procs, c.Speedup)
+		}
+	}
+	rows, err := Table1([]int{mmN}, []int{1, 2, 4, 8, 16}, lmad.Fine, env)
+	if err != nil {
+		return Report{}, err
+	}
+	mm := Table{
+		Title:     fmt.Sprintf("MM scalability beyond the paper's 4 nodes (%d*%d, fine grain):", mmN, mmN),
+		Header:    "procs\tspeedup",
+		RowFormat: "%d\t%.3f\n",
+	}
+	for _, r := range rows {
+		mm.Add(r.Procs, r.Speedup)
+	}
+	return Report{Tables: []Table{coarse, mm}}, nil
 }

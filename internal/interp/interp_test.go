@@ -38,6 +38,24 @@ func newCluster(t *testing.T, n int) *cluster.Cluster {
 	return cl
 }
 
+// One-shot forms of the Lowered run methods: lower, run once.
+
+func RunSequential(prog *f77.Program, cl *cluster.Cluster, mode Mode) (*Result, error) {
+	return Lower(prog).RunSequential(cl, mode)
+}
+
+func RunParallel(pp *postpass.Program, cl *cluster.Cluster, mode Mode) (*Result, error) {
+	return RunParallelConfig(pp, cl, mode, RunConfig{})
+}
+
+func RunParallelConfig(pp *postpass.Program, cl *cluster.Cluster, mode Mode, cfg RunConfig) (*Result, error) {
+	return Lower(pp.Source).RunParallel(pp, cl, mode, cfg)
+}
+
+func RunResilient(pp *postpass.Program, cl *cluster.Cluster, mode Mode, cfg ResilientConfig) (*Result, error) {
+	return Lower(pp.Source).RunResilient(pp, cl, mode, cfg)
+}
+
 func runSeq(t *testing.T, src string, mode Mode) *Result {
 	t.Helper()
 	prog := compile(t, src)

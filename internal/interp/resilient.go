@@ -28,11 +28,12 @@ type ResilientConfig struct {
 	Dir string
 }
 
-// RunResilient executes the SPMD translation with coordinated
-// checkpoint/restart and ULFM-style communicator recovery:
+// RunResilient executes pp, an SPMD translation of the lowered program,
+// with coordinated checkpoint/restart and ULFM-style communicator
+// recovery:
 //
 //   - the resilience pass grouped the program's regions into epochs;
-//     after each epoch every rank joins a CheckpointE quiesce and the
+//     after each epoch every rank joins a Checkpoint quiesce and the
 //     master commits a ckpt.Snapshot of the consistent cut;
 //   - when a rank crashes (fault injection), the observing rank
 //     revokes the communicator so no peer stays blocked, the
@@ -45,13 +46,8 @@ type ResilientConfig struct {
 // Virtual clocks never rewind: the replayed work, the checkpoint
 // rounds and the recovery rounds all show up in the final report, so
 // the cost of surviving the crash is measured rather than hidden.
-func RunResilient(pp *postpass.Program, cl *cluster.Cluster, mode Mode, cfg ResilientConfig) (*Result, error) {
-	return Lower(pp.Source).RunResilient(pp, cl, mode, cfg)
-}
-
-// RunResilient is the package-level RunResilient on an already lowered
-// program. Retranslations for a shrunken world are translations of the
-// same program, so every attempt executes this one Lowered.
+// Retranslations for a shrunken world are translations of the same
+// program, so every attempt executes this one Lowered.
 func (lw *Lowered) RunResilient(pp *postpass.Program, cl *cluster.Cluster, mode Mode, cfg ResilientConfig) (*Result, error) {
 	if err := lw.translated(pp, cl); err != nil {
 		return nil, err
@@ -75,7 +71,7 @@ func (lw *Lowered) RunResilient(pp *postpass.Program, cl *cluster.Cluster, mode 
 		lastBlob    []byte
 		recoveries  int
 		checkpoints int
-		recovering  bool // charge a RecoverE restore round this attempt
+		recovering  bool // charge a Recover restore round this attempt
 	)
 	for {
 		P := world.Size()
@@ -185,12 +181,12 @@ type epochState struct {
 	// snap is the restore point (nil: fresh start from the program
 	// beginning).
 	snap *ckpt.Snapshot
-	// blobLen is the encoded size of snap, the payload RecoverE prices.
+	// blobLen is the encoded size of snap, the payload Recover prices.
 	blobLen int
-	// recover makes the attempt open with a RecoverE restore round.
+	// recover makes the attempt open with a Recover restore round.
 	recover bool
 	// commit stores a freshly encoded checkpoint; called by rank 0
-	// only, strictly after its CheckpointE quiesce succeeded (a crash
+	// only, strictly after its Checkpoint quiesce succeeded (a crash
 	// during the quiesce replays from the previous checkpoint).
 	commit func(*ckpt.Snapshot, []byte) error
 }
@@ -230,7 +226,7 @@ func (lw *Lowered) runRankEpochs(pp *postpass.Program, p *mpi.Proc, mode Mode, m
 		if p.Rank() == 0 {
 			size = st.blobLen
 		}
-		if err := p.RecoverE(size); err != nil {
+		if err := p.Recover(size); err != nil {
 			return err
 		}
 	}
@@ -254,7 +250,7 @@ func (lw *Lowered) runRankEpochs(pp *postpass.Program, p *mpi.Proc, mode Mode, m
 			blob = snap.Encode()
 			size = len(blob)
 		}
-		if err := p.CheckpointE(size); err != nil {
+		if err := p.Checkpoint(size); err != nil {
 			return err
 		}
 		if p.Rank() == 0 {

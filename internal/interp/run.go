@@ -125,16 +125,9 @@ func recoverRun(err *error) {
 	}
 }
 
-// RunSequential executes the main unit of prog on a single processor —
-// the paper's sequential baseline for speedup measurements. The
-// cluster must have exactly one process. It lowers prog for this one
-// run; callers that run a program repeatedly keep the Lowered.
-func RunSequential(prog *f77.Program, cl *cluster.Cluster, mode Mode) (*Result, error) {
-	return Lower(prog).RunSequential(cl, mode)
-}
-
-// RunSequential executes the lowered program's main unit on a
-// 1-process cluster.
+// RunSequential executes the lowered program's main unit on a single
+// processor — the paper's sequential baseline for speedup measurements.
+// The cluster must have exactly one process.
 func (lw *Lowered) RunSequential(cl *cluster.Cluster, mode Mode) (*Result, error) {
 	if cl.N() != 1 {
 		return nil, fmt.Errorf("interp: sequential run needs a 1-process cluster, got %d", cl.N())
@@ -175,21 +168,6 @@ type RunConfig struct {
 	Ctx context.Context
 }
 
-// RunParallel executes the SPMD translation on the cluster: one
-// goroutine per rank, master/slave execution with
-// scatter/fence/compute/collect/fence per parallel region (§3, §5.4,
-// §5.5).
-func RunParallel(pp *postpass.Program, cl *cluster.Cluster, mode Mode) (*Result, error) {
-	return RunParallelConfig(pp, cl, mode, RunConfig{})
-}
-
-// RunParallelConfig is RunParallel with an explicit run configuration.
-// It lowers the translated program once for this run, shared by every
-// rank.
-func RunParallelConfig(pp *postpass.Program, cl *cluster.Cluster, mode Mode, cfg RunConfig) (*Result, error) {
-	return Lower(pp.Source).RunParallel(pp, cl, mode, cfg)
-}
-
 // translated checks that pp is a translation of the lowered program
 // (its regions must point at the statements that were lowered) for a
 // cluster of cl's size.
@@ -204,7 +182,9 @@ func (lw *Lowered) translated(pp *postpass.Program, cl *cluster.Cluster) error {
 }
 
 // RunParallel executes pp, an SPMD translation of the lowered program,
-// on the cluster. Every rank executes the same Lowered.
+// on the cluster: one goroutine per rank, every rank executing the same
+// Lowered, master/slave execution with scatter/fence/compute/collect/
+// fence per parallel region (§3, §5.4, §5.5).
 func (lw *Lowered) RunParallel(pp *postpass.Program, cl *cluster.Cluster, mode Mode, cfg RunConfig) (*Result, error) {
 	if err := lw.translated(pp, cl); err != nil {
 		return nil, err
@@ -358,7 +338,7 @@ func (r *rankRun) region(ri int) error {
 			}
 		}
 		env.flush()
-		p.Barrier()
+		mpi.Must(p.Barrier())
 		// Programs containing STOP need the master's halt decision
 		// shared with the slaves after each sequential section;
 		// STOP-free programs (all the benchmarks) skip the broadcast.
@@ -367,7 +347,9 @@ func (r *rankRun) region(ri int) error {
 			if r.halted {
 				flag = 1
 			}
-			if got := p.Bcast(0, []float64{flag}); got[0] != 0 {
+			got, err := p.Bcast(0, []float64{flag})
+			mpi.Must(err)
+			if got[0] != 0 {
 				r.halted = true
 			}
 		}
@@ -376,9 +358,9 @@ func (r *rankRun) region(ri int) error {
 		// with the region's three barriers kept so clocks stay
 		// reconciled.
 		env.flush()
-		p.Barrier()
-		p.Barrier()
-		p.Barrier()
+		mpi.Must(p.Barrier())
+		mpi.Must(p.Barrier())
+		mpi.Must(p.Barrier())
 		return nil
 	} else if err := env.runParRegion(r.pp, region.Par, p, r.wins, r.redWins); err != nil {
 		return err
@@ -410,7 +392,7 @@ func (env *Env) runParRegion(pp *postpass.Program, par *postpass.ParInfo, p *mpi
 		return err // before any rank communicates: every rank fails alike
 	}
 	env.flush()
-	p.Barrier()
+	mpi.Must(p.Barrier())
 
 	// ---- Reductions: every rank accumulates into a private partial
 	// starting from the identity; the master's sequential prior value
@@ -451,7 +433,7 @@ func (env *Env) runParRegion(pp *postpass.Program, par *postpass.ParInfo, p *mpi
 		}
 	}
 	env.flush()
-	p.Barrier() // fence: all scatters land before compute
+	mpi.Must(p.Barrier()) // fence: all scatters land before compute
 
 	// ---- Partitioned execution (§5.3).
 	trips := par.Ctx.Trips()
@@ -472,7 +454,8 @@ func (env *Env) runParRegion(pp *postpass.Program, par *postpass.ParInfo, p *mpi
 				}
 				contrib[i] = partial
 			}
-			total := p.Allreduce(mpiOp(reds), contrib)
+			total, err := p.Allreduce(mpiOp(reds), contrib)
+			mpi.Must(err)
 			for i, rs := range reds {
 				env.symStorage(rs.red.Sym)[0] = total[i]
 			}
@@ -493,7 +476,7 @@ func (env *Env) runParRegion(pp *postpass.Program, par *postpass.ParInfo, p *mpi
 		env.moveOps(p, wins, par, postpass.Collect, p.Rank(), 0, false)
 	}
 	env.flush()
-	p.Barrier() // fence: all collects land before the master continues
+	mpi.Must(p.Barrier()) // fence: all collects land before the master continues
 	return nil
 }
 
@@ -518,14 +501,14 @@ func (env *Env) combineReductionsLocked(par *postpass.ParInfo, p *mpi.Proc, redW
 		partial := env.symStorage(rs.red.Sym)[0]
 		tmp := make([]float64, 1)
 		cell := mpi.ContigDesc(0, 1)
-		p.Lock(win, 0)
+		mpi.Must(p.Lock(win, 0))
 		mpi.Must(p.Get(win, 0, cell, tmp))
 		tmp[0] = applyReduction(rs.red.Op, tmp[0], partial)
 		mpi.Must(p.Put(win, 0, cell, tmp))
 		p.Unlock(win, 0)
 	}
 	env.flush()
-	p.Barrier() // all critical sections complete
+	mpi.Must(p.Barrier()) // all critical sections complete
 	// Publish the combined value to every rank via the V-Bus broadcast.
 	contrib := make([]float64, len(reds))
 	if p.Rank() == 0 {
@@ -533,7 +516,8 @@ func (env *Env) combineReductionsLocked(par *postpass.ParInfo, p *mpi.Proc, redW
 			contrib[i] = redWins[rs.red.Sym].Local(0)[0]
 		}
 	}
-	total := p.Bcast(0, contrib)
+	total, err := p.Bcast(0, contrib)
+	mpi.Must(err)
 	for i, rs := range reds {
 		env.symStorage(rs.red.Sym)[0] = total[i]
 	}
@@ -649,7 +633,7 @@ func (env *Env) sendOps(p *mpi.Proc, par *postpass.ParInfo, dir postpass.Directi
 		}
 		for _, tr := range pl.Plan {
 			if env.mode == Timing {
-				p.SendRegion(dst, tag, int(tr.Elems), nil)
+				mpi.Must(p.SendRegion(dst, tag, int(tr.Elems), nil))
 				continue
 			}
 			src := env.symStorage(pl.Sym)
@@ -657,7 +641,7 @@ func (env *Env) sendOps(p *mpi.Proc, par *postpass.ParInfo, dir postpass.Directi
 			for i := range payload {
 				payload[i] = src[tr.Offset+int64(i)*tr.Stride]
 			}
-			p.SendRegion(dst, tag, int(tr.Elems), payload)
+			mpi.Must(p.SendRegion(dst, tag, int(tr.Elems), payload))
 		}
 	}
 }
@@ -671,7 +655,8 @@ func (env *Env) recvOps(p *mpi.Proc, par *postpass.ParInfo, dir postpass.Directi
 	}
 	for _, pl := range postpass.RankPlans(par, dir, rank) {
 		for _, tr := range pl.Plan {
-			payload := p.RecvRegion(from, tag, int(tr.Elems))
+			payload, err := p.RecvRegion(from, tag, int(tr.Elems))
+			mpi.Must(err)
 			if env.mode == Timing || len(payload) == 0 {
 				continue
 			}

@@ -14,7 +14,7 @@
 //     (core.RunParallelWith; see the concurrent-reuse race test).
 //
 // cmd/vbserve wraps this package in an HTTP/JSON daemon; vbbench
-// -servesweep drives it in-process for the BENCH_serve.json numbers.
+// -sweep serve drives it in-process for the BENCH_serve.json numbers.
 package jobs
 
 import (

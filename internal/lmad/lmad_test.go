@@ -238,14 +238,6 @@ func TestOverlapProperty(t *testing.T) {
 	}
 }
 
-func TestTranslate(t *testing.T) {
-	l := New("A", 5).WithDim(2, 6)
-	m := l.Translate(10)
-	if m.Offset != 15 || l.Offset != 5 {
-		t.Fatal("translate wrong or mutated the original")
-	}
-}
-
 func TestStringForm(t *testing.T) {
 	if s := New("B", 3).String(); s != "B+3" {
 		t.Fatalf("scalar form = %s", s)

@@ -5,11 +5,18 @@ import (
 	"testing"
 )
 
+// translate returns a copy of l shifted by delta elements.
+func translate(l LMAD, delta int64) LMAD {
+	l.Dims = append([]Dim(nil), l.Dims...)
+	l.Offset += delta
+	return l
+}
+
 // sweepShifts is the distance sweep OverlapShifts replaced, kept as the
 // reference: every d tested in both directions on a translated copy.
 func sweepShifts(a, b LMAD, shift, maxD, enumLimit int64) bool {
 	for d := int64(1); d <= maxD; d++ {
-		if Overlap(a, b.Translate(shift*d), enumLimit) || Overlap(b, a.Translate(shift*d), enumLimit) {
+		if Overlap(a, translate(b, shift*d), enumLimit) || Overlap(b, translate(a, shift*d), enumLimit) {
 			return true
 		}
 	}

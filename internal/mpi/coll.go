@@ -155,21 +155,12 @@ func (w *World) collectiveE(rank int, op string, contrib []float64,
 // Bcast broadcasts root's data to every rank (MPI_BCAST), using the
 // V-Bus hardware broadcast facility of the card: one bus construction,
 // one stream, every node listens — rather than a log2(P) software tree.
-// Every rank receives its own copy; root's input is not aliased.
-func (p *Proc) Bcast(root int, data []float64) []float64 {
-	res, err := p.BcastE(root, data)
-	if err != nil {
-		panic(err)
-	}
-	return res
-}
-
-// BcastE is Bcast returning structured fault errors instead of
-// panicking. A broadcast stalled by link outages past the injected
-// per-operation deadline fails with ErrTimeout whose Time is the
-// virtual time of detection — the instant the deadline expired, not
-// the later clock at which the stalled operation would have finished.
-func (p *Proc) BcastE(root int, data []float64) ([]float64, error) {
+// Every rank receives its own copy; root's input is not aliased. A
+// broadcast stalled by link outages past the injected per-operation
+// deadline fails with ErrTimeout whose Time is the virtual time of
+// detection — the instant the deadline expired, not the later clock at
+// which the stalled operation would have finished.
+func (p *Proc) Bcast(root int, data []float64) ([]float64, error) {
 	w := p.w
 	if root < 0 || root >= w.n {
 		panic(fmt.Sprintf("mpi: Bcast root %d out of range", root))
@@ -213,20 +204,9 @@ func (w *World) reduceCost(elems int) sim.Time {
 
 // Reduce combines each rank's vector element-wise with op; the combined
 // vector is returned on root, nil elsewhere (MPI_REDUCE). Under fault
-// injection a failed rendezvous panics with the *Error; use ReduceE for
-// error returns.
-func (p *Proc) Reduce(op Op, root int, data []float64) []float64 {
-	res, err := p.ReduceE(op, root, data)
-	if err != nil {
-		panic(err)
-	}
-	return res
-}
-
-// ReduceE is Reduce with structured error reporting under fault
-// injection. Root-range and length-mismatch violations are programming
-// errors and still panic.
-func (p *Proc) ReduceE(op Op, root int, data []float64) ([]float64, error) {
+// injection a failed rendezvous returns the *Error. Root-range and
+// length-mismatch violations are programming errors and panic.
+func (p *Proc) Reduce(op Op, root int, data []float64) ([]float64, error) {
 	w := p.w
 	if root < 0 || root >= w.n {
 		panic(fmt.Sprintf("mpi: Reduce root %d out of range", root))
@@ -262,20 +242,9 @@ func (p *Proc) ReduceE(op Op, root int, data []float64) ([]float64, error) {
 
 // Allreduce is Reduce followed by a V-Bus broadcast of the result;
 // every rank receives the combined vector (MPI_ALLREDUCE). Under fault
-// injection a failed rendezvous panics with the *Error; use AllreduceE
-// for error returns.
-func (p *Proc) Allreduce(op Op, data []float64) []float64 {
-	res, err := p.AllreduceE(op, data)
-	if err != nil {
-		panic(err)
-	}
-	return res
-}
-
-// AllreduceE is Allreduce with structured error reporting under fault
-// injection. Length-mismatch violations are programming errors and
-// still panic.
-func (p *Proc) AllreduceE(op Op, data []float64) ([]float64, error) {
+// injection a failed rendezvous returns the *Error. Length-mismatch
+// violations are programming errors and panic.
+func (p *Proc) Allreduce(op Op, data []float64) ([]float64, error) {
 	w := p.w
 	if err := p.enter(trace.OpAllreduce, -1); err != nil {
 		return nil, err

@@ -71,7 +71,7 @@ func getOp(local bool, d AccessDesc) string {
 
 // validateAccess is the single validation site of the one-sided layer
 // (argument errors panic: they are programming errors, not faults —
-// the same rule SendE documents). name is the public entry point;
+// the same rule Send documents). name is the public entry point;
 // dataLen is the caller's buffer length (-1 for the charge-only path,
 // which moves no data). Returns the target window buffer (nil without a
 // window). A window on which target exposes no region is not an

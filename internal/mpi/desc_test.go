@@ -119,7 +119,7 @@ func TestDescValidationPanics(t *testing.T) {
 				t.Errorf("validation panics charged %d bytes", got)
 			}
 		}
-		p.Fence(win)
+		Must(p.Fence(win))
 	})
 }
 
@@ -145,7 +145,7 @@ func TestDescPackedClassificationAndCost(t *testing.T) {
 			l.Packed = true
 			Must(p.Put(win, 0, l, seq(20, 2000)))
 		}
-		p.Fence(win)
+		Must(p.Fence(win))
 		if p.Rank() == 1 {
 			mu.Lock()
 			window = append([]float64(nil), win.target(1)...)
@@ -212,7 +212,7 @@ func TestDescPackedPayloadEquivalence(t *testing.T) {
 				d.Packed = packed
 				Must(p.Put(win, 1, d, seq(elems, 7)))
 			}
-			p.Fence(win)
+			Must(p.Fence(win))
 			if p.Rank() == 1 {
 				obs.mu.Lock()
 				obs.window = append([]float64(nil), win.target(1)...)
@@ -277,7 +277,7 @@ func TestAccessThroughNilRegion(t *testing.T) {
 		}
 		win := p.WinCreate("LAZY", local)
 		if p.Rank() != 0 {
-			p.Barrier()
+			Must(p.Barrier())
 			return
 		}
 		before := p.Wtime()
@@ -309,6 +309,6 @@ func TestAccessThroughNilRegion(t *testing.T) {
 		if err := p.Put(win, 0, ContigDesc(0, 4), data); err != nil || win.Local(0)[3] != 4 {
 			t.Errorf("Put into the allocated region: err %v, window %v", err, win.Local(0))
 		}
-		p.Barrier()
+		Must(p.Barrier())
 	})
 }

@@ -57,8 +57,8 @@ func (k ErrorKind) String() string {
 
 // Error is the structured failure of one MPI operation under fault
 // injection: which rank failed, doing what, against whom, and when in
-// virtual time. Operations that cannot complete return (or, through
-// the panicking convenience wrappers, raise) an *Error instead of
+// virtual time. Operations that cannot complete return an *Error
+// (callers that treat it as fatal wrap the call in Must) instead of
 // deadlocking the goroutine-per-rank runtime.
 type Error struct {
 	Kind ErrorKind

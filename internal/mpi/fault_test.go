@@ -68,24 +68,24 @@ func faultWorkload(p *Proc) []float64 {
 		for i := range msg {
 			msg[i] = float64(r*1000 + round*100 + i)
 		}
-		got = append(got, p.Sendrecv((r+1)%n, round, msg, (r+n-1)%n, round)...)
+		got = append(got, must(p.Sendrecv((r+1)%n, round, msg, (r+n-1)%n, round))...)
 		// One-sided: put into the right neighbor, fence, read it back.
 		put := make([]float64, 23+round*7)
 		for i := range put {
 			put[i] = float64(r) + float64(i)/64
 		}
 		putAt(p, win, (r+1)%n, 0, put)
-		p.Fence(win)
+		Must(p.Fence(win))
 		back := make([]float64, len(put))
 		getAt(p, win, (r+1)%n, 0, back)
 		got = append(got, back...)
 		// Collectives: root rotates; bcast exercises the V-Bus path
 		// (and its degradation under busfail specs).
-		b := p.Bcast(round%n, []float64{float64(round), float64(r), 3.5})
+		b := must(p.Bcast(round%n, []float64{float64(round), float64(r), 3.5}))
 		got = append(got, b...)
-		got = append(got, p.Allreduce(Sum, []float64{float64(r + round)})...)
+		got = append(got, must(p.Allreduce(Sum, []float64{float64(r + round)}))...)
 	}
-	p.Barrier()
+	Must(p.Barrier())
 	return got
 }
 
@@ -247,7 +247,7 @@ func TestRecvDeadlineTimeout(t *testing.T) {
 	shrinkWatchdog(t)
 	_, _, errs := runFaultWorld(t, 2, "deadline=1ms", func(p *Proc) error {
 		if p.Rank() == 1 {
-			_, err := p.RecvE(0, 5)
+			_, err := p.Recv(0, 5)
 			return err
 		}
 		return nil // rank 0 never sends
@@ -272,9 +272,9 @@ func TestCrashSurfacesStructuredErrors(t *testing.T) {
 	_, _, errs := runFaultWorld(t, 2, "crash=0@1us", func(p *Proc) error {
 		if p.Rank() == 0 {
 			p.w.cl.ChargeCompute(0, 5*sim.Microsecond) // sail past the crash time
-			return p.SendE(1, 3, []float64{1})
+			return p.Send(1, 3, []float64{1})
 		}
-		_, err := p.RecvE(0, 3)
+		_, err := p.Recv(0, 3)
 		return err
 	})
 	var crashed *Error
@@ -299,7 +299,7 @@ func TestCrashSurfacesStructuredErrors(t *testing.T) {
 func TestBcastDegradesToSoftwareTree(t *testing.T) {
 	elapsed := func(spec string) sim.Time {
 		w, _, errs := runFaultWorld(t, 4, spec, func(p *Proc) error {
-			got := p.Bcast(0, []float64{4, 5, 6})
+			got := must(p.Bcast(0, []float64{4, 5, 6}))
 			if len(got) != 3 || got[0] != 4 || got[2] != 6 {
 				t.Errorf("rank %d: bcast payload %v", p.Rank(), got)
 			}

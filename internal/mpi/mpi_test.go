@@ -46,9 +46,9 @@ func TestRankAndSize(t *testing.T) {
 func TestSendRecv(t *testing.T) {
 	runWorld(t, 2, func(p *Proc) {
 		if p.Rank() == 0 {
-			p.Send(1, 7, []float64{1, 2, 3})
+			Must(p.Send(1, 7, []float64{1, 2, 3}))
 		} else {
-			got := p.Recv(0, 7)
+			got := must(p.Recv(0, 7))
 			if len(got) != 3 || got[0] != 1 || got[2] != 3 {
 				t.Errorf("recv got %v", got)
 			}
@@ -60,10 +60,10 @@ func TestSendCopiesPayload(t *testing.T) {
 	runWorld(t, 2, func(p *Proc) {
 		if p.Rank() == 0 {
 			buf := []float64{42}
-			p.Send(1, 0, buf)
+			Must(p.Send(1, 0, buf))
 			buf[0] = 0 // must not affect the in-flight message
 		} else {
-			if got := p.Recv(0, 0); got[0] != 42 {
+			if got := must(p.Recv(0, 0)); got[0] != 42 {
 				t.Errorf("message aliased sender buffer: got %v", got)
 			}
 		}
@@ -74,9 +74,9 @@ func TestRecvAdvancesClockToArrival(t *testing.T) {
 	_, cl := runWorld(t, 2, func(p *Proc) {
 		if p.Rank() == 0 {
 			p.w.cl.ChargeCompute(0, 100*sim.Microsecond) // sender busy first
-			p.Send(1, 0, make([]float64, 1024))
+			Must(p.Send(1, 0, make([]float64, 1024)))
 		} else {
-			p.Recv(0, 0)
+			must(p.Recv(0, 0))
 		}
 	})
 	if cl.Clock(1) <= 100*sim.Microsecond {
@@ -88,11 +88,11 @@ func TestMessageOrderingFIFO(t *testing.T) {
 	runWorld(t, 2, func(p *Proc) {
 		if p.Rank() == 0 {
 			for i := 0; i < 10; i++ {
-				p.Send(1, 3, []float64{float64(i)})
+				Must(p.Send(1, 3, []float64{float64(i)}))
 			}
 		} else {
 			for i := 0; i < 10; i++ {
-				if got := p.Recv(0, 3); got[0] != float64(i) {
+				if got := must(p.Recv(0, 3)); got[0] != float64(i) {
 					t.Errorf("message %d arrived out of order: %v", i, got)
 				}
 			}
@@ -104,11 +104,11 @@ func TestRecvAnySource(t *testing.T) {
 	runWorld(t, 3, func(p *Proc) {
 		switch p.Rank() {
 		case 1, 2:
-			p.Send(0, 5, []float64{float64(p.Rank())})
+			Must(p.Send(0, 5, []float64{float64(p.Rank())}))
 		case 0:
 			seen := map[float64]bool{}
 			for i := 0; i < 2; i++ {
-				got := p.Recv(AnySource, 5)
+				got := must(p.Recv(AnySource, 5))
 				seen[got[0]] = true
 			}
 			if !seen[1] || !seen[2] {
@@ -121,9 +121,9 @@ func TestRecvAnySource(t *testing.T) {
 func TestRecvAnyTag(t *testing.T) {
 	runWorld(t, 2, func(p *Proc) {
 		if p.Rank() == 0 {
-			p.Send(1, 9, []float64{9})
+			Must(p.Send(1, 9, []float64{9}))
 		} else {
-			if got := p.Recv(0, AnyTag); got[0] != 9 {
+			if got := must(p.Recv(0, AnyTag)); got[0] != 9 {
 				t.Errorf("AnyTag got %v", got)
 			}
 		}
@@ -132,8 +132,8 @@ func TestRecvAnyTag(t *testing.T) {
 
 func TestSendToSelf(t *testing.T) {
 	runWorld(t, 1, func(p *Proc) {
-		p.Send(0, 1, []float64{5})
-		if got := p.Recv(0, 1); got[0] != 5 {
+		Must(p.Send(0, 1, []float64{5}))
+		if got := must(p.Recv(0, 1)); got[0] != 5 {
 			t.Errorf("self message got %v", got)
 		}
 	})
@@ -142,7 +142,7 @@ func TestSendToSelf(t *testing.T) {
 func TestSendrecvExchangeNoDeadlock(t *testing.T) {
 	runWorld(t, 2, func(p *Proc) {
 		other := 1 - p.Rank()
-		got := p.Sendrecv(other, 0, []float64{float64(p.Rank())}, other, 0)
+		got := must(p.Sendrecv(other, 0, []float64{float64(p.Rank())}, other, 0))
 		if got[0] != float64(other) {
 			t.Errorf("rank %d exchanged got %v", p.Rank(), got)
 		}
@@ -152,7 +152,7 @@ func TestSendrecvExchangeNoDeadlock(t *testing.T) {
 func TestBarrierSynchronizesClocks(t *testing.T) {
 	_, cl := runWorld(t, 4, func(p *Proc) {
 		p.w.cl.ChargeCompute(p.Rank(), sim.Time(p.Rank()+1)*10*sim.Microsecond)
-		p.Barrier()
+		Must(p.Barrier())
 	})
 	want := cl.Clock(0)
 	for r := 1; r < 4; r++ {
@@ -166,7 +166,7 @@ func TestBarrierSynchronizesClocks(t *testing.T) {
 }
 
 func TestBarrierBooksCommTime(t *testing.T) {
-	w, cl := runWorld(t, 4, func(p *Proc) { p.Barrier() })
+	w, cl := runWorld(t, 4, func(p *Proc) { Must(p.Barrier()) })
 	r := cl.Snapshot()
 	for rank := 0; rank < 4; rank++ {
 		if r.CommTime[rank] != w.BarrierCost() {
@@ -178,13 +178,13 @@ func TestBarrierBooksCommTime(t *testing.T) {
 func TestRepeatedBarriers(t *testing.T) {
 	runWorld(t, 4, func(p *Proc) {
 		for i := 0; i < 50; i++ {
-			p.Barrier()
+			Must(p.Barrier())
 		}
 	})
 }
 
 func TestSingleRankBarrier(t *testing.T) {
-	_, cl := runWorld(t, 1, func(p *Proc) { p.Barrier() })
+	_, cl := runWorld(t, 1, func(p *Proc) { Must(p.Barrier()) })
 	if cl.Clock(0) == 0 {
 		t.Fatal("1-rank barrier should still cost time")
 	}
@@ -196,7 +196,7 @@ func TestBcast(t *testing.T) {
 		if p.Rank() == 2 {
 			in = []float64{3.5, 4.5}
 		}
-		out := p.Bcast(2, in)
+		out := must(p.Bcast(2, in))
 		if len(out) != 2 || out[0] != 3.5 || out[1] != 4.5 {
 			t.Errorf("rank %d bcast got %v", p.Rank(), out)
 		}
@@ -210,7 +210,7 @@ func TestBcastResultNotAliased(t *testing.T) {
 		if p.Rank() == 0 {
 			in = []float64{1}
 		}
-		results[p.Rank()] = p.Bcast(0, in)
+		results[p.Rank()] = must(p.Bcast(0, in))
 	})
 	results[0][0] = 99
 	if results[1][0] == 99 {
@@ -220,7 +220,7 @@ func TestBcastResultNotAliased(t *testing.T) {
 
 func TestReduceSum(t *testing.T) {
 	runWorld(t, 4, func(p *Proc) {
-		res := p.Reduce(Sum, 0, []float64{float64(p.Rank()), 1})
+		res := must(p.Reduce(Sum, 0, []float64{float64(p.Rank()), 1}))
 		if p.Rank() == 0 {
 			if res[0] != 6 || res[1] != 4 {
 				t.Errorf("reduce got %v", res)
@@ -234,21 +234,21 @@ func TestReduceSum(t *testing.T) {
 func TestReduceOps(t *testing.T) {
 	runWorld(t, 4, func(p *Proc) {
 		x := float64(p.Rank() + 1) // 1..4
-		if mx := p.Allreduce(Max, []float64{x}); mx[0] != 4 {
+		if mx := must(p.Allreduce(Max, []float64{x})); mx[0] != 4 {
 			t.Errorf("max got %v", mx)
 		}
-		if mn := p.Allreduce(Min, []float64{x}); mn[0] != 1 {
+		if mn := must(p.Allreduce(Min, []float64{x})); mn[0] != 1 {
 			t.Errorf("min got %v", mn)
 		}
-		if pr := p.Allreduce(Prod, []float64{x}); pr[0] != 24 {
+		if pr := must(p.Allreduce(Prod, []float64{x})); pr[0] != 24 {
 			t.Errorf("prod got %v", pr)
 		}
 	})
 }
 
-func TestAllreduceEveryRankGetsResult(t *testing.T) {
+func TestAllreduceResultOnEveryRank(t *testing.T) {
 	runWorld(t, 3, func(p *Proc) {
-		res := p.Allreduce(Sum, []float64{1})
+		res := must(p.Allreduce(Sum, []float64{1}))
 		if res[0] != 3 {
 			t.Errorf("rank %d allreduce got %v", p.Rank(), res)
 		}
@@ -262,13 +262,13 @@ func TestWinCreatePutGet(t *testing.T) {
 		if p.Rank() == 0 {
 			putAt(p, win, 1, 2, []float64{7, 8})
 		}
-		p.Fence(win)
+		Must(p.Fence(win))
 		if p.Rank() == 1 {
 			if local[2] != 7 || local[3] != 8 {
 				t.Errorf("window after put: %v", local)
 			}
 		}
-		p.Fence(win)
+		Must(p.Fence(win))
 		if p.Rank() == 1 {
 			dst := make([]float64, 2)
 			getAt(p, win, 1, 2, dst)
@@ -286,7 +286,7 @@ func TestPutStrided(t *testing.T) {
 		if p.Rank() == 0 {
 			putStride(p, win, 1, 1, 3, []float64{1, 2, 3})
 		}
-		p.Fence(win)
+		Must(p.Fence(win))
 		if p.Rank() == 1 {
 			want := []float64{0, 1, 0, 0, 2, 0, 0, 3, 0, 0}
 			for i, v := range want {
@@ -308,7 +308,7 @@ func TestGetStrided(t *testing.T) {
 			}
 		}
 		win := p.WinCreate("G", local)
-		p.Fence(win)
+		Must(p.Fence(win))
 		if p.Rank() == 1 {
 			dst := make([]float64, 3)
 			getStride(p, win, 0, 1, 4, dst)
@@ -328,7 +328,7 @@ func TestStridedPutCostsMoreThanContig(t *testing.T) {
 		if p.Rank() == 0 {
 			putAt(p, win, 1, 0, make([]float64, 8192))
 		}
-		p.Fence(win)
+		Must(p.Fence(win))
 	})
 	_, clB := runWorld(t, 2, func(p *Proc) {
 		local := make([]float64, 20000)
@@ -336,7 +336,7 @@ func TestStridedPutCostsMoreThanContig(t *testing.T) {
 		if p.Rank() == 0 {
 			putStride(p, win, 1, 0, 2, make([]float64, 8192))
 		}
-		p.Fence(win)
+		Must(p.Fence(win))
 	})
 	contig := clA.Snapshot().CommTime[0]
 	strided := clB.Snapshot().CommTime[0]
@@ -358,7 +358,7 @@ func TestPutBoundsPanic(t *testing.T) {
 				putAt(p, win, 1, 3, []float64{1, 2})
 			}()
 		}
-		p.Fence(win)
+		Must(p.Fence(win))
 	})
 }
 
@@ -367,7 +367,7 @@ func TestAccumulate(t *testing.T) {
 		local := make([]float64, 1)
 		win := p.WinCreate("acc", local)
 		accumAt(p, win, 0, 0, []float64{float64(p.Rank() + 1)})
-		p.Fence(win)
+		Must(p.Fence(win))
 		if p.Rank() == 0 && local[0] != 10 {
 			t.Errorf("accumulate total = %v, want 10", local[0])
 		}
@@ -379,14 +379,14 @@ func TestLockUnlockCriticalSection(t *testing.T) {
 		shared := make([]float64, 1)
 		win := p.WinCreate("crit", shared)
 		for i := 0; i < 25; i++ {
-			p.Lock(win, 0)
+			Must(p.Lock(win, 0))
 			v := make([]float64, 1)
 			getAt(p, win, 0, 0, v)
 			v[0]++
 			putAt(p, win, 0, 0, v)
 			p.Unlock(win, 0)
 		}
-		p.Fence(win)
+		Must(p.Fence(win))
 		if p.Rank() == 0 && shared[0] != 100 {
 			t.Errorf("critical section lost updates: %v", shared[0])
 		}
@@ -405,7 +405,7 @@ func TestFenceCompletesAllPuts(t *testing.T) {
 		for dst := 0; dst < n; dst++ {
 			putAt(p, win, dst, p.Rank(), []float64{float64(p.Rank() + 1)})
 		}
-		p.Fence(win)
+		Must(p.Fence(win))
 		for i := 0; i < n; i++ {
 			if local[i] != float64(i+1) {
 				t.Errorf("rank %d window slot %d = %v after fence", p.Rank(), i, local[i])
@@ -427,7 +427,7 @@ func TestChargeOnlyHelpersMatchRealCosts(t *testing.T) {
 			putAt(p, win, 1, 0, make([]float64, 4096))
 			putStride(p, win, 1, 0, 2, make([]float64, 2048))
 		}
-		p.Fence(win)
+		Must(p.Fence(win))
 	})
 	_, clCharge := runWorld(t, 2, func(p *Proc) {
 		win := p.WinCreate("c", make([]float64, 4096))
@@ -435,7 +435,7 @@ func TestChargeOnlyHelpersMatchRealCosts(t *testing.T) {
 			chargeContig(p, 1, 4096)
 			chargeStride(p, 1, 2048)
 		}
-		p.Fence(win)
+		Must(p.Fence(win))
 	})
 	if clReal.Snapshot().CommTime[0] != clCharge.Snapshot().CommTime[0] {
 		t.Fatalf("charge-only cost %v differs from real cost %v",
@@ -458,7 +458,7 @@ func TestWinFree(t *testing.T) {
 func TestWtimeMonotone(t *testing.T) {
 	runWorld(t, 2, func(p *Proc) {
 		t0 := p.Wtime()
-		p.Barrier()
+		Must(p.Barrier())
 		t1 := p.Wtime()
 		if t1 <= t0 {
 			t.Errorf("Wtime not monotone: %v -> %v", t0, t1)
@@ -469,9 +469,9 @@ func TestWtimeMonotone(t *testing.T) {
 func TestSendRecvRegion(t *testing.T) {
 	runWorld(t, 2, func(p *Proc) {
 		if p.Rank() == 0 {
-			p.SendRegion(1, 7, 3, []float64{1, 2, 3})
+			Must(p.SendRegion(1, 7, 3, []float64{1, 2, 3}))
 		} else {
-			got := p.RecvRegion(0, 7, 3)
+			got := must(p.RecvRegion(0, 7, 3))
 			if len(got) != 3 || got[2] != 3 {
 				t.Errorf("region payload = %v", got)
 			}
@@ -482,9 +482,9 @@ func TestSendRecvRegion(t *testing.T) {
 func TestSendRegionNilPayloadTimingOnly(t *testing.T) {
 	_, cl := runWorld(t, 2, func(p *Proc) {
 		if p.Rank() == 0 {
-			p.SendRegion(1, 0, 1024, nil)
+			Must(p.SendRegion(1, 0, 1024, nil))
 		} else {
-			got := p.RecvRegion(0, 0, 1024)
+			got := must(p.RecvRegion(0, 0, 1024))
 			if len(got) != 0 {
 				t.Errorf("nil payload should arrive empty, got %d", len(got))
 			}
@@ -503,15 +503,15 @@ func TestRegionCostExceedsPut(t *testing.T) {
 		if p.Rank() == 0 {
 			putAt(p, win, 1, 0, make([]float64, 8192))
 		}
-		p.Fence(win)
+		Must(p.Fence(win))
 	})
 	_, clReg := runWorld(t, 2, func(p *Proc) {
 		if p.Rank() == 0 {
-			p.SendRegion(1, 0, 8192, make([]float64, 8192))
+			Must(p.SendRegion(1, 0, 8192, make([]float64, 8192)))
 		} else {
-			p.RecvRegion(0, 0, 8192)
+			must(p.RecvRegion(0, 0, 8192))
 		}
-		p.Barrier()
+		Must(p.Barrier())
 	})
 	put := clPut.Snapshot().CommTime[0]
 	reg := clReg.Snapshot().CommTime[0] + clReg.Snapshot().CommTime[1] -
@@ -534,14 +534,14 @@ func TestFenceClockSoundnessUnderLoad(t *testing.T) {
 			for dst := 0; dst < n; dst++ {
 				putAt(p, win, dst, p.Rank()*8, []float64{float64(round*100 + p.Rank())})
 			}
-			p.Fence(win)
+			Must(p.Fence(win))
 			// After the fence, every slot must hold this round's stamp.
 			for r := 0; r < n; r++ {
 				if got := local[r*8]; got != float64(round*100+r) {
 					t.Errorf("round %d rank %d slot %d = %v", round, p.Rank(), r, got)
 				}
 			}
-			p.Fence(win)
+			Must(p.Fence(win))
 		}
 	})
 }
@@ -557,7 +557,7 @@ func TestMixedPutsInterleaved(t *testing.T) {
 			putAt(p, win, 0, base, []float64{1, 2, 3, 4, 5})
 			putStride(p, win, 0, base+5, 3, []float64{9, 9, 9})
 		}
-		p.Fence(win)
+		Must(p.Fence(win))
 		if p.Rank() == 0 {
 			for r := 0; r < 3; r++ {
 				base := r * 20
@@ -574,4 +574,11 @@ func TestMixedPutsInterleaved(t *testing.T) {
 			}
 		}
 	})
+}
+
+// must unwraps a value-returning verb in rank bodies that treat a
+// fault as fatal (Must is its error-only form).
+func must[T any](v T, err error) T {
+	Must(err)
+	return v
 }

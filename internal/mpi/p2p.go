@@ -36,19 +36,11 @@ const AnySource = -1
 // payload is copied; the caller may reuse its buffer immediately. The
 // sender is charged the full transfer, so the message's arrival time
 // never exceeds the sender's post-call clock. Under fault injection a
-// failed send panics with the *Error; use SendE for error returns.
-func (p *Proc) Send(dst, tag int, data []float64) {
-	if err := p.SendE(dst, tag, data); err != nil {
-		panic(err)
-	}
-}
-
-// SendE is Send with structured error reporting under fault injection:
-// a crashed caller or a transfer pushed past the deadline by
-// retransmissions surfaces as an *Error. On error the message is not
-// delivered. Argument validation still panics (a programming error,
-// not a fault).
-func (p *Proc) SendE(dst, tag int, data []float64) error {
+// crashed caller or a transfer pushed past the deadline by
+// retransmissions surfaces as an *Error, and the message is not
+// delivered. Argument validation panics (a programming error, not a
+// fault).
+func (p *Proc) Send(dst, tag int, data []float64) error {
 	w := p.w
 	if dst < 0 || dst >= w.n {
 		panic(fmt.Sprintf("mpi: Send to rank %d out of range [0,%d)", dst, w.n))
@@ -125,24 +117,13 @@ func (w *World) match(src, dst, tag int) *pendingSend {
 // (MPI_RECV). src may be AnySource and tag may be AnyTag. The
 // receiver's clock advances to the message arrival time if it was
 // ahead, plus a fixed receive-side processing charge. Under fault
-// injection a failed receive panics with the *Error; use RecvE for
-// error returns.
-func (p *Proc) Recv(src, tag int) []float64 {
-	data, err := p.RecvE(src, tag)
-	if err != nil {
-		panic(err)
-	}
-	return data
-}
-
-// RecvE is Recv with structured error reporting under fault injection.
-// A receive fails with ErrTimeout when no message can land within the
-// deadline (the deterministic check compares the matched message's
-// virtual arrival time against entry+deadline; an unmatched wait is
-// bounded by the wall-clock watchdog), and with ErrPeerCrashed when
-// the awaited sender — or, under AnySource, every other rank — is
+// injection a receive fails with ErrTimeout when no message can land
+// within the deadline (the deterministic check compares the matched
+// message's virtual arrival time against entry+deadline; an unmatched
+// wait is bounded by the wall-clock watchdog), and with ErrPeerCrashed
+// when the awaited sender — or, under AnySource, every other rank — is
 // down. A message rejected for arriving too late stays queued.
-func (p *Proc) RecvE(src, tag int) ([]float64, error) {
+func (p *Proc) Recv(src, tag int) ([]float64, error) {
 	w := p.w
 	if src != AnySource && (src < 0 || src >= w.n) {
 		panic(fmt.Sprintf("mpi: Recv from rank %d out of range", src))
@@ -214,8 +195,10 @@ func (p *Proc) RecvE(src, tag int) ([]float64, error) {
 // Sendrecv performs a combined send and receive (MPI_SENDRECV): the
 // send is posted first, then the receive blocks, so exchanging
 // neighbors cannot deadlock.
-func (p *Proc) Sendrecv(dst, sendTag int, data []float64, src, recvTag int) []float64 {
-	p.Send(dst, sendTag, data)
+func (p *Proc) Sendrecv(dst, sendTag int, data []float64, src, recvTag int) ([]float64, error) {
+	if err := p.Send(dst, sendTag, data); err != nil {
+		return nil, err
+	}
 	return p.Recv(src, recvTag)
 }
 
@@ -224,7 +207,7 @@ func (p *Proc) Sendrecv(dst, sendTag int, data []float64, src, recvTag int) []fl
 // the cost one-sided DMA avoids), then transmits. data carries the
 // packed payload and may be nil in timing-only runs; elems governs the
 // charges either way. Strided regions must be packed by the caller.
-func (p *Proc) SendRegion(dst, tag, elems int, data []float64) {
+func (p *Proc) SendRegion(dst, tag, elems int, data []float64) error {
 	w := p.w
 	if dst < 0 || dst >= w.n {
 		panic(fmt.Sprintf("mpi: SendRegion to rank %d out of range", dst))
@@ -233,13 +216,14 @@ func (p *Proc) SendRegion(dst, tag, elems int, data []float64) {
 	// fabric its rendezvous path always re-registers and never warms the
 	// registration cache.
 	if err := p.charge(trace.OpSend, dst, ContigDesc(0, int64(elems)), true); err != nil {
-		panic(err)
+		return err
 	}
 	payload := make([]float64, 0)
 	if data != nil {
 		payload = append([]float64(nil), data...)
 	}
 	p.post(dst, tag, payload)
+	return nil
 }
 
 // RecvRegion receives a region sent with SendRegion and charges the
@@ -247,11 +231,14 @@ func (p *Proc) SendRegion(dst, tag, elems int, data []float64) {
 // makes two-sided communication costlier than MPI_PUT/MPI_GET ("two
 // processors are needed for MPI_SEND/MPI_RECEIVE"). It returns the
 // payload (empty in timing-only runs).
-func (p *Proc) RecvRegion(src, tag, elems int) []float64 {
-	data := p.Recv(src, tag)
+func (p *Proc) RecvRegion(src, tag, elems int) ([]float64, error) {
+	data, err := p.Recv(src, tag)
+	if err != nil {
+		return nil, err
+	}
 	rec, begin := p.traceBegin()
 	cpu := p.w.cl.Params().CPU
 	p.w.cl.ChargeComm(p.node(), sim.Time(elems*WordBytes)*cpu.MemCopyPerByte, 0)
 	p.traceEnd(rec, begin, trace.OpUnpack, src, 0, int64(elems*WordBytes), interconnect.TransportLocal)
-	return data
+	return data, nil
 }

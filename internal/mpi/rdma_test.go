@@ -128,10 +128,10 @@ func TestRdmaSendUsesProtocolPath(t *testing.T) {
 		runWorldParams(t, 2, params, func(p *Proc) {
 			if p.Rank() == 0 {
 				t0 := p.w.cl.Clock(0)
-				p.Send(1, 0, make([]float64, elems))
+				Must(p.Send(1, 0, make([]float64, elems)))
 				cost = p.w.cl.Clock(0) - t0
 			} else {
-				p.Recv(0, 0)
+				must(p.Recv(0, 0))
 			}
 		})
 		bytes := elems * WordBytes

@@ -63,37 +63,37 @@ func mixedWorkload(p *Proc) {
 		getAt(p, win, dst, next(32), got)
 		getStride(p, win, dst, next(16), 2, make([]float64, next(32)))
 		accumAt(p, win, 0, 0, make([]float64, next(8)))
-		p.Fence(win)
+		Must(p.Fence(win))
 	}
-	p.Lock(win, 0)
+	Must(p.Lock(win, 0))
 	putAt(p, win, 0, 8*p.Rank(), []float64{float64(p.Rank())})
 	p.Unlock(win, 0)
-	p.Fence(win)
+	Must(p.Fence(win))
 
 	// Two-sided ring plus region traffic.
 	nextRank, prevRank := (p.Rank()+1)%n, (p.Rank()+n-1)%n
-	p.Send(nextRank, 1, make([]float64, next(200)))
-	p.Recv(prevRank, 1)
+	Must(p.Send(nextRank, 1, make([]float64, next(200))))
+	must(p.Recv(prevRank, 1))
 	elems := 64 + 8*p.Rank()
-	p.SendRegion(nextRank, 2, elems, make([]float64, elems))
-	p.RecvRegion(prevRank, 2, 64+8*prevRank)
+	Must(p.SendRegion(nextRank, 2, elems, make([]float64, elems)))
+	must(p.RecvRegion(prevRank, 2, 64+8*prevRank))
 
 	// Collectives.
 	var in []float64
 	if p.Rank() == 0 {
 		in = make([]float64, 32)
 	}
-	p.Bcast(0, in)
-	p.Reduce(Sum, 0, []float64{float64(p.Rank())})
-	p.Allreduce(Max, []float64{float64(p.Rank())})
-	p.Barrier()
+	must(p.Bcast(0, in))
+	must(p.Reduce(Sum, 0, []float64{float64(p.Rank())}))
+	must(p.Allreduce(Max, []float64{float64(p.Rank())}))
+	Must(p.Barrier())
 
 	// Charge-only helpers (the interpreter's Timing mode path).
 	if p.Rank() == 0 {
 		chargeContig(p, 1, next(512))
 		chargeStride(p, 1, next(128))
 	}
-	p.Barrier()
+	Must(p.Barrier())
 }
 
 // checkTraceInvariants pins the three properties from the design: every
@@ -195,11 +195,11 @@ func TestTraceTransportClasses(t *testing.T) {
 			if p.Rank() == 0 {
 				putAt(p, win, 1, 0, make([]float64, 8))
 				putStride(p, win, 1, 0, 2, make([]float64, 8))
-				p.Send(1, 0, make([]float64, 4))
+				Must(p.Send(1, 0, make([]float64, 4)))
 			} else {
-				p.Recv(0, 0)
+				must(p.Recv(0, 0))
 			}
-			p.Fence(win)
+			Must(p.Fence(win))
 		})
 		got := map[string]interconnect.Transport{}
 		for _, e := range rec.Events() {
@@ -229,7 +229,7 @@ func TestTraceLocalTransport(t *testing.T) {
 	rec, cl := runTraced(t, 2, "", func(p *Proc) {
 		win := p.WinCreate("l", make([]float64, 16))
 		putAt(p, win, p.Rank(), 0, make([]float64, 4))
-		p.Fence(win)
+		Must(p.Fence(win))
 	})
 	var localEvents int
 	for _, e := range rec.Events() {
@@ -256,7 +256,7 @@ func TestChargeOnlyHelpersTraceLikeRealPuts(t *testing.T) {
 			putAt(p, win, 1, 0, make([]float64, 4096))
 			putStride(p, win, 1, 0, 2, make([]float64, 2048))
 		}
-		p.Fence(win)
+		Must(p.Fence(win))
 	}
 	chargeBody := func(p *Proc) {
 		win := p.WinCreate("c", make([]float64, 4096))
@@ -264,7 +264,7 @@ func TestChargeOnlyHelpersTraceLikeRealPuts(t *testing.T) {
 			chargeContig(p, 1, 4096)
 			chargeStride(p, 1, 2048)
 		}
-		p.Fence(win)
+		Must(p.Fence(win))
 	}
 	recReal, _ := runTraced(t, 2, "", realBody)
 	recCharge, _ := runTraced(t, 2, "", chargeBody)
@@ -305,9 +305,9 @@ func TestTraceRecvWaitsAndPayload(t *testing.T) {
 	rec, _ := runTraced(t, 2, "", func(p *Proc) {
 		if p.Rank() == 0 {
 			p.w.cl.ChargeCompute(0, 100*sim.Microsecond)
-			p.Send(1, 0, make([]float64, 1024))
+			Must(p.Send(1, 0, make([]float64, 1024)))
 		} else {
-			p.Recv(0, 0)
+			must(p.Recv(0, 0))
 		}
 	})
 	for _, e := range rec.Events() {

@@ -5,7 +5,7 @@ package mpi
 // every rank reaches the recovery path instead of deadlocking, Agree
 // is the survivors' fault-tolerant consensus on the failed set, and
 // Shrink builds a new communicator over the survivors with contiguous
-// re-ranked ids. CheckpointE and RecoverE price the coordinated
+// re-ranked ids. Checkpoint and Recover price the coordinated
 // checkpoint and restore rounds the resilient interpreter drives
 // between parallel-region epochs.
 
@@ -137,14 +137,14 @@ func (w *World) Shrink(failed []int) (*World, error) {
 	return NewWorldOver(w.cl, nodes), nil
 }
 
-// CheckpointE is the coordinated checkpoint round: a Chandy-Lamport
+// Checkpoint is the coordinated checkpoint round: a Chandy-Lamport
 // style quiesce — the collective rendezvous fences every window and
 // drains in-flight messages, exactly like a barrier — after which
 // rank 0 streams the serialized snapshot (bytes long; other ranks
 // pass 0) to stable storage over the contiguous path. The whole round
 // is charged to every rank as one trace.OpCheckpoint interval on the
 // ckpt transport, so profiles show the true cost of the cadence.
-func (p *Proc) CheckpointE(bytes int) error {
+func (p *Proc) Checkpoint(bytes int) error {
 	w := p.w
 	if err := p.enter(trace.OpCheckpoint, -1); err != nil {
 		return err
@@ -171,14 +171,14 @@ func (p *Proc) CheckpointE(bytes int) error {
 	return nil
 }
 
-// RecoverE is the checkpoint-restore round on a recovered world: rank
+// Recover is the checkpoint-restore round on a recovered world: rank
 // 0 reads the snapshot (bytes long; other ranks pass 0) back from
 // stable storage and rebroadcasts the restored state to the
 // survivors over the software tree (the degraded broadcast path —
 // the communicator no longer matches the physical bus). Charged to
 // every rank as one trace.OpRecovery interval on the recovery
 // transport.
-func (p *Proc) RecoverE(bytes int) error {
+func (p *Proc) Recover(bytes int) error {
 	w := p.w
 	if err := p.enter(trace.OpRecovery, -1); err != nil {
 		return err

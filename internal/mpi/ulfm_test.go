@@ -19,23 +19,23 @@ func TestCrashAfterOps(t *testing.T) {
 	_, _, errs := runFaultWorld(t, 2, "seed=0,crashafter=0/2", func(p *Proc) error {
 		if p.Rank() == 0 {
 			// Ops 1 and 2 fit the budget.
-			if err := p.SendE(1, 1, []float64{1}); err != nil {
+			if err := p.Send(1, 1, []float64{1}); err != nil {
 				return err
 			}
-			if err := p.SendE(1, 2, []float64{2}); err != nil {
+			if err := p.Send(1, 2, []float64{2}); err != nil {
 				return err
 			}
 			detectClock = p.w.cl.Clock(0)
 			// Op 3 exceeds it.
-			return p.SendE(1, 3, []float64{3})
+			return p.Send(1, 3, []float64{3})
 		}
-		if _, err := p.RecvE(0, 1); err != nil {
+		if _, err := p.Recv(0, 1); err != nil {
 			return err
 		}
-		if _, err := p.RecvE(0, 2); err != nil {
+		if _, err := p.Recv(0, 2); err != nil {
 			return err
 		}
-		_, err := p.RecvE(0, 3)
+		_, err := p.Recv(0, 3)
 		return err
 	})
 	var crashed *Error
@@ -64,7 +64,7 @@ func TestRevokeWakesBlockedRanks(t *testing.T) {
 			return nil
 		}
 		close(entered)
-		return p.BarrierE()
+		return p.Barrier()
 	})
 	var revoked *Error
 	if !errors.As(errs[1], &revoked) || revoked.Kind != ErrRevoked {
@@ -83,10 +83,10 @@ func TestRevokeWakesBlockedRanks(t *testing.T) {
 func TestAgreeShrinkRecover(t *testing.T) {
 	shrinkWatchdog(t)
 	w, rec, errs := runFaultWorld(t, 4, "seed=0,crashafter=1/1", func(p *Proc) error {
-		if err := p.BarrierE(); err != nil {
+		if err := p.Barrier(); err != nil {
 			return err
 		}
-		return p.BarrierE()
+		return p.Barrier()
 	})
 	var sawCrash bool
 	for _, err := range errs {
@@ -125,11 +125,11 @@ func TestAgreeShrinkRecover(t *testing.T) {
 	for r := 0; r < 3; r++ {
 		go func(rank int) {
 			p := nw.Rank(rank)
-			if err := p.RecoverE(4096 * boolToInt(rank == 0)); err != nil {
+			if err := p.Recover(4096 * boolToInt(rank == 0)); err != nil {
 				done <- err
 				return
 			}
-			sum := p.Allreduce(Sum, []float64{1})
+			sum := must(p.Allreduce(Sum, []float64{1}))
 			if len(sum) != 1 || sum[0] != 3 {
 				t.Errorf("rank %d: allreduce = %v, want [3]", rank, sum)
 			}
@@ -170,7 +170,7 @@ func TestAgreeShrinkRecover(t *testing.T) {
 // is traced on the ckpt transport.
 func TestCheckpointRound(t *testing.T) {
 	w, rec, errs := runFaultWorld(t, 4, "", func(p *Proc) error {
-		return p.CheckpointE(8192 * boolToInt(p.Rank() == 0))
+		return p.Checkpoint(8192 * boolToInt(p.Rank() == 0))
 	})
 	for r, err := range errs {
 		if err != nil {
@@ -224,7 +224,7 @@ func TestShrunkenBcastDegrades(t *testing.T) {
 			if rank == 0 {
 				in = []float64{7, 8}
 			}
-			out := p.Bcast(0, in)
+			out := must(p.Bcast(0, in))
 			if len(out) != 2 || out[0] != 7 {
 				t.Errorf("rank %d: bcast payload %v", rank, out)
 			}
@@ -249,7 +249,7 @@ func TestBcastLinkdownDetection(t *testing.T) {
 	shrinkWatchdog(t)
 	// No deadline: the outage is charged as a stall.
 	w, _, errs := runFaultWorld(t, 2, "seed=0,linkdown=0-1@0ns+2ms", func(p *Proc) error {
-		out, err := p.BcastE(0, []float64{7})
+		out, err := p.Bcast(0, []float64{7})
 		if err == nil && (len(out) != 1 || out[0] != 7) {
 			t.Errorf("rank %d: payload %v", p.Rank(), out)
 		}
@@ -267,7 +267,7 @@ func TestBcastLinkdownDetection(t *testing.T) {
 	// Deadline: the stall pushes the operation past entry+deadline and
 	// the error reports exactly that detection time.
 	_, _, errs = runFaultWorld(t, 2, "seed=0,linkdown=0-1@0ns+20ms,deadline=1ms", func(p *Proc) error {
-		_, err := p.BcastE(0, []float64{7})
+		_, err := p.Bcast(0, []float64{7})
 		return err
 	})
 	for r, err := range errs {

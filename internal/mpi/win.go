@@ -63,20 +63,20 @@ func (p *Proc) WinCreate(name string, local []float64) *Win {
 	win.mu.Lock()
 	win.bufs[p.rank] = local
 	win.mu.Unlock()
-	p.Barrier()
+	Must(p.Barrier())
 	return win
 }
 
 // WinFree collectively destroys the window (MPI_WIN_FREE).
 func (p *Proc) WinFree(win *Win) {
-	p.Barrier()
+	Must(p.Barrier())
 	if p.rank == 0 {
 		w := p.w
 		w.mu.Lock()
 		delete(w.wins, win.name)
 		w.mu.Unlock()
 	}
-	p.Barrier()
+	Must(p.Barrier())
 }
 
 // Name reports the window's collective name.
@@ -98,14 +98,9 @@ func (win *Win) target(rank int) []float64 {
 // charged to the origin, synchronizing every clock to the global
 // maximum guarantees all PUTs issued before the fence have landed in
 // virtual time as well as in memory.
-func (p *Proc) Fence(win *Win) {
-	p.barrier(trace.OpFence)
-}
-
-// FenceE is Fence with structured error reporting under fault
-// injection (see BarrierE).
-func (p *Proc) FenceE(win *Win) error {
-	if err := p.barrierE(trace.OpFence); err != nil {
+// Under fault injection it fails like Barrier.
+func (p *Proc) Fence(win *Win) error {
+	if err := p.barrier(trace.OpFence); err != nil {
 		return err
 	}
 	return nil
@@ -113,19 +108,11 @@ func (p *Proc) FenceE(win *Win) error {
 
 // Lock acquires an exclusive lock on target's region of the window
 // (MPI_WIN_LOCK). Used for passive-target critical sections such as
-// reductions into shared variables. Under fault injection a failed
-// acquisition panics with the *Error; use LockE for error returns.
-func (p *Proc) Lock(win *Win, target int) {
-	if err := p.LockE(win, target); err != nil {
-		panic(err)
-	}
-}
-
-// LockE is Lock with structured error reporting under fault injection:
-// a crashed caller fails with ErrCrashed, and with a deadline set, an
-// acquisition stuck past the wall-clock watchdog (the holder crashed
-// inside its critical section) fails with ErrTimeout.
-func (p *Proc) LockE(win *Win, target int) error {
+// reductions into shared variables. Under fault injection a crashed
+// caller fails with ErrCrashed, and with a deadline set, an acquisition
+// stuck past the wall-clock watchdog (the holder crashed inside its
+// critical section) fails with ErrTimeout.
+func (p *Proc) Lock(win *Win, target int) error {
 	if err := p.enter(trace.OpLock, target); err != nil {
 		return err
 	}

@@ -226,13 +226,10 @@ func (p *Proc) Wtime() sim.Time { return p.w.cl.Clock(p.node()) }
 // Barrier blocks until every rank has entered (MPI_BARRIER). On
 // release, all clocks advance to the latest arrival plus the barrier's
 // communication cost, which is booked as communication on every rank.
-func (p *Proc) Barrier() { p.barrier(trace.OpBarrier) }
-
-// BarrierE is Barrier with structured error reporting under fault
-// injection: a crashed caller, a crashed peer or an expired deadline
-// surfaces as an *Error instead of a deadlock.
-func (p *Proc) BarrierE() error {
-	if err := p.barrierE(trace.OpBarrier); err != nil {
+// Under fault injection a crashed caller, a crashed peer or an expired
+// deadline surfaces as an *Error instead of a deadlock.
+func (p *Proc) Barrier() error {
+	if err := p.barrier(trace.OpBarrier); err != nil {
 		return err
 	}
 	return nil
@@ -240,14 +237,8 @@ func (p *Proc) BarrierE() error {
 
 // barrier is the shared barrier body, traced under the caller's op
 // name (MPI_BARRIER and MPI_WIN_FENCE synchronize identically but
-// profile differently). It panics with the *Error on fault.
-func (p *Proc) barrier(op string) {
-	if err := p.barrierE(op); err != nil {
-		panic(err)
-	}
-}
-
-func (p *Proc) barrierE(op string) *Error {
+// profile differently).
+func (p *Proc) barrier(op string) *Error {
 	w := p.w
 	if err := p.enter(op, -1); err != nil {
 		return err
