@@ -1,15 +1,14 @@
 package bench
 
 import (
-	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-)
 
-var update = flag.Bool("update", false, "rewrite testdata/sweeps from the current sweep output")
+	"vbuscluster/internal/golden"
+)
 
 // TestSweepGolden pins the printed quick output of every model sweep
 // against testdata/sweeps, recorded from the hand-written sweeps the
@@ -36,7 +35,7 @@ var maskedColumns = map[string][]string{
 // fromFolder runs one subtest per <sweep>[.<variant>].quick.txt in dir:
 // the sweep's quick output, with its masked columns dropped, must equal
 // the file byte for byte. A variant is "fabric-NAME" or "coalesce".
-// With -update the files are rewritten instead.
+// With -update the files are rewritten instead (golden.Check).
 func fromFolder(t *testing.T, dir string) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -55,20 +54,7 @@ func fromFolder(t *testing.T, dir string) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := dropColumns(out, maskedColumns[sweep])
-			if *update {
-				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != string(want) {
-				t.Errorf("output differs from %s\n--- got\n%s--- want\n%s", path, got, want)
-			}
+			golden.Check(t, path, []byte(dropColumns(out, maskedColumns[sweep])))
 		})
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"vbuscluster/internal/cluster"
 	"vbuscluster/internal/core"
 	"vbuscluster/internal/fault"
+	"vbuscluster/internal/golden"
 	"vbuscluster/internal/mpi"
 	"vbuscluster/internal/trace"
 )
@@ -238,5 +239,5 @@ func TestChargesMatchGolden(t *testing.T) {
 	for _, b := range micro.Broadcast {
 		fmt.Fprintf(&out, "micro ethernet-tree bytes=%d: %d\n", b.Bytes, int64(b.Ethernet))
 	}
-	checkGolden(t, "charge_golden.txt", out.Bytes())
+	golden.Check(t, "testdata/charge_golden.txt", out.Bytes())
 }

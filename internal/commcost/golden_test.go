@@ -2,7 +2,6 @@ package commcost_test
 
 import (
 	"bytes"
-	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -11,51 +10,15 @@ import (
 
 	"vbuscluster/internal/cluster"
 	"vbuscluster/internal/core"
+	"vbuscluster/internal/golden"
 	"vbuscluster/internal/interconnect"
 	"vbuscluster/internal/lmad"
 	"vbuscluster/internal/mpi"
 	"vbuscluster/internal/trace"
 )
 
-// -update regenerates testdata/*_golden.json. The files were recorded
-// from the three pre-kernel copies of the pricing rule (mpi's charge
-// site, the estimator, the coalesce stage); regenerate only for a
-// deliberate change to a cost model or to the plans the compiler emits.
-var update = flag.Bool("update", false, "regenerate testdata/*_golden.json (deliberate cost-model changes only)")
-
 // fabrics is every registered backend the oracle pins.
 var fabrics = []string{"vbus", "ethernet", "ideal", "vbus3d", "rdma"}
-
-// checkGolden compares got against testdata/name line for line, or
-// rewrites the file under -update.
-func checkGolden(t *testing.T, name string, got []byte) {
-	t.Helper()
-	path := filepath.Join("testdata", name)
-	if *update {
-		if err := os.WriteFile(path, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("%v (run with -update to record)", err)
-	}
-	if bytes.Equal(got, want) {
-		return
-	}
-	gl, wl := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
-	for i := range gl {
-		if i >= len(wl) || gl[i] != wl[i] {
-			w := "<missing>"
-			if i < len(wl) {
-				w = wl[i]
-			}
-			t.Fatalf("%s line %d differs:\n got  %s\n want %s", name, i+1, gl[i], w)
-		}
-	}
-	t.Fatalf("%s: got %d lines, want %d", name, len(gl), len(wl))
-}
 
 // transportPs renders the per-transport-class time of a recorded run
 // as a JSON object in transport order.
@@ -128,7 +91,7 @@ func TestRunsMatchGolden(t *testing.T) {
 		}
 	}
 	out.WriteString("\n}\n")
-	checkGolden(t, "price_golden.json", out.Bytes())
+	golden.Check(t, "testdata/price_golden.json", out.Bytes())
 }
 
 // accessCase is one single-access cell of the direct table.
@@ -227,5 +190,5 @@ func TestAccessesMatchGolden(t *testing.T) {
 		fmt.Fprintf(&out, `%q:{"ps":%d,"transport":%q}`, c.key(hops), int64(booked), tr)
 	}
 	out.WriteString("\n}\n")
-	checkGolden(t, "access_golden.json", out.Bytes())
+	golden.Check(t, "testdata/access_golden.json", out.Bytes())
 }

@@ -5,30 +5,26 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
-	"flag"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"testing"
 
 	"vbuscluster/internal/analysis"
 	"vbuscluster/internal/cluster"
 	"vbuscluster/internal/f77"
+	"vbuscluster/internal/golden"
 	"vbuscluster/internal/lmad"
 	"vbuscluster/internal/postpass"
 )
 
-// update regenerates testdata/lower_golden.json from the evaluator under
-// test. The file was recorded from the tree-walking evaluator before it
+// goldenPath was recorded from the tree-walking evaluator before it
 // was deleted, so it is the oracle the lowered evaluator is held to:
-// regenerate it only when the cost model or the program generator
-// changes on purpose (a model change), never to make a failing
-// evaluator change pass.
-var update = flag.Bool("update", false, "regenerate testdata/lower_golden.json (model changes only)")
-
+// regenerate it (-update) only when the cost model or the program
+// generator changes on purpose, never to make a failing evaluator
+// change pass.
 const goldenPath = "testdata/lower_golden.json"
 
 // goldenRun is what one execution must reproduce bit for bit.
@@ -167,70 +163,31 @@ func goldenRuns(src string) (map[string]goldenRun, error) {
 // elapsed picoseconds, communication totals and every bit of the
 // master's final memory, over 206 programs × 14 configurations.
 func TestLoweredMatchesGolden(t *testing.T) {
-	if testing.Short() && !*update {
+	if testing.Short() && !golden.Updating() {
 		t.Skip("golden sweep skipped in -short mode")
 	}
 	progs := goldenPrograms(t)
-	got := map[string]map[string]goldenRun{}
-	for name, src := range progs {
-		runs, err := goldenRuns(src)
+	names := make([]string, 0, len(progs))
+	for name := range progs {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	// One program per line, in name order: compact, and a model change
+	// shows up as a per-program diff.
+	blob := []byte("{")
+	for i, name := range names {
+		runs, err := goldenRuns(progs[name])
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		got[name] = runs
-	}
-	if *update {
-		// One program per line, in name order: compact, and a model
-		// change shows up as a per-program diff.
-		names := make([]string, 0, len(got))
-		for name := range got {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		blob := []byte("{")
-		for i, name := range names {
-			runs, err := json.Marshal(got[name])
-			if err != nil {
-				t.Fatal(err)
-			}
-			if i > 0 {
-				blob = append(blob, ',')
-			}
-			blob = append(blob, fmt.Sprintf("\n%q: %s", name, runs)...)
-		}
-		blob = append(blob, "\n}"...)
-		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
+		js, err := json.Marshal(runs)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(goldenPath, append(blob, '\n'), 0o644); err != nil {
-			t.Fatal(err)
+		if i > 0 {
+			blob = append(blob, ',')
 		}
-		t.Logf("wrote %s (%d programs)", goldenPath, len(got))
-		return
+		blob = append(blob, fmt.Sprintf("\n%q: %s", name, js)...)
 	}
-	blob, err := os.ReadFile(goldenPath)
-	if err != nil {
-		t.Fatalf("%v (generate with: go test ./internal/interp -run TestLoweredMatchesGolden -update)", err)
-	}
-	var want map[string]map[string]goldenRun
-	if err := json.Unmarshal(blob, &want); err != nil {
-		t.Fatal(err)
-	}
-	if len(want) != len(got) {
-		t.Fatalf("golden has %d programs, corpus has %d", len(want), len(got))
-	}
-	bad := 0
-	for name, runs := range want {
-		if len(runs) != len(got[name]) {
-			t.Errorf("%s: golden has %d runs, got %d", name, len(runs), len(got[name]))
-		}
-		for key, w := range runs {
-			if g := got[name][key]; g != w {
-				t.Errorf("%s %s:\n got  %+v\n want %+v", name, key, g, w)
-				if bad++; bad > 10 {
-					t.Fatalf("too many mismatches; first failing program:\n%s", strings.TrimSpace(progs[name]))
-				}
-			}
-		}
-	}
+	golden.Check(t, goldenPath, append(blob, "\n}\n"...))
 }
