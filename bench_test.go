@@ -101,20 +101,21 @@ func BenchmarkSKWPBandwidth(b *testing.B) {
 }
 
 func BenchmarkLatencyVsEthernet(b *testing.B) {
-	vbus, err := nic.NewVBus(nic.DefaultVBusConfig())
+	vbus, err := cluster.ParamsForFabric("vbus")
 	if err != nil {
 		b.Fatal(err)
 	}
-	eth, err := nic.NewEthernet(nic.DefaultEthernetConfig())
+	eth, err := cluster.ParamsForFabric("ethernet")
 	if err != nil {
 		b.Fatal(err)
 	}
+	vk, ek := vbus.CommCost(), eth.CommCost()
 	var ratio float64
 	for i := 0; i < b.N; i++ {
-		ratio = float64(eth.SmallMessageLatency()) / float64(vbus.SmallMessageLatency())
+		ratio = float64(ek.Msg(8, 1)) / float64(vk.Msg(8, 1))
 	}
-	b.ReportMetric(vbus.SmallMessageLatency().Micros(), "vbus-us")
-	b.ReportMetric(eth.SmallMessageLatency().Micros(), "ethernet-us")
+	b.ReportMetric(vk.Msg(8, 1).Micros(), "vbus-us")
+	b.ReportMetric(ek.Msg(8, 1).Micros(), "ethernet-us")
 	b.ReportMetric(ratio, "ratio")
 }
 

@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 
+	"vbuscluster/internal/commcost"
 	"vbuscluster/internal/fabric"
 	"vbuscluster/internal/mesh"
 	"vbuscluster/internal/nic"
@@ -116,8 +117,10 @@ func RunMicro() (*MicroResults, error) {
 	if err != nil {
 		return nil, err
 	}
-	out.LatencyVBus = vbus.SmallMessageLatency()
-	out.LatencyEthernet = eth.SmallMessageLatency()
+	// Only messages and trees are priced here, so no copy rate is needed.
+	vbusK, ethK := commcost.New(vbus, 0), commcost.New(eth, 0)
+	out.LatencyVBus = vbusK.Msg(commcost.WordBytes, 1)
+	out.LatencyEthernet = ethK.Msg(commcost.WordBytes, 1)
 
 	for _, bytes := range []int{64, 1 << 12, 1 << 16, 1 << 20} {
 		// V-Bus hardware broadcast on a 4x4 mesh (flit-level sim).
@@ -142,7 +145,7 @@ func RunMicro() (*MicroResults, error) {
 			Bytes:    bytes,
 			VBus:     busDone,
 			TreeP2P:  treeDone,
-			Ethernet: eth.BroadcastTime(bytes, 16),
+			Ethernet: ethK.Tree(bytes, 16),
 		})
 	}
 	return out, nil

@@ -7,6 +7,7 @@ import (
 	"vbuscluster/internal/commcost"
 	"vbuscluster/internal/interconnect"
 	"vbuscluster/internal/lmad"
+	"vbuscluster/internal/sim"
 )
 
 func kernelFor(t *testing.T, fabric string) *commcost.Kernel {
@@ -78,6 +79,64 @@ func TestPriceDoesNotAllocate(t *testing.T) {
 		} {
 			if n := testing.AllocsPerRun(100, func() { k.Price(a, 2, cache) }); n != 0 {
 				t.Errorf("%s %s: Price allocates %v times per call", fabric, name, n)
+			}
+		}
+	}
+}
+
+// Tree and Bcast on every fabric: free for a single node, monotone in
+// payload and in node count, the tree exactly ⌈log₂ n⌉ one-hop
+// messages; on the ideal fabric every shape is free.
+func TestTreeAndBcastShapes(t *testing.T) {
+	sizes := []int{0, 8, 4096, 1 << 20}
+	nodes := []int{1, 2, 3, 4, 7, 8, 16, 64, 1024}
+	for _, fabric := range fabrics {
+		k := kernelFor(t, fabric)
+		for name, shape := range map[string]func(bytes, nodes int) sim.Time{"Tree": k.Tree, "Bcast": k.Bcast} {
+			for _, n := range []int{0, 1} {
+				if v := shape(1<<20, n); v != 0 {
+					t.Errorf("%s: %s(1 MiB, %d) = %v, want 0", fabric, name, n, v)
+				}
+			}
+			for i, b := range sizes {
+				for j, n := range nodes {
+					v := shape(b, n)
+					if i > 0 && v < shape(sizes[i-1], n) {
+						t.Errorf("%s: %s(%d, %d) = %v falls below the smaller payload", fabric, name, b, n, v)
+					}
+					if j > 0 && v < shape(b, nodes[j-1]) {
+						t.Errorf("%s: %s(%d, %d) = %v falls below the smaller machine", fabric, name, b, n, v)
+					}
+				}
+			}
+		}
+		for n := 2; n <= 1024; n++ {
+			stages := 0
+			for p := 1; p < n; p *= 2 {
+				stages++
+			}
+			if got, want := k.Tree(64, n), sim.Time(stages)*k.Msg(64, 1); got != want {
+				t.Fatalf("%s: Tree(64, %d) = %v, want %d one-hop messages = %v", fabric, n, got, stages, want)
+			}
+		}
+	}
+	ideal := kernelFor(t, "ideal")
+	for _, v := range []sim.Time{ideal.Setup(), ideal.Msg(1<<20, 8), ideal.Tree(1<<20, 64), ideal.Bcast(1<<20, 64), ideal.Barrier(64)} {
+		if v != 0 {
+			t.Fatalf("ideal kernel charged %v, want 0", v)
+		}
+	}
+}
+
+// The paper's §2 claim, stated once: on the V-Bus card the hardware
+// broadcast beats the p2p software tree at every machine size and
+// payload.
+func TestVBusBcastBeatsTree(t *testing.T) {
+	k := kernelFor(t, "vbus")
+	for _, n := range []int{2, 3, 4, 7, 8, 16, 64, 1024} {
+		for b := 0; b <= 1<<20; b = max(8*b, 1) {
+			if bus, tree := k.Bcast(b, n), k.Tree(b, n); bus >= tree {
+				t.Errorf("%d nodes, %d B: bus broadcast %v does not beat the tree %v", n, b, bus, tree)
 			}
 		}
 	}

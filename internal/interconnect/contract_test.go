@@ -39,8 +39,11 @@ func TestRegistry(t *testing.T) {
 
 // TestContract checks every registered backend against the
 // Interconnect contract: all costs non-negative, transfer times
-// monotone non-decreasing in payload size, broadcast free for a single
-// node, and capability flags consistent with reported costs.
+// monotone non-decreasing in payload size, and capability flags
+// consistent with the optional extensions implemented — a hardware bus
+// free for a single node and monotone in payload. The software tree a
+// bus-less card broadcasts over is the kernel's, and is checked there
+// (internal/commcost).
 func TestContract(t *testing.T) {
 	for _, name := range interconnect.Names() {
 		t.Run(name, func(t *testing.T) {
@@ -55,8 +58,6 @@ func TestContract(t *testing.T) {
 				}
 			}
 			nonNeg("SendSetup", ic.SendSetup())
-			nonNeg("PerElementOverhead", ic.PerElementOverhead())
-			nonNeg("SmallMessageLatency", ic.SmallMessageLatency())
 
 			// Monotone in bytes/elements at several hop counts.
 			for _, hops := range []int{0, 1, 4} {
@@ -78,19 +79,26 @@ func TestContract(t *testing.T) {
 				}
 			}
 
-			// Broadcast: free for <=1 node, non-negative and monotone in
-			// payload beyond that.
-			if bt := ic.BroadcastTime(1<<20, 1); bt != 0 {
-				t.Errorf("BroadcastTime(_, 1) = %v, want 0", bt)
+			// Hardware-broadcast backends: the HardwareBroadcast flag and
+			// the Bus interface must agree, and the bus is free for one
+			// node, non-negative and monotone in payload beyond that.
+			bus, hasBus := ic.(interconnect.Bus)
+			if ic.Caps().HardwareBroadcast != hasBus {
+				t.Fatalf("HardwareBroadcast cap %v but Bus implemented = %v", ic.Caps().HardwareBroadcast, hasBus)
 			}
-			var prev sim.Time
-			for i, bytes := range []int{8, 4096, 1 << 20} {
-				bt := ic.BroadcastTime(bytes, 4)
-				nonNeg("BroadcastTime", bt)
-				if i > 0 && bt < prev {
-					t.Errorf("BroadcastTime(%d, 4) = %v < smaller payload %v", bytes, bt, prev)
+			if hasBus {
+				if bt := bus.BroadcastTime(1<<20, 1); bt != 0 {
+					t.Errorf("BroadcastTime(_, 1) = %v, want 0", bt)
 				}
-				prev = bt
+				var prev sim.Time
+				for i, bytes := range []int{8, 4096, 1 << 20} {
+					bt := bus.BroadcastTime(bytes, 4)
+					nonNeg("BroadcastTime", bt)
+					if i > 0 && bt < prev {
+						t.Errorf("BroadcastTime(%d, 4) = %v < smaller payload %v", bytes, bt, prev)
+					}
+					prev = bt
+				}
 			}
 
 			if ic.Name() == "" {
@@ -157,15 +165,16 @@ func TestHopSensitivity(t *testing.T) {
 	}
 }
 
-// TestIdealIsFree pins the ideal backend's purpose: every cost is zero.
+// TestIdealIsFree pins the ideal backend's purpose: every cost is zero,
+// its hardware broadcast included.
 func TestIdealIsFree(t *testing.T) {
 	ic, err := interconnect.New("ideal")
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, v := range []sim.Time{
-		ic.SendSetup(), ic.PerElementOverhead(), ic.SmallMessageLatency(),
-		ic.ContigTime(1<<20, 8), ic.StridedTime(1<<17, 8, 8), ic.BroadcastTime(1<<20, 64),
+		ic.SendSetup(), ic.ContigTime(1<<20, 8), ic.StridedTime(1<<17, 8, 8),
+		ic.(interconnect.Bus).BroadcastTime(1<<20, 64),
 	} {
 		if v != 0 {
 			t.Fatalf("ideal backend charged %v, want 0", v)

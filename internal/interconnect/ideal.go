@@ -25,14 +25,10 @@ func (*Ideal) ContigTime(bytes, hops int) sim.Time { return 0 }
 // StridedTime implements Interconnect.
 func (*Ideal) StridedTime(elems, elemSize, hops int) sim.Time { return 0 }
 
-// PerElementOverhead implements Interconnect.
-func (*Ideal) PerElementOverhead() sim.Time { return 0 }
-
-// BroadcastTime implements Interconnect.
+// BroadcastTime implements Bus: the ideal fabric has a free hardware
+// broadcast, so a broadcast on it still takes the bus path (and, under
+// fault injection, still retries bus acquisition).
 func (*Ideal) BroadcastTime(bytes, nodes int) sim.Time { return 0 }
-
-// SmallMessageLatency implements Interconnect.
-func (*Ideal) SmallMessageLatency() sim.Time { return 0 }
 
 // Caps implements Interconnect: transfers are free regardless of
 // shape, so the fabric behaves like perfect DMA with no PIO penalty,
@@ -41,7 +37,10 @@ func (*Ideal) Caps() Caps {
 	return Caps{DMAContig: true, PIOStrided: false, HardwareBroadcast: true, HopSensitive: false}
 }
 
-var _ Interconnect = (*Ideal)(nil)
+var (
+	_ Interconnect = (*Ideal)(nil)
+	_ Bus          = (*Ideal)(nil)
+)
 
 func init() {
 	Register("ideal", func() (Interconnect, error) { return NewIdeal(), nil })

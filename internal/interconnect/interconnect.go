@@ -6,11 +6,14 @@
 // The paper's central argument is comparative — the V-Bus card against
 // Fast Ethernet, DMA against programmed I/O — so the runtime must be
 // able to price every operation against interchangeable cost models.
-// An Interconnect exposes *cost functions* (how long an operation
-// occupies the sender and how long until the payload lands remotely)
-// rather than moving bytes itself: the MPI runtime moves the real data
-// through Go memory and charges per-process virtual clocks with these
-// costs. Swapping the backend therefore changes every virtual time in
+// An Interconnect exposes five methods of *physics* — its name, the
+// per-message send setup, the contiguous and strided payload times, and
+// its capability flags — rather than moving bytes itself: the MPI
+// runtime moves the real data through Go memory and charges
+// per-process virtual clocks with costs that internal/commcost composes
+// from these. Two optional extensions, each resolved once per machine
+// by commcost, carry what only some cards have: Bus (a hardware
+// broadcast) and ProtocolModel (an eager/rendezvous switch). Swapping the backend therefore changes every virtual time in
 // a run while leaving numeric program results bit-identical.
 //
 // Backends register themselves under a short name (nic registers
@@ -43,8 +46,8 @@ type Caps struct {
 	// compiler's middle/coarse granularities worthwhile.
 	PIOStrided bool
 	// HardwareBroadcast reports a one-to-all primitive in hardware (the
-	// virtual bus). False means broadcasts decay to a software tree of
-	// point-to-point messages.
+	// virtual bus; the backend implements Bus). False means broadcasts
+	// decay to a software tree of point-to-point messages.
 	HardwareBroadcast bool
 	// HopSensitive reports that transfer cost grows with mesh hop
 	// distance. False models a shared medium (Ethernet) or an idealized
@@ -81,9 +84,13 @@ func (c Caps) String() string {
 	return out
 }
 
-// Interconnect is the cost model of one cluster fabric. All times are
-// virtual; implementations must return non-negative times that are
-// monotone non-decreasing in payload size (see the contract tests).
+// Interconnect is the physics of one cluster fabric: what a message
+// costs the sender before any data moves, and how long a contiguous or
+// a strided payload takes to land. Everything the runtime charges is
+// composed from these by internal/commcost; a card states facts, it
+// does not price collectives. All times are virtual; implementations
+// must return non-negative times that are monotone non-decreasing in
+// payload size (see the contract tests).
 type Interconnect interface {
 	// Name identifies the backend model.
 	Name() string
@@ -97,18 +104,20 @@ type Interconnect interface {
 	// StridedTime is like ContigTime for a strided region of elems
 	// elements of elemSize bytes, using the element-by-element path.
 	StridedTime(elems, elemSize, hops int) sim.Time
-	// PerElementOverhead is the extra sender-side cost per element of
-	// the strided (PIO) path. Exposed for the compiler's cost model.
-	PerElementOverhead() sim.Time
-	// BroadcastTime is the time for a payload to reach every one of
-	// nodes nodes, excluding SendSetup.
-	BroadcastTime(bytes, nodes int) sim.Time
-	// SmallMessageLatency is the one-way latency of a minimal message
-	// across one hop, including setup: the paper's headline latency
-	// comparison number.
-	SmallMessageLatency() sim.Time
 	// Caps reports the backend's data-path capability flags.
 	Caps() Caps
+}
+
+// Bus is an optional Interconnect extension for a card with a
+// one-to-all primitive in hardware (the V-Bus virtual bus). A card
+// implements it exactly when Caps().HardwareBroadcast is set (the
+// contract tests check both directions); internal/commcost resolves it
+// once per machine and broadcasts over the binomial software tree on a
+// card without it.
+type Bus interface {
+	// BroadcastTime is the time for a payload to reach every one of
+	// nodes nodes, excluding SendSetup; zero for a single node.
+	BroadcastTime(bytes, nodes int) sim.Time
 }
 
 // GeometryHinter is an optional Interconnect extension: a backend
@@ -151,9 +160,7 @@ type ProtocolModel interface {
 	// rendezvous path beats eager, with the registration cost blended
 	// by the expected registration-cache hit rate in [0,1] (0 = every
 	// transfer registers, 1 = registration always cached). Returns 0
-	// when rendezvous never wins within the search cap. Found by the
-	// same doubling + binary-search machinery as
-	// nic.PackModel.CrossoverElems.
+	// when rendezvous never wins within the search cap.
 	ProtocolCrossoverBytes(hops int, hitRate float64) int64
 	// RegCacheCapacity is the per-node registration-cache capacity in
 	// entries; the machine layer sizes each node's RegCache with it.

@@ -169,7 +169,7 @@ func (p *Proc) Bcast(root int, data []float64) ([]float64, error) {
 		return nil, err
 	}
 	entry := p.entryClock()
-	card := w.cl.Fabric()
+	setup := w.cl.CommCost().Setup()
 	var contrib []float64
 	if p.rank == root {
 		contrib = data
@@ -178,8 +178,8 @@ func (p *Proc) Bcast(root int, data []float64) ([]float64, error) {
 	res, tr, cerr := w.collectiveE(p.rank, trace.OpBcast, contrib,
 		func(maxT sim.Time, vals [][]float64) (sim.Time, []float64, sim.Time, interconnect.Transport) {
 			payload := vals[root]
-			bcost, btr := w.broadcastCost(len(payload)*WordBytes, maxT+card.SendSetup())
-			cost := card.SendSetup() + bcost
+			bcost, btr := w.broadcastCost(len(payload)*WordBytes, maxT+setup)
+			cost := setup + bcost
 			return maxT + cost, append([]float64(nil), payload...), cost, btr
 		})
 	if cerr != nil {
@@ -192,20 +192,11 @@ func (p *Proc) Bcast(root int, data []float64) ([]float64, error) {
 	return append([]float64(nil), res...), nil
 }
 
-// reduceCost models a binomial gather tree of vector messages.
-func (w *World) reduceCost(elems int) sim.Time {
-	card := w.cl.Fabric()
-	stages := 0
-	for p := 1; p < w.n; p *= 2 {
-		stages++
-	}
-	return sim.Time(stages) * (card.SendSetup() + card.ContigTime(elems*WordBytes, 1))
-}
-
-// Reduce combines each rank's vector element-wise with op; the combined
-// vector is returned on root, nil elsewhere (MPI_REDUCE). Under fault
-// injection a failed rendezvous returns the *Error. Root-range and
-// length-mismatch violations are programming errors and panic.
+// Reduce combines each rank's vector element-wise with op over a
+// binomial gather tree; the combined vector is returned on root, nil
+// elsewhere (MPI_REDUCE). Under fault injection a failed rendezvous
+// returns the *Error. Root-range and length-mismatch violations are
+// programming errors and panic.
 func (p *Proc) Reduce(op Op, root int, data []float64) ([]float64, error) {
 	w := p.w
 	if root < 0 || root >= w.n {
@@ -227,7 +218,7 @@ func (p *Proc) Reduce(op Op, root int, data []float64) ([]float64, error) {
 					out[i] = op.apply(out[i], v[i])
 				}
 			}
-			cost := w.reduceCost(len(out))
+			cost := w.cl.CommCost().Tree(len(out)*WordBytes, w.n)
 			return maxT + cost, out, cost, interconnect.TransportP2P
 		})
 	if cerr != nil {
@@ -262,7 +253,7 @@ func (p *Proc) Allreduce(op Op, data []float64) ([]float64, error) {
 					out[i] = op.apply(out[i], v[i])
 				}
 			}
-			rcost := w.reduceCost(len(out))
+			rcost := w.cl.CommCost().Tree(len(out)*WordBytes, w.n)
 			bcost, btr := w.broadcastCost(len(out)*WordBytes, maxT+rcost)
 			cost := rcost + bcost
 			return maxT + cost, out, cost, btr

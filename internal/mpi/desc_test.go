@@ -8,7 +8,6 @@ import (
 
 	"vbuscluster/internal/cluster"
 	"vbuscluster/internal/interconnect"
-	"vbuscluster/internal/nic"
 	"vbuscluster/internal/trace"
 )
 
@@ -124,8 +123,8 @@ func TestDescValidationPanics(t *testing.T) {
 }
 
 // A remote packed descriptor travels the pack transport under the
-// put.p/get.p ops, costs exactly the pack model's PackedTime, beats
-// the PIO path it replaces, and still reconciles traced bytes with the
+// put.p/get.p ops, costs exactly the kernel's packed price, beats the
+// PIO path it replaces, and still reconciles traced bytes with the
 // cluster accounting. A rank-local packed descriptor involves no NIC:
 // it stays a plain local strided copy.
 func TestDescPackedClassificationAndCost(t *testing.T) {
@@ -153,8 +152,11 @@ func TestDescPackedClassificationAndCost(t *testing.T) {
 		}
 	})
 	params := cl.Params()
-	pm := nic.PackModel{Card: params.Fabric, MemCopyPerByte: params.CPU.MemCopyPerByte}
-	hops := params.Hops(0, 1)
+	k, hops := params.CommCost(), params.Hops(0, 1)
+	packed := StridedDesc(0, elems, 3)
+	packed.Packed = true
+	packedCost, _ := k.Price(packed, hops, nil)
+	pioCost, _ := k.Price(StridedDesc(0, elems, 3), hops, nil)
 	var sawPutPacked, sawGetPacked, sawLocal bool
 	for _, e := range rec.Events() {
 		switch {
@@ -166,11 +168,11 @@ func TestDescPackedClassificationAndCost(t *testing.T) {
 			if e.Bytes != elems*WordBytes {
 				t.Errorf("put.p carried %d bytes, want %d", e.Bytes, elems*WordBytes)
 			}
-			if got, want := e.Duration(), pm.PackedTime(elems, WordBytes, hops); got != want {
-				t.Errorf("put.p cost %v, want PackedTime %v", got, want)
+			if got := e.Duration(); got != packedCost {
+				t.Errorf("put.p cost %v, want the packed price %v", got, packedCost)
 			}
-			if pio := pm.PIOTime(elems, WordBytes, hops); e.Duration() >= pio {
-				t.Errorf("packed cost %v not below the PIO cost %v it replaces", e.Duration(), pio)
+			if e.Duration() >= pioCost {
+				t.Errorf("packed cost %v not below the PIO cost %v it replaces", e.Duration(), pioCost)
 			}
 		case e.Op == trace.OpGetPacked:
 			sawGetPacked = true

@@ -209,7 +209,7 @@ func (p *Proc) chargeReliability(op string, peer, bytes int, entry sim.Time) *Er
 			stall = until - now
 		}
 	}
-	out, _ := nic.ReliableCost(w.cl.Fabric(), w.inj, node, peerNode,
+	out, _ := nic.ReliableCost(w.cl.Fabric(), w.inj, w.cl.CommCost().Msg(WordBytes, 1), node, peerNode,
 		w.cl.Hops(node, peerNode), bytes, w.takeSeq(p.rank, peer, bytes))
 	extra := stall + out.Extra
 	if extra > 0 {
@@ -246,34 +246,22 @@ func (w *World) othersDown(rank int) bool {
 	return true
 }
 
-// softwareTreeCost is the degraded broadcast: the binomial p2p tree a
-// root falls back to when virtual-bus acquisition keeps timing out
-// (the same shape BroadcastTime uses on cards without a hardware bus).
-func (w *World) softwareTreeCost(bytes int) sim.Time {
-	card := w.cl.Fabric()
-	stages := 0
-	for p := 1; p < w.n; p *= 2 {
-		stages++
-	}
-	return sim.Time(stages) * (card.SendSetup() + card.ContigTime(bytes, 1))
-}
-
 // broadcastCost prices a size-bytes broadcast starting at virtual
 // time at under fault injection: a link outage anywhere in the mesh
 // stalls bus construction until the link recovers (the virtual bus is
 // built from the physical links), each failed virtual-bus acquisition
 // costs one bus timeout, and after busAcquireAttempts failures the
-// root degrades to the software p2p tree. Returns the cost and the
-// transport class actually used. Must be called with w.mu held (it
+// root degrades to the kernel's software p2p Tree. Returns the cost and
+// the transport class actually used. Must be called with w.mu held (it
 // consumes the deterministic broadcast sequence number).
 func (w *World) broadcastCost(bytes int, at sim.Time) (sim.Time, interconnect.Transport) {
-	card := w.cl.Fabric()
+	k := w.cl.CommCost()
 	if w.n < w.cl.N() {
 		// Degraded mode: a shrunken communicator's membership no
 		// longer matches the physical bus, so the hardware broadcast
 		// (whose address decode is wired to all-nodes membership)
 		// falls back to the software p2p tree among the survivors.
-		return w.softwareTreeCost(bytes), interconnect.TransportP2P
+		return k.Tree(bytes, w.n), interconnect.TransportP2P
 	}
 	var stall sim.Time
 	if w.inj.HasLinkDowns() {
@@ -285,18 +273,18 @@ func (w *World) broadcastCost(bytes int, at sim.Time) (sim.Time, interconnect.Tr
 			stall = until - at
 		}
 	}
-	if !w.inj.Enabled() || !card.Caps().HardwareBroadcast || w.inj.Spec().BusFail <= 0 {
-		return stall + card.BroadcastTime(bytes, w.n), interconnect.TransportBcast
+	if !w.inj.Enabled() || !w.cl.Fabric().Caps().HardwareBroadcast || w.inj.Spec().BusFail <= 0 {
+		return stall + k.Bcast(bytes, w.n), interconnect.TransportBcast
 	}
 	seq := w.bcastSeq
 	w.bcastSeq++
 	cost := stall
 	for attempt := 0; attempt < busAcquireAttempts; attempt++ {
 		if !w.inj.BusAcquireFail(seq, attempt) {
-			return cost + card.BroadcastTime(bytes, w.n), interconnect.TransportBcast
+			return cost + k.Bcast(bytes, w.n), interconnect.TransportBcast
 		}
 		cost += w.inj.BusTimeout()
 	}
 	// Bus never acquired: degrade gracefully to the software tree.
-	return cost + w.softwareTreeCost(bytes), interconnect.TransportP2P
+	return cost + k.Tree(bytes, w.n), interconnect.TransportP2P
 }

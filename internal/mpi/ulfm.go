@@ -84,7 +84,8 @@ func (w *World) Agree() []int {
 	// One gather + release over the software p2p tree: the hardware
 	// bus cannot be trusted mid-failure, so agreement always takes the
 	// degraded path.
-	cost := w.cl.Fabric().SendSetup() + w.softwareTreeCost(WordBytes)
+	k := w.cl.CommCost()
+	cost := k.Setup() + k.Tree(WordBytes, w.n)
 	var t sim.Time
 	for _, nd := range survNodes {
 		if c := w.cl.Clock(nd); c > t {
@@ -153,7 +154,6 @@ func (p *Proc) Checkpoint(bytes int) error {
 	if p.rank == 0 {
 		contrib = []float64{float64(bytes)}
 	}
-	card := w.cl.Fabric()
 	rec, begin := p.traceBegin()
 	_, tr, err := w.collectiveE(p.rank, trace.OpCheckpoint, contrib,
 		func(maxT sim.Time, vals [][]float64) (sim.Time, []float64, sim.Time, interconnect.Transport) {
@@ -161,7 +161,7 @@ func (p *Proc) Checkpoint(bytes int) error {
 			if len(vals[0]) > 0 {
 				size = int(vals[0][0])
 			}
-			cost := w.barrierCost + card.SendSetup() + card.ContigTime(size, 1)
+			cost := w.barrierCost + w.cl.CommCost().Msg(size, 1)
 			return maxT + cost, nil, cost, interconnect.TransportCkpt
 		})
 	if err != nil {
@@ -187,7 +187,7 @@ func (p *Proc) Recover(bytes int) error {
 	if p.rank == 0 {
 		contrib = []float64{float64(bytes)}
 	}
-	card := w.cl.Fabric()
+	k := w.cl.CommCost()
 	rec, begin := p.traceBegin()
 	_, tr, err := w.collectiveE(p.rank, trace.OpRecovery, contrib,
 		func(maxT sim.Time, vals [][]float64) (sim.Time, []float64, sim.Time, interconnect.Transport) {
@@ -195,7 +195,7 @@ func (p *Proc) Recover(bytes int) error {
 			if len(vals[0]) > 0 {
 				size = int(vals[0][0])
 			}
-			cost := card.SendSetup() + card.ContigTime(size, 1) + w.softwareTreeCost(size)
+			cost := k.Msg(size, 1) + k.Tree(size, w.n)
 			return maxT + cost, nil, cost, interconnect.TransportRecovery
 		})
 	if err != nil {

@@ -132,8 +132,7 @@ func (p *Proc) Lock(win *Win, target int) error {
 	case <-watchdog:
 		return &Error{Kind: ErrTimeout, Rank: p.rank, Op: trace.OpLock, Peer: target, Time: entry + d}
 	}
-	card := p.w.cl.Fabric()
-	p.w.cl.ChargeComm(p.node(), card.SendSetup()+card.ContigTime(WordBytes, p.hops(target)), 0)
+	p.w.cl.ChargeComm(p.node(), p.w.cl.CommCost().Msg(WordBytes, p.hops(target)), 0)
 	p.traceEnd(rec, begin, trace.OpLock, target, 0, 0, interconnect.TransportSync)
 	return nil
 }
@@ -141,8 +140,7 @@ func (p *Proc) Lock(win *Win, target int) error {
 // Unlock releases the exclusive lock (MPI_WIN_UNLOCK).
 func (p *Proc) Unlock(win *Win, target int) {
 	rec, begin := p.traceBegin()
-	card := p.w.cl.Fabric()
-	p.w.cl.ChargeComm(p.node(), card.SendSetup()+card.ContigTime(WordBytes, p.hops(target)), 0)
+	p.w.cl.ChargeComm(p.node(), p.w.cl.CommCost().Msg(WordBytes, p.hops(target)), 0)
 	<-win.lockOf(target)
 	p.traceEnd(rec, begin, trace.OpUnlock, target, 0, 0, interconnect.TransportSync)
 }

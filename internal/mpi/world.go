@@ -13,9 +13,11 @@
 // data transfer costs, and on which path, is the machine's
 // commcost.Kernel's answer — the same kernel the compiler's static
 // estimator folds over the plan, so runtime and compile-time comm costs
-// are one function, backend by backend. Collectives, barriers and locks
-// price their control messages against the interconnect cost model
-// (internal/interconnect) directly, and synchronizing operations
+// are one function, backend by backend. Every other charge — barrier,
+// fence, lock, the collectives, checkpoint and recovery — is a
+// composition of the kernel's Msg, Tree, Bcast and Barrier shapes;
+// this package adds only what needs the world's state (fault stalls,
+// bus-acquire retries, a shrunken membership). Synchronizing operations
 // (barrier, fence, collectives) reconcile the clocks. Charging the full
 // transfer time to the origin rank makes the fence-time reconciliation
 // sound: data always lands at or before the origin's post-call clock.
@@ -154,19 +156,10 @@ func newWorld(c *cluster.Cluster, nodes []int) *World {
 	if w.inj.Deadline() > 0 {
 		w.startWatchdog()
 	}
-	// Barrier = gather over log2(n) p2p stages + V-Bus release
-	// broadcast. Precomputed once; charged at every barrier/fence.
-	card := c.Fabric()
-	stages := 0
-	for p := 1; p < w.n; p *= 2 {
-		stages++
-	}
-	w.barrierCost = sim.Time(stages)*(card.SendSetup()+card.ContigTime(WordBytes, 1)) +
-		card.BroadcastTime(WordBytes, w.n)
-	// Even a single-process barrier is a library call.
-	if floor := c.Params().CPU.CallOverhead; w.barrierCost < floor {
-		w.barrierCost = floor
-	}
+	// One barrier's cost, charged at every barrier, fence and
+	// checkpoint quiesce; even a single-process barrier is a library
+	// call.
+	w.barrierCost = max(c.CommCost().Barrier(n), c.Params().CPU.CallOverhead)
 	return w
 }
 

@@ -23,7 +23,6 @@ package nic
 
 import (
 	"fmt"
-	"math/bits"
 
 	"vbuscluster/internal/fabric"
 	"vbuscluster/internal/interconnect"
@@ -121,9 +120,6 @@ func (v *VBus) Name() string { return "vbus" }
 // SendSetup implements Card.
 func (v *VBus) SendSetup() sim.Time { return v.cfg.DMASetup }
 
-// PerElementOverhead implements Card.
-func (v *VBus) PerElementOverhead() sim.Time { return v.cfg.PIOPerElement }
-
 // wireTime is the wormhole pipeline time for a payload over hops mesh
 // channels.
 func (v *VBus) wireTime(bytes, hops int) sim.Time {
@@ -144,8 +140,8 @@ func (v *VBus) StridedTime(elems, elemSize, hops int) sim.Time {
 	return sim.Time(elems)*v.cfg.PIOPerElement + v.wireTime(elems*elemSize, hops)
 }
 
-// BroadcastTime implements Card using the hardware virtual bus: one
-// arbitration, one stream, every node listens. The mesh geometry is
+// BroadcastTime implements interconnect.Bus with the hardware virtual
+// bus: one arbitration, one stream, every node listens. The mesh geometry is
 // assumed square-ish: diameter ≈ 2(ceil(sqrt(n))-1).
 func (v *VBus) BroadcastTime(bytes, nodes int) sim.Time {
 	if nodes <= 1 {
@@ -164,11 +160,6 @@ func (v *VBus) BroadcastTime(bytes, nodes int) sim.Time {
 	setup := v.cfg.BusArbitration + sim.Time(diameter)*v.link.PropagationDelay()
 	stream := sim.Time(flits-1)*v.link.LaunchInterval() + v.link.PropagationDelay()
 	return setup + stream
-}
-
-// SmallMessageLatency implements Card.
-func (v *VBus) SmallMessageLatency() sim.Time {
-	return v.SendSetup() + v.wireTime(8, 1)
 }
 
 // Caps implements Card: the §2.2 V-Bus data paths — DMA for
@@ -239,9 +230,6 @@ func (e *Ethernet) Name() string { return "fast-ethernet" }
 // SendSetup implements Card.
 func (e *Ethernet) SendSetup() sim.Time { return e.cfg.SetupCost }
 
-// PerElementOverhead implements Card.
-func (e *Ethernet) PerElementOverhead() sim.Time { return e.cfg.PerElement }
-
 func (e *Ethernet) wireTime(bytes int) sim.Time {
 	return e.cfg.Latency + sim.FromSeconds(float64(bytes)/e.cfg.BytesPerSecond)
 }
@@ -260,21 +248,6 @@ func (e *Ethernet) StridedTime(elems, elemSize, hops int) sim.Time {
 	return sim.Time(elems)*e.cfg.PerElement + e.wireTime(elems*elemSize)
 }
 
-// BroadcastTime implements Card: no hardware broadcast, so a binomial
-// software tree of ceil(log2(nodes)) point-to-point stages.
-func (e *Ethernet) BroadcastTime(bytes, nodes int) sim.Time {
-	if nodes <= 1 {
-		return 0
-	}
-	stages := bits.Len(uint(nodes - 1))
-	return sim.Time(stages) * (e.SendSetup() + e.wireTime(bytes))
-}
-
-// SmallMessageLatency implements Card.
-func (e *Ethernet) SmallMessageLatency() sim.Time {
-	return e.SendSetup() + e.wireTime(8)
-}
-
 // Caps implements Card: a kernel-mediated shared medium — no DMA
 // fast path, per-element packing on strided sends, software-tree
 // broadcasts, and no sensitivity to mesh placement.
@@ -284,6 +257,7 @@ func (e *Ethernet) Caps() interconnect.Caps {
 
 // Compile-time interface checks.
 var (
-	_ Card = (*VBus)(nil)
-	_ Card = (*Ethernet)(nil)
+	_ Card             = (*VBus)(nil)
+	_ interconnect.Bus = (*VBus)(nil)
+	_ Card             = (*Ethernet)(nil)
 )

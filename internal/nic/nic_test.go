@@ -3,6 +3,7 @@ package nic
 import (
 	"testing"
 
+	"vbuscluster/internal/commcost"
 	"vbuscluster/internal/sim"
 )
 
@@ -41,7 +42,7 @@ func TestValidation(t *testing.T) {
 // than the Fast Ethernet card."
 func TestVBusLatencyRoughly4xBetterThanEthernet(t *testing.T) {
 	v, e := defaultCards(t)
-	ratio := float64(e.SmallMessageLatency()) / float64(v.SmallMessageLatency())
+	ratio := float64(commcost.New(e, 0).Msg(8, 1)) / float64(commcost.New(v, 0).Msg(8, 1))
 	if ratio < 3.0 || ratio > 10.0 {
 		t.Fatalf("latency ratio ethernet/vbus = %.2f, want ~4-8x", ratio)
 	}
@@ -106,7 +107,7 @@ func TestStridedMuchSlowerThanContig(t *testing.T) {
 		t.Fatalf("strided (%v) should dwarf contiguous (%v)", strided, contig)
 	}
 	// And the gap must be the per-element charge.
-	want := contig + sim.Time(elems)*v.PerElementOverhead()
+	want := contig + sim.Time(elems)*DefaultVBusConfig().PIOPerElement
 	if strided != want {
 		t.Fatalf("strided = %v, want %v", strided, want)
 	}
@@ -135,8 +136,8 @@ func TestApproxContigBeatsExactStrided(t *testing.T) {
 func TestVBusHardwareBroadcastBeatsEthernetTree(t *testing.T) {
 	v, e := defaultCards(t)
 	for _, nodes := range []int{2, 4, 16} {
-		bv := v.BroadcastTime(1<<16, nodes)
-		be := e.BroadcastTime(1<<16, nodes)
+		bv := commcost.New(v, 0).Bcast(1<<16, nodes)
+		be := commcost.New(e, 0).Bcast(1<<16, nodes)
 		if bv >= be {
 			t.Fatalf("nodes=%d: vbus broadcast (%v) should beat ethernet tree (%v)", nodes, bv, be)
 		}
@@ -145,7 +146,7 @@ func TestVBusHardwareBroadcastBeatsEthernetTree(t *testing.T) {
 
 func TestBroadcastTrivialCases(t *testing.T) {
 	v, e := defaultCards(t)
-	if v.BroadcastTime(1024, 1) != 0 || e.BroadcastTime(1024, 1) != 0 {
+	if commcost.New(v, 0).Bcast(1024, 1) != 0 || commcost.New(e, 0).Bcast(1024, 1) != 0 {
 		t.Fatal("broadcast to self should be free")
 	}
 }
@@ -161,14 +162,15 @@ func TestVBusBroadcastScalesSublinearly(t *testing.T) {
 
 func TestEthernetBroadcastLogStages(t *testing.T) {
 	_, e := defaultCards(t)
+	k := commcost.New(e, 0)
 	one := e.SendSetup() + e.ContigTime(100, 0)
-	if e.BroadcastTime(100, 2) != one {
+	if k.Bcast(100, 2) != one {
 		t.Fatal("2-node tree should be one stage")
 	}
-	if e.BroadcastTime(100, 4) != 2*one {
+	if k.Bcast(100, 4) != 2*one {
 		t.Fatal("4-node tree should be two stages")
 	}
-	if e.BroadcastTime(100, 5) != 3*one {
+	if k.Bcast(100, 5) != 3*one {
 		t.Fatal("5-node tree should be three stages")
 	}
 }

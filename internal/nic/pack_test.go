@@ -3,43 +3,58 @@ package nic
 import (
 	"testing"
 
+	"vbuscluster/internal/commcost"
 	"vbuscluster/internal/interconnect"
 	"vbuscluster/internal/sim"
 )
+
+// The pack-and-coalesce path is priced by the machine's commcost
+// kernel; these tests hold each card's crossover to the properties the
+// coalesce stage relies on.
 
 // testMemCopyPerByte mirrors cluster.DefaultParams().CPU.MemCopyPerByte
 // (~200 MB/s copy on 2001 SDRAM); cluster sits above nic, so the value
 // is repeated here rather than imported.
 const testMemCopyPerByte = 5 * sim.Nanosecond
 
-func packModels(t *testing.T) map[string]PackModel {
+func packKernels(t *testing.T) map[string]*commcost.Kernel {
 	t.Helper()
 	v, e := defaultCards(t)
 	ideal, err := interconnect.New("ideal")
 	if err != nil {
 		t.Fatal(err)
 	}
-	return map[string]PackModel{
-		"vbus":     {Card: v, MemCopyPerByte: testMemCopyPerByte},
-		"ethernet": {Card: e, MemCopyPerByte: testMemCopyPerByte},
-		"ideal":    {Card: ideal, MemCopyPerByte: testMemCopyPerByte},
+	return map[string]*commcost.Kernel{
+		"vbus":     commcost.New(v, testMemCopyPerByte),
+		"ethernet": commcost.New(e, testMemCopyPerByte),
+		"ideal":    commcost.New(ideal, testMemCopyPerByte),
 	}
 }
 
-// Both real cards have a finite crossover, and CrossoverElems is exact:
+// packWins reports whether the kernel prices elems stride-3 elements
+// strictly cheaper packed than over the strided path.
+func packWins(k *commcost.Kernel, elems, hops int) bool {
+	a := commcost.Access{Elems: int64(elems), Stride: 3}
+	pio, _ := k.Price(a, hops, nil)
+	a.Packed = true
+	packed, _ := k.Price(a, hops, nil)
+	return packed < pio
+}
+
+// Both real cards have a finite crossover, and PackThreshold is exact:
 // packing loses at crossover-1 and wins at crossover.
 func TestPackCrossoverExact(t *testing.T) {
-	models := packModels(t)
+	kernels := packKernels(t)
 	for _, name := range []string{"vbus", "ethernet"} {
-		m := models[name]
-		x := m.CrossoverElems(8, 1)
+		k := kernels[name]
+		x := int(k.PackThreshold())
 		if x < 2 || x > 4096 {
 			t.Fatalf("%s: crossover %d outside the plausible range [2,4096]", name, x)
 		}
-		if m.PackWins(int(x)-1, 8, 1) {
+		if packWins(k, x-1, 1) {
 			t.Errorf("%s: packing already wins at %d, below the reported crossover %d", name, x-1, x)
 		}
-		if !m.PackWins(int(x), 8, 1) {
+		if !packWins(k, x, 1) {
 			t.Errorf("%s: packing does not win at the reported crossover %d", name, x)
 		}
 	}
@@ -49,9 +64,13 @@ func TestPackCrossoverExact(t *testing.T) {
 // on hop distance — the property that lets the compiler stamp a single
 // per-machine threshold instead of a per-pair one.
 func TestPackCrossoverHopIndependent(t *testing.T) {
-	for name, m := range packModels(t) {
-		if a, b := m.CrossoverElems(8, 1), m.CrossoverElems(8, 3); a != b {
-			t.Errorf("%s: crossover depends on hops: %d at 1 hop, %d at 3 hops", name, a, b)
+	for name, k := range packKernels(t) {
+		x := int(k.PackThreshold())
+		if x == 0 {
+			continue
+		}
+		if packWins(k, x-1, 3) || !packWins(k, x, 3) {
+			t.Errorf("%s: the 1-hop crossover %d is not the 3-hop crossover", name, x)
 		}
 	}
 }
@@ -59,22 +78,22 @@ func TestPackCrossoverHopIndependent(t *testing.T) {
 // The idealized fabric charges nothing for PIO, so the pack path's
 // memory copies can never pay off.
 func TestPackNeverWinsOnIdeal(t *testing.T) {
-	m := packModels(t)["ideal"]
-	if x := m.CrossoverElems(8, 1); x != 0 {
+	k := packKernels(t)["ideal"]
+	if x := k.PackThreshold(); x != 0 {
 		t.Fatalf("ideal fabric reports crossover %d, want 0 (never)", x)
 	}
-	if m.PackWins(1<<16, 8, 1) {
+	if packWins(k, 1<<16, 1) {
 		t.Error("packing wins on the ideal fabric at 65536 elems")
 	}
 }
 
 // Once packing wins it keeps winning: both curves are linear with
-// constant slopes, and CrossoverElems' binary search relies on it.
+// constant slopes, and PackThreshold's search relies on it.
 func TestPackWinsMonotone(t *testing.T) {
-	for name, m := range packModels(t) {
+	for name, k := range packKernels(t) {
 		won := false
 		for e := 2; e <= 512; e++ {
-			w := m.PackWins(e, 8, 1)
+			w := packWins(k, e, 1)
 			if won && !w {
 				t.Fatalf("%s: packing wins at %d elems but loses at %d", name, e-1, e)
 			}
@@ -83,18 +102,15 @@ func TestPackWinsMonotone(t *testing.T) {
 	}
 }
 
-// Degenerate shapes: a single element is already contiguous, and empty
-// transfers cost nothing on either path.
+// Degenerate shapes: a single element is already contiguous and never
+// packs, and an empty packed transfer costs nothing.
 func TestPackDegenerateShapes(t *testing.T) {
-	for name, m := range packModels(t) {
-		if m.PackWins(1, 8, 1) {
+	for name, k := range packKernels(t) {
+		if packWins(k, 1, 1) {
 			t.Errorf("%s: single-element transfer packs", name)
 		}
-		if m.PackWins(0, 8, 1) {
-			t.Errorf("%s: empty transfer packs", name)
-		}
-		if m.PIOTime(0, 8, 1) != 0 || m.PackedTime(0, 8, 1) != 0 {
-			t.Errorf("%s: empty transfer has nonzero cost", name)
+		if ps, _ := k.Price(commcost.Access{Stride: 3, Packed: true}, 1, nil); ps != 0 {
+			t.Errorf("%s: empty packed transfer costs %v", name, ps)
 		}
 	}
 }

@@ -14,15 +14,14 @@
 //     cached: repeated transfers from the same region skip it.
 //
 // The card implements interconnect.ProtocolModel; the crossover
-// between the paths is found by the same doubling + binary-search
-// machinery nic.PackModel.CrossoverElems uses, and is exact because
-// both cost curves share the wire term while the eager copy slope is
-// validated to exceed the rendezvous registration slope.
+// between the paths is found by a doubling probe and a binary search,
+// and is exact because both cost curves share the wire term while the
+// eager copy slope is validated to exceed the rendezvous registration
+// slope.
 package nic
 
 import (
 	"fmt"
-	"math/bits"
 
 	"vbuscluster/internal/interconnect"
 	"vbuscluster/internal/sim"
@@ -123,9 +122,6 @@ func (r *RDMA) Name() string { return "rdma" }
 // SendSetup implements Card.
 func (r *RDMA) SendSetup() sim.Time { return r.cfg.PostOverhead }
 
-// PerElementOverhead implements Card.
-func (r *RDMA) PerElementOverhead() sim.Time { return r.cfg.SGPerElement }
-
 // wireTime is the zero-copy DMA time of a payload over hops switch
 // channels (+2 for inject/eject).
 func (r *RDMA) wireTime(bytes, hops int) sim.Time {
@@ -147,21 +143,6 @@ func (r *RDMA) StridedTime(elems, elemSize, hops int) sim.Time {
 		return 0
 	}
 	return sim.Time(elems)*r.cfg.SGPerElement + r.wireTime(elems*elemSize, hops)
-}
-
-// BroadcastTime implements Card: no hardware bus on a switched fabric,
-// so a binomial software tree of ceil(log2(nodes)) neighbor stages.
-func (r *RDMA) BroadcastTime(bytes, nodes int) sim.Time {
-	if nodes <= 1 {
-		return 0
-	}
-	stages := bits.Len(uint(nodes - 1))
-	return sim.Time(stages) * (r.SendSetup() + r.wireTime(bytes, 1))
-}
-
-// SmallMessageLatency implements Card.
-func (r *RDMA) SmallMessageLatency() sim.Time {
-	return r.SendSetup() + r.wireTime(8, 1)
 }
 
 // Caps implements Card: zero-copy DMA for contiguous data, hop

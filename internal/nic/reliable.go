@@ -44,13 +44,16 @@ type Outcome struct {
 const backoffShiftCap = 16
 
 // ReliableCost prices the reliable transfer of bytes from node src to
-// node dst across hops mesh channels under inj's fault schedule.
+// node dst across hops mesh channels under inj's fault schedule. ack is
+// the card's small-message latency — one ACK or NACK crossing back —
+// which the caller takes from its commcost kernel (Msg of one word over
+// one hop).
 // seqBase is the first per-(src,dst) packet sequence number of this
 // message; the second return value is the number of sequence numbers
 // consumed. The decision for every (packet, attempt) pair is a pure
 // hash of the injector seed, so the outcome is identical across runs
 // and independent of goroutine interleaving.
-func ReliableCost(card interconnect.Interconnect, inj *fault.Injector,
+func ReliableCost(card interconnect.Interconnect, inj *fault.Injector, ack sim.Time,
 	src, dst, hops, bytes, seqBase int) (Outcome, int) {
 
 	var out Outcome
@@ -65,7 +68,6 @@ func ReliableCost(card interconnect.Interconnect, inj *fault.Injector,
 	window := inj.Window()
 	maxRetry := inj.MaxRetry()
 	backoff := inj.Backoff()
-	ackLatency := card.SmallMessageLatency()
 
 	for i := 0; i < npkts; i++ {
 		remaining := bytes - i*mtu
@@ -91,9 +93,9 @@ func ReliableCost(card interconnect.Interconnect, inj *fault.Injector,
 			}
 			out.Retransmissions++
 			out.RetransBytes += int64(resend)
-			detect := ackLatency // NACK of a corrupt packet
+			detect := ack // NACK of a corrupt packet
 			if fate == fault.Dropped {
-				detect = 2 * ackLatency // ACK timeout
+				detect = 2 * ack // ACK timeout
 			}
 			shift := attempt
 			if shift > backoffShiftCap {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"vbuscluster/internal/fault"
+	"vbuscluster/internal/sim"
 )
 
 func testCard(t *testing.T) *VBus {
@@ -14,6 +15,10 @@ func testCard(t *testing.T) *VBus {
 	}
 	return card
 }
+
+// ack is the card's one-word one-hop message latency, the ACK/NACK
+// detection time the runtime hands ReliableCost.
+func ack(card *VBus) sim.Time { return card.SendSetup() + card.ContigTime(8, 1) }
 
 func inj(t *testing.T, spec string) *fault.Injector {
 	t.Helper()
@@ -27,7 +32,7 @@ func inj(t *testing.T, spec string) *fault.Injector {
 func TestReliableCostCleanFabricIsFree(t *testing.T) {
 	card := testCard(t)
 	for _, in := range []*fault.Injector{nil, inj(t, "seed=0,flitdrop=1,corrupt=1")} {
-		out, npkts := ReliableCost(card, in, 0, 1, 1, 100_000, 0)
+		out, npkts := ReliableCost(card, in, ack(card), 0, 1, 1, 100_000, 0)
 		if out != (Outcome{}) {
 			t.Errorf("clean fabric outcome = %+v, want zero", out)
 		}
@@ -35,7 +40,7 @@ func TestReliableCostCleanFabricIsFree(t *testing.T) {
 			t.Errorf("npkts = %d, want %d", npkts, want)
 		}
 	}
-	if out, npkts := ReliableCost(card, nil, 0, 1, 1, 0, 0); out != (Outcome{}) || npkts != 0 {
+	if out, npkts := ReliableCost(card, nil, ack(card), 0, 1, 1, 0, 0); out != (Outcome{}) || npkts != 0 {
 		t.Errorf("empty transfer = %+v/%d, want zero", out, npkts)
 	}
 }
@@ -45,8 +50,8 @@ func TestReliableCostDeterministic(t *testing.T) {
 	a := inj(t, "seed=99,flitdrop=0.05,corrupt=0.05")
 	b := inj(t, "seed=99,flitdrop=0.05,corrupt=0.05")
 	for seq := 0; seq < 10; seq++ {
-		oa, na := ReliableCost(card, a, 2, 3, 2, 1<<17, seq*1000)
-		ob, nb := ReliableCost(card, b, 2, 3, 2, 1<<17, seq*1000)
+		oa, na := ReliableCost(card, a, ack(card), 2, 3, 2, 1<<17, seq*1000)
+		ob, nb := ReliableCost(card, b, ack(card), 2, 3, 2, 1<<17, seq*1000)
 		if oa != ob || na != nb {
 			t.Fatalf("same seed disagrees: %+v/%d vs %+v/%d", oa, na, ob, nb)
 		}
@@ -58,7 +63,7 @@ func TestReliableCostMonotoneInDropRate(t *testing.T) {
 	var prev Outcome
 	for _, rate := range []string{"1e-4", "1e-3", "1e-2", "1e-1", "0.3"} {
 		in := inj(t, "seed=7,flitdrop="+rate)
-		out, _ := ReliableCost(card, in, 0, 1, 1, 1<<20, 0)
+		out, _ := ReliableCost(card, in, ack(card), 0, 1, 1, 1<<20, 0)
 		if out.Extra < prev.Extra || out.Retransmissions < prev.Retransmissions {
 			t.Fatalf("outcome not monotone at rate %s: %+v after %+v", rate, out, prev)
 		}
@@ -74,7 +79,7 @@ func TestReliableCostAlwaysDelivers(t *testing.T) {
 	// attempts and guarantees delivery.
 	card := testCard(t)
 	in := inj(t, "seed=3,flitdrop=1,maxretry=2")
-	out, npkts := ReliableCost(card, in, 0, 1, 1, 3*fault.DefaultMTU, 0)
+	out, npkts := ReliableCost(card, in, ack(card), 0, 1, 1, 3*fault.DefaultMTU, 0)
 	if npkts != 3 {
 		t.Fatalf("npkts = %d, want 3", npkts)
 	}

@@ -7,9 +7,10 @@
 //   - hop distances shrink: a 1024-node machine is a 16×8×8 torus of
 //     diameter 16 where the 2D 32×32 mesh has diameter 62, so the
 //     per-hop wormhole head latency matters far less at scale;
-//   - there is no shared virtual bus to arbitrate, so broadcasts decay
-//     to a software tree of point-to-point messages (like Ethernet's,
-//     but over the fast links).
+//   - there is no shared virtual bus to arbitrate (the card does not
+//     implement interconnect.Bus), so broadcasts decay to the software
+//     tree of point-to-point messages (like Ethernet's, but over the
+//     fast links).
 //
 // The card implements interconnect.GeometryHinter so the machine layer
 // builds the 3D geometry its hop model assumes.
@@ -95,9 +96,6 @@ func (v *VBus3D) Name() string { return "vbus3d" }
 // SendSetup implements Card.
 func (v *VBus3D) SendSetup() sim.Time { return v.cfg.DMASetup }
 
-// PerElementOverhead implements Card.
-func (v *VBus3D) PerElementOverhead() sim.Time { return v.cfg.PIOPerElement }
-
 // wireTime is the wormhole pipeline time for a payload over hops torus
 // channels: the 2D card's formula on the same links.
 func (v *VBus3D) wireTime(bytes, hops int) sim.Time {
@@ -116,22 +114,6 @@ func (v *VBus3D) StridedTime(elems, elemSize, hops int) sim.Time {
 		return 0
 	}
 	return sim.Time(elems)*v.cfg.PIOPerElement + v.wireTime(elems*elemSize, hops)
-}
-
-// BroadcastTime implements Card: no virtual bus on the torus, so a
-// binomial software tree of ceil(log2(nodes)) point-to-point stages.
-// The tree pairs torus neighbors, so each stage moves one hop.
-func (v *VBus3D) BroadcastTime(bytes, nodes int) sim.Time {
-	if nodes <= 1 {
-		return 0
-	}
-	stages := bits.Len(uint(nodes - 1))
-	return sim.Time(stages) * (v.SendSetup() + v.wireTime(bytes, 1))
-}
-
-// SmallMessageLatency implements Card.
-func (v *VBus3D) SmallMessageLatency() sim.Time {
-	return v.SendSetup() + v.wireTime(8, 1)
 }
 
 // Caps implements Card: the same DMA-vs-PIO data paths as the 2D

@@ -3,6 +3,7 @@ package nic
 import (
 	"testing"
 
+	"vbuscluster/internal/commcost"
 	"vbuscluster/internal/interconnect"
 )
 
@@ -73,7 +74,7 @@ func TestVBus3DBeatsVBusAtScale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a, b := v3.SmallMessageLatency(), v2.SmallMessageLatency(); a >= b {
+	if a, b := commcost.New(v3, 0).Msg(8, 1), commcost.New(v2, 0).Msg(8, 1); a >= b {
 		t.Errorf("3D small-message latency %v not below 2D %v", a, b)
 	}
 	// Worst-case contiguous transfer across the respective 1024-node
@@ -85,12 +86,13 @@ func TestVBus3DBeatsVBusAtScale(t *testing.T) {
 
 func TestVBus3DBroadcastIsSoftwareTree(t *testing.T) {
 	v := newTestVBus3D(t)
-	if v.BroadcastTime(1024, 1) != 0 {
+	k := commcost.New(v, 0)
+	if k.Bcast(1024, 1) != 0 {
 		t.Fatal("single-node broadcast should be free")
 	}
 	// log2 growth: doubling the node count past a power of two adds
 	// exactly one stage.
-	t64, t128 := v.BroadcastTime(1024, 64), v.BroadcastTime(1024, 128)
+	t64, t128 := k.Bcast(1024, 64), k.Bcast(1024, 128)
 	if t128 <= t64 {
 		t.Fatalf("tree broadcast not growing: %v then %v", t64, t128)
 	}
