@@ -162,9 +162,15 @@ func (k *Kernel) Bcast(bytes, nodes int) sim.Time {
 }
 
 // Barrier is one barrier among nodes: a one-word Tree gather plus a
-// one-word Bcast release.
-func (k *Kernel) Barrier(nodes int) sim.Time {
-	return k.Tree(WordBytes, nodes) + k.Bcast(WordBytes, nodes)
+// one-word release — the Bcast when onBus, a second Tree when the
+// members cannot address the bus (a world shrunk below the machine,
+// whose broadcasts take the tree too).
+func (k *Kernel) Barrier(nodes int, onBus bool) sim.Time {
+	release := k.Tree(WordBytes, nodes)
+	if onBus {
+		release = k.Bcast(WordBytes, nodes)
+	}
+	return k.Tree(WordBytes, nodes) + release
 }
 
 // Price returns the full origin-side cost of moving a between two

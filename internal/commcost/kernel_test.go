@@ -121,7 +121,7 @@ func TestTreeAndBcastShapes(t *testing.T) {
 		}
 	}
 	ideal := kernelFor(t, "ideal")
-	for _, v := range []sim.Time{ideal.Setup(), ideal.Msg(1<<20, 8), ideal.Tree(1<<20, 64), ideal.Bcast(1<<20, 64), ideal.Barrier(64)} {
+	for _, v := range []sim.Time{ideal.Setup(), ideal.Msg(1<<20, 8), ideal.Tree(1<<20, 64), ideal.Bcast(1<<20, 64), ideal.Barrier(64, true)} {
 		if v != 0 {
 			t.Fatalf("ideal kernel charged %v, want 0", v)
 		}

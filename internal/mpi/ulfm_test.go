@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"vbuscluster/internal/cluster"
 	"vbuscluster/internal/interconnect"
 	"vbuscluster/internal/sim"
 	"vbuscluster/internal/trace"
@@ -237,6 +238,24 @@ func TestShrunkenBcastDegrades(t *testing.T) {
 		if ev.Op == trace.OpBcast && ev.Transport == interconnect.TransportBcast {
 			t.Errorf("shrunken-world bcast used the hardware bus: %+v", ev)
 		}
+	}
+}
+
+// TestShrunkenBarrierReleasesOverTree: the barrier of a world smaller
+// than the machine releases over the software tree, as its broadcasts
+// do — gather plus tree release, not gather plus bus — while the full
+// world keeps the bus.
+func TestShrunkenBarrierReleasesOverTree(t *testing.T) {
+	cl, err := cluster.New(4, cluster.DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := cl.CommCost()
+	if got, want := NewWorldOver(cl, []int{0, 2, 3}).BarrierCost(), 2*k.Tree(WordBytes, 3); got != want {
+		t.Errorf("3-survivor barrier costs %v, want gather plus tree release %v", got, want)
+	}
+	if got, want := NewWorld(cl).BarrierCost(), k.Tree(WordBytes, 4)+k.Bcast(WordBytes, 4); got != want {
+		t.Errorf("full-world barrier costs %v, want gather plus bus release %v", got, want)
 	}
 }
 

@@ -157,9 +157,10 @@ func newWorld(c *cluster.Cluster, nodes []int) *World {
 		w.startWatchdog()
 	}
 	// One barrier's cost, charged at every barrier, fence and
-	// checkpoint quiesce; even a single-process barrier is a library
-	// call.
-	w.barrierCost = max(c.CommCost().Barrier(n), c.Params().CPU.CallOverhead)
+	// checkpoint quiesce. A world shrunk below the machine cannot
+	// address the bus (see broadcastCost), so it releases over the
+	// tree. Even a single-process barrier is a library call.
+	w.barrierCost = max(c.CommCost().Barrier(n, n == c.N()), c.Params().CPU.CallOverhead)
 	return w
 }
 
