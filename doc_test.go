@@ -8,8 +8,8 @@ import (
 	"testing"
 )
 
-// checkedDocs are the documents whose quoted flags, make targets and
-// file paths must exist. CHANGES.md is history and exempt;
+// checkedDocs are the documents whose quoted flags, make targets, file
+// paths and test names must exist. CHANGES.md is history and exempt;
 // EXPERIMENTS.md is a lab notebook checked only on its "Regenerate
 // with" lines.
 var checkedDocs = []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"}
@@ -22,6 +22,8 @@ var (
 	docPath    = regexp.MustCompile(`^[A-Za-z0-9_.*-]+(?:/[A-Za-z0-9_.*{},-]+)*/?$`)
 	flagDef    = regexp.MustCompile(`flag\.[A-Z]\w*\("([a-z][a-z0-9-]*)"`)
 	makeTarget = regexp.MustCompile(`(?m)^([a-z][a-z0-9-]*):`)
+	docTest    = regexp.MustCompile(`^(Test[A-Z]\w*)(\*?)$`)
+	testDef    = regexp.MustCompile(`(?m)^func (Test\w+)\(`)
 )
 
 // pathRoots are where a quoted relative path may start: the docs write
@@ -31,7 +33,9 @@ var pathRoots = []string{"", "internal", "internal/*", "internal/*/testdata", "c
 
 // TestDocsNameRealThings fails when a checked document attributes a
 // flag to a command that does not register it, names a make target the
-// Makefile lacks, or quotes an in-repo path that does not exist.
+// Makefile lacks, quotes an in-repo path that does not exist, or quotes
+// a test (`TestName`, or `TestPrefix*` for a family) that no test file
+// defines.
 func TestDocsNameRealThings(t *testing.T) {
 	flags := map[string]map[string]bool{}
 	mains, _ := filepath.Glob("cmd/*/main.go")
@@ -53,6 +57,28 @@ func TestDocsNameRealThings(t *testing.T) {
 	targets := map[string]bool{}
 	for _, m := range makeTarget.FindAllStringSubmatch(string(mk), -1) {
 		targets[m[1]] = true
+	}
+	var tests []string
+	err = filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		src, err := os.ReadFile(path)
+		for _, m := range testDef.FindAllStringSubmatch(string(src), -1) {
+			tests = append(tests, m[1])
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	testDefined := func(name string, family bool) bool {
+		for _, def := range tests {
+			if def == name || family && strings.HasPrefix(def, name) {
+				return true
+			}
+		}
+		return false
 	}
 
 	for _, doc := range checkedDocs {
@@ -88,6 +114,9 @@ func TestDocsNameRealThings(t *testing.T) {
 			for _, q := range docQuoted.FindAllStringSubmatch(line, -1) {
 				if p := q[1]; looksLikeRepoPath(p) && !existsUnderRoots(p) {
 					at("path %s does not exist", p)
+				}
+				if m := docTest.FindStringSubmatch(q[1]); m != nil && !testDefined(m[1], m[2] != "") {
+					at("no test file defines %s", q[1])
 				}
 			}
 		}

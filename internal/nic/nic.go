@@ -141,8 +141,8 @@ func (v *VBus) StridedTime(elems, elemSize, hops int) sim.Time {
 }
 
 // BroadcastTime implements interconnect.Bus with the hardware virtual
-// bus: one arbitration, one stream, every node listens. The mesh geometry is
-// assumed square-ish: diameter ≈ 2(ceil(sqrt(n))-1).
+// bus: one arbitration, one stream, every node listens. The mesh
+// geometry is assumed square-ish: diameter ≈ 2(ceil(sqrt(n))-1).
 func (v *VBus) BroadcastTime(bytes, nodes int) sim.Time {
 	if nodes <= 1 {
 		return 0
