@@ -184,6 +184,35 @@ func TestCLIEndToEnd(t *testing.T) {
 		}
 	})
 
+	// A program whose last partition stores past the end of A fails on a
+	// slave: vbrun must report that error, not the peer-crashed failure
+	// the slave's departure causes on the master.
+	t.Run("vbrun-slave-error", func(t *testing.T) {
+		prog := filepath.Join(t.TempDir(), "oob.f")
+		src := `
+      PROGRAM OOB
+      INTEGER N
+      PARAMETER (N = 16)
+      REAL A(N)
+      INTEGER I
+      DO I = 1, N
+        A(I+1) = REAL(I)
+      ENDDO
+      PRINT *, A(2)
+      END
+`
+		if err := os.WriteFile(prog, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		out, err := exec.Command(filepath.Join(bins, "vbrun"), "-mode", "full", "-procs", "4", prog).CombinedOutput()
+		if err == nil {
+			t.Fatalf("out-of-bounds program ran clean:\n%s", out)
+		}
+		if !strings.Contains(string(out), "subscript out of bounds") || strings.Contains(string(out), "peer-crashed") {
+			t.Fatalf("vbrun did not report the slave's own error:\n%s", out)
+		}
+	})
+
 	t.Run("vbbench-fabric", func(t *testing.T) {
 		out := run(t, filepath.Join(bins, "vbbench"), "-sweep", "table1", "-quick", "-fabric", "ideal")
 		if !strings.Contains(out, "Table 1") {

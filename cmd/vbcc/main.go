@@ -4,7 +4,9 @@
 //
 // Usage:
 //
-//	vbcc [-procs N] [-grain fine|middle|coarse] [-passes] [-explain] [-avpg] [-trace out.json] file.f
+//	vbcc [-procs N] [-grain fine|middle|coarse|auto] [-fabric name] [-coalesce]
+//	     [-explain] [-avpg] [-emit] [-spmd] [-diagram] [-passes]
+//	     [-dump-after pass|all] [-trace out.json] file.f
 //
 // With no file, source is read from standard input. -trace exports the
 // pass pipeline's timings as Chrome trace-event JSON (a "compiler"

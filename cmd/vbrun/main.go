@@ -4,7 +4,9 @@
 //
 // Usage:
 //
-//	vbrun [-procs N] [-grain g] [-fabric vbus|vbus3d|ethernet|ideal] [-seq] [-mode full|timing] [-trace out.json] [-profile] [-faults spec] [-resilient [-ckpt-every N] [-ckpt-dir d]] file.f
+//	vbrun [-procs N] [-grain g] [-fabric name] [-seq] [-mode full|timing] [-coalesce]
+//	      [-trace out.json] [-profile] [-faults spec]
+//	      [-resilient [-ckpt-every N] [-ckpt-dir d]] file.f
 //
 // -trace writes the run's per-rank event timeline (plus the compiler's
 // pass spans as a "compiler" track) as Chrome trace-event JSON,
@@ -121,12 +123,9 @@ func main() {
 	}
 
 	var res *interp.Result
-	switch {
-	case *seq:
+	if *seq {
 		res, err = c.RunSequential(mode)
-	case *resilient:
-		res, err = c.RunResilient(mode)
-	default:
+	} else {
 		res, err = c.RunParallel(mode)
 	}
 	check(err)

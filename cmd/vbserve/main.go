@@ -9,7 +9,7 @@
 //
 //	vbserve [-addr :8077] [-clusters N] [-queue D] [-cache P] [-fabric vbus|vbus3d|ethernet|ideal]
 //	        [-cache-journal F] [-default-deadline D] [-max-deadline D] [-retries N] [-rate R] [-burst B]
-//	        [-peers a:p,b:p,c:p -self a:p] [-gossip-interval D]
+//	        [-peers a:p,b:p,c:p -self a:p] [-gossip-interval D] [-drain-timeout D]
 //
 // Endpoints:
 //

@@ -123,6 +123,43 @@ func TestDocsNameRealThings(t *testing.T) {
 	}
 }
 
+// TestUsageSynopsesMatchFlags: a command whose doc comment opens its
+// Usage section with a synopsis ("vbrun [-procs N] … file.f") lists
+// there exactly the flags it registers.
+func TestUsageSynopsesMatchFlags(t *testing.T) {
+	synFlag := regexp.MustCompile(`(?:^|[\s\[])-([a-z][a-z0-9-]*)`)
+	for _, cmd := range []string{"vbcc", "vbrun", "vbserve"} {
+		src, err := os.ReadFile(filepath.Join("cmd", cmd, "main.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		registered := map[string]bool{}
+		for _, d := range flagDef.FindAllStringSubmatch(string(src), -1) {
+			registered[d[1]] = true
+		}
+		_, usage, _ := strings.Cut(string(src), "// Usage:\n//\n")
+		listed := map[string]bool{}
+		for _, line := range strings.Split(usage, "\n") {
+			if !strings.HasPrefix(line, "//\t") {
+				break
+			}
+			for _, m := range synFlag.FindAllStringSubmatch(line, -1) {
+				listed[m[1]] = true
+			}
+		}
+		for name := range registered {
+			if !listed[name] {
+				t.Errorf("%s: usage synopsis omits -%s", cmd, name)
+			}
+		}
+		for name := range listed {
+			if !registered[name] {
+				t.Errorf("%s: usage synopsis lists -%s, which it does not register", cmd, name)
+			}
+		}
+	}
+}
+
 // looksLikeRepoPath accepts quoted tokens that name a file or directory
 // of this repository: a slash-separated path whose first segment is a
 // directory here, or a bare *.md / *.json / *.f / *.sh file name.

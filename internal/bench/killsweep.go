@@ -55,7 +55,7 @@ func KillSweep(n int, ops []int64, env Env) ([]KillSweepRow, error) {
 	var rows []KillSweepRow
 	err := injectedRuns("killsweep", MMSource(n),
 		core.Options{NumProcs: env.procs(), Grain: lmad.Fine, Fabric: env.Fabric, Resilient: true, CkptEvery: 1},
-		(*core.Compiled).RunResilient, specs,
+		(*core.Compiled).RunParallel, specs,
 		func(i int, res *interp.Result, events []trace.Event, verified bool) {
 			row := KillSweepRow{Ops: -1, Elapsed: res.Elapsed, Checkpoints: res.Checkpoints, Recoveries: res.Recoveries, Verified: verified}
 			if i >= 0 {

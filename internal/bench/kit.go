@@ -20,8 +20,7 @@ import (
 // grains is the §5.6 granularity axis in table order.
 var grains = []lmad.Grain{lmad.Fine, lmad.Middle, lmad.Coarse}
 
-// runMethod is one of (*core.Compiled).RunSequential, RunParallel or
-// RunResilient.
+// runMethod is (*core.Compiled).RunSequential or RunParallel.
 type runMethod func(*core.Compiled, core.Mode) (*interp.Result, error)
 
 // compileRun compiles src and executes it once; cell names the sweep

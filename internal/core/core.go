@@ -93,9 +93,10 @@ type Options struct {
 	// and per-operation deadlines. See internal/fault.
 	Faults *fault.Injector
 	// Resilient emits restart-capable SPMD code (regions grouped into
-	// checkpoint epochs, AVPG elimination disabled) so RunResilient can
-	// survive rank crashes via coordinated checkpoint/restart plus
-	// ULFM-style shrink-and-recover (vbrun -resilient).
+	// checkpoint epochs, AVPG elimination disabled) so RunParallel and
+	// RunParallelWith survive rank crashes via coordinated
+	// checkpoint/restart plus ULFM-style shrink-and-recover (vbrun
+	// -resilient).
 	Resilient bool
 	// CkptEvery is the checkpoint cadence in parallel regions per epoch
 	// (minimum 1; only meaningful with Resilient). vbrun -ckpt-every.
@@ -116,6 +117,23 @@ func (o Options) withDefaults() Options {
 		o.NumProcs = 4
 	}
 	return o
+}
+
+// postpass is the postpass configuration these options give a
+// translation for n ranks at grain g on machine.
+func (o Options) postpass(n int, g lmad.Grain, machine *cluster.Params) postpass.Options {
+	return postpass.Options{
+		NumProcs:       n,
+		Grain:          g,
+		LiveOutAll:     !o.NoLiveOut,
+		LockReductions: o.LockReductions,
+		PullScatter:    o.PullScatter,
+		TwoSided:       o.TwoSided,
+		Resilient:      o.Resilient,
+		CkptEvery:      o.CkptEvery,
+		Coalesce:       o.Coalesce,
+		Machine:        machine,
+	}
 }
 
 // Compiled is a translated program ready to run.
@@ -213,18 +231,7 @@ func Compile(src string, opts Options) (*Compiled, error) {
 				tr.record(stage, wall, note, func() string { return p.String() })
 			}
 		}
-		return postpass.TranslateStaged(prog, postpass.Options{
-			NumProcs:       opts.NumProcs,
-			Grain:          g,
-			LiveOutAll:     !opts.NoLiveOut,
-			LockReductions: opts.LockReductions,
-			PullScatter:    opts.PullScatter,
-			TwoSided:       opts.TwoSided,
-			Resilient:      opts.Resilient,
-			CkptEvery:      opts.CkptEvery,
-			Coalesce:       opts.Coalesce,
-			Machine:        &machine,
-		}, hook)
+		return postpass.TranslateStaged(prog, opts.postpass(opts.NumProcs, g, &machine), hook)
 	}
 	if opts.AutoGrain {
 		params := machine
@@ -362,50 +369,26 @@ func (c *Compiled) RunParallel(mode Mode) (*interp.Result, error) {
 // immutable at run time (every run builds its own cluster, MPI world
 // and per-rank environments), so concurrent RunParallelWith calls on
 // one Compiled are safe as long as each passes its own
-// RunParams.Recorder.
+// RunParams.Recorder. A plan compiled with Options.Resilient runs under
+// coordinated checkpoint/restart: on a rank crash the survivors agree
+// on the failed set, shrink the communicator, retranslate the program
+// for the smaller rank count, restore the last checkpoint and replay.
 func (c *Compiled) RunParallelWith(mode Mode, rp RunParams) (*interp.Result, error) {
 	cl, err := c.clusterWith(c.opts.NumProcs, rp)
 	if err != nil {
 		return nil, err
 	}
-	return c.exec().RunParallel(c.SPMD, cl, mode, interp.RunConfig{Ctx: rp.Ctx})
-}
-
-// RunResilient executes the SPMD translation with coordinated
-// checkpoint/restart: epochs from the resilience pass run under a
-// crash supervisor that, on a rank failure, agrees on the failed set,
-// shrinks the communicator to the survivors, retranslates the program
-// for the smaller rank count, restores the last checkpoint and
-// replays. Requires Options.Resilient.
-func (c *Compiled) RunResilient(mode Mode) (*interp.Result, error) {
-	if !c.opts.Resilient {
-		return nil, fmt.Errorf("core: RunResilient needs Options.Resilient")
+	cfg := interp.RunConfig{Ctx: rp.Ctx}
+	if c.opts.Resilient {
+		// Recompiling for a shrunken world reruns only the postpass — the
+		// front-end analysis on Prog is rank-count independent.
+		cfg.Retranslate = func(n int) (*postpass.Program, error) {
+			machine := machineParams(c.opts.Params, n)
+			return postpass.Translate(c.Prog, c.opts.postpass(n, c.SPMD.Opts.Grain, &machine))
+		}
+		cfg.Dir = c.opts.CkptDir
 	}
-	cl, err := c.clusterFor(c.opts.NumProcs)
-	if err != nil {
-		return nil, err
-	}
-	// Recompiling for a shrunken world reruns only the postpass — the
-	// front-end analysis on Prog is rank-count independent.
-	retranslate := func(n int) (*postpass.Program, error) {
-		machine := machineParams(c.opts.Params, n)
-		return postpass.Translate(c.Prog, postpass.Options{
-			NumProcs:       n,
-			Grain:          c.SPMD.Opts.Grain,
-			LiveOutAll:     !c.opts.NoLiveOut,
-			LockReductions: c.opts.LockReductions,
-			PullScatter:    c.opts.PullScatter,
-			TwoSided:       c.opts.TwoSided,
-			Resilient:      true,
-			CkptEvery:      c.opts.CkptEvery,
-			Coalesce:       c.opts.Coalesce,
-			Machine:        &machine,
-		})
-	}
-	return c.exec().RunResilient(c.SPMD, cl, mode, interp.ResilientConfig{
-		Retranslate: retranslate,
-		Dir:         c.opts.CkptDir,
-	})
+	return c.exec().RunParallel(c.SPMD, cl, mode, cfg)
 }
 
 // Speedup compiles nothing new: it runs both baseline and SPMD versions

@@ -115,3 +115,21 @@ func TestRunNilContextUnchanged(t *testing.T) {
 		t.Fatalf("a live (never-fired) context changed virtual time: %v vs %v", a.Elapsed, b.Elapsed)
 	}
 }
+
+// TestCancelFollowsRecovery: the context monitor follows a supervised
+// run onto its shrunken world. A context cancelled while the survivors
+// retranslate cancels the replay, which ends in mpi.ErrCancelled
+// instead of completing.
+func TestCancelFollowsRecovery(t *testing.T) {
+	pp, translate, cl := resilientSetup(t, "vbus", "seed=0,crashafter=1/5", 4, 1)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	res, err := RunParallelConfig(pp, cl, Full, RunConfig{Ctx: ctx, Retranslate: func(n int) (*postpass.Program, error) {
+		cancel()
+		return translate(n)
+	}})
+	var me *mpi.Error
+	if !errors.As(err, &me) || me.Kind != mpi.ErrCancelled {
+		t.Fatalf("result %v, error %v, want an mpi.Error with kind cancelled", res, err)
+	}
+}

@@ -72,6 +72,10 @@ type Env struct {
 
 	cl   *cluster.Cluster
 	rank int
+	// node is the cluster node whose clock the env's compute is
+	// charged to: the rank's own, which differs from rank once a
+	// recovery has renumbered the ranks over the surviving nodes.
+	node int
 	cpu  cluster.CPUParams
 	mode Mode
 	out  io.Writer
@@ -122,18 +126,19 @@ func (e *Env) fail(line int, format string, args ...any) {
 // uncancelled runs stay bit-identical (no virtual-time charge).
 func (e *Env) checkCancelled() {
 	if e.world != nil && e.world.Cancelled() {
-		panic(&mpi.Error{Kind: mpi.ErrCancelled, Rank: e.rank, Op: "compute", Peer: -1, Time: e.cl.Clock(e.rank)})
+		panic(&mpi.Error{Kind: mpi.ErrCancelled, Rank: e.rank, Op: "compute", Peer: -1, Time: e.cl.Clock(e.node)})
 	}
 }
 
-// newEnv allocates the environment for one rank executing the main
-// unit of lw.
-func newEnv(lw *Lowered, cl *cluster.Cluster, rank int, mode Mode, out io.Writer) (*Env, error) {
+// newEnv allocates the environment for one rank, on node, executing
+// the main unit of lw.
+func newEnv(lw *Lowered, cl *cluster.Cluster, rank, node int, mode Mode, out io.Writer) (*Env, error) {
 	env := &Env{
 		lw:   lw,
 		mem:  make([][]float64, len(lw.syms)),
 		cl:   cl,
 		rank: rank,
+		node: node,
 		cpu:  cl.Params().CPU,
 		mode: mode,
 		out:  out,
@@ -273,7 +278,7 @@ func (env *Env) winBacking(sym *f77.Symbol) []float64 {
 // run before any MPI call and at run end.
 func (env *Env) flush() {
 	if env.pending > 0 {
-		env.cl.ChargeCompute(env.rank, env.pending)
+		env.cl.ChargeCompute(env.node, env.pending)
 		env.pending = 0
 	}
 }

@@ -52,10 +52,6 @@ func RunParallelConfig(pp *postpass.Program, cl *cluster.Cluster, mode Mode, cfg
 	return Lower(pp.Source).RunParallel(pp, cl, mode, cfg)
 }
 
-func RunResilient(pp *postpass.Program, cl *cluster.Cluster, mode Mode, cfg ResilientConfig) (*Result, error) {
-	return Lower(pp.Source).RunResilient(pp, cl, mode, cfg)
-}
-
 func runSeq(t *testing.T, src string, mode Mode) *Result {
 	t.Helper()
 	prog := compile(t, src)

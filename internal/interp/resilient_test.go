@@ -1,17 +1,21 @@
 package interp
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"vbuscluster/internal/ckpt"
 	"vbuscluster/internal/cluster"
 	"vbuscluster/internal/fault"
 	"vbuscluster/internal/lmad"
+	"vbuscluster/internal/mpi"
 	"vbuscluster/internal/postpass"
+	"vbuscluster/internal/trace"
 )
 
 // resSrc is the recovery property-test program: three parallel regions
@@ -49,9 +53,11 @@ const resSrc = `
       END
 `
 
-// runResilientTest compiles resSrc for the named fabric and runs it
-// resiliently under the given fault spec ("" = fault-free).
-func runResilientTest(t *testing.T, fabric, spec string, procs, ckptEvery int, mode Mode, dir string) (*Result, error) {
+// resilientSetup compiles resSrc into checkpoint epochs of ckptEvery
+// parallel regions, returning its translation for procs ranks, the
+// retranslation hook and a cluster of the named fabric under the given
+// fault spec ("" = fault-free).
+func resilientSetup(t *testing.T, fabric, spec string, procs, ckptEvery int) (*postpass.Program, func(int) (*postpass.Program, error), *cluster.Cluster) {
 	t.Helper()
 	prog := compile(t, resSrc)
 	translate := func(n int) (*postpass.Program, error) {
@@ -82,7 +88,15 @@ func runResilientTest(t *testing.T, fabric, spec string, procs, ckptEvery int, m
 	if err != nil {
 		t.Fatal(err)
 	}
-	return RunResilient(pp, cl, mode, ResilientConfig{Retranslate: translate, Dir: dir})
+	return pp, translate, cl
+}
+
+// runResilientTest runs resSrc resiliently: resilientSetup's
+// translation on its cluster, with its retranslation hook.
+func runResilientTest(t *testing.T, fabric, spec string, procs, ckptEvery int, mode Mode, dir string) (*Result, error) {
+	t.Helper()
+	pp, translate, cl := resilientSetup(t, fabric, spec, procs, ckptEvery)
+	return RunParallelConfig(pp, cl, mode, RunConfig{Retranslate: translate, Dir: dir})
 }
 
 // memIdentical compares two result memories bit for bit.
@@ -198,6 +212,88 @@ func TestResilientPersistsCheckpoints(t *testing.T) {
 		}
 		if _, err := ckpt.Decode(blob); err != nil {
 			t.Fatalf("%s does not decode: %v", ent.Name(), err)
+		}
+	}
+}
+
+// oobSrc stores one element past A's end in its parallel loop, so only
+// the last partition fails: on a slave, while its peers wait at the
+// region's fence.
+const oobSrc = `
+      PROGRAM OOB
+      INTEGER N
+      PARAMETER (N = 16)
+      REAL A(N)
+      INTEGER I
+      DO I = 1, N
+        A(I+1) = REAL(I)
+      ENDDO
+      PRINT *, A(2)
+      END
+`
+
+// TestSlaveErrorIsTheRunError: a slave's interpreter error is the run's
+// error, not the peer-crashed or revoked failure its departure causes
+// on the ranks waiting for it.
+func TestSlaveErrorIsTheRunError(t *testing.T) {
+	prog := compile(t, oobSrc)
+	pp, err := postpass.Translate(prog, postpass.Options{NumProcs: 4, Grain: lmad.Fine, LiveOutAll: true})
+	if err != nil {
+		t.Fatalf("postpass: %v", err)
+	}
+	_, err = RunParallel(pp, newCluster(t, 4), Full)
+	if err == nil || !strings.Contains(err.Error(), "subscript out of bounds") {
+		t.Fatalf("error %v, want the slave's subscript error", err)
+	}
+	var me *mpi.Error
+	if errors.As(err, &me) {
+		t.Fatalf("error %v is the collateral mpi failure, not the root cause", err)
+	}
+}
+
+// TestUnsupervisedCrashIsTheRunError: without a Retranslate hook a rank
+// crash is the run's error — the crashed rank's own, not a peer's
+// revoked or peer-crashed observation of it — and no agreement or
+// recovery round is charged or traced.
+func TestUnsupervisedCrashIsTheRunError(t *testing.T) {
+	pp, _, cl := resilientSetup(t, "vbus", "seed=0,crashafter=1/5", 4, 1)
+	rec := trace.New()
+	cl.SetRecorder(rec)
+	_, err := RunParallelConfig(pp, cl, Full, RunConfig{})
+	var me *mpi.Error
+	if !errors.As(err, &me) || me.Kind != mpi.ErrCrashed {
+		t.Fatalf("error %v, want the crashed rank's own mpi.Error", err)
+	}
+	for _, ev := range rec.Events() {
+		if ev.Op == trace.OpRecovery {
+			t.Fatalf("unsupervised run traced a recovery round: %+v", ev)
+		}
+	}
+}
+
+// TestRecoveryChargesSurvivingNodes: after a shrink the ranks are
+// renumbered over the surviving nodes, and each rank's compute is
+// charged to its own node. The killed node computes no more than in the
+// fault-free run, and every survivor, which replays a larger share, at
+// least as much.
+func TestRecoveryChargesSurvivingNodes(t *testing.T) {
+	base, err := runResilientTest(t, "vbus", "", 4, 1, Full, "")
+	if err != nil {
+		t.Fatalf("baseline: %v", err)
+	}
+	for _, budget := range []int{5, 20} {
+		res, err := runResilientTest(t, "vbus", fmt.Sprintf("seed=0,crashafter=1/%d", budget), 4, 1, Full, "")
+		if err != nil {
+			t.Fatalf("kill@%d: %v", budget, err)
+		}
+		got, want := res.Report.CompTime, base.Report.CompTime
+		if got[1] > want[1] {
+			t.Errorf("kill@%d: killed node 1 computed %v, fault-free %v", budget, got[1], want[1])
+		}
+		for _, node := range []int{0, 2, 3} {
+			if got[node] < want[node] {
+				t.Errorf("kill@%d: surviving node %d computed %v, fault-free %v", budget, node, got[node], want[node])
+			}
 		}
 	}
 }

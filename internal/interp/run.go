@@ -3,12 +3,15 @@ package interp
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
+	"os"
 	"sort"
 	"strings"
 	"sync"
 
 	"vbuscluster/internal/analysis"
+	"vbuscluster/internal/ckpt"
 	"vbuscluster/internal/cluster"
 	"vbuscluster/internal/commcost"
 	"vbuscluster/internal/f77"
@@ -38,11 +41,13 @@ type Result struct {
 	// that guides granularity selection: wall virtual time and data
 	// communication per region.
 	Regions []RegionStat
-	// Checkpoints counts the coordinated checkpoints a resilient run
-	// committed (zero for RunSequential/RunParallel).
+	// Checkpoints counts the coordinated checkpoints a parallel run
+	// committed (zero for RunSequential and for translations without
+	// checkpoint epochs).
 	Checkpoints int
-	// Recoveries counts the shrink-and-replay rounds a resilient run
-	// survived (zero for RunSequential/RunParallel).
+	// Recoveries counts the shrink-and-replay rounds a parallel run
+	// survived (zero for RunSequential and without
+	// RunConfig.Retranslate).
 	Recoveries int
 }
 
@@ -65,7 +70,7 @@ type RegionStat struct {
 	Comm sim.Time
 }
 
-// String renders a profile table.
+// FormatRegions renders a per-region profile as a table.
 func FormatRegions(stats []RegionStat) string {
 	var sb strings.Builder
 	sb.WriteString("region  kind        line  elapsed       comm\n")
@@ -136,7 +141,7 @@ func (lw *Lowered) RunSequential(cl *cluster.Cluster, mode Mode) (*Result, error
 		return nil, fmt.Errorf("interp: program has no main unit")
 	}
 	var out bytes.Buffer
-	env, err := newEnv(lw, cl, 0, mode, &out)
+	env, err := newEnv(lw, cl, 0, 0, mode, &out)
 	if err != nil {
 		return nil, err
 	}
@@ -159,13 +164,23 @@ func (lw *Lowered) RunSequential(cl *cluster.Cluster, mode Mode) (*Result, error
 	}, nil
 }
 
-// RunConfig bounds a parallel execution from outside.
+// RunConfig bounds and supervises a parallel execution from outside.
 type RunConfig struct {
 	// Ctx, when non-nil, bounds the run: once it is cancelled (a job
-	// deadline, an HTTP client abort) the MPI world is cancelled and
-	// every rank unwinds with an mpi.ErrCancelled error instead of
+	// deadline, an HTTP client abort) the current MPI world is cancelled
+	// and every rank unwinds with an mpi.ErrCancelled error instead of
 	// running — or blocking — forever. Nil means no external bound.
 	Ctx context.Context
+	// Retranslate, when non-nil, makes rank crashes survivable: it
+	// recompiles the postpass for the shrunken rank count after a
+	// recovery (the front-end analysis is rank-count independent, so
+	// only the SPMD translation reruns). Nil: a crash is the run's error.
+	Retranslate func(n int) (*postpass.Program, error)
+	// Dir, when non-empty, persists every committed checkpoint as
+	// epoch-NNN.vbck under this directory (created if missing). Empty
+	// keeps checkpoints in memory only — the recovery protocol is
+	// identical, nothing touches the filesystem.
+	Dir string
 }
 
 // translated checks that pp is a translation of the lowered program
@@ -185,59 +200,157 @@ func (lw *Lowered) translated(pp *postpass.Program, cl *cluster.Cluster) error {
 // on the cluster: one goroutine per rank, every rank executing the same
 // Lowered, master/slave execution with scatter/fence/compute/collect/
 // fence per parallel region (§3, §5.4, §5.5).
+//
+// Regions run epoch by epoch (pp.Epochs, from the resilience pass)
+// with a coordinated checkpoint after every epoch but the last; a
+// translation without epochs is one epoch and takes no checkpoint. A
+// rank that fails revokes the world and departs, so no peer stays
+// blocked on it, and the run's error is the root cause (rootError).
+// With cfg.Retranslate set, a rank crash is survived ULFM-style: the
+// survivors Agree on the failed set, Shrink to a world over the
+// surviving nodes, the program is retranslated for them, and execution
+// replays from the last committed checkpoint (from the start when none
+// was committed yet). Virtual clocks never rewind: replayed work,
+// checkpoint and recovery rounds all show up in the report.
 func (lw *Lowered) RunParallel(pp *postpass.Program, cl *cluster.Cluster, mode Mode, cfg RunConfig) (*Result, error) {
 	if err := lw.translated(pp, cl); err != nil {
 		return nil, err
 	}
-	P := cl.N()
-	world := mpi.NewWorld(cl)
-	defer world.Shutdown()
-	if cfg.Ctx != nil {
-		// Context monitor: translate an external cancellation into a
-		// world cancel so blocked and computing ranks both unwind. The
-		// monitor itself exits when the run completes.
-		stop := make(chan struct{})
-		defer close(stop)
-		go func() {
-			select {
-			case <-cfg.Ctx.Done():
-				world.Cancel()
-			case <-stop:
-			}
-		}()
+	if cfg.Dir != "" {
+		if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
+			return nil, err
+		}
 	}
-	var out bytes.Buffer
+	s := &supervisor{lw: lw, mode: mode, dir: cfg.Dir, pp: pp}
+	world := mpi.NewWorld(cl)
+	stop := watchCancel(cfg.Ctx, world)
+	defer func() { stop(); world.Shutdown() }()
+	for {
+		res, err := s.attempt(world)
+		if err == nil {
+			return res, nil
+		}
+		world.Shutdown()
+		var me *mpi.Error
+		if cfg.Retranslate == nil || world.Cancelled() || !errors.As(err, &me) {
+			return nil, err // not survivable: no recovery round is charged
+		}
+		failed := world.Agree()
+		if len(failed) == 0 {
+			return nil, err // no rank actually crashed
+		}
+		nw, serr := world.Shrink(failed)
+		if serr != nil {
+			return nil, fmt.Errorf("interp: unrecoverable: %v (after %w)", serr, err)
+		}
+		world = nw
+		if s.pp, err = cfg.Retranslate(world.Size()); err != nil {
+			return nil, fmt.Errorf("interp: retranslate for %d survivors: %w", world.Size(), err)
+		}
+		if s.pp.Source != lw.prog {
+			return nil, fmt.Errorf("interp: retranslation for %d survivors is of a different program", world.Size())
+		}
+		stop()
+		stop = watchCancel(cfg.Ctx, world)
+		s.recoveries++
+	}
+}
 
+// supervisor is one parallel run across its attempts: the first on the
+// full world and, after each survived crash, one on the shrunken world
+// with the program retranslated for the survivors. Between attempts
+// only the supervisor touches it; during one the rank goroutines read
+// the attempt fields and only rank 0 writes, when it commits.
+type supervisor struct {
+	lw   *Lowered
+	mode Mode
+	dir  string
+	// pp is the translation the current attempt runs, out the master's
+	// output, and from its restore point (nil: the program start) with
+	// fromLen the encoded size a Recover round prices.
+	pp      *postpass.Program
+	out     bytes.Buffer
+	from    *ckpt.Snapshot
+	fromLen int
+	// last is the last committed checkpoint, lastLen its encoded size.
+	last                    *ckpt.Snapshot
+	lastLen                 int
+	checkpoints, recoveries int
+}
+
+// attempt runs the current translation once on world, every rank from
+// the last committed checkpoint, and returns the result or the root
+// cause of the failure.
+func (s *supervisor) attempt(world *mpi.World) (*Result, error) {
+	s.from, s.fromLen = s.last, s.lastLen
+	s.out.Reset()
+	if s.from != nil {
+		s.out.Write(s.from.Output)
+	}
+	P := world.Size()
 	envs := make([]*Env, P)
 	errs := make([]error, P)
 	var wg sync.WaitGroup
+	wg.Add(P)
 	for r := 0; r < P; r++ {
-		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
-			errs[rank] = lw.runRank(pp, world.Rank(rank), mode, &out, &envs[rank])
+			envs[rank], errs[rank] = s.runRank(world.Rank(rank))
 			if errs[rank] != nil {
-				// A rank that dies on an error must not strand its
-				// peers in a rendezvous: mark it departed so blocked
-				// operations fail over to structured errors.
+				// The failing rank revokes the world so every blocked
+				// peer fails over instead of deadlocking, then departs.
+				world.Revoke()
 				world.Depart(rank)
 			}
 		}(r)
 	}
 	wg.Wait()
+	if err := rootError(errs); err != nil {
+		return nil, err
+	}
+	rep := world.Cluster().Snapshot()
+	return &Result{
+		Report:      rep,
+		Elapsed:     rep.ElapsedVirtual(),
+		Mem:         finalMem(envs[0]),
+		Output:      s.out.String(),
+		Regions:     envs[0].regionStats,
+		Checkpoints: s.checkpoints,
+		Recoveries:  s.recoveries,
+	}, nil
+}
+
+// rootError picks the error to report from one attempt: the root
+// cause, not the collateral — revocations and peer-crash observations
+// exist only because some other rank failed first.
+func rootError(errs []error) error {
+	var first error
 	for _, e := range errs {
-		if e != nil {
-			return nil, e
+		if e == nil {
+			continue
+		}
+		if first == nil {
+			first = e
+		}
+		var me *mpi.Error
+		if !errors.As(e, &me) || (me.Kind != mpi.ErrRevoked && me.Kind != mpi.ErrPeerCrashed) {
+			return e
 		}
 	}
-	rep := cl.Snapshot()
-	return &Result{
-		Report:  rep,
-		Elapsed: rep.ElapsedVirtual(),
-		Mem:     finalMem(envs[0]),
-		Output:  out.String(),
-		Regions: envs[0].regionStats,
-	}, nil
+	return first
+}
+
+// watchCancel cancels world once ctx is done — at once if it already
+// is — so blocked and computing ranks both unwind, and returns the
+// function that stops watching. A nil ctx is never done.
+func watchCancel(ctx context.Context, world *mpi.World) (stop func() bool) {
+	if ctx == nil {
+		return func() bool { return false }
+	}
+	if ctx.Err() != nil {
+		world.Cancel()
+	}
+	return context.AfterFunc(ctx, world.Cancel)
 }
 
 // rankRun is one rank's pass over the SPMD regions: the rank's env and
@@ -252,19 +365,6 @@ type rankRun struct {
 	// rank keeps updating during the partitioned loop).
 	wins, redWins map[*f77.Symbol]*mpi.Win
 	halted        bool
-}
-
-// newRankRun builds the rank's env (slaves' prints are discarded).
-func (lw *Lowered) newRankRun(pp *postpass.Program, p *mpi.Proc, mode Mode, masterOut *bytes.Buffer) (*rankRun, error) {
-	sink := masterOut
-	if p.Rank() != 0 {
-		sink = &bytes.Buffer{}
-	}
-	env, err := newEnv(lw, p.World().Cluster(), p.Rank(), mode, sink)
-	if err != nil {
-		return nil, err
-	}
-	return &rankRun{env: env, pp: pp, p: p}, nil
 }
 
 // createWindows generates the rank's MPI environment (§5.1): a window
@@ -292,32 +392,82 @@ func (r *rankRun) createWindows() {
 	}
 }
 
-func (lw *Lowered) runRank(pp *postpass.Program, p *mpi.Proc, mode Mode, masterOut *bytes.Buffer, envOut **Env) (err error) {
+// runRank is one rank's part of an attempt: from the restore point (the
+// master restores the snapshot and, after a recovery, republishes it in
+// a Recover round), epoch by epoch, with a coordinated checkpoint after
+// every epoch but the last.
+func (s *supervisor) runRank(p *mpi.Proc) (env *Env, err error) {
 	defer recoverRun(&err)
-	r, err := lw.newRankRun(pp, p, mode, masterOut)
-	if err != nil {
-		return err
+	sink := &s.out
+	if p.Rank() != 0 {
+		sink = &bytes.Buffer{} // slaves' prints are discarded
 	}
-	r.env.world = p.World()
-	*envOut = r.env
+	if env, err = newEnv(s.lw, p.World().Cluster(), p.Rank(), p.Node(), s.mode, sink); err != nil {
+		return nil, err
+	}
+	env.world = p.World()
+	r := &rankRun{env: env, pp: s.pp, p: p}
+	start := 0
+	if s.from != nil {
+		start = s.from.Epoch
+		r.halted = s.from.Halted
+	}
 	if p.Rank() == 0 {
-		// "the master initially holds all program data objects".
-		r.env.applyData(lw.main)
+		if s.from == nil {
+			// "the master initially holds all program data objects".
+			env.applyData(s.lw.main)
+		} else if err := env.restoreSnapshot(s.from); err != nil {
+			return env, err
+		}
+	}
+	if s.from != nil {
+		size := 0
+		if p.Rank() == 0 {
+			size = s.fromLen
+		}
+		if err := p.Recover(size); err != nil {
+			return env, err
+		}
 	}
 	r.createWindows()
-	for ri := range pp.Regions {
-		r.env.checkCancelled()
+	epochs := max(len(s.pp.Epochs), 1)
+	for e := start; e < epochs; e++ {
+		if err := r.epoch(e); err != nil {
+			return env, err
+		}
+		if e < epochs-1 {
+			if err := s.checkpoint(r, e+1); err != nil {
+				return env, err
+			}
+		}
+	}
+	env.flush()
+	return env, nil
+}
+
+// epoch executes checkpoint epoch e of the translation; a translation
+// without epochs is one epoch spanning every region.
+func (r *rankRun) epoch(e int) error {
+	if r.pp.Epochs != nil {
+		for _, ri := range r.pp.Epochs[e] {
+			if err := r.region(ri); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	for ri := range r.pp.Regions {
 		if err := r.region(ri); err != nil {
 			return err
 		}
 	}
-	r.env.flush()
 	return nil
 }
 
 // region executes region ri of the translation and, on the master,
 // appends its profile row.
 func (r *rankRun) region(ri int) error {
+	r.env.checkCancelled()
 	env, p, region := r.env, r.p, r.pp.Regions[ri]
 	master := p.Rank() == 0
 	var startClock, startComm sim.Time

@@ -54,12 +54,13 @@ func TestServerDeadlineCancelsStalledJob(t *testing.T) {
 func TestServerDeadlineCancelsRunningJob(t *testing.T) {
 	s := New(Config{Clusters: 1})
 	defer s.Drain(context.Background())
-	// A large MM whose compile + run far exceeds the 1ms deadline: the
-	// context fires while the simulation executes (or before it starts)
-	// and the run must unwind instead of finishing. N=1024 keeps the
-	// run (~20ms) an order of magnitude past worst-case timer latency,
-	// so the cancel can't lose the race to completion under suite load.
-	j, err := s.Submit(Spec{Source: bench.MMSource(1024), Tenant: "dl", DeadlineMs: 1})
+	// A large MM whose run far exceeds the 1ms deadline: the context
+	// fires while the simulation executes (or before it starts) and the
+	// run must unwind instead of finishing. A timing run of MM 1024
+	// finishes in a few milliseconds, inside timer latency; a full run
+	// of MM 384 executes 56 M inner iterations (hundreds of
+	// milliseconds), so the cancel cannot lose the race to completion.
+	j, err := s.Submit(Spec{Source: bench.MMSource(384), Tenant: "dl", DeadlineMs: 1, Mode: "full"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,6 +136,40 @@ func TestServerRetriesTransientFault(t *testing.T) {
 	m := s.Metrics()
 	if m.Retries != 1 || m.Tenants["crashy"].Retried != 1 {
 		t.Fatalf("retries=%d tenant retried=%d, want 1/1", m.Retries, m.Tenants["crashy"].Retried)
+	}
+}
+
+// TestWrongProgramIsNotRetried: a program that fails on a slave (its
+// last partition stores past the end of A) is a wrong program, not a
+// transient cluster fault. The run reports the slave's own error, so
+// the job fails on its first attempt and burns no retry.
+func TestWrongProgramIsNotRetried(t *testing.T) {
+	s := New(Config{Clusters: 1, RetryBackoff: time.Millisecond})
+	defer s.Drain(context.Background())
+	j, err := s.Submit(Spec{Tenant: "wrong", Mode: "full", Source: `
+      PROGRAM OOB
+      INTEGER N
+      PARAMETER (N = 16)
+      REAL A(N)
+      INTEGER I
+      DO I = 1, N
+        A(I+1) = REAL(I)
+      ENDDO
+      PRINT *, A(2)
+      END
+`})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := waitTerminal(t, j)
+	if v.State != StateFailed || v.Attempts != 1 {
+		t.Fatalf("state %s after %d attempts, want failed after 1", v.State, v.Attempts)
+	}
+	if m := s.Metrics(); m.Retries != 0 {
+		t.Fatalf("retries = %d, want 0", m.Retries)
+	}
+	if err := j.Err(); err == nil || !strings.Contains(err.Error(), "subscript out of bounds") {
+		t.Fatalf("error %v, want the subscript error", err)
 	}
 }
 

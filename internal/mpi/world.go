@@ -214,6 +214,10 @@ func (p *Proc) World() *World { return p.w }
 // node is the calling rank's physical cluster node.
 func (p *Proc) node() int { return p.w.nodes[p.rank] }
 
+// Node reports the calling rank's physical cluster node: its own rank
+// on the full world, and on a shrunken one the node it kept.
+func (p *Proc) Node() int { return p.node() }
+
 // Wtime reports the calling rank's virtual clock (MPI_WTIME).
 func (p *Proc) Wtime() sim.Time { return p.w.cl.Clock(p.node()) }
 
