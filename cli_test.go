@@ -248,6 +248,22 @@ func TestCLIEndToEnd(t *testing.T) {
 		}
 	})
 
+	// A bad -dims geometry is rejected before the trace is read, with
+	// the bad dimension named.
+	t.Run("vbtrace-bad-dims", func(t *testing.T) {
+		traceFile := filepath.Join(t.TempDir(), "run.json")
+		if err := os.WriteFile(traceFile, []byte(`{"traceEvents":[{"name":"send","ph":"X","ts":0,"dur":1,"tid":0}]}`), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		out, err := exec.Command(filepath.Join(bins, "vbtrace"), "-dims", "2x0", traceFile).CombinedOutput()
+		if err == nil {
+			t.Fatalf("vbtrace -dims 2x0 accepted:\n%s", out)
+		}
+		if !strings.Contains(string(out), "2x0: dimension 1 has size 0") {
+			t.Fatalf("vbtrace -dims 2x0 does not name the bad dimension:\n%s", out)
+		}
+	})
+
 	t.Run("vbbench-profile", func(t *testing.T) {
 		out := run(t, filepath.Join(bins, "vbbench"), "-sweep", "profile", "-quick")
 		if !strings.Contains(out, "Communication matrices") ||

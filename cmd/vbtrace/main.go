@@ -21,10 +21,10 @@ import (
 	"io"
 	"os"
 	"sort"
-	"strconv"
 	"strings"
 
 	"vbuscluster/internal/interconnect"
+	"vbuscluster/internal/mesh"
 	"vbuscluster/internal/trace"
 )
 
@@ -52,10 +52,6 @@ var errUnknownTransport = errors.New("unknown transport class")
 // count pinned with -ranks.
 var errRankMismatch = errors.New("rank count mismatch")
 
-// errGeometryMismatch rejects a -dims geometry that cannot hold the
-// trace's ranks (or has a dimension below 1).
-var errGeometryMismatch = errors.New("geometry mismatch")
-
 func main() {
 	ranks := flag.Int("ranks", 0, "expected rank count; tracks outside [0, ranks) fail validation (0 = don't check)")
 	dimsFlag := flag.String("dims", "", "expected mesh geometry, e.g. 16x8x8; too small for the trace's ranks fails ('' = don't check)")
@@ -64,48 +60,31 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: vbtrace [-ranks N] [-dims WxHxD] trace.json")
 		os.Exit(2)
 	}
-	dims, err := parseDims(*dimsFlag)
-	if err != nil {
-		fail(err.Error())
+	var geo mesh.Geometry
+	if *dimsFlag != "" {
+		var err error
+		if geo, err = mesh.ParseGeometry(*dimsFlag); err != nil {
+			fail("-dims: " + err.Error())
+		}
 	}
 	data, err := os.ReadFile(flag.Arg(0))
 	if err != nil {
 		fail(err.Error())
 	}
-	summary, err := validate(flag.Arg(0), data, *ranks, dims)
+	summary, err := validate(flag.Arg(0), data, *ranks, geo)
 	if err != nil {
 		fail(err.Error())
 	}
 	fmt.Print(summary)
 }
 
-// parseDims parses a "16x8x8"-style geometry; "" means no check.
-func parseDims(s string) ([]int, error) {
-	if s == "" {
-		return nil, nil
-	}
-	parts := strings.Split(s, "x")
-	dims := make([]int, len(parts))
-	for i, p := range parts {
-		d, err := strconv.Atoi(p)
-		if err != nil {
-			return nil, fmt.Errorf("-dims %q: %w: %q is not a number", s, errGeometryMismatch, p)
-		}
-		if d < 1 {
-			return nil, fmt.Errorf("-dims %q: %w: dimension %d below 1", s, errGeometryMismatch, d)
-		}
-		dims[i] = d
-	}
-	return dims, nil
-}
-
 // validate checks a trace file's structure and returns the printable
 // per-track summary. Every way the file can be wrong — empty,
 // truncated mid-object, trailing garbage, wrong shape, negative
 // durations, unknown phases — yields a descriptive error. ranks > 0
-// pins the expected rank count; a non-empty dims pins the mesh
-// geometry (both named errors, errRankMismatch/errGeometryMismatch).
-func validate(name string, data []byte, ranks int, dims []int) (string, error) {
+// pins the expected rank count (errRankMismatch); a geometry with
+// dimensions must hold the trace's ranks (mesh.ErrGeometryMismatch).
+func validate(name string, data []byte, ranks int, geo mesh.Geometry) (string, error) {
 	if len(bytes.TrimSpace(data)) == 0 {
 		return "", fmt.Errorf("%s: empty trace file", name)
 	}
@@ -197,18 +176,13 @@ func validate(name string, data []byte, ranks int, dims []int) (string, error) {
 				name, errRankMismatch, tid, ranks)
 		}
 	}
-	if len(dims) > 0 {
-		nodes := 1
-		for _, d := range dims {
-			nodes *= d
-		}
+	if len(geo.Dims) > 0 {
 		need := ranks
 		if need == 0 {
 			need = maxRank + 1
 		}
-		if nodes < need {
-			return "", fmt.Errorf("%s: %w: geometry %s holds %d nodes but the trace needs %d ranks",
-				name, errGeometryMismatch, geomString(dims), nodes, need)
+		if err := geo.Check(need); err != nil {
+			return "", fmt.Errorf("%s: trace needs %d ranks: %w", name, need, err)
 		}
 	}
 	tids := make([]int, 0, len(tracks))
@@ -275,15 +249,6 @@ func checkProtocolClass(op string, tp interconnect.Transport) error {
 	}
 	return fmt.Errorf("transport %q carries op %q, want %q, %q or %q",
 		tp, op, trace.OpPut, trace.OpGet, trace.OpSend)
-}
-
-// geomString renders a geometry as "16x8x8".
-func geomString(dims []int) string {
-	parts := make([]string, len(dims))
-	for i, d := range dims {
-		parts[i] = strconv.Itoa(d)
-	}
-	return strings.Join(parts, "x")
 }
 
 func fail(msg string) {

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"vbuscluster/internal/mesh"
 )
 
 const goodTrace = `{"displayTimeUnit":"ns","traceEvents":[
@@ -13,7 +15,7 @@ const goodTrace = `{"displayTimeUnit":"ns","traceEvents":[
 ]}`
 
 func TestValidateGood(t *testing.T) {
-	out, err := validate("t.json", []byte(goodTrace), 0, nil)
+	out, err := validate("t.json", []byte(goodTrace), 0, mesh.Geometry{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +49,7 @@ func TestValidateRejects(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			_, err := validate("t.json", []byte(c.data), 0, nil)
+			_, err := validate("t.json", []byte(c.data), 0, mesh.Geometry{})
 			if err == nil {
 				t.Fatalf("accepted %s input", c.name)
 			}
@@ -61,7 +63,7 @@ func TestValidateRejects(t *testing.T) {
 // TestUnknownTransportNamedError: the rejection is the named sentinel,
 // so callers can branch on it with errors.Is.
 func TestUnknownTransportNamedError(t *testing.T) {
-	_, err := validate("t.json", []byte(`{"traceEvents":[{"name":"send","cat":"warp","ph":"X","ts":0,"dur":1,"tid":0}]}`), 0, nil)
+	_, err := validate("t.json", []byte(`{"traceEvents":[{"name":"send","cat":"warp","ph":"X","ts":0,"dur":1,"tid":0}]}`), 0, mesh.Geometry{})
 	if !errors.Is(err, errUnknownTransport) {
 		t.Fatalf("got %v, want errUnknownTransport", err)
 	}
@@ -71,10 +73,10 @@ func TestUnknownTransportNamedError(t *testing.T) {
 // different machine: the rejection is the named errRankMismatch. The
 // compiler's pseudo-rank -1 track is exempt.
 func TestValidateRankMismatch(t *testing.T) {
-	if _, err := validate("t.json", []byte(goodTrace), 4, nil); err != nil {
+	if _, err := validate("t.json", []byte(goodTrace), 4, mesh.Geometry{}); err != nil {
 		t.Fatalf("trace spanning ranks 0-1 rejected for -ranks 4: %v", err)
 	}
-	_, err := validate("t.json", []byte(goodTrace), 1, nil)
+	_, err := validate("t.json", []byte(goodTrace), 1, mesh.Geometry{})
 	if !errors.Is(err, errRankMismatch) {
 		t.Fatalf("got %v, want errRankMismatch", err)
 	}
@@ -82,42 +84,33 @@ func TestValidateRankMismatch(t *testing.T) {
  {"name":"parse","ph":"X","ts":0,"dur":3,"tid":-1},
  {"name":"send","ph":"X","ts":0,"dur":10,"tid":0,"args":{"bytes":64}}
 ]}`
-	if _, err := validate("t.json", []byte(withCompiler), 1, nil); err != nil {
+	if _, err := validate("t.json", []byte(withCompiler), 1, mesh.Geometry{}); err != nil {
 		t.Fatalf("compiler track tripped the rank check: %v", err)
 	}
 }
 
 // A -dims geometry smaller than the trace's rank span (or the pinned
-// -ranks) is the named errGeometryMismatch.
+// -ranks) is the named mesh.ErrGeometryMismatch; one with a dimension
+// below 1 is mesh.ErrBadGeometry.
 func TestValidateGeometryMismatch(t *testing.T) {
-	if _, err := validate("t.json", []byte(goodTrace), 0, []int{2, 1}); err != nil {
+	grid := func(dims ...int) mesh.Geometry { return mesh.Geometry{Dims: dims} }
+	if _, err := validate("t.json", []byte(goodTrace), 0, grid(2, 1)); err != nil {
 		t.Fatalf("2x1 geometry rejected for a 2-rank trace: %v", err)
 	}
-	_, err := validate("t.json", []byte(goodTrace), 0, []int{1, 1})
-	if !errors.Is(err, errGeometryMismatch) {
-		t.Fatalf("got %v, want errGeometryMismatch", err)
+	_, err := validate("t.json", []byte(goodTrace), 0, grid(1, 1))
+	if !errors.Is(err, mesh.ErrGeometryMismatch) {
+		t.Fatalf("got %v, want mesh.ErrGeometryMismatch", err)
 	}
-	_, err = validate("t.json", []byte(goodTrace), 64, []int{4, 4, 2})
-	if !errors.Is(err, errGeometryMismatch) {
-		t.Fatalf("pinned ranks beyond geometry: got %v, want errGeometryMismatch", err)
+	_, err = validate("t.json", []byte(goodTrace), 64, grid(4, 4, 2))
+	if !errors.Is(err, mesh.ErrGeometryMismatch) {
+		t.Fatalf("pinned ranks beyond geometry: got %v, want mesh.ErrGeometryMismatch", err)
 	}
-	if _, err := validate("t.json", []byte(goodTrace), 64, []int{4, 4, 4}); err != nil {
+	if _, err := validate("t.json", []byte(goodTrace), 64, grid(4, 4, 4)); err != nil {
 		t.Fatalf("64 ranks on 4x4x4 rejected: %v", err)
 	}
-}
-
-func TestParseDims(t *testing.T) {
-	dims, err := parseDims("16x8x8")
-	if err != nil || len(dims) != 3 || dims[0] != 16 || dims[1] != 8 || dims[2] != 8 {
-		t.Fatalf("parseDims(16x8x8) = %v, %v", dims, err)
-	}
-	if dims, err := parseDims(""); err != nil || dims != nil {
-		t.Fatalf("empty -dims should disable the check, got %v, %v", dims, err)
-	}
-	for _, bad := range []string{"16x", "axb", "4x0x4", "4x-1"} {
-		if _, err := parseDims(bad); !errors.Is(err, errGeometryMismatch) {
-			t.Errorf("parseDims(%q) = %v, want errGeometryMismatch", bad, err)
-		}
+	_, err = validate("t.json", []byte(goodTrace), 0, grid(2, 0))
+	if !errors.Is(err, mesh.ErrBadGeometry) {
+		t.Fatalf("zero dimension: got %v, want mesh.ErrBadGeometry", err)
 	}
 }
 
@@ -131,7 +124,7 @@ func TestValidateCoalescedTrace(t *testing.T) {
  {"name":"get.p","cat":"pack","ph":"X","ts":12,"dur":8,"tid":0,"args":{"bytes":320}},
  {"name":"put.s","cat":"pio","ph":"X","ts":22,"dur":4,"tid":0,"args":{"bytes":64}}
 ]}`
-	out, err := validate("t.json", []byte(coalescedTrace), 0, nil)
+	out, err := validate("t.json", []byte(coalescedTrace), 0, mesh.Geometry{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +143,7 @@ func TestValidateResilientTrace(t *testing.T) {
  {"name":"recovery","cat":"recovery","ph":"X","ts":12,"dur":5,"tid":0},
  {"name":"bcast","cat":"p2p","ph":"X","ts":20,"dur":5,"tid":0,"args":{"bytes":64}}
 ]}`
-	out, err := validate("t.json", []byte(resilientTrace), 0, nil)
+	out, err := validate("t.json", []byte(resilientTrace), 0, mesh.Geometry{})
 	if err != nil {
 		t.Fatal(err)
 	}

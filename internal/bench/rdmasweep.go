@@ -75,7 +75,7 @@ func rdmaModel() (cluster.Params, interconnect.ProtocolModel, int, error) {
 	if pm == nil {
 		return params, nil, 0, fmt.Errorf("bench: rdma card does not implement interconnect.ProtocolModel")
 	}
-	return params, pm, params.Hops(0, 1), nil
+	return params, pm, params.Geometry().Hops(0, 1), nil
 }
 
 // RdmaGate computes the protocol model's crossover row from the

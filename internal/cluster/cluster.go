@@ -11,7 +11,6 @@ package cluster
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 
 	"vbuscluster/internal/commcost"
@@ -22,15 +21,6 @@ import (
 	"vbuscluster/internal/sim"
 	"vbuscluster/internal/trace"
 )
-
-// geomString renders a geometry as "16x8x8".
-func geomString(dims []int) string {
-	parts := make([]string, len(dims))
-	for i, d := range dims {
-		parts[i] = fmt.Sprintf("%d", d)
-	}
-	return strings.Join(parts, "x")
-}
 
 // CPUParams is the processor cost model. The defaults approximate a
 // 300 MHz Pentium II running naive compiled Fortran loops: each
@@ -82,10 +72,10 @@ type Params struct {
 	MeshWidth, MeshHeight int
 	// MeshDims generalizes the placement to an N-dimensional grid
 	// (e.g. [16, 8, 8] for a 1024-node 3-D torus). Empty means
-	// [MeshWidth, MeshHeight]. See Dims.
+	// [MeshWidth, MeshHeight]. See Geometry.
 	MeshDims []int
 	// Torus wraps the mesh in every dimension, shortening worst-case
-	// hop distances (see mesh.Config.Torus for the flit-level model).
+	// hop distances.
 	Torus bool
 	// Faults is the optional deterministic fault injector. Nil (the
 	// default) models the paper's perfect network: no retries, no
@@ -132,109 +122,24 @@ func (p Params) CommCost() *commcost.Kernel {
 	return commcost.New(p.Fabric, p.CPU.MemCopyPerByte)
 }
 
-// Dims is the normalized mesh geometry: MeshDims when set, otherwise
-// [MeshWidth, MeshHeight].
-func (p Params) Dims() []int {
-	if len(p.MeshDims) > 0 {
-		return p.MeshDims
+// Geometry is the grid the ranks are placed on, row-major: MeshDims
+// when set, otherwise MeshWidth×MeshHeight, wrapped when Torus is set.
+// Its walk is the one the flit-level simulator routes on, so the
+// runtime's charging, its link-outage paths and the compiler's static
+// cost estimator cannot disagree with it or with each other.
+func (p Params) Geometry() mesh.Geometry {
+	dims := p.MeshDims
+	if len(dims) == 0 {
+		dims = []int{p.MeshWidth, p.MeshHeight}
 	}
-	return []int{p.MeshWidth, p.MeshHeight}
-}
-
-// dimStrides returns the row-major coordinate strides of a geometry.
-func dimStrides(dims []int) []int {
-	strides := make([]int, len(dims))
-	s := 1
-	for i, d := range dims {
-		strides[i] = s
-		s *= d
-	}
-	return strides
-}
-
-// Hops reports the mesh hop distance between the nodes of two ranks
-// placed row-major on the params' mesh (any number of dimensions). It
-// is the single geometry helper shared by the runtime's charging and
-// the compiler's static cost estimator, so the two cannot disagree.
-func (p Params) Hops(a, b int) int {
-	dims := p.Dims()
-	total, stride := 0, 1 // stride: row-major coordinate stride of dimension i
-	for i, size := range dims {
-		ac, bc := a/stride, b/stride
-		if i < len(dims)-1 {
-			ac, bc = ac%size, bc%size
-		}
-		d := ac - bc
-		if d < 0 {
-			d = -d
-		}
-		if p.Torus {
-			if w := size - d; w < d {
-				d = w
-			}
-		}
-		total += d
-		stride *= size
-	}
-	return total
-}
-
-// Path lists the mesh nodes a message from rank a's node to rank b's
-// node visits in order (endpoints included), following the same
-// dimension-ordered routing as the flit-level simulator: dimension 0
-// is corrected first, then 1, and so on, taking the shorter wrap
-// direction on a torus (ties go to the positive direction). The fault
-// injector's link outages are resolved against this path.
-func (p Params) Path(a, b int) []int {
-	dims := p.Dims()
-	strides := dimStrides(dims)
-	cur := make([]int, len(dims))
-	dst := make([]int, len(dims))
-	for i, size := range dims {
-		cur[i] = (a / strides[i]) % size
-		dst[i] = (b / strides[i]) % size
-	}
-	node := func() int {
-		n := 0
-		for i := range dims {
-			n += cur[i] * strides[i]
-		}
-		return n
-	}
-	path := []int{a}
-	// dir picks +1 or -1 along one axis: toward the destination on a
-	// plain mesh, the shorter wrap on a torus (ties go positive). The
-	// step counts match Params.Hops by construction.
-	dir := func(curv, dstv, size int) int {
-		fwd := dstv - curv
-		if fwd < 0 {
-			fwd += size
-		}
-		bwd := size - fwd
-		if !p.Torus {
-			if dstv > curv {
-				return 1
-			}
-			return -1
-		}
-		if fwd <= bwd {
-			return 1
-		}
-		return -1
-	}
-	for i, size := range dims {
-		for cur[i] != dst[i] {
-			cur[i] = (cur[i] + dir(cur[i], dst[i], size) + size) % size
-			path = append(path, node())
-		}
-	}
-	return path
+	return mesh.Geometry{Dims: dims, Torus: p.Torus}
 }
 
 // Cluster is a set of processes with virtual clocks placed on a mesh.
 // All methods are safe for concurrent use by the per-rank goroutines.
 type Cluster struct {
 	params Params
+	geo    mesh.Geometry
 	n      int
 	// kernel prices every data transfer charged on this machine.
 	kernel *commcost.Kernel
@@ -275,17 +180,9 @@ func New(n int, params Params) (*Cluster, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("cluster: need at least one process, got %d", n)
 	}
-	dims := params.Dims()
-	capacity := 1
-	for _, d := range dims {
-		if d < 1 {
-			return nil, fmt.Errorf("cluster: invalid mesh %s: %w", geomString(dims), mesh.ErrBadGeometry)
-		}
-		capacity *= d
-	}
-	if n > capacity {
-		return nil, fmt.Errorf("cluster: %d processes exceed %d mesh nodes (%s): %w",
-			n, capacity, geomString(dims), mesh.ErrGeometryMismatch)
+	geo := params.Geometry()
+	if err := geo.Check(n); err != nil {
+		return nil, fmt.Errorf("cluster: %d processes: %w", n, err)
 	}
 	if params.Fabric == nil {
 		return nil, fmt.Errorf("cluster: nil interconnect backend")
@@ -293,6 +190,7 @@ func New(n int, params Params) (*Cluster, error) {
 	kernel := params.CommCost()
 	c := &Cluster{
 		params:    params,
+		geo:       geo,
 		n:         n,
 		kernel:    kernel,
 		regCaches: kernel.NewRegCaches(n),
@@ -324,8 +222,11 @@ func (c *Cluster) SetRecorder(r *trace.Recorder) { c.rec = r }
 // off.
 func (c *Cluster) Recorder() *trace.Recorder { return c.rec }
 
+// Geometry returns the grid the ranks are placed on.
+func (c *Cluster) Geometry() mesh.Geometry { return c.geo }
+
 // Hops reports the mesh hop distance between two ranks' nodes.
-func (c *Cluster) Hops(a, b int) int { return c.params.Hops(a, b) }
+func (c *Cluster) Hops(a, b int) int { return c.geo.Hops(a, b) }
 
 // CommCost returns the machine's transfer-pricing kernel.
 func (c *Cluster) CommCost() *commcost.Kernel { return c.kernel }

@@ -41,13 +41,14 @@ type chargeCase struct {
 // broadcast, reduce and allreduce at four sizes, checkpoint and
 // recovery rounds empty and at 1 MiB, and the survivors' agreement.
 func chargeCases(params cluster.Params, nodes []int) []chargeCase {
+	geo := params.Geometry()
 	near, far := 0, 0
 	for r := range nodes {
-		h := params.Hops(nodes[0], nodes[r])
-		if r > 0 && (near == 0 || h < params.Hops(nodes[0], nodes[near])) {
+		h := geo.Hops(nodes[0], nodes[r])
+		if r > 0 && (near == 0 || h < geo.Hops(nodes[0], nodes[near])) {
 			near = r
 		}
-		if h > params.Hops(nodes[0], nodes[far]) {
+		if h > geo.Hops(nodes[0], nodes[far]) {
 			far = r
 		}
 	}
@@ -66,8 +67,8 @@ func chargeCases(params cluster.Params, nodes []int) []chargeCase {
 	cases := []chargeCase{
 		{name: "Barrier", run: func(p *mpi.Proc, _ *mpi.Win) error { return p.Barrier() }},
 		{name: "Fence", run: func(p *mpi.Proc, win *mpi.Win) error { return p.Fence(win) }},
-		{name: fmt.Sprintf("Lock/near hops=%d", params.Hops(nodes[0], nodes[near])), run: lock(near)},
-		{name: fmt.Sprintf("Lock/far hops=%d", params.Hops(nodes[0], nodes[far])), run: lock(far)},
+		{name: fmt.Sprintf("Lock/near hops=%d", geo.Hops(nodes[0], nodes[near])), run: lock(near)},
+		{name: fmt.Sprintf("Lock/far hops=%d", geo.Hops(nodes[0], nodes[far])), run: lock(far)},
 	}
 	for _, words := range []int{0, 1, 117, 4096} {
 		data := func() []float64 { return make([]float64, words) }

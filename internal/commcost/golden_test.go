@@ -163,7 +163,7 @@ func TestAccessesMatchGolden(t *testing.T) {
 		rec := trace.New()
 		cl.SetRecorder(rec)
 		p := mpi.NewWorld(cl).Rank(0)
-		k, hops := params.CommCost(), params.Hops(0, c.target)
+		k, hops := params.CommCost(), params.Geometry().Hops(0, c.target)
 		var sim *interconnect.RegCache
 		if caches := k.NewRegCaches(1); caches != nil {
 			sim = caches[0]

@@ -22,6 +22,7 @@ func foldEstimate(p *postpass.Program, params cluster.Params) sim.Time {
 	k := params.CommCost()
 	procs := p.Opts.NumProcs
 	caches := k.NewRegCaches(procs)
+	geo := params.Geometry()
 	var total sim.Time
 	price := func(par *postpass.ParInfo, dir postpass.Direction, rank, origin int) {
 		var cache *interconnect.RegCache
@@ -30,7 +31,7 @@ func foldEstimate(p *postpass.Program, params cluster.Params) sim.Time {
 		}
 		for _, pl := range postpass.RankPlans(par, dir, rank) {
 			for _, tr := range pl.Plan {
-				t, _ := k.Price(commcost.FromTransfer(pl.Sym.Name, tr), params.Hops(0, rank), cache)
+				t, _ := k.Price(commcost.FromTransfer(pl.Sym.Name, tr), geo.Hops(0, rank), cache)
 				total += t
 			}
 		}

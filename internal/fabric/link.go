@@ -176,7 +176,6 @@ type LinkConfig struct {
 // configuration's delay slice, so it is immutable whatever the caller
 // does with that slice afterwards.
 type Link struct {
-	mode        PipelineMode
 	width       int
 	propagation sim.Time
 	launch      sim.Time
@@ -201,15 +200,11 @@ func NewLink(cfg LinkConfig) (*Link, error) {
 		return nil, err
 	}
 	return &Link{
-		mode:        cfg.Mode,
 		width:       cfg.Lines.Width(),
 		propagation: cfg.Lines.MaxDelay(),
 		launch:      launch,
 	}, nil
 }
-
-// Mode reports the signalling discipline.
-func (l *Link) Mode() PipelineMode { return l.mode }
 
 // Width reports the number of parallel data lines, i.e. bits moved per
 // launch.

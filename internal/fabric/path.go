@@ -11,11 +11,7 @@ import (
 // calibrate the cluster cost model: the mesh simulator in internal/mesh
 // handles contention, while Path gives the uncontended pipeline timing.
 type Path struct {
-	mode          PipelineMode
 	lines         LineSet
-	margin        sim.Time
-	sampler       SkewSampler
-	hops          int
 	routerLatency sim.Time
 	links         []*Link
 }
@@ -40,11 +36,7 @@ func NewPath(cfg PathConfig) (*Path, error) {
 		return nil, fmt.Errorf("fabric: negative router latency")
 	}
 	p := &Path{
-		mode:          cfg.Mode,
 		lines:         cfg.Lines,
-		margin:        cfg.Margin,
-		sampler:       cfg.Sampler,
-		hops:          cfg.Hops,
 		routerLatency: cfg.RouterLatency,
 	}
 	for h := 0; h < cfg.Hops; h++ {
@@ -66,9 +58,6 @@ func NewPath(cfg PathConfig) (*Path, error) {
 	}
 	return p, nil
 }
-
-// Hops reports the hop count.
-func (p *Path) Hops() int { return p.hops }
 
 // BottleneckInterval is the largest launch interval along the path; in
 // a wormhole pipeline it bounds the end-to-end word rate.

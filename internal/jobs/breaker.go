@@ -8,17 +8,20 @@ import "sync"
 // recompile-and-crash per submission. Counting is per key — one
 // tenant's poison program cannot quarantine another program.
 //
-// The policy is deliberately simple: `threshold` consecutive panics on
-// one key trip the breaker; a successful run of the key resets its
+// The policy is deliberately simple: breakerThreshold consecutive
+// panics on one key trip the breaker; a successful run of the key resets its
 // count. A tripped key stays quarantined for the server's lifetime
 // (the journal does not persist breaker state — a restart retries the
 // key once, which is the desired give-it-another-chance behavior).
 type breaker struct {
-	mu        sync.Mutex
-	threshold int // <= 0 disables the breaker entirely
-	counts    map[string]int
-	tripped   map[string]bool
+	mu      sync.Mutex
+	counts  map[string]int
+	tripped map[string]bool
 }
+
+// breakerThreshold is how many consecutive worker panics on one plan
+// key quarantine that key.
+const breakerThreshold = 2
 
 // maxBreakerKeys bounds the tracked-key maps on a long-lived server; a
 // hostile stream of unique poison keys evicts arbitrary old counts
@@ -26,11 +29,10 @@ type breaker struct {
 // its count from zero).
 const maxBreakerKeys = 4096
 
-func newBreaker(threshold int) *breaker {
+func newBreaker() *breaker {
 	return &breaker{
-		threshold: threshold,
-		counts:    map[string]int{},
-		tripped:   map[string]bool{},
+		counts:  map[string]int{},
+		tripped: map[string]bool{},
 	}
 }
 
@@ -38,9 +40,6 @@ func newBreaker(threshold int) *breaker {
 // the breaker (the transition, not the steady state — callers count
 // trips from it).
 func (b *breaker) note(key string) bool {
-	if b.threshold <= 0 {
-		return false
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.tripped[key] {
@@ -55,7 +54,7 @@ func (b *breaker) note(key string) bool {
 		}
 	}
 	b.counts[key]++
-	if b.counts[key] >= b.threshold {
+	if b.counts[key] >= breakerThreshold {
 		if len(b.tripped) >= maxBreakerKeys {
 			for k := range b.tripped {
 				if k != key {
@@ -73,9 +72,6 @@ func (b *breaker) note(key string) bool {
 
 // isTripped reports whether key is quarantined.
 func (b *breaker) isTripped(key string) bool {
-	if b.threshold <= 0 {
-		return false
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.tripped[key]
@@ -83,9 +79,6 @@ func (b *breaker) isTripped(key string) bool {
 
 // reset clears key's consecutive-panic count after a successful run.
 func (b *breaker) reset(key string) {
-	if b.threshold <= 0 {
-		return
-	}
 	b.mu.Lock()
 	delete(b.counts, key)
 	b.mu.Unlock()

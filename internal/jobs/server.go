@@ -47,10 +47,6 @@ type Config struct {
 	// RetryBackoff is the base retry delay, doubled per attempt with
 	// deterministic jitter (default 25ms).
 	RetryBackoff time.Duration
-	// BreakerThreshold is how many consecutive worker panics on one
-	// plan key quarantine that key (default 2; negative disables the
-	// breaker).
-	BreakerThreshold int
 	// RetainJobs bounds the finished-job table (default 4096).
 	RetainJobs int
 	// RatePerSec is the default per-tenant sustained admission rate
@@ -84,9 +80,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RetryBackoff == 0 {
 		c.RetryBackoff = 25 * time.Millisecond
-	}
-	if c.BreakerThreshold == 0 {
-		c.BreakerThreshold = 2
 	}
 	if c.RetainJobs == 0 {
 		c.RetainJobs = 4096
@@ -169,7 +162,7 @@ func newServer(cfg Config) *Server {
 		cfg:     cfg,
 		cache:   NewPlanCache(cfg.CacheEntries),
 		queue:   NewQueue(cfg.QueueDepth, cfg.TenantWeights),
-		breaker: newBreaker(cfg.BreakerThreshold),
+		breaker: newBreaker(),
 		limiter: newRateLimiter(cfg.RatePerSec, cfg.RateBurst, cfg.TenantRates),
 		start:   time.Now(),
 		jobs:    map[string]*Job{},

@@ -270,10 +270,6 @@ type Transfer struct {
 	Proto Protocol
 }
 
-// Bytes reports the wire payload in elements (redundant elements
-// included for approximate regions).
-func (t Transfer) Elements() int64 { return t.Elems }
-
 // planLimit bounds the transfers one descriptor may be materialised
 // into (guarding against accidental huge expansions).
 const planLimit = 1 << 22

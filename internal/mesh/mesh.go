@@ -1,13 +1,14 @@
-// Package mesh simulates the V-Bus interconnection network: a 2-D mesh
-// of wormhole routers whose channels are the wave-pipelined links from
-// internal/fabric, plus the paper's Virtual Bus — a broadcast bus that
-// is dynamically constructed over the mesh when a broadcast request is
-// issued, freezing on-going point-to-point messages in their buffers
-// while the bus is driven.
+// Package mesh simulates the V-Bus interconnection network: a grid of
+// wormhole routers (a Geometry — mesh or torus in any number of
+// dimensions; 2-D in the paper's machine) whose channels are the
+// wave-pipelined links from internal/fabric, plus the paper's Virtual
+// Bus — a broadcast bus that is dynamically constructed over the mesh
+// when a broadcast request is issued, freezing on-going point-to-point
+// messages in their buffers while the bus is driven.
 //
 // The simulator works at message granularity with wormhole semantics: a
-// message acquires the channels along its dimension-ordered (XY) route
-// hop by hop, holds every acquired channel until its tail flit drains
+// message acquires the channels along its dimension-ordered route hop
+// by hop, holds every acquired channel until its tail flit drains
 // (backpressure), and contends FIFO for busy channels. This is the
 // standard message-level wormhole approximation; it preserves the cost
 // structure the paper's evaluation depends on (head latency per hop,
@@ -18,7 +19,7 @@ package mesh
 import (
 	"errors"
 	"fmt"
-	"strings"
+	"slices"
 
 	"vbuscluster/internal/fabric"
 	"vbuscluster/internal/fault"
@@ -31,39 +32,19 @@ type NodeID int
 
 // Named configuration errors, matchable with errors.Is.
 var (
-	// ErrBadGeometry rejects a geometry with a dimension below 1.
+	// ErrBadGeometry rejects a geometry without dimensions or with a
+	// dimension below 1.
 	ErrBadGeometry = errors.New("mesh: invalid geometry")
-	// ErrGeometryMismatch rejects inconsistent geometry specifications
-	// (conflicting Width×Height vs Dims, or a node population that
-	// does not fit the geometry).
+	// ErrGeometryMismatch rejects a node population that does not fit
+	// the geometry.
 	ErrGeometryMismatch = errors.New("mesh: geometry mismatch")
 )
 
 // Config describes the mesh geometry and its physical channels.
 type Config struct {
-	// Width and Height are the classic 2-D geometry (kept as the
-	// common case and for backward compatibility). Ignored when Dims
-	// is set — unless both are given and disagree, which is an error.
-	Width, Height int
-
-	// Dims generalizes the geometry to an N-dimensional grid (e.g.
-	// [16, 8, 8] for the 1024-node 3-D torus an APEnet-style fabric
-	// uses). Empty means [Width, Height]. Routing stays
-	// dimension-ordered across all dimensions.
-	Dims []int
-
-	// Torus adds wrap-around channels in every dimension (the paper
-	// lists "mesh, torus and hypercube" as the switched networks the
-	// V-Bus design targets). Routing stays dimension-ordered but picks
-	// the shorter direction around each ring.
-	Torus bool
-
-	// Hypercube replaces the grid entirely with a binary n-cube over
-	// the geometry's node count (which must be a power of two): node i
-	// links to i^(1<<d) for each dimension d, routed e-cube (lowest
-	// differing bit first), which is deadlock-free by dimension
-	// ordering.
-	Hypercube bool
+	// Geometry is the grid of routers; messages follow its
+	// dimension-ordered walk.
+	Geometry Geometry
 
 	// Channel physics (shared by every mesh channel).
 	LinkMode fabric.PipelineMode
@@ -84,10 +65,8 @@ type Config struct {
 type Dir int
 
 // Channel directions. Inject/Eject are the NIC-router channels.
-// Values beyond Eject encode either a hypercube dimension (cubeDir)
-// or a mesh dimension beyond the first two (dirFor) — the two
-// encodings share the value space because the topologies are mutually
-// exclusive.
+// Values beyond Eject encode the dimensions beyond the first two
+// (dirFor).
 const (
 	East Dir = iota
 	West
@@ -113,9 +92,7 @@ func (d Dir) String() string {
 		return "ej"
 	}
 	if k := int(d) - int(Eject) - 1; k >= 0 {
-		// Higher mesh dimension: D2+, D2-, D3+, ... (a hypercube
-		// channel of cube dimension c prints as the mesh encoding of
-		// the same value).
+		// Higher mesh dimension: D2+, D2-, D3+, ...
 		sign := "+"
 		if k%2 == 1 {
 			sign = "-"
@@ -213,11 +190,6 @@ type Mesh struct {
 	cfg  Config
 	link *fabric.Link // channel timing model (per hop, freshly sampled)
 
-	// dims is the normalized geometry ([Width, Height] when cfg.Dims
-	// is empty); strides are the row-major coordinate multipliers.
-	dims    []int
-	strides []int
-
 	channels map[chanKey]*channel
 	draining map[*message]struct{}
 
@@ -235,53 +207,19 @@ type Mesh struct {
 	stats Stats
 }
 
-// geomString renders a geometry as "16x8x8".
-func geomString(dims []int) string {
-	parts := make([]string, len(dims))
-	for i, d := range dims {
-		parts[i] = fmt.Sprintf("%d", d)
-	}
-	return strings.Join(parts, "x")
-}
-
-// prodDims is the node count of a geometry.
-func prodDims(dims []int) int {
-	n := 1
-	for _, d := range dims {
-		n *= d
-	}
-	return n
-}
-
-// New validates cfg and builds the mesh. A geometry with a dimension
-// below 1 fails with ErrBadGeometry; conflicting Width×Height and
-// Dims specifications fail with ErrGeometryMismatch — both named, so
-// callers fed from external configuration can classify the rejection
-// instead of discovering it as an index panic deep inside Route.
+// New validates cfg and builds the mesh. A geometry without
+// dimensions or with one below 1 fails with the named ErrBadGeometry,
+// so callers fed from external configuration can classify the
+// rejection instead of discovering it as an index panic deep inside
+// Route.
 func New(eng *sim.Engine, cfg Config) (*Mesh, error) {
-	dims := append([]int(nil), cfg.Dims...)
-	if len(dims) == 0 {
-		dims = []int{cfg.Width, cfg.Height}
-	} else if (cfg.Width != 0 || cfg.Height != 0) && cfg.Width*cfg.Height != prodDims(dims) {
-		return nil, fmt.Errorf("%w: Width×Height %dx%d conflicts with Dims %s",
-			ErrGeometryMismatch, cfg.Width, cfg.Height, geomString(dims))
-	}
-	for _, d := range dims {
-		if d < 1 {
-			return nil, fmt.Errorf("%w %s", ErrBadGeometry, geomString(dims))
-		}
+	if err := cfg.Geometry.Check(1); err != nil {
+		return nil, err
 	}
 	if cfg.RouterLatency < 0 || cfg.BusArbitration < 0 {
 		return nil, fmt.Errorf("mesh: negative latency config")
 	}
-	if cfg.Hypercube {
-		if cfg.Torus {
-			return nil, fmt.Errorf("mesh: Torus and Hypercube are mutually exclusive")
-		}
-		if n := prodDims(dims); n&(n-1) != 0 {
-			return nil, fmt.Errorf("mesh: hypercube needs a power-of-two node count, got %d", n)
-		}
-	}
+	cfg.Geometry.Dims = slices.Clone(cfg.Geometry.Dims)
 	l, err := fabric.NewLink(fabric.LinkConfig{
 		Mode:    cfg.LinkMode,
 		Lines:   cfg.Lines,
@@ -291,18 +229,10 @@ func New(eng *sim.Engine, cfg Config) (*Mesh, error) {
 	if err != nil {
 		return nil, fmt.Errorf("mesh: %w", err)
 	}
-	strides := make([]int, len(dims))
-	s := 1
-	for i, d := range dims {
-		strides[i] = s
-		s *= d
-	}
 	m := &Mesh{
 		eng:      eng,
 		cfg:      cfg,
 		link:     l,
-		dims:     dims,
-		strides:  strides,
 		channels: make(map[chanKey]*channel),
 		draining: make(map[*message]struct{}),
 		meshSeq:  make(map[[2]NodeID]int),
@@ -313,13 +243,7 @@ func New(eng *sim.Engine, cfg Config) (*Mesh, error) {
 }
 
 // Nodes reports the node count.
-func (m *Mesh) Nodes() int { return prodDims(m.dims) }
-
-// Dims returns the normalized geometry (a copy).
-func (m *Mesh) Dims() []int { return append([]int(nil), m.dims...) }
-
-// Engine returns the driving event engine.
-func (m *Mesh) Engine() *sim.Engine { return m.eng }
+func (m *Mesh) Nodes() int { return m.cfg.Geometry.Nodes() }
 
 // BytesPerFlit reports the payload bytes carried per flit (= link width).
 func (m *Mesh) BytesPerFlit() int { return m.stats.BytesPerFlit }
@@ -332,164 +256,47 @@ func (m *Mesh) Stats() Stats { return m.stats }
 func (m *Mesh) SetFaults(inj *fault.Injector) { m.inj = inj }
 
 // Coord maps a NodeID to its first two mesh coordinates (the classic
-// 2-D view; use coords for the full coordinate vector).
+// 2-D view).
 func (m *Mesh) Coord(n NodeID) (x, y int) {
-	return int(n) % m.dims[0], int(n) / m.dims[0]
+	return int(n) % m.cfg.Geometry.Dims[0], int(n) / m.cfg.Geometry.Dims[0]
 }
 
 // NodeAt maps 2-D coordinates to a NodeID.
-func (m *Mesh) NodeAt(x, y int) NodeID { return NodeID(y*m.dims[0] + x) }
-
-// coords maps a NodeID to its full row-major coordinate vector.
-func (m *Mesh) coords(n NodeID) []int {
-	c := make([]int, len(m.dims))
-	for d := range m.dims {
-		c[d] = (int(n) / m.strides[d]) % m.dims[d]
-	}
-	return c
-}
-
-// nodeAtCoords maps a coordinate vector back to a NodeID.
-func (m *Mesh) nodeAtCoords(c []int) NodeID {
-	n := 0
-	for d := range m.dims {
-		n += c[d] * m.strides[d]
-	}
-	return NodeID(n)
-}
+func (m *Mesh) NodeAt(x, y int) NodeID { return NodeID(y*m.cfg.Geometry.Dims[0] + x) }
 
 // valid reports whether n is a node of this mesh.
 func (m *Mesh) valid(n NodeID) bool { return n >= 0 && int(n) < m.Nodes() }
 
-// Route computes the dimension-ordered channel sequence from src to
-// dst (dimension 0 fully corrected first, then 1, ...), including the
-// injection and ejection channels. Dimension ordering makes the
-// wormhole hold graph acyclic in any number of dimensions; on a torus
-// each dimension additionally switches to virtual channel 1 after
-// crossing that dimension's wrap-around link (its dateline), breaking
-// the per-ring cyclic dependency. Nodes outside the mesh yield an
-// error rather than a panic, so callers fed from external
-// configuration can report the problem.
+// Route lists the channels of the geometry's dimension-ordered walk
+// from src to dst, between the injection and ejection channels.
+// Dimension ordering makes the wormhole hold graph acyclic in any
+// number of dimensions; on a torus each dimension additionally
+// switches to virtual channel 1 after crossing that dimension's
+// wrap-around link (its dateline), breaking the per-ring cyclic
+// dependency. Nodes outside the mesh yield an error rather than a
+// panic, so callers fed from external configuration can report the
+// problem.
 func (m *Mesh) Route(src, dst NodeID) ([]chanKey, error) {
 	if !m.valid(src) || !m.valid(dst) {
-		return nil, fmt.Errorf("mesh: route %d->%d outside %s mesh", src, dst, geomString(m.dims))
+		return nil, fmt.Errorf("mesh: route %d->%d outside %s mesh", src, dst, m.cfg.Geometry)
 	}
 	route := []chanKey{{src, Inject, 0}}
-	if m.cfg.Hypercube {
-		// E-cube: correct differing bits lowest-first. Channel "dir"
-		// values beyond Eject encode the cube dimension.
-		cur := int(src)
-		diff := cur ^ int(dst)
-		for d := 0; diff != 0; d++ {
-			if diff&1 == 1 {
-				route = append(route, chanKey{NodeID(cur), cubeDir(d), 0})
-				cur ^= 1 << d
-			}
-			diff >>= 1
-		}
-		route = append(route, chanKey{dst, Eject, 0})
-		return route, nil
-	}
-	cur := m.coords(src)
-	want := m.coords(dst)
-	for d := range m.dims {
-		size := m.dims[d]
+	m.cfg.Geometry.walk(int(src), int(dst), func(from, _, d int, fwd, wrapped bool) {
 		vc := 0
-		for cur[d] != want[d] {
-			fwd := cur[d] < want[d]
-			if m.cfg.Torus {
-				f := mod(want[d]-cur[d], size)
-				fwd = f <= size-f // ties break toward the positive ring
-			}
-			if fwd {
-				if m.cfg.Torus && cur[d] == size-1 {
-					vc = 1 // crossing this dimension's dateline
-				}
-				route = append(route, chanKey{m.nodeAtCoords(cur), dirFor(d, true), vc})
-				cur[d]++
-				if m.cfg.Torus {
-					cur[d] = mod(cur[d], size)
-				}
-			} else {
-				if m.cfg.Torus && cur[d] == 0 {
-					vc = 1
-				}
-				route = append(route, chanKey{m.nodeAtCoords(cur), dirFor(d, false), vc})
-				cur[d]--
-				if m.cfg.Torus {
-					cur[d] = mod(cur[d], size)
-				}
-			}
+		if wrapped {
+			vc = 1
 		}
-	}
-	route = append(route, chanKey{dst, Eject, 0})
-	return route, nil
+		route = append(route, chanKey{NodeID(from), dirFor(d, fwd), vc})
+	})
+	return append(route, chanKey{dst, Eject, 0}), nil
 }
-
-func mod(a, m int) int {
-	r := a % m
-	if r < 0 {
-		r += m
-	}
-	return r
-}
-
-// cubeDir encodes a hypercube dimension as a channel direction.
-func cubeDir(d int) Dir { return Dir(int(Eject) + 1 + d) }
 
 // Hops reports the hop count (mesh channels, excluding inject/eject)
 // between two nodes.
-func (m *Mesh) Hops(src, dst NodeID) int {
-	if m.cfg.Hypercube {
-		diff := uint(int(src) ^ int(dst))
-		n := 0
-		for diff != 0 {
-			n += int(diff & 1)
-			diff >>= 1
-		}
-		return n
-	}
-	a := m.coords(src)
-	b := m.coords(dst)
-	total := 0
-	for d := range m.dims {
-		diff := abs(a[d] - b[d])
-		if m.cfg.Torus {
-			if w := m.dims[d] - diff; w < diff {
-				diff = w
-			}
-		}
-		total += diff
-	}
-	return total
-}
+func (m *Mesh) Hops(src, dst NodeID) int { return m.cfg.Geometry.Hops(int(src), int(dst)) }
 
 // Diameter is the longest shortest-path hop count on the network.
-func (m *Mesh) Diameter() int {
-	if m.cfg.Hypercube {
-		d := 0
-		for n := m.Nodes(); n > 1; n >>= 1 {
-			d++
-		}
-		return d
-	}
-	total := 0
-	for _, size := range m.dims {
-		if m.cfg.Torus {
-			total += size / 2
-		} else {
-			total += size - 1
-		}
-	}
-	return total
-}
-
-func abs(v int) int {
-	if v < 0 {
-		return -v
-	}
-	return v
-}
+func (m *Mesh) Diameter() int { return m.cfg.Geometry.Diameter() }
 
 func (m *Mesh) channelFor(k chanKey) *channel {
 	c, ok := m.channels[k]
@@ -599,8 +406,8 @@ func (m *Mesh) advance(msg *message) {
 		return
 	}
 	// Acquire: the channel is held until the tail drains (settled on
-	// delivery). XY dimension order makes the hold graph acyclic, so
-	// this cannot deadlock.
+	// delivery). Dimension order (plus the torus datelines) makes the
+	// hold graph acyclic, so this cannot deadlock.
 	ch.held = true
 	msg.held = append(msg.held, ch)
 	msg.hop++
@@ -635,19 +442,8 @@ func (m *Mesh) linkEnds(k chanKey) (a, b NodeID, ok bool) {
 	if k.dir == Inject || k.dir == Eject {
 		return 0, 0, false
 	}
-	if m.cfg.Hypercube && k.dir > Eject {
-		// Hypercube dimension channel.
-		d := int(k.dir) - int(Eject) - 1
-		return k.node, NodeID(int(k.node) ^ (1 << d)), true
-	}
-	dim, fwd := meshDim(k.dir)
-	c := m.coords(k.node)
-	if fwd {
-		c[dim] = mod(c[dim]+1, m.dims[dim])
-	} else {
-		c[dim] = mod(c[dim]-1, m.dims[dim])
-	}
-	return k.node, m.nodeAtCoords(c), true
+	d, fwd := meshDim(k.dir)
+	return k.node, NodeID(m.cfg.Geometry.step(int(k.node), d, fwd)), true
 }
 
 // scheduleRelease arms (or re-arms, after a bus freeze) the event that
@@ -692,7 +488,7 @@ func (m *Mesh) scheduleRelease(msg *message, release sim.Time) {
 // nothing.
 func (m *Mesh) Broadcast(src NodeID, bytes int, done func(sim.Time)) error {
 	if !m.valid(src) {
-		return fmt.Errorf("mesh: broadcast from invalid node %d on %s mesh", src, geomString(m.dims))
+		return fmt.Errorf("mesh: broadcast from invalid node %d on %s mesh", src, m.cfg.Geometry)
 	}
 	if bytes < 0 {
 		return fmt.Errorf("mesh: broadcast from %d with negative payload %d", src, bytes)

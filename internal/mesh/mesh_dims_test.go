@@ -2,6 +2,8 @@ package mesh
 
 import (
 	"errors"
+	"slices"
+	"strings"
 	"testing"
 
 	"vbuscluster/internal/sim"
@@ -9,9 +11,7 @@ import (
 
 func testConfig3(dims []int, torus bool) Config {
 	cfg := testConfig(0, 0)
-	cfg.Width, cfg.Height = 0, 0
-	cfg.Dims = dims
-	cfg.Torus = torus
+	cfg.Geometry = Geometry{Dims: dims, Torus: torus}
 	return cfg
 }
 
@@ -23,40 +23,57 @@ func TestDimsValidation(t *testing.T) {
 	if _, err := New(eng, testConfig3([]int{4, -1}, false)); !errors.Is(err, ErrBadGeometry) {
 		t.Fatalf("negative dimension: got %v, want ErrBadGeometry", err)
 	}
-	cfg := testConfig(4, 4) // 16 nodes...
-	cfg.Dims = []int{2, 2, 2}
-	if _, err := New(eng, cfg); !errors.Is(err, ErrGeometryMismatch) { // ...but Dims says 8
-		t.Fatalf("conflicting Width×Height vs Dims: got %v, want ErrGeometryMismatch", err)
+	if _, err := New(eng, testConfig3(nil, false)); !errors.Is(err, ErrBadGeometry) {
+		t.Fatalf("no dimensions: got %v, want ErrBadGeometry", err)
 	}
-	cfg = testConfig(4, 4)
-	cfg.Dims = []int{4, 2, 2} // same node count: consistent
-	if _, err := New(eng, cfg); err != nil {
-		t.Fatalf("consistent Width×Height + Dims rejected: %v", err)
+	if err := (Geometry{Dims: []int{2, 2, 2}}).Check(9); !errors.Is(err, ErrGeometryMismatch) {
+		t.Fatalf("9 nodes on 2x2x2: got %v, want ErrGeometryMismatch", err)
+	}
+	if err := (Geometry{Dims: []int{2, 2, 2}}).Check(8); err != nil {
+		t.Fatalf("exact fit rejected: %v", err)
 	}
 }
 
-// A 2D Dims config must behave exactly like the equivalent legacy
-// Width/Height config.
+// The classic 2-D view (Coord/NodeAt, compass directions) must agree
+// with the N-dimensional geometry on a 2-D grid: Manhattan hops and
+// the 2-D diameter.
 func TestDims2DCompat(t *testing.T) {
-	engA := sim.NewEngine()
-	a, err := New(engA, testConfig(4, 3))
-	if err != nil {
-		t.Fatal(err)
+	_, m := newMesh(t, 4, 3)
+	if m.Nodes() != 12 || m.Diameter() != 5 {
+		t.Fatalf("4x3 mesh: %d nodes, diameter %d; want 12, 5", m.Nodes(), m.Diameter())
 	}
-	engB := sim.NewEngine()
-	b, err := New(engB, testConfig3([]int{4, 3}, false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Nodes() != b.Nodes() || a.Diameter() != b.Diameter() {
-		t.Fatalf("shape mismatch: %d/%d nodes, %d/%d diameter",
-			a.Nodes(), b.Nodes(), a.Diameter(), b.Diameter())
-	}
-	for src := NodeID(0); int(src) < a.Nodes(); src++ {
-		for dst := NodeID(0); int(dst) < a.Nodes(); dst++ {
-			if a.Hops(src, dst) != b.Hops(src, dst) {
-				t.Fatalf("hops(%d,%d): %d vs %d", src, dst, a.Hops(src, dst), b.Hops(src, dst))
+	for src := NodeID(0); int(src) < m.Nodes(); src++ {
+		for dst := NodeID(0); int(dst) < m.Nodes(); dst++ {
+			sx, sy := m.Coord(src)
+			dx, dy := m.Coord(dst)
+			if want := max(sx-dx, dx-sx) + max(sy-dy, dy-sy); m.Hops(src, dst) != want {
+				t.Fatalf("hops(%d,%d) = %d, Manhattan %d", src, dst, m.Hops(src, dst), want)
 			}
+		}
+	}
+}
+
+func TestParseGeometry(t *testing.T) {
+	for _, c := range []struct {
+		in   string
+		want []int
+		bad  string // substring naming the bad dimension
+	}{
+		{in: "16x8x8", want: []int{16, 8, 8}},
+		{in: "", bad: `dimension 0 "" is not a number`},
+		{in: "4xq", bad: `dimension 1 "q" is not a number`},
+		{in: "2x0", bad: "dimension 1 has size 0"},
+		{in: "-1x4", bad: "dimension 0 has size -1"},
+	} {
+		g, err := ParseGeometry(c.in)
+		if c.bad == "" {
+			if err != nil || !slices.Equal(g.Dims, c.want) || g.Torus || g.String() != c.in {
+				t.Errorf("ParseGeometry(%q) = %v %v, %v; want %v", c.in, g.Dims, g.Torus, err, c.want)
+			}
+			continue
+		}
+		if !errors.Is(err, ErrBadGeometry) || !strings.Contains(err.Error(), c.bad) {
+			t.Errorf("ParseGeometry(%q) = %v, want ErrBadGeometry naming %q", c.in, err, c.bad)
 		}
 	}
 }

@@ -10,8 +10,7 @@ import (
 
 func testConfig(w, h int) Config {
 	return Config{
-		Width:          w,
-		Height:         h,
+		Geometry:       Geometry{Dims: []int{w, h}},
 		LinkMode:       fabric.SKWP,
 		Lines:          fabric.NewLineSet(32, 40*sim.Nanosecond, 4*sim.Nanosecond, 1),
 		Margin:         2 * sim.Nanosecond,
@@ -42,7 +41,7 @@ func mustRoute(t *testing.T, m *Mesh, src, dst NodeID) []chanKey {
 
 func TestValidation(t *testing.T) {
 	eng := sim.NewEngine()
-	if _, err := New(eng, Config{Width: 0, Height: 2}); err == nil {
+	if _, err := New(eng, Config{Geometry: Geometry{Dims: []int{0, 2}}}); err == nil {
 		t.Fatal("zero width accepted")
 	}
 	cfg := testConfig(2, 2)
@@ -377,7 +376,7 @@ func newTorus(t *testing.T, w, h int) (*sim.Engine, *Mesh) {
 	t.Helper()
 	eng := sim.NewEngine()
 	cfg := testConfig(w, h)
-	cfg.Torus = true
+	cfg.Geometry.Torus = true
 	m, err := New(eng, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -444,15 +443,17 @@ func TestTorusFasterCornerTransfer(t *testing.T) {
 	}
 }
 
-func newHypercube(t *testing.T, nodes int) (*sim.Engine, *Mesh) {
+// newBinaryCube builds the binary n-cube on nodes (a power of two)
+// nodes: the grid [2, 2, ..., 2].
+func newBinaryCube(t *testing.T, nodes int) (*sim.Engine, *Mesh) {
 	t.Helper()
-	eng := sim.NewEngine()
-	w := 1
-	for w*w < nodes {
-		w *= 2
+	var dims []int
+	for n := 1; n < nodes; n *= 2 {
+		dims = append(dims, 2)
 	}
-	cfg := testConfig(w, nodes/w)
-	cfg.Hypercube = true
+	eng := sim.NewEngine()
+	cfg := testConfig(0, 0)
+	cfg.Geometry.Dims = dims
 	m, err := New(eng, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -460,23 +461,8 @@ func newHypercube(t *testing.T, nodes int) (*sim.Engine, *Mesh) {
 	return eng, m
 }
 
-func TestHypercubeValidation(t *testing.T) {
-	eng := sim.NewEngine()
-	cfg := testConfig(3, 2) // 6 nodes: not a power of two
-	cfg.Hypercube = true
-	if _, err := New(eng, cfg); err == nil {
-		t.Fatal("non-power-of-two hypercube accepted")
-	}
-	cfg = testConfig(2, 2)
-	cfg.Hypercube = true
-	cfg.Torus = true
-	if _, err := New(eng, cfg); err == nil {
-		t.Fatal("torus+hypercube accepted")
-	}
-}
-
 func TestHypercubeHopsAndDiameter(t *testing.T) {
-	_, m := newHypercube(t, 16)
+	_, m := newBinaryCube(t, 16)
 	if m.Diameter() != 4 {
 		t.Fatalf("diameter = %d, want 4", m.Diameter())
 	}
@@ -486,7 +472,7 @@ func TestHypercubeHopsAndDiameter(t *testing.T) {
 }
 
 func TestHypercubeRouteLengthMatchesHops(t *testing.T) {
-	_, m := newHypercube(t, 8)
+	_, m := newBinaryCube(t, 8)
 	for s := NodeID(0); int(s) < m.Nodes(); s++ {
 		for d := NodeID(0); int(d) < m.Nodes(); d++ {
 			if len(mustRoute(t, m, s, d)) != m.Hops(s, d)+2 {
@@ -497,7 +483,7 @@ func TestHypercubeRouteLengthMatchesHops(t *testing.T) {
 }
 
 func TestHypercubeAllPairsDeliver(t *testing.T) {
-	eng, m := newHypercube(t, 8)
+	eng, m := newBinaryCube(t, 8)
 	want := 0
 	for s := NodeID(0); int(s) < m.Nodes(); s++ {
 		for d := NodeID(0); int(d) < m.Nodes(); d++ {
@@ -516,7 +502,7 @@ func TestHypercubeAllPairsDeliver(t *testing.T) {
 
 func TestHypercubeRandomStressNoDeadlock(t *testing.T) {
 	for seed := int64(0); seed < 100; seed++ {
-		eng, m := newHypercube(t, 16)
+		eng, m := newBinaryCube(t, 16)
 		rng := seed
 		rand := func(mod int) int {
 			rng = rng*6364136223846793005 + 1442695040888963407
@@ -539,7 +525,7 @@ func TestHypercubeRandomStressNoDeadlock(t *testing.T) {
 
 func TestHypercubeShorterThanMeshCorner(t *testing.T) {
 	_, mm := newMesh(t, 4, 4)
-	_, hc := newHypercube(t, 16)
+	_, hc := newBinaryCube(t, 16)
 	if hc.Hops(0, 15) >= mm.Hops(0, 15) {
 		t.Fatalf("hypercube corner hops %d should beat mesh %d", hc.Hops(0, 15), mm.Hops(0, 15))
 	}

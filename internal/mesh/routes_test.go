@@ -1,11 +1,9 @@
 package mesh_test
 
 import (
-	"math/rand"
-	"reflect"
+	"slices"
 	"testing"
 
-	"vbuscluster/internal/cluster"
 	"vbuscluster/internal/mesh"
 	"vbuscluster/internal/nic"
 	"vbuscluster/internal/sim"
@@ -13,20 +11,40 @@ import (
 
 // geometryConfig is the V-Bus card's channel physics on an arbitrary
 // grid.
-func geometryConfig(t *testing.T, dims []int, torus bool) mesh.Config {
+func geometryConfig(t *testing.T, g mesh.Geometry) mesh.Config {
 	t.Helper()
 	card, err := nic.NewVBus(nic.DefaultVBusConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := card.MeshConfig(0, 0)
-	cfg.Dims, cfg.Torus = dims, torus
+	cfg.Geometry = g
 	return cfg
 }
 
-// bfsHops is the shortest-path hop count from src to every node over
-// the explicit link graph: each node links to its ±1 neighbour in every
+// neighbours lists the nodes linked to n: its ±1 neighbour in every
 // dimension, wrapping around on a torus.
+func neighbours(dims []int, torus bool, n int) []int {
+	var out []int
+	stride := 1
+	for _, size := range dims {
+		c := n / stride % size
+		for _, step := range []int{-1, 1} {
+			nc := c + step
+			if torus {
+				nc = (nc + size) % size
+			} else if nc < 0 || nc >= size {
+				continue
+			}
+			out = append(out, n+(nc-c)*stride)
+		}
+		stride *= size
+	}
+	return out
+}
+
+// bfsHops is the shortest-path hop count from src to every node over
+// the explicit link graph.
 func bfsHops(dims []int, torus bool, src int) []int {
 	n := 1
 	for _, d := range dims {
@@ -41,142 +59,62 @@ func bfsHops(dims []int, torus bool, src int) []int {
 	for len(queue) > 0 {
 		cur := queue[0]
 		queue = queue[1:]
-		stride := 1
-		for _, size := range dims {
-			c := cur / stride % size
-			for _, step := range []int{-1, 1} {
-				nc := c + step
-				if torus {
-					nc = (nc + size) % size
-				} else if nc < 0 || nc >= size {
-					continue
-				}
-				next := cur + (nc-c)*stride
-				if dist[next] < 0 {
-					dist[next] = dist[cur] + 1
-					queue = append(queue, next)
-				}
+		for _, next := range neighbours(dims, torus, cur) {
+			if dist[next] < 0 {
+				dist[next] = dist[cur] + 1
+				queue = append(queue, next)
 			}
-			stride *= size
 		}
 	}
 	return dist
 }
 
 // TestRoutesAgree: on every node pair of a dozen meshes and tori, the
-// flit simulator's route visits exactly the nodes of the cost model's
-// path, and both hop counts are the shortest-path distance over the
-// explicit link graph.
+// geometry's path is a shortest walk over the explicit link graph, the
+// flit simulator's route visits exactly its nodes, and both hop counts
+// are the shortest-path distance.
 func TestRoutesAgree(t *testing.T) {
-	geometries := []struct {
-		dims  []int
-		torus bool
-	}{
-		{[]int{1, 1}, false}, {[]int{4, 1}, false}, {[]int{2, 2}, false},
-		{[]int{4, 4}, false}, {[]int{5, 3}, false}, {[]int{4, 3, 2}, false},
-		{[]int{2, 2}, true}, {[]int{3, 3}, true}, {[]int{4, 4}, true},
-		{[]int{5, 4}, true}, {[]int{4, 4, 4}, true}, {[]int{6, 5, 3}, true},
+	geometries := []mesh.Geometry{
+		{Dims: []int{1, 1}}, {Dims: []int{4, 1}}, {Dims: []int{2, 2}},
+		{Dims: []int{4, 4}}, {Dims: []int{5, 3}}, {Dims: []int{4, 3, 2}},
+		{Dims: []int{2, 2}, Torus: true}, {Dims: []int{3, 3}, Torus: true},
+		{Dims: []int{4, 4}, Torus: true}, {Dims: []int{5, 4}, Torus: true},
+		{Dims: []int{4, 4, 4}, Torus: true}, {Dims: []int{6, 5, 3}, Torus: true},
 	}
 	pairs := 0
 	for _, g := range geometries {
-		m, err := mesh.New(sim.NewEngine(), geometryConfig(t, g.dims, g.torus))
+		m, err := mesh.New(sim.NewEngine(), geometryConfig(t, g))
 		if err != nil {
 			t.Fatal(err)
 		}
-		params := cluster.Params{MeshDims: g.dims, Torus: g.torus}
-		for a := 0; a < m.Nodes(); a++ {
-			dist := bfsHops(g.dims, g.torus, a)
-			for b := 0; b < m.Nodes(); b++ {
+		for a := 0; a < g.Nodes(); a++ {
+			dist := bfsHops(g.Dims, g.Torus, a)
+			for b := 0; b < g.Nodes(); b++ {
 				pairs++
+				path := g.Path(a, b)
 				nodes, err := m.RouteNodes(mesh.NodeID(a), mesh.NodeID(b))
 				if err != nil {
 					t.Fatal(err)
 				}
-				path := params.Path(a, b)
 				if len(nodes) != len(path) {
-					t.Fatalf("%v torus=%v %d->%d: route %v, path %v", g.dims, g.torus, a, b, nodes, path)
+					t.Fatalf("%v torus=%v %d->%d: route %v, path %v", g.Dims, g.Torus, a, b, nodes, path)
 				}
 				for i := range path {
 					if int(nodes[i]) != path[i] {
-						t.Fatalf("%v torus=%v %d->%d: route %v, path %v", g.dims, g.torus, a, b, nodes, path)
+						t.Fatalf("%v torus=%v %d->%d: route %v, path %v", g.Dims, g.Torus, a, b, nodes, path)
+					}
+					if i > 0 && !slices.Contains(neighbours(g.Dims, g.Torus, path[i-1]), path[i]) {
+						t.Fatalf("%v torus=%v %d->%d: path %v steps off the links", g.Dims, g.Torus, a, b, path)
 					}
 				}
-				if h, mh := params.Hops(a, b), m.Hops(mesh.NodeID(a), mesh.NodeID(b)); h != dist[b] || mh != dist[b] || len(path) != dist[b]+1 {
-					t.Fatalf("%v torus=%v %d->%d: hops %d (cost model) %d (simulator), path %d nodes, shortest %d",
-						g.dims, g.torus, a, b, h, mh, len(path), dist[b])
+				if h, mh := g.Hops(a, b), m.Hops(mesh.NodeID(a), mesh.NodeID(b)); h != dist[b] || mh != dist[b] || len(path) != dist[b]+1 {
+					t.Fatalf("%v torus=%v %d->%d: hops %d (geometry) %d (simulator), path %d nodes, shortest %d",
+						g.Dims, g.Torus, a, b, h, mh, len(path), dist[b])
 				}
 			}
 		}
 	}
 	if pairs != 14039 {
 		t.Fatalf("checked %d pairs, want 14039", pairs)
-	}
-}
-
-// TestHypercubeIsBinaryMesh: a hypercube is the binary mesh of the
-// same node count — identical hops, routes, diameter, statistics and
-// delivery times under contended all-pairs traffic plus a broadcast.
-func TestHypercubeIsBinaryMesh(t *testing.T) {
-	for nodes, cube := 2, 1; nodes <= 32; nodes, cube = nodes*2, cube+1 {
-		dims := make([]int, cube)
-		for i := range dims {
-			dims[i] = 2
-		}
-		rng := rand.New(rand.NewSource(int64(nodes)))
-		payload := make([]int, nodes*nodes)
-		for i := range payload {
-			payload[i] = rng.Intn(4096)
-		}
-		run := func(hypercube bool) (*mesh.Mesh, []sim.Time) {
-			cfg := geometryConfig(t, dims, false)
-			cfg.Hypercube = hypercube
-			eng := sim.NewEngine()
-			m, err := mesh.New(eng, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			at := make([]sim.Time, nodes*nodes+1)
-			for s := 0; s < nodes; s++ {
-				for d := 0; d < nodes; d++ {
-					if s == d {
-						continue
-					}
-					i := s*nodes + d
-					if err := m.Send(mesh.NodeID(s), mesh.NodeID(d), payload[i], func(ts sim.Time) { at[i] = ts }); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-			eng.After(500*sim.Nanosecond, func() {
-				if err := m.Broadcast(0, 1024, func(ts sim.Time) { at[nodes*nodes] = ts }); err != nil {
-					t.Error(err)
-				}
-			})
-			eng.Run()
-			return m, at
-		}
-		hc, hcAt := run(true)
-		bm, bmAt := run(false)
-		if hc.Diameter() != bm.Diameter() {
-			t.Fatalf("%d nodes: diameter %d (hypercube) vs %d (binary mesh)", nodes, hc.Diameter(), bm.Diameter())
-		}
-		for s := mesh.NodeID(0); int(s) < nodes; s++ {
-			for d := mesh.NodeID(0); int(d) < nodes; d++ {
-				if hc.Hops(s, d) != bm.Hops(s, d) {
-					t.Fatalf("%d nodes: hops(%d,%d) %d vs %d", nodes, s, d, hc.Hops(s, d), bm.Hops(s, d))
-				}
-				hr, _ := hc.RouteNodes(s, d)
-				br, _ := bm.RouteNodes(s, d)
-				if !reflect.DeepEqual(hr, br) {
-					t.Fatalf("%d nodes: route %d->%d %v vs %v", nodes, s, d, hr, br)
-				}
-			}
-		}
-		if !reflect.DeepEqual(hc.Stats(), bm.Stats()) {
-			t.Fatalf("%d nodes: stats\n%+v\nvs\n%+v", nodes, hc.Stats(), bm.Stats())
-		}
-		if !reflect.DeepEqual(hcAt, bmAt) {
-			t.Fatalf("%d nodes: delivery times differ:\n%v\n%v", nodes, hcAt, bmAt)
-		}
 	}
 }

@@ -10,7 +10,7 @@ func TestTorusRandomTrafficStress(t *testing.T) {
 	for seed := int64(0); seed < 200; seed++ {
 		eng := sim.NewEngine()
 		cfg := testConfig(4, 4)
-		cfg.Torus = true
+		cfg.Geometry.Torus = true
 		m, err := New(eng, cfg)
 		if err != nil {
 			t.Fatal(err)

@@ -152,7 +152,7 @@ func TestDescPackedClassificationAndCost(t *testing.T) {
 		}
 	})
 	params := cl.Params()
-	k, hops := params.CommCost(), params.Hops(0, 1)
+	k, hops := params.CommCost(), cl.Hops(0, 1)
 	packed := StridedDesc(0, elems, 3)
 	packed.Packed = true
 	packedCost, _ := k.Price(packed, hops, nil)

@@ -17,7 +17,6 @@ package mpi
 import (
 	"time"
 
-	"vbuscluster/internal/fault"
 	"vbuscluster/internal/interconnect"
 	"vbuscluster/internal/nic"
 	"vbuscluster/internal/sim"
@@ -38,10 +37,6 @@ const watchdogTick = 25 * time.Millisecond
 // busAcquireAttempts is how many times a broadcast retries virtual-bus
 // acquisition before degrading to the software p2p tree.
 const busAcquireAttempts = 3
-
-// Faults returns the world's injector (nil when fault injection is
-// off; the nil injector is inert and safe to query).
-func (w *World) Faults() *fault.Injector { return w.inj }
 
 // Shutdown stops the world's deadline watchdog, if one is running.
 // Call it when the run completes; it is safe to call on any world.
@@ -200,7 +195,7 @@ func (p *Proc) chargeReliability(op string, peer, bytes int, entry sim.Time) *Er
 	var stall sim.Time
 	now := w.cl.Clock(node)
 	if w.inj.HasLinkDowns() {
-		path := w.cl.Params().Path(node, peerNode)
+		path := w.cl.Geometry().Path(node, peerNode)
 		for {
 			until := w.inj.PathDownUntil(path, now+stall)
 			if until <= now+stall {

@@ -26,7 +26,7 @@ func rdmaRank0(t *testing.T) (*Proc, *cluster.Cluster, interconnect.ProtocolMode
 	if !ok {
 		t.Fatal("rdma fabric does not implement interconnect.ProtocolModel")
 	}
-	return NewWorld(cl).Rank(0), cl, pm, params.Hops(0, 1)
+	return NewWorld(cl).Rank(0), cl, pm, cl.Hops(0, 1)
 }
 
 func chargeDesc(cl *cluster.Cluster, p *Proc, d AccessDesc) sim.Time {
@@ -122,7 +122,7 @@ func TestRdmaSendUsesProtocolPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	pm := params.Fabric.(interconnect.ProtocolModel)
-	hops := params.Hops(0, 1)
+	hops := params.Geometry().Hops(0, 1)
 	for _, elems := range []int{8, 8192} {
 		var cost sim.Time
 		runWorldParams(t, 2, params, func(p *Proc) {

@@ -79,9 +79,6 @@ func (p *Proc) WinFree(win *Win) {
 	Must(p.Barrier())
 }
 
-// Name reports the window's collective name.
-func (win *Win) Name() string { return win.name }
-
 // Local returns the calling rank's exposed region.
 func (win *Win) Local(rank int) []float64 { return win.bufs[rank] }
 

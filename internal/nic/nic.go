@@ -175,8 +175,7 @@ func (v *VBus) Caps() interconnect.Caps {
 // parameterization.
 func (v *VBus) MeshConfig(width, height int) mesh.Config {
 	return mesh.Config{
-		Width:          width,
-		Height:         height,
+		Geometry:       mesh.Geometry{Dims: []int{width, height}},
 		LinkMode:       v.cfg.LinkMode,
 		Lines:          v.cfg.Lines,
 		Margin:         v.cfg.Margin,

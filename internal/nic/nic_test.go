@@ -178,7 +178,7 @@ func TestEthernetBroadcastLogStages(t *testing.T) {
 func TestMeshConfigRoundTrip(t *testing.T) {
 	v, _ := defaultCards(t)
 	mc := v.MeshConfig(2, 2)
-	if mc.Width != 2 || mc.Height != 2 {
+	if mc.Geometry.String() != "2x2" || mc.Geometry.Torus {
 		t.Fatal("geometry not propagated")
 	}
 	if mc.RouterLatency != DefaultVBusConfig().RouterLatency {

@@ -21,6 +21,10 @@ import (
 // outrank it explicitly.
 const FailoverPriority = 7
 
+// maxForwardAttempts bounds how many ring successors a submission tries
+// before degrading to local compilation.
+const maxForwardAttempts = 3
+
 // Options shapes a federation node.
 type Options struct {
 	// Self is this node's address exactly as it appears in Peers.
@@ -32,11 +36,6 @@ type Options struct {
 	// SuspectAfter / DeadAfter bound the failure detector's windows
 	// (defaults 3× and 8× the gossip interval).
 	SuspectAfter, DeadAfter time.Duration
-	// Replicas is the ring's virtual-node count per member (0 = default).
-	Replicas int
-	// MaxForwardAttempts bounds how many ring successors a submission
-	// tries before degrading to local compilation (default 3).
-	MaxForwardAttempts int
 	// AttemptTimeout bounds one forward attempt; Backoff and HedgeDelay
 	// shape the failover schedule (see Forwarder).
 	AttemptTimeout, Backoff, HedgeDelay time.Duration
@@ -56,9 +55,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.DeadAfter <= 0 {
 		o.DeadAfter = 8 * o.GossipInterval
-	}
-	if o.MaxForwardAttempts <= 0 {
-		o.MaxForwardAttempts = 3
 	}
 	if o.Logf == nil {
 		o.Logf = func(string, ...any) {}
@@ -99,7 +95,7 @@ func NewNode(srv *jobs.Server, opts Options) (*Node, error) {
 	if opts.Self == "" {
 		return nil, fmt.Errorf("peer: Options.Self is required")
 	}
-	ring, err := NewRing(opts.Peers, opts.Replicas)
+	ring, err := NewRing(opts.Peers)
 	if err != nil {
 		return nil, err
 	}
@@ -231,7 +227,7 @@ func (n *Node) reactTo(tr *Transition) {
 // liveness view.
 func (n *Node) ownerFor(spec jobs.Spec) (string, []string) {
 	key := jobs.PlanKey(spec)
-	targets := n.ring.Successors(key, 1+n.opts.MaxForwardAttempts, n.live)
+	targets := n.ring.Successors(key, 1+maxForwardAttempts, n.live)
 	if len(targets) == 0 {
 		return n.self, nil
 	}

@@ -18,10 +18,10 @@ import (
 	"sort"
 )
 
-// defaultReplicas is the virtual-node count per member: enough that a
+// replicas is the virtual-node count per member: enough that a
 // three-member ring splits key space within a few percent of evenly,
 // small enough that ring construction is trivial.
-const defaultReplicas = 64
+const replicas = 64
 
 // Ring is the consistent-hash placement of plan keys onto federation
 // members. The ring itself is immutable — it always contains every
@@ -41,12 +41,8 @@ type ringPoint struct {
 
 // NewRing builds the ring over the member list (order-insensitive:
 // members are sorted and deduplicated, so every peer builds the same
-// ring from any spelling of the same set). replicas <= 0 uses the
-// default virtual-node count.
-func NewRing(members []string, replicas int) (*Ring, error) {
-	if replicas <= 0 {
-		replicas = defaultReplicas
-	}
+// ring from any spelling of the same set).
+func NewRing(members []string) (*Ring, error) {
 	seen := map[string]bool{}
 	var uniq []string
 	for _, m := range members {

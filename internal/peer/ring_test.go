@@ -17,11 +17,11 @@ func ringKeys(n int) []string {
 // contract: every peer builds the same ring from any spelling of the
 // member set, so owners agree without exchanging ring state.
 func TestRingDeterministicAcrossOrderings(t *testing.T) {
-	a, err := NewRing([]string{"n1:1", "n2:1", "n3:1"}, 0)
+	a, err := NewRing([]string{"n1:1", "n2:1", "n3:1"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewRing([]string{"n3:1", "n1:1", "n2:1", "n1:1"}, 0)
+	b, err := NewRing([]string{"n3:1", "n1:1", "n2:1", "n1:1"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestRingDeterministicAcrossOrderings(t *testing.T) {
 // three-member ring within a loose factor of even — no member starved,
 // none dominant.
 func TestRingDistribution(t *testing.T) {
-	r, err := NewRing([]string{"n1:1", "n2:1", "n3:1"}, 0)
+	r, err := NewRing([]string{"n1:1", "n2:1", "n3:1"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestRingDistribution(t *testing.T) {
 // owner first, no repeats.
 func TestRingSuccessorsDistinct(t *testing.T) {
 	members := []string{"n1:1", "n2:1", "n3:1", "n4:1"}
-	r, err := NewRing(members, 0)
+	r, err := NewRing(members)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestRingSuccessorsDistinct(t *testing.T) {
 // keeps its owner, and the dead member's keys land on their next
 // successor.
 func TestRingDeadMemberStability(t *testing.T) {
-	r, err := NewRing([]string{"n1:1", "n2:1", "n3:1"}, 0)
+	r, err := NewRing([]string{"n1:1", "n2:1", "n3:1"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,10 +126,10 @@ func TestRingDeadMemberStability(t *testing.T) {
 // TestRingRejectsBadMembers: empty lists and empty member names are
 // configuration errors, not silent one-node rings.
 func TestRingRejectsBadMembers(t *testing.T) {
-	if _, err := NewRing(nil, 0); err == nil {
+	if _, err := NewRing(nil); err == nil {
 		t.Fatal("empty member list accepted")
 	}
-	if _, err := NewRing([]string{"n1:1", ""}, 0); err == nil {
+	if _, err := NewRing([]string{"n1:1", ""}); err == nil {
 		t.Fatal("empty member name accepted")
 	}
 }
@@ -137,7 +137,7 @@ func TestRingRejectsBadMembers(t *testing.T) {
 // TestRingAllDead: no live member means no owner — the caller (the
 // node layer) then degrades to local compilation.
 func TestRingAllDead(t *testing.T) {
-	r, err := NewRing([]string{"n1:1", "n2:1"}, 0)
+	r, err := NewRing([]string{"n1:1", "n2:1"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,9 +37,10 @@ func EstimateCommCost(p *Program, params cluster.Params) sim.Time {
 	k := params.CommCost()
 	procs := p.Opts.NumProcs
 	caches := k.NewRegCaches(procs)
+	geo := params.Geometry()
 	var total sim.Time
 	price := func(par *ParInfo, dir Direction, rank, origin int) {
-		hops := params.Hops(0, rank)
+		hops := geo.Hops(0, rank)
 		fold := func(sym *f77.Symbol, plan []lmad.Transfer, cache *interconnect.RegCache) {
 			for _, tr := range plan {
 				t, _ := k.Price(commcost.FromTransfer(sym.Name, tr), hops, cache)

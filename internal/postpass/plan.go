@@ -215,12 +215,3 @@ func planRank(par *ParInfo, dir Direction, rank int) []SymPlan {
 		})
 	return out
 }
-
-// PlanBytes sums the wire elements of a plan.
-func PlanBytes(plan []lmad.Transfer) int64 {
-	var n int64
-	for _, t := range plan {
-		n += t.Elems
-	}
-	return n
-}

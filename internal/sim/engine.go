@@ -121,10 +121,6 @@ func (e *Engine) Now() Time { return e.now }
 // Fired reports how many events have been executed.
 func (e *Engine) Fired() uint64 { return e.fired }
 
-// Pending reports how many events are scheduled (including cancelled
-// ones not yet drained).
-func (e *Engine) Pending() int { return len(e.queue) }
-
 // At schedules fn to run at absolute time t. Scheduling in the past
 // panics: that is always a model bug, and silently clamping would mask
 // causality violations.
