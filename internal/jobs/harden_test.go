@@ -191,6 +191,51 @@ func TestServerKillWorkerKeepsCapacity(t *testing.T) {
 	}
 }
 
+// TestKillCountedBeforeJobSettles: a worker replacement is counted
+// before the job that killed the worker is re-queued or finalised. With
+// two clusters, the killed worker may not run again before the other
+// cluster has finished the re-queued job, so a client reading
+// WorkersReplaced as soon as the job is done must already see every
+// kill. The test plays both clusters and never lets a killed worker
+// run past process — the interleaving that made the chaos sweep flaky.
+func TestKillCountedBeforeJobSettles(t *testing.T) {
+	for _, tc := range []struct {
+		faults string
+		kills  int64
+		state  State
+	}{
+		{"killworker=2", 2, StateDone},
+		{"panicjob=1", 1, StateFailed},
+	} {
+		t.Run(tc.faults, func(t *testing.T) {
+			s := newServer(Config{Clusters: 2})
+			defer s.Drain(context.Background())
+			sp := mmSpec("killer")
+			sp.Faults = tc.faults
+			j, err := s.Submit(sp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var kills int64
+			for !j.Snapshot().State.terminal() {
+				next, ok := s.queue.Pop()
+				if !ok {
+					t.Fatal("queue closed before the job settled")
+				}
+				if s.process(next) {
+					kills++
+				}
+			}
+			if st := j.Snapshot().State; st != tc.state || kills != tc.kills {
+				t.Fatalf("job %s after %d kills, want %s after %d", st, kills, tc.state, tc.kills)
+			}
+			if got := s.Metrics().WorkersReplaced; got != tc.kills {
+				t.Fatalf("workers replaced = %d when the job settled, want %d", got, tc.kills)
+			}
+		})
+	}
+}
+
 // TestServerCancelShedRaceAtCapacity is the queue-accounting torture
 // test: with the queue exactly full and no workers running, cancelling
 // a queued job must free its slot immediately (the next submission is

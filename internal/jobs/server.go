@@ -294,7 +294,6 @@ func (s *Server) worker() {
 			return
 		}
 		if s.process(j) {
-			s.workersReplaced.Add(1)
 			s.startWorkers(1)
 			return
 		}
@@ -305,7 +304,11 @@ func (s *Server) worker() {
 // deadline, quarantined plan key, injected server faults), plan
 // acquisition (cache hit, or cold compile deduplicated per key), then
 // an isolated, panic-guarded run with the job's own recorder and
-// context. The return value tells the worker to replace itself.
+// context. The return value tells the worker to replace itself; the
+// replacement is counted here, before the job is re-queued or
+// finalised, so no client sees the job settle with the kill uncounted
+// (another cluster may finish a re-queued job before this worker runs
+// again).
 func (s *Server) process(j *Job) (killWorker bool) {
 	// A deadline or cancellation that expired while the job sat queued.
 	if j.ctx.Err() != nil {
@@ -334,6 +337,7 @@ func (s *Server) process(j *Job) (killWorker bool) {
 		}
 		j.mu.Unlock()
 		if kill {
+			s.workersReplaced.Add(1)
 			if err := s.queue.Enqueue(j); err != nil {
 				s.finalize(j, StateFailed, fmt.Errorf("jobs: requeue after worker kill: %w", err))
 			}
@@ -426,6 +430,7 @@ func (s *Server) process(j *Job) (killWorker bool) {
 	j.mu.Unlock()
 
 	if panicked {
+		s.workersReplaced.Add(1)
 		s.panicsRecovered.Add(1)
 		if s.breaker.note(j.Key) {
 			s.breakerTrips.Add(1)
