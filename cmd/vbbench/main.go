@@ -36,8 +36,8 @@ func main() {
 	procs := flag.Int("procs", 4, "processor count of the fixed-size sweeps")
 	fabric := flag.String("fabric", "", cliutil.FabricFlagUsage("interconnect backend: "))
 	seed := flag.Uint64("seed", 0, "seed of fault schedules and forwarder jitter (0 = each sweep's default)")
-	faultSpec := flag.String("faults", "", "deterministic fault-injection spec for the table runs, e.g. 'seed=1,flitdrop=1e-3'")
-	coalesce := flag.Bool("coalesce", false, "enable the compiler's pack-and-coalesce stage for the table runs")
+	faultSpec := flag.String("faults", "", "deterministic fault-injection spec for the table, extra and scale cells, e.g. 'seed=1,flitdrop=1e-3'")
+	coalesce := flag.Bool("coalesce", false, "enable the compiler's pack-and-coalesce stage for the table, extra and scale cells")
 	writeJSON := flag.Bool("json", false, "write each sweep's JSON section into its checked-in BENCH_*.json")
 	flag.Parse()
 

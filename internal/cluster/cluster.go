@@ -293,9 +293,8 @@ func (c *Cluster) ChargeComm(rank int, d sim.Time, bytes int) {
 }
 
 // BookComm records d of communication time (and bytes) on rank's
-// accounting without advancing its clock. Synchronizing operations use
-// it: the clock movement happens collectively via SetAll, but the comm
-// cost must still show up in the rank's communication-time report.
+// accounting without advancing its clock: a receive books the stall
+// its clock already absorbed through AdvanceTo.
 func (c *Cluster) BookComm(rank int, d sim.Time, bytes int) {
 	c.check(rank)
 	if d < 0 {
@@ -320,29 +319,26 @@ func (c *Cluster) AdvanceTo(rank int, t sim.Time) {
 	c.mu.Unlock()
 }
 
-// SetAll sets every clock to t (used by barrier-style collectives).
-func (c *Cluster) SetAll(t sim.Time) {
-	c.mu.Lock()
-	for i := range c.clocks {
-		if c.clocks[i] < t {
-			c.clocks[i] = t
-		}
+// Release ends a synchronizing operation over nodes in one critical
+// section: every listed clock is lifted to at least t (never rewound)
+// and d of communication is booked on every listed node, as BookComm
+// would. Collectives release their whole membership through it; nodes
+// outside the list — dead or excluded ranks of a shrunken communicator
+// — keep their last clock reading.
+func (c *Cluster) Release(nodes []int, t, d sim.Time) {
+	if d < 0 {
+		panic("cluster: negative comm booking")
 	}
-	c.mu.Unlock()
-}
-
-// SetSome lifts the clocks of the listed ranks to t, leaving all
-// others untouched. Collectives on a shrunken communicator use it:
-// after a crash, dead and excluded ranks must keep their last clock
-// reading rather than be dragged along by the survivors' barriers.
-func (c *Cluster) SetSome(ranks []int, t sim.Time) {
 	c.mu.Lock()
-	for _, r := range ranks {
-		if r >= 0 && r < c.n && c.clocks[r] < t {
+	defer c.mu.Unlock()
+	for _, r := range nodes {
+		c.check(r)
+		if c.clocks[r] < t {
 			c.clocks[r] = t
 		}
+		c.commTime[r] += d
+		c.commOps[r]++
 	}
-	c.mu.Unlock()
 }
 
 // BumpOps increments rank's MPI-operation counter and returns the new

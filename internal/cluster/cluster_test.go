@@ -98,15 +98,21 @@ func TestAdvanceTo(t *testing.T) {
 	}
 }
 
-func TestSetAllAndMaxClock(t *testing.T) {
+func TestReleaseAndMaxClock(t *testing.T) {
 	c := newTestCluster(t, 3)
 	c.ChargeCompute(1, 20*sim.Microsecond)
 	if c.MaxClock() != 20*sim.Microsecond {
 		t.Fatal("MaxClock wrong")
 	}
-	c.SetAll(15 * sim.Microsecond)
-	if c.Clock(0) != 15*sim.Microsecond || c.Clock(1) != 20*sim.Microsecond {
-		t.Fatal("SetAll must lift but never rewind")
+	c.Release([]int{0, 1}, 15*sim.Microsecond, 2*sim.Microsecond)
+	if c.Clock(0) != 15*sim.Microsecond || c.Clock(1) != 20*sim.Microsecond || c.Clock(2) != 0 {
+		t.Fatal("Release must lift its members but never rewind, and leave the others")
+	}
+	r := c.Snapshot()
+	for node, ops := range []int64{1, 1, 0} {
+		if want := sim.Time(ops) * 2 * sim.Microsecond; r.CommTime[node] != want || r.CommOps[node] != ops {
+			t.Fatalf("node %d booked %v in %d ops, want %v in %d", node, r.CommTime[node], r.CommOps[node], want, ops)
+		}
 	}
 }
 

@@ -53,7 +53,8 @@ func BenchmarkInterpFull(b *testing.B) {
 
 // BenchmarkRunTiming1024 is one Timing-mode run of SWIM 1024² on 1024
 // ranks at coarse grain on a fresh cluster — the benchmark's swim_scale
-// op: what 1024 rank goroutines, 21 barriers each and ~57 000 charged
+// op: what 1024 rank goroutines, 27 collectives each (10 window
+// creations and 17 region barriers) and ~57 000 charged
 // transfers cost the host once the plan is lowered and its rank plans
 // are memoised.
 func BenchmarkRunTiming1024(b *testing.B) {

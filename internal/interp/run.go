@@ -362,8 +362,9 @@ type rankRun struct {
 	// wins are the §5.1 windows over every remotely accessed variable;
 	// redWins the dedicated one-cell windows lock-based reductions
 	// merge through (separate from the live scalar, which the owning
-	// rank keeps updating during the partitioned loop).
-	wins, redWins map[*f77.Symbol]*mpi.Win
+	// rank keeps updating during the partitioned loop). Both are
+	// indexed by the symbol's lowered slot, nil where it has none.
+	wins, redWins []*mpi.Win
 	halted        bool
 }
 
@@ -372,21 +373,22 @@ type rankRun struct {
 // scalar. Window creation is collective, so every rank calls this at
 // the same point of its run.
 func (r *rankRun) createWindows() {
-	r.wins = make(map[*f77.Symbol]*mpi.Win, len(r.pp.Windows))
+	slots := r.env.lw.slots
+	r.wins = make([]*mpi.Win, len(slots))
 	for _, sym := range r.pp.Windows {
-		r.wins[sym] = r.p.WinCreate(sym.Name, r.env.winBacking(sym))
+		r.wins[slots[sym]] = r.p.WinCreate(sym.Name, r.env.winBacking(sym))
 	}
 	if !r.pp.Opts.LockReductions {
 		return
 	}
-	r.redWins = map[*f77.Symbol]*mpi.Win{}
+	r.redWins = make([]*mpi.Win, len(slots))
 	for _, region := range r.pp.Regions {
 		if region.Par == nil {
 			continue
 		}
 		for _, red := range region.Par.Reductions {
-			if r.redWins[red.Sym] == nil {
-				r.redWins[red.Sym] = r.p.WinCreate(red.Sym.Name+"$RED", make([]float64, 1))
+			if slot := slots[red.Sym]; r.redWins[slot] == nil {
+				r.redWins[slot] = r.p.WinCreate(red.Sym.Name+"$RED", make([]float64, 1))
 			}
 		}
 	}
@@ -535,7 +537,7 @@ func (r *rankRun) region(ri int) error {
 
 // runParRegion executes one parallel region: barrier, scatter+fence,
 // partitioned loop, reduction combine, collect+fence.
-func (env *Env) runParRegion(pp *postpass.Program, par *postpass.ParInfo, p *mpi.Proc, wins, redWins map[*f77.Symbol]*mpi.Win) error {
+func (env *Env) runParRegion(pp *postpass.Program, par *postpass.ParInfo, p *mpi.Proc, wins, redWins []*mpi.Win) error {
 	P := p.Size()
 	loop, err := env.lw.topLoop(par.Loop)
 	if err != nil {
@@ -557,7 +559,7 @@ func (env *Env) runParRegion(pp *postpass.Program, par *postpass.ParInfo, p *mpi
 		if pp.Opts.LockReductions && p.Rank() == 0 {
 			// Seed with the prior value so the cell accumulates
 			// pre op partial_0 op ... op partial_{P-1}.
-			redWins[red.Sym].Local(0)[0] = reds[len(reds)-1].pre
+			redWins[env.lw.slots[red.Sym]].Local(0)[0] = reds[len(reds)-1].pre
 		}
 	}
 
@@ -642,9 +644,9 @@ type redState struct {
 // window on the master inside an MPI_WIN_LOCK critical section; the
 // combined value is then broadcast over the V-Bus. The cell was seeded
 // with the master's sequential prior value before the scatter fence.
-func (env *Env) combineReductionsLocked(par *postpass.ParInfo, p *mpi.Proc, redWins map[*f77.Symbol]*mpi.Win, reds []redState) {
+func (env *Env) combineReductionsLocked(par *postpass.ParInfo, p *mpi.Proc, redWins []*mpi.Win, reds []redState) {
 	for _, rs := range reds {
-		win := redWins[rs.red.Sym]
+		win := redWins[env.lw.slots[rs.red.Sym]]
 		if win == nil {
 			env.fail(par.Loop.Line(), "no reduction window for %s", rs.red.Sym.Name)
 		}
@@ -663,7 +665,7 @@ func (env *Env) combineReductionsLocked(par *postpass.ParInfo, p *mpi.Proc, redW
 	contrib := make([]float64, len(reds))
 	if p.Rank() == 0 {
 		for i, rs := range reds {
-			contrib[i] = redWins[rs.red.Sym].Local(0)[0]
+			contrib[i] = redWins[env.lw.slots[rs.red.Sym]].Local(0)[0]
 		}
 	}
 	total, err := p.Bcast(0, contrib)
@@ -823,9 +825,9 @@ func (env *Env) recvOps(p *mpi.Proc, par *postpass.ParInfo, dir postpass.Directi
 // window: PUTs (the master scattering to rank, or slave rank collecting
 // to the master), or with get set GETs (slave rank pulling its scatter
 // regions from the master).
-func (env *Env) moveOps(p *mpi.Proc, wins map[*f77.Symbol]*mpi.Win, par *postpass.ParInfo, dir postpass.Direction, rank, target int, get bool) {
+func (env *Env) moveOps(p *mpi.Proc, wins []*mpi.Win, par *postpass.ParInfo, dir postpass.Direction, rank, target int, get bool) {
 	for _, pl := range postpass.RankPlans(par, dir, rank) {
-		win := wins[pl.Sym]
+		win := wins[env.lw.slots[pl.Sym]]
 		for _, tr := range pl.Plan {
 			d := commcost.FromTransfer(pl.Sym.Name, tr)
 			if env.mode == Timing {

@@ -36,14 +36,19 @@ func (o Op) apply(a, b float64) float64 {
 	}
 }
 
-// collSlot carries one in-flight collective's contributions and result
-// across the rendezvous generation.
+// collSlot carries one collective generation's contributions and
+// result across the rendezvous. World.coll holds two that alternate
+// (gen&1): the arrivals at generation g+1 fill one while generation
+// g's released waiters may still be reading the other. A rank enters
+// g+1 only after it has left g, so by the time g+2 reuses g's slot
+// every reader of it is gone.
 type collSlot struct {
 	vals      [][]float64
 	result    []float64
-	commCost  sim.Time
 	transport interconnect.Transport
-	remaining int
+	// done is closed by the generation's release, or early by
+	// World.wake so parked waiters re-check the abort conditions.
+	done chan struct{}
 }
 
 // collectiveE is the shared rendezvous: every rank contributes, the
@@ -55,6 +60,12 @@ type collSlot struct {
 // hardware bus to the software tree). All ranks return the shared
 // result.
 //
+// The release is one step: the last arrival lifts every member's
+// clock and books the cost on every member in one cluster critical
+// section, then closes the generation's channel. Waiters block on a
+// plain receive and read the result from their slot without taking
+// w.mu again.
+//
 // Under fault injection the rendezvous can fail instead of blocking
 // forever: a crashed or departed rank fails every waiter with
 // ErrPeerCrashed, and with a deadline set, a waiter stuck past the
@@ -64,29 +75,29 @@ func (w *World) collectiveE(rank int, op string, contrib []float64,
 	finish func(maxT sim.Time, vals [][]float64) (release sim.Time, result []float64, commCost sim.Time, tr interconnect.Transport)) ([]float64, interconnect.Transport, *Error) {
 
 	node := w.nodes[rank]
+	// Only this rank moves its own clock before it arrives, so the
+	// clock is read outside w.mu: no cluster lock nests in the world's
+	// on arrival.
+	now := w.cl.Clock(node)
 	if w.n == 1 {
-		release, result, commCost, tr := finish(w.cl.Clock(node), [][]float64{contrib})
-		w.cl.SetSome(w.nodes, release)
-		w.cl.BookComm(node, commCost, 0)
+		release, result, commCost, tr := finish(now, [][]float64{contrib})
+		w.cl.Release(w.nodes, release, commCost)
 		return result, tr, nil
 	}
 	deadline := w.inj.Deadline()
-	var entry sim.Time
 	var wallStart time.Time
 	if deadline > 0 {
-		entry = w.cl.Clock(node)
 		wallStart = time.Now()
 	}
 	w.mu.Lock()
 	if w.nDown > 0 {
 		w.mu.Unlock()
-		return nil, 0, &Error{Kind: ErrPeerCrashed, Rank: rank, Op: op, Peer: -1, Time: w.cl.Clock(node)}
+		return nil, 0, &Error{Kind: ErrPeerCrashed, Rank: rank, Op: op, Peer: -1, Time: now}
 	}
-	gen := w.gen
-	slot, ok := w.slots[gen]
-	if !ok {
-		slot = &collSlot{remaining: w.n}
-		w.slots[gen] = slot
+	gen := w.gen.Load()
+	slot := &w.coll[gen&1]
+	if w.arrived == 0 {
+		slot.done = make(chan struct{})
 	}
 	if contrib != nil {
 		// A barrier contributes nothing and never pays for the P-entry
@@ -97,9 +108,7 @@ func (w *World) collectiveE(rank int, op string, contrib []float64,
 		}
 		slot.vals[rank] = contrib
 	}
-	if t := w.cl.Clock(node); t > w.maxT {
-		w.maxT = t
-	}
+	w.maxT = max(w.maxT, now)
 	w.arrived++
 	if w.arrived == w.n {
 		vals := slot.vals
@@ -107,49 +116,45 @@ func (w *World) collectiveE(rank int, op string, contrib []float64,
 			vals = w.noVals
 		}
 		release, result, commCost, tr := finish(w.maxT, vals)
-		slot.result = result
-		slot.commCost = commCost
-		slot.transport = tr
-		w.cl.SetSome(w.nodes, release)
+		w.cl.Release(w.nodes, release, commCost)
+		slot.vals, slot.result, slot.transport = nil, result, tr
 		w.arrived = 0
 		w.maxT = 0
-		w.gen++
-		w.cond.Broadcast()
-	} else {
-		for gen == w.gen {
-			if w.revoked {
-				w.arrived--
-				w.mu.Unlock()
-				return nil, 0, &Error{Kind: ErrRevoked, Rank: rank, Op: op, Peer: -1, Time: w.cl.Clock(node)}
-			}
-			if w.cancelled.Load() {
-				w.arrived--
-				w.mu.Unlock()
-				return nil, 0, &Error{Kind: ErrCancelled, Rank: rank, Op: op, Peer: -1, Time: w.cl.Clock(node)}
-			}
-			if w.nDown > 0 {
-				w.arrived--
-				w.mu.Unlock()
-				return nil, 0, &Error{Kind: ErrPeerCrashed, Rank: rank, Op: op, Peer: -1, Time: w.cl.Clock(node)}
-			}
-			if deadline > 0 && time.Since(wallStart) > WatchdogWall {
-				w.arrived--
-				w.mu.Unlock()
-				return nil, 0, &Error{Kind: ErrTimeout, Rank: rank, Op: op, Peer: -1, Time: entry + deadline}
-			}
-			w.cond.Wait()
-		}
+		w.gen.Store(gen + 1)
+		close(slot.done)
+		w.mu.Unlock()
+		return result, tr, nil
 	}
-	res := slot.result
-	cost := slot.commCost
-	tr := slot.transport
-	slot.remaining--
-	if slot.remaining == 0 {
-		delete(w.slots, gen)
+	// Parked: the abort conditions are re-checked under w.mu on arrival
+	// and after every wake that did not release this generation.
+	for w.gen.Load() == gen {
+		var kind ErrorKind
+		at := now
+		switch {
+		case w.revoked:
+			kind = ErrRevoked
+		case w.cancelled.Load():
+			kind = ErrCancelled
+		case w.nDown > 0:
+			kind = ErrPeerCrashed
+		case deadline > 0 && time.Since(wallStart) > WatchdogWall:
+			kind, at = ErrTimeout, now+deadline
+		default:
+			done := slot.done
+			w.mu.Unlock()
+			<-done
+			if w.gen.Load() != gen {
+				return slot.result, slot.transport, nil
+			}
+			w.mu.Lock()
+			continue
+		}
+		w.arrived--
+		w.mu.Unlock()
+		return nil, 0, &Error{Kind: kind, Rank: rank, Op: op, Peer: -1, Time: at}
 	}
 	w.mu.Unlock()
-	w.cl.BookComm(node, cost, 0)
-	return res, tr, nil
+	return slot.result, slot.transport, nil
 }
 
 // Bcast broadcasts root's data to every rank (MPI_BCAST), using the

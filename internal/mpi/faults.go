@@ -62,7 +62,7 @@ func (w *World) startWatchdog() {
 				return
 			case <-t.C:
 				w.mu.Lock()
-				w.cond.Broadcast()
+				w.wake()
 				w.mu.Unlock()
 			}
 		}
@@ -79,8 +79,22 @@ func (w *World) Cancel() {
 	if w.cancelled.CompareAndSwap(false, true) {
 		close(w.cancelCh)
 		w.mu.Lock()
-		w.cond.Broadcast()
+		w.wake()
 		w.mu.Unlock()
+	}
+}
+
+// wake rouses every parked rank so it re-checks revoked, cancelled,
+// down and its deadline: receives parked on the mailbox cond, and a
+// collective's waiters by closing the in-flight generation's channel,
+// which is replaced so ranks still to arrive park on an open one. The
+// caller holds w.mu.
+func (w *World) wake() {
+	w.cond.Broadcast()
+	if w.arrived > 0 {
+		slot := &w.coll[w.gen.Load()&1]
+		close(slot.done)
+		slot.done = make(chan struct{})
 	}
 }
 
@@ -101,7 +115,7 @@ func (w *World) noteDown(rank int) {
 		w.down[rank] = true
 		w.nDown++
 	}
-	w.cond.Broadcast()
+	w.wake()
 	w.mu.Unlock()
 }
 
@@ -114,7 +128,7 @@ func (w *World) noteCrashed(rank int) {
 		w.down[rank] = true
 		w.nDown++
 	}
-	w.cond.Broadcast()
+	w.wake()
 	w.mu.Unlock()
 }
 

@@ -26,7 +26,7 @@ import (
 func (w *World) Revoke() {
 	w.mu.Lock()
 	w.revoked = true
-	w.cond.Broadcast()
+	w.wake()
 	w.mu.Unlock()
 }
 
@@ -92,11 +92,9 @@ func (w *World) Agree() []int {
 			t = c
 		}
 	}
-	w.cl.SetSome(survNodes, t+cost)
-	rec := w.cl.Recorder()
-	for _, nd := range survNodes {
-		w.cl.BookComm(nd, cost, 0)
-		if rec != nil {
+	w.cl.Release(survNodes, t+cost, cost)
+	if rec := w.cl.Recorder(); rec != nil {
+		for _, nd := range survNodes {
 			rec.Add(trace.Event{
 				Rank:      nd,
 				Op:        trace.OpRecovery,

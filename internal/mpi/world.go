@@ -55,15 +55,20 @@ type World struct {
 	// to the physical node.
 	nodes []int
 
+	// mu guards the rendezvous, the window registry, the mailboxes and
+	// the fault state; cond wakes receives parked on a mailbox.
 	mu   sync.Mutex
 	cond *sync.Cond
 
 	// Collective rendezvous state (one collective in flight at a time,
-	// as MPI ordering rules require).
+	// as MPI ordering rules require): arrived and maxT count and clock
+	// the current generation's arrivals, gen numbers it (advanced under
+	// mu by each release, read without it by released waiters), and
+	// coll holds the two alternating generation slots (see collSlot).
 	arrived int
-	gen     uint64
 	maxT    sim.Time
-	slots   map[uint64]*collSlot
+	gen     atomic.Uint64
+	coll    [2]collSlot
 	// noVals is what a collective's finish sees when no rank
 	// contributed a value (every barrier): n nil entries, read-only.
 	noVals [][]float64
@@ -140,7 +145,6 @@ func newWorld(c *cluster.Cluster, nodes []int) *World {
 		cl:       c,
 		n:        n,
 		nodes:    nodes,
-		slots:    make(map[uint64]*collSlot),
 		noVals:   make([][]float64, n),
 		wins:     make(map[string]*Win),
 		boxes:    make(map[mbKey][]*pendingSend),
