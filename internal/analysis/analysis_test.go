@@ -419,6 +419,45 @@ func TestMaxReductionRecognized(t *testing.T) {
 	}
 }
 
+// TestIntrinsicReductionOps: of the intrinsics on the accumulator only
+// the MIN and MAX families combine in any order; MOD, SIGN and ATAN2
+// of the running value are recurrences, and the loop stays serial.
+func TestIntrinsicReductionOps(t *testing.T) {
+	for _, tc := range []struct{ call, op string }{
+		{"MIN(S, A(I))", "MIN"},
+		{"AMIN1(A(I), S)", "MIN"},
+		{"MIN0(S, A(I))", "MIN"},
+		{"MAX(A(I), S)", "MAX"},
+		{"AMAX1(S, A(I))", "MAX"},
+		{"MAX0(S, A(I))", "MAX"},
+		{"MOD(S, A(I))", ""},
+		{"SIGN(S, A(I))", ""},
+		{"ATAN2(S, A(I))", ""},
+	} {
+		u := frontEnd(t, `
+      PROGRAM P
+      REAL A(100), S
+      INTEGER I
+      S = A(1)
+      DO I = 1, 100
+        S = `+tc.call+`
+      ENDDO
+      A(1) = S
+      END
+`)
+		loop := loopOf(t, u, "I")
+		if tc.op == "" {
+			if len(loop.Reductions) != 0 || loop.Parallel {
+				t.Errorf("S = %s: reductions %+v, parallel %v; want a serial loop", tc.call, loop.Reductions, loop.Parallel)
+			}
+			continue
+		}
+		if len(loop.Reductions) != 1 || loop.Reductions[0].Op != tc.op || !loop.Parallel {
+			t.Errorf("S = %s: reductions %+v, parallel %v; want one %s reduction", tc.call, loop.Reductions, loop.Parallel, tc.op)
+		}
+	}
+}
+
 func TestReductionVarOtherUseDisqualifies(t *testing.T) {
 	u := frontEnd(t, `
       PROGRAM P

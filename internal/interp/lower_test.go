@@ -7,6 +7,8 @@ import (
 	"unsafe"
 
 	"vbuscluster/internal/f77"
+	"vbuscluster/internal/lmad"
+	"vbuscluster/internal/postpass"
 	"vbuscluster/internal/sim"
 )
 
@@ -21,6 +23,9 @@ var nodeCases = []struct {
 	elapsed sim.Time
 	out     string
 	err     string
+	// procs, when set, runs the program front-ended and translated
+	// for that many ranks at fine grain instead of as parsed.
+	procs int
 }{
 	{
 		name: "goto out of loop and IF block, and backwards inside a body",
@@ -360,6 +365,220 @@ var nodeCases = []struct {
 `,
 		err: "interp: line 0: A subscript out of bounds: linear index -1, size 4",
 	},
+	// Straight-line DO bodies: what the generator's corpus does not
+	// reach of a loop whose body is only assignments.
+	{
+		name: "straight-line loop: store target out of bounds on the last iteration",
+		src: `
+      PROGRAM P
+      REAL A(4), B(5)
+      INTEGER I
+      DO I = 1, 5
+        B(I) = REAL(I)
+        A(I) = B(I) * 2.0
+      ENDDO
+      END
+`,
+		err: "interp: line 7: A subscript out of bounds: linear index 4, size 4",
+	},
+	{
+		name: "straight-line loop: load out of bounds on the first iteration",
+		src: `
+      PROGRAM P
+      REAL A(4), B(4)
+      INTEGER I
+      DO I = 0, 3
+        A(I+1) = B(I) + 1.0
+      ENDDO
+      END
+`,
+		err: "interp: line 0: B subscript out of bounds: linear index -1, size 4",
+	},
+	{
+		name: "straight-line loop: target and load both out of bounds report the target",
+		src: `
+      PROGRAM P
+      REAL A(4), B(4)
+      INTEGER I
+      DO I = 2, 5
+        A(I) = B(I) - 1.0
+      ENDDO
+      END
+`,
+		err: "interp: line 6: A subscript out of bounds: linear index 4, size 4",
+	},
+	{
+		name: "straight-line loop: negative step",
+		src: `
+      PROGRAM P
+      REAL A(10), B(10)
+      INTEGER I
+      DO I = 1, 10
+        B(I) = REAL(I)
+      ENDDO
+      DO I = 10, 2, -3
+        A(I) = B(11-I) * 0.5 + A(I)
+        A(I-1) = B(I) - 1.0
+      ENDDO
+      END
+`,
+		mem: map[string][]float64{
+			"A": {0, 0, 3, 3.5, 0, 6, 2, 0, 9, 0.5}, "I": {1},
+		},
+		elapsed: 944000,
+	},
+	{
+		name: "straight-line loop: zero trips leave the first value in the variable",
+		src: `
+      PROGRAM P
+      REAL A(4)
+      INTEGER I, J
+      J = 7
+      DO I = J, 3
+        A(I+100) = 1.0
+      ENDDO
+      A(1) = REAL(I)
+      END
+`,
+		mem:     map[string][]float64{"A": {7, 0, 0, 0}, "I": {7}},
+		elapsed: 62000,
+	},
+	{
+		name: "straight-line loop: the loop variable in two subscripts and read as a value",
+		src: `
+      PROGRAM P
+      REAL A(3,3), X(3)
+      INTEGER K
+      DO K = 1, 3
+        A(K,K) = REAL(K) * 1.5
+        X(K) = A(K,K) + REAL(K*K)
+      ENDDO
+      END
+`,
+		mem: map[string][]float64{
+			"A": {1.5, 0, 0, 0, 3, 0, 0, 0, 4.5}, "X": {2.5, 7, 13.5}, "K": {4},
+		},
+		elapsed: 480000,
+	},
+	{
+		name: "straight-line loop: indirect subscripts",
+		src: `
+      PROGRAM P
+      REAL X(5), Y(5)
+      INTEGER IDX(5), K
+      DO K = 1, 5
+        IDX(K) = 6 - K
+        X(K) = REAL(K)
+      ENDDO
+      DO K = 1, 5
+        Y(K) = X(IDX(K)) * 2.0
+        X(IDX(K)) = Y(K) + X(K)
+      ENDDO
+      END
+`,
+		mem: map[string][]float64{
+			"X": {13, 14, 9, 10, 11}, "Y": {10, 8, 6, 4, 2}, "K": {6},
+		},
+		elapsed: 1107000,
+	},
+	{
+		name: "straight-line loop: privatised temporaries, one a subscript holding a valid value at entry",
+		src: `
+      PROGRAM P
+      REAL A(6), B(7), T
+      INTEGER I, M
+      DO I = 1, 6
+        A(I) = REAL(I)
+      ENDDO
+      M = 2
+      DO I = 1, 6
+        T = A(I) * 2.0
+        M = I + 1
+        B(M) = T + B(M-1)
+      ENDDO
+      END
+`,
+		mem: map[string][]float64{
+			"B": {0, 2, 6, 12, 20, 30, 42}, "I": {7}, "M": {7}, "T": {12},
+		},
+		elapsed: 1033000,
+	},
+	{
+		name: "straight-line loop in a CALLed unit subscripted by a dummy scalar aliasing the array",
+		src: `
+      PROGRAM P
+      REAL A(4,3)
+      A(2,1) = 1.0
+      CALL BUMP(A, A(2,1))
+      END
+
+      SUBROUTINE BUMP(V, N)
+      REAL V(4,3)
+      INTEGER N, I
+      DO I = 1, 4
+        V(I,N) = V(I,N) + 1.0
+      ENDDO
+      END
+`,
+		mem:     map[string][]float64{"A": {1, 2, 0, 0, 0, 0, 1, 1, 0, 0, 0, 0}},
+		elapsed: 430000,
+	},
+	{
+		name: "straight-line loops inside a fine-grain parallel region",
+		src: `
+      PROGRAM P
+      REAL A(8,6), B(8,6), T
+      INTEGER I, J
+      DO J = 1, 6
+        DO I = 1, 8
+          A(I,J) = REAL(I + 10*J)
+        ENDDO
+      ENDDO
+      DO J = 2, 6
+        DO I = 1, 8
+          T = A(I,J-1) * 0.5
+          B(I,J) = A(I,J) + T
+        ENDDO
+      ENDDO
+      DO J = 1, 6
+        B(1,J) = B(8,J) - A(1,J)
+      ENDDO
+      PRINT *, B(1,2), B(8,6)
+      END
+`,
+		mem: map[string][]float64{
+			"B": {
+				-11, 0, 0, 0, 0, 0, 0, 0, 16, 28, 29.5, 31, 32.5, 34, 35.5, 37,
+				21, 43, 44.5, 46, 47.5, 49, 50.5, 52, 26, 58, 59.5, 61, 62.5, 64, 65.5, 67,
+				31, 73, 74.5, 76, 77.5, 79, 80.5, 82, 36, 88, 89.5, 91, 92.5, 94, 95.5, 97,
+			},
+			"I": {9}, "J": {7}, "T": {9},
+		},
+		elapsed: 1431075920,
+		out:     "16 97\n",
+		procs:   4,
+	},
+	{
+		name: "MOD of the accumulator is no reduction: four ranks print the sequential output",
+		src: `
+      PROGRAM P
+      REAL X(8), S
+      INTEGER I
+      DO I = 1, 8
+        X(I) = REAL(I) + 2.0
+      ENDDO
+      S = 1000003.0
+      DO I = 1, 8
+        S = MOD(S, X(I))
+      ENDDO
+      PRINT *, S
+      END
+`,
+		mem:     map[string][]float64{"S": {1}},
+		elapsed: 330829732,
+		out:     "1\n",
+		procs:   4,
+	},
 }
 
 func TestLoweredNodes(t *testing.T) {
@@ -369,7 +588,12 @@ func TestLoweredNodes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := RunSequential(prog, newCluster(t, 1), Full)
+			var res *Result
+			if tc.procs > 0 {
+				res = runFine(t, tc.src, tc.procs)
+			} else {
+				res, err = RunSequential(prog, newCluster(t, 1), Full)
+			}
 			if tc.err != "" {
 				if err == nil || err.Error() != tc.err {
 					t.Fatalf("error %v, want %q", err, tc.err)
@@ -395,6 +619,24 @@ func TestLoweredNodes(t *testing.T) {
 			}
 		})
 	}
+}
+
+// runFine runs src front-ended and translated for procs ranks at fine
+// grain, and checks that it prints what the sequential run prints.
+func runFine(t *testing.T, src string, procs int) *Result {
+	t.Helper()
+	pp, err := postpass.Translate(compile(t, src), postpass.Options{NumProcs: procs, Grain: lmad.Fine, LiveOutAll: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := RunParallel(pp, newCluster(t, procs), Full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seq := runSeq(t, src, Full); res.Output != seq.Output {
+		t.Fatalf("%d ranks print %q, the sequential run %q", procs, res.Output, seq.Output)
+	}
+	return res
 }
 
 // TestLazyArraysAllocateOnFirstTouch: a Timing-mode slave defers its
