@@ -139,8 +139,9 @@ func TestCompiledConcurrentReuseAutoGrain(t *testing.T) {
 
 // TestCompiledFirstUseLoweringRace starts every kind of run on a fresh
 // Compiled at once, so the goroutines race to lower the program (the
-// once-per-plan build), then to lower each loop body on its first
-// execution while other ranks and runs already execute it. Under -race
+// once-per-plan build), then to lower each loop body or build each
+// straight-line loop's tape on its first execution while other ranks
+// and runs already execute it. Under -race
 // this fails on any write into the shared lowered form after it is
 // published; without -race it still pins parallel ≡ sequential output
 // and equal virtual time across all of them.

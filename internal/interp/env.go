@@ -92,6 +92,10 @@ type Env struct {
 	// jump is the label a ctrlJump outcome is heading for.
 	jump int
 
+	// scratch is the working memory of tapes and strided transfers,
+	// allocated on first use.
+	scratch *scratch
+
 	// saved is the CALL stack: each active frame's shadowed bindings of
 	// the callee's slot range, restored when the call returns.
 	saved [][]float64

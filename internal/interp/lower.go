@@ -267,7 +267,7 @@ func (lw *Lowered) stmt(s f77.Stmt) stmtFn {
 	}
 	switch x := s.(type) {
 	case *f77.Assign:
-		return lw.assign(x)
+		return lw.assign(x, assignCost(x))
 	case *f77.ContinueStmt:
 		return simple(func(*node, *Env) ctrl { return ctrlNormal })
 	case *f77.IfBlock:
@@ -365,12 +365,12 @@ func (lw *Lowered) print(x *f77.PrintStmt) stmtFn {
 	})
 }
 
-// assign lowers LHS = RHS. Execution order: charge, resolve the target
-// cell (subscripts, bounds check), evaluate the right-hand side, store —
-// so a bad target subscript is reported before the right-hand side runs.
-func (lw *Lowered) assign(x *f77.Assign) stmtFn {
+// assign lowers LHS = RHS, charged c. Execution order: charge, resolve
+// the target cell (subscripts, bounds check), evaluate the right-hand
+// side, store — so a bad target subscript is reported before the
+// right-hand side runs.
+func (lw *Lowered) assign(x *f77.Assign, c cost) stmtFn {
 	sym := x.LHS.Sym
-	c := assignCost(x)
 	// The stored value, converted by the target's type.
 	var rhs fexpr
 	switch {
@@ -439,6 +439,12 @@ type loop struct {
 	assigns  cost
 	// inner are the loops directly in the body, in order.
 	inner []*loop
+	// straight says the loop runs on a tape (straightLine), built on
+	// its first Full-mode execution; body, the node form, is lowered
+	// only when the loop is not straight or a tape's entry proof fails.
+	straight bool
+	tapeOnce sync.Once
+	tape     *tape
 
 	once sync.Once
 	body *block
@@ -472,6 +478,7 @@ func (lw *Lowered) loop(x *f77.DoLoop) *loop {
 			l.bulkable = false
 		}
 	}
+	l.straight = len(l.inner) == 0 && straightLine(x, l.bulkable)
 	return l
 }
 
@@ -505,6 +512,10 @@ func (l *loop) exec(env *Env) ctrl {
 	if env.mode == Timing && l.bulkable {
 		env.pending += l.bulkCost(env, from, step, trips)
 		// The loop variable's post-loop value per the Fortran standard.
+		env.setInt(l.v, from+trips*step)
+		return ctrlNormal
+	}
+	if l.straight && l.onTape(env, from, step, trips, nil) {
 		env.setInt(l.v, from+trips*step)
 		return ctrlNormal
 	}

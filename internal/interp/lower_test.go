@@ -764,3 +764,63 @@ func TestScalarBlocksKeepTheirCacheLines(t *testing.T) {
 	}
 	runtime.KeepAlive(envs)
 }
+
+// TestTapeShapes: which loops run on a tape, and which of their parts
+// become cursors and which stay ordinary nodes. Each case's body is
+// the inner loop of DO I / DO K.
+func TestTapeShapes(t *testing.T) {
+	for _, tc := range []struct {
+		name, decl, body string
+		straight         bool
+		cursors, nodes   int // nodes: node and statement instructions
+	}{
+		{"the MM kernel", "REAL A(4,4), B(4,4), C(4,4)\n      INTEGER I, J, K",
+			"C(I,J) = C(I,J) + A(I,K) * B(K,J)", true, 3, 0},
+		{"one element read and written is one cursor", "REAL S(2), X(4)\n      INTEGER K",
+			"S(1) = S(1) + X(K)", true, 2, 0},
+		{"the variable twice in one reference, and as a value", "REAL A(4,4)\n      INTEGER K",
+			"A(K,K) = REAL(K) * 1.5", true, 1, 1},
+		{"an indirect subscript is a node", "REAL X(4), Y(4)\n      INTEGER IDX(4), K",
+			"Y(K) = X(IDX(K)) * 2.0", true, 1, 1},
+		{"a subscript the body writes keeps its statement", "REAL B(9), T\n      INTEGER I, M",
+			"T = B(I)\n        M = I + 1\n        B(M) = T + B(M-1)", true, 1, 2},
+		{"an intrinsic is one node, its argument included", "REAL A(4)\n      INTEGER N(4), I",
+			"N(K) = SQRT(A(K)) + 0.5", true, 1, 1},
+		{"an IF is not straight", "REAL A(4)\n      INTEGER I",
+			"IF (A(I) .GT. 0.0) A(I) = 0.0", false, 0, 0},
+		{"a COMMON loop variable is not straight", "REAL A(4)\n      INTEGER K\n      COMMON /C/ K",
+			"A(K) = 1.0", false, 0, 0},
+		{"a COMMON store is not straight", "REAL A(4), S\n      INTEGER I\n      COMMON /C/ S",
+			"S = A(I)", false, 0, 0},
+		{"a user function is not straight", "REAL A(4)\n      INTEGER I",
+			"A(I) = F(A(I))", false, 0, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			prog, err := f77.Parse("\n      PROGRAM P\n      " + tc.decl +
+				"\n      DO I = 1, 4\n      DO K = 1, 4\n        " + tc.body + "\n      ENDDO\n      ENDDO\n      END\n" +
+				"\n      REAL FUNCTION F(X)\n      REAL X\n      F = X\n      END\n")
+			if err != nil {
+				t.Fatal(err)
+			}
+			var l *loop
+			for _, outer := range Lower(prog).topLoops {
+				l = outer.inner[0]
+			}
+			if l.straight != tc.straight {
+				t.Fatalf("straight = %v, want %v", l.straight, tc.straight)
+			}
+			if !l.straight {
+				return
+			}
+			nodes := 0
+			for _, in := range l.code().code {
+				if in.op == opNode || in.op == opStmt {
+					nodes++
+				}
+			}
+			if len(l.tape.refs) != tc.cursors || nodes != tc.nodes {
+				t.Errorf("%d cursors and %d node instructions, want %d and %d", len(l.tape.refs), nodes, tc.cursors, tc.nodes)
+			}
+		})
+	}
+}

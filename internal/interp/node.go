@@ -24,21 +24,14 @@ type node struct {
 	// x and y are the operands; an assignment's right-hand side is x.
 	x, y *node
 
-	// slot is the scalar read or written, or the array referenced.
+	// slot is the scalar read or written.
 	slot int
-	// A constant-layout array reference whose subscripts read one or
-	// two scalar slots: the element is base + mem[v0]·m0 (+ mem[v1]·m1),
-	// checked against size.
-	size   uint64
-	base   int64
-	v0, v1 int
-	m0, m1 int64
 
 	k float64 // a REAL literal
 	n int64   // an INTEGER literal, a LOGICAL literal, a GOTO target
 	c cost    // an assignment's charge
 
-	r  *ref  // an array reference: the general path and failure reports
+	r  *ref  // an array reference
 	l  *loop // a DO statement
 	cl any   // a rare kind's closure, of the type its function expects
 }
@@ -71,9 +64,9 @@ type chunk struct {
 // allocator's 8-byte header, more than the 3456-byte class holds and no
 // more than 4096. TestChunkPlacement holds them to that.
 const (
-	chunkNodes  = 19
+	chunkNodes  = 26
 	chunkBlocks = 8
-	chunkRuns   = 60
+	chunkRuns   = 62
 )
 
 // grow starts a fresh chunk; what was left of the old one stays unused.

@@ -116,8 +116,7 @@ func (lw *Lowered) affine(e f77.Expr, top bool) (v int, coef, off int64, ok bool
 }
 
 // locate resolves the reference to its backing cells and checked
-// offset — the one path every shape can take; load and store add
-// straight-line forms of it for the common shapes.
+// offset: the one path every reference outside a tape takes.
 func (r *ref) locate(env *Env) ([]float64, int64) {
 	buf := env.mem[r.slot]
 	if buf == nil {
@@ -152,73 +151,14 @@ func (r *ref) locate(env *Env) ([]float64, int64) {
 	return buf, idx
 }
 
-// checked is the slow half of the straight-line forms: the cells were
-// missing (a lazily deferred array, allocated now) or idx is out of
-// bounds (reported).
-func (r *ref) checked(env *Env, idx int64) []float64 {
-	buf := env.storage(r.slot, r.line)
-	if idx < 0 || idx >= r.size {
-		env.fail(r.line, "%s subscript out of bounds: linear index %d, size %d", r.name, idx, r.size)
-	}
-	return buf
-}
-
-// slotTerms returns the terms when there are one or two and each reads
-// a scalar slot — the shapes with straight-line forms (every array
-// reference of the paper's kernels).
-func (r *ref) slotTerms() []term {
-	if r.size == 0 || len(r.terms) == 0 || len(r.terms) > 2 {
-		return nil
-	}
-	for _, t := range r.terms {
-		if t.fn.node != nil {
-			return nil
-		}
-	}
-	return r.terms
-}
-
-// refNode fills in what the straight-line forms read: one or two slot
-// terms, or none of them for the general path through r.locate.
-func (lw *Lowered) refNode(r *ref) (n *node, terms int) {
-	n = lw.newNode()
-	n.r, n.slot, n.size, n.base = r, r.slot, uint64(r.size), r.base
-	t := r.slotTerms()
-	if len(t) > 0 {
-		n.v0, n.m0 = t[0].v, t[0].m
-	}
-	if len(t) > 1 {
-		n.v1, n.m1 = t[1].v, t[1].m
-	}
-	return n, len(t)
-}
-
 // load lowers reading the referenced element.
 func (lw *Lowered) load(r *ref) fexpr {
-	n, terms := lw.refNode(r)
-	n.f = [...]func(*node, *Env) float64{loadAny, load1, load2}[terms]
+	n := lw.newNode()
+	n.f, n.r = loadRef, r
 	return fexpr{n}
 }
 
-func load1(n *node, env *Env) float64 {
-	idx := n.base + int64(env.mem[n.v0][0])*n.m0
-	buf := env.mem[n.slot]
-	if uint64(idx) >= n.size || buf == nil {
-		buf = n.r.checked(env, idx)
-	}
-	return buf[idx]
-}
-
-func load2(n *node, env *Env) float64 {
-	idx := n.base + int64(env.mem[n.v0][0])*n.m0 + int64(env.mem[n.v1][0])*n.m1
-	buf := env.mem[n.slot]
-	if uint64(idx) >= n.size || buf == nil {
-		buf = n.r.checked(env, idx)
-	}
-	return buf[idx]
-}
-
-func loadAny(n *node, env *Env) float64 {
+func loadRef(n *node, env *Env) float64 {
 	buf, idx := n.r.locate(env)
 	return buf[idx]
 }
@@ -226,35 +166,12 @@ func loadAny(n *node, env *Env) float64 {
 // store lowers an assignment to the referenced element: charge c,
 // resolve the cell, evaluate rhs, store.
 func (lw *Lowered) store(r *ref, c cost, rhs fexpr) stmtFn {
-	n, terms := lw.refNode(r)
-	n.c, n.x = c, rhs.node
-	n.s = [...]func(*node, *Env) ctrl{storeAny, store1, store2}[terms]
+	n := lw.newNode()
+	n.s, n.r, n.c, n.x = storeRef, r, c, rhs.node
 	return stmtFn{n}
 }
 
-func store1(n *node, env *Env) ctrl {
-	env.pending += n.c.at(&env.cpu)
-	idx := n.base + int64(env.mem[n.v0][0])*n.m0
-	buf := env.mem[n.slot]
-	if uint64(idx) >= n.size || buf == nil {
-		buf = n.r.checked(env, idx)
-	}
-	buf[idx] = n.x.f(n.x, env)
-	return ctrlNormal
-}
-
-func store2(n *node, env *Env) ctrl {
-	env.pending += n.c.at(&env.cpu)
-	idx := n.base + int64(env.mem[n.v0][0])*n.m0 + int64(env.mem[n.v1][0])*n.m1
-	buf := env.mem[n.slot]
-	if uint64(idx) >= n.size || buf == nil {
-		buf = n.r.checked(env, idx)
-	}
-	buf[idx] = n.x.f(n.x, env)
-	return ctrlNormal
-}
-
-func storeAny(n *node, env *Env) ctrl {
+func storeRef(n *node, env *Env) ctrl {
 	env.pending += n.c.at(&env.cpu)
 	buf, idx := n.r.locate(env)
 	buf[idx] = n.x.f(n.x, env)

@@ -764,6 +764,9 @@ func (env *Env) runPartition(l *loop, ctx analysis.LoopCtx, myTrips []int64) {
 		env.pending += total
 		return
 	}
+	if l.straight && l.onTape(env, ctx.From, ctx.Step, int64(len(myTrips)), myTrips) {
+		return
+	}
 	body := l.block()
 	for _, k := range myTrips {
 		env.checkCancelled()
@@ -841,13 +844,13 @@ func (env *Env) moveOps(p *mpi.Proc, wins []*mpi.Win, par *postpass.ParInfo, dir
 			case tr.Stride == 1:
 				mpi.Must(p.Put(win, target, d, local[tr.Offset:tr.Offset+tr.Elems]))
 			case get:
-				tmp := make([]float64, tr.Elems)
+				tmp := env.staging(tr.Elems)
 				mpi.Must(p.Get(win, target, d, tmp))
 				for i, v := range tmp {
 					local[tr.Offset+int64(i)*tr.Stride] = v
 				}
 			default:
-				tmp := make([]float64, tr.Elems)
+				tmp := env.staging(tr.Elems)
 				for i := range tmp {
 					tmp[i] = local[tr.Offset+int64(i)*tr.Stride]
 				}
@@ -855,6 +858,18 @@ func (env *Env) moveOps(p *mpi.Proc, wins []*mpi.Win, par *postpass.ParInfo, dir
 			}
 		}
 	}
+}
+
+// staging returns n cells of the Env's staging slice, which a strided
+// PUT or GET packs through: both copy before they return, so one slice
+// serves every transfer. (A SEND's payload is queued, so sendOps packs
+// into a fresh one.)
+func (env *Env) staging(n int64) []float64 {
+	s := env.work()
+	if int64(cap(s.stage)) < n {
+		s.stage = make([]float64, n)
+	}
+	return s.stage[:n]
 }
 
 // SortedArrayNames lists the arrays in a result for deterministic
