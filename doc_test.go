@@ -123,6 +123,21 @@ func TestDocsNameRealThings(t *testing.T) {
 	}
 }
 
+// designCeiling is the most bytes DESIGN.md may hold: a ratchet toward
+// the 50 KB of ROADMAP item 9, so text a change adds must displace
+// text it retires. Lower it when the document shrinks; never raise it.
+const designCeiling = 87053
+
+func TestDesignSizeRatchet(t *testing.T) {
+	fi, err := os.Stat("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fi.Size() > designCeiling {
+		t.Errorf("DESIGN.md holds %d bytes, more than its ceiling of %d: retire old text for the new", fi.Size(), designCeiling)
+	}
+}
+
 // TestUsageSynopsesMatchFlags: a command whose doc comment opens its
 // Usage section with a synopsis ("vbrun [-procs N] … file.f") lists
 // there exactly the flags it registers.
