@@ -88,6 +88,8 @@ type cursor struct {
 	off, step int64
 }
 
+func (c *cursor) at(v int64) *float64 { return &c.buf[c.off+v*c.step] }
+
 // scratch is an Env's reusable working memory, allocated on first use
 // (never by a Timing run): the registers and cursors of the tape
 // running — at most one runs in an Env at a time, since a tape body
@@ -404,8 +406,7 @@ func (s *scratch) exec(code []instr, j int, v int64, mem [][]float64) int {
 		case opScalar:
 			r[in.d] = mem[in.slot][0]
 		case opLoad:
-			c := &s.cur[in.ref%tapeCursors]
-			r[in.d] = c.buf[c.off+v*c.step]
+			r[in.d] = *s.cur[in.ref%tapeCursors].at(v)
 		case opNeg:
 			r[in.d] = -r[in.d]
 		case opAdd:
@@ -419,22 +420,17 @@ func (s *scratch) exec(code []instr, j int, v int64, mem [][]float64) int {
 		case opTrunc:
 			r[in.d] = float64(int64(r[in.d]))
 		case opStore:
-			c := &s.cur[in.ref%tapeCursors]
-			c.buf[c.off+v*c.step] = r[in.a]
+			*s.cur[in.ref%tapeCursors].at(v) = r[in.a]
 		case opSet:
 			mem[in.slot][0] = r[in.a]
 		case opAddC:
-			c := &s.cur[in.ref%tapeCursors]
-			r[in.d] = r[in.a] + c.buf[c.off+v*c.step]
+			r[in.d] = r[in.a] + *s.cur[in.ref%tapeCursors].at(v)
 		case opSubC:
-			c := &s.cur[in.ref%tapeCursors]
-			r[in.d] = r[in.a] - c.buf[c.off+v*c.step]
+			r[in.d] = r[in.a] - *s.cur[in.ref%tapeCursors].at(v)
 		case opMulC:
-			c := &s.cur[in.ref%tapeCursors]
-			r[in.d] = r[in.a] * c.buf[c.off+v*c.step]
+			r[in.d] = r[in.a] * *s.cur[in.ref%tapeCursors].at(v)
 		case opDivC:
-			c := &s.cur[in.ref%tapeCursors]
-			r[in.d] = r[in.a] / c.buf[c.off+v*c.step]
+			r[in.d] = r[in.a] / *s.cur[in.ref%tapeCursors].at(v)
 		default: // opNode, opStmt
 			return j
 		}
