@@ -1,8 +1,10 @@
 package interp
 
 import (
+	"math"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -578,6 +580,275 @@ var nodeCases = []struct {
 		elapsed: 330829732,
 		out:     "1\n",
 		procs:   4,
+	},
+	// Straight-line bodies whose iterations a strip of lanes could
+	// reorder, recorded from the tape running one iteration at a time:
+	// dependences between iterations, folds whose rounding depends on
+	// their order, and aliases a subscript does not show.
+	{
+		name: "lanes: a loop-carried read and a read ahead of the store",
+		src: `
+      PROGRAM P
+      REAL X(12)
+      INTEGER I
+      X(1) = 5.0
+      DO I = 2, 12
+        X(I) = X(I-1) + 1.0
+      ENDDO
+      DO I = 1, 11
+        X(I) = X(I+1)
+      ENDDO
+      END
+`,
+		mem:     map[string][]float64{"X": {6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 16}},
+		elapsed: 1266000,
+	},
+	{
+		name: "lanes: an element stored every iteration and read back",
+		src: `
+      PROGRAM P
+      REAL A(10), B(10), T(1)
+      INTEGER I
+      DO I = 1, 10
+        A(I) = REAL(I) * 1.5
+      ENDDO
+      DO I = 1, 10
+        T(1) = A(I)
+        B(I) = T(1)
+      ENDDO
+      END
+`,
+		mem:     map[string][]float64{"B": {1.5, 3, 4.5, 6, 7.5, 9, 10.5, 12, 13.5, 15}, "T": {15}},
+		elapsed: 1342000,
+	},
+	{
+		name: "lanes: folds by subtraction and division over three strips",
+		src: `
+      PROGRAM P
+      REAL X(300), S(2)
+      INTEGER K
+      DO K = 1, 300
+        X(K) = 1.0 / REAL(K)
+      ENDDO
+      S(1) = 1.0
+      S(2) = 1.0E10
+      DO K = 1, 300
+        S(1) = S(1) - X(K)
+        S(2) = S(2) / (1.0 + X(K))
+      ENDDO
+      END
+`,
+		mem:     map[string][]float64{"S": {-5.282663880299501, 3.3222591362126317e+07}},
+		elapsed: 65470000,
+	},
+	{
+		name: "lanes: a target loaded twice is no fold",
+		src: `
+      PROGRAM P
+      REAL C(3), A(6)
+      INTEGER I, J
+      DO I = 1, 6
+        A(I) = REAL(I) * 0.25
+      ENDDO
+      DO J = 1, 3
+        C(J) = REAL(J)
+      ENDDO
+      DO J = 1, 3
+        DO I = 1, 6
+          C(J) = C(J) + C(J) * A(I)
+        ENDDO
+      ENDDO
+      END
+`,
+		mem:     map[string][]float64{"C": {36.9140625, 73.828125, 110.7421875}},
+		elapsed: 2580000,
+	},
+	{
+		name: "lanes: a target updated twice in one statement is no fold",
+		src: `
+      PROGRAM P
+      REAL X(5), Y(5), S(1)
+      INTEGER K
+      DO K = 1, 5
+        X(K) = REAL(K) * 0.1
+        Y(K) = 0.5
+      ENDDO
+      S(1) = 1.0
+      DO K = 1, 5
+        S(1) = S(1) + X(K) - Y(K)
+      ENDDO
+      END
+`,
+		mem:     map[string][]float64{"S": {1.1102230246251565e-16}},
+		elapsed: 976000,
+	},
+	{
+		name: "lanes: a multiply-add fold a fused multiply-add would round differently",
+		src: `
+      PROGRAM P
+      REAL A(3), B(3), S(1), E
+      INTEGER K
+      E = 1.0 / 1073741824.0
+      A(1) = 1.0 + E
+      B(1) = 1.0 + E
+      S(1) = -(1.0 + 2.0 * E)
+      DO K = 1, 3
+        S(1) = S(1) + A(K) * B(K)
+      ENDDO
+      PRINT *, S(1)
+      END
+`,
+		mem:     map[string][]float64{"S": {0}},
+		elapsed: 608000,
+		out:     "0\n",
+	},
+	{
+		name: "lanes: folds that overflow to infinity mid-strip",
+		src: `
+      PROGRAM P
+      REAL X(6), Y(6), S(2)
+      INTEGER K
+      X(1) = 1.0E200
+      X(2) = 1.0E200
+      X(3) = 1.0E-200
+      X(4) = 1.0E-200
+      X(5) = -1.0E308
+      X(6) = -1.0E308
+      Y(1) = 1.0E308
+      Y(2) = 1.0E308
+      Y(3) = -1.0E308
+      Y(4) = -1.0E308
+      S(1) = 1.0
+      DO K = 1, 6
+        S(1) = S(1) * X(K)
+        S(2) = S(2) + Y(K)
+      ENDDO
+      PRINT *, S(1), S(2)
+      END
+`,
+		mem:     map[string][]float64{"S": {math.Inf(1), math.Inf(1)}},
+		elapsed: 1159000,
+		out:     "+Inf +Inf\n",
+	},
+	{
+		name: "lanes: a negative step with a fold over a stored element",
+		src: `
+      PROGRAM P
+      REAL X(20), Y(20), S(1)
+      INTEGER I
+      DO I = 1, 20
+        X(I) = 1.0 / REAL(I)
+      ENDDO
+      S(1) = 0.0
+      DO I = 20, 2, -2
+        Y(I) = X(I) * 3.0 + X(21-I)
+        S(1) = S(1) + Y(I)
+      ENDDO
+      END
+`,
+		mem: map[string][]float64{
+			"S": {6.526707911111936},
+			"Y": {
+				0, 1.5526315789473684, 0, 0.8088235294117647, 0, 0.5666666666666667, 0, 0.4519230769230769, 0, 0.390909090909091,
+				0, 0.3611111111111111, 0, 0.3571428571428571, 0, 0.3875, 0, 0.5, 0, 1.15,
+			},
+			"I": {0},
+		},
+		elapsed: 2946000,
+	},
+	{
+		name: "lanes: a fold and a partitioned straight loop in a fine-grain parallel region",
+		src: `
+      PROGRAM P
+      REAL A(40,6), S(40)
+      INTEGER I, K
+      DO K = 1, 6
+        DO I = 1, 40
+          A(I,K) = REAL(I) / REAL(K)
+        ENDDO
+      ENDDO
+      DO I = 1, 40
+        S(I) = 0.5
+      ENDDO
+      DO I = 1, 40
+        DO K = 1, 6
+          S(I) = S(I) + A(I,K)
+        ENDDO
+      ENDDO
+      DO I = 1, 40
+        S(I) = S(I) * 2.0 - A(I,3)
+      ENDDO
+      PRINT *, S(1), S(40)
+      END
+`,
+		mem: map[string][]float64{
+			"S": {
+				5.566666666666667, 10.133333333333335, 14.7, 19.266666666666666, 23.833333333333332,
+				28.4, 32.96666666666667, 37.53333333333333, 42.1, 46.666666666666664,
+				51.233333333333334, 55.8, 60.36666666666667, 64.93333333333334, 69.5,
+				74.06666666666666, 78.63333333333334, 83.2, 87.76666666666667, 92.33333333333333,
+				96.9, 101.46666666666667, 106.03333333333333, 110.6, 115.16666666666667,
+				119.73333333333333, 124.30000000000001, 128.86666666666667, 133.43333333333334, 138,
+				142.5666666666667, 147.13333333333333, 151.7, 156.26666666666668, 160.83333333333334,
+				165.4, 169.96666666666667, 174.53333333333333, 179.1, 183.66666666666666,
+			},
+		},
+		elapsed: 2422680380,
+		out:     "5.566666666666667 183.66666666666666\n",
+		procs:   4,
+	},
+	{
+		name: "lanes: a tape with too many registers for eight lanes",
+		src: `
+      PROGRAM P
+      REAL A(10), B(10)
+      INTEGER I
+      DO I = 1, 10
+        B(I) = REAL(I) * 0.1
+      ENDDO
+      DO I = 1, 10
+        A(I) = ` + strings.Repeat("B(I)+(", 38) + "B(I)+B(I)" + strings.Repeat(")", 38) + `
+      ENDDO
+      END
+`,
+		mem: map[string][]float64{"A": {
+			4.000000000000002, 8.000000000000004, 12.000000000000007, 16.000000000000007, 20,
+			24.000000000000014, 27.999999999999982, 32.000000000000014, 35.99999999999997, 40,
+		}},
+		elapsed: 14322000,
+	},
+	{
+		name: "lanes: dummy arrays and a dummy scalar aliasing the stored array",
+		src: `
+      PROGRAM P
+      REAL A(8), B(8)
+      INTEGER I
+      DO I = 1, 8
+        A(I) = REAL(I*I)
+        B(I) = REAL(I)
+      ENDDO
+      CALL SHIFT(A(2), A)
+      CALL BUMP(B, B(2))
+      END
+
+      SUBROUTINE SHIFT(X, Y)
+      INTEGER I
+      REAL X(7), Y(7)
+      DO I = 1, 7
+        X(I) = Y(I) + 1.0
+      ENDDO
+      END
+
+      SUBROUTINE BUMP(V, S)
+      INTEGER I
+      REAL V(8), S
+      DO I = 1, 8
+        V(I) = S + 1.0
+      ENDDO
+      END
+`,
+		mem:     map[string][]float64{"A": {1, 2, 3, 4, 5, 6, 7, 8}, "B": {3, 3, 4, 4, 4, 4, 4, 4}},
+		elapsed: 1701000,
 	},
 }
 
