@@ -6,6 +6,9 @@ type LoopForm struct {
 	// Tape and Body report whether its tape and its node body were
 	// built.
 	Tape, Body bool
+	// Lanes and Folds are the built tape's strip width (1 when it runs
+	// one iteration at a time) and fold instructions.
+	Lanes, Folds int
 }
 
 // InnermostForms lists the forms of the main unit's innermost loops in
@@ -15,7 +18,11 @@ func InnermostForms(lw *Lowered) []LoopForm {
 	var walk func(l *loop)
 	walk = func(l *loop) {
 		if len(l.inner) == 0 {
-			out = append(out, LoopForm{Line: l.line, Tape: l.tape != nil, Body: l.body != nil})
+			f := LoopForm{Line: l.line, Tape: l.tape != nil, Body: l.body != nil}
+			if f.Tape {
+				f.Lanes, f.Folds = l.tape.lanes, l.tape.folds
+			}
+			out = append(out, f)
 		}
 		for _, in := range l.inner {
 			walk(in)

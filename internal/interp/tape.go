@@ -21,6 +21,11 @@ import (
 // ordinary lowered node, which reads the loop variable from its frame
 // cell. When the proof fails the loop runs its node body instead, which
 // reports the bad access when and where it happens.
+//
+// A proved tape may also run a strip of iterations per instruction
+// (lanes), when no order between iterations can be observed: see
+// tapeBuilder.lanes for which tapes may, and tape.disjoint for what
+// the loop entry proves before one does.
 
 // tapeOp is what one instruction does; d, a and b name registers.
 type tapeOp uint8
@@ -45,14 +50,23 @@ const (
 	opSubC
 	opMulC
 	opDivC
+	// Lanes only: fold r[b] of every lane, in lane order, into cursor
+	// ref's one element, read once and stored once per strip.
+	opFoldAdd
+	opFoldSub
+	opFoldMul
+	opFoldDiv
 )
 
 // tapeRegs registers are indexed by a byte, so no index needs a check;
 // tapeCursors bounds the array references one tape resolves. A deeper
-// expression or a further reference becomes a node instruction.
+// expression or a further reference becomes a node instruction. A tape
+// of R registers runs ⌊tapeRegs/R⌋ lanes, register r of lane l in
+// regs[r·W + l], and at least minLanes or none.
 const (
 	tapeRegs    = 256
 	tapeCursors = 64
+	minLanes    = 8
 )
 
 // instr is one instruction; op says which of its fields it reads.
@@ -67,9 +81,17 @@ type instr struct {
 
 // tape is a loop body's register program and the references its
 // cursors resolve. It is built once per loop and shared by every Env.
+// lanes is how many iterations strip runs per instruction, 1 when the
+// tape runs only one at a time; folds counts strip's fold
+// instructions, and pairs names the cursors on one array, one of them
+// stored, that must touch disjoint elements for strip to run.
 type tape struct {
-	code []instr
-	refs []tapeRef
+	code  []instr
+	refs  []tapeRef
+	lanes int
+	strip []instr
+	folds int
+	pairs [][2]uint8
 }
 
 // tapeRef is one cursor's static half: the element for loop-variable
@@ -89,6 +111,13 @@ type cursor struct {
 }
 
 func (c *cursor) at(v int64) *float64 { return &c.buf[c.off+v*c.step] }
+
+// span is the lowest and highest element the cursor touches for
+// variable values between first and last.
+func (c *cursor) span(first, last int64) (lo, hi int64) {
+	lo, hi = c.off+first*c.step, c.off+last*c.step
+	return min(lo, hi), max(lo, hi)
+}
 
 // scratch is an Env's reusable working memory, allocated on first use
 // (never by a Timing run): the registers and cursors of the tape
@@ -156,11 +185,15 @@ func (lw *Lowered) buildTape(x *f77.DoLoop) *tape {
 			b.assigned[a.LHS.Sym] = true
 		}
 	}
+	var starts []int
 	for _, s := range x.Body {
 		if a, ok := s.(*f77.Assign); ok {
+			starts = append(starts, len(b.t.code))
 			b.assign(a)
 		}
 	}
+	b.t.lanes = 1
+	b.lanes(starts)
 	return b.t
 }
 
@@ -316,6 +349,134 @@ func (b *tapeBuilder) cursor(sym *f77.Symbol, subs []f77.Expr) int {
 // arithmetic cannot overflow.
 func small(x, lim int64) bool { return -lim <= x && x <= lim }
 
+// lanes decides whether the tape, whose statements start at starts,
+// may run a strip of iterations per instruction, and compiles its
+// strip. Running every instruction over the strip before the next
+// reorders the accesses of different iterations, so a tape may only
+// when that cannot be observed:
+//   - it calls no node and assigns no scalar, and reads no scalar that
+//     could change under it: the loop variable, a dummy, a COMMON
+//     member;
+//   - an element stored in every iteration (a cursor of step 0) is read
+//     by no other iteration, unless its statement is a fold;
+//   - no stored array could alias another array of the tape, as a
+//     dummy or COMMON member could; two cursors on one array, one of
+//     them stored, go to pairs, whose elements the loop entry proves
+//     apart (tape.disjoint);
+//   - its registers leave at least minLanes lanes.
+//
+// A fold is a statement T = T op e with T a cursor of step 0 that the
+// tape loads once, first in the statement, and stores once, last:
+// strip computes e in every lane and folds the lanes into T in lane
+// order, each op rounding on its own, so it rounds as the iterations
+// one at a time do.
+func (b *tapeBuilder) lanes(starts []int) {
+	t := b.t
+	loads, stores := make([]int, len(t.refs)), make([]int, len(t.refs))
+	for _, in := range t.code {
+		switch in.op {
+		case opNode, opStmt, opSet:
+			return
+		case opScalar:
+			if sym := b.lw.syms[in.slot]; in.slot == b.v || sym.IsArg || sym.Common != "" {
+				return
+			}
+		case opLoad, opAddC, opSubC, opMulC, opDivC:
+			loads[in.ref]++
+		case opStore:
+			stores[in.ref]++
+		}
+	}
+	var (
+		strip  []instr
+		folds  int
+		pairs  [][2]uint8
+		folded = make([]bool, len(t.refs))
+	)
+	for i, start := range starts {
+		end := len(t.code)
+		if i+1 < len(starts) {
+			end = starts[i+1]
+		}
+		stmt := t.code[start:end]
+		fold, ok := foldOf(stmt, t.refs)
+		if !ok || loads[fold.ref] != 1 || stores[fold.ref] != 1 {
+			strip = append(strip, stmt...)
+			continue
+		}
+		folded[fold.ref] = true
+		n := len(stmt)
+		strip = append(strip, stmt[1:n-2]...)
+		if op := stmt[n-2]; op.op >= opAddC {
+			strip = append(strip, instr{op: opLoad, d: 1, ref: op.ref})
+		}
+		strip = append(strip, fold)
+		folds++
+	}
+	for i, r := range t.refs {
+		if r.step == 0 && stores[i] > 0 && loads[i] > 0 && !folded[i] {
+			return
+		}
+		for j := i + 1; j < len(t.refs); j++ {
+			if stores[i] == 0 && stores[j] == 0 {
+				continue
+			}
+			if r.slot == t.refs[j].slot {
+				pairs = append(pairs, [2]uint8{uint8(i), uint8(j)})
+			} else if b.aliased(r.slot) || b.aliased(t.refs[j].slot) {
+				return
+			}
+		}
+	}
+	regs := 0
+	for _, in := range strip {
+		regs = max(regs, int(in.d)+1, int(in.a)+1, int(in.b)+1)
+	}
+	if w := tapeRegs / regs; w >= minLanes {
+		t.lanes, t.strip, t.folds, t.pairs = w, strip, folds, pairs
+	}
+}
+
+// aliased reports whether the array in slot may share storage with
+// another array: a dummy or a COMMON member.
+func (b *tapeBuilder) aliased(slot int) bool {
+	sym := b.lw.syms[slot]
+	return sym.IsArg || sym.Common != ""
+}
+
+// foldOf reports whether stmt is the code of a fold T = T op e — T's
+// load into register 0 first, e into registers from 1 (or a cursor
+// operand), the op, T's store last — and returns its fold instruction.
+func foldOf(stmt []instr, refs []tapeRef) (instr, bool) {
+	n := len(stmt)
+	if n < 3 {
+		return instr{}, false
+	}
+	load, op, store := stmt[0], stmt[n-2], stmt[n-1]
+	if load.op != opLoad || load.d != 0 || store.op != opStore || store.ref != load.ref || store.a != 0 ||
+		refs[load.ref].step != 0 || op.d != 0 || op.a != 0 {
+		return instr{}, false
+	}
+	var kind tapeOp
+	switch {
+	case op.op >= opAdd && op.op <= opDiv && op.b == 1:
+		kind = op.op - opAdd
+	case op.op >= opAddC && op.op <= opDivC:
+		kind = op.op - opAddC
+	default:
+		return instr{}, false
+	}
+	// e compiles into registers from 1 and reads only what it wrote
+	// there; an instruction between that writes register 0 makes the
+	// statement (T op x) op e, no fold.
+	for _, in := range stmt[1 : n-2] {
+		if in.d == 0 {
+			return instr{}, false
+		}
+	}
+	return instr{op: opFoldAdd + kind, b: 1, ref: load.ref}, true
+}
+
 // prove resolves every cursor for the loop-variable values first and
 // last — the ends of the iteration range — and reports whether every
 // element between them is in bounds. An offset affine in the variable
@@ -348,14 +509,42 @@ func (t *tape) prove(env *Env, s *scratch, first, last int64) bool {
 	return true
 }
 
+// disjoint reports whether each of the tape's pairs of cursors touches
+// disjoint elements for variable values between first and last.
+func (t *tape) disjoint(s *scratch, first, last int64) bool {
+	for _, p := range t.pairs {
+		alo, ahi := s.cur[p[0]%tapeCursors].span(first, last)
+		blo, bhi := s.cur[p[1]%tapeCursors].span(first, last)
+		if alo <= bhi && blo <= ahi {
+			return false
+		}
+	}
+	return true
+}
+
+// progression reports whether ks, ascending, steps by one stride d, as
+// a rank's block or cyclic share of a partitioned loop does.
+func progression(ks []int64) (d int64, ok bool) {
+	if d = 1; len(ks) > 1 {
+		d = ks[1] - ks[0]
+	}
+	for i := 1; i < len(ks); i++ {
+		if ks[i]-ks[i-1] != d {
+			return 0, false
+		}
+	}
+	return d, true
+}
+
 // onTape runs n iterations of a straight-line loop on its tape and
 // reports whether it did; false means the entry proof failed and the
 // caller runs the node body. With ks nil the i-th iteration has the
 // variable at from + i·step, otherwise at from + ks[i]·step (a rank's
 // ascending share of a partitioned loop, checked for cancellation
-// before each iteration). Each iteration stores the variable's cell and
-// charges what the node body charges: the loop overhead and SPMD tax
-// plus every assignment's cost.
+// before each iteration, or each strip). Each iteration stores the
+// variable's cell and charges what the node body charges: the loop
+// overhead and SPMD tax plus every assignment's cost. A tape with
+// lanes whose pairs the entry proves disjoint runs in strips.
 func (l *loop) onTape(env *Env, from, step, n int64, ks []int64) bool {
 	if n == 0 {
 		return true
@@ -369,8 +558,36 @@ func (l *loop) onTape(env *Env, from, step, n int64, ks []int64) bool {
 		return false
 	}
 	iter := env.cpu.LoopOverhead + env.spmdTax + l.assigns.at(&env.cpu)
+	if t.lanes > 1 && t.disjoint(s, first, last) {
+		if ks == nil {
+			t.runStrips(env, s, env.mem[l.v], from, step, n, false, iter)
+			return true
+		}
+		if d, ok := progression(ks); ok {
+			t.runStrips(env, s, env.mem[l.v], first, step*d, n, true, iter)
+			return true
+		}
+	}
 	t.run(env, s, env.mem[l.v], from, step, n, ks, iter)
 	return true
+}
+
+// runStrips runs n iterations, the i-th with the variable at from +
+// i·step, in strips of up to t.lanes: strip's instructions one after
+// another, each over every iteration of the strip. A strip charges
+// its iterations in one add, polls for cancellation once when poll is
+// set, and leaves its last value in the variable's cell.
+func (t *tape) runStrips(env *Env, s *scratch, cell []float64, from, step, n int64, poll bool, iter sim.Time) {
+	w := int64(t.lanes)
+	for i := int64(0); i < n; i += w {
+		if poll {
+			env.checkCancelled()
+		}
+		m, v := min(w, n-i), from+i*step
+		env.pending += iter * sim.Time(m)
+		s.execLanes(t.strip, int(w), int(m), v, step, env.mem)
+		cell[0] = float64(v + (m-1)*step)
+	}
 }
 
 func (t *tape) run(env *Env, s *scratch, cell []float64, from, step, n int64, ks []int64, iter sim.Time) {
@@ -436,4 +653,140 @@ func (s *scratch) exec(code []instr, j int, v int64, mem [][]float64) int {
 		}
 	}
 	return j
+}
+
+// lane is register r's lanes 0..m-1 when the tape runs w lanes.
+func (s *scratch) lane(r uint8, w, m int) []float64 { return s.regs[int(r)*w:][:m] }
+
+// stride is a cursor's first element in a strip whose variable values
+// run v, v+step, …, and the distance from one lane's element to the
+// next.
+func (c *cursor) stride(v, step int64) (e, de int64) { return c.off + v*c.step, step * c.step }
+
+// execLanes runs code over m lanes of w, lane l with the variable at
+// v + l·step. Like exec it makes no call; an operation with a cursor
+// operand reads the cursor in its own lane loop. A store to a cursor of
+// step 0 that is no fold writes only the last lane, the value every
+// lane's store would leave.
+func (s *scratch) execLanes(code []instr, w, m int, v, step int64, mem [][]float64) {
+	for j := range code {
+		in := &code[j]
+		d := s.lane(in.d, w, m)
+		switch in.op {
+		case opConst:
+			for l := range d {
+				d[l] = in.k
+			}
+		case opScalar:
+			x := mem[in.slot][0]
+			for l := range d {
+				d[l] = x
+			}
+		case opLoad:
+			c := &s.cur[in.ref%tapeCursors]
+			e, de := c.stride(v, step)
+			for l := range d {
+				d[l] = c.buf[e]
+				e += de
+			}
+		case opNeg:
+			for l := range d {
+				d[l] = -d[l]
+			}
+		case opAdd:
+			a, b := s.lane(in.a, w, m), s.lane(in.b, w, m)
+			for l, x := range a {
+				d[l] = x + b[l]
+			}
+		case opSub:
+			a, b := s.lane(in.a, w, m), s.lane(in.b, w, m)
+			for l, x := range a {
+				d[l] = x - b[l]
+			}
+		case opMul:
+			a, b := s.lane(in.a, w, m), s.lane(in.b, w, m)
+			for l, x := range a {
+				d[l] = x * b[l]
+			}
+		case opDiv:
+			a, b := s.lane(in.a, w, m), s.lane(in.b, w, m)
+			for l, x := range a {
+				d[l] = x / b[l]
+			}
+		case opTrunc:
+			for l := range d {
+				d[l] = float64(int64(d[l]))
+			}
+		case opStore:
+			a, c := s.lane(in.a, w, m), &s.cur[in.ref%tapeCursors]
+			if c.step == 0 {
+				*c.at(v) = a[m-1]
+				continue
+			}
+			e, de := c.stride(v, step)
+			for _, x := range a {
+				c.buf[e] = x
+				e += de
+			}
+		case opAddC:
+			a, c := s.lane(in.a, w, m), &s.cur[in.ref%tapeCursors]
+			e, de := c.stride(v, step)
+			for l, x := range a {
+				d[l] = x + c.buf[e]
+				e += de
+			}
+		case opSubC:
+			a, c := s.lane(in.a, w, m), &s.cur[in.ref%tapeCursors]
+			e, de := c.stride(v, step)
+			for l, x := range a {
+				d[l] = x - c.buf[e]
+				e += de
+			}
+		case opMulC:
+			a, c := s.lane(in.a, w, m), &s.cur[in.ref%tapeCursors]
+			e, de := c.stride(v, step)
+			for l, x := range a {
+				d[l] = x * c.buf[e]
+				e += de
+			}
+		case opDivC:
+			a, c := s.lane(in.a, w, m), &s.cur[in.ref%tapeCursors]
+			e, de := c.stride(v, step)
+			for l, x := range a {
+				d[l] = x / c.buf[e]
+				e += de
+			}
+		// A fold's element is read and stored once; each lane's op
+		// rounds on its own, a product computed by an earlier
+		// instruction included, so nothing fuses into a multiply-add.
+		case opFoldAdd:
+			b, p := s.lane(in.b, w, m), s.cur[in.ref%tapeCursors].at(v)
+			acc := *p
+			for _, x := range b {
+				acc += x
+			}
+			*p = acc
+		case opFoldSub:
+			b, p := s.lane(in.b, w, m), s.cur[in.ref%tapeCursors].at(v)
+			acc := *p
+			for _, x := range b {
+				acc -= x
+			}
+			*p = acc
+		case opFoldMul:
+			b, p := s.lane(in.b, w, m), s.cur[in.ref%tapeCursors].at(v)
+			acc := *p
+			for _, x := range b {
+				acc *= x
+			}
+			*p = acc
+		case opFoldDiv:
+			b, p := s.lane(in.b, w, m), s.cur[in.ref%tapeCursors].at(v)
+			acc := *p
+			for _, x := range b {
+				acc /= x
+			}
+			*p = acc
+		}
+	}
 }

@@ -10,17 +10,21 @@ import (
 
 // TestKernelsRideTheTape: after a Full run of MM and of SWIM (its
 // initialisation, CALC1 and CALC2), sequential and on four ranks, every
-// innermost loop ran on its tape and never lowered its node body. A new
-// node kind or eligibility rule that knocks a kernel off the tape fails
-// here, not only in the benchmark.
+// innermost loop ran on its tape and never lowered its node body, and
+// each tape has the lanes and folds listed: MM's K loop runs 128 lanes
+// folding into C(I,J), SWIM's CALC1 and CALC2 run in lanes, and both
+// initialisation loops, which call intrinsic nodes, one iteration at a
+// time. A new node kind or eligibility rule that knocks a kernel off
+// the tape or out of its lanes fails here, not only in the benchmark.
 func TestKernelsRideTheTape(t *testing.T) {
+	type shape struct{ lanes, folds int }
 	for _, k := range []struct {
 		name  string
 		src   string
-		loops int
+		loops []shape
 	}{
-		{"MM", bench.MMSource(16), 2},
-		{"SWIM", bench.SwimSource(24, 24), 3},
+		{"MM", bench.MMSource(16), []shape{{1, 0}, {128, 1}}},
+		{"SWIM", bench.SwimSource(24, 24), []shape{{1, 0}, {64, 0}, {85, 0}}},
 	} {
 		for _, procs := range []int{1, 4} {
 			pp := translate(t, k.src, procs)
@@ -38,13 +42,17 @@ func TestKernelsRideTheTape(t *testing.T) {
 				t.Fatal(err)
 			}
 			forms := interp.InnermostForms(lw)
-			if len(forms) != k.loops {
-				t.Fatalf("%s on %d ranks: %d innermost loops, want %d", k.name, procs, len(forms), k.loops)
+			if len(forms) != len(k.loops) {
+				t.Fatalf("%s on %d ranks: %d innermost loops, want %d", k.name, procs, len(forms), len(k.loops))
 			}
-			for _, f := range forms {
+			for i, f := range forms {
 				if !f.Tape || f.Body {
 					t.Errorf("%s on %d ranks: the innermost loop at line %d has tape %v, node body %v; want only a tape",
 						k.name, procs, f.Line, f.Tape, f.Body)
+				}
+				if got := (shape{f.Lanes, f.Folds}); got != k.loops[i] {
+					t.Errorf("%s on %d ranks: the innermost loop at line %d has %d lanes and %d folds, want %d and %d",
+						k.name, procs, f.Line, got.lanes, got.folds, k.loops[i].lanes, k.loops[i].folds)
 				}
 			}
 		}
