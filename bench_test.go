@@ -10,7 +10,8 @@
 // and time the compile path the repository benchmark's compile_cold
 // workload measures: BenchmarkCompile24 (its 24 configs), and the three
 // passes that dominated it — BenchmarkDetectParallel,
-// BenchmarkEstimateCommCost, BenchmarkRaceCheck.
+// BenchmarkEstimateCommCost, BenchmarkRaceCheck — and one op of its
+// Full-mode workloads, BenchmarkRunFull (mm_full and swim_full).
 //
 // Virtual-time results are attached as custom metrics (speedup,
 // comm-seconds, ratios); wall-clock ns/op only measures the simulator.
@@ -344,6 +345,37 @@ func BenchmarkCompile24(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+	}
+}
+
+// BenchmarkRunFull is one op of the repository benchmark's mm_full
+// (MM 96², 4 ranks, coarse) and swim_full (SWIM 192², 4 ranks, fine)
+// workloads: the plan is compiled in set-up, and each iteration is one
+// parallel Full-mode run, so either op can be profiled alone:
+//
+//	go test -run '^$' -bench 'RunFull/mm_full' -cpuprofile cpu.out .
+func BenchmarkRunFull(b *testing.B) {
+	for _, w := range []struct {
+		name  string
+		src   string
+		grain lmad.Grain
+	}{
+		{"mm_full", bench.MMSource(96), lmad.Coarse},
+		{"swim_full", bench.SwimSource(192, 192), lmad.Fine},
+	} {
+		b.Run(w.name, func(b *testing.B) {
+			c, err := core.Compile(w.src, core.Options{NumProcs: 4, Grain: w.grain})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := c.RunParallelWith(core.Full, core.RunParams{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
