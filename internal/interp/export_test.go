@@ -7,7 +7,7 @@ type LoopForm struct {
 	// built.
 	Tape, Body bool
 	// Lanes and Folds are the built tape's strip width (1 when it runs
-	// one iteration at a time) and fold instructions.
+	// one iteration at a time) and its strip's fold instructions.
 	Lanes, Folds int
 }
 
@@ -20,7 +20,12 @@ func InnermostForms(lw *Lowered) []LoopForm {
 		if len(l.inner) == 0 {
 			f := LoopForm{Line: l.line, Tape: l.tape != nil, Body: l.body != nil}
 			if f.Tape {
-				f.Lanes, f.Folds = l.tape.lanes, l.tape.folds
+				f.Lanes = l.tape.lanes
+				for _, in := range l.tape.strip {
+					if in.op >= opFoldAdd {
+						f.Folds++
+					}
+				}
 			}
 			out = append(out, f)
 		}

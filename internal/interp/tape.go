@@ -82,15 +82,14 @@ type instr struct {
 // tape is a loop body's register program and the references its
 // cursors resolve. It is built once per loop and shared by every Env.
 // lanes is how many iterations strip runs per instruction, 1 when the
-// tape runs only one at a time; folds counts strip's fold
-// instructions, and pairs names the cursors on one array, one of them
-// stored, that must touch disjoint elements for strip to run.
+// tape runs only one at a time, and pairs names the cursors on one
+// array, one of them stored, that must touch disjoint elements for
+// strip to run.
 type tape struct {
 	code  []instr
 	refs  []tapeRef
 	lanes int
 	strip []instr
-	folds int
 	pairs [][2]uint8
 }
 
@@ -389,7 +388,6 @@ func (b *tapeBuilder) lanes(starts []int) {
 	}
 	var (
 		strip  []instr
-		folds  int
 		pairs  [][2]uint8
 		folded = make([]bool, len(t.refs))
 	)
@@ -411,7 +409,6 @@ func (b *tapeBuilder) lanes(starts []int) {
 			strip = append(strip, instr{op: opLoad, d: 1, ref: op.ref})
 		}
 		strip = append(strip, fold)
-		folds++
 	}
 	for i, r := range t.refs {
 		if r.step == 0 && stores[i] > 0 && loads[i] > 0 && !folded[i] {
@@ -433,7 +430,7 @@ func (b *tapeBuilder) lanes(starts []int) {
 		regs = max(regs, int(in.d)+1, int(in.a)+1, int(in.b)+1)
 	}
 	if w := tapeRegs / regs; w >= minLanes {
-		t.lanes, t.strip, t.folds, t.pairs = w, strip, folds, pairs
+		t.lanes, t.strip, t.pairs = w, strip, pairs
 	}
 }
 
@@ -541,10 +538,11 @@ func progression(ks []int64) (d int64, ok bool) {
 // caller runs the node body. With ks nil the i-th iteration has the
 // variable at from + i·step, otherwise at from + ks[i]·step (a rank's
 // ascending share of a partitioned loop, checked for cancellation
-// before each iteration, or each strip). Each iteration stores the
-// variable's cell and charges what the node body charges: the loop
-// overhead and SPMD tax plus every assignment's cost. A tape with
-// lanes whose pairs the entry proves disjoint runs in strips.
+// before each iteration, or each strip). Each iteration charges what
+// the node body charges: the loop overhead and SPMD tax plus every
+// assignment's cost. A tape with lanes whose pairs the entry proves
+// disjoint runs in strips; otherwise each iteration also stores the
+// variable's cell, which node instructions read.
 func (l *loop) onTape(env *Env, from, step, n int64, ks []int64) bool {
 	if n == 0 {
 		return true
@@ -560,11 +558,11 @@ func (l *loop) onTape(env *Env, from, step, n int64, ks []int64) bool {
 	iter := env.cpu.LoopOverhead + env.spmdTax + l.assigns.at(&env.cpu)
 	if t.lanes > 1 && t.disjoint(s, first, last) {
 		if ks == nil {
-			t.runStrips(env, s, env.mem[l.v], from, step, n, false, iter)
+			t.runStrips(env, s, from, step, n, false, iter)
 			return true
 		}
 		if d, ok := progression(ks); ok {
-			t.runStrips(env, s, env.mem[l.v], first, step*d, n, true, iter)
+			t.runStrips(env, s, first, step*d, n, true, iter)
 			return true
 		}
 	}
@@ -575,18 +573,17 @@ func (l *loop) onTape(env *Env, from, step, n int64, ks []int64) bool {
 // runStrips runs n iterations, the i-th with the variable at from +
 // i·step, in strips of up to t.lanes: strip's instructions one after
 // another, each over every iteration of the strip. A strip charges
-// its iterations in one add, polls for cancellation once when poll is
-// set, and leaves its last value in the variable's cell.
-func (t *tape) runStrips(env *Env, s *scratch, cell []float64, from, step, n int64, poll bool, iter sim.Time) {
+// its iterations in one add and polls for cancellation once when poll
+// is set.
+func (t *tape) runStrips(env *Env, s *scratch, from, step, n int64, poll bool, iter sim.Time) {
 	w := int64(t.lanes)
 	for i := int64(0); i < n; i += w {
 		if poll {
 			env.checkCancelled()
 		}
-		m, v := min(w, n-i), from+i*step
+		m := min(w, n-i)
 		env.pending += iter * sim.Time(m)
-		s.execLanes(t.strip, int(w), int(m), v, step, env.mem)
-		cell[0] = float64(v + (m-1)*step)
+		s.execLanes(t.strip, int(w), int(m), from+i*step, step, env.mem)
 	}
 }
 
