@@ -114,11 +114,11 @@ peer-smoke:
 	exit $$ok
 	@rm -f /tmp/vbserve-peer /tmp/vbus-peer-h1.txt
 
-# The paper-level benchmarks and the compile path (Compile24 is one
-# round of the repository benchmark's compile_cold mix; DetectParallel,
-# EstimateCommCost and RaceCheck are the passes that dominated it), then
-# the evaluator alone (sequential Full MM 96² and SWIM 192², ns per
-# innermost iteration).
+# The paper-level benchmarks, the compile path (Compile24 is one round
+# of the repository benchmark's compile_cold mix; DetectParallel,
+# EstimateCommCost and RaceCheck are the passes that dominated it) and
+# one mm_full or swim_full op (RunFull), then the evaluator alone
+# (sequential Full MM 96² and SWIM 192², ns per innermost iteration).
 bench:
 	$(GO) test -bench=. -benchmem .
 	$(GO) test -run '^$$' -bench 'InterpFull|RunTiming1024' -benchmem ./internal/interp
