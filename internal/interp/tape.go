@@ -61,8 +61,8 @@ const (
 // tapeRegs registers are indexed by a byte, so no index needs a check;
 // tapeCursors bounds the array references one tape resolves. A deeper
 // expression or a further reference becomes a node instruction. A tape
-// of R registers runs ⌊tapeRegs/R⌋ lanes, register r of lane l in
-// regs[r·W + l], and at least minLanes or none.
+// of R registers may run W = ⌊tapeRegs/R⌋ lanes, register r of lane l
+// in regs[r·W + l], when W is at least minLanes.
 const (
 	tapeRegs    = 256
 	tapeCursors = 64
