@@ -515,7 +515,7 @@ func (l *loop) exec(env *Env) ctrl {
 		env.setInt(l.v, from+trips*step)
 		return ctrlNormal
 	}
-	if l.straight && l.onTape(env, from, step, trips, nil) {
+	if l.straight && l.onTape(env, from, step, trips, false) {
 		env.setInt(l.v, from+trips*step)
 		return ctrlNormal
 	}

@@ -850,6 +850,41 @@ var nodeCases = []struct {
 		mem:     map[string][]float64{"A": {1, 2, 3, 4, 5, 6, 7, 8}, "B": {3, 3, 4, 4, 4, 4, 4, 4}},
 		elapsed: 1701000,
 	},
+	{
+		name: "lanes: empty bodies, a tape with no code",
+		src: `
+      PROGRAM P
+      INTEGER I, J
+      DO I = 1, 3
+      ENDDO
+      J = I
+      DO 10 I = 1, 3
+10    CONTINUE
+      PRINT *, I, J
+      END
+`,
+		mem:     map[string][]float64{"I": {4}, "J": {4}},
+		elapsed: 209000,
+		out:     "4 4\n",
+	},
+	{
+		name: "lanes: empty bodies in a fine-grain parallel region",
+		src: `
+      PROGRAM P
+      INTEGER I, J
+      DO I = 1, 3
+      ENDDO
+      J = I
+      DO 10 I = 1, 3
+10    CONTINUE
+      PRINT *, I, J
+      END
+`,
+		mem:     map[string][]float64{"I": {4}, "J": {4}},
+		elapsed: 480069096,
+		out:     "4 4\n",
+		procs:   4,
+	},
 }
 
 func TestLoweredNodes(t *testing.T) {

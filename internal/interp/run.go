@@ -764,7 +764,12 @@ func (env *Env) runPartition(l *loop, ctx analysis.LoopCtx, myTrips []int64) {
 		env.pending += total
 		return
 	}
-	if l.straight && l.onTape(env, ctx.From, ctx.Step, int64(len(myTrips)), myTrips) {
+	// The share is block or cyclic: trips k0, k0+d, k0+2d, ….
+	stride := ctx.Step
+	if len(myTrips) > 1 {
+		stride *= myTrips[1] - myTrips[0]
+	}
+	if l.straight && l.onTape(env, ctx.From+myTrips[0]*ctx.Step, stride, int64(len(myTrips)), true) {
 		return
 	}
 	body := l.block()

@@ -326,8 +326,7 @@ func (b *tapeBuilder) cursor(sym *f77.Symbol, subs []f77.Expr) int {
 			tr.step += t.m
 			continue
 		}
-		s := b.lw.syms[t.v]
-		if s.IsArg || s.Common != "" || b.assigned[s] {
+		if b.aliased(t.v) || b.assigned[b.lw.syms[t.v]] {
 			return -1
 		}
 		tr.inv = append(tr.inv, t)
@@ -371,13 +370,16 @@ func small(x, lim int64) bool { return -lim <= x && x <= lim }
 // one at a time do.
 func (b *tapeBuilder) lanes(starts []int) {
 	t := b.t
+	if len(t.code) == 0 {
+		return // a body of CONTINUEs: no registers to divide into lanes
+	}
 	loads, stores := make([]int, len(t.refs)), make([]int, len(t.refs))
 	for _, in := range t.code {
 		switch in.op {
 		case opNode, opStmt, opSet:
 			return
 		case opScalar:
-			if sym := b.lw.syms[in.slot]; in.slot == b.v || sym.IsArg || sym.Common != "" {
+			if in.slot == b.v || b.aliased(in.slot) {
 				return
 			}
 		case opLoad, opAddC, opSubC, opMulC, opDivC:
@@ -519,54 +521,31 @@ func (t *tape) disjoint(s *scratch, first, last int64) bool {
 	return true
 }
 
-// progression reports whether ks, ascending, steps by one stride d, as
-// a rank's block or cyclic share of a partitioned loop does.
-func progression(ks []int64) (d int64, ok bool) {
-	if d = 1; len(ks) > 1 {
-		d = ks[1] - ks[0]
-	}
-	for i := 1; i < len(ks); i++ {
-		if ks[i]-ks[i-1] != d {
-			return 0, false
-		}
-	}
-	return d, true
-}
-
 // onTape runs n iterations of a straight-line loop on its tape and
 // reports whether it did; false means the entry proof failed and the
-// caller runs the node body. With ks nil the i-th iteration has the
-// variable at from + i·step, otherwise at from + ks[i]·step (a rank's
-// ascending share of a partitioned loop, checked for cancellation
-// before each iteration, or each strip). Each iteration charges what
-// the node body charges: the loop overhead and SPMD tax plus every
-// assignment's cost. A tape with lanes whose pairs the entry proves
-// disjoint runs in strips; otherwise each iteration also stores the
-// variable's cell, which node instructions read.
-func (l *loop) onTape(env *Env, from, step, n int64, ks []int64) bool {
+// caller runs the node body. The i-th iteration has the variable at
+// from + i·step; a rank's share of a partitioned loop, block or cyclic,
+// is such a progression, and sets poll to check for cancellation before
+// each iteration, or each strip. Each iteration charges what the node
+// body charges: the loop overhead and SPMD tax plus every assignment's
+// cost. A tape with lanes whose pairs the entry proves disjoint runs in
+// strips; otherwise each iteration also stores the variable's cell,
+// which node instructions read.
+func (l *loop) onTape(env *Env, from, step, n int64, poll bool) bool {
 	if n == 0 {
 		return true
 	}
 	first, last := from, from+(n-1)*step
-	if ks != nil {
-		first, last = from+ks[0]*step, from+ks[n-1]*step
-	}
 	t, s := l.code(), env.work()
 	if !t.prove(env, s, first, last) {
 		return false
 	}
 	iter := env.cpu.LoopOverhead + env.spmdTax + l.assigns.at(&env.cpu)
 	if t.lanes > 1 && t.disjoint(s, first, last) {
-		if ks == nil {
-			t.runStrips(env, s, from, step, n, false, iter)
-			return true
-		}
-		if d, ok := progression(ks); ok {
-			t.runStrips(env, s, first, step*d, n, true, iter)
-			return true
-		}
+		t.runStrips(env, s, from, step, n, poll, iter)
+	} else {
+		t.run(env, s, env.mem[l.v], from, step, n, poll, iter)
 	}
-	t.run(env, s, env.mem[l.v], from, step, n, ks, iter)
 	return true
 }
 
@@ -587,14 +566,13 @@ func (t *tape) runStrips(env *Env, s *scratch, from, step, n int64, poll bool, i
 	}
 }
 
-func (t *tape) run(env *Env, s *scratch, cell []float64, from, step, n int64, ks []int64, iter sim.Time) {
+func (t *tape) run(env *Env, s *scratch, cell []float64, from, step, n int64, poll bool, iter sim.Time) {
 	code := t.code
 	for i := int64(0); i < n; i++ {
-		v := from + i*step
-		if ks != nil {
+		if poll {
 			env.checkCancelled()
-			v = from + ks[i]*step
 		}
+		v := from + i*step
 		cell[0] = float64(v)
 		env.pending += iter
 		for j := s.exec(code, 0, v, env.mem); j < len(code); j = s.exec(code, j+1, v, env.mem) {
