@@ -27,17 +27,7 @@
 //	backoff=D        base retransmission backoff (doubles per attempt)
 //	bustimeout=D     V-Bus acquisition timeout before p2p degradation
 //
-// Three server-level tokens drive the vbserve chaos harness rather
-// than the simulated fabric (the Injector ignores them; the jobs
-// layer interprets them before the run starts):
-//
-//	panicjob=1       the job panics inside the worker (poison spec)
-//	stalljob=D       the job stalls for wall-clock D before running
-//	killworker=N     the job kills its worker goroutine (N distinct kills)
-//
-// Durations take a unit suffix: ps, ns, us, ms or s. For the
-// wall-clock stalljob token the virtual units are read as wall units
-// (1ms virtual = 1ms wall).
+// Durations take a unit suffix: ps, ns, us, ms or s.
 package fault
 
 import (
@@ -115,12 +105,6 @@ type Spec struct {
 	MaxRetry   int
 	Backoff    sim.Time
 	BusTimeout sim.Time
-
-	// Server-level chaos tokens, interpreted by the vbserve jobs layer
-	// (the simulated-fabric Injector ignores them).
-	PanicJob   bool     // panicjob=1: the job panics inside its worker
-	StallJob   sim.Time // stalljob=D: wall-clock stall before the run
-	KillWorker int      // killworker=N: kill the worker goroutine (N kills)
 }
 
 // ParseSpec parses the comma-separated fault grammar documented in the
@@ -187,12 +171,6 @@ func ParseSpec(s string) (*Spec, error) {
 			spec.Backoff, err = ParseDuration(val)
 		case "bustimeout":
 			spec.BusTimeout, err = ParseDuration(val)
-		case "panicjob":
-			spec.PanicJob, err = strconv.ParseBool(val)
-		case "stalljob":
-			spec.StallJob, err = ParseDuration(val)
-		case "killworker":
-			spec.KillWorker, err = parsePositiveInt(key, val)
 		default:
 			return nil, fmt.Errorf("fault: unknown key %q in spec", key)
 		}
@@ -242,12 +220,6 @@ func (s *Spec) validate() error {
 	}
 	if s.Deadline < 0 {
 		return fmt.Errorf("fault: negative deadline %v", s.Deadline)
-	}
-	if s.StallJob < 0 {
-		return fmt.Errorf("fault: negative stalljob %v", s.StallJob)
-	}
-	if s.KillWorker < 0 {
-		return fmt.Errorf("fault: killworker count %d must be non-negative", s.KillWorker)
 	}
 	return nil
 }
@@ -330,15 +302,6 @@ func (s *Spec) String() string {
 	}
 	if s.BusTimeout != DefaultBusTimeout {
 		parts = append(parts, "bustimeout="+FormatDuration(s.BusTimeout))
-	}
-	if s.PanicJob {
-		parts = append(parts, "panicjob=1")
-	}
-	if s.StallJob != 0 {
-		parts = append(parts, "stalljob="+FormatDuration(s.StallJob))
-	}
-	if s.KillWorker != 0 {
-		parts = append(parts, fmt.Sprintf("killworker=%d", s.KillWorker))
 	}
 	return strings.Join(parts, ",")
 }

@@ -8,7 +8,35 @@ import (
 	"time"
 
 	"vbuscluster/internal/bench"
+	"vbuscluster/internal/core"
+	"vbuscluster/internal/interp"
 )
+
+// seamed builds a server whose runs go through run, then starts its
+// workers, so no worker can read the seam while it is being set.
+func seamed(cfg Config, run func(*Job, *core.Compiled, core.RunParams) (*interp.Result, error)) *Server {
+	s := newServer(cfg)
+	s.run = run
+	s.startWorkers(s.cfg.Clusters)
+	return s
+}
+
+// poisonRun panics inside the worker on every run of mmSpec's program,
+// as a plan that trips a compiler or runtime bug would, and runs any
+// other program as the server does.
+func poisonRun(j *Job, cc *core.Compiled, rp core.RunParams) (*interp.Result, error) {
+	if j.Spec.Source == mmSpec("").Source {
+		panic("poison plan")
+	}
+	return cc.RunParallelWith(j.Spec.runMode(), rp)
+}
+
+// hungRun never finishes on its own: it returns only when the job's
+// context is cancelled or its deadline passes.
+func hungRun(j *Job, cc *core.Compiled, rp core.RunParams) (*interp.Result, error) {
+	<-rp.Ctx.Done()
+	return nil, rp.Ctx.Err()
+}
 
 // waitTerminal waits for any terminal state (unlike waitDone it does
 // not require success) and returns the final snapshot.
@@ -22,15 +50,13 @@ func waitTerminal(t *testing.T, j *Job) View {
 	return j.Snapshot()
 }
 
-// TestServerDeadlineCancelsStalledJob: a hung job (stalljob) against a
-// short deadline must come back cancelled near the deadline, not after
-// the stall.
+// TestServerDeadlineCancelsStalledJob: a hung run against a short
+// deadline must come back cancelled near the deadline.
 func TestServerDeadlineCancelsStalledJob(t *testing.T) {
-	s := New(Config{Clusters: 1})
+	s := seamed(Config{Clusters: 1}, hungRun)
 	defer s.Drain(context.Background())
 	sp := mmSpec("dl")
 	sp.DeadlineMs = 30
-	sp.Faults = "stalljob=10s"
 	start := time.Now()
 	j, err := s.Submit(sp)
 	if err != nil {
@@ -41,7 +67,7 @@ func TestServerDeadlineCancelsStalledJob(t *testing.T) {
 		t.Fatalf("state %s, want cancelled (err: %v)", v.State, j.Err())
 	}
 	if d := time.Since(start); d > 10*time.Second {
-		t.Fatalf("deadline cancel took %v; the 10s stall clearly ran to completion", d)
+		t.Fatalf("deadline cancel took %v against a 30ms deadline", d)
 	}
 	if s.Metrics().Cancelled != 1 {
 		t.Fatal("cancelled counter did not move")
@@ -50,7 +76,7 @@ func TestServerDeadlineCancelsStalledJob(t *testing.T) {
 
 // TestServerDeadlineCancelsRunningJob: the deadline must also reach
 // inside an executing simulation (via the context monitor and the
-// world cancel), not only the pre-run stall.
+// world cancel), not only a run that waits on the context.
 func TestServerDeadlineCancelsRunningJob(t *testing.T) {
 	s := New(Config{Clusters: 1})
 	defer s.Drain(context.Background())
@@ -69,16 +95,15 @@ func TestServerDeadlineCancelsRunningJob(t *testing.T) {
 	}
 }
 
-// TestServerPanicIsolationAndBreaker: a poison spec fails its own job
+// TestServerPanicIsolationAndBreaker: a poison plan fails its own job
 // with the recovered stack, the worker is replaced, and the second
 // panic on the same plan key trips the breaker so the third submission
 // is quarantined without running. A clean job still completes after
 // all of it.
 func TestServerPanicIsolationAndBreaker(t *testing.T) {
-	s := New(Config{Clusters: 1})
+	s := seamed(Config{Clusters: 1}, poisonRun)
 	defer s.Drain(context.Background())
 	poison := mmSpec("boom")
-	poison.Faults = "panicjob=1"
 	for i := 0; i < 2; i++ {
 		j, err := s.Submit(poison)
 		if err != nil {
@@ -105,8 +130,6 @@ func TestServerPanicIsolationAndBreaker(t *testing.T) {
 			m.PanicsRecovered, m.BreakerTrips, m.Quarantined, m.WorkersReplaced)
 	}
 	// A different program still runs: the quarantine is per plan key.
-	// (The faultless twin of the poison spec shares its plan key — the
-	// breaker deliberately quarantines the plan, not the fault spec.)
 	clean, err := s.Submit(Spec{Source: bench.CFFTSource(7), Tenant: "boom"})
 	if err != nil {
 		t.Fatal(err)
@@ -173,67 +196,59 @@ func TestWrongProgramIsNotRetried(t *testing.T) {
 	}
 }
 
-// TestServerKillWorkerKeepsCapacity: a killworker job assassinates its
-// worker N times, re-queues, and still completes — on a server whose
-// only worker must therefore have been replaced every time.
+// TestServerKillWorkerKeepsCapacity: two jobs whose runs panic kill
+// the only worker of a 1-cluster server twice; it is replaced each
+// time, so a clean job still completes.
 func TestServerKillWorkerKeepsCapacity(t *testing.T) {
-	s := New(Config{Clusters: 1})
+	s := seamed(Config{Clusters: 1}, poisonRun)
 	defer s.Drain(context.Background())
-	sp := mmSpec("killer")
-	sp.Faults = "killworker=2"
-	j, err := s.Submit(sp)
-	if err != nil {
-		t.Fatal(err)
+	for i := 0; i < 2; i++ {
+		j, err := s.Submit(mmSpec("killer"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v := waitTerminal(t, j); v.State != StateFailed {
+			t.Fatalf("panicking job %d state %s, want failed", i, v.State)
+		}
 	}
-	waitDone(t, j)
 	if got := s.Metrics().WorkersReplaced; got != 2 {
 		t.Fatalf("workers replaced = %d, want 2", got)
 	}
+	clean, err := s.Submit(Spec{Source: bench.CFFTSource(7), Tenant: "killer"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, clean)
 }
 
 // TestKillCountedBeforeJobSettles: a worker replacement is counted
-// before the job that killed the worker is re-queued or finalised. With
-// two clusters, the killed worker may not run again before the other
-// cluster has finished the re-queued job, so a client reading
-// WorkersReplaced as soon as the job is done must already see every
-// kill. The test plays both clusters and never lets a killed worker
-// run past process — the interleaving that made the chaos sweep flaky.
+// before the job that killed the worker is finalised, so a client
+// reading WorkersReplaced as soon as the job settles already sees the
+// kill. The test plays the cluster itself and never lets the killed
+// worker run past process.
+// The subtest is named for the case it covers: the job's one run
+// panics, killing one worker.
 func TestKillCountedBeforeJobSettles(t *testing.T) {
-	for _, tc := range []struct {
-		faults string
-		kills  int64
-		state  State
-	}{
-		{"killworker=2", 2, StateDone},
-		{"panicjob=1", 1, StateFailed},
-	} {
-		t.Run(tc.faults, func(t *testing.T) {
-			s := newServer(Config{Clusters: 2})
-			defer s.Drain(context.Background())
-			sp := mmSpec("killer")
-			sp.Faults = tc.faults
-			j, err := s.Submit(sp)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var kills int64
-			for !j.Snapshot().State.terminal() {
-				next, ok := s.queue.Pop()
-				if !ok {
-					t.Fatal("queue closed before the job settled")
-				}
-				if s.process(next) {
-					kills++
-				}
-			}
-			if st := j.Snapshot().State; st != tc.state || kills != tc.kills {
-				t.Fatalf("job %s after %d kills, want %s after %d", st, kills, tc.state, tc.kills)
-			}
-			if got := s.Metrics().WorkersReplaced; got != tc.kills {
-				t.Fatalf("workers replaced = %d when the job settled, want %d", got, tc.kills)
-			}
-		})
-	}
+	t.Run("panicjob=1", func(t *testing.T) {
+		s := newServer(Config{Clusters: 2})
+		s.run = poisonRun
+		defer s.Drain(context.Background())
+		j, err := s.Submit(mmSpec("killer"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		next, ok := s.queue.Pop()
+		if !ok {
+			t.Fatal("queue closed before the job ran")
+		}
+		killed := s.process(next)
+		if st := j.Snapshot().State; st != StateFailed || !killed {
+			t.Fatalf("job %s, worker killed %v; want failed and killed", st, killed)
+		}
+		if got := s.Metrics().WorkersReplaced; got != 1 {
+			t.Fatalf("workers replaced = %d when the job settled, want 1", got)
+		}
+	})
 }
 
 // TestServerCancelShedRaceAtCapacity is the queue-accounting torture

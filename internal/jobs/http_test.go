@@ -134,19 +134,33 @@ func TestHTTPBadRequests(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	for name, body := range map[string]string{
-		"not json":      "PROGRAM MM",
-		"empty source":  `{"source": ""}`,
-		"bad fabric":    fmt.Sprintf(`{"source": %q, "fabric": "token-ring"}`, bench.MMSource(8)),
-		"unknown field": fmt.Sprintf(`{"source": %q, "turbo": true}`, bench.MMSource(8)),
+	// A fault spec describes the fabric only: a token that would make
+	// the job panic, stall or kill its worker is an unknown key.
+	withFaults := func(faults string) string {
+		return fmt.Sprintf(`{"source": %q, "faults": %q}`, bench.MMSource(8), faults)
+	}
+	for name, tc := range map[string]struct{ body, msg string }{
+		"not json":      {body: "PROGRAM MM"},
+		"empty source":  {body: `{"source": ""}`},
+		"bad fabric":    {body: fmt.Sprintf(`{"source": %q, "fabric": "token-ring"}`, bench.MMSource(8))},
+		"unknown field": {body: fmt.Sprintf(`{"source": %q, "turbo": true}`, bench.MMSource(8))},
+		"panicjob":      {withFaults("panicjob=1"), "unknown key"},
+		"stalljob":      {withFaults("seed=1,stalljob=10s"), "unknown key"},
+		"killworker":    {withFaults("seed=1,killworker=2"), "unknown key"},
 	} {
-		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(tc.body))
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
+			resp.Body.Close()
 			t.Fatalf("%s: status %d, want 400", name, resp.StatusCode)
+		}
+		var eb ErrorBody
+		err = json.NewDecoder(resp.Body).Decode(&eb)
+		resp.Body.Close()
+		if err != nil || !strings.Contains(eb.Error.Message, tc.msg) {
+			t.Fatalf("%s: envelope %+v (%v), want a message naming %q", name, eb, err, tc.msg)
 		}
 	}
 }

@@ -74,11 +74,11 @@ type Spec struct {
 	// ends "cancelled". 0 uses the server default; the server-side cap
 	// (Config.MaxDeadline) clamps it either way.
 	DeadlineMs int `json:"deadline_ms,omitempty"`
-	// Faults is a fault-spec string in the internal/fault grammar.
-	// Cluster-level tokens (crash, flitdrop, ...) inject deterministic
-	// faults into the simulated run; the server-level chaos tokens
-	// (panicjob, stalljob, killworker) drive the serving layer itself.
-	// Run-time only — excluded from the plan cache key.
+	// Faults is a fault-spec string in the internal/fault grammar. It
+	// carries fabric faults only (crash, flitdrop, linkdown, ...),
+	// injected deterministically into the simulated run; transient
+	// ones are retried. Run-time only — excluded from the plan cache
+	// key.
 	Faults string `json:"faults,omitempty"`
 }
 
@@ -270,10 +270,8 @@ type Job struct {
 	output    string
 	err       error
 	rec       *trace.Recorder
-	// attempts counts execution attempts (1 on the first); kills
-	// counts worker kills this job has performed (killworker token).
+	// attempts counts execution attempts (1 on the first).
 	attempts int
-	kills    int
 
 	done chan struct{}
 }
@@ -330,7 +328,7 @@ type View struct {
 	Error          string  `json:"error,omitempty"`
 	HasTrace       bool    `json:"has_trace,omitempty"`
 	// Attempts is how many execution attempts the job has made
-	// (retries and post-kill requeues re-run the job).
+	// (each retry re-runs the job).
 	Attempts int `json:"attempts,omitempty"`
 }
 

@@ -88,8 +88,8 @@ type Metrics struct {
 	// Retries counts re-executions of transiently failed jobs;
 	// PanicsRecovered counts worker panics converted to job failures;
 	// BreakerTrips counts plan keys newly quarantined;
-	// WorkersReplaced counts worker goroutines respawned after a kill
-	// or a recovered panic.
+	// WorkersReplaced counts worker goroutines respawned after a
+	// recovered panic unwound their stack.
 	Retries         int64 `json:"retries"`
 	PanicsRecovered int64 `json:"panics_recovered"`
 	BreakerTrips    int64 `json:"breaker_trips"`

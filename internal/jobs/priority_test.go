@@ -20,7 +20,7 @@ func prioJob(tenant string, n, prio int) *Job {
 // TestQueuePriorityBandsPreempt: a higher band always dispatches
 // before any lower band has a turn, whatever the arrival order.
 func TestQueuePriorityBandsPreempt(t *testing.T) {
-	q := NewQueue(64, nil)
+	q := NewQueue(64)
 	for i := 0; i < 10; i++ {
 		if err := q.Enqueue(prioJob("bulk", i, 0)); err != nil {
 			t.Fatal(err)
@@ -53,7 +53,7 @@ func TestQueuePriorityBandsPreempt(t *testing.T) {
 // inside one band — a hostile tenant with 30 queued priority-5 jobs
 // cannot starve a victim's 3 at the same priority.
 func TestQueuePriorityFairnessWithinBand(t *testing.T) {
-	q := NewQueue(64, nil)
+	q := NewQueue(64)
 	for i := 0; i < 30; i++ {
 		if err := q.Enqueue(prioJob("hostile", i, 5)); err != nil {
 			t.Fatal(err)
@@ -79,7 +79,7 @@ func TestQueuePriorityFairnessWithinBand(t *testing.T) {
 // TestQueueRemoveAcrossBands: cancellation finds a job whatever band
 // it sits in, and per-tenant queued accounting follows it out.
 func TestQueueRemoveAcrossBands(t *testing.T) {
-	q := NewQueue(64, nil)
+	q := NewQueue(64)
 	jLow := prioJob("a", 0, 0)
 	jHigh := prioJob("a", 0, 9)
 	for _, j := range []*Job{jLow, prioJob("a", 1, 0), jHigh} {

@@ -20,12 +20,12 @@ var ErrDraining = errors.New("jobs: server draining, not admitting jobs")
 var ErrRateLimited = errors.New("jobs: tenant rate limit exceeded, try again later")
 
 // Queue is the bounded admission queue with strict priority bands
-// layered over per-tenant weighted fair scheduling. Each priority
-// level (Spec.Priority, 0..MaxPriority) is its own stride scheduler:
-// Pop always serves the highest non-empty band, so interactive and
+// layered over per-tenant fair scheduling. Each priority level
+// (Spec.Priority, 0..MaxPriority) is its own stride scheduler: Pop
+// always serves the highest non-empty band, so interactive and
 // failover work preempts bulk traffic outright; within a band, each
 // tenant owns a FIFO and a virtual "pass", and the dispatcher picks
-// the active tenant with the smallest pass, advancing it by 1/weight.
+// the active tenant with the smallest pass, advancing it by 1.
 // A tenant hammering one band therefore cannot starve the others in
 // that band (a 10:1 hostile mix still dequeues ~alternately, see the
 // fairness test), and a bulk flood cannot delay an interactive job at
@@ -38,9 +38,8 @@ type Queue struct {
 	// levels holds one stride scheduler per priority band in use.
 	levels map[int]*prioLevel
 	// acct is per-tenant accounting across every band.
-	acct    map[string]*tenantAcct
-	weights map[string]int
-	closed  bool
+	acct   map[string]*tenantAcct
+	closed bool
 }
 
 // prioLevel is one strict priority band: an independent stride
@@ -51,21 +50,19 @@ type prioLevel struct {
 	// dispatch. A tenant going from idle to active starts at the
 	// current clock rather than its stale pass, so sleeping never
 	// accrues credit.
-	globalPass float64
+	globalPass int64
 	size       int
 }
 
 type tenantFIFO struct {
-	name   string
-	weight int
-	jobs   []*Job
-	pass   float64
+	name string
+	jobs []*Job
+	pass int64
 }
 
 // tenantAcct is one tenant's admission accounting, aggregated across
 // priority bands (guarded by Queue.mu).
 type tenantAcct struct {
-	weight      int
 	queued      int
 	admitted    int64
 	shed        int64
@@ -77,35 +74,24 @@ type tenantAcct struct {
 }
 
 // NewQueue builds a queue admitting at most capacity jobs across all
-// tenants and priority bands (minimum 1). weights gives per-tenant
-// scheduling weight (default 1); a weight-2 tenant receives twice the
-// dispatch rate of a weight-1 tenant under contention within a band.
-func NewQueue(capacity int, weights map[string]int) *Queue {
+// tenants and priority bands (minimum 1).
+func NewQueue(capacity int) *Queue {
 	if capacity < 1 {
 		capacity = 1
 	}
 	q := &Queue{
-		cap:     capacity,
-		levels:  map[int]*prioLevel{},
-		acct:    map[string]*tenantAcct{},
-		weights: weights,
+		cap:    capacity,
+		levels: map[int]*prioLevel{},
+		acct:   map[string]*tenantAcct{},
 	}
 	q.cond = sync.NewCond(&q.mu)
 	return q
 }
 
-func (q *Queue) tenantWeight(name string) int {
-	w := q.weights[name]
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
 func (q *Queue) account(name string) *tenantAcct {
 	a, ok := q.acct[name]
 	if !ok {
-		a = &tenantAcct{weight: q.tenantWeight(name)}
+		a = &tenantAcct{}
 		q.acct[name] = a
 	}
 	return a
@@ -120,10 +106,10 @@ func (q *Queue) level(priority int) *prioLevel {
 	return l
 }
 
-func (l *prioLevel) tenant(name string, weight int) *tenantFIFO {
+func (l *prioLevel) tenant(name string) *tenantFIFO {
 	t, ok := l.tenants[name]
 	if !ok {
-		t = &tenantFIFO{name: name, weight: weight}
+		t = &tenantFIFO{name: name}
 		l.tenants[name] = t
 	}
 	return t
@@ -142,7 +128,7 @@ func (q *Queue) Enqueue(j *Job) error {
 		return ErrQueueFull
 	}
 	l := q.level(j.Spec.Priority)
-	t := l.tenant(j.Spec.Tenant, a.weight)
+	t := l.tenant(j.Spec.Tenant)
 	if len(t.jobs) == 0 && t.pass < l.globalPass {
 		t.pass = l.globalPass
 	}
@@ -190,7 +176,7 @@ func (q *Queue) Pop() (*Job, bool) {
 	q.size--
 	q.account(j.Spec.Tenant).queued--
 	band.globalPass = pick.pass
-	pick.pass += 1 / float64(pick.weight)
+	pick.pass++
 	return j, true
 }
 
@@ -270,7 +256,6 @@ func (q *Queue) finish(tenant string, st State) {
 
 // TenantStats is one tenant's admission accounting.
 type TenantStats struct {
-	Weight    int   `json:"weight"`
 	Admitted  int64 `json:"admitted"`
 	Shed      int64 `json:"shed"`
 	Completed int64 `json:"completed"`
@@ -290,7 +275,6 @@ func (q *Queue) Stats() map[string]TenantStats {
 	out := make(map[string]TenantStats, len(q.acct))
 	for name, a := range q.acct {
 		out[name] = TenantStats{
-			Weight:      a.weight,
 			Admitted:    a.admitted,
 			Shed:        a.shed,
 			Completed:   a.completed,

@@ -27,7 +27,7 @@ func drainOrder(q *Queue) []string {
 }
 
 func TestQueueShedsWhenFull(t *testing.T) {
-	q := NewQueue(2, nil)
+	q := NewQueue(2)
 	if err := q.Enqueue(testJob("a", 1)); err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestQueueShedsWhenFull(t *testing.T) {
 // scheduling with equal weights the dispatcher alternates, so every
 // victim job leaves within the first 2*3 dispatches.
 func TestQueueFairnessHostileTenant(t *testing.T) {
-	q := NewQueue(64, nil)
+	q := NewQueue(64)
 	for i := 0; i < 30; i++ {
 		if err := q.Enqueue(testJob("hostile", i)); err != nil {
 			t.Fatal(err)
@@ -94,31 +94,11 @@ func TestQueueFairnessHostileTenant(t *testing.T) {
 	}
 }
 
-// TestQueueWeights: a weight-2 tenant drains twice as fast as a
-// weight-1 tenant under contention.
-func TestQueueWeights(t *testing.T) {
-	q := NewQueue(64, map[string]int{"gold": 2})
-	for i := 0; i < 8; i++ {
-		q.Enqueue(testJob("gold", i))
-		q.Enqueue(testJob("econ", i))
-	}
-	order := drainOrder(q)
-	gold := 0
-	for _, id := range order[:6] {
-		if id[:4] == "gold" {
-			gold++
-		}
-	}
-	if gold != 4 {
-		t.Fatalf("first 6 dispatches gave gold %d slots, want 4 (2:1 weight): %v", gold, order[:6])
-	}
-}
-
 // TestQueueIdleTenantGainsNoCredit: a tenant that slept while others
 // ran must re-enter at the current virtual time, not bank its idle
 // time into a burst.
 func TestQueueIdleTenantGainsNoCredit(t *testing.T) {
-	q := NewQueue(64, nil)
+	q := NewQueue(64)
 	for i := 0; i < 10; i++ {
 		q.Enqueue(testJob("busy", i))
 	}
@@ -148,7 +128,7 @@ func TestQueueIdleTenantGainsNoCredit(t *testing.T) {
 }
 
 func TestQueueCloseStopsAdmissionDrainsBacklog(t *testing.T) {
-	q := NewQueue(8, nil)
+	q := NewQueue(8)
 	q.Enqueue(testJob("a", 1))
 	q.Enqueue(testJob("a", 2))
 	q.Close()

@@ -13,7 +13,6 @@ import (
 	"vbuscluster/internal/fault"
 	"vbuscluster/internal/interp"
 	"vbuscluster/internal/mpi"
-	"vbuscluster/internal/sim"
 	"vbuscluster/internal/trace"
 )
 
@@ -31,8 +30,6 @@ type Config struct {
 	CacheEntries int
 	// DefaultFabric is the backend for specs that omit one ("" = vbus).
 	DefaultFabric string
-	// TenantWeights overrides fair-share weights (default 1 each).
-	TenantWeights map[string]int
 
 	// DefaultDeadline bounds jobs whose spec omits deadline_ms
 	// (0 = unbounded).
@@ -99,6 +96,10 @@ type Server struct {
 	breaker *breaker
 	limiter *rateLimiter
 	start   time.Time
+	// run executes one attempt of a job on its compiled plan:
+	// cc.RunParallelWith, which tests in this package replace before
+	// the workers start to make a run panic or hang.
+	run func(j *Job, cc *core.Compiled, rp core.RunParams) (*interp.Result, error)
 
 	mu     sync.Mutex
 	jobs   map[string]*Job
@@ -161,10 +162,13 @@ func newServer(cfg Config) *Server {
 	return &Server{
 		cfg:     cfg,
 		cache:   NewPlanCache(cfg.CacheEntries),
-		queue:   NewQueue(cfg.QueueDepth, cfg.TenantWeights),
+		queue:   NewQueue(cfg.QueueDepth),
 		breaker: newBreaker(),
 		limiter: newRateLimiter(cfg.RatePerSec, cfg.RateBurst, cfg.TenantRates),
 		start:   time.Now(),
+		run: func(j *Job, cc *core.Compiled, rp core.RunParams) (*interp.Result, error) {
+			return cc.RunParallelWith(j.Spec.runMode(), rp)
+		},
 		jobs:    map[string]*Job{},
 		flights: map[string]*flight{},
 	}
@@ -283,10 +287,10 @@ func (s *Server) Cancel(id string) (*Job, bool) {
 }
 
 // worker is one simulated cluster: it executes queued jobs until the
-// queue closes and drains. A job that kills its worker (an injected
-// killworker fault, or the unwound stack of a recovered panic) makes
-// process return true: the worker replaces itself with a fresh
-// goroutine and exits, so the serving capacity stays Config.Clusters.
+// queue closes and drains. A job that kills its worker (the unwound
+// stack of a recovered panic) makes process return true: the worker
+// replaces itself with a fresh goroutine and exits, so the serving
+// capacity stays Config.Clusters.
 func (s *Server) worker() {
 	for {
 		j, ok := s.queue.Pop()
@@ -301,14 +305,12 @@ func (s *Server) worker() {
 }
 
 // process runs one job end to end: admission-time checks (expired
-// deadline, quarantined plan key, injected server faults), plan
-// acquisition (cache hit, or cold compile deduplicated per key), then
-// an isolated, panic-guarded run with the job's own recorder and
-// context. The return value tells the worker to replace itself; the
-// replacement is counted here, before the job is re-queued or
-// finalised, so no client sees the job settle with the kill uncounted
-// (another cluster may finish a re-queued job before this worker runs
-// again).
+// deadline, quarantined plan key), plan acquisition (cache hit, or
+// cold compile deduplicated per key), then an isolated, panic-guarded
+// run with the job's own recorder and context. The return value tells
+// the worker to replace itself; the replacement is counted here,
+// before the job is finalised, so no client sees the job settle with
+// the kill uncounted.
 func (s *Server) process(j *Job) (killWorker bool) {
 	// A deadline or cancellation that expired while the job sat queued.
 	if j.ctx.Err() != nil {
@@ -322,28 +324,6 @@ func (s *Server) process(j *Job) (killWorker bool) {
 			errors.New("jobs: plan key quarantined after repeated panics (circuit breaker open)"))
 		return false
 	}
-	f := j.faults
-
-	// killworker=N: the job assassinates its worker N times, re-queuing
-	// itself each time (through the fair queue, so the kills are charged
-	// to its tenant), then runs normally — the chaos sweep's proof that
-	// worker replacement keeps capacity intact.
-	if f != nil && f.KillWorker > 0 {
-		j.mu.Lock()
-		kill := j.kills < f.KillWorker
-		if kill {
-			j.kills++
-			j.state = StateRetrying
-		}
-		j.mu.Unlock()
-		if kill {
-			s.workersReplaced.Add(1)
-			if err := s.queue.Enqueue(j); err != nil {
-				s.finalize(j, StateFailed, fmt.Errorf("jobs: requeue after worker kill: %w", err))
-			}
-			return true
-		}
-	}
 
 	j.mu.Lock()
 	j.state = StateRunning
@@ -353,17 +333,6 @@ func (s *Server) process(j *Job) (killWorker bool) {
 	j.attempts++
 	attempt := j.attempts
 	j.mu.Unlock()
-
-	// stalljob=D: wall-clock stall before the run, interruptible by the
-	// job's deadline — the chaos sweep's hung-job stand-in.
-	if f != nil && f.StallJob > 0 {
-		select {
-		case <-time.After(wallDuration(f.StallJob)):
-		case <-j.ctx.Done():
-			s.finalize(j, StateCancelled, fmt.Errorf("jobs: cancelled during stall: %w", j.ctx.Err()))
-			return false
-		}
-	}
 
 	t0 := time.Now()
 	cc, hit, err := s.plan(j.Spec, j.Key)
@@ -386,20 +355,20 @@ func (s *Server) process(j *Job) (killWorker bool) {
 		rec = trace.New()
 	}
 	var inj *fault.Injector
-	if f != nil {
+	if j.faults != nil {
 		// Per-attempt seed offset: a retry of a probabilistically
 		// faulty run draws a fresh (but still deterministic) fault
 		// schedule instead of replaying the exact failure.
-		fs := *f
+		fs := *j.faults
 		if fs.Seed != 0 {
 			fs.Seed += uint64(attempt - 1)
 		}
 		inj = fault.New(&fs)
 	}
 
-	// The run is panic-guarded: a poison spec (or a compiler/runtime
-	// bug) marks this job failed with the recovered stack instead of
-	// crashing the server, and the worker replaces itself.
+	// The run is panic-guarded: a compiler or runtime bug marks this
+	// job failed with the recovered stack instead of crashing the
+	// server, and the worker replaces itself.
 	var res *interp.Result
 	var runErr error
 	panicked := false
@@ -412,10 +381,7 @@ func (s *Server) process(j *Job) (killWorker bool) {
 					j.ID, attempt, r, debug.Stack())
 			}
 		}()
-		if f != nil && f.PanicJob {
-			panic("poison spec: injected panic (panicjob=1)")
-		}
-		res, runErr = cc.RunParallelWith(j.Spec.runMode(), core.RunParams{
+		res, runErr = s.run(j, cc, core.RunParams{
 			Recorder: rec,
 			Ctx:      j.ctx,
 			Faults:   inj,
@@ -521,21 +487,14 @@ func (s *Server) scheduleRetry(j *Job, attempt int, cause error) {
 // rate bucket if the job never made an execution attempt: a queued job
 // cancelled before running (DELETE storm, or a deadline that expired
 // in the queue) must not burn tenant budget. Jobs that ran at least
-// once (retries, killworker requeues) consumed service and keep their
-// token spent.
+// once (retries) consumed service and keep their token spent.
 func (s *Server) refundIfNeverRan(j *Job) {
 	j.mu.Lock()
-	never := j.attempts == 0 && j.kills == 0
+	never := j.attempts == 0
 	j.mu.Unlock()
 	if never {
 		s.limiter.refund(j.Spec.Tenant)
 	}
-}
-
-// wallDuration converts a virtual-time token value to wall time (the
-// stalljob token reads its units as wall units).
-func wallDuration(t sim.Time) time.Duration {
-	return time.Duration(int64(t) / int64(sim.Nanosecond))
 }
 
 // finalize moves j to a terminal state exactly once: state + counters
