@@ -350,10 +350,13 @@ func BenchmarkCompile24(b *testing.B) {
 
 // BenchmarkRunFull is one op of the repository benchmark's mm_full
 // (MM 96², 4 ranks, coarse) and swim_full (SWIM 192², 4 ranks, fine)
-// workloads: the plan is compiled in set-up, and each iteration is one
-// parallel Full-mode run, so either op can be profiled alone:
+// workloads, and SWIM at the paper's 512² on 4 ranks at each grain: the
+// plan is compiled in set-up, and each iteration is one parallel
+// Full-mode run, so any op can be profiled alone:
 //
 //	go test -run '^$' -bench 'RunFull/mm_full' -cpuprofile cpu.out .
+//
+// The swim512 rows take seconds an op; run them with -benchtime 1x.
 func BenchmarkRunFull(b *testing.B) {
 	for _, w := range []struct {
 		name  string
@@ -362,6 +365,9 @@ func BenchmarkRunFull(b *testing.B) {
 	}{
 		{"mm_full", bench.MMSource(96), lmad.Coarse},
 		{"swim_full", bench.SwimSource(192, 192), lmad.Fine},
+		{"swim512/fine", bench.SwimSource(512, 512), lmad.Fine},
+		{"swim512/middle", bench.SwimSource(512, 512), lmad.Middle},
+		{"swim512/coarse", bench.SwimSource(512, 512), lmad.Coarse},
 	} {
 		b.Run(w.name, func(b *testing.B) {
 			c, err := core.Compile(w.src, core.Options{NumProcs: 4, Grain: w.grain})

@@ -121,12 +121,13 @@ func twoRankPuts(params cluster.Params, cell string, steps []putStep) ([]sim.Tim
 			win := p.WinCreate("cell", local)
 			for i, st := range steps {
 				if rank == 0 {
-					data := make([]float64, st.desc.Elems)
-					for j := range data {
-						data[j] = st.base + float64(j)
+					d := st.desc
+					origin := make([]float64, len(region))
+					for j := int64(0); j < d.Elems; j++ {
+						origin[d.Offset+j*d.Stride] = st.base + float64(j)
 					}
 					t0 := cl.Clock(0)
-					mpi.Must(p.Put(win, 1, st.desc, data))
+					mpi.Must(p.Put(win, 1, d, origin))
 					times[i] = cl.Clock(0) - t0
 				}
 				mpi.Must(p.Fence(win))

@@ -237,7 +237,7 @@ func rdmaMeasureCrossover(params cluster.Params, pm interconnect.ProtocolModel, 
 		}
 		p := mpi.NewWorld(cl).Rank(0)
 		t0 := cl.Clock(0)
-		mpi.Must(p.Charge(1, mpi.ContigDesc(0, int64(elems))))
+		mpi.Must(p.Charge(1, mpi.ContigDesc(0, int64(elems)), false))
 		cost := cl.Clock(0) - t0
 		bytes := elems * mpi.WordBytes
 		switch cost {
@@ -300,7 +300,7 @@ func rdmaCachePressure(params cluster.Params, pm interconnect.ProtocolModel, hop
 		d.Region = "pressure"
 		d.Proto = lmad.ProtoRndv
 		t0 := cl.Clock(0)
-		mpi.Must(p.Charge(1, d))
+		mpi.Must(p.Charge(1, d, false))
 		return cl.Clock(0) - t0
 	}
 	cap := pm.RegCacheCapacity()

@@ -125,3 +125,40 @@ func TestSectionWriteKeepsFileOnEncodeError(t *testing.T) {
 		t.Fatalf("failed write changed the file:\n%s", after)
 	}
 }
+
+// Writing one section leaves every other section's bytes as they were:
+// a section written from a struct keeps its field order, which is not
+// the alphabetical order a decoded map would re-encode it in.
+func TestSectionWriteKeepsSiblingBytes(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "BENCH_order.json")
+	type row struct {
+		Zeta  int               `json:"zeta"`
+		Alpha string            `json:"alpha"`
+		Inner map[string]string `json:"inner"`
+		Mid   []float64         `json:"mid"`
+	}
+	section := func() json.RawMessage {
+		t.Helper()
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var doc map[string]json.RawMessage
+		if err := json.Unmarshal(data, &doc); err != nil {
+			t.Fatal(err)
+		}
+		return doc["a"]
+	}
+	a := Section{File: path, Schema: "order/v1", Key: "a",
+		Value: []row{{Zeta: 1, Alpha: "x", Inner: map[string]string{"k": "v"}, Mid: []float64{2.5}}}}
+	if err := a.Write(); err != nil {
+		t.Fatal(err)
+	}
+	before := section()
+	if err := (Section{File: path, Key: "b", Value: map[string]int{"n": 1}}).Write(); err != nil {
+		t.Fatal(err)
+	}
+	if after := section(); !bytes.Equal(before, after) {
+		t.Fatalf("writing section b changed section a:\n%s\nbecame\n%s", before, after)
+	}
+}

@@ -131,20 +131,26 @@ type Section struct {
 }
 
 // Write folds the section into its file, preserving every other
-// section already there. The document is encoded before the file is
-// opened, so a value that cannot be marshalled leaves the file as it
-// was.
+// section already there byte for byte: sections are kept as raw JSON,
+// so a struct-written section keeps its field order. The value is
+// encoded before the file is opened, so a value that cannot be
+// marshalled leaves the file as it was.
 func (s Section) Write() error {
-	doc := map[string]any{"schema": s.Schema}
+	value, err := json.Marshal(s.Value)
+	if err != nil {
+		return fmt.Errorf("bench: encoding %q for %s: %w", s.Key, s.File, err)
+	}
+	schema, _ := json.Marshal(s.Schema) // a string always encodes
+	doc := map[string]json.RawMessage{"schema": schema}
 	if data, err := os.ReadFile(s.File); err == nil {
 		if err := json.Unmarshal(data, &doc); err != nil {
 			return fmt.Errorf("bench: %s exists but is not JSON: %w", s.File, err)
 		}
 	}
-	doc[s.Key] = s.Value
+	doc[s.Key] = value
 	out, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
-		return fmt.Errorf("bench: encoding %q for %s: %w", s.Key, s.File, err)
+		return fmt.Errorf("bench: encoding %s: %w", s.File, err)
 	}
 	return os.WriteFile(s.File, append(out, '\n'), 0o644)
 }

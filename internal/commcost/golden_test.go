@@ -174,11 +174,11 @@ func TestAccessesMatchGolden(t *testing.T) {
 			// registers a region.
 			w := d
 			w.Stride, w.Packed, w.Proto = 1, false, lmad.ProtoRndv
-			mpi.Must(p.Charge(c.target, w))
+			mpi.Must(p.Charge(c.target, w, false))
 			k.Price(w, hops, sim)
 		}
 		t0 := cl.Clock(0)
-		mpi.Must(p.Charge(c.target, d))
+		mpi.Must(p.Charge(c.target, d, false))
 		ev := rec.Events()
 		booked, tr := cl.Clock(0)-t0, ev[len(ev)-1].Transport
 		if ps, ptr := k.Price(d, hops, sim); ps != booked || ptr != tr {

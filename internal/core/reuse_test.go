@@ -272,6 +272,10 @@ func TestCompiledFirstUsePlanMemoRace(t *testing.T) {
 					if len(a) != len(b) || (len(a) > 0 && &a[0] != &b[0]) {
 						t.Errorf("RankPlans recomputed a memoised plan (dir %d)", dir)
 					}
+					ca, cb := postpass.RankCovers(r.Par, dir, 1), postpass.RankCovers(r.Par, dir, 1)
+					if len(ca) != len(a) || (len(ca) > 0 && &ca[0] != &cb[0]) {
+						t.Errorf("RankCovers recomputed a memoised cover or lost step with the plans (dir %d)", dir)
+					}
 				}
 			}
 		})

@@ -1,8 +1,12 @@
 package core
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
+	"vbuscluster/internal/interconnect"
 	"vbuscluster/internal/lmad"
 	"vbuscluster/internal/sim"
 	"vbuscluster/internal/trace"
@@ -91,4 +95,70 @@ func TestPassTraceAddToRecorder(t *testing.T) {
 	// nil safety both ways.
 	pt.AddToRecorder(nil)
 	(*PassTrace)(nil).AddToRecorder(rec)
+}
+
+// Timing mode must trace exactly what Full mode traces: every rank
+// event's op, peer, bytes, interval and transport, over the sample
+// corpus under each transfer scheme — push and pull one-sided, and
+// two-sided — at the fine and coarse grains. Only the compiler track is
+// left out; compile-pass spans are wall-clock measurements.
+func TestFullAndTimingTracesAgree(t *testing.T) {
+	files, err := filepath.Glob("../../testdata/*.f")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no testdata programs found: %v", err)
+	}
+	type key struct {
+		rank, peer int
+		op         string
+		bytes      int64
+		begin, end sim.Time
+		transport  interconnect.Transport
+	}
+	events := func(t *testing.T, c *Compiled, mode Mode) []key {
+		rec := trace.New()
+		if _, err := c.RunParallelWith(mode, RunParams{Recorder: rec}); err != nil {
+			t.Fatalf("%v run: %v", mode, err)
+		}
+		var out []key
+		for _, e := range rec.Events() {
+			if e.Rank != trace.CompilerRank {
+				out = append(out, key{e.Rank, e.Peer, e.Op, e.Bytes, e.Begin, e.End, e.Transport})
+			}
+		}
+		return out
+	}
+	for _, file := range files {
+		src, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, scheme := range []struct {
+			name string
+			opts Options
+		}{
+			{"push", Options{}},
+			{"pull", Options{PullScatter: true}},
+			{"two-sided", Options{TwoSided: true}},
+		} {
+			for _, grain := range []lmad.Grain{lmad.Fine, lmad.Coarse} {
+				t.Run(fmt.Sprintf("%s/%s/%v", filepath.Base(file), scheme.name, grain), func(t *testing.T) {
+					opts := scheme.opts
+					opts.NumProcs, opts.Grain = 4, grain
+					c, err := Compile(string(src), opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					full, timing := events(t, c, Full), events(t, c, Timing)
+					for i := 0; i < len(full) && i < len(timing); i++ {
+						if full[i] != timing[i] {
+							t.Fatalf("event %d: full %+v, timing %+v", i, full[i], timing[i])
+						}
+					}
+					if len(full) != len(timing) {
+						t.Fatalf("full traced %d events, timing %d", len(full), len(timing))
+					}
+				})
+			}
+		}
+	}
 }

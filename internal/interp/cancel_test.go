@@ -133,3 +133,57 @@ func TestCancelFollowsRecovery(t *testing.T) {
 		t.Fatalf("result %v, error %v, want an mpi.Error with kind cancelled", res, err)
 	}
 }
+
+// seqNestSrc is a loop-carried nest no rank can share: the master runs
+// all nine million iterations in a sequential section while the
+// slaves wait at its closing barrier.
+const seqNestSrc = `
+      PROGRAM SEQNEST
+      INTEGER N
+      PARAMETER (N = 3000)
+      REAL X(N)
+      INTEGER I, J
+      DO J = 1, N
+        X(J) = 0.0
+      ENDDO
+      DO I = 2, N
+        DO J = 2, N
+          X(J) = X(J-1) * 0.5 + X(J) + 1.0
+        ENDDO
+      ENDDO
+      PRINT *, X(N)
+      END
+`
+
+// TestDeadlineStopsSequentialNest: a deadline must stop a job inside a
+// sequential nest, not at the barrier after it — every loop polls for
+// cancellation, whether it runs as its node body or on a tape.
+func TestDeadlineStopsSequentialNest(t *testing.T) {
+	prog := compile(t, seqNestSrc)
+	pp, err := postpass.Translate(prog, postpass.Options{NumProcs: 4, Grain: lmad.Fine})
+	if err != nil {
+		t.Fatalf("postpass: %v", err)
+	}
+	for _, r := range pp.Regions {
+		if r.Par != nil && r.Par.Loop.Var.Name == "I" {
+			t.Fatal("the nest was parallelised; it must run sequentially")
+		}
+	}
+	start := time.Now()
+	if _, err := RunParallelConfig(pp, newCluster(t, 4), Full, RunConfig{}); err != nil {
+		t.Fatalf("uncancelled run: %v", err)
+	}
+	whole := time.Since(start)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
+	defer cancel()
+	start = time.Now()
+	_, err = RunParallelConfig(pp, newCluster(t, 4), Full, RunConfig{Ctx: ctx})
+	took := time.Since(start)
+	var me *mpi.Error
+	if !errors.As(err, &me) || me.Kind != mpi.ErrCancelled {
+		t.Fatalf("error %v, want an mpi.Error with kind cancelled", err)
+	}
+	if took >= whole/2 {
+		t.Fatalf("cancelled run took %v, the whole run %v: the deadline did not stop the nest", took, whole)
+	}
+}

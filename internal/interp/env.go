@@ -92,8 +92,7 @@ type Env struct {
 	// jump is the label a ctrlJump outcome is heading for.
 	jump int
 
-	// scratch is the working memory of tapes and strided transfers,
-	// allocated on first use.
+	// scratch is the working memory of tapes, allocated on first use.
 	scratch *scratch
 
 	// saved is the CALL stack: each active frame's shadowed bindings of

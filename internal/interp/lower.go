@@ -515,7 +515,7 @@ func (l *loop) exec(env *Env) ctrl {
 		env.setInt(l.v, from+trips*step)
 		return ctrlNormal
 	}
-	if l.straight && l.onTape(env, from, step, trips, false) {
+	if l.straight && l.onTape(env, from, step, trips) {
 		env.setInt(l.v, from+trips*step)
 		return ctrlNormal
 	}
@@ -524,6 +524,7 @@ func (l *loop) exec(env *Env) ctrl {
 	iter := env.cpu.LoopOverhead + env.spmdTax
 	v := from
 	for k := int64(0); k < trips; k++ {
+		env.checkCancelled()
 		env.setInt(slot, v)
 		env.pending += iter
 		if c := body.exec(env); c != ctrlNormal {

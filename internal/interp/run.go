@@ -769,7 +769,7 @@ func (env *Env) runPartition(l *loop, ctx analysis.LoopCtx, myTrips []int64) {
 	if len(myTrips) > 1 {
 		stride *= myTrips[1] - myTrips[0]
 	}
-	if l.straight && l.onTape(env, ctx.From+myTrips[0]*ctx.Step, stride, int64(len(myTrips)), true) {
+	if l.straight && l.onTape(env, ctx.From+myTrips[0]*ctx.Step, stride, int64(len(myTrips))) {
 		return
 	}
 	body := l.block()
@@ -828,53 +828,27 @@ func (env *Env) recvOps(p *mpi.Proc, par *postpass.ParInfo, dir postpass.Directi
 	}
 }
 
-// moveOps performs (or, in timing mode, charges) rank's plans of ops as
-// one-sided transfers between the caller's storage and target's
+// moveOps performs (or, in timing mode, only charges) rank's plans of
+// ops as one-sided transfers between the caller's storage and target's
 // window: PUTs (the master scattering to rank, or slave rank collecting
 // to the master), or with get set GETs (slave rank pulling its scatter
-// regions from the master).
+// regions from the master). Both modes charge every planned transfer,
+// redundant bytes included; Full mode then copies each plan entry's
+// cover, every element the entry's transfers move, once.
 func (env *Env) moveOps(p *mpi.Proc, wins []*mpi.Win, par *postpass.ParInfo, dir postpass.Direction, rank, target int, get bool) {
-	for _, pl := range postpass.RankPlans(par, dir, rank) {
-		win := wins[env.lw.slots[pl.Sym]]
+	plans := postpass.RankPlans(par, dir, rank)
+	for _, pl := range plans {
 		for _, tr := range pl.Plan {
-			d := commcost.FromTransfer(pl.Sym.Name, tr)
-			if env.mode == Timing {
-				mpi.Must(p.Charge(target, d))
-				continue
-			}
-			local := env.symStorage(pl.Sym)
-			switch {
-			case tr.Stride == 1 && get:
-				mpi.Must(p.Get(win, target, d, local[tr.Offset:tr.Offset+tr.Elems]))
-			case tr.Stride == 1:
-				mpi.Must(p.Put(win, target, d, local[tr.Offset:tr.Offset+tr.Elems]))
-			case get:
-				tmp := env.staging(tr.Elems)
-				mpi.Must(p.Get(win, target, d, tmp))
-				for i, v := range tmp {
-					local[tr.Offset+int64(i)*tr.Stride] = v
-				}
-			default:
-				tmp := env.staging(tr.Elems)
-				for i := range tmp {
-					tmp[i] = local[tr.Offset+int64(i)*tr.Stride]
-				}
-				mpi.Must(p.Put(win, target, d, tmp))
-			}
+			mpi.Must(p.Charge(target, commcost.FromTransfer(pl.Sym.Name, tr), get))
 		}
 	}
-}
-
-// staging returns n cells of the Env's staging slice, which a strided
-// PUT or GET packs through: both copy before they return, so one slice
-// serves every transfer. (A SEND's payload is queued, so sendOps packs
-// into a fresh one.)
-func (env *Env) staging(n int64) []float64 {
-	s := env.work()
-	if int64(cap(s.stage)) < n {
-		s.stage = make([]float64, n)
+	if env.mode == Timing {
+		return
 	}
-	return s.stage[:n]
+	for i, cover := range postpass.RankCovers(par, dir, rank) {
+		sym := plans[i].Sym
+		mpi.Must(p.CopySpans(wins[env.lw.slots[sym]], target, cover, env.symStorage(sym), get))
+	}
 }
 
 // SortedArrayNames lists the arrays in a result for deterministic

@@ -121,12 +121,10 @@ func (c *cursor) span(first, last int64) (lo, hi int64) {
 // scratch is an Env's reusable working memory, allocated on first use
 // (never by a Timing run): the registers and cursors of the tape
 // running — at most one runs in an Env at a time, since a tape body
-// calls no unit and so runs no loop — and the staging slice of strided
-// one-sided transfers.
+// calls no unit and so runs no loop.
 type scratch struct {
-	regs  [tapeRegs]float64
-	cur   [tapeCursors]cursor
-	stage []float64
+	regs [tapeRegs]float64
+	cur  [tapeCursors]cursor
 }
 
 func (env *Env) work() *scratch {
@@ -525,13 +523,13 @@ func (t *tape) disjoint(s *scratch, first, last int64) bool {
 // reports whether it did; false means the entry proof failed and the
 // caller runs the node body. The i-th iteration has the variable at
 // from + i·step; a rank's share of a partitioned loop, block or cyclic,
-// is such a progression, and sets poll to check for cancellation before
-// each iteration, or each strip. Each iteration charges what the node
-// body charges: the loop overhead and SPMD tax plus every assignment's
-// cost. A tape with lanes whose pairs the entry proves disjoint runs in
-// strips; otherwise each iteration also stores the variable's cell,
-// which node instructions read.
-func (l *loop) onTape(env *Env, from, step, n int64, poll bool) bool {
+// is such a progression. Like the node body, it polls for cancellation
+// before each iteration (before each strip on lanes). Each iteration
+// charges what the node body charges: the loop overhead and SPMD tax
+// plus every assignment's cost. A tape with lanes whose pairs the entry
+// proves disjoint runs in strips; otherwise each iteration also stores
+// the variable's cell, which node instructions read.
+func (l *loop) onTape(env *Env, from, step, n int64) bool {
 	if n == 0 {
 		return true
 	}
@@ -542,9 +540,9 @@ func (l *loop) onTape(env *Env, from, step, n int64, poll bool) bool {
 	}
 	iter := env.cpu.LoopOverhead + env.spmdTax + l.assigns.at(&env.cpu)
 	if t.lanes > 1 && t.disjoint(s, first, last) {
-		t.runStrips(env, s, from, step, n, poll, iter)
+		t.runStrips(env, s, from, step, n, iter)
 	} else {
-		t.run(env, s, env.mem[l.v], from, step, n, poll, iter)
+		t.run(env, s, env.mem[l.v], from, step, n, iter)
 	}
 	return true
 }
@@ -552,26 +550,21 @@ func (l *loop) onTape(env *Env, from, step, n int64, poll bool) bool {
 // runStrips runs n iterations, the i-th with the variable at from +
 // i·step, in strips of up to t.lanes: strip's instructions one after
 // another, each over every iteration of the strip. A strip charges
-// its iterations in one add and polls for cancellation once when poll
-// is set.
-func (t *tape) runStrips(env *Env, s *scratch, from, step, n int64, poll bool, iter sim.Time) {
+// its iterations in one add and polls for cancellation once.
+func (t *tape) runStrips(env *Env, s *scratch, from, step, n int64, iter sim.Time) {
 	w := int64(t.lanes)
 	for i := int64(0); i < n; i += w {
-		if poll {
-			env.checkCancelled()
-		}
+		env.checkCancelled()
 		m := min(w, n-i)
 		env.pending += iter * sim.Time(m)
 		s.execLanes(t.strip, int(w), int(m), from+i*step, step, env.mem)
 	}
 }
 
-func (t *tape) run(env *Env, s *scratch, cell []float64, from, step, n int64, poll bool, iter sim.Time) {
+func (t *tape) run(env *Env, s *scratch, cell []float64, from, step, n int64, iter sim.Time) {
 	code := t.code
 	for i := int64(0); i < n; i++ {
-		if poll {
-			env.checkCancelled()
-		}
+		env.checkCancelled()
 		v := from + i*step
 		cell[0] = float64(v)
 		env.pending += iter

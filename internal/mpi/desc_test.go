@@ -8,6 +8,7 @@ import (
 
 	"vbuscluster/internal/cluster"
 	"vbuscluster/internal/interconnect"
+	"vbuscluster/internal/lmad"
 	"vbuscluster/internal/trace"
 )
 
@@ -27,37 +28,66 @@ type descRun struct {
 	window []float64
 }
 
+// laidOut returns data in window layout for d: element i at
+// d.Offset+i·d.Stride, the origin layout Put and Accumulate take.
+func laidOut(d AccessDesc, data []float64) []float64 {
+	out := make([]float64, d.Offset+max(d.Elems-1, 0)*d.Stride+1)
+	for i, v := range data {
+		out[d.Offset+int64(i)*d.Stride] = v
+	}
+	return out
+}
+
+// getPacked runs Get into a window-layout origin and returns d's
+// elements of it in order.
+func getPacked(p *Proc, win *Win, target int, d AccessDesc) ([]float64, error) {
+	origin := make([]float64, d.Offset+max(d.Elems-1, 0)*d.Stride+1)
+	err := p.Get(win, target, d, origin)
+	out := make([]float64, d.Elems)
+	for i := range out {
+		out[i] = origin[d.Offset+int64(i)*d.Stride]
+	}
+	return out, err
+}
+
 // The contiguous and strided spellings the tests issue most, over the
-// descriptor verbs; failures are fatal to the rank.
+// descriptor verbs, with packed data; failures are fatal to the rank.
 func putAt(p *Proc, win *Win, target, off int, data []float64) {
-	Must(p.Put(win, target, ContigDesc(int64(off), int64(len(data))), data))
+	d := ContigDesc(int64(off), int64(len(data)))
+	Must(p.Put(win, target, d, laidOut(d, data)))
 }
 
 func getAt(p *Proc, win *Win, target, off int, dst []float64) {
-	Must(p.Get(win, target, ContigDesc(int64(off), int64(len(dst))), dst))
+	got, err := getPacked(p, win, target, ContigDesc(int64(off), int64(len(dst))))
+	Must(err)
+	copy(dst, got)
 }
 
 func putStride(p *Proc, win *Win, target, off, stride int, data []float64) {
-	Must(p.Put(win, target, StridedDesc(int64(off), int64(len(data)), int64(stride)), data))
+	d := StridedDesc(int64(off), int64(len(data)), int64(stride))
+	Must(p.Put(win, target, d, laidOut(d, data)))
 }
 
 func getStride(p *Proc, win *Win, target, off, stride int, dst []float64) {
-	Must(p.Get(win, target, StridedDesc(int64(off), int64(len(dst)), int64(stride)), dst))
+	got, err := getPacked(p, win, target, StridedDesc(int64(off), int64(len(dst)), int64(stride)))
+	Must(err)
+	copy(dst, got)
 }
 
 func accumAt(p *Proc, win *Win, target, off int, data []float64) {
-	Must(p.Accumulate(win, target, ContigDesc(int64(off), int64(len(data))), data))
+	d := ContigDesc(int64(off), int64(len(data)))
+	Must(p.Accumulate(win, target, d, laidOut(d, data)))
 }
 
 // chargeContig and chargeStride charge a PUT of elems words without a
 // window; the strided charge depends only on the element count, so the
 // descriptor carries a placeholder stride.
 func chargeContig(p *Proc, target, elems int) {
-	Must(p.Charge(target, ContigDesc(0, int64(elems))))
+	Must(p.Charge(target, ContigDesc(0, int64(elems)), false))
 }
 
 func chargeStride(p *Proc, target, elems int) {
-	Must(p.Charge(target, StridedDesc(0, int64(elems), 2)))
+	Must(p.Charge(target, StridedDesc(0, int64(elems), 2), false))
 }
 
 // mustPanic runs fn and asserts it panics with a message containing
@@ -91,27 +121,39 @@ func TestDescValidationPanics(t *testing.T) {
 			mustPanic(t, "mpi: Put element count -1 must be non-negative", func() {
 				Must(p.Put(win, 1, AccessDesc{Elems: -1, Stride: 1}, nil))
 			})
-			mustPanic(t, "mpi: Put buffer has 3 elements, descriptor wants 4", func() {
+			mustPanic(t, "mpi: Put origin [0,4) outside buffer size 3", func() {
 				Must(p.Put(win, 1, ContigDesc(0, 4), seq(3, 0)))
 			})
+			mustPanic(t, "mpi: Get origin last index 9 outside buffer size 5", func() {
+				Must(p.Get(win, 1, StridedDesc(1, 3, 4), seq(5, 0)))
+			})
 			mustPanic(t, `mpi: Put "w" rank 1 [60,70) outside window size 64`, func() {
-				Must(p.Put(win, 1, ContigDesc(60, 10), seq(10, 0)))
+				Must(p.Put(win, 1, ContigDesc(60, 10), seq(70, 0)))
 			})
 			mustPanic(t, `mpi: Get "w" rank 1 last index 64 outside window size 64`, func() {
-				Must(p.Get(win, 1, StridedDesc(0, 5, 16), make([]float64, 5)))
+				Must(p.Get(win, 1, StridedDesc(0, 5, 16), make([]float64, 65)))
 			})
 			mustPanic(t, `mpi: Get "w" rank 1 last index 99 outside window size 64`, func() {
-				Must(p.Get(win, 1, StridedDesc(0, 4, 33), make([]float64, 4)))
+				Must(p.Get(win, 1, StridedDesc(0, 4, 33), make([]float64, 100)))
 			})
 			mustPanic(t, `mpi: Accumulate "w" rank 1 [62,66) outside window size 64`, func() {
-				Must(p.Accumulate(win, 1, ContigDesc(62, 4), seq(4, 0)))
+				Must(p.Accumulate(win, 1, ContigDesc(62, 4), seq(66, 0)))
+			})
+			mustPanic(t, "mpi: CopySpans span 1 {3 5} not sorted and disjoint", func() {
+				Must(p.CopySpans(win, 1, []lmad.Span{{Lo: 0, Hi: 4}, {Lo: 3, Hi: 5}}, seq(8, 0), false))
+			})
+			mustPanic(t, `mpi: CopySpans "w" rank 1 [0,65) outside window size 64`, func() {
+				Must(p.CopySpans(win, 1, []lmad.Span{{Lo: 0, Hi: 2}, {Lo: 60, Hi: 65}}, seq(70, 0), false))
+			})
+			mustPanic(t, "mpi: CopySpans origin [0,2) outside buffer size 1", func() {
+				Must(p.CopySpans(win, 1, []lmad.Span{{Lo: 0, Hi: 2}}, seq(1, 0), true))
 			})
 			// Charge-only paths validate shape too (no window to bound).
 			mustPanic(t, "mpi: Charge stride -2 must be positive", func() {
-				Must(p.Charge(1, AccessDesc{Elems: 8, Stride: -2}))
+				Must(p.Charge(1, AccessDesc{Elems: 8, Stride: -2}, false))
 			})
 			mustPanic(t, "mpi: Charge element count -5 must be non-negative", func() {
-				Must(p.Charge(1, AccessDesc{Elems: -5, Stride: 1}))
+				Must(p.Charge(1, AccessDesc{Elems: -5, Stride: 1}, false))
 			})
 			// A panicked call charges nothing and moves nothing.
 			if got := p.w.cl.Snapshot().CommBytes[0]; got != 0 {
@@ -120,6 +162,85 @@ func TestDescValidationPanics(t *testing.T) {
 		}
 		Must(p.Fence(win))
 	})
+}
+
+// CopySpans lands exactly its spans' elements, at the same indices on
+// both sides, in either direction, and charges and traces nothing: the
+// transfers it completes were charged one by one.
+func TestCopySpansMovesOnlyItsSpans(t *testing.T) {
+	spans := []lmad.Span{{Lo: 1, Hi: 3}, {Lo: 6, Hi: 7}, {Lo: 9, Hi: 12}}
+	in := func(x int) bool {
+		for _, s := range spans {
+			if int64(x) >= s.Lo && int64(x) < s.Hi {
+				return true
+			}
+		}
+		return false
+	}
+	var window []float64
+	var mu sync.Mutex
+	rec, _ := runTraced(t, 2, "vbus", func(p *Proc) {
+		win := p.WinCreate("cs", seq(12, 100*float64(p.Rank())))
+		if p.Rank() == 0 {
+			before := p.Wtime()
+			Must(p.CopySpans(win, 1, spans, seq(12, 500), false))
+			pulled := seq(12, 900)
+			Must(p.CopySpans(win, 1, spans, pulled, true))
+			for x, v := range pulled {
+				want := 900 + float64(x)
+				if in(x) {
+					want = 500 + float64(x)
+				}
+				if v != want {
+					t.Errorf("pulled[%d] = %v, want %v", x, v, want)
+				}
+			}
+			if p.Wtime() != before {
+				t.Errorf("CopySpans charged the clock: %v -> %v", before, p.Wtime())
+			}
+		}
+		Must(p.Fence(win))
+		if p.Rank() == 1 {
+			mu.Lock()
+			window = append([]float64(nil), win.Local(1)...)
+			mu.Unlock()
+		}
+	})
+	for x, v := range window {
+		want := 100 + float64(x)
+		if in(x) {
+			want = 500 + float64(x)
+		}
+		if v != want {
+			t.Errorf("window[%d] = %v, want %v", x, v, want)
+		}
+	}
+	for _, e := range rec.Events() {
+		if e.Op != trace.OpBarrier && e.Op != trace.OpFence {
+			t.Errorf("CopySpans traced %q", e.Op)
+		}
+	}
+}
+
+// Charge traces the verb it is told: a GET's charge is a get, so a
+// charge-only run traces what a data-moving one does.
+func TestChargeTracesDirection(t *testing.T) {
+	rec, _ := runTraced(t, 2, "vbus", func(p *Proc) {
+		if p.Rank() == 0 {
+			for _, get := range []bool{false, true} {
+				Must(p.Charge(1, ContigDesc(0, 8), get))
+				Must(p.Charge(1, StridedDesc(0, 8, 3), get))
+			}
+		}
+	})
+	var ops []string
+	for _, e := range rec.Events() {
+		ops = append(ops, e.Op)
+	}
+	want := []string{trace.OpPut, trace.OpPutStride, trace.OpGet, trace.OpGetStride}
+	if strings.Join(ops, " ") != strings.Join(want, " ") {
+		t.Fatalf("charges traced %v, want %v", ops, want)
+	}
 }
 
 // A remote packed descriptor travels the pack transport under the
@@ -136,13 +257,13 @@ func TestDescPackedClassificationAndCost(t *testing.T) {
 		if p.Rank() == 0 {
 			d := StridedDesc(0, elems, 3)
 			d.Packed = true
-			Must(p.Put(win, 1, d, seq(elems, 1000)))
+			Must(p.Put(win, 1, d, laidOut(d, seq(elems, 1000))))
 			g := StridedDesc(1, 40, 2)
 			g.Packed = true
-			Must(p.Get(win, 1, g, make([]float64, 40)))
+			Must(p.Get(win, 1, g, make([]float64, 80)))
 			l := StridedDesc(0, 20, 2)
 			l.Packed = true
-			Must(p.Put(win, 0, l, seq(20, 2000)))
+			Must(p.Put(win, 0, l, laidOut(l, seq(20, 2000))))
 		}
 		Must(p.Fence(win))
 		if p.Rank() == 1 {
@@ -212,7 +333,7 @@ func TestDescPackedPayloadEquivalence(t *testing.T) {
 			if p.Rank() == 0 {
 				d := StridedDesc(2, elems, 4)
 				d.Packed = packed
-				Must(p.Put(win, 1, d, seq(elems, 7)))
+				Must(p.Put(win, 1, d, laidOut(d, seq(elems, 7))))
 			}
 			Must(p.Fence(win))
 			if p.Rank() == 1 {
@@ -254,11 +375,11 @@ func TestChargeDoesNotAllocate(t *testing.T) {
 		big.Region = "A"
 		packed := StridedDesc(0, 64, 3)
 		packed.Packed = true
-		Must(p.Charge(1, big)) // registers the region on rdma
+		Must(p.Charge(1, big, false)) // registers the region on rdma
 		for name, d := range map[string]AccessDesc{
 			"contig": big, "small": ContigDesc(0, 8), "strided": StridedDesc(0, 64, 3), "packed": packed,
 		} {
-			if n := testing.AllocsPerRun(100, func() { Must(p.Charge(1, d)) }); n != 0 {
+			if n := testing.AllocsPerRun(100, func() { Must(p.Charge(1, d, false)) }); n != 0 {
 				t.Errorf("%s %s: Charge allocates %v times per call", fabric, name, n)
 			}
 		}
@@ -283,11 +404,12 @@ func TestAccessThroughNilRegion(t *testing.T) {
 			return
 		}
 		before := p.Wtime()
-		data := seq(4, 1)
+		data := seq(8, 1)
 		for verb, err := range map[string]error{
 			"Put":        p.Put(win, 1, ContigDesc(0, 4), data),
 			"Get":        p.Get(win, 1, StridedDesc(0, 4, 2), data),
 			"Accumulate": p.Accumulate(win, 1, ContigDesc(0, 4), data),
+			"CopySpans":  p.CopySpans(win, 1, []lmad.Span{{Lo: 0, Hi: 4}}, data, false),
 		} {
 			me, ok := err.(*Error)
 			if !ok {
@@ -304,7 +426,7 @@ func TestAccessThroughNilRegion(t *testing.T) {
 		if now := p.Wtime(); now != before {
 			t.Errorf("failed accesses charged the clock: %v -> %v", before, now)
 		}
-		if err := p.Charge(1, ContigDesc(0, 4)); err != nil {
+		if err := p.Charge(1, ContigDesc(0, 4), false); err != nil {
 			t.Errorf("Charge to a rank with a nil region: %v", err)
 		}
 		// The rank's own region is real and still works.

@@ -125,19 +125,27 @@ const (
 	Collect
 )
 
-// planMemo holds a region's per-rank transfer lists, indexed
-// [dir*Procs + rank]. The table is made by the first RankPlans call on
-// the region — a run's, never the compiler's — so compiling pays
-// nothing for it; each entry is computed once by whoever asks first
-// and is immutable afterwards.
+// planMemo holds a region's per-rank transfer lists, and their covers,
+// indexed [dir*Procs + rank]. Each table is made by the first call that
+// needs it — a run's, never the compiler's, and for covers a Full run's
+// — so compiling pays nothing for either; each entry is computed once
+// by whoever asks first and is immutable afterwards.
 type planMemo struct {
 	once  sync.Once
 	table []rankPlans
+
+	coverOnce sync.Once
+	covers    []rankCovers
 }
 
 type rankPlans struct {
 	once  sync.Once
 	plans []SymPlan
+}
+
+type rankCovers struct {
+	once   sync.Once
+	covers [][]lmad.Span
 }
 
 // RankPlans returns everything rank transfers in one direction of a
@@ -153,6 +161,26 @@ func RankPlans(par *ParInfo, dir Direction, rank int) []SymPlan {
 	e := &m.table[int(dir)*par.Procs+rank]
 	e.once.Do(func() { e.plans = planRank(par, dir, rank) })
 	return e.plans
+}
+
+// RankCovers returns the cover (lmad.Cover) of each entry of
+// RankPlans(par, dir, rank), index for index: the elements a Full-mode
+// run copies once each after charging every transfer. It is memoised
+// beside the plans and, like them, shared and immutable; only a run
+// that moves data asks for it, so Timing runs and the compiler never
+// build it.
+func RankCovers(par *ParInfo, dir Direction, rank int) [][]lmad.Span {
+	m := &par.plans
+	m.coverOnce.Do(func() { m.covers = make([]rankCovers, 2*par.Procs) })
+	e := &m.covers[int(dir)*par.Procs+rank]
+	e.once.Do(func() {
+		plans := RankPlans(par, dir, rank)
+		e.covers = make([][]lmad.Span, len(plans))
+		for i, pl := range plans {
+			e.covers[i] = lmad.Cover(pl.Plan)
+		}
+	})
+	return e.covers
 }
 
 // eachRankRun walks everything rank transfers in one direction of a

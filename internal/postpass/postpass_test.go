@@ -1,6 +1,7 @@
 package postpass
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -253,6 +254,35 @@ func TestRankPlansCoverRegion(t *testing.T) {
 		for _, off := range op.Acc.L.Enumerate(1 << 20) {
 			if !covered[off] {
 				t.Fatalf("op %s %s: element %d uncovered", op.Sym.Name, op.Acc.L, off)
+			}
+		}
+	}
+}
+
+// A region's covers are built only when first asked for — planning
+// alone (a Timing run, the estimator) never makes their table — and
+// then hold, entry for entry, the cover of each rank's plans.
+func TestRankCoversOnDemand(t *testing.T) {
+	p := translate(t, mmSrc, Options{NumProcs: 4, Grain: lmad.Middle, LiveOutAll: true})
+	par := p.Regions[1].Par
+	for _, dir := range []Direction{Scatter, Collect} {
+		for r := 0; r < 4; r++ {
+			RankPlans(par, dir, r)
+		}
+	}
+	if par.plans.covers != nil {
+		t.Fatal("planning made the cover table")
+	}
+	for _, dir := range []Direction{Scatter, Collect} {
+		for r := 0; r < 4; r++ {
+			plans, covers := RankPlans(par, dir, r), RankCovers(par, dir, r)
+			if len(covers) != len(plans) {
+				t.Fatalf("dir %d rank %d: %d covers for %d plan entries", dir, r, len(covers), len(plans))
+			}
+			for i, pl := range plans {
+				if want := lmad.Cover(pl.Plan); !reflect.DeepEqual(covers[i], want) {
+					t.Fatalf("dir %d rank %d entry %d: cover %v, want %v", dir, r, i, covers[i], want)
+				}
 			}
 		}
 	}
