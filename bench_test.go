@@ -19,6 +19,7 @@ package vbuscluster
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -356,7 +357,8 @@ func BenchmarkCompile24(b *testing.B) {
 //
 //	go test -run '^$' -bench 'RunFull/mm_full' -cpuprofile cpu.out .
 //
-// The swim512 rows take seconds an op; run them with -benchtime 1x.
+// gc/op is the garbage collections the ops caused, per op. The swim512
+// rows take seconds an op; run them with -benchtime 1x.
 func BenchmarkRunFull(b *testing.B) {
 	for _, w := range []struct {
 		name  string
@@ -375,12 +377,17 @@ func BenchmarkRunFull(b *testing.B) {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := c.RunParallelWith(core.Full, core.RunParams{}); err != nil {
 					b.Fatal(err)
 				}
 			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			b.ReportMetric(float64(after.NumGC-before.NumGC)/float64(b.N), "gc/op")
 		})
 	}
 }

@@ -134,8 +134,10 @@ func (e *Env) checkCancelled() {
 }
 
 // newEnv allocates the environment for one rank, on node, executing
-// the main unit of lw.
-func newEnv(lw *Lowered, cl *cluster.Cluster, rank, node int, mode Mode, out io.Writer) (*Env, error) {
+// the main unit of lw. In Full mode its arrays are carved from block,
+// which must hold lw.frameSize zeroed cells (Lowered.frame); a nil
+// block is allocated here. Timing mode ignores it.
+func newEnv(lw *Lowered, cl *cluster.Cluster, rank, node int, mode Mode, out io.Writer, block []float64) (*Env, error) {
 	env := &Env{
 		lw:   lw,
 		mem:  make([][]float64, len(lw.syms)),
@@ -146,7 +148,7 @@ func newEnv(lw *Lowered, cl *cluster.Cluster, rank, node int, mode Mode, out io.
 		mode: mode,
 		out:  out,
 	}
-	if err := env.allocMain(); err != nil {
+	if err := env.allocMain(block); err != nil {
 		return nil, err
 	}
 	return env, nil
@@ -159,8 +161,11 @@ const linePad = 8
 // its array bounds must be compile-time constants (the front end
 // inlined subroutines into the main unit; adjustable arrays remain only
 // in units executed via CALL, which allocate at call time).
-func (env *Env) allocMain() error {
+func (env *Env) allocMain(block []float64) error {
 	u := env.lw.main
+	if block == nil && env.mode == Full {
+		block = make([]float64, env.lw.frameSize)
+	}
 	// The ranks of a run allocate their scalar blocks back to back, and
 	// blocks of a few words would share cache lines. Every rank stores
 	// its loop variables on each iteration, so two ranks computing on
@@ -192,9 +197,11 @@ func (env *Env) allocMain() error {
 		// bulk-charged loops and charge-only transfers never read one,
 		// so a timing run allocates — and zero-fills — only what its
 		// sequential sections and executed loops really use, on the
-		// master as on the slaves.
-		if lay := env.lw.layouts[slot]; lay != nil && lay.Size > 0 && env.mode != Timing {
-			env.mem[slot] = make([]float64, lay.Size)
+		// master as on the slaves. Full mode cuts each array from the
+		// block with its capacity at its end, so tape proofs and bounds
+		// checks stop at the array's edge, not the block's.
+		if n := env.lw.framed(slot); n > 0 && env.mode != Timing {
+			env.mem[slot], block = block[:n:n], block[n:]
 		}
 	}
 	return nil

@@ -1,5 +1,7 @@
 package interp
 
+import "vbuscluster/internal/cluster"
+
 // LoopForm is what a DO loop has built of its executable forms.
 type LoopForm struct {
 	Line int
@@ -39,4 +41,22 @@ func InnermostForms(lw *Lowered) []LoopForm {
 		}
 	}
 	return out
+}
+
+// FrameSize is the length of lw's Full-mode array blocks.
+func FrameSize(lw *Lowered) int { return int(lw.frameSize) }
+
+// RecycleFrame puts block into lw's pool of slave array blocks, as a
+// successful run does with its slaves'.
+func RecycleFrame(lw *Lowered, block *[]float64) { lw.frames.Put(block) }
+
+// SlaveArrays builds rank 1's Full-mode Env over lw on cl the way a
+// parallel run does, its arrays carved from Lowered.frame, and returns
+// its main unit's storage by name.
+func SlaveArrays(lw *Lowered, cl *cluster.Cluster) (map[string][]float64, error) {
+	env, err := newEnv(lw, cl, 1, 1, Full, nil, *lw.frame())
+	if err != nil {
+		return nil, err
+	}
+	return finalMem(env), nil
 }

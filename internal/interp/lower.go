@@ -40,6 +40,11 @@ type Lowered struct {
 	// hasStop notes a STOP anywhere in the main unit: such programs
 	// share the master's halt decision after each sequential section.
 	hasStop bool
+	// frameSize is the cells of the main unit's framed arrays (see
+	// framed): a Full-mode Env carves them from one block of this
+	// size. frames recycles the slaves' blocks across runs.
+	frameSize int64
+	frames    sync.Pool
 
 	// mu guards the chunk nodes, blocks and statement lists are carved
 	// from (see node).
@@ -121,6 +126,9 @@ func Lower(prog *f77.Program) *Lowered {
 			}
 		}
 		lw.main.body = lw.block(src.Body, loops)
+		for slot := lw.main.lo; slot < lw.main.hi; slot++ {
+			lw.frameSize += lw.framed(slot)
+		}
 		f77.WalkStmts(src.Body, func(s f77.Stmt) bool {
 			if _, ok := s.(*f77.StopStmt); ok {
 				lw.hasStop = true
@@ -129,6 +137,31 @@ func Lower(prog *f77.Program) *Lowered {
 		})
 	}
 	return lw
+}
+
+// framed returns the cells a main-unit slot takes from its Env's
+// frame block: its layout size for a constant-layout array that is
+// neither a dummy nor in COMMON, 0 for any other symbol.
+func (lw *Lowered) framed(slot int) int64 {
+	sym, lay := lw.syms[slot], lw.layouts[slot]
+	if sym.IsConst || sym.IsArg || sym.Common != "" || lay == nil {
+		return 0
+	}
+	return lay.Size
+}
+
+// frame returns a zeroed block of frameSize cells for a Full-mode
+// slave's arrays: a recycled one when the pool holds one of that size,
+// a new one otherwise. Only a successful attempt hands its slaves'
+// blocks back (supervisor.attempt); the master's never goes back,
+// because Result.Mem aliases it.
+func (lw *Lowered) frame() *[]float64 {
+	if f, _ := lw.frames.Get().(*[]float64); f != nil && int64(len(*f)) == lw.frameSize {
+		clear(*f)
+		return f
+	}
+	f := make([]float64, lw.frameSize)
+	return &f
 }
 
 // code returns a CALLed unit's body, lowering it on the first call.

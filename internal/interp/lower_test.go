@@ -958,7 +958,7 @@ func TestLazyArraysAllocateOnFirstTouch(t *testing.T) {
       END
 `)
 	lw := Lower(prog)
-	env, err := newEnv(lw, newCluster(t, 2), 1, 1, Timing, nil)
+	env, err := newEnv(lw, newCluster(t, 2), 1, 1, Timing, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1055,7 +1055,7 @@ func TestScalarBlocksKeepTheirCacheLines(t *testing.T) {
 	lines := map[uintptr]int{}
 	var envs []*Env // all alive at once, as in a run
 	for rank := 0; rank < 8; rank++ {
-		env, err := newEnv(lw, cl, rank, rank, Full, nil)
+		env, err := newEnv(lw, cl, rank, rank, Full, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

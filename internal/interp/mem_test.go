@@ -1,6 +1,7 @@
 package interp_test
 
 import (
+	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -111,5 +112,97 @@ func TestResultMemIsNotCopied(t *testing.T) {
 	}
 	if allocs > 4000 {
 		t.Errorf("a timing run made %.0f allocations, want <= 4000", allocs)
+	}
+}
+
+// A Full-mode slave carves its arrays from a block the pool may hand
+// back dirty: whatever a recycled block held, every cell must read as
+// +0 (bit pattern 0, so −0 and NaN count), every array must end at its
+// own edge (len == cap), and a block of the wrong size must not be
+// used. Each round recycles a NaN/−0 block of the right size and a
+// shorter one, then builds two slaves: the pool hands back one block
+// each (or none), and the right-sized one must be reused at least once.
+func TestRecycledFrameIsZero(t *testing.T) {
+	pp := translate(t, bench.SwimSource(16, 16), 2)
+	lw := interp.Lower(pp.Source)
+	cl, err := cluster.New(2, cluster.DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := interp.FrameSize(lw)
+	dirty := func(n int) *[]float64 {
+		b := make([]float64, n)
+		for i := range b {
+			b[i] = math.NaN()
+			if i%2 == 1 {
+				b[i] = math.Copysign(0, -1)
+			}
+		}
+		return &b
+	}
+	reused := 0
+	for round := 0; round < 16; round++ {
+		block := dirty(n)
+		interp.RecycleFrame(lw, block)
+		interp.RecycleFrame(lw, dirty(n-1))
+		for slave := 0; slave < 2; slave++ {
+			arrays, err := interp.SlaveArrays(lw, cl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(arrays["U"]) == 0 {
+				t.Fatal("the slave has no array U")
+			}
+			for name, buf := range arrays {
+				if len(buf) != cap(buf) {
+					t.Fatalf("%s: len %d, cap %d", name, len(buf), cap(buf))
+				}
+				for i, v := range buf {
+					if math.Float64bits(v) != 0 {
+						t.Fatalf("round %d: %s[%d] = %v (bits %#x), want +0", round, name, i, v, math.Float64bits(v))
+					}
+				}
+				if len(buf) > 1 && &buf[0] == &(*block)[0] {
+					reused++
+				}
+			}
+		}
+	}
+	if reused == 0 {
+		t.Fatal("the pool never handed back a recycled block")
+	}
+}
+
+// After a first run, the slaves of a Full-mode run take their arrays
+// from blocks the previous run handed back, so a run allocates one
+// frame (the master's, which Result.Mem keeps) and not one per rank.
+// The bound is three frames a run: the race detector's sync.Pool drops
+// a quarter of what is put back, about 1.75 frames a run on average,
+// and four means no block was reused.
+func TestFullRunRecyclesSlaveFrames(t *testing.T) {
+	pp := translate(t, bench.SwimSource(96, 96), 4)
+	lw := interp.Lower(pp.Source)
+	run := func() {
+		cl, err := cluster.New(4, cluster.DefaultParams())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := lw.RunParallel(pp, cl, interp.Full, interp.RunConfig{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	const runs = 12
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	frame := uint64(interp.FrameSize(lw)) * 8
+	perRun := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("%d bytes a run, frame %d bytes", perRun, frame)
+	if perRun >= 3*frame {
+		t.Errorf("a Full run allocated %d bytes, %.1f frames of %d; want < 3", perRun, float64(perRun)/float64(frame), frame)
 	}
 }

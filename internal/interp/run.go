@@ -141,7 +141,7 @@ func (lw *Lowered) RunSequential(cl *cluster.Cluster, mode Mode) (*Result, error
 		return nil, fmt.Errorf("interp: program has no main unit")
 	}
 	var out bytes.Buffer
-	env, err := newEnv(lw, cl, 0, 0, mode, &out)
+	env, err := newEnv(lw, cl, 0, 0, mode, &out, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -260,7 +260,8 @@ func (lw *Lowered) RunParallel(pp *postpass.Program, cl *cluster.Cluster, mode M
 // full world and, after each survived crash, one on the shrunken world
 // with the program retranslated for the survivors. Between attempts
 // only the supervisor touches it; during one the rank goroutines read
-// the attempt fields and only rank 0 writes, when it commits.
+// the attempt fields, each Full-mode slave sets its own frames entry,
+// and only rank 0 writes the rest, when it commits.
 type supervisor struct {
 	lw   *Lowered
 	mode Mode
@@ -276,6 +277,10 @@ type supervisor struct {
 	last                    *ckpt.Snapshot
 	lastLen                 int
 	checkpoints, recoveries int
+	// frames holds, in Full mode, each slave's array block of the
+	// current attempt (Lowered.frame), indexed by rank; the master's
+	// entry stays nil, because Result.Mem hands out its arrays.
+	frames []*[]float64
 }
 
 // attempt runs the current translation once on world, every rank from
@@ -290,6 +295,9 @@ func (s *supervisor) attempt(world *mpi.World) (*Result, error) {
 	P := world.Size()
 	envs := make([]*Env, P)
 	errs := make([]error, P)
+	if s.mode == Full {
+		s.frames = make([]*[]float64, P)
+	}
 	var wg sync.WaitGroup
 	wg.Add(P)
 	for r := 0; r < P; r++ {
@@ -306,7 +314,13 @@ func (s *supervisor) attempt(world *mpi.World) (*Result, error) {
 	}
 	wg.Wait()
 	if err := rootError(errs); err != nil {
-		return nil, err
+		return nil, err // its slaves' blocks stay out of the pool
+	}
+	// Every rank is done with its block; the next run clears it.
+	for _, f := range s.frames {
+		if f != nil {
+			s.lw.frames.Put(f)
+		}
 	}
 	rep := world.Cluster().Snapshot()
 	return &Result{
@@ -401,10 +415,15 @@ func (r *rankRun) createWindows() {
 func (s *supervisor) runRank(p *mpi.Proc) (env *Env, err error) {
 	defer recoverRun(&err)
 	sink := &s.out
+	var block []float64
 	if p.Rank() != 0 {
 		sink = &bytes.Buffer{} // slaves' prints are discarded
+		if s.mode == Full {
+			s.frames[p.Rank()] = s.lw.frame()
+			block = *s.frames[p.Rank()]
+		}
 	}
-	if env, err = newEnv(s.lw, p.World().Cluster(), p.Rank(), p.Node(), s.mode, sink); err != nil {
+	if env, err = newEnv(s.lw, p.World().Cluster(), p.Rank(), p.Node(), s.mode, sink, block); err != nil {
 		return nil, err
 	}
 	env.world = p.World()
