@@ -40,9 +40,9 @@ type Lowered struct {
 	// hasStop notes a STOP anywhere in the main unit: such programs
 	// share the master's halt decision after each sequential section.
 	hasStop bool
-	// frameSize is the cells of the main unit's framed arrays (see
-	// framed): a Full-mode Env carves them from one block of this
-	// size. frames recycles the slaves' blocks across runs.
+	// frameSize counts the cells of the main unit's framed arrays:
+	// a Full-mode Env carves them from one block of that size. frames
+	// recycles the slaves' blocks across runs.
 	frameSize int64
 	frames    sync.Pool
 
