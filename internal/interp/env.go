@@ -135,8 +135,8 @@ func (e *Env) checkCancelled() {
 
 // newEnv allocates the environment for one rank, on node, executing
 // the main unit of lw. In Full mode its arrays are carved from block,
-// which must hold lw.frameSize zeroed cells (Lowered.frame); a nil
-// block is allocated here. Timing mode ignores it.
+// which must hold lw.frameSize zeroed cells (Lowered.frame); Timing
+// mode passes nil.
 func newEnv(lw *Lowered, cl *cluster.Cluster, rank, node int, mode Mode, out io.Writer, block []float64) (*Env, error) {
 	env := &Env{
 		lw:   lw,
@@ -163,9 +163,6 @@ const linePad = 8
 // in units executed via CALL, which allocate at call time).
 func (env *Env) allocMain(block []float64) error {
 	u := env.lw.main
-	if block == nil && env.mode == Full {
-		block = make([]float64, env.lw.frameSize)
-	}
 	// The ranks of a run allocate their scalar blocks back to back, and
 	// blocks of a few words would share cache lines. Every rank stores
 	// its loop variables on each iteration, so two ranks computing on

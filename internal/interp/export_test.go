@@ -50,11 +50,18 @@ func FrameSize(lw *Lowered) int { return int(lw.frameSize) }
 // successful run does with its slaves'.
 func RecycleFrame(lw *Lowered, block *[]float64) { lw.frames.Put(block) }
 
+// TakeFrame takes a block from lw's pool of slave array blocks, or
+// returns nil if the pool hands back none.
+func TakeFrame(lw *Lowered) *[]float64 {
+	f, _ := lw.frames.Get().(*[]float64)
+	return f
+}
+
 // SlaveArrays builds rank 1's Full-mode Env over lw on cl the way a
 // parallel run does, its arrays carved from Lowered.frame, and returns
 // its main unit's storage by name.
 func SlaveArrays(lw *Lowered, cl *cluster.Cluster) (map[string][]float64, error) {
-	env, err := newEnv(lw, cl, 1, 1, Full, nil, *lw.frame())
+	env, err := newEnv(lw, cl, 1, 1, Full, nil, *lw.frame(true))
 	if err != nil {
 		return nil, err
 	}

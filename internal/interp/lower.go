@@ -150,15 +150,19 @@ func (lw *Lowered) framed(slot int) int64 {
 	return lay.Size
 }
 
-// frame returns a zeroed block of frameSize cells for a Full-mode
-// slave's arrays: a recycled one when the pool holds one of that size,
-// a new one otherwise. Only a successful attempt hands its slaves'
-// blocks back (supervisor.attempt); the master's never goes back,
-// because Result.Mem aliases it.
-func (lw *Lowered) frame() *[]float64 {
-	if f, _ := lw.frames.Get().(*[]float64); f != nil && int64(len(*f)) == lw.frameSize {
-		clear(*f)
-		return f
+// frame returns a zeroed block of frameSize cells, from which a
+// Full-mode Env carves its arrays. A pooled block, for a slave of a
+// parallel run, is a recycled one when the pool holds one of that
+// size, cleared, and a new one otherwise; only a successful attempt
+// hands its slaves' blocks back (supervisor.attempt). The master and a
+// sequential run take a new block every time, because Result.Mem hands
+// out their arrays.
+func (lw *Lowered) frame(pooled bool) *[]float64 {
+	if pooled {
+		if f, _ := lw.frames.Get().(*[]float64); f != nil && int64(len(*f)) == lw.frameSize {
+			clear(*f)
+			return f
+		}
 	}
 	f := make([]float64, lw.frameSize)
 	return &f

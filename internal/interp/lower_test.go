@@ -1055,7 +1055,7 @@ func TestScalarBlocksKeepTheirCacheLines(t *testing.T) {
 	lines := map[uintptr]int{}
 	var envs []*Env // all alive at once, as in a run
 	for rank := 0; rank < 8; rank++ {
-		env, err := newEnv(lw, cl, rank, rank, Full, nil, nil)
+		env, err := newEnv(lw, cl, rank, rank, Full, nil, *lw.frame(false))
 		if err != nil {
 			t.Fatal(err)
 		}

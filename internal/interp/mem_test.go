@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"vbuscluster/internal/analysis"
 	"vbuscluster/internal/bench"
@@ -173,36 +174,60 @@ func TestRecycledFrameIsZero(t *testing.T) {
 	}
 }
 
-// After a first run, the slaves of a Full-mode run take their arrays
-// from blocks the previous run handed back, so a run allocates one
-// frame (the master's, which Result.Mem keeps) and not one per rank.
-// The bound is three frames a run: the race detector's sync.Pool drops
-// a quarter of what is put back, about 1.75 frames a run on average,
-// and four means no block was reused.
+// A successful Full-mode run hands its slaves' blocks back to the pool,
+// never the master's, and the next run takes them again. Each try runs
+// the program, takes one block from the pool, checks that no array of
+// the run's Result.Mem lies in it, fills it with NaN and puts it back:
+// the next run must clear all of it. sync.Pool promises nothing (under
+// the race detector it drops a quarter of what is put back, and a
+// block parked on another P is out of a slave's reach), so the whole
+// cycle must show in one try of 32.
 func TestFullRunRecyclesSlaveFrames(t *testing.T) {
-	pp := translate(t, bench.SwimSource(96, 96), 4)
+	pp := translate(t, bench.SwimSource(32, 32), 4)
 	lw := interp.Lower(pp.Source)
-	run := func() {
+	run := func() *interp.Result {
 		cl, err := cluster.New(4, cluster.DefaultParams())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := lw.RunParallel(pp, cl, interp.Full, interp.RunConfig{}); err != nil {
+		res, err := lw.RunParallel(pp, cl, interp.Full, interp.RunConfig{})
+		if err != nil {
 			t.Fatal(err)
 		}
+		return res
 	}
-	run()
-	const runs = 12
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
+	for try := 0; try < 32; try++ {
+		res := run()
+		f := interp.TakeFrame(lw)
+		if f == nil {
+			continue
+		}
+		block := *f
+		lo := uintptr(unsafe.Pointer(&block[0]))
+		hi := lo + uintptr(len(block))*8
+		for name, buf := range res.Mem {
+			if p := uintptr(unsafe.Pointer(unsafe.SliceData(buf))); len(buf) > 0 && p >= lo && p < hi {
+				t.Fatalf("the master's %s went back to the pool", name)
+			}
+		}
+		for i := range block {
+			block[i] = math.NaN()
+		}
+		interp.RecycleFrame(lw, f)
 		run()
+		cleared := 0
+		for _, v := range block {
+			if !math.IsNaN(v) {
+				cleared++
+			}
+		}
+		switch cleared {
+		case len(block):
+			return
+		case 0: // no slave took it this time
+		default:
+			t.Fatalf("a run cleared %d of the recycled block's %d cells", cleared, len(block))
+		}
 	}
-	runtime.ReadMemStats(&after)
-	frame := uint64(interp.FrameSize(lw)) * 8
-	perRun := (after.TotalAlloc - before.TotalAlloc) / runs
-	t.Logf("%d bytes a run, frame %d bytes", perRun, frame)
-	if perRun >= 3*frame {
-		t.Errorf("a Full run allocated %d bytes, %.1f frames of %d; want < 3", perRun, float64(perRun)/float64(frame), frame)
-	}
+	t.Fatal("in 32 tries no run took back a block that a run had handed back")
 }

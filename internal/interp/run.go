@@ -141,7 +141,11 @@ func (lw *Lowered) RunSequential(cl *cluster.Cluster, mode Mode) (*Result, error
 		return nil, fmt.Errorf("interp: program has no main unit")
 	}
 	var out bytes.Buffer
-	env, err := newEnv(lw, cl, 0, 0, mode, &out, nil)
+	var block []float64
+	if mode == Full {
+		block = *lw.frame(false)
+	}
+	env, err := newEnv(lw, cl, 0, 0, mode, &out, block)
 	if err != nil {
 		return nil, err
 	}
@@ -260,7 +264,7 @@ func (lw *Lowered) RunParallel(pp *postpass.Program, cl *cluster.Cluster, mode M
 // full world and, after each survived crash, one on the shrunken world
 // with the program retranslated for the survivors. Between attempts
 // only the supervisor touches it; during one the rank goroutines read
-// the attempt fields, each Full-mode slave sets its own frames entry,
+// the attempt fields, each Full-mode rank sets its own frames entry,
 // and only rank 0 writes the rest, when it commits.
 type supervisor struct {
 	lw   *Lowered
@@ -277,9 +281,9 @@ type supervisor struct {
 	last                    *ckpt.Snapshot
 	lastLen                 int
 	checkpoints, recoveries int
-	// frames holds, in Full mode, each slave's array block of the
-	// current attempt (Lowered.frame), indexed by rank; the master's
-	// entry stays nil, because Result.Mem hands out its arrays.
+	// frames holds, in Full mode, each rank's array block of the
+	// current attempt (Lowered.frame), indexed by rank; only the
+	// slaves' (frames[1:]) go back to the pool.
 	frames []*[]float64
 }
 
@@ -316,9 +320,11 @@ func (s *supervisor) attempt(world *mpi.World) (*Result, error) {
 	if err := rootError(errs); err != nil {
 		return nil, err // its slaves' blocks stay out of the pool
 	}
-	// Every rank is done with its block; the next run clears it.
-	for _, f := range s.frames {
-		if f != nil {
+	// Every rank is done with its block; the next run clears the
+	// slaves'. The master's stays out, because Result.Mem hands out its
+	// arrays.
+	if s.mode == Full {
+		for _, f := range s.frames[1:] {
 			s.lw.frames.Put(f)
 		}
 	}
@@ -415,13 +421,13 @@ func (r *rankRun) createWindows() {
 func (s *supervisor) runRank(p *mpi.Proc) (env *Env, err error) {
 	defer recoverRun(&err)
 	sink := &s.out
-	var block []float64
 	if p.Rank() != 0 {
 		sink = &bytes.Buffer{} // slaves' prints are discarded
-		if s.mode == Full {
-			s.frames[p.Rank()] = s.lw.frame()
-			block = *s.frames[p.Rank()]
-		}
+	}
+	var block []float64
+	if s.mode == Full {
+		s.frames[p.Rank()] = s.lw.frame(p.Rank() != 0)
+		block = *s.frames[p.Rank()]
 	}
 	if env, err = newEnv(s.lw, p.World().Cluster(), p.Rank(), p.Node(), s.mode, sink, block); err != nil {
 		return nil, err
