@@ -11,15 +11,26 @@
 // workload measures: BenchmarkCompile24 (its 24 configs), and the three
 // passes that dominated it — BenchmarkDetectParallel,
 // BenchmarkEstimateCommCost, BenchmarkRaceCheck — and one op of its
-// Full-mode workloads, BenchmarkRunFull (mm_full and swim_full).
+// Full-mode workloads, BenchmarkRunFull (mm_full and swim_full). The
+// same swim_full run as a vbserve job stream, BenchmarkServeFull, and
+// on a fresh compilation every time, BenchmarkOneShotFull, bracket how
+// much recycling a plan's slave frames saves.
 //
 // Virtual-time results are attached as custom metrics (speedup,
 // comm-seconds, ratios); wall-clock ns/op only measures the simulator.
 package vbuscluster
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"runtime"
+	"sort"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -29,6 +40,7 @@ import (
 	"vbuscluster/internal/core"
 	"vbuscluster/internal/f77"
 	"vbuscluster/internal/fabric"
+	"vbuscluster/internal/jobs"
 	"vbuscluster/internal/lmad"
 	"vbuscluster/internal/nic"
 	"vbuscluster/internal/postpass"
@@ -390,6 +402,91 @@ func BenchmarkRunFull(b *testing.B) {
 			b.ReportMetric(float64(after.NumGC-before.NumGC)/float64(b.N), "gc/op")
 		})
 	}
+}
+
+// BenchmarkServeFull streams swim_full's program (SWIM 192², 4 ranks,
+// fine) as Full-mode jobs through an in-process vbserve: two
+// closed-loop clients POST /v1/jobs?wait=1 to a server with two
+// clusters, and after a warm-up job every job is a plan-cache hit, so
+// successive runs of one compiled plan recycle its slaves' frames
+// (DESIGN §23). ns/op is wall time per job over both clients; job-ms
+// is the median job latency.
+func BenchmarkServeFull(b *testing.B) {
+	srv := jobs.New(jobs.Config{Clusters: 2})
+	defer srv.Drain(context.Background())
+	handler := srv.Handler()
+	body, err := json.Marshal(jobs.Spec{Source: bench.SwimSource(192, 192), Procs: 4, Grain: "fine", Mode: "full"})
+	if err != nil {
+		b.Fatal(err)
+	}
+	submit := func() (time.Duration, error) {
+		req := httptest.NewRequest(http.MethodPost, "/v1/jobs?wait=1", bytes.NewReader(body))
+		rec := httptest.NewRecorder()
+		t0 := time.Now()
+		handler.ServeHTTP(rec, req)
+		d := time.Since(t0)
+		var v jobs.View
+		if err := json.Unmarshal(rec.Body.Bytes(), &v); err != nil || v.State != jobs.StateDone {
+			return d, fmt.Errorf("job: HTTP %d: %s", rec.Code, rec.Body.String())
+		}
+		return d, nil
+	}
+	if _, err := submit(); err != nil {
+		b.Fatal(err)
+	}
+	lat := make([]time.Duration, b.N)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for client := 0; client < 2; client++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := next.Add(1) - 1; k < int64(b.N); k = next.Add(1) - 1 {
+				d, err := submit()
+				if err != nil {
+					b.Error(err)
+					return
+				}
+				lat[k] = d
+			}
+		}()
+	}
+	wg.Wait()
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
+	b.ReportMetric(float64(lat[b.N/2])/1e6, "job-ms")
+	b.ReportMetric(float64(after.NumGC-before.NumGC)/float64(b.N), "gc/op")
+}
+
+// BenchmarkOneShotFull is swim_full's run on a plan compiled just
+// before it (outside the timer), as in a new vbrun process or on a
+// plan-cache miss: no run of the plan came before, so no slave frame
+// is recycled.
+func BenchmarkOneShotFull(b *testing.B) {
+	src := bench.SwimSource(192, 192)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		c, err := core.Compile(src, core.Options{NumProcs: 4, Grain: lmad.Fine})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if _, err := c.RunParallelWith(core.Full, core.RunParams{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(after.NumGC-before.NumGC)/float64(b.N), "gc/op")
 }
 
 // analyzed parses src and runs the front end, as core.Compile does
