@@ -321,12 +321,13 @@ func (c *Cluster) AdvanceTo(rank int, t sim.Time) {
 
 // Release ends a synchronizing operation over nodes in one critical
 // section: every listed clock is lifted to at least t (never rewound)
-// and d of communication is booked on every listed node, as BookComm
-// would. Collectives release their whole membership through it; nodes
-// outside the list — dead or excluded ranks of a shrunken communicator
-// — keep their last clock reading.
-func (c *Cluster) Release(nodes []int, t, d sim.Time) {
-	if d < 0 {
+// and d of communication in ops operations is booked on every listed
+// node, as ops BookComm calls summing to d would. Collectives release
+// their whole membership through it; nodes outside the list — dead or
+// excluded ranks of a shrunken communicator — keep their last clock
+// reading.
+func (c *Cluster) Release(nodes []int, t, d sim.Time, ops int64) {
+	if d < 0 || ops < 0 {
 		panic("cluster: negative comm booking")
 	}
 	c.mu.Lock()
@@ -337,7 +338,7 @@ func (c *Cluster) Release(nodes []int, t, d sim.Time) {
 			c.clocks[r] = t
 		}
 		c.commTime[r] += d
-		c.commOps[r]++
+		c.commOps[r] += ops
 	}
 }
 

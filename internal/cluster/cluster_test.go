@@ -104,12 +104,13 @@ func TestReleaseAndMaxClock(t *testing.T) {
 	if c.MaxClock() != 20*sim.Microsecond {
 		t.Fatal("MaxClock wrong")
 	}
-	c.Release([]int{0, 1}, 15*sim.Microsecond, 2*sim.Microsecond)
+	c.Release([]int{0, 1}, 15*sim.Microsecond, 2*sim.Microsecond, 1)
 	if c.Clock(0) != 15*sim.Microsecond || c.Clock(1) != 20*sim.Microsecond || c.Clock(2) != 0 {
 		t.Fatal("Release must lift its members but never rewind, and leave the others")
 	}
+	c.Release([]int{1}, 25*sim.Microsecond, 6*sim.Microsecond, 3)
 	r := c.Snapshot()
-	for node, ops := range []int64{1, 1, 0} {
+	for node, ops := range []int64{1, 4, 0} {
 		if want := sim.Time(ops) * 2 * sim.Microsecond; r.CommTime[node] != want || r.CommOps[node] != ops {
 			t.Fatalf("node %d booked %v in %d ops, want %v in %d", node, r.CommTime[node], r.CommOps[node], want, ops)
 		}

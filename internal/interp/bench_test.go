@@ -53,10 +53,10 @@ func BenchmarkInterpFull(b *testing.B) {
 
 // BenchmarkRunTiming1024 is one Timing-mode run of SWIM 1024² on 1024
 // ranks at coarse grain on a fresh cluster — the benchmark's swim_scale
-// op: what 1024 rank goroutines, 27 collectives each (10 window
-// creations and 17 region barriers) and ~57 000 charged
-// transfers cost the host once the plan is lowered and its rank plans
-// are memoised.
+// op: what 1024 rank goroutines, 27 barriers booked each in 18
+// rendezvous (window creation's ten barriers in one, then 17 region
+// barriers) and ~57 000 charged transfers cost the host once the plan
+// is lowered and its rank plans are memoised.
 func BenchmarkRunTiming1024(b *testing.B) {
 	pp := translate(b, bench.SwimSource(1024, 1024), 1024)
 	lw := interp.Lower(pp.Source)

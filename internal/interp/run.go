@@ -281,6 +281,9 @@ type supervisor struct {
 	last                    *ckpt.Snapshot
 	lastLen                 int
 	checkpoints, recoveries int
+	// wins and redWins are the current attempt's windows (rankRun),
+	// resolved once on its world and read by every rank.
+	wins, redWins []*mpi.Win
 	// frames holds, in Full mode, each rank's array block of the
 	// current attempt (Lowered.frame), indexed by rank; only the
 	// slaves' (frames[1:]) go back to the pool.
@@ -296,6 +299,7 @@ func (s *supervisor) attempt(world *mpi.World) (*Result, error) {
 	if s.from != nil {
 		s.out.Write(s.from.Output)
 	}
+	s.wins, s.redWins = s.windows(world)
 	P := world.Size()
 	envs := make([]*Env, P)
 	errs := make([]error, P)
@@ -383,35 +387,57 @@ type rankRun struct {
 	// redWins the dedicated one-cell windows lock-based reductions
 	// merge through (separate from the live scalar, which the owning
 	// rank keeps updating during the partitioned loop). Both are
-	// indexed by the symbol's lowered slot, nil where it has none.
+	// indexed by the symbol's lowered slot, nil where it has none, and
+	// shared by every rank of the attempt (supervisor.windows).
 	wins, redWins []*mpi.Win
 	halted        bool
 }
 
-// createWindows generates the rank's MPI environment (§5.1): a window
-// over every remotely accessed variable and, under lock-based combining, a one-cell window per reduction
-// scalar. Window creation is collective, so every rank calls this at
-// the same point of its run.
-func (r *rankRun) createWindows() {
-	slots := r.env.lw.slots
-	r.wins = make([]*mpi.Win, len(slots))
-	for _, sym := range r.pp.Windows {
-		r.wins[slots[sym]] = r.p.WinCreate(sym.Name, r.env.winBacking(sym))
+// windows resolves the translation's §5.1 windows on world: one over
+// every remotely accessed variable and, under lock-based combining, a
+// one-cell window per reduction scalar, indexed by the symbol's lowered
+// slot (nil where it has none; redWins is nil without lock-based
+// combining).
+func (s *supervisor) windows(world *mpi.World) (wins, redWins []*mpi.Win) {
+	slots := s.lw.slots
+	wins = make([]*mpi.Win, len(slots))
+	for _, sym := range s.pp.Windows {
+		wins[slots[sym]] = world.Win(sym.Name)
 	}
-	if !r.pp.Opts.LockReductions {
-		return
+	if !s.pp.Opts.LockReductions {
+		return wins, nil
 	}
-	r.redWins = make([]*mpi.Win, len(slots))
-	for _, region := range r.pp.Regions {
+	redWins = make([]*mpi.Win, len(slots))
+	for _, region := range s.pp.Regions {
 		if region.Par == nil {
 			continue
 		}
 		for _, red := range region.Par.Reductions {
-			if slot := slots[red.Sym]; r.redWins[slot] == nil {
-				r.redWins[slot] = r.p.WinCreate(red.Sym.Name+"$RED", make([]float64, 1))
+			if slot := slots[red.Sym]; redWins[slot] == nil {
+				redWins[slot] = world.Win(red.Sym.Name + "$RED")
 			}
 		}
 	}
+	return wins, redWins
+}
+
+// createWindows generates the rank's MPI environment (§5.1): it
+// exposes the rank's region of every window and then synchronizes once
+// per window, in one rendezvous. Window creation is collective, so
+// every rank calls this at the same point of its run.
+func (r *rankRun) createWindows() {
+	rank, slots := r.p.Rank(), r.env.lw.slots
+	for _, sym := range r.pp.Windows {
+		r.wins[slots[sym]].Expose(rank, r.env.winBacking(sym))
+	}
+	k := len(r.pp.Windows)
+	for _, win := range r.redWins {
+		if win != nil {
+			win.Expose(rank, make([]float64, 1))
+			k++
+		}
+	}
+	mpi.Must(r.p.Barriers(k))
 }
 
 // runRank is one rank's part of an attempt: from the restore point (the
@@ -433,7 +459,7 @@ func (s *supervisor) runRank(p *mpi.Proc) (env *Env, err error) {
 		return nil, err
 	}
 	env.world = p.World()
-	r := &rankRun{env: env, pp: s.pp, p: p}
+	r := &rankRun{env: env, pp: s.pp, p: p, wins: s.wins, redWins: s.redWins}
 	start := 0
 	if s.from != nil {
 		start = s.from.Epoch

@@ -61,8 +61,9 @@ type collSlot struct {
 // result.
 //
 // The release is one step: the last arrival lifts every member's
-// clock and books the cost on every member in one cluster critical
-// section, then closes the generation's channel. Waiters block on a
+// clock and books the cost, as ops communication operations, on every
+// member in one cluster critical section, then closes the generation's
+// channel. Waiters block on a
 // plain receive and read the result from their slot without taking
 // w.mu again.
 //
@@ -71,7 +72,7 @@ type collSlot struct {
 // ErrPeerCrashed, and with a deadline set, a waiter stuck past the
 // wall-clock watchdog fails with ErrTimeout. A failed collective
 // poisons the world — the run is over, only error propagation remains.
-func (w *World) collectiveE(rank int, op string, contrib []float64,
+func (w *World) collectiveE(rank int, op string, ops int64, contrib []float64,
 	finish func(maxT sim.Time, vals [][]float64) (release sim.Time, result []float64, commCost sim.Time, tr interconnect.Transport)) ([]float64, interconnect.Transport, *Error) {
 
 	node := w.nodes[rank]
@@ -81,7 +82,7 @@ func (w *World) collectiveE(rank int, op string, contrib []float64,
 	now := w.cl.Clock(node)
 	if w.n == 1 {
 		release, result, commCost, tr := finish(now, [][]float64{contrib})
-		w.cl.Release(w.nodes, release, commCost)
+		w.cl.Release(w.nodes, release, commCost, ops)
 		return result, tr, nil
 	}
 	deadline := w.inj.Deadline()
@@ -116,7 +117,7 @@ func (w *World) collectiveE(rank int, op string, contrib []float64,
 			vals = w.noVals
 		}
 		release, result, commCost, tr := finish(w.maxT, vals)
-		w.cl.Release(w.nodes, release, commCost)
+		w.cl.Release(w.nodes, release, commCost, ops)
 		slot.vals, slot.result, slot.transport = nil, result, tr
 		w.arrived = 0
 		w.maxT = 0
@@ -180,7 +181,7 @@ func (p *Proc) Bcast(root int, data []float64) ([]float64, error) {
 		contrib = data
 	}
 	rec, begin := p.traceBegin()
-	res, tr, cerr := w.collectiveE(p.rank, trace.OpBcast, contrib,
+	res, tr, cerr := w.collectiveE(p.rank, trace.OpBcast, 1, contrib,
 		func(maxT sim.Time, vals [][]float64) (sim.Time, []float64, sim.Time, interconnect.Transport) {
 			payload := vals[root]
 			bcost, btr := w.broadcastCost(len(payload)*WordBytes, maxT+setup)
@@ -211,7 +212,7 @@ func (p *Proc) Reduce(op Op, root int, data []float64) ([]float64, error) {
 		return nil, err
 	}
 	rec, begin := p.traceBegin()
-	res, _, cerr := w.collectiveE(p.rank, trace.OpReduce, data,
+	res, _, cerr := w.collectiveE(p.rank, trace.OpReduce, 1, data,
 		func(maxT sim.Time, vals [][]float64) (sim.Time, []float64, sim.Time, interconnect.Transport) {
 			out := append([]float64(nil), vals[0]...)
 			for r := 1; r < w.n; r++ {
@@ -246,7 +247,7 @@ func (p *Proc) Allreduce(op Op, data []float64) ([]float64, error) {
 		return nil, err
 	}
 	rec, begin := p.traceBegin()
-	res, tr, cerr := w.collectiveE(p.rank, trace.OpAllreduce, data,
+	res, tr, cerr := w.collectiveE(p.rank, trace.OpAllreduce, 1, data,
 		func(maxT sim.Time, vals [][]float64) (sim.Time, []float64, sim.Time, interconnect.Transport) {
 			out := append([]float64(nil), vals[0]...)
 			for r := 1; r < w.n; r++ {

@@ -2,7 +2,9 @@ package mpi
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
@@ -161,11 +163,154 @@ func TestCollectiveSlotReuse(t *testing.T) {
 	}
 }
 
+// rendezvousRun is what a run of runRendezvous leaves: the cluster's
+// accounting, the recorded events (nil untraced) and every rank's
+// error.
+type rendezvousRun struct {
+	rep    cluster.Report
+	events []trace.Event
+	errs   []error
+}
+
+// runRendezvous runs body on every rank of an n-rank world with the
+// fault spec attached (none when empty) and, if traced, a recorder.
+// Each rank first computes for a rank-dependent time, so the ranks
+// arrive at body's first rendezvous at different clocks. A failing rank
+// departs, as the interpreter's ranks do.
+func runRendezvous(t *testing.T, n int, spec string, traced bool, body func(p *Proc) error) rendezvousRun {
+	t.Helper()
+	w := meshWorld(t, n, 2, spec)
+	var rec *trace.Recorder
+	if traced {
+		rec = trace.New()
+		w.cl.SetRecorder(rec)
+	}
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for r := 0; r < n; r++ {
+		wg.Add(1)
+		go func(p *Proc) {
+			defer wg.Done()
+			w.cl.ChargeCompute(p.node(), sim.Time(3*p.Rank()+1)*sim.Microsecond)
+			if errs[p.Rank()] = body(p); errs[p.Rank()] != nil {
+				w.Depart(p.Rank())
+			}
+		}(w.Rank(r))
+	}
+	wg.Wait()
+	w.Shutdown()
+	return rendezvousRun{w.cl.Snapshot(), rec.Events(), errs}
+}
+
+// sameRendezvous fails unless got left exactly what want left.
+func sameRendezvous(t *testing.T, got, want rendezvousRun) {
+	t.Helper()
+	if !reflect.DeepEqual(got.rep, want.rep) {
+		t.Errorf("report %+v, want %+v", got.rep, want.rep)
+	}
+	if !reflect.DeepEqual(got.events, want.events) {
+		t.Errorf("events %+v, want %+v", got.events, want.events)
+	}
+	if !reflect.DeepEqual(got.errs, want.errs) {
+		t.Errorf("errors %v, want %v", got.errs, want.errs)
+	}
+}
+
+// repeatedBarrier is k Barrier calls, stopping at the first failure.
+func repeatedBarrier(k int) func(p *Proc) error {
+	return func(p *Proc) error {
+		for range k {
+			if err := p.Barrier(); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+}
+
+// TestBarriersEqualsRepeatedBarrier: one Barriers(k) rendezvous leaves
+// exactly what k Barrier calls leave — clocks, comm time, comm ops,
+// every traced event — on one rank and on four, traced and untraced.
+// On a world with a fault injector whose crashafter budget runs out at
+// the second of three barriers, every rank fails with the error the
+// one-by-one calls give it: the victim crashed at that barrier's entry,
+// its peers with a crashed peer.
+func TestBarriersEqualsRepeatedBarrier(t *testing.T) {
+	for _, n := range []int{1, 4} {
+		for _, k := range []int{0, 1, 3} {
+			for _, traced := range []bool{false, true} {
+				t.Run(fmt.Sprintf("n=%d/k=%d/traced=%v", n, k, traced), func(t *testing.T) {
+					want := runRendezvous(t, n, "", traced, repeatedBarrier(k))
+					got := runRendezvous(t, n, "", traced, func(p *Proc) error { return p.Barriers(k) })
+					sameRendezvous(t, got, want)
+					if traced && len(want.events) != n*k {
+						t.Errorf("%d events, want %d", len(want.events), n*k)
+					}
+				})
+			}
+		}
+		t.Run(fmt.Sprintf("n=%d/crashafter", n), func(t *testing.T) {
+			spec := fmt.Sprintf("seed=0,crashafter=%d/1", n-1)
+			want := runRendezvous(t, n, spec, true, repeatedBarrier(3))
+			got := runRendezvous(t, n, spec, true, func(p *Proc) error { return p.Barriers(3) })
+			sameRendezvous(t, got, want)
+			for r, err := range want.errs {
+				var me *Error
+				if !errors.As(err, &me) || me.Op != trace.OpBarrier || (r == n-1) != (me.Kind == ErrCrashed) {
+					t.Errorf("rank %d: error %v, want the second barrier's crash", r, err)
+				}
+			}
+		})
+	}
+}
+
+// TestExposedWindowsAfterBarriers: windows whose regions are exposed
+// rank by rank and completed by one Barriers call serve the same reads
+// as WinCreate's, at the same virtual cost. Under -race it checks that
+// the rendezvous orders every rank's unlocked Expose before any peer's
+// access.
+func TestExposedWindowsAfterBarriers(t *testing.T) {
+	const n, wins = 4, 3
+	names := []string{"A", "B", "C"}
+	region := func(rank, i int) []float64 { return []float64{float64(10*rank + i), float64(-rank)} }
+	readAll := func(p *Proc, ws []*Win) error {
+		for i, win := range ws {
+			peer := (p.Rank() + 1) % n
+			dst := make([]float64, 2)
+			getAt(p, win, peer, 0, dst)
+			if want := region(peer, i); !reflect.DeepEqual(dst, want) {
+				return fmt.Errorf("rank %d read %v from %s on rank %d, want %v", p.Rank(), dst, names[i], peer, want)
+			}
+		}
+		return nil
+	}
+	want := runRendezvous(t, n, "", true, func(p *Proc) error {
+		ws := make([]*Win, wins)
+		for i := range ws {
+			ws[i] = p.WinCreate(names[i], region(p.Rank(), i))
+		}
+		return readAll(p, ws)
+	})
+	got := runRendezvous(t, n, "", true, func(p *Proc) error {
+		ws := make([]*Win, wins)
+		for i := range ws {
+			ws[i] = p.World().Win(names[i])
+			ws[i].Expose(p.Rank(), region(p.Rank(), i))
+		}
+		if err := p.Barriers(wins); err != nil {
+			return err
+		}
+		return readAll(p, ws)
+	})
+	sameRendezvous(t, got, want)
+}
+
 // BenchmarkBarrier1024 is the rendezvous on its own at the scale
-// workload's size: 27 barriers — one timing run of SWIM 1024² makes 27
-// collectives per rank — on a fresh 1024-rank world.
+// workload's size: one timing run of SWIM 1024² meets 18 times per rank
+// — window creation's ten barriers in one Barriers call, then 17
+// region barriers — on a fresh 1024-rank world.
 func BenchmarkBarrier1024(b *testing.B) {
-	const P, barriers = 1024, 27
+	const P, windows, barriers = 1024, 10, 17
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		w := meshWorld(b, P, 32, "")
@@ -174,6 +319,7 @@ func BenchmarkBarrier1024(b *testing.B) {
 			wg.Add(1)
 			go func(p *Proc) {
 				defer wg.Done()
+				Must(p.Barriers(windows))
 				for k := 0; k < barriers; k++ {
 					Must(p.Barrier())
 				}
@@ -181,5 +327,5 @@ func BenchmarkBarrier1024(b *testing.B) {
 		}
 		wg.Wait()
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*barriers), "ns/barrier")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*(1+barriers)), "ns/rendezvous")
 }

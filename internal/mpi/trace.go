@@ -35,6 +35,11 @@ func (p *Proc) traceEnd(rec *trace.Recorder, begin sim.Time, op string, peer int
 	if rec == nil {
 		return
 	}
+	p.traceSpan(rec, begin, p.w.cl.Clock(p.node()), op, peer, bytes, payload, tr)
+}
+
+// traceSpan records the interval [begin, end] on a non-nil recorder.
+func (p *Proc) traceSpan(rec *trace.Recorder, begin, end sim.Time, op string, peer int, bytes, payload int64, tr interconnect.Transport) {
 	// Events are keyed by physical node, not communicator rank, so a
 	// timeline stays coherent across communicator shrinks (on the
 	// all-nodes world the two are identical).
@@ -46,6 +51,6 @@ func (p *Proc) traceEnd(rec *trace.Recorder, begin sim.Time, op string, peer int
 		Payload:   payload,
 		Transport: tr,
 		Begin:     begin,
-		End:       p.w.cl.Clock(p.node()),
+		End:       end,
 	})
 }

@@ -92,7 +92,7 @@ func (w *World) Agree() []int {
 			t = c
 		}
 	}
-	w.cl.Release(survNodes, t+cost, cost)
+	w.cl.Release(survNodes, t+cost, cost, 1)
 	if rec := w.cl.Recorder(); rec != nil {
 		for _, nd := range survNodes {
 			rec.Add(trace.Event{
@@ -153,7 +153,7 @@ func (p *Proc) Checkpoint(bytes int) error {
 		contrib = []float64{float64(bytes)}
 	}
 	rec, begin := p.traceBegin()
-	_, tr, err := w.collectiveE(p.rank, trace.OpCheckpoint, contrib,
+	_, tr, err := w.collectiveE(p.rank, trace.OpCheckpoint, 1, contrib,
 		func(maxT sim.Time, vals [][]float64) (sim.Time, []float64, sim.Time, interconnect.Transport) {
 			size := 0
 			if len(vals[0]) > 0 {
@@ -187,7 +187,7 @@ func (p *Proc) Recover(bytes int) error {
 	}
 	k := w.cl.CommCost()
 	rec, begin := p.traceBegin()
-	_, tr, err := w.collectiveE(p.rank, trace.OpRecovery, contrib,
+	_, tr, err := w.collectiveE(p.rank, trace.OpRecovery, 1, contrib,
 		func(maxT sim.Time, vals [][]float64) (sim.Time, []float64, sim.Time, interconnect.Transport) {
 			size := 0
 			if len(vals[0]) > 0 {

@@ -17,7 +17,7 @@ type Win struct {
 	world *World
 	name  string
 
-	mu   sync.Mutex // guards bufs wiring during creation, and lockCh
+	mu   sync.Mutex // guards lockCh
 	bufs [][]float64
 
 	applyMu []sync.Mutex // per-target apply serialization
@@ -43,12 +43,12 @@ func (win *Win) lockOf(target int) chan struct{} {
 	return win.lockCh[target]
 }
 
-// WinCreate collectively creates (or attaches to) the window named
-// name, exposing local as this rank's region (MPI_WIN_CREATE). Every
-// rank must call it; it synchronizes like a barrier.
-func (p *Proc) WinCreate(name string, local []float64) *Win {
-	w := p.w
+// Win returns the window named name, creating it on first use. The
+// world keeps one window per name; creating it is not collective (see
+// WinCreate for the collective form).
+func (w *World) Win(name string) *Win {
 	w.mu.Lock()
+	defer w.mu.Unlock()
 	win, ok := w.wins[name]
 	if !ok {
 		win = &Win{
@@ -59,10 +59,22 @@ func (p *Proc) WinCreate(name string, local []float64) *Win {
 		}
 		w.wins[name] = win
 	}
-	w.mu.Unlock()
-	win.mu.Lock()
-	win.bufs[p.rank] = local
-	win.mu.Unlock()
+	return win
+}
+
+// Expose makes local rank's region of the window. Each rank writes
+// only its own entry, without a lock: the barrier that completes
+// window creation orders every Expose before any access through the
+// window.
+func (win *Win) Expose(rank int, local []float64) { win.bufs[rank] = local }
+
+// WinCreate collectively creates (or attaches to) the window named
+// name, exposing local as this rank's region (MPI_WIN_CREATE). Every
+// rank must call it; it synchronizes like a barrier. A rank creating
+// several windows may instead Expose each and end with one Barriers.
+func (p *Proc) WinCreate(name string, local []float64) *Win {
+	win := p.w.Win(name)
+	win.Expose(p.rank, local)
 	Must(p.Barrier())
 	return win
 }
@@ -97,7 +109,7 @@ func (win *Win) target(rank int) []float64 {
 // virtual time as well as in memory.
 // Under fault injection it fails like Barrier.
 func (p *Proc) Fence(win *Win) error {
-	if err := p.barrier(trace.OpFence); err != nil {
+	if err := p.barriers(trace.OpFence, 1); err != nil {
 		return err
 	}
 	return nil

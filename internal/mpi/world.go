@@ -231,29 +231,64 @@ func (p *Proc) Wtime() sim.Time { return p.w.cl.Clock(p.node()) }
 // Under fault injection a crashed caller, a crashed peer or an expired
 // deadline surfaces as an *Error instead of a deadlock.
 func (p *Proc) Barrier() error {
-	if err := p.barrier(trace.OpBarrier); err != nil {
+	return p.Barriers(1)
+}
+
+// Barriers is k back-to-back Barrier calls (k ≥ 0) in one host
+// rendezvous: every rank is released at the latest arrival plus k
+// barrier costs and books k barriers — their cost, their op count and,
+// when tracing, their k events — exactly as the k calls would. Window
+// creation ends with it: each rank exposes its region of every window,
+// then one Barriers(len) stands for the per-window MPI_WIN_CREATE
+// synchronizations.
+func (p *Proc) Barriers(k int) error {
+	if err := p.barriers(trace.OpBarrier, k); err != nil {
 		return err
 	}
 	return nil
 }
 
-// barrier is the shared barrier body, traced under the caller's op
+// barriers is the shared barrier body, traced under the caller's op
 // name (MPI_BARRIER and MPI_WIN_FENCE synchronize identically but
-// profile differently).
-func (p *Proc) barrier(op string) *Error {
+// profile differently). Under fault injection the k barriers run one by
+// one: the per-operation checks in enter (crash time, the crashafter op
+// budget) need each barrier's own entry clock, which only the previous
+// release sets.
+func (p *Proc) barriers(op string, k int) *Error {
 	w := p.w
+	if k > 1 && w.inj != nil {
+		for range k {
+			if err := p.barriers(op, 1); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	if k == 0 {
+		return nil
+	}
 	if err := p.enter(op, -1); err != nil {
 		return err
 	}
 	rec, begin := p.traceBegin()
-	_, _, err := w.collectiveE(p.rank, op, nil,
+	cost := sim.Time(k) * w.barrierCost
+	_, _, err := w.collectiveE(p.rank, op, int64(k), nil,
 		func(maxT sim.Time, _ [][]float64) (sim.Time, []float64, sim.Time, interconnect.Transport) {
-			return maxT + w.barrierCost, nil, w.barrierCost, interconnect.TransportSync
+			return maxT + cost, nil, cost, interconnect.TransportSync
 		})
 	if err != nil {
 		return err
 	}
-	p.traceEnd(rec, begin, op, -1, 0, 0, interconnect.TransportSync)
+	if rec != nil {
+		// Barrier i of k ends at maxT + i·cost, and each after the
+		// first begins where the one before it released.
+		end := p.w.cl.Clock(p.node())
+		for i := k - 1; i >= 0; i-- {
+			last := end - sim.Time(i)*w.barrierCost
+			p.traceSpan(rec, begin, last, op, -1, 0, 0, interconnect.TransportSync)
+			begin = last
+		}
+	}
 	return nil
 }
 
