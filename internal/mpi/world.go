@@ -256,15 +256,15 @@ func (p *Proc) Barriers(k int) error {
 // release sets.
 func (p *Proc) barriers(op string, k int) *Error {
 	w := p.w
+	if k == 0 {
+		return nil
+	}
 	if k > 1 && w.inj != nil {
 		for range k {
 			if err := p.barriers(op, 1); err != nil {
 				return err
 			}
 		}
-		return nil
-	}
-	if k == 0 {
 		return nil
 	}
 	if err := p.enter(op, -1); err != nil {
@@ -280,13 +280,14 @@ func (p *Proc) barriers(op string, k int) *Error {
 		return err
 	}
 	if rec != nil {
-		// Barrier i of k ends at maxT + i·cost, and each after the
-		// first begins where the one before it released.
-		end := p.w.cl.Clock(p.node())
-		for i := k - 1; i >= 0; i-- {
-			last := end - sim.Time(i)*w.barrierCost
-			p.traceSpan(rec, begin, last, op, -1, 0, 0, interconnect.TransportSync)
-			begin = last
+		// The rank left at maxT + cost. Barrier i of k ends at maxT +
+		// i·barrierCost, and each after the first begins where the one
+		// before it released.
+		end := w.cl.Clock(p.node()) - cost
+		for range k {
+			end += w.barrierCost
+			p.traceSpan(rec, begin, end, op, -1, 0, 0, interconnect.TransportSync)
+			begin = end
 		}
 	}
 	return nil
