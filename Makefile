@@ -118,7 +118,10 @@ peer-smoke:
 # of the repository benchmark's compile_cold mix; DetectParallel,
 # EstimateCommCost and RaceCheck are the passes that dominated it) and
 # one mm_full or swim_full op (RunFull), then the evaluator alone
-# (sequential Full MM 96² and SWIM 192², ns per innermost iteration).
+# (sequential Full MM 96² and SWIM 192², ns per innermost iteration),
+# one swim_scale op (RunTiming1024) and its collective rendezvous alone
+# (Barrier1024: a rank's 18 on a 1024-rank world).
 bench:
 	$(GO) test -bench=. -benchmem .
 	$(GO) test -run '^$$' -bench 'InterpFull|RunTiming1024' -benchmem ./internal/interp
+	$(GO) test -run '^$$' -bench Barrier1024 -benchmem ./internal/mpi

@@ -11,7 +11,6 @@ package cluster
 
 import (
 	"fmt"
-	"sync"
 
 	"vbuscluster/internal/commcost"
 	"vbuscluster/internal/fault"
@@ -136,11 +135,20 @@ func (p Params) Geometry() mesh.Geometry {
 }
 
 // Cluster is a set of processes with virtual clocks placed on a mesh.
-// All methods are safe for concurrent use by the per-rank goroutines.
+//
+// It takes no lock. A node's accounting has one writer at a time: the
+// node's own rank, or the releaser of a rendezvous that rank is parked
+// in (Release). The rendezvous orders the two — the rank's arrival
+// before the release, the release before the rank's wake — and a read
+// of another node's accounting (TotalXferTime on the master, Snapshot
+// after a run) is likewise ordered after that node's writes by a
+// rendezvous or by the end of the run.
 type Cluster struct {
 	params Params
 	geo    mesh.Geometry
 	n      int
+	// coords prices a charged transfer's hop count without dividing.
+	coords mesh.Coords
 	// kernel prices every data transfer charged on this machine.
 	kernel *commcost.Kernel
 
@@ -149,17 +157,7 @@ type Cluster struct {
 	// operation, so tracing costs one pointer load when off.
 	rec *trace.Recorder
 
-	mu        sync.Mutex
-	clocks    []sim.Time
-	commTime  []sim.Time // communication time charged per rank
-	xferTime  []sim.Time // data-transfer subset of commTime (no sync)
-	compTime  []sim.Time // computation time charged per rank
-	commBytes []int64
-	commOps   []int64
-	// opsSeen counts MPI operations issued per rank. It feeds the
-	// crashafter fault and is only bumped when such a fault is
-	// scheduled, so the zero-fault hot path never touches it.
-	opsSeen []int64
+	acct []nodeAcct
 
 	// regCaches holds one memory-registration cache per physical node
 	// when the fabric prices an eager/rendezvous protocol choice, nil
@@ -170,6 +168,20 @@ type Cluster struct {
 	// concurrent runs (the vbserve plan cache) — mutable per-run state
 	// in the card would race.
 	regCaches []*interconnect.RegCache
+}
+
+// nodeAcct is one node's clock and accounting.
+type nodeAcct struct {
+	clock sim.Time
+	comm  sim.Time // communication time charged
+	xfer  sim.Time // data-transfer subset of comm (no sync)
+	comp  sim.Time // computation time charged
+	bytes int64
+	ops   int64
+	// opsSeen counts MPI operations issued. It feeds the crashafter
+	// fault and is only bumped when such a fault is scheduled, so the
+	// zero-fault hot path never touches it.
+	opsSeen int64
 }
 
 // New builds a cluster of n processes. Ranks are placed row-major on
@@ -193,14 +205,9 @@ func New(n int, params Params) (*Cluster, error) {
 		geo:       geo,
 		n:         n,
 		kernel:    kernel,
+		coords:    geo.Coords(n),
 		regCaches: kernel.NewRegCaches(n),
-		clocks:    make([]sim.Time, n),
-		commTime:  make([]sim.Time, n),
-		xferTime:  make([]sim.Time, n),
-		compTime:  make([]sim.Time, n),
-		commBytes: make([]int64, n),
-		commOps:   make([]int64, n),
-		opsSeen:   make([]int64, n),
+		acct:      make([]nodeAcct, n),
 	}
 	return c, nil
 }
@@ -226,7 +233,7 @@ func (c *Cluster) Recorder() *trace.Recorder { return c.rec }
 func (c *Cluster) Geometry() mesh.Geometry { return c.geo }
 
 // Hops reports the mesh hop distance between two ranks' nodes.
-func (c *Cluster) Hops(a, b int) int { return c.geo.Hops(a, b) }
+func (c *Cluster) Hops(a, b int) int { return c.coords.Hops(a, b) }
 
 // CommCost returns the machine's transfer-pricing kernel.
 func (c *Cluster) CommCost() *commcost.Kernel { return c.kernel }
@@ -250,9 +257,7 @@ func (c *Cluster) check(rank int) {
 // Clock reports rank's current virtual time.
 func (c *Cluster) Clock(rank int) sim.Time {
 	c.check(rank)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.clocks[rank]
+	return c.acct[rank].clock
 }
 
 // ChargeCompute advances rank's clock by d and books it as computation.
@@ -266,10 +271,9 @@ func (c *Cluster) ChargeCompute(rank int, d sim.Time) {
 	if f := c.params.Faults.SlowFactor(rank); f > 1 {
 		d = sim.Time(float64(d)*f + 0.5)
 	}
-	c.mu.Lock()
-	c.clocks[rank] += d
-	c.compTime[rank] += d
-	c.mu.Unlock()
+	a := &c.acct[rank]
+	a.clock += d
+	a.comp += d
 }
 
 // Faults returns the cluster's fault injector (nil when fault injection
@@ -283,13 +287,12 @@ func (c *Cluster) ChargeComm(rank int, d sim.Time, bytes int) {
 	if d < 0 {
 		panic("cluster: negative comm charge")
 	}
-	c.mu.Lock()
-	c.clocks[rank] += d
-	c.commTime[rank] += d
-	c.xferTime[rank] += d
-	c.commBytes[rank] += int64(bytes)
-	c.commOps[rank]++
-	c.mu.Unlock()
+	a := &c.acct[rank]
+	a.clock += d
+	a.comm += d
+	a.xfer += d
+	a.bytes += int64(bytes)
+	a.ops++
 }
 
 // BookComm records d of communication time (and bytes) on rank's
@@ -300,11 +303,10 @@ func (c *Cluster) BookComm(rank int, d sim.Time, bytes int) {
 	if d < 0 {
 		panic("cluster: negative comm booking")
 	}
-	c.mu.Lock()
-	c.commTime[rank] += d
-	c.commBytes[rank] += int64(bytes)
-	c.commOps[rank]++
-	c.mu.Unlock()
+	a := &c.acct[rank]
+	a.comm += d
+	a.bytes += int64(bytes)
+	a.ops++
 }
 
 // AdvanceTo lifts rank's clock to at least t (used when a receive
@@ -312,33 +314,30 @@ func (c *Cluster) BookComm(rank int, d sim.Time, bytes int) {
 // work, but time still passes).
 func (c *Cluster) AdvanceTo(rank int, t sim.Time) {
 	c.check(rank)
-	c.mu.Lock()
-	if c.clocks[rank] < t {
-		c.clocks[rank] += t - c.clocks[rank]
+	a := &c.acct[rank]
+	if a.clock < t {
+		a.clock += t - a.clock
 	}
-	c.mu.Unlock()
 }
 
-// Release ends a synchronizing operation over nodes in one critical
-// section: every listed clock is lifted to at least t (never rewound)
-// and d of communication in ops operations is booked on every listed
-// node, as ops BookComm calls summing to d would. Collectives release
+// Release ends a synchronizing operation over nodes: every listed
+// clock is lifted to at least t (never rewound) and d of communication
+// in ops operations is booked on every listed node, as ops BookComm
+// calls summing to d would. Collectives release
 // their whole membership through it; nodes outside the list — dead or
 // excluded ranks of a shrunken communicator — keep their last clock
-// reading.
+// reading. The caller is every listed node's one writer: each node's
+// rank is parked in the caller's rendezvous, or has stopped.
 func (c *Cluster) Release(nodes []int, t, d sim.Time, ops int64) {
 	if d < 0 || ops < 0 {
 		panic("cluster: negative comm booking")
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	for _, r := range nodes {
 		c.check(r)
-		if c.clocks[r] < t {
-			c.clocks[r] = t
-		}
-		c.commTime[r] += d
-		c.commOps[r] += ops
+		a := &c.acct[r]
+		a.clock = max(a.clock, t)
+		a.comm += d
+		a.ops += ops
 	}
 }
 
@@ -347,34 +346,26 @@ func (c *Cluster) Release(nodes []int, t, d sim.Time, ops int64) {
 // crashafter fault keyed on the physical node fires exactly once.
 func (c *Cluster) BumpOps(rank int) int64 {
 	c.check(rank)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.opsSeen[rank]++
-	return c.opsSeen[rank]
+	c.acct[rank].opsSeen++
+	return c.acct[rank].opsSeen
 }
 
 // MaxClock reports the furthest-ahead clock.
 func (c *Cluster) MaxClock() sim.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var max sim.Time
-	for _, t := range c.clocks {
-		if t > max {
-			max = t
-		}
+	var m sim.Time
+	for i := range c.acct {
+		m = max(m, c.acct[i].clock)
 	}
-	return max
+	return m
 }
 
 // TotalXferTime sums the data-transfer time charged so far over all
-// ranks, under the lock — what Snapshot().TotalXferTime() reports,
-// without copying the whole accounting state.
+// ranks — what Snapshot().TotalXferTime() reports, without copying the
+// whole accounting state.
 func (c *Cluster) TotalXferTime() sim.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	var s sim.Time
-	for _, t := range c.xferTime {
-		s += t
+	for i := range c.acct {
+		s += c.acct[i].xfer
 	}
 	return s
 }
@@ -458,15 +449,17 @@ func (r Report) TotalCommOps() int64 {
 
 // Snapshot copies the current accounting state.
 func (c *Cluster) Snapshot() Report {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	r := Report{
-		Clocks:    append([]sim.Time(nil), c.clocks...),
-		CommTime:  append([]sim.Time(nil), c.commTime...),
-		XferTime:  append([]sim.Time(nil), c.xferTime...),
-		CompTime:  append([]sim.Time(nil), c.compTime...),
-		CommBytes: append([]int64(nil), c.commBytes...),
-		CommOps:   append([]int64(nil), c.commOps...),
+		Clocks:    make([]sim.Time, c.n),
+		CommTime:  make([]sim.Time, c.n),
+		XferTime:  make([]sim.Time, c.n),
+		CompTime:  make([]sim.Time, c.n),
+		CommBytes: make([]int64, c.n),
+		CommOps:   make([]int64, c.n),
+	}
+	for i, a := range c.acct {
+		r.Clocks[i], r.CommTime[i], r.XferTime[i] = a.clock, a.comm, a.xfer
+		r.CompTime[i], r.CommBytes[i], r.CommOps[i] = a.comp, a.bytes, a.ops
 	}
 	return r
 }
@@ -474,17 +467,7 @@ func (c *Cluster) Snapshot() Report {
 // Reset zeroes all clocks and accounting, and empties the
 // registration caches (a fresh run starts with nothing pinned).
 func (c *Cluster) Reset() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for i := range c.clocks {
-		c.clocks[i] = 0
-		c.commTime[i] = 0
-		c.xferTime[i] = 0
-		c.compTime[i] = 0
-		c.commBytes[i] = 0
-		c.commOps[i] = 0
-		c.opsSeen[i] = 0
-	}
+	clear(c.acct)
 	for _, rc := range c.regCaches {
 		rc.Reset()
 	}

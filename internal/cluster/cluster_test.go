@@ -1,8 +1,11 @@
 package cluster
 
 import (
+	"math/rand"
+	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"vbuscluster/internal/interconnect"
@@ -233,5 +236,80 @@ func TestParamsForFabricUnknownListsBackends(t *testing.T) {
 		if !strings.Contains(err.Error(), name) {
 			t.Fatalf("error %q does not list registered backend %q", err, name)
 		}
+	}
+}
+
+// TestNodeAccountingOneWriter holds the lock-free accounting to its
+// one-writer rule: each of n goroutines makes seeded ChargeComm,
+// ChargeCompute, BookComm and AdvanceTo calls on its own node, then
+// they meet, and the last to arrive releases every node at the latest
+// clock plus a fixed cost. Under -race it checks that the meeting
+// orders every release against the nodes' own writes; the snapshot
+// must equal a sequential replay of the same calls.
+func TestNodeAccountingOneWriter(t *testing.T) {
+	const n, rounds, calls = 8, 200, 16
+	const cost = 100 * sim.Nanosecond
+	nodes := []int{0, 1, 2, 3, 4, 5, 6, 7}
+	step := func(c *Cluster, rng *rand.Rand, node int) {
+		d := sim.Time(rng.Intn(1000)) * sim.Nanosecond
+		switch rng.Intn(4) {
+		case 0:
+			c.ChargeComm(node, d, rng.Intn(64))
+		case 1:
+			c.ChargeCompute(node, d)
+		case 2:
+			c.BookComm(node, d, rng.Intn(64))
+		default:
+			c.AdvanceTo(node, c.Clock(node)+d)
+		}
+	}
+	release := func(c *Cluster) { c.Release(nodes, c.MaxClock()+cost, cost, 1) }
+	p := DefaultParams()
+	p.MeshWidth, p.MeshHeight = 4, 2
+	want, err := New(n, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _ := New(n, p)
+
+	rngs := make([]*rand.Rand, n)
+	for node := range rngs {
+		rngs[node] = rand.New(rand.NewSource(int64(node)))
+	}
+	for range rounds {
+		for node, rng := range rngs {
+			for range calls {
+				step(want, rng, node)
+			}
+		}
+		release(want)
+	}
+
+	arrived := make([]atomic.Int64, rounds)
+	released := make([]chan struct{}, rounds)
+	for k := range released {
+		released[k] = make(chan struct{})
+	}
+	var wg sync.WaitGroup
+	for node := range n {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(node)))
+			for k := range rounds {
+				for range calls {
+					step(got, rng, node)
+				}
+				if arrived[k].Add(1) == n {
+					release(got)
+					close(released[k])
+				}
+				<-released[k]
+			}
+		}()
+	}
+	wg.Wait()
+	if g, w := got.Snapshot(), want.Snapshot(); !reflect.DeepEqual(g, w) {
+		t.Fatalf("concurrent accounting %+v, sequential replay %+v", g, w)
 	}
 }

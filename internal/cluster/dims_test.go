@@ -95,3 +95,27 @@ func TestHopsAllocationFree(t *testing.T) {
 		}
 	}
 }
+
+// Cluster.Hops sums legs over coordinates stored at construction: it
+// must agree with the geometry's walk for every pair of nodes, and
+// fall back to the walk for a node beyond the cluster.
+func TestHopsFromStoredCoords(t *testing.T) {
+	torus3D := DefaultParams()
+	torus3D.MeshDims, torus3D.Torus = []int{4, 2, 3}, true
+	mesh2D := DefaultParams()
+	mesh2D.MeshWidth, mesh2D.MeshHeight = 5, 3
+	for _, p := range []Params{torus3D, mesh2D} {
+		c, err := New(13, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := c.Geometry()
+		for a := 0; a < g.Nodes(); a++ {
+			for b := 0; b < g.Nodes(); b++ {
+				if got, want := c.Hops(a, b), g.Hops(a, b); got != want {
+					t.Fatalf("%s torus=%v: Hops(%d,%d) = %d, walk %d", g, p.Torus, a, b, got, want)
+				}
+			}
+		}
+	}
+}

@@ -142,6 +142,44 @@ func (g Geometry) Hops(a, b int) int {
 	return n
 }
 
+// Coords holds the coordinates of a grid's first nodes, laid out once
+// so that a hop count between two of them divides nothing.
+type Coords struct {
+	g Geometry
+	n int
+	c []int // node i's coordinates at [i·len(Dims), (i+1)·len(Dims))
+}
+
+// Coords lays out the coordinates of nodes 0…n-1.
+func (g Geometry) Coords(n int) Coords {
+	k := len(g.Dims)
+	c := make([]int, n*k)
+	for i := range n {
+		stride := 1
+		for d, size := range g.Dims {
+			c[i*k+d] = i / stride % size
+			stride *= size
+		}
+	}
+	return Coords{g, n, c}
+}
+
+// Hops is Geometry.Hops, summing each dimension's leg over the stored
+// coordinates; a node beyond them is walked from its number.
+func (cs Coords) Hops(a, b int) int {
+	if uint(a) >= uint(cs.n) || uint(b) >= uint(cs.n) {
+		return cs.g.Hops(a, b)
+	}
+	k := len(cs.g.Dims)
+	ca, cb := cs.c[a*k:(a+1)*k], cs.c[b*k:(b+1)*k]
+	n := 0
+	for d, size := range cs.g.Dims {
+		steps, _ := cs.g.leg(ca[d], cb[d], size)
+		n += steps
+	}
+	return n
+}
+
 // Path lists the nodes the walk from node a to node b visits, both
 // endpoints included. Injected link outages are resolved against it.
 func (g Geometry) Path(a, b int) []int {

@@ -3,6 +3,7 @@ package mpi
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 	"time"
 
 	"vbuscluster/internal/interconnect"
@@ -36,6 +37,25 @@ func (o Op) apply(a, b float64) float64 {
 	}
 }
 
+// fold combines every rank's vector element-wise; no contribution at
+// all (vals nil) folds to nil. A length mismatch is a programming error
+// of the collective named name and panics.
+func (o Op) fold(name string, vals [][]float64) []float64 {
+	if vals == nil {
+		return nil
+	}
+	out := append([]float64(nil), vals[0]...)
+	for r, v := range vals[1:] {
+		if len(v) != len(out) {
+			panic(fmt.Sprintf("mpi: %s length mismatch: rank 0 has %d, rank %d has %d", name, len(out), r+1, len(v)))
+		}
+		for i := range out {
+			out[i] = o.apply(out[i], v[i])
+		}
+	}
+	return out
+}
+
 // collSlot carries one collective generation's contributions and
 // result across the rendezvous. World.coll holds two that alternate
 // (gen&1): the arrivals at generation g+1 fill one while generation
@@ -46,26 +66,31 @@ type collSlot struct {
 	vals      [][]float64
 	result    []float64
 	transport interconnect.Transport
-	// done is closed by the generation's release, or early by
-	// World.wake so parked waiters re-check the abort conditions.
-	done chan struct{}
+	// done holds the generation's channel (a chan struct{}; an
+	// atomic.Value keeps it in the interface word, so swapping it
+	// allocates nothing more). It is stored by the previous release,
+	// closed by this one, or closed and replaced by World.wake so
+	// parked waiters re-check the abort conditions.
+	done atomic.Value
 }
 
 // collectiveE is the shared rendezvous: every rank contributes, the
-// last arrival runs finish (which sees all contributions and the
-// latest clock) to compute the released clock, the shared result, the
+// last arrival runs finish (which sees all contributions, nil when no
+// rank contributed, and the latest clock) to compute the released clock, the shared result, the
 // per-rank comm cost to book, and the transport class the collective
 // actually used (carried through the slot so every rank traces the
 // same class — under fault injection a broadcast may degrade from the
 // hardware bus to the software tree). All ranks return the shared
 // result.
 //
-// The release is one step: the last arrival lifts every member's
-// clock and books the cost, as ops communication operations, on every
-// member in one cluster critical section, then closes the generation's
-// channel. Waiters block on a
-// plain receive and read the result from their slot without taking
-// w.mu again.
+// Arrival takes no lock: a rank raises maxT to its clock and counts
+// itself in with atomics (only a contribution is stored under w.mu).
+// The last arrival takes w.mu once for the generation: it lifts every
+// member's clock and books the cost, as ops communication operations,
+// on every member — each member is parked, so the releaser is its
+// node's one writer — then stores the next slot's channel, advances
+// gen and closes this one. Waiters block on a plain receive and read
+// the result from their slot.
 //
 // Under fault injection the rendezvous can fail instead of blocking
 // forever: a crashed or departed rank fails every waiter with
@@ -76,9 +101,7 @@ func (w *World) collectiveE(rank int, op string, ops int64, contrib []float64,
 	finish func(maxT sim.Time, vals [][]float64) (release sim.Time, result []float64, commCost sim.Time, tr interconnect.Transport)) ([]float64, interconnect.Transport, *Error) {
 
 	node := w.nodes[rank]
-	// Only this rank moves its own clock before it arrives, so the
-	// clock is read outside w.mu: no cluster lock nests in the world's
-	// on arrival.
+	// Only this rank moves its own clock before it arrives.
 	now := w.cl.Clock(node)
 	if w.n == 1 {
 		release, result, commCost, tr := finish(now, [][]float64{contrib})
@@ -90,72 +113,86 @@ func (w *World) collectiveE(rank int, op string, ops int64, contrib []float64,
 	if deadline > 0 {
 		wallStart = time.Now()
 	}
-	w.mu.Lock()
-	if w.nDown > 0 {
-		w.mu.Unlock()
+	if w.downSeen.Load() {
 		return nil, 0, &Error{Kind: ErrPeerCrashed, Rank: rank, Op: op, Peer: -1, Time: now}
 	}
 	gen := w.gen.Load()
 	slot := &w.coll[gen&1]
-	if w.arrived == 0 {
-		slot.done = make(chan struct{})
-	}
 	if contrib != nil {
 		// A barrier contributes nothing and never pays for the P-entry
-		// table; the last arrival then sees the world's shared all-nil
-		// one.
+		// table: finish then sees nil.
+		w.mu.Lock()
 		if slot.vals == nil {
 			slot.vals = make([][]float64, w.n)
 		}
 		slot.vals[rank] = contrib
+		w.mu.Unlock()
 	}
-	w.maxT = max(w.maxT, now)
-	w.arrived++
-	if w.arrived == w.n {
-		vals := slot.vals
-		if vals == nil {
-			vals = w.noVals
+	for t := w.maxT.Load(); int64(now) > t; t = w.maxT.Load() {
+		if w.maxT.CompareAndSwap(t, int64(now)) {
+			break
 		}
-		release, result, commCost, tr := finish(w.maxT, vals)
+	}
+	if w.arrived.Add(1) == int64(w.n) {
+		w.mu.Lock()
+		release, result, commCost, tr := finish(sim.Time(w.maxT.Load()), slot.vals)
 		w.cl.Release(w.nodes, release, commCost, ops)
 		slot.vals, slot.result, slot.transport = nil, result, tr
-		w.arrived = 0
-		w.maxT = 0
+		w.arrived.Store(0)
+		w.maxT.Store(0)
+		w.coll[(gen+1)&1].done.Store(make(chan struct{}))
 		w.gen.Store(gen + 1)
-		close(slot.done)
+		close(slot.done.Load().(chan struct{}))
 		w.mu.Unlock()
 		return result, tr, nil
 	}
-	// Parked: the abort conditions are re-checked under w.mu on arrival
-	// and after every wake that did not release this generation.
-	for w.gen.Load() == gen {
+	// Parked. The channel is loaded before the checks: a release or a
+	// wake after them closes it.
+	for {
+		done := slot.done.Load().(chan struct{})
+		if w.gen.Load() != gen {
+			return slot.result, slot.transport, nil
+		}
 		var kind ErrorKind
 		at := now
 		switch {
-		case w.revoked:
+		case w.revoked.Load():
 			kind = ErrRevoked
 		case w.cancelled.Load():
 			kind = ErrCancelled
-		case w.nDown > 0:
+		case w.downSeen.Load():
 			kind = ErrPeerCrashed
 		case deadline > 0 && time.Since(wallStart) > WatchdogWall:
 			kind, at = ErrTimeout, now+deadline
 		default:
-			done := slot.done
-			w.mu.Unlock()
 			<-done
-			if w.gen.Load() != gen {
-				return slot.result, slot.transport, nil
-			}
-			w.mu.Lock()
 			continue
 		}
-		w.arrived--
-		w.mu.Unlock()
-		return nil, 0, &Error{Kind: kind, Rank: rank, Op: op, Peer: -1, Time: at}
+		if w.withdraw(gen) {
+			return nil, 0, &Error{Kind: kind, Rank: rank, Op: op, Peer: -1, Time: at}
+		}
+		<-done
 	}
-	w.mu.Unlock()
-	return slot.result, slot.transport, nil
+}
+
+// withdraw counts an aborting waiter of generation gen back out, unless
+// the generation has been released or its last rank has counted itself
+// in: then the release is committed and the waiter takes it.
+func (w *World) withdraw(gen uint64) bool {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.gen.Load() != gen {
+		return false
+	}
+	for {
+		a := w.arrived.Load()
+		if a == int64(w.n) {
+			return false
+		}
+		if w.arrived.CompareAndSwap(a, a-1) {
+			return true
+		}
+	}
 }
 
 // Bcast broadcasts root's data to every rank (MPI_BCAST), using the
@@ -183,7 +220,10 @@ func (p *Proc) Bcast(root int, data []float64) ([]float64, error) {
 	rec, begin := p.traceBegin()
 	res, tr, cerr := w.collectiveE(p.rank, trace.OpBcast, 1, contrib,
 		func(maxT sim.Time, vals [][]float64) (sim.Time, []float64, sim.Time, interconnect.Transport) {
-			payload := vals[root]
+			var payload []float64
+			if vals != nil {
+				payload = vals[root]
+			}
 			bcost, btr := w.broadcastCost(len(payload)*WordBytes, maxT+setup)
 			cost := setup + bcost
 			return maxT + cost, append([]float64(nil), payload...), cost, btr
@@ -214,16 +254,7 @@ func (p *Proc) Reduce(op Op, root int, data []float64) ([]float64, error) {
 	rec, begin := p.traceBegin()
 	res, _, cerr := w.collectiveE(p.rank, trace.OpReduce, 1, data,
 		func(maxT sim.Time, vals [][]float64) (sim.Time, []float64, sim.Time, interconnect.Transport) {
-			out := append([]float64(nil), vals[0]...)
-			for r := 1; r < w.n; r++ {
-				v := vals[r]
-				if len(v) != len(out) {
-					panic(fmt.Sprintf("mpi: Reduce length mismatch: rank 0 has %d, rank %d has %d", len(out), r, len(v)))
-				}
-				for i := range out {
-					out[i] = op.apply(out[i], v[i])
-				}
-			}
+			out := op.fold("Reduce", vals)
 			cost := w.cl.CommCost().Tree(len(out)*WordBytes, w.n)
 			return maxT + cost, out, cost, interconnect.TransportP2P
 		})
@@ -249,16 +280,7 @@ func (p *Proc) Allreduce(op Op, data []float64) ([]float64, error) {
 	rec, begin := p.traceBegin()
 	res, tr, cerr := w.collectiveE(p.rank, trace.OpAllreduce, 1, data,
 		func(maxT sim.Time, vals [][]float64) (sim.Time, []float64, sim.Time, interconnect.Transport) {
-			out := append([]float64(nil), vals[0]...)
-			for r := 1; r < w.n; r++ {
-				v := vals[r]
-				if len(v) != len(out) {
-					panic(fmt.Sprintf("mpi: Allreduce length mismatch: rank 0 has %d, rank %d has %d", len(out), r, len(v)))
-				}
-				for i := range out {
-					out[i] = op.apply(out[i], v[i])
-				}
-			}
+			out := op.fold("Allreduce", vals)
 			rcost := w.cl.CommCost().Tree(len(out)*WordBytes, w.n)
 			bcost, btr := w.broadcastCost(len(out)*WordBytes, maxT+rcost)
 			cost := rcost + bcost

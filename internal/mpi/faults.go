@@ -88,13 +88,14 @@ func (w *World) Cancel() {
 // down and its deadline: receives parked on the mailbox cond, and a
 // collective's waiters by closing the in-flight generation's channel,
 // which is replaced so ranks still to arrive park on an open one. The
-// caller holds w.mu.
+// caller holds w.mu and has set the flag it wakes for: a rank counted
+// in after the arrived check here loads that flag after it.
 func (w *World) wake() {
 	w.cond.Broadcast()
-	if w.arrived > 0 {
+	if w.arrived.Load() > 0 {
 		slot := &w.coll[w.gen.Load()&1]
-		close(slot.done)
-		slot.done = make(chan struct{})
+		close(slot.done.Load().(chan struct{}))
+		slot.done.Store(make(chan struct{}))
 	}
 }
 
@@ -107,26 +108,17 @@ func (p *Proc) cancelErr(op string, peer int) *Error {
 	return &Error{Kind: ErrCancelled, Rank: p.rank, Op: op, Peer: peer, Time: p.w.cl.Clock(p.node())}
 }
 
-// noteDown marks rank as crashed/departed and wakes every blocked
-// waiter so operations depending on it can fail instead of hanging.
-func (w *World) noteDown(rank int) {
+// noteDown marks rank as departed — or, when crashed, as genuinely
+// failed: the recovery protocol's Agree round excludes exactly those —
+// and wakes every blocked waiter so operations depending on it can fail
+// instead of hanging.
+func (w *World) noteDown(rank int, crashed bool) {
 	w.mu.Lock()
+	w.crashed[rank] = w.crashed[rank] || crashed
 	if !w.down[rank] {
 		w.down[rank] = true
 		w.nDown++
-	}
-	w.wake()
-	w.mu.Unlock()
-}
-
-// noteCrashed marks rank as genuinely failed (not just departed); the
-// recovery protocol's Agree round excludes exactly these ranks.
-func (w *World) noteCrashed(rank int) {
-	w.mu.Lock()
-	w.crashed[rank] = true
-	if !w.down[rank] {
-		w.down[rank] = true
-		w.nDown++
+		w.downSeen.Store(true)
 	}
 	w.wake()
 	w.mu.Unlock()
@@ -137,7 +129,7 @@ func (w *World) noteCrashed(rank int) {
 // peer-crashed failure rather than a deadlock.
 func (w *World) Depart(rank int) {
 	if rank >= 0 && rank < w.n {
-		w.noteDown(rank)
+		w.noteDown(rank, false)
 	}
 }
 
@@ -159,13 +151,13 @@ func (p *Proc) enter(op string, peer int) *Error {
 		return &Error{Kind: ErrRevoked, Rank: p.rank, Op: op, Peer: peer, Time: w.cl.Clock(node)}
 	}
 	if ct := w.inj.CrashTime(node); ct != sim.MaxTime && w.cl.Clock(node) >= ct {
-		w.noteCrashed(p.rank)
+		w.noteDown(p.rank, true)
 		return &Error{Kind: ErrCrashed, Rank: p.rank, Op: op, Peer: peer, Time: ct}
 	}
 	if w.inj.HasCrashAfter() {
 		if limit := w.inj.CrashAfterOps(node); limit >= 0 {
 			if w.cl.BumpOps(node) > limit {
-				w.noteCrashed(p.rank)
+				w.noteDown(p.rank, true)
 				// Error.Time is the virtual time of detection: the
 				// clock at the entry of the first operation past the
 				// budget.

@@ -155,7 +155,7 @@ func (p *Proc) Recv(src, tag int) ([]float64, error) {
 			}
 			break
 		}
-		if w.revoked {
+		if w.revoked.Load() {
 			w.mu.Unlock()
 			return nil, &Error{Kind: ErrRevoked, Rank: p.rank, Op: trace.OpRecv, Peer: src, Time: w.cl.Clock(node)}
 		}

@@ -81,10 +81,7 @@ func TestParkedCollectiveWakePaths(t *testing.T) {
 						errs[p.Rank()] = c.run(p)
 					}(w.Rank(r))
 				}
-				for parked := false; !parked; {
-					w.mu.Lock()
-					parked = w.arrived == P-1
-					w.mu.Unlock()
+				for w.arrived.Load() != P-1 {
 					runtime.Gosched()
 				}
 				if err := wk.rank0(w.Rank(0)); err != nil {
@@ -101,6 +98,78 @@ func TestParkedCollectiveWakePaths(t *testing.T) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// TestRendezvousAbortRace races the lock-free arrival against every
+// abort. For each of 500 seeds a 64-rank world runs rounds of barriers
+// and Allreduces; when a seeded rank reaches a seeded round, another
+// goroutine cancels or revokes the world or departs a seeded rank.
+// Every rank must return. A round releases every rank or none: all
+// ranks complete the same rounds, each Allreduce with the round's sum,
+// and then every rank fails that round's collective with the abort's
+// kind.
+func TestRendezvousAbortRace(t *testing.T) {
+	const P, rounds, seeds = 64, 4, 500
+	aborts := []struct {
+		kind ErrorKind
+		run  func(w *World, victim int)
+	}{
+		{ErrCancelled, func(w *World, _ int) { w.Cancel() }},
+		{ErrRevoked, func(w *World, _ int) { w.Revoke() }},
+		{ErrPeerCrashed, func(w *World, victim int) { w.Depart(victim) }},
+	}
+	ops := []string{trace.OpBarrier, trace.OpAllreduce}
+	for seed := range seeds {
+		rng := rand.New(rand.NewSource(int64(seed)))
+		ab := aborts[seed%len(aborts)]
+		trigger, at, victim := rng.Intn(P), rng.Intn(rounds), rng.Intn(P)
+		w := meshWorld(t, P, 8, "")
+		completed := make([]int, P)
+		errs := make([]error, P)
+		var wg, aborter sync.WaitGroup
+		for r := range P {
+			wg.Add(1)
+			go func(p *Proc) {
+				defer wg.Done()
+				for i := range rounds {
+					if p.Rank() == trigger && i == at {
+						aborter.Add(1)
+						go func() { defer aborter.Done(); ab.run(w, victim) }()
+					}
+					var err error
+					if i%2 == 0 {
+						err = p.Barrier()
+					} else {
+						var got []float64
+						got, err = p.Allreduce(Sum, []float64{float64(p.Rank() + i)})
+						if want := float64(P*(P-1)/2 + P*i); err == nil && (len(got) != 1 || got[0] != want) {
+							t.Errorf("seed %d rank %d round %d: sum %v, want [%v]", seed, p.Rank(), i, got, want)
+						}
+					}
+					if err != nil {
+						errs[p.Rank()] = err
+						return
+					}
+					completed[p.Rank()]++
+				}
+			}(w.Rank(r))
+		}
+		wg.Wait()
+		aborter.Wait()
+		w.Shutdown()
+		for r := range P {
+			if completed[r] != completed[0] {
+				t.Fatalf("seed %d: rank %d completed %d rounds, rank 0 %d", seed, r, completed[r], completed[0])
+			}
+			if completed[r] == rounds {
+				continue
+			}
+			var me *Error
+			if op := ops[completed[r]%2]; !errors.As(errs[r], &me) || me.Kind != ab.kind || me.Rank != r || me.Op != op {
+				t.Fatalf("seed %d rank %d: got %v, want %s in %s", seed, r, errs[r], ab.kind, op)
+			}
 		}
 	}
 }

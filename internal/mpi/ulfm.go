@@ -24,18 +24,14 @@ import (
 // that will never arrive and join the recovery protocol. Revocation
 // is idempotent and cannot be undone; recovery builds a new world.
 func (w *World) Revoke() {
+	w.revoked.Store(true)
 	w.mu.Lock()
-	w.revoked = true
 	w.wake()
 	w.mu.Unlock()
 }
 
 // Revoked reports whether the communicator has been revoked.
-func (w *World) Revoked() bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.revoked
-}
+func (w *World) Revoked() bool { return w.revoked.Load() }
 
 // Agree is the survivors' consensus on the failed set
 // (MPI_Comm_agree): it returns the communicator ranks that genuinely

@@ -55,23 +55,21 @@ type World struct {
 	// to the physical node.
 	nodes []int
 
-	// mu guards the rendezvous, the window registry, the mailboxes and
-	// the fault state; cond wakes receives parked on a mailbox.
+	// mu guards the window registry, the mailboxes, the fault state and
+	// a rendezvous' contributions and release; cond wakes receives
+	// parked on a mailbox.
 	mu   sync.Mutex
 	cond *sync.Cond
 
 	// Collective rendezvous state (one collective in flight at a time,
 	// as MPI ordering rules require): arrived and maxT count and clock
-	// the current generation's arrivals, gen numbers it (advanced under
-	// mu by each release, read without it by released waiters), and
-	// coll holds the two alternating generation slots (see collSlot).
-	arrived int
-	maxT    sim.Time
+	// the current generation's arrivals without a lock, gen numbers it
+	// (advanced under mu by each release), and coll holds the two
+	// alternating generation slots (see collSlot).
+	arrived atomic.Int64
+	maxT    atomic.Int64
 	gen     atomic.Uint64
 	coll    [2]collSlot
-	// noVals is what a collective's finish sees when no rank
-	// contributed a value (every barrier): n nil entries, read-only.
-	noVals [][]float64
 
 	// Window registry (windows are created collectively by name).
 	wins map[string]*Win
@@ -91,9 +89,11 @@ type World struct {
 	// bcastSeq numbers broadcasts deterministically (guarded by mu: it
 	// is only consumed inside collective finish closures).
 	bcastSeq int
-	// down marks crashed or departed ranks (guarded by mu).
-	down  []bool
-	nDown int
+	// down marks crashed or departed ranks (guarded by mu); downSeen
+	// mirrors nDown > 0 for the rendezvous' unlocked checks.
+	down     []bool
+	nDown    int
+	downSeen atomic.Bool
 	// crashed marks the subset of down ranks that actually failed (as
 	// opposed to departing collaterally after a peer's failure). The
 	// recovery protocol's Agree round excludes only these.
@@ -101,7 +101,7 @@ type World struct {
 	// revoked poisons the communicator (ULFM MPI_Comm_revoke): every
 	// subsequent or blocked operation fails with ErrRevoked so all
 	// ranks reach the recovery path instead of deadlocking.
-	revoked bool
+	revoked atomic.Bool
 	// watchStop stops the deadline watchdog goroutine.
 	watchStop chan struct{}
 
@@ -145,7 +145,6 @@ func newWorld(c *cluster.Cluster, nodes []int) *World {
 		cl:       c,
 		n:        n,
 		nodes:    nodes,
-		noVals:   make([][]float64, n),
 		wins:     make(map[string]*Win),
 		boxes:    make(map[mbKey][]*pendingSend),
 		inj:      c.Faults(),
@@ -154,6 +153,7 @@ func newWorld(c *cluster.Cluster, nodes []int) *World {
 		cancelCh: make(chan struct{}),
 	}
 	w.cond = sync.NewCond(&w.mu)
+	w.coll[0].done.Store(make(chan struct{}))
 	if w.inj != nil {
 		w.pktSeq = make([]int, n*n)
 	}
