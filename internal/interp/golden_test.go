@@ -18,6 +18,7 @@ import (
 	"vbuscluster/internal/golden"
 	"vbuscluster/internal/lmad"
 	"vbuscluster/internal/postpass"
+	"vbuscluster/internal/progen"
 )
 
 // goldenPath was recorded from the tree-walking evaluator before it
@@ -104,7 +105,7 @@ func goldenPrograms(t *testing.T) map[string]string {
 	t.Helper()
 	progs := map[string]string{}
 	for seed := int64(0); seed < 200; seed++ {
-		progs[fmt.Sprintf("fuzz-%03d", seed)] = newProgGen(seed).Generate()
+		progs[fmt.Sprintf("fuzz-%03d", seed)] = progen.New(seed).Generate()
 	}
 	files, err := filepath.Glob("../../testdata/*.f")
 	if err != nil || len(files) == 0 {

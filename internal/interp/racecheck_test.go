@@ -10,6 +10,7 @@ import (
 	"vbuscluster/internal/f77"
 	"vbuscluster/internal/lmad"
 	"vbuscluster/internal/postpass"
+	"vbuscluster/internal/progen"
 )
 
 // mapRaceCheck is the §5.6 race check as it was before the sweep and
@@ -137,7 +138,7 @@ func TestRaceCheckMatchesMapReference(t *testing.T) {
 		srcs[filepath.Base(file)] = string(b)
 	}
 	for seed := int64(0); seed < 200; seed++ {
-		srcs[fmt.Sprintf("fuzz-%03d", seed)] = newProgGen(seed).Generate()
+		srcs[fmt.Sprintf("fuzz-%03d", seed)] = progen.New(seed).Generate()
 	}
 	ops, demotions, kept := 0, 0, 0
 	for name, src := range srcs {
