@@ -15,9 +15,9 @@ import (
 
 // foldEstimate is EstimateCommCost as it was before runs were priced
 // whole: Price folded over every transfer of every rank's materialised
-// plan (postpass.RankPlans, what the run path issues), in issue order,
-// with a simulated registration cache per origin node. Kept as the
-// reference.
+// plan (postpass.RankPlans, what the run path issues, each transfer at
+// its entry's Shift), in issue order, with a simulated registration
+// cache per origin node. Kept as the reference.
 func foldEstimate(p *postpass.Program, params cluster.Params) sim.Time {
 	k := params.CommCost()
 	procs := p.Opts.NumProcs
@@ -31,6 +31,7 @@ func foldEstimate(p *postpass.Program, params cluster.Params) sim.Time {
 		}
 		for _, pl := range postpass.RankPlans(par, dir, rank) {
 			for _, tr := range pl.Plan {
+				tr.Offset += pl.Shift
 				t, _ := k.Price(commcost.FromTransfer(pl.Sym.Name, tr), geo.Hops(0, rank), cache)
 				total += t
 			}

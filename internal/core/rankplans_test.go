@@ -127,7 +127,7 @@ func planDigest(p *postpass.Program) string {
 					num(int64(len(pl.Plan)))
 					num(int64(len(covers[k])))
 					for _, tr := range pl.Plan {
-						num(tr.Offset)
+						num(pl.Shift + tr.Offset)
 						num(tr.Elems)
 						num(tr.Stride)
 						buf = append(buf, byte(tr.Proto))
@@ -138,8 +138,8 @@ func planDigest(p *postpass.Program) string {
 						}
 					}
 					for _, s := range covers[k] {
-						num(s.Lo)
-						num(s.Hi)
+						num(pl.Shift + s.Lo)
+						num(pl.Shift + s.Hi)
 					}
 				}
 				h.Write(buf)

@@ -640,8 +640,8 @@ func (env *Env) runParRegion(pp *postpass.Program, par *postpass.ParInfo, p *mpi
 
 	// ---- Partitioned execution (§5.3).
 	trips := par.Ctx.Trips()
-	myTrips := postpass.RankTrips(trips, p.Rank(), P, par.Schedule)
-	env.runPartition(loop, par.Ctx, myTrips)
+	first, step, count := postpass.RankTrips(trips, p.Rank(), P, par.Schedule)
+	env.runPartition(loop, par.Ctx, first, step, count)
 
 	// ---- Combine reductions.
 	if len(reds) > 0 {
@@ -787,11 +787,12 @@ func applyReduction(op string, a, b float64) float64 {
 }
 
 // runPartition executes (or bulk-charges) the rank's share of a
-// parallel loop under the region's schedule.
-func (env *Env) runPartition(l *loop, ctx analysis.LoopCtx, myTrips []int64) {
+// parallel loop under the region's schedule: count trips first,
+// first+step, … (postpass.RankTrips).
+func (env *Env) runPartition(l *loop, ctx analysis.LoopCtx, first, step, count int64) {
 	env.pending += 3 * env.cpu.IntOpTime
 	defer env.setInt(l.v, ctx.From+ctx.Trips()*ctx.Step)
-	if len(myTrips) == 0 {
+	if count == 0 {
 		return
 	}
 	// The generated SPMD code computes rank-dependent bounds and
@@ -800,33 +801,29 @@ func (env *Env) runPartition(l *loop, ctx analysis.LoopCtx, myTrips []int64) {
 	env.spmdTax = env.cpu.SPMDIterOverhead
 	defer func() { env.spmdTax = 0 }()
 	iterCost := env.cpu.LoopOverhead + env.spmdTax
+	from, stride := ctx.From+first*ctx.Step, step*ctx.Step
 	if env.mode == Timing && l.bulkable {
 		if !l.varDep {
 			env.setInt(l.v, ctx.From)
-			env.pending += sim.Time(len(myTrips)) * (iterCost + l.bodyCost(env))
+			env.pending += sim.Time(count) * (iterCost + l.bodyCost(env))
 			return
 		}
 		var total sim.Time
-		for _, k := range myTrips {
+		for i := int64(0); i < count; i++ {
 			env.checkCancelled()
-			env.setInt(l.v, ctx.From+k*ctx.Step)
+			env.setInt(l.v, from+i*stride)
 			total += iterCost + l.bodyCost(env)
 		}
 		env.pending += total
 		return
 	}
-	// The share is block or cyclic: trips k0, k0+d, k0+2d, ….
-	stride := ctx.Step
-	if len(myTrips) > 1 {
-		stride *= myTrips[1] - myTrips[0]
-	}
-	if l.straight && l.onTape(env, ctx.From+myTrips[0]*ctx.Step, stride, int64(len(myTrips))) {
+	if l.straight && l.onTape(env, from, stride, count) {
 		return
 	}
 	body := l.block()
-	for _, k := range myTrips {
+	for i := int64(0); i < count; i++ {
 		env.checkCancelled()
-		env.setInt(l.v, ctx.From+k*ctx.Step)
+		env.setInt(l.v, from+i*stride)
 		env.pending += iterCost
 		if body.exec(env) != ctrlNormal {
 			env.fail(l.line, "control transfer out of a parallel loop")
@@ -850,7 +847,7 @@ func (env *Env) sendOps(p *mpi.Proc, par *postpass.ParInfo, dir postpass.Directi
 			src := env.symStorage(pl.Sym)
 			payload := make([]float64, tr.Elems)
 			for i := range payload {
-				payload[i] = src[tr.Offset+int64(i)*tr.Stride]
+				payload[i] = src[pl.Shift+tr.Offset+int64(i)*tr.Stride]
 			}
 			mpi.Must(p.SendRegion(dst, tag, int(tr.Elems), payload))
 		}
@@ -873,7 +870,7 @@ func (env *Env) recvOps(p *mpi.Proc, par *postpass.ParInfo, dir postpass.Directi
 			}
 			buf := env.symStorage(pl.Sym)
 			for i, v := range payload {
-				buf[tr.Offset+int64(i)*tr.Stride] = v
+				buf[pl.Shift+tr.Offset+int64(i)*tr.Stride] = v
 			}
 		}
 	}
@@ -890,6 +887,7 @@ func (env *Env) moveOps(p *mpi.Proc, wins []*mpi.Win, par *postpass.ParInfo, dir
 	plans := postpass.RankPlans(par, dir, rank)
 	for _, pl := range plans {
 		for _, tr := range pl.Plan {
+			tr.Offset += pl.Shift
 			mpi.Must(p.Charge(target, commcost.FromTransfer(pl.Sym.Name, tr), get))
 		}
 	}
@@ -897,8 +895,8 @@ func (env *Env) moveOps(p *mpi.Proc, wins []*mpi.Win, par *postpass.ParInfo, dir
 		return
 	}
 	for i, cover := range postpass.RankCovers(par, dir, rank) {
-		sym := plans[i].Sym
-		mpi.Must(p.CopySpans(wins[env.lw.slots[sym]], target, cover, env.symStorage(sym), get))
+		pl := plans[i]
+		mpi.Must(p.CopySpans(wins[env.lw.slots[pl.Sym]], target, cover, pl.Shift, env.symStorage(pl.Sym), get))
 	}
 }
 

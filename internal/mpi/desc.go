@@ -228,15 +228,15 @@ func (p *Proc) Charge(target int, d AccessDesc, get bool) error {
 	return nil
 }
 
-// CopySpans copies the elements of spans between origin and target's
-// window, at the same indices on both sides: into the window, or out of
-// it into origin with get set. It charges nothing and traces nothing —
-// the transfers whose union the spans are (lmad.Cover) were charged one
-// by one with Charge — so each element the plan moves lands once,
-// however many transfers carry it, before the epoch's fence returns.
-// The spans must be sorted and disjoint, as lmad.Cover returns them, so
-// their hull bounds them all.
-func (p *Proc) CopySpans(win *Win, target int, spans []lmad.Span, origin []float64, get bool) error {
+// CopySpans copies the elements of spans, each displaced by shift,
+// between origin and target's window, at the same indices on both
+// sides: into the window, or out of it into origin with get set. It
+// charges nothing and traces nothing — the transfers whose union the
+// spans are (lmad.Cover) were charged one by one with Charge — so each
+// element the plan moves lands once, however many transfers carry it,
+// before the epoch's fence returns. The spans must be sorted and
+// disjoint, as lmad.Cover returns them, so their hull bounds them all.
+func (p *Proc) CopySpans(win *Win, target int, spans []lmad.Span, shift int64, origin []float64, get bool) error {
 	if len(spans) == 0 {
 		return nil
 	}
@@ -245,14 +245,14 @@ func (p *Proc) CopySpans(win *Win, target int, spans []lmad.Span, origin []float
 			panic(fmt.Sprintf("mpi: CopySpans span %d %v not sorted and disjoint", i, s))
 		}
 	}
-	lo, hi := spans[0].Lo, spans[len(spans)-1].Hi
+	lo, hi := shift+spans[0].Lo, shift+spans[len(spans)-1].Hi
 	buf, verr := p.validateAccess("CopySpans", win, target, ContigDesc(lo, hi-lo), origin)
 	if verr != nil {
 		return verr
 	}
 	win.applyMu[target].Lock()
 	for _, s := range spans {
-		copyRegion(buf, origin, ContigDesc(s.Lo, s.Hi-s.Lo), get)
+		copyRegion(buf, origin, ContigDesc(shift+s.Lo, s.Hi-s.Lo), get)
 	}
 	win.applyMu[target].Unlock()
 	return nil

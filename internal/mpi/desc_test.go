@@ -140,13 +140,13 @@ func TestDescValidationPanics(t *testing.T) {
 				Must(p.Accumulate(win, 1, ContigDesc(62, 4), seq(66, 0)))
 			})
 			mustPanic(t, "mpi: CopySpans span 1 {3 5} not sorted and disjoint", func() {
-				Must(p.CopySpans(win, 1, []lmad.Span{{Lo: 0, Hi: 4}, {Lo: 3, Hi: 5}}, seq(8, 0), false))
+				Must(p.CopySpans(win, 1, []lmad.Span{{Lo: 0, Hi: 4}, {Lo: 3, Hi: 5}}, 0, seq(8, 0), false))
 			})
 			mustPanic(t, `mpi: CopySpans "w" rank 1 [0,65) outside window size 64`, func() {
-				Must(p.CopySpans(win, 1, []lmad.Span{{Lo: 0, Hi: 2}, {Lo: 60, Hi: 65}}, seq(70, 0), false))
+				Must(p.CopySpans(win, 1, []lmad.Span{{Lo: 0, Hi: 2}, {Lo: 60, Hi: 65}}, 0, seq(70, 0), false))
 			})
 			mustPanic(t, "mpi: CopySpans origin [0,2) outside buffer size 1", func() {
-				Must(p.CopySpans(win, 1, []lmad.Span{{Lo: 0, Hi: 2}}, seq(1, 0), true))
+				Must(p.CopySpans(win, 1, []lmad.Span{{Lo: 0, Hi: 2}}, 0, seq(1, 0), true))
 			})
 			// Charge-only paths validate shape too (no window to bound).
 			mustPanic(t, "mpi: Charge stride -2 must be positive", func() {
@@ -164,11 +164,17 @@ func TestDescValidationPanics(t *testing.T) {
 	})
 }
 
-// CopySpans lands exactly its spans' elements, at the same indices on
-// both sides, in either direction, and charges and traces nothing: the
-// transfers it completes were charged one by one.
+// CopySpans lands exactly its spans' elements, displaced by its shift,
+// at the same indices on both sides, in either direction, and charges
+// and traces nothing: the transfers it completes were charged one by
+// one.
 func TestCopySpansMovesOnlyItsSpans(t *testing.T) {
 	spans := []lmad.Span{{Lo: 1, Hi: 3}, {Lo: 6, Hi: 7}, {Lo: 9, Hi: 12}}
+	const shift = 3
+	var base []lmad.Span // spans, as a plan shared with other ranks states them
+	for _, s := range spans {
+		base = append(base, lmad.Span{Lo: s.Lo - shift, Hi: s.Hi - shift})
+	}
 	in := func(x int) bool {
 		for _, s := range spans {
 			if int64(x) >= s.Lo && int64(x) < s.Hi {
@@ -183,9 +189,9 @@ func TestCopySpansMovesOnlyItsSpans(t *testing.T) {
 		win := p.WinCreate("cs", seq(12, 100*float64(p.Rank())))
 		if p.Rank() == 0 {
 			before := p.Wtime()
-			Must(p.CopySpans(win, 1, spans, seq(12, 500), false))
+			Must(p.CopySpans(win, 1, base, shift, seq(12, 500), false))
 			pulled := seq(12, 900)
-			Must(p.CopySpans(win, 1, spans, pulled, true))
+			Must(p.CopySpans(win, 1, base, shift, pulled, true))
 			for x, v := range pulled {
 				want := 900 + float64(x)
 				if in(x) {
@@ -409,7 +415,7 @@ func TestAccessThroughNilRegion(t *testing.T) {
 			"Put":        p.Put(win, 1, ContigDesc(0, 4), data),
 			"Get":        p.Get(win, 1, StridedDesc(0, 4, 2), data),
 			"Accumulate": p.Accumulate(win, 1, ContigDesc(0, 4), data),
-			"CopySpans":  p.CopySpans(win, 1, []lmad.Span{{Lo: 0, Hi: 4}}, data, false),
+			"CopySpans":  p.CopySpans(win, 1, []lmad.Span{{Lo: 0, Hi: 4}}, 0, data, false),
 		} {
 			me, ok := err.(*Error)
 			if !ok {

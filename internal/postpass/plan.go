@@ -1,6 +1,7 @@
 package postpass
 
 import (
+	"encoding/binary"
 	"sync"
 
 	"vbuscluster/internal/analysis"
@@ -16,21 +17,19 @@ func BlockPart(trips int64, rank, procs int) (start, count int64) {
 	return lo, hi - lo
 }
 
-// RankTrips enumerates the 0-based trip indices rank executes under the
-// given schedule.
-func RankTrips(trips int64, rank, procs int, sched f77.Schedule) []int64 {
-	var out []int64
+// RankTrips returns the 0-based trip indices rank executes under the
+// given schedule as a progression: count trips first, first+step, ….
+// A block share steps by 1, a cyclic one by procs.
+func RankTrips(trips int64, rank, procs int, sched f77.Schedule) (first, step, count int64) {
 	if sched == f77.SchedCyclic {
-		for k := int64(rank); k < trips; k += int64(procs) {
-			out = append(out, k)
+		first, step = int64(rank), int64(procs)
+		if first < trips {
+			count = (trips - first + step - 1) / step
 		}
-		return out
+		return first, step, count
 	}
-	lo, n := BlockPart(trips, rank, procs)
-	for k := lo; k < lo+n; k++ {
-		out = append(out, k)
-	}
-	return out
+	first, count = BlockPart(trips, rank, procs)
+	return first, 1, count
 }
 
 // RankPlan computes the §5.4/§5.6 communication plan for one op and one
@@ -70,49 +69,59 @@ func stamp(op *CommOp, plan []lmad.Transfer) []lmad.Transfer {
 // nothing.
 func rankRuns(op *CommOp, g lmad.Grain, rank, procs int, sched f77.Schedule) lmad.Runs {
 	l := op.Acc.L
-	pd := op.ParallelDim
-	if pd < 0 {
+	start, count := rankPart(op, rank, procs, sched)
+	switch {
+	case count < 0:
 		return lmad.PlanRuns(l, g)
-	}
-	trips := l.Dims[pd].Trips()
-	switch sched {
-	case f77.SchedCyclic:
-		phase := int64(rank) % int64(procs)
-		if op.Reversed {
-			// Loop trip k maps to lattice position trips-1-k, and k
-			// ranges over a full residue class mod procs, so the
-			// positions form the cyclic class with mirrored phase:
-			// (trips-1-rank) mod procs.
-			phase = (trips - 1 - int64(rank)) % int64(procs)
-			if phase < 0 {
-				phase += int64(procs)
-			}
-		}
-		part, ok := l.CycleDim(pd, phase, int64(procs))
-		if !ok {
-			return lmad.Runs{}
-		}
+	case count == 0:
+		return lmad.Runs{}
+	case sched == f77.SchedCyclic:
+		part, _ := l.CycleDim(op.ParallelDim, start, int64(procs))
 		return lmad.PlanRuns(part, g)
 	default:
-		start, count := BlockPart(trips, rank, procs)
-		if count == 0 {
-			return lmad.Runs{}
-		}
-		if op.Reversed {
-			// Loop trip k maps to lattice position trips-1-k, so the
-			// block [start, start+count) maps to
-			// [trips-start-count, trips-start).
-			start = trips - start - count
-		}
-		return lmad.PlanRuns(l.RestrictDim(pd, start, count), g)
+		return lmad.PlanRuns(l.RestrictDim(op.ParallelDim, start, count), g)
 	}
 }
 
+// rankPart is rank's part of op's parallel dimension in lattice
+// positions: count positions from start, one every procs under CYCLIC
+// and consecutive under BLOCK. Loop trip k of a reversed op maps to
+// position trips-1-k, so its part starts at the mirror of the rank's
+// last trip. count is 0 when the rank moves nothing, and -1 for a
+// replicated op (ParallelDim < 0), which every rank moves whole.
+func rankPart(op *CommOp, rank, procs int, sched f77.Schedule) (start, count int64) {
+	if op.ParallelDim < 0 {
+		return 0, -1
+	}
+	trips := op.Acc.L.Dims[op.ParallelDim].Trips()
+	first, step, count := RankTrips(trips, rank, procs, sched)
+	if op.Reversed && count > 0 {
+		first = trips - 1 - (first + (count-1)*step)
+	}
+	return first, count
+}
+
+// rankShare is rank's part of op as the class key reads it: rankPart's
+// count n, and the element offset base at which the part starts,
+// relative to the op's whole region (0 for a replicated op or an empty
+// part). Every transfer of the rank's plan of op sits base elements
+// from the same transfer of a rank with an equal n at base 0.
+func rankShare(op *CommOp, rank, procs int, sched f77.Schedule) (n, base int64) {
+	start, n := rankPart(op, rank, procs, sched)
+	if n > 0 {
+		base = start * op.Acc.L.Dims[op.ParallelDim].Stride
+	}
+	return n, base
+}
+
 // SymPlan is one entry of a rank's transfer list: the transfers that
-// move one array's regions.
+// move one array's regions. Every rank of a class (see classTable)
+// shares Plan, and moves each of its transfers, and each span of its
+// cover, displaced by its own Shift elements.
 type SymPlan struct {
-	Sym  *f77.Symbol
-	Plan []lmad.Transfer
+	Sym   *f77.Symbol
+	Plan  []lmad.Transfer
+	Shift int64
 }
 
 // Direction selects one of a parallel region's two transfer lists.
@@ -125,27 +134,148 @@ const (
 	Collect
 )
 
-// planMemo holds a region's per-rank transfer lists, and their covers,
-// indexed [dir*Procs + rank]. Each table is made by the first call that
-// needs it — a run's, never the compiler's, and for covers a Full run's
-// — so compiling pays nothing for either; each entry is computed once
-// by whoever asks first and is immutable afterwards.
+// planMemo holds a region's rank classes, one table per direction,
+// made by the first call that needs it: a run's, or the estimator's.
+// A class's plans are built once, by the first of its ranks to ask, and
+// its covers only when a Full run first asks; all are immutable after.
 type planMemo struct {
-	once  sync.Once
-	table []rankPlans
-
-	coverOnce sync.Once
-	covers    []rankCovers
+	once   [2]sync.Once
+	tables [2]classTable
 }
 
-type rankPlans struct {
-	once  sync.Once
-	plans []SymPlan
+// classTable sorts the ranks of one direction of a region into
+// classes whose transfer lists are one plan displaced per entry. Rank
+// r's plan of op o is rankRuns' restriction of o's region to n_o(r)
+// lattice positions starting at base b_o(r) (rankShare), so two ranks
+// with equal n_o for every op plan every op alike, b_o apart. A coarse
+// array's entry merges its ops' plans, so its ranks must also agree on
+// every b_o − b_first within it to merge alike. The key is built from
+// those integers alone, in one pass over ranks and ops.
+type classTable struct {
+	ops     []*CommOp
+	group   []int // per op: its coarse-merged array's index, or -1
+	merged  int   // entries before the merged arrays': one per non-coarse op
+	entries int   // entries per transfer list
+	ranks   []classRank
+	classes []rankClass
 }
 
-type rankCovers struct {
-	once   sync.Once
-	covers [][]lmad.Span
+// classRank places a rank in its class: slot is its position among the
+// class's members, next the following member (-1 after the last).
+type classRank struct{ class, slot, next int32 }
+
+// rankClass is the lowest-numbered member's plan (rep), and every
+// member's view of it: size lists of entries SymPlans, by slot.
+type rankClass struct {
+	rep, tail, size int
+	once            sync.Once
+	views           []SymPlan
+	coverOnce       sync.Once
+	covers          [][]lmad.Span
+}
+
+// classes returns the class table of one direction of par.
+func classes(par *ParInfo, dir Direction) *classTable {
+	m := &par.plans
+	m.once[dir].Do(func() { m.tables[dir] = newClassTable(par, dir) })
+	return &m.tables[dir]
+}
+
+func newClassTable(par *ParInfo, dir Direction) classTable {
+	t := classTable{ops: par.ops(dir), ranks: make([]classRank, par.Procs)}
+	t.group = make([]int, len(t.ops))
+	var arrays []*f77.Symbol
+	for i, op := range t.ops {
+		t.group[i] = -1
+		if op.Grain != lmad.Coarse {
+			t.merged++
+			continue
+		}
+		g := 0
+		for g < len(arrays) && arrays[g] != op.Sym {
+			g++
+		}
+		if g == len(arrays) {
+			arrays = append(arrays, op.Sym)
+		}
+		t.group[i] = g
+	}
+	t.entries = t.merged + len(arrays)
+	base, seen := make([]int64, len(arrays)), make([]bool, len(arrays))
+	index := map[string]int32{}
+	var key []byte
+	for r := range t.ranks {
+		key = key[:0]
+		clear(seen)
+		for i, op := range t.ops {
+			n, b := rankShare(op, r, par.Procs, par.Schedule)
+			key = binary.AppendVarint(key, n)
+			if g := t.group[i]; g >= 0 && n != 0 {
+				if !seen[g] {
+					base[g], seen[g] = b, true
+				}
+				key = binary.AppendVarint(key, b-base[g])
+			}
+		}
+		c, ok := index[string(key)]
+		if !ok {
+			c = int32(len(t.classes))
+			index[string(key)] = c
+			t.classes = append(t.classes, rankClass{rep: r, tail: r})
+		}
+		cl := &t.classes[c]
+		t.ranks[r] = classRank{class: c, slot: int32(cl.size), next: -1}
+		if cl.size > 0 {
+			t.ranks[cl.tail].next = int32(r)
+		}
+		cl.tail = r
+		cl.size++
+	}
+	return t
+}
+
+// class returns rank's class with its plans built.
+func (t *classTable) class(par *ParInfo, dir Direction, rank int) *rankClass {
+	cl := &t.classes[t.ranks[rank].class]
+	cl.once.Do(func() { t.build(par, dir, cl) })
+	return cl
+}
+
+// build plans cl's representative and gives every member a view of
+// that plan, each entry displaced by the difference between the
+// member's and the representative's base of one of the entry's ops: a
+// non-coarse entry's own op, a merged entry's first op that the class
+// moves any of.
+func (t *classTable) build(par *ParInfo, dir Direction, cl *rankClass) {
+	plans := planRank(par, dir, cl.rep)
+	ref := make([]int, len(plans))
+	e := 0
+	for i := range ref {
+		ref[i] = -1
+	}
+	for i, op := range t.ops {
+		switch g := t.group[i]; {
+		case g < 0:
+			ref[e] = i
+			e++
+		case ref[t.merged+g] < 0:
+			if n, _ := rankShare(op, cl.rep, par.Procs, par.Schedule); n != 0 {
+				ref[t.merged+g] = i
+			}
+		}
+	}
+	cl.views = make([]SymPlan, cl.size*len(plans))
+	for r, k := cl.rep, 0; r >= 0; r, k = int(t.ranks[r].next), k+len(plans) {
+		view := cl.views[k : k+len(plans)]
+		copy(view, plans)
+		for e, i := range ref {
+			if i >= 0 {
+				_, b := rankShare(t.ops[i], r, par.Procs, par.Schedule)
+				_, b0 := rankShare(t.ops[i], cl.rep, par.Procs, par.Schedule)
+				view[e].Shift = b - b0
+			}
+		}
+	}
 }
 
 // RankPlans returns everything rank transfers in one direction of a
@@ -154,33 +284,30 @@ type rankCovers struct {
 // scatter/collect code once (§5.4–5.6) — so it is computed on first
 // request and then shared by every run and rank goroutine of the
 // program: callers must not modify it, and must not ask while the
-// translation is still being built.
+// translation is still being built. Each entry's Plan is shared with
+// the rank's class; the rank moves it displaced by the entry's Shift.
 func RankPlans(par *ParInfo, dir Direction, rank int) []SymPlan {
-	m := &par.plans
-	m.once.Do(func() { m.table = make([]rankPlans, 2*par.Procs) })
-	e := &m.table[int(dir)*par.Procs+rank]
-	e.once.Do(func() { e.plans = planRank(par, dir, rank) })
-	return e.plans
+	t := classes(par, dir)
+	k := int(t.ranks[rank].slot) * t.entries
+	return t.class(par, dir, rank).views[k : k+t.entries : k+t.entries]
 }
 
-// RankCovers returns the cover (lmad.Cover) of each entry of
+// RankCovers returns the cover (lmad.Cover) of each entry's Plan in
 // RankPlans(par, dir, rank), index for index: the elements a Full-mode
-// run copies once each after charging every transfer. It is memoised
-// beside the plans and, like them, shared and immutable; only a run
-// that moves data asks for it, so Timing runs and the compiler never
-// build it.
+// run copies once each, displaced by the entry's Shift, after charging
+// every transfer. It is memoised per class beside the plans and, like
+// them, shared and immutable; only a run that moves data asks for it,
+// so Timing runs and the compiler never build it.
 func RankCovers(par *ParInfo, dir Direction, rank int) [][]lmad.Span {
-	m := &par.plans
-	m.coverOnce.Do(func() { m.covers = make([]rankCovers, 2*par.Procs) })
-	e := &m.covers[int(dir)*par.Procs+rank]
-	e.once.Do(func() {
-		plans := RankPlans(par, dir, rank)
-		e.covers = make([][]lmad.Span, len(plans))
-		for i, pl := range plans {
-			e.covers[i] = lmad.Cover(pl.Plan)
+	t := classes(par, dir)
+	cl := t.class(par, dir, rank)
+	cl.coverOnce.Do(func() {
+		cl.covers = make([][]lmad.Span, t.entries)
+		for i, pl := range cl.views[:t.entries] {
+			cl.covers[i] = lmad.Cover(pl.Plan)
 		}
 	})
-	return e.covers
+	return cl.covers
 }
 
 // eachRankRun walks everything rank transfers in one direction of a
@@ -198,10 +325,7 @@ func RankCovers(par *ParInfo, dir Direction, rank int) [][]lmad.Span {
 // move exactly the same transfers.
 func eachRankRun(par *ParInfo, dir Direction, rank int,
 	run func(op *CommOp, runs lmad.Runs), merged func(sym *f77.Symbol, plan []lmad.Transfer)) {
-	ops := par.Scatters
-	if dir == Collect {
-		ops = par.Collects
-	}
+	ops := par.ops(dir)
 	var coarse []SymPlan // per array, in first-seen order
 	var rndvThreshold int64
 	for _, op := range ops {
@@ -229,17 +353,21 @@ func eachRankRun(par *ParInfo, dir Direction, rank int,
 
 // planRank materialises eachRankRun into the rank's transfer list.
 func planRank(par *ParInfo, dir Direction, rank int) []SymPlan {
-	n := len(par.Scatters)
-	if dir == Collect {
-		n = len(par.Collects)
-	}
-	out := make([]SymPlan, 0, n)
+	out := make([]SymPlan, 0, len(par.ops(dir)))
 	eachRankRun(par, dir, rank,
 		func(op *CommOp, runs lmad.Runs) {
-			out = append(out, SymPlan{op.Sym, materialise(op, runs)})
+			out = append(out, SymPlan{Sym: op.Sym, Plan: materialise(op, runs)})
 		},
 		func(sym *f77.Symbol, plan []lmad.Transfer) {
-			out = append(out, SymPlan{sym, plan})
+			out = append(out, SymPlan{Sym: sym, Plan: plan})
 		})
 	return out
+}
+
+// ops returns the region's ops of one direction.
+func (par *ParInfo) ops(dir Direction) []*CommOp {
+	if dir == Collect {
+		return par.Collects
+	}
+	return par.Scatters
 }

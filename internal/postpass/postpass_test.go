@@ -199,15 +199,12 @@ func TestBlockPart(t *testing.T) {
 }
 
 func TestRankTripsCyclic(t *testing.T) {
-	got := RankTrips(10, 1, 4, f77.SchedCyclic)
-	want := []int64{1, 5, 9}
-	if len(got) != len(want) {
-		t.Fatalf("cyclic trips = %v", got)
+	// Trips 1, 5, 9.
+	if first, step, count := RankTrips(10, 1, 4, f77.SchedCyclic); first != 1 || step != 4 || count != 3 {
+		t.Fatalf("cyclic trips = (%d, %d, %d), want (1, 4, 3)", first, step, count)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("cyclic trips = %v, want %v", got, want)
-		}
+	if _, _, count := RankTrips(3, 5, 7, f77.SchedCyclic); count != 0 {
+		t.Fatalf("rank past the trip count gets %d trips", count)
 	}
 }
 
@@ -220,8 +217,9 @@ func TestPartitionTilesExactly(t *testing.T) {
 			for procs := 1; procs <= 7; procs++ {
 				seen := map[int64]int{}
 				for r := 0; r < procs; r++ {
-					for _, k := range RankTrips(trips, r, procs, sched) {
-						seen[k]++
+					first, step, count := RankTrips(trips, r, procs, sched)
+					for i := int64(0); i < count; i++ {
+						seen[first+i*step]++
 					}
 				}
 				if int64(len(seen)) != trips {
@@ -270,8 +268,12 @@ func TestRankCoversOnDemand(t *testing.T) {
 			RankPlans(par, dir, r)
 		}
 	}
-	if par.plans.covers != nil {
-		t.Fatal("planning made the cover table")
+	for dir := range par.plans.tables {
+		for i := range par.plans.tables[dir].classes {
+			if par.plans.tables[dir].classes[i].covers != nil {
+				t.Fatal("planning made a cover")
+			}
+		}
 	}
 	for _, dir := range []Direction{Scatter, Collect} {
 		for r := 0; r < 4; r++ {
