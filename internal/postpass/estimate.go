@@ -1,8 +1,6 @@
 package postpass
 
 import (
-	"slices"
-
 	"vbuscluster/internal/cluster"
 	"vbuscluster/internal/commcost"
 	"vbuscluster/internal/f77"
@@ -13,96 +11,84 @@ import (
 // EstimateCommCost predicts the total data scattering/collecting time
 // of the SPMD program on the given machine without executing it — the
 // §5.6 "precise analysis of data access pattern" turned into a static
-// cost estimate. It prices with the machine's commcost kernel (any
-// registered backend, not just the V-Bus card) the transfers the
-// interpreter issues, from the same rank classes (classTable), in the
-// same order, from the same origin nodes: the master performs push
-// scatters, each slave its own pull scatters and collects, rank-local
-// moves are skipped.
+// cost estimate. It prices with the machine's commcost kernel the
+// transfers the interpreter issues, read from the same rank classes
+// (classTable), in the same order, from the same origin nodes: the
+// master performs push scatters, each slave its own pull scatters and
+// collects, rank-local moves are skipped.
 //
-// On a fabric without registration state a transfer's price is a
-// function of its shape and hop distance alone, and the ranks of a
-// class move the same shapes, so each (class, hops) pair is priced
-// once, from the class representative's walk (eachRankRun), and added
-// for every rank of the class at that distance. A Fine/Middle op — N
-// transfers of one shape (Definition 2) — costs N × Price(shape): the
-// plan is priced as the descriptor states it, never enumerated. On a
-// protocol-switched fabric the price also depends on whether the
-// origin's registration cache holds the transfer's offset, so there
-// each origin node gets a simulated cache, shared across regions like
-// the runtime's per-node state, and every rank's transfers, at their
-// shifted offsets, are priced in issue order. Kernel, plans and cache
-// states being the runtime's own, the estimate equals the measured
-// TotalXferTime of a one-sided run for any program whose region
-// structure is execution-independent. Two-sided runs pay message
-// pack/unpack copies and send anonymous buffers, which this estimate
-// does not model; it stays an approximation there.
+// Without registration state a price depends on a transfer's shape and
+// hop distance alone: each class's representative is walked once
+// (eachRankRun; a Fine/Middle op is N transfers of one shape,
+// Definition 2, costing N × Price(shape)), and each (class, hops) pair
+// is priced once and added for every rank of the class at that
+// distance. On a protocol-switched fabric the price also depends on
+// whether the origin's registration cache holds the offset, so each
+// origin node gets a simulated cache, shared across regions like the
+// runtime's, and every rank's shifted transfers are priced in issue
+// order. The estimate thus equals the measured TotalXferTime of a
+// one-sided run whose region structure is execution-independent;
+// two-sided runs also pay pack/unpack copies, which it does not model.
 func EstimateCommCost(p *Program, params cluster.Params) sim.Time {
 	k := params.CommCost()
-	procs := p.Opts.NumProcs
-	caches := k.NewRegCaches(procs)
+	caches := k.NewRegCaches(p.Opts.NumProcs)
 	geo := params.Geometry()
-	var total sim.Time
-	// shapes is what a class's representative moves: counts of
-	// transfers of one shape, priced without a cache at any distance.
 	type shape struct {
 		a commcost.Access
 		n sim.Time
 	}
-	var shapes [][]shape // per class of the table being priced; nil until walked
 	type classHops struct{ class, hops int }
 	priced := map[classHops]sim.Time{}
+	var total sim.Time
 	for _, r := range p.Regions {
 		if r.Par == nil {
 			continue
 		}
 		for _, dir := range []Direction{Scatter, Collect} {
 			t := classes(r.Par, dir)
-			shapes = slices.Grow(shapes[:0], len(t.classes))[:len(t.classes)]
-			clear(shapes)
+			shapes := make([][]shape, len(t.classes)) // per class: what its representative moves
 			clear(priced)
-			for rank := 1; rank < procs; rank++ {
+			for rank := 1; rank < p.Opts.NumProcs; rank++ {
 				hops := geo.Hops(0, rank)
-				if caches == nil {
-					key := classHops{int(t.ranks[rank].class), hops}
-					c, ok := priced[key]
-					if !ok {
-						if shapes[key.class] == nil {
-							list := []shape{} // non-nil: walked, even if it moves nothing
-							eachRankRun(r.Par, dir, t.classes[key.class].rep,
-								func(op *CommOp, runs lmad.Runs) {
-									if runs.N > 0 {
-										tr := stamp(op, []lmad.Transfer{runs.Shape()})[0]
-										list = append(list, shape{commcost.FromTransfer(op.Sym.Name, tr), sim.Time(runs.N)})
-									}
-								},
-								func(sym *f77.Symbol, plan []lmad.Transfer) {
-									for _, tr := range plan {
-										list = append(list, shape{commcost.FromTransfer(sym.Name, tr), 1})
-									}
-								})
-							shapes[key.class] = list
-						}
-						for _, sh := range shapes[key.class] {
-							t, _ := k.Price(sh.a, hops, nil)
-							c += sh.n * t
-						}
-						priced[key] = c
+				if caches != nil {
+					origin := rank
+					if dir == Scatter && !p.Opts.PullScatter {
+						origin = 0
 					}
-					total += c
+					for _, pl := range RankPlans(r.Par, dir, rank) {
+						for _, tr := range pl.Plan {
+							tr.Offset += pl.Shift
+							c, _ := k.Price(commcost.FromTransfer(pl.Sym.Name, tr), hops, caches[origin])
+							total += c
+						}
+					}
 					continue
 				}
-				origin := rank
-				if dir == Scatter && !p.Opts.PullScatter {
-					origin = 0
-				}
-				for _, pl := range RankPlans(r.Par, dir, rank) {
-					for _, tr := range pl.Plan {
-						tr.Offset += pl.Shift
-						c, _ := k.Price(commcost.FromTransfer(pl.Sym.Name, tr), hops, caches[origin])
-						total += c
+				key := classHops{int(t.ranks[rank].class), hops}
+				if _, ok := priced[key]; !ok {
+					if shapes[key.class] == nil {
+						shapes[key.class] = []shape{} // walked, even if it moves nothing
+						add := func(sym *f77.Symbol, tr lmad.Transfer, n int64) {
+							shapes[key.class] = append(shapes[key.class], shape{commcost.FromTransfer(sym.Name, tr), sim.Time(n)})
+						}
+						eachRankRun(r.Par, dir, t.classes[key.class].rep,
+							func(op *CommOp, runs lmad.Runs) {
+								if runs.N > 0 {
+									add(op.Sym, stamp(op, []lmad.Transfer{runs.Shape()})[0], runs.N)
+								}
+							},
+							func(sym *f77.Symbol, plan []lmad.Transfer) {
+								for _, tr := range plan {
+									add(sym, tr, 1)
+								}
+							})
+					}
+					for _, sh := range shapes[key.class] {
+						c, _ := k.Price(sh.a, hops, nil)
+						priced[key] += sh.n * c
 					}
 				}
+				total += priced[key]
 			}
 		}
 	}

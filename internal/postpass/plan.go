@@ -2,6 +2,7 @@ package postpass
 
 import (
 	"encoding/binary"
+	"slices"
 	"sync"
 
 	"vbuscluster/internal/analysis"
@@ -21,12 +22,8 @@ func BlockPart(trips int64, rank, procs int) (start, count int64) {
 // given schedule as a progression: count trips first, first+step, ….
 // A block share steps by 1, a cyclic one by procs.
 func RankTrips(trips int64, rank, procs int, sched f77.Schedule) (first, step, count int64) {
-	if sched == f77.SchedCyclic {
-		first, step = int64(rank), int64(procs)
-		if first < trips {
-			count = (trips - first + step - 1) / step
-		}
-		return first, step, count
+	if sched == f77.SchedCyclic { // rank < procs, so count is never negative
+		return int64(rank), int64(procs), (trips - int64(rank) + int64(procs) - 1) / int64(procs)
 	}
 	first, count = BlockPart(trips, rank, procs)
 	return first, 1, count
@@ -69,7 +66,7 @@ func stamp(op *CommOp, plan []lmad.Transfer) []lmad.Transfer {
 // nothing.
 func rankRuns(op *CommOp, g lmad.Grain, rank, procs int, sched f77.Schedule) lmad.Runs {
 	l := op.Acc.L
-	start, count := rankPart(op, rank, procs, sched)
+	start, count, _ := rankPart(op, rank, procs, sched)
 	switch {
 	case count < 0:
 		return lmad.PlanRuns(l, g)
@@ -83,41 +80,28 @@ func rankRuns(op *CommOp, g lmad.Grain, rank, procs int, sched f77.Schedule) lma
 	}
 }
 
-// rankPart is rank's part of op's parallel dimension in lattice
-// positions: count positions from start, one every procs under CYCLIC
-// and consecutive under BLOCK. Loop trip k of a reversed op maps to
-// position trips-1-k, so its part starts at the mirror of the rank's
-// last trip. count is 0 when the rank moves nothing, and -1 for a
-// replicated op (ParallelDim < 0), which every rank moves whole.
-func rankPart(op *CommOp, rank, procs int, sched f77.Schedule) (start, count int64) {
+// rankPart is rank's part of op's parallel dimension: count lattice
+// positions from start (RankTrips' progression; trip k of a reversed op
+// is position trips-1-k), the first at element offset base. count is 0
+// for an empty part and -1 for a replicated op; base is then 0.
+func rankPart(op *CommOp, rank, procs int, sched f77.Schedule) (start, count, base int64) {
 	if op.ParallelDim < 0 {
-		return 0, -1
+		return 0, -1, 0
 	}
-	trips := op.Acc.L.Dims[op.ParallelDim].Trips()
-	first, step, count := RankTrips(trips, rank, procs, sched)
-	if op.Reversed && count > 0 {
-		first = trips - 1 - (first + (count-1)*step)
+	d := op.Acc.L.Dims[op.ParallelDim]
+	first, step, count := RankTrips(d.Trips(), rank, procs, sched)
+	if count == 0 {
+		return 0, 0, 0
 	}
-	return first, count
-}
-
-// rankShare is rank's part of op as the class key reads it: rankPart's
-// count n, and the element offset base at which the part starts,
-// relative to the op's whole region (0 for a replicated op or an empty
-// part). Every transfer of the rank's plan of op sits base elements
-// from the same transfer of a rank with an equal n at base 0.
-func rankShare(op *CommOp, rank, procs int, sched f77.Schedule) (n, base int64) {
-	start, n := rankPart(op, rank, procs, sched)
-	if n > 0 {
-		base = start * op.Acc.L.Dims[op.ParallelDim].Stride
+	if op.Reversed {
+		first = d.Trips() - 1 - (first + (count-1)*step)
 	}
-	return n, base
+	return first, count, first * d.Stride
 }
 
 // SymPlan is one entry of a rank's transfer list: the transfers that
-// move one array's regions. Every rank of a class (see classTable)
-// shares Plan, and moves each of its transfers, and each span of its
-// cover, displaced by its own Shift elements.
+// move one array's regions. The ranks of a class (classTable) share
+// Plan; each moves its transfers and cover displaced by its own Shift.
 type SymPlan struct {
 	Sym   *f77.Symbol
 	Plan  []lmad.Transfer
@@ -134,43 +118,38 @@ const (
 	Collect
 )
 
-// planMemo holds a region's rank classes, one table per direction,
-// made by the first call that needs it: a run's, or the estimator's.
-// A class's plans are built once, by the first of its ranks to ask, and
-// its covers only when a Full run first asks; all are immutable after.
+// planMemo holds a region's rank classes, one table per direction, made
+// by the first call that needs it (a run's or the estimator's). A
+// class's plans are built by the first of its ranks to ask, its covers
+// when a Full run first asks; all are immutable after.
 type planMemo struct {
 	once   [2]sync.Once
 	tables [2]classTable
 }
 
-// classTable sorts the ranks of one direction of a region into
-// classes whose transfer lists are one plan displaced per entry. Rank
-// r's plan of op o is rankRuns' restriction of o's region to n_o(r)
-// lattice positions starting at base b_o(r) (rankShare), so two ranks
-// with equal n_o for every op plan every op alike, b_o apart. A coarse
-// array's entry merges its ops' plans, so its ranks must also agree on
-// every b_o − b_first within it to merge alike. The key is built from
-// those integers alone, in one pass over ranks and ops.
+// classTable sorts one direction's ranks into classes whose transfer
+// lists are one plan displaced per entry. rankRuns restricts op o to
+// n_o positions from base b_o (rankPart), so ranks with equal n_o plan
+// o alike, b_o apart; a coarse array's merged entry also needs equal
+// b_o − b_first within it. The key is those integers.
 type classTable struct {
 	ops     []*CommOp
-	group   []int // per op: its coarse-merged array's index, or -1
-	merged  int   // entries before the merged arrays': one per non-coarse op
-	entries int   // entries per transfer list
+	lead    []int // per op: the first op of its coarse-merged array, or -1
+	ref     []int // per entry: the op whose base displaces it
 	ranks   []classRank
 	classes []rankClass
 }
 
-// classRank places a rank in its class: slot is its position among the
-// class's members, next the following member (-1 after the last).
+// classRank places a rank: its class, its slot among the class's
+// members, and the next member (-1 after the last).
 type classRank struct{ class, slot, next int32 }
 
-// rankClass is the lowest-numbered member's plan (rep), and every
-// member's view of it: size lists of entries SymPlans, by slot.
+// rankClass is its first member's plan (rep) and every member's view
+// of it, len(ref) SymPlans per slot.
 type rankClass struct {
-	rep, tail, size int
-	once            sync.Once
+	rep, head, size int
+	once, coverOnce sync.Once
 	views           []SymPlan
-	coverOnce       sync.Once
 	covers          [][]lmad.Span
 }
 
@@ -183,99 +162,62 @@ func classes(par *ParInfo, dir Direction) *classTable {
 
 func newClassTable(par *ParInfo, dir Direction) classTable {
 	t := classTable{ops: par.ops(dir), ranks: make([]classRank, par.Procs)}
-	t.group = make([]int, len(t.ops))
-	var arrays []*f77.Symbol
+	var leads []int // planRank's merged entries, in order
 	for i, op := range t.ops {
-		t.group[i] = -1
+		lead := -1
 		if op.Grain != lmad.Coarse {
-			t.merged++
-			continue
+			t.ref = append(t.ref, i)
+		} else if lead = slices.IndexFunc(t.ops, func(o *CommOp) bool { return o.Grain == lmad.Coarse && o.Sym == op.Sym }); lead == i {
+			leads = append(leads, i)
 		}
-		g := 0
-		for g < len(arrays) && arrays[g] != op.Sym {
-			g++
-		}
-		if g == len(arrays) {
-			arrays = append(arrays, op.Sym)
-		}
-		t.group[i] = g
+		t.lead = append(t.lead, lead)
 	}
-	t.entries = t.merged + len(arrays)
-	base, seen := make([]int64, len(arrays)), make([]bool, len(arrays))
+	t.ref = append(t.ref, leads...)
+	bases := make([]int64, len(t.ops))
 	index := map[string]int32{}
 	var key []byte
 	for r := range t.ranks {
 		key = key[:0]
-		clear(seen)
 		for i, op := range t.ops {
-			n, b := rankShare(op, r, par.Procs, par.Schedule)
+			var n int64
+			_, n, bases[i] = rankPart(op, r, par.Procs, par.Schedule)
 			key = binary.AppendVarint(key, n)
-			if g := t.group[i]; g >= 0 && n != 0 {
-				if !seen[g] {
-					base[g], seen[g] = b, true
-				}
-				key = binary.AppendVarint(key, b-base[g])
+			if l := t.lead[i]; l >= 0 {
+				key = binary.AppendVarint(key, bases[i]-bases[l])
 			}
 		}
 		c, ok := index[string(key)]
 		if !ok {
 			c = int32(len(t.classes))
 			index[string(key)] = c
-			t.classes = append(t.classes, rankClass{rep: r, tail: r})
+			t.classes = append(t.classes, rankClass{rep: r, head: -1})
 		}
 		cl := &t.classes[c]
-		t.ranks[r] = classRank{class: c, slot: int32(cl.size), next: -1}
-		if cl.size > 0 {
-			t.ranks[cl.tail].next = int32(r)
-		}
-		cl.tail = r
-		cl.size++
+		t.ranks[r] = classRank{c, int32(cl.size), int32(cl.head)}
+		cl.head, cl.size = r, cl.size+1
 	}
 	return t
 }
 
-// class returns rank's class with its plans built.
+// class returns rank's class with its plans built: the representative's
+// planRank, and for every member a view whose entries are displaced by
+// the member's base of the entry's op minus the representative's.
 func (t *classTable) class(par *ParInfo, dir Direction, rank int) *rankClass {
 	cl := &t.classes[t.ranks[rank].class]
-	cl.once.Do(func() { t.build(par, dir, cl) })
-	return cl
-}
-
-// build plans cl's representative and gives every member a view of
-// that plan, each entry displaced by the difference between the
-// member's and the representative's base of one of the entry's ops: a
-// non-coarse entry's own op, a merged entry's first op that the class
-// moves any of.
-func (t *classTable) build(par *ParInfo, dir Direction, cl *rankClass) {
-	plans := planRank(par, dir, cl.rep)
-	ref := make([]int, len(plans))
-	e := 0
-	for i := range ref {
-		ref[i] = -1
-	}
-	for i, op := range t.ops {
-		switch g := t.group[i]; {
-		case g < 0:
-			ref[e] = i
-			e++
-		case ref[t.merged+g] < 0:
-			if n, _ := rankShare(op, cl.rep, par.Procs, par.Schedule); n != 0 {
-				ref[t.merged+g] = i
-			}
-		}
-	}
-	cl.views = make([]SymPlan, cl.size*len(plans))
-	for r, k := cl.rep, 0; r >= 0; r, k = int(t.ranks[r].next), k+len(plans) {
-		view := cl.views[k : k+len(plans)]
-		copy(view, plans)
-		for e, i := range ref {
-			if i >= 0 {
-				_, b := rankShare(t.ops[i], r, par.Procs, par.Schedule)
-				_, b0 := rankShare(t.ops[i], cl.rep, par.Procs, par.Schedule)
+	cl.once.Do(func() {
+		plans, n := planRank(par, dir, cl.rep), len(t.ref)
+		cl.views = make([]SymPlan, cl.size*n)
+		for r := cl.head; r >= 0; r = int(t.ranks[r].next) {
+			view := cl.views[int(t.ranks[r].slot)*n:][:n]
+			copy(view, plans)
+			for e, i := range t.ref {
+				_, _, b := rankPart(t.ops[i], r, par.Procs, par.Schedule)
+				_, _, b0 := rankPart(t.ops[i], cl.rep, par.Procs, par.Schedule)
 				view[e].Shift = b - b0
 			}
 		}
-	}
+	})
+	return cl
 }
 
 // RankPlans returns everything rank transfers in one direction of a
@@ -288,8 +230,8 @@ func (t *classTable) build(par *ParInfo, dir Direction, cl *rankClass) {
 // the rank's class; the rank moves it displaced by the entry's Shift.
 func RankPlans(par *ParInfo, dir Direction, rank int) []SymPlan {
 	t := classes(par, dir)
-	k := int(t.ranks[rank].slot) * t.entries
-	return t.class(par, dir, rank).views[k : k+t.entries : k+t.entries]
+	k, n := int(t.ranks[rank].slot)*len(t.ref), len(t.ref)
+	return t.class(par, dir, rank).views[k : k+n : k+n]
 }
 
 // RankCovers returns the cover (lmad.Cover) of each entry's Plan in
@@ -302,8 +244,8 @@ func RankCovers(par *ParInfo, dir Direction, rank int) [][]lmad.Span {
 	t := classes(par, dir)
 	cl := t.class(par, dir, rank)
 	cl.coverOnce.Do(func() {
-		cl.covers = make([][]lmad.Span, t.entries)
-		for i, pl := range cl.views[:t.entries] {
+		cl.covers = make([][]lmad.Span, len(t.ref))
+		for i, pl := range cl.views[:len(t.ref)] {
 			cl.covers[i] = lmad.Cover(pl.Plan)
 		}
 	})
@@ -366,8 +308,5 @@ func planRank(par *ParInfo, dir Direction, rank int) []SymPlan {
 
 // ops returns the region's ops of one direction.
 func (par *ParInfo) ops(dir Direction) []*CommOp {
-	if dir == Collect {
-		return par.Collects
-	}
-	return par.Scatters
+	return [...][]*CommOp{Scatter: par.Scatters, Collect: par.Collects}[dir]
 }
