@@ -65,7 +65,8 @@ func EstimateCommCost(p *Program, params cluster.Params) sim.Time {
 					continue
 				}
 				key := classHops{int(t.ranks[rank].class), hops}
-				if _, ok := priced[key]; !ok {
+				c, ok := priced[key]
+				if !ok {
 					if shapes[key.class] == nil {
 						shapes[key.class] = []shape{} // walked, even if it moves nothing
 						add := func(sym *f77.Symbol, tr lmad.Transfer, n int64) {
@@ -84,11 +85,12 @@ func EstimateCommCost(p *Program, params cluster.Params) sim.Time {
 							})
 					}
 					for _, sh := range shapes[key.class] {
-						c, _ := k.Price(sh.a, hops, nil)
-						priced[key] += sh.n * c
+						p, _ := k.Price(sh.a, hops, nil)
+						c += sh.n * p
 					}
+					priced[key] = c
 				}
-				total += priced[key]
+				total += c
 			}
 		}
 	}
