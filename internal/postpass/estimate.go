@@ -85,8 +85,8 @@ func EstimateCommCost(p *Program, params cluster.Params) sim.Time {
 							})
 					}
 					for _, sh := range shapes[key.class] {
-						p, _ := k.Price(sh.a, hops, nil)
-						c += sh.n * p
+						price, _ := k.Price(sh.a, hops, nil)
+						c += sh.n * price
 					}
 					priced[key] = c
 				}
