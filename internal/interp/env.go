@@ -268,19 +268,6 @@ func (env *Env) symStorage(sym *f77.Symbol) []float64 {
 	return env.storage(env.lw.slots[sym], 0)
 }
 
-// winBacking returns the backing slice a window over sym should
-// expose, without forcing a deferred array into existence: a Timing
-// run creates windows for charge accounting only and never moves real
-// data through them, so a nil region is fine (the mpi layer reports a
-// real access to one as ErrNoRegion).
-func (env *Env) winBacking(sym *f77.Symbol) []float64 {
-	slot := env.lw.slots[sym]
-	if env.mode == Timing && env.mem[slot] == nil {
-		return nil
-	}
-	return env.storage(slot, 0)
-}
-
 // flush publishes accumulated compute time to the cluster clock. Must
 // run before any MPI call and at run end.
 func (env *Env) flush() {

@@ -402,7 +402,9 @@ func (s *supervisor) windows(world *mpi.World) (wins, redWins []*mpi.Win) {
 	slots := s.lw.slots
 	wins = make([]*mpi.Win, len(slots))
 	for _, sym := range s.pp.Windows {
-		wins[slots[sym]] = world.Win(sym.Name)
+		if s.mode == Full { // Timing runs only charge transfers, through no window
+			wins[slots[sym]] = world.Win(sym.Name)
+		}
 	}
 	if !s.pp.Opts.LockReductions {
 		return wins, nil
@@ -422,13 +424,16 @@ func (s *supervisor) windows(world *mpi.World) (wins, redWins []*mpi.Win) {
 }
 
 // createWindows generates the rank's MPI environment (§5.1): it
-// exposes the rank's region of every window and then synchronizes once
-// per window, in one rendezvous. Window creation is collective, so
+// exposes the rank's region of every window (a Timing run has only the
+// reduction windows) and then synchronizes once per window of the
+// translation, in one rendezvous. Window creation is collective, so
 // every rank calls this at the same point of its run.
 func (r *rankRun) createWindows() {
 	rank, slots := r.p.Rank(), r.env.lw.slots
 	for _, sym := range r.pp.Windows {
-		r.wins[slots[sym]].Expose(rank, r.env.winBacking(sym))
+		if win := r.wins[slots[sym]]; win != nil {
+			win.Expose(rank, r.env.symStorage(sym))
+		}
 	}
 	k := len(r.pp.Windows)
 	for _, win := range r.redWins {
