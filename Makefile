@@ -116,9 +116,11 @@ peer-smoke:
 
 # The paper-level benchmarks, the compile path (Compile24 is one round
 # of the repository benchmark's compile_cold mix; DetectParallel,
-# EstimateCommCost and RaceCheck are the passes that dominated it) and
-# one mm_full or swim_full op (RunFull), then the evaluator alone
-# (sequential Full MM 96² and SWIM 192², ns per innermost iteration),
+# EstimateCommCost and RaceCheck are the passes that dominated it),
+# one mm_full or swim_full op (RunFull) and a compile plus the first
+# 1024-rank Timing run of SWIM 1024² (OneShotTiming1024), then the
+# evaluator alone (sequential Full MM 96² and SWIM 192², ns per
+# innermost iteration),
 # one swim_scale op (RunTiming1024) and its collective rendezvous alone
 # (Barrier1024: a rank's 18 on a 1024-rank world).
 bench:

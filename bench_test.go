@@ -14,7 +14,8 @@
 // Full-mode workloads, BenchmarkRunFull (mm_full and swim_full). The
 // same swim_full run as a vbserve job stream, BenchmarkServeFull, and
 // on a fresh compilation every time, BenchmarkOneShotFull, bracket how
-// much recycling a plan's slave frames saves.
+// much recycling a plan's slave frames saves. BenchmarkOneShotTiming1024
+// is a compile plus the first run of swim_scale's plan.
 //
 // Virtual-time results are attached as custom metrics (speedup,
 // comm-seconds, ratios); wall-clock ns/op only measures the simulator.
@@ -489,6 +490,31 @@ func BenchmarkOneShotFull(b *testing.B) {
 	b.ReportMetric(float64(after.NumGC-before.NumGC)/float64(b.N), "gc/op")
 }
 
+// BenchmarkOneShotTiming1024 is a compile plus the first Timing-mode
+// run of SWIM 1024² on 1024 ranks at coarse grain, as one vbrun
+// invocation or one BENCH_scale.json row pays it: the run builds the
+// plan's rank classes and transfer plans on first use, which the
+// warm runs of swim_scale never do.
+func BenchmarkOneShotTiming1024(b *testing.B) {
+	src := bench.SwimSource(1024, 1024)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c, err := core.Compile(src, core.Options{NumProcs: 1024, Grain: lmad.Coarse})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := c.RunParallel(core.Timing); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(after.NumGC-before.NumGC)/float64(b.N), "gc/op")
+}
+
 // analyzed parses src and runs the front end, as core.Compile does
 // before the postpass.
 func analyzed(b *testing.B, src string) *f77.Program {
@@ -544,7 +570,10 @@ func translate64(b *testing.B, prog *f77.Program, g lmad.Grain) (*postpass.Progr
 }
 
 // BenchmarkEstimateCommCost times the static estimator AutoGrain calls
-// once per candidate grain, on 64-rank plans.
+// once per candidate grain, on 64-rank plans. Each iteration prices a
+// fresh translation, outside the timer, as AutoGrain does: a plan's
+// rank classes are memoised on first use, so pricing one translation
+// twice would time only the second, warm walk.
 func BenchmarkEstimateCommCost(b *testing.B) {
 	params := cluster.DefaultParams()
 	params.MeshWidth, params.MeshHeight = core.MeshFor(64)
@@ -552,11 +581,13 @@ func BenchmarkEstimateCommCost(b *testing.B) {
 		prog := analyzed(b, k.src)
 		for _, g := range []lmad.Grain{lmad.Fine, lmad.Middle, lmad.Coarse} {
 			b.Run(fmt.Sprintf("%s/%s", k.name, g), func(b *testing.B) {
-				pp, _ := translate64(b, prog, g)
 				b.ReportAllocs()
 				b.ResetTimer()
 				var cost sim.Time
 				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					pp, _ := translate64(b, prog, g)
+					b.StartTimer()
 					cost = postpass.EstimateCommCost(pp, params)
 				}
 				b.ReportMetric(cost.Seconds(), "comm-s")
