@@ -35,73 +35,6 @@ func fabricParams(t *testing.T) map[string]cluster.Params {
 	return out
 }
 
-// Three shapes the rank-plan oracle must hold on besides the kernels
-// and generated programs: a downward loop, over a block partition and
-// a triangular (cyclic) one; a trip count no rank count divides; and a
-// coarse array read both partitioned and replicated in one region.
-const (
-	reversedSrc = `
-      PROGRAM REVD
-      INTEGER N
-      PARAMETER (N = 19)
-      REAL A(N,N), B(N,N)
-      INTEGER I, J
-      DO J = 1, N
-        DO I = 1, N
-          A(I,J) = REAL(I) + REAL(J) * 0.5
-        ENDDO
-      ENDDO
-      DO J = N, 1, -1
-        DO I = 1, N
-          B(I,J) = A(I,J) * 2.0
-        ENDDO
-      ENDDO
-      DO J = N, 1, -1
-        DO I = J, N
-          A(I,J) = B(I,J) + 1.0
-        ENDDO
-      ENDDO
-      PRINT *, A(1,1), B(N,N)
-      END
-`
-	unevenSrc = `
-      PROGRAM UNEVEN
-      INTEGER N
-      PARAMETER (N = 13)
-      REAL A(3*N), B(N,N)
-      INTEGER I, J
-      DO I = 1, 3*N
-        A(I) = REAL(I)
-      ENDDO
-      DO J = 1, N
-        DO I = 1, N
-          B(I,J) = A(I+J) * 0.5 + A(3*J)
-        ENDDO
-      ENDDO
-      PRINT *, B(1,1), B(N,N)
-      END
-`
-	mixedSrc = `
-      PROGRAM MIXED
-      INTEGER N
-      PARAMETER (N = 17)
-      REAL A(N,N), B(N,N)
-      INTEGER I, J
-      DO J = 1, N
-        DO I = 1, N
-          A(I,J) = REAL(I) - REAL(J)
-        ENDDO
-      ENDDO
-      DO J = 1, N
-        DO I = 1, N
-          B(I,J) = A(I,J) + A(I,1)
-        ENDDO
-      ENDDO
-      PRINT *, B(1,1), B(N,N)
-      END
-`
-)
-
 // planDigest is the SHA-256 of every rank's transfer lists and covers
 // (postpass.RankPlans and RankCovers), in both directions of every
 // parallel region, each transfer and span at the offset the rank
@@ -188,7 +121,7 @@ func planCase(t *testing.T, machines map[string]cluster.Params, name, src string
 
 // TestRankPlansOracle pins every rank's transfer lists and covers, and
 // the static estimate on five fabrics, over testdata/*.f, MM, SWIM and
-// CFFT, the three shapes above and 50 generated programs, at P ∈ {1,
+// CFFT, the three progen.Shapes and 50 generated programs, at P ∈ {1,
 // 2, 4, 7, 64} × fine, middle and coarse grain × plain, coalesced,
 // pull-scatter and two-sided translations, plus SWIM and MM 1024² on
 // 1024 ranks at fine and coarse grain. How the postpass computes a
@@ -211,10 +144,10 @@ func TestRankPlansOracle(t *testing.T) {
 	progs = append(progs,
 		prog{"mm24", bench.MMSource(24)},
 		prog{"swim32", bench.SwimSource(32, 32)},
-		prog{"cfft5", bench.CFFTSource(5)},
-		prog{"reversed", reversedSrc},
-		prog{"uneven", unevenSrc},
-		prog{"mixed", mixedSrc})
+		prog{"cfft5", bench.CFFTSource(5)})
+	for _, sh := range progen.Shapes {
+		progs = append(progs, prog{sh.Name, sh.Src})
+	}
 	for seed := int64(0); seed < 50; seed++ {
 		progs = append(progs, prog{fmt.Sprintf("gen%02d", seed), progen.New(seed).Generate()})
 	}

@@ -17,9 +17,8 @@ import (
 	"vbuscluster/internal/postpass"
 )
 
-// translate parses, analyses and SPMD-translates src for procs ranks at
-// coarse grain.
-func translate(tb testing.TB, src string, procs int) *postpass.Program {
+// frontEnd parses src and runs the front end over it.
+func frontEnd(tb testing.TB, src string) *f77.Program {
 	tb.Helper()
 	prog, err := f77.Parse(src)
 	if err != nil {
@@ -28,7 +27,14 @@ func translate(tb testing.TB, src string, procs int) *postpass.Program {
 	if err := analysis.FrontEnd(prog); err != nil {
 		tb.Fatal(err)
 	}
-	pp, err := postpass.Translate(prog, postpass.Options{NumProcs: procs, Grain: lmad.Coarse, LiveOutAll: true})
+	return prog
+}
+
+// translate parses, analyses and SPMD-translates src for procs ranks at
+// coarse grain.
+func translate(tb testing.TB, src string, procs int) *postpass.Program {
+	tb.Helper()
+	pp, err := postpass.Translate(frontEnd(tb, src), postpass.Options{NumProcs: procs, Grain: lmad.Coarse, LiveOutAll: true})
 	if err != nil {
 		tb.Fatal(err)
 	}

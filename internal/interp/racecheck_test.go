@@ -1,4 +1,4 @@
-package interp
+package interp_test
 
 import (
 	"fmt"
@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"vbuscluster/internal/bench"
 	"vbuscluster/internal/f77"
 	"vbuscluster/internal/lmad"
 	"vbuscluster/internal/postpass"
@@ -120,12 +121,48 @@ func mapRaceCheck(info *postpass.ParInfo, procs int) []bool {
 	return demoted
 }
 
+// twoStridesSrc updates two regions of A in one parallel loop, one
+// column per iteration and one every other column, so the two ops'
+// parts sit a different distance apart on every rank: slaves with
+// equal shares of the loop differ in more than an offset.
+const twoStridesSrc = `
+      PROGRAM TWOSTR
+      INTEGER N
+      PARAMETER (N = 16)
+      REAL A(N,3*N)
+      INTEGER I, J
+      DO J = 1, 3*N
+        DO I = 1, N
+          A(I,J) = REAL(I+J)
+        ENDDO
+      ENDDO
+      DO J = 1, N
+        DO I = 1, N
+          A(I,J) = A(I,J) + 1.0
+          A(I,N+2*J) = A(I,N+2*J) * 2.0
+        ENDDO
+      ENDDO
+      PRINT *, A(1,1), A(N,3*N)
+      END
+`
+
 // The sweep-and-bitmap race check must demote exactly the collect ops
 // the map-based one did: the reference runs on the ops as the
 // scatter-collect stage leaves them, and the grain-opt stage's
-// RaceFallback marks are compared against it op by op.
+// RaceFallback marks are compared against it op by op. Besides
+// testdata/*.f and generated programs, the corpus holds the shapes
+// where ranks of one partition differ in more than their offset — a
+// downward loop, a triangular (cyclic) one, a trip count no rank count
+// divides, a coarse array read both partitioned and replicated
+// (progen.Shapes), two ops of one array at different strides — and
+// SWIM and MM 1024² on 1024 ranks.
 func TestRaceCheckMatchesMapReference(t *testing.T) {
-	srcs := map[string]string{}
+	type config struct {
+		name, src string
+		procs     []int
+	}
+	small := []int{2, 4, 7, 64}
+	var cfgs []config
 	files, err := filepath.Glob("../../testdata/*.f")
 	if err != nil || len(files) == 0 {
 		t.Fatalf("no testdata programs found: %v", err)
@@ -135,15 +172,22 @@ func TestRaceCheckMatchesMapReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		srcs[filepath.Base(file)] = string(b)
+		cfgs = append(cfgs, config{filepath.Base(file), string(b), small})
 	}
+	for _, sh := range progen.Shapes {
+		cfgs = append(cfgs, config{sh.Name, sh.Src, small})
+	}
+	cfgs = append(cfgs, config{"twostrides", twoStridesSrc, small})
 	for seed := int64(0); seed < 200; seed++ {
-		srcs[fmt.Sprintf("fuzz-%03d", seed)] = progen.New(seed).Generate()
+		cfgs = append(cfgs, config{fmt.Sprintf("fuzz-%03d", seed), progen.New(seed).Generate(), small})
 	}
+	cfgs = append(cfgs,
+		config{"swim1024", bench.SwimSource(1024, 1024), []int{1024}},
+		config{"mm1024", bench.MMSource(1024), []int{1024}})
 	ops, demotions, kept := 0, 0, 0
-	for name, src := range srcs {
-		prog := compile(t, src)
-		for _, procs := range []int{2, 4, 7, 64} {
+	for _, cfg := range cfgs {
+		prog := frontEnd(t, cfg.src)
+		for _, procs := range cfg.procs {
 			for _, grain := range []lmad.Grain{lmad.Middle, lmad.Coarse} {
 				var want [][]bool
 				hook := func(stage string, _ time.Duration, _ string, p *postpass.Program) {
@@ -170,14 +214,14 @@ func TestRaceCheckMatchesMapReference(t *testing.T) {
 								}
 								if op.RaceFallback != want[i][j] || (op.RaceFallback && op.Grain != lmad.Fine) {
 									t.Errorf("%s P=%d %v region %d collect %d (%s %v): demoted=%v grain=%v, map-based check says demoted=%v",
-										name, procs, grain, i, j, op.Sym.Name, op.Acc.L, op.RaceFallback, op.Grain, want[i][j])
+										cfg.name, procs, grain, i, j, op.Sym.Name, op.Acc.L, op.RaceFallback, op.Grain, want[i][j])
 								}
 							}
 						}
 					}
 				}
 				if _, err := postpass.TranslateStaged(prog, postpass.Options{NumProcs: procs, Grain: grain, LiveOutAll: true}, hook); err != nil {
-					t.Fatalf("%s: %v", name, err)
+					t.Fatalf("%s: %v", cfg.name, err)
 				}
 			}
 		}
