@@ -348,7 +348,9 @@ func compile24() []compileCase {
 }
 
 // BenchmarkCompile24 is one round of the compile_cold workload: all 24
-// configs compiled once per iteration.
+// configs compiled once per iteration. After the timed rounds, one
+// traced round attributes a round's time to the three passes that
+// dominate it (parallel-detect-ns/op, partition-ns/op, grain-opt-ns/op).
 func BenchmarkCompile24(b *testing.B) {
 	cfgs := compile24()
 	b.ReportAllocs()
@@ -359,6 +361,21 @@ func BenchmarkCompile24(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+	}
+	b.StopTimer()
+	wall := map[string]time.Duration{}
+	for _, c := range cfgs {
+		opts := c.opts
+		opts.Trace = &core.PassTrace{}
+		if _, err := core.Compile(c.src, opts); err != nil {
+			b.Fatal(err)
+		}
+		for _, r := range opts.Trace.Records {
+			wall[r.Name] += r.Wall
+		}
+	}
+	for _, pass := range []string{"parallel-detect", "partition", "grain-opt"} {
+		b.ReportMetric(float64(wall[pass].Nanoseconds()), pass+"-ns/op")
 	}
 }
 

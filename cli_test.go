@@ -148,6 +148,20 @@ func TestCLIEndToEnd(t *testing.T) {
 		}
 	})
 
+	t.Run("vbcc-passes-auto", func(t *testing.T) {
+		out := run(t, filepath.Join(bins, "vbcc"), "-passes", "-grain", "auto", "testdata/jacobi.f")
+		count := map[string]int{}
+		for _, line := range strings.Split(out, "\n") {
+			if f := strings.Fields(line); len(f) > 0 {
+				count[f[0]]++
+			}
+		}
+		if count["partition"] != 1 || count["grain-opt"] != 3 || count["grain-select"] != 1 {
+			t.Fatalf("AutoGrain pipeline ran partition %d, grain-opt %d, grain-select %d times; want 1, 3, 1:\n%s",
+				count["partition"], count["grain-opt"], count["grain-select"], out)
+		}
+	})
+
 	t.Run("vbcc-dump-after", func(t *testing.T) {
 		out := run(t, filepath.Join(bins, "vbcc"), "-dump-after", "inline", "testdata/jacobi.f")
 		if !strings.Contains(out, "IR after inline") {

@@ -14,23 +14,34 @@ import (
 )
 
 // Affine is a linear form over loop index variables:
-// Const + Σ Coeff[v]·v.
+// Const + Σ t.Coeff·t.Var over Terms, at most one term per variable.
+// Forms share their Terms: add and scale build new slices and never
+// write to an operand's.
 type Affine struct {
-	Const  int64
-	Coeffs map[*f77.Symbol]int64
+	Const int64
+	Terms []Term
 }
 
-func newAffine(c int64) Affine {
-	return Affine{Const: c, Coeffs: map[*f77.Symbol]int64{}}
+// Term is one variable term of an Affine form.
+type Term struct {
+	Var   *f77.Symbol
+	Coeff int64
 }
 
 // Coeff returns the coefficient of v (0 if absent).
-func (a Affine) Coeff(v *f77.Symbol) int64 { return a.Coeffs[v] }
+func (a Affine) Coeff(v *f77.Symbol) int64 {
+	for _, t := range a.Terms {
+		if t.Var == v {
+			return t.Coeff
+		}
+	}
+	return 0
+}
 
 // IsConst reports whether the form has no variable terms.
 func (a Affine) IsConst() bool {
-	for _, c := range a.Coeffs {
-		if c != 0 {
+	for _, t := range a.Terms {
+		if t.Coeff != 0 {
 			return false
 		}
 	}
@@ -38,33 +49,43 @@ func (a Affine) IsConst() bool {
 }
 
 func (a Affine) add(b Affine, sign int64) Affine {
-	out := newAffine(a.Const + sign*b.Const)
-	for v, c := range a.Coeffs {
-		out.Coeffs[v] += c
-	}
-	for v, c := range b.Coeffs {
-		out.Coeffs[v] += sign * c
+	out := Affine{Const: a.Const + sign*b.Const, Terms: a.Terms}
+	if len(b.Terms) > 0 {
+		out.Terms = append(make([]Term, 0, len(a.Terms)+len(b.Terms)), a.Terms...)
+		out.addTerms(b.Terms, sign)
 	}
 	return out
 }
 
 func (a Affine) scale(k int64) Affine {
-	out := newAffine(a.Const * k)
-	for v, c := range a.Coeffs {
-		out.Coeffs[v] = c * k
-	}
+	out := Affine{Const: a.Const * k}
+	out.addTerms(a.Terms, k)
 	return out
 }
 
-// ExtractAffine decomposes e into a linear form over the variables in
-// vars (typically the enclosing loop indices). Non-loop symbols must be
+// addTerms adds k·terms to a's own Terms, which it must not share.
+func (a *Affine) addTerms(terms []Term, k int64) {
+next:
+	for _, t := range terms {
+		for i := range a.Terms {
+			if a.Terms[i].Var == t.Var {
+				a.Terms[i].Coeff += k * t.Coeff
+				continue next
+			}
+		}
+		a.Terms = append(a.Terms, Term{t.Var, k * t.Coeff})
+	}
+}
+
+// ExtractAffine decomposes e into a linear form over the variables of
+// loops (the enclosing loop indices). Other symbols must be
 // PARAMETER constants; anything else (products of variables, calls,
 // real arithmetic) fails with ok=false — the conservative answer that
 // makes the caller treat the access as unanalyzable.
-func ExtractAffine(e f77.Expr, vars map[*f77.Symbol]bool) (Affine, bool) {
+func ExtractAffine(e f77.Expr, loops []LoopCtx) (Affine, bool) {
 	switch x := e.(type) {
 	case *f77.IntLit:
-		return newAffine(x.Val), true
+		return Affine{Const: x.Val}, true
 	case *f77.VarExpr:
 		if x.Sym.IsConst {
 			if x.Sym.Type != f77.TInteger {
@@ -74,16 +95,14 @@ func ExtractAffine(e f77.Expr, vars map[*f77.Symbol]bool) (Affine, bool) {
 					return Affine{}, false
 				}
 			}
-			return newAffine(int64(x.Sym.Const)), true
+			return Affine{Const: int64(x.Sym.Const)}, true
 		}
-		if vars[x.Sym] {
-			a := newAffine(0)
-			a.Coeffs[x.Sym] = 1
-			return a, true
+		if isLoopVar(x.Sym, loops) {
+			return Affine{Terms: []Term{{x.Sym, 1}}}, true
 		}
 		return Affine{}, false
 	case *f77.Un:
-		sub, ok := ExtractAffine(x.X, vars)
+		sub, ok := ExtractAffine(x.X, loops)
 		if !ok {
 			return Affine{}, false
 		}
@@ -95,8 +114,8 @@ func ExtractAffine(e f77.Expr, vars map[*f77.Symbol]bool) (Affine, bool) {
 		}
 		return Affine{}, false
 	case *f77.Bin:
-		l, lok := ExtractAffine(x.L, vars)
-		r, rok := ExtractAffine(x.R, vars)
+		l, lok := ExtractAffine(x.L, loops)
+		r, rok := ExtractAffine(x.R, loops)
 		switch x.Op {
 		case f77.OpAdd:
 			if lok && rok {
@@ -118,7 +137,7 @@ func ExtractAffine(e f77.Expr, vars map[*f77.Symbol]bool) (Affine, bool) {
 		case f77.OpDiv:
 			// Integer division is affine only for exact constant/constant.
 			if lok && rok && l.IsConst() && r.IsConst() && r.Const != 0 && l.Const%r.Const == 0 {
-				return newAffine(l.Const / r.Const), true
+				return Affine{Const: l.Const / r.Const}, true
 			}
 		case f77.OpPow:
 			if lok && rok && l.IsConst() && r.IsConst() && r.Const >= 0 {
@@ -126,7 +145,7 @@ func ExtractAffine(e f77.Expr, vars map[*f77.Symbol]bool) (Affine, bool) {
 				for i := int64(0); i < r.Const; i++ {
 					v *= l.Const
 				}
-				return newAffine(v), true
+				return Affine{Const: v}, true
 			}
 		}
 		return Affine{}, false
@@ -149,7 +168,7 @@ type ArrayLayout struct {
 // LayoutOf computes the layout; it fails when any non-final bound does
 // not constant-fold.
 func LayoutOf(sym *f77.Symbol) (ArrayLayout, error) {
-	lay := ArrayLayout{Sym: sym}
+	lay := ArrayLayout{Sym: sym, Lows: make([]int64, 0, len(sym.Dims)), Mult: make([]int64, 0, len(sym.Dims))}
 	mult := int64(1)
 	for i, d := range sym.Dims {
 		low := int64(1)
@@ -186,10 +205,10 @@ func LayoutOf(sym *f77.Symbol) (ArrayLayout, error) {
 // Linearize combines per-dimension affine subscripts into a single
 // affine element offset using the layout.
 func (lay ArrayLayout) Linearize(subs []Affine) Affine {
-	out := newAffine(0)
+	var out Affine
 	for i, s := range subs {
-		term := s.add(newAffine(lay.Lows[i]), -1).scale(lay.Mult[i])
-		out = out.add(term, 1)
+		out.Const += (s.Const - lay.Lows[i]) * lay.Mult[i]
+		out.addTerms(s.Terms, lay.Mult[i])
 	}
 	return out
 }

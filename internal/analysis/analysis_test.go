@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"fmt"
 	"testing"
 
 	"vbuscluster/internal/f77"
@@ -71,8 +72,8 @@ func TestExtractAffine(t *testing.T) {
 	loop := firstLoop(t, u)
 	inner := loop.Body[0].(*f77.DoLoop)
 	asg := inner.Body[0].(*f77.Assign)
-	vars := map[*f77.Symbol]bool{loop.Var: true, inner.Var: true}
-	aff, ok := ExtractAffine(asg.LHS.Subs[0], vars)
+	loops := []LoopCtx{{Var: loop.Var}, {Var: inner.Var}}
+	aff, ok := ExtractAffine(asg.LHS.Subs[0], loops)
 	if !ok {
 		t.Fatal("affine extraction failed")
 	}
@@ -80,7 +81,7 @@ func TestExtractAffine(t *testing.T) {
 		t.Fatalf("const = %d", aff.Const)
 	}
 	if aff.Coeff(loop.Var) != 2 || aff.Coeff(inner.Var) != 3 {
-		t.Fatalf("coeffs = %v", aff.Coeffs)
+		t.Fatalf("terms = %v", aff.Terms)
 	}
 }
 
@@ -97,8 +98,84 @@ func TestExtractAffineRejectsNonlinear(t *testing.T) {
 	u := parse(t, src).Main()
 	loop := firstLoop(t, u)
 	asg := loop.Body[0].(*f77.Assign)
-	if _, ok := ExtractAffine(asg.LHS.Subs[0], map[*f77.Symbol]bool{loop.Var: true}); ok {
+	if _, ok := ExtractAffine(asg.LHS.Subs[0], []LoopCtx{{Var: loop.Var}}); ok {
 		t.Fatal("I*I extracted as affine")
+	}
+}
+
+// Edge cases of the term-slice affine form, through ExtractAffine and
+// BuildAccess: terms that cancel keep a zero coefficient and give no
+// dimension, terms that combine add up, a PARAMETER folds into the
+// constant, and products of variables or intrinsic calls still fail.
+func TestAffineEdgeCases(t *testing.T) {
+	for _, tc := range []struct {
+		sub            string
+		ok             bool
+		constant, i, j int64 // of the subscript
+		iDim           bool  // the access has a dimension for I
+	}{
+		{sub: "I - I + J", ok: true, j: 1},
+		{sub: "2*I - I", ok: true, i: 1, iDim: true},
+		{sub: "-(J - 2*I) + 3*J", ok: true, i: 2, j: 2, iDim: true},
+		{sub: "I + K", ok: true, constant: 7, i: 1, iDim: true},
+		{sub: "K*I - 6*I + J", ok: true, i: 1, j: 1, iDim: true},
+		{sub: "I*I"},
+		{sub: "MOD(I,2)"},
+		{sub: "I*J"},
+	} {
+		src := fmt.Sprintf(`
+      PROGRAM P
+      INTEGER K
+      PARAMETER (K = 7)
+      REAL A(400), X
+      INTEGER I, J
+      DO I = 1, 10
+        DO J = 1, 10
+          A(%s + 100) = 0.0
+        ENDDO
+      ENDDO
+      X = 1.0
+      END
+`, tc.sub)
+		u := parse(t, src).Main()
+		outer := firstLoop(t, u)
+		inner := outer.Body[0].(*f77.DoLoop)
+		asg := inner.Body[0].(*f77.Assign)
+		octx, err := ResolveLoop(outer, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ictx, err := ResolveLoop(inner, []LoopCtx{octx})
+		if err != nil {
+			t.Fatal(err)
+		}
+		loops := []LoopCtx{octx, ictx}
+		aff, ok := ExtractAffine(asg.LHS.Subs[0], loops)
+		acc, accOK := BuildAccess(asg.LHS.Sym, asg.LHS.Subs, loops)
+		if ok != tc.ok || accOK != tc.ok {
+			t.Errorf("A(%s + 100): ExtractAffine ok=%v, BuildAccess ok=%v, want %v", tc.sub, ok, accOK, tc.ok)
+			continue
+		}
+		if !ok {
+			continue
+		}
+		if aff.Const != tc.constant+100 || aff.Coeff(outer.Var) != tc.i || aff.Coeff(inner.Var) != tc.j {
+			t.Errorf("A(%s + 100): affine %d + %d·I + %d·J, want %d + %d·I + %d·J",
+				tc.sub, aff.Const, aff.Coeff(outer.Var), aff.Coeff(inner.Var), tc.constant+100, tc.i, tc.j)
+		}
+		if acc.Coeff(outer.Var) != tc.i || acc.Coeff(inner.Var) != tc.j {
+			t.Errorf("A(%s + 100): access coefficients I=%d J=%d, want %d, %d", tc.sub, acc.Coeff(outer.Var), acc.Coeff(inner.Var), tc.i, tc.j)
+		}
+		if got := acc.DimOf(outer.Var) >= 0; got != tc.iDim {
+			t.Errorf("A(%s + 100): dimension for I = %v, want %v (%v)", tc.sub, got, tc.iDim, acc.L)
+		}
+		// A symbol that is no loop variable has no coefficient, whether
+		// it is a PARAMETER, a scalar or the array itself.
+		for _, name := range []string{"K", "X", "A"} {
+			if c := acc.Coeff(u.Syms.Lookup(name)); c != 0 {
+				t.Errorf("A(%s + 100): coefficient of %s = %d, want 0", tc.sub, name, c)
+			}
+		}
 	}
 }
 
@@ -958,7 +1035,7 @@ func TestIntrinsicArgsAffineRejected(t *testing.T) {
 	u := parse(t, src).Main()
 	loop := firstLoop(t, u)
 	asg := loop.Body[0].(*f77.Assign)
-	if _, ok := ExtractAffine(asg.LHS.Subs[0], map[*f77.Symbol]bool{loop.Var: true}); ok {
+	if _, ok := ExtractAffine(asg.LHS.Subs[0], []LoopCtx{{Var: loop.Var}}); ok {
 		t.Fatal("MOD subscript extracted as affine")
 	}
 	// And the loop must therefore be serial.
@@ -982,7 +1059,7 @@ func TestAffineDivFold(t *testing.T) {
 	u := parse(t, src).Main()
 	loop := firstLoop(t, u)
 	asg := loop.Body[0].(*f77.Assign)
-	aff, ok := ExtractAffine(asg.LHS.Subs[0], map[*f77.Symbol]bool{loop.Var: true})
+	aff, ok := ExtractAffine(asg.LHS.Subs[0], []LoopCtx{{Var: loop.Var}})
 	if !ok || aff.Const != 10 {
 		t.Fatalf("affine = %+v ok=%v", aff, ok)
 	}

@@ -66,11 +66,7 @@ func exprRange(e f77.Expr, outer []LoopCtx) (min, max int64, exact bool, err err
 	if v, ok := f77.ConstFold(e); ok {
 		return int64(v), int64(v), true, nil
 	}
-	vars := map[*f77.Symbol]bool{}
-	for _, c := range outer {
-		vars[c.Var] = true
-	}
-	aff, ok := ExtractAffine(e, vars)
+	aff, ok := ExtractAffine(e, outer)
 	if !ok {
 		return 0, 0, false, fmt.Errorf("analysis: bound expression is not affine in loop indices")
 	}
@@ -104,10 +100,14 @@ type Access struct {
 	// order). Dimensions dropped during normalization are absent here
 	// too.
 	DimLoop []*f77.Symbol
-	// Coeffs are the raw per-loop-variable coefficients of the
-	// linearized subscript (element units), including zero ones.
-	Coeffs map[*f77.Symbol]int64
+	// terms are the linearized subscript's loop-variable terms (element
+	// units); Coeff reads them.
+	terms []Term
 }
+
+// Coeff returns the coefficient of loop variable v in the linearized
+// subscript, in elements: 0 when v does not appear.
+func (a Access) Coeff(v *f77.Symbol) int64 { return Affine{Terms: a.terms}.Coeff(v) }
 
 // DimOf returns the index of the dimension generated by loop variable
 // v, or -1 if the access is invariant in v.
@@ -124,7 +124,7 @@ func (a Access) DimOf(v *f77.Symbol) int {
 // the enclosing loops, producing its LMAD with one dimension per loop
 // whose index appears. ok=false means the access is not affine-analyzable.
 func BuildAccess(sym *f77.Symbol, subs []f77.Expr, loops []LoopCtx) (Access, bool) {
-	acc := Access{Sym: sym, Coeffs: map[*f77.Symbol]int64{}}
+	acc := Access{Sym: sym}
 	if len(subs) == 0 {
 		// Scalar (rank-0) access.
 		acc.L = lmad.New(sym.Name, 0)
@@ -134,13 +134,9 @@ func BuildAccess(sym *f77.Symbol, subs []f77.Expr, loops []LoopCtx) (Access, boo
 	if err != nil {
 		return acc, false
 	}
-	vars := map[*f77.Symbol]bool{}
-	for _, c := range loops {
-		vars[c.Var] = true
-	}
 	affs := make([]Affine, len(subs))
 	for i, s := range subs {
-		a, ok := ExtractAffine(s, vars)
+		a, ok := ExtractAffine(s, loops)
 		if !ok {
 			return acc, false
 		}
@@ -157,7 +153,6 @@ func BuildAccess(sym *f77.Symbol, subs []f77.Expr, loops []LoopCtx) (Access, boo
 	// Dimensions outermost-first (the contexts arrive outermost-first).
 	for _, c := range loops {
 		co := lin.Coeff(c.Var)
-		acc.Coeffs[c.Var] = co
 		if co == 0 {
 			continue
 		}
@@ -173,7 +168,7 @@ func BuildAccess(sym *f77.Symbol, subs []f77.Expr, loops []LoopCtx) (Access, boo
 			acc.DimLoop = append(acc.DimLoop, c.Var)
 		}
 	}
-	acc.L = l
+	acc.L, acc.terms = l, lin.Terms
 	return acc, true
 }
 

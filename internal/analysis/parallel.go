@@ -157,16 +157,17 @@ func IndependentIterations(loop *f77.DoLoop, ctx LoopCtx, outer []LoopCtx) bool 
 	// the two descriptors and their coefficients of the loop variable, so
 	// a reference repeated in the body (C(I,J) read and written) is one
 	// entry.
-	var writes, all []Access
-	for _, c := range riFixed.Accesses {
-		all = addDistinct(all, c.acc, loop.Var)
+	var writes, all []*Access
+	for i := range riFixed.Accesses {
+		c := &riFixed.Accesses[i]
+		all = addDistinct(all, &c.acc, loop.Var)
 		if c.write {
 			// Scalars written in the loop (not privatized, not
 			// reductions) serialize it.
 			if !c.acc.Sym.IsArray() {
 				return false
 			}
-			writes = addDistinct(writes, c.acc, loop.Var)
+			writes = addDistinct(writes, &c.acc, loop.Var)
 		}
 	}
 	for _, w := range writes {
@@ -185,9 +186,9 @@ func IndependentIterations(loop *f77.DoLoop, ctx LoopCtx, outer []LoopCtx) bool 
 // addDistinct appends acc unless the list already holds the same
 // reference as far as the Access Region Test on loop variable v can
 // tell: same array, same per-iteration descriptor, same coefficient.
-func addDistinct(list []Access, acc Access, v *f77.Symbol) []Access {
+func addDistinct(list []*Access, acc *Access, v *f77.Symbol) []*Access {
 	for _, have := range list {
-		if have.Sym == acc.Sym && have.Coeffs[v] == acc.Coeffs[v] && have.L.Equal(acc.L) {
+		if have.Sym == acc.Sym && have.Coeff(v) == acc.Coeff(v) && have.L.Equal(acc.L) {
 			return list
 		}
 	}
@@ -196,15 +197,15 @@ func addDistinct(list []Access, acc Access, v *f77.Symbol) []Access {
 
 // iterCtx builds a one-trip context pinning the loop variable to its
 // first value, so per-iteration LMADs carry the variable's coefficient
-// in Coeffs but no expanded dimension.
+// (Access.Coeff) but no expanded dimension.
 func iterCtx(ctx LoopCtx) LoopCtx {
 	return LoopCtx{Loop: ctx.Loop, Var: ctx.Var, From: ctx.From, To: ctx.From, Step: ctx.Step, Exact: ctx.Exact}
 }
 
 // crossIterationDisjoint checks W(i) ∩ X(j) = ∅ for all i ≠ j by
 // shifting X by the per-iteration displacement d·coeff·step.
-func crossIterationDisjoint(w, x Access, v *f77.Symbol, ctx LoopCtx) bool {
-	cw, cx := w.Coeffs[v], x.Coeffs[v]
+func crossIterationDisjoint(w, x *Access, v *f77.Symbol, ctx LoopCtx) bool {
+	cw, cx := w.Coeff(v), x.Coeff(v)
 	trips := ctx.Trips()
 	if cw == 0 && cx == 0 {
 		// Both invariant in the loop: every iteration touches the same

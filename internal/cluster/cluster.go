@@ -11,6 +11,7 @@ package cluster
 
 import (
 	"fmt"
+	"sync"
 
 	"vbuscluster/internal/commcost"
 	"vbuscluster/internal/fault"
@@ -84,19 +85,25 @@ type Params struct {
 }
 
 // DefaultParams is the paper configuration: V-Bus cards on a 2x2 mesh
-// (the experiment used a 4-node configuration).
+// (the experiment used a 4-node configuration). Every call shares one
+// card: a card is read-only, and the default one is always the same.
 func DefaultParams() Params {
-	card, err := nic.NewVBus(nic.DefaultVBusConfig())
-	if err != nil {
-		panic("cluster: default vbus config invalid: " + err.Error())
-	}
 	return Params{
 		CPU:        DefaultCPUParams(),
-		Fabric:     card,
+		Fabric:     defaultCard(),
 		MeshWidth:  2,
 		MeshHeight: 2,
 	}
 }
+
+// defaultCard builds the default V-Bus card once.
+var defaultCard = sync.OnceValue(func() *nic.VBus {
+	card, err := nic.NewVBus(nic.DefaultVBusConfig())
+	if err != nil {
+		panic("cluster: default vbus config invalid: " + err.Error())
+	}
+	return card
+})
 
 // ParamsForFabric is DefaultParams with the interconnect swapped for
 // the named registered backend ("vbus", "ethernet", "ideal", ...).

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"vbuscluster/internal/interconnect"
+	"vbuscluster/internal/nic"
 	"vbuscluster/internal/sim"
 	"vbuscluster/internal/trace"
 )
@@ -312,4 +313,43 @@ func TestNodeAccountingOneWriter(t *testing.T) {
 	if g, w := got.Snapshot(), want.Snapshot(); !reflect.DeepEqual(g, w) {
 		t.Fatalf("concurrent accounting %+v, sequential replay %+v", g, w)
 	}
+}
+
+// DefaultParams builds its V-Bus card once and every machine shares
+// it: the shared card must price as a freshly built one does, read by
+// several clusters at once.
+func TestDefaultCardShared(t *testing.T) {
+	a, b := DefaultParams(), DefaultParams()
+	if a.Fabric != b.Fabric {
+		t.Fatal("two DefaultParams built two cards")
+	}
+	fresh, err := nic.NewVBus(nic.DefaultVBusConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c, err := New(4, DefaultParams())
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			card := c.Fabric()
+			for hops := 0; hops <= 3; hops++ {
+				for _, n := range []int{1, 8, 100, 4096} {
+					if got, want := card.ContigTime(8*n, hops), fresh.ContigTime(8*n, hops); got != want {
+						t.Errorf("ContigTime(%d, %d) = %v, a fresh card prices %v", 8*n, hops, got, want)
+					}
+					if got, want := card.StridedTime(n, 8, hops), fresh.StridedTime(n, 8, hops); got != want {
+						t.Errorf("StridedTime(%d, 8, %d) = %v, a fresh card prices %v", n, hops, got, want)
+					}
+				}
+			}
+			c.ChargeComm(1, c.CommCost().Msg(4096, 1), 4096)
+		}()
+	}
+	wg.Wait()
 }

@@ -159,8 +159,9 @@ func (c *Compiled) exec() *interp.Lowered {
 
 // Compile runs the whole pipeline on Fortran 77 source, as the
 // ordered, named pass sequence reported by Passes(): the front-end
-// analysis passes, then the postpass stages (repeated per candidate
-// grain under AutoGrain, then grain-select prices them).
+// analysis passes, then the postpass stages (under AutoGrain, partition
+// once and the later stages per candidate grain, then grain-select
+// prices them).
 func Compile(src string, opts Options) (*Compiled, error) {
 	opts = opts.withDefaults()
 	if opts.Params == nil && opts.Fabric != "" {
@@ -218,52 +219,43 @@ func Compile(src string, opts Options) (*Compiled, error) {
 
 	// ---- MPI-2 postpass, staged (internal/postpass).
 	machine := machineParams(opts.Params, opts.NumProcs)
-	translate := func(g lmad.Grain, annotate string) (*postpass.Program, error) {
-		var hook postpass.StageHook
-		if tr != nil {
-			hook = func(stage string, wall time.Duration, note string, p *postpass.Program) {
-				if annotate != "" {
-					if note != "" {
-						note += ", "
-					}
-					note += annotate
-				}
-				tr.record(stage, wall, note, func() string { return p.String() })
-			}
-		}
-		return postpass.TranslateStaged(prog, opts.postpass(opts.NumProcs, g, &machine), hook)
-	}
+	grains := []lmad.Grain{opts.Grain}
 	if opts.AutoGrain {
-		params := machine
-		var cands []*postpass.Program
-		for _, g := range []lmad.Grain{lmad.Fine, lmad.Middle, lmad.Coarse} {
-			pp, err := translate(g, "grain="+g.String())
-			if err != nil {
-				return nil, err
+		grains = []lmad.Grain{lmad.Fine, lmad.Middle, lmad.Coarse}
+	}
+	var hook postpass.StageHook
+	if tr != nil {
+		hook = func(stage string, wall time.Duration, note string, p *postpass.Program) {
+			if opts.AutoGrain && stage != postpass.StagePartition {
+				if note != "" {
+					note += ", "
+				}
+				note += "grain=" + p.Opts.Grain.String()
 			}
-			cands = append(cands, pp)
+			tr.record(stage, wall, note, func() string { return p.String() })
 		}
-		var best *postpass.Program
+	}
+	cands, err := postpass.TranslateGrains(prog, opts.postpass(opts.NumProcs, opts.Grain, &machine), grains, hook)
+	if err != nil {
+		return nil, err
+	}
+	best := cands[0]
+	if opts.AutoGrain {
 		var bestCost sim.Time
 		tr.run("grain-select", func() (string, error) {
 			var parts []string
-			for _, pp := range cands {
-				cost := postpass.EstimateCommCost(pp, params)
+			for i, pp := range cands {
+				cost := postpass.EstimateCommCost(pp, machine)
 				parts = append(parts, fmt.Sprintf("%s=%v", pp.Opts.Grain, cost))
-				if best == nil || cost < bestCost {
+				if i == 0 || cost < bestCost {
 					best, bestCost = pp, cost
 				}
 			}
 			return fmt.Sprintf("%s -> picked %s", strings.Join(parts, ", "), best.Opts.Grain), nil
 		}, nil)
 		opts.Grain = best.Opts.Grain
-		return &Compiled{Prog: prog, SPMD: best, opts: opts}, nil
 	}
-	pp, err := translate(opts.Grain, "")
-	if err != nil {
-		return nil, err
-	}
-	return &Compiled{Prog: prog, SPMD: pp, opts: opts}, nil
+	return &Compiled{Prog: prog, SPMD: best, opts: opts}, nil
 }
 
 // Grain reports the granularity the compilation used (interesting with

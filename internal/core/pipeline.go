@@ -18,8 +18,9 @@ type Pass struct {
 }
 
 // Passes returns the canonical ordered pipeline Compile runs. The
-// grain-select pass only executes under Options.AutoGrain, and the
-// postpass stages repeat once per candidate grain in that mode.
+// grain-select pass only executes under Options.AutoGrain; in that mode
+// partition runs once, since it never reads the grain, and the postpass
+// stages after it repeat once per candidate grain.
 func Passes() []Pass {
 	return []Pass{
 		{"parse", "Fortran 77 source to AST"},

@@ -173,30 +173,43 @@ func newClassTable(par *ParInfo, dir Direction) classTable {
 		t.lead = append(t.lead, lead)
 	}
 	t.ref = append(t.ref, leads...)
-	bases := make([]int64, len(t.ops))
-	index := map[string]int32{}
+	rankClasses(t.ops, t.lead, 0, par.Procs, par.Schedule, func(r, c int, _ []int64) {
+		if c == len(t.classes) {
+			t.classes = append(t.classes, rankClass{rep: r, head: -1})
+		}
+		cl := &t.classes[c]
+		t.ranks[r] = classRank{int32(c), int32(cl.size), int32(cl.head)}
+		cl.head, cl.size = r, cl.size+1
+	})
+	return t
+}
+
+// rankClasses sorts ranks first..procs-1 into classes, numbered in
+// order of first member, that agree on each op's count (rankPart) and,
+// where lead[i] >= 0, on its base relative to op lead[i] <= i's: they
+// restrict each op alike and displace the ops of one lead alike. visit
+// sees each rank with its class and every op's base.
+func rankClasses(ops []*CommOp, lead []int, first, procs int, sched f77.Schedule, visit func(rank, class int, bases []int64)) {
+	bases := make([]int64, len(ops))
+	index := map[string]int{}
 	var key []byte
-	for r := range t.ranks {
+	for r := first; r < procs; r++ {
 		key = key[:0]
-		for i, op := range t.ops {
+		for i, op := range ops {
 			var n int64
-			_, n, bases[i] = rankPart(op, r, par.Procs, par.Schedule)
+			_, n, bases[i] = rankPart(op, r, procs, sched)
 			key = binary.AppendVarint(key, n)
-			if l := t.lead[i]; l >= 0 {
+			if l := lead[i]; l >= 0 {
 				key = binary.AppendVarint(key, bases[i]-bases[l])
 			}
 		}
 		c, ok := index[string(key)]
 		if !ok {
-			c = int32(len(t.classes))
+			c = len(index)
 			index[string(key)] = c
-			t.classes = append(t.classes, rankClass{rep: r, head: -1})
 		}
-		cl := &t.classes[c]
-		t.ranks[r] = classRank{c, int32(cl.size), int32(cl.head)}
-		cl.head, cl.size = r, cl.size+1
+		visit(r, c, bases)
 	}
-	return t
 }
 
 // class returns rank's class with its plans built: the representative's

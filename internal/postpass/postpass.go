@@ -23,8 +23,10 @@
 package postpass
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -206,6 +208,19 @@ func Translate(prog *f77.Program, opts Options) (*Program, error) {
 // when non-nil — is invoked after each stage with its timing. This is
 // the seam instrumentation and future pass-reordering PRs plug into.
 func TranslateStaged(prog *f77.Program, opts Options, hook StageHook) (*Program, error) {
+	pps, err := TranslateGrains(prog, opts, []lmad.Grain{opts.Grain}, hook)
+	if err != nil {
+		return nil, err
+	}
+	return pps[0], nil
+}
+
+// TranslateGrains is TranslateStaged once per grain of grains, the
+// other options as opts gives them. The partition stage reads only the
+// program and its loop annotations, never the grain, so it runs once:
+// the hook sees it with the first translation, and every translation
+// reads its result, which no later stage writes.
+func TranslateGrains(prog *f77.Program, opts Options, grains []lmad.Grain, hook StageHook) ([]*Program, error) {
 	if opts.NumProcs < 1 {
 		return nil, fmt.Errorf("postpass: need at least one process")
 	}
@@ -213,27 +228,40 @@ func TranslateStaged(prog *f77.Program, opts Options, hook StageHook) (*Program,
 	if main == nil {
 		return nil, fmt.Errorf("postpass: no main program unit")
 	}
-	t := &translator{p: &Program{Source: prog, Main: main, Opts: opts}}
-	for _, st := range []struct {
-		name string
-		run  func() string
-	}{
-		{StagePartition, t.partition},
-		{StageSPMDize, t.spmdize},
-		{StageScatterCollect, t.scatterCollect},
-		{StageGrainOpt, t.grainOpt},
-		{StageCoalesce, t.coalesce},
-		{StageAVPG, t.avpg},
-		{StageEnvGen, t.envGen},
-		{StageResilience, t.resilience},
-	} {
-		start := time.Now()
-		note := st.run()
-		if hook != nil {
-			hook(st.name, time.Since(start), note, t.p)
+	var first *translator
+	out := make([]*Program, len(grains))
+	for i, g := range grains {
+		opts.Grain = g
+		t := &translator{p: &Program{Source: prog, Main: main, Opts: opts}}
+		for _, st := range []struct {
+			name string
+			run  func(*translator) string
+		}{
+			{StagePartition, (*translator).partition},
+			{StageSPMDize, (*translator).spmdize},
+			{StageScatterCollect, (*translator).scatterCollect},
+			{StageGrainOpt, (*translator).grainOpt},
+			{StageCoalesce, (*translator).coalesce},
+			{StageAVPG, (*translator).avpg},
+			{StageEnvGen, (*translator).envGen},
+			{StageResilience, (*translator).resilience},
+		} {
+			if st.name == StagePartition && first != nil {
+				t.crossJump, t.cands = first.crossJump, first.cands
+				continue
+			}
+			start := time.Now()
+			note := st.run(t)
+			if hook != nil {
+				hook(st.name, time.Since(start), note, t.p)
+			}
 		}
+		if first == nil {
+			first = t
+		}
+		out[i] = t.p
 	}
-	return t.p, nil
+	return out, nil
 }
 
 // translator carries the intermediate state threaded between stages.
@@ -379,7 +407,7 @@ func (t *translator) scatterCollect() string {
 			if op.ParallelDim >= 0 {
 				// Negative coefficient: WithDim flipped the offset; the
 				// loop's trip order runs backwards along the lattice.
-				if c := acc.Coeffs[info.Loop.Var]; c*cand.ctx.Step < 0 {
+				if c := acc.Coeff(info.Loop.Var); c*cand.ctx.Step < 0 {
 					op.Reversed = true
 				}
 			}
@@ -580,14 +608,34 @@ type box struct {
 	rank   int
 }
 
+// appendBoxes appends the bounding interval of each transfer of runs,
+// issued by rank.
+func appendBoxes(boxes []box, runs lmad.Runs, rank int) []box {
+	reach := (runs.Elems - 1) * runs.Stride
+	runs.Each(func(off int64) { boxes = append(boxes, box{off, off + reach, rank}) })
+	return boxes
+}
+
+func byLo(a, b box) int { return cmp.Compare(a.lo, b.lo) }
+
 // span is one of a slave's merged boxes; pos is its first element's
 // index in the coverage bitmap.
 type span struct{ lo, hi, pos int64 }
 
+// raceClass is one class of the slaves of an array (rankClasses over
+// its collect and scatter ops): its first member, that member's base of
+// the array's first collect op, and its boxes, repBoxes[from:to].
+type raceClass struct {
+	rep      int
+	base     int64
+	from, to int
+}
+
 // raceCheck is the working state of the §5.6 check, its buffers reused
 // across the regions, arrays and ranks of a translation.
 type raceCheck struct {
-	boxes []box
+	boxes, repBoxes []box
+	classes         []raceClass
 
 	// Rule (b)'s account of one slave: a bit per element of the slave's
 	// boxes, addressed by position inside the merged boxes (spans), so
@@ -604,31 +652,45 @@ type raceCheck struct {
 
 // safe decides rules (a) and (b) for the collect ops of one array,
 // reading boxes and marks off the ops' run forms (rankRuns) — no
-// transfer list is built.
+// transfer list is built. The slaves' runs of the array's ops, collect
+// and scatter, are one class member's displaced by one amount, so
+// rankRuns runs once per class and op, and rule (b), which a
+// displacement cannot change, once per class; the master is fine-grain.
 func (rc *raceCheck) safe(info *ParInfo, ops []*CommOp, procs int) bool {
-	// Per-rank transferred intervals (master: exact writes, since it
-	// transfers nothing but its results must not be clobbered).
-	rc.boxes = rc.boxes[:0]
-	for r := 0; r < procs; r++ {
-		for _, op := range ops {
-			grain := op.Grain
-			if r == 0 {
-				grain = lmad.Fine
-			}
-			runs := rankRuns(op, grain, r, procs, info.Schedule)
-			reach := (runs.Elems - 1) * runs.Stride
-			runs.Each(func(off int64) { rc.boxes = append(rc.boxes, box{off, off + reach, r}) })
+	all := slices.Clip(ops)
+	for _, sop := range info.Scatters {
+		if sop.Sym == ops[0].Sym {
+			all = append(all, sop)
 		}
 	}
+	scatters := all[len(ops):]
+	// Per-rank transferred intervals (master: exact writes, since it
+	// transfers nothing but its results must not be clobbered).
+	rc.boxes, rc.repBoxes, rc.classes = rc.boxes[:0], rc.repBoxes[:0], rc.classes[:0]
+	for _, op := range ops {
+		rc.boxes = appendBoxes(rc.boxes, rankRuns(op, lmad.Fine, 0, procs, info.Schedule), 0)
+	}
+	rankClasses(all, make([]int, len(all)), 1, procs, info.Schedule, func(r, c int, bases []int64) {
+		if c == len(rc.classes) {
+			from := len(rc.repBoxes)
+			for _, op := range ops {
+				rc.repBoxes = appendBoxes(rc.repBoxes, rankRuns(op, op.Grain, r, procs, info.Schedule), r)
+			}
+			rc.classes = append(rc.classes, raceClass{r, bases[0], from, len(rc.repBoxes)})
+		}
+		cl := rc.classes[c]
+		for _, b := range rc.repBoxes[cl.from:cl.to] {
+			rc.boxes = append(rc.boxes, box{b.lo + bases[0] - cl.base, b.hi + bases[0] - cl.base, r})
+		}
+	})
 	// (a) disjointness across ranks: in order of lower bound, a box
 	// meets an earlier box of another rank iff the highest upper bound
 	// seen so far on another rank reaches it. Tracking the highest
 	// bound, and the highest on any rank other than that one's, answers
 	// that for every rank.
-	boxes := rc.boxes
-	sort.Slice(boxes, func(i, j int) bool { return boxes[i].lo < boxes[j].lo })
+	slices.SortFunc(rc.boxes, byLo)
 	top, next := box{hi: -1 << 62, rank: -1}, box{hi: -1 << 62, rank: -1}
-	for _, b := range boxes {
+	for _, b := range rc.boxes {
 		other := top
 		if b.rank == top.rank {
 			other = next
@@ -645,34 +707,22 @@ func (rc *raceCheck) safe(info *ParInfo, ops []*CommOp, procs int) bool {
 			next = b
 		}
 	}
-	// (b) slave-side validity: box elements ⊆ writes ∪ scattered.
-	var scatters []*CommOp
-	for _, sop := range info.Scatters {
-		if sop.Sym == ops[0].Sym {
-			scatters = append(scatters, sop)
-		}
-	}
-	// Group the boxes by rank, still ordered by lower bound within one.
-	sort.SliceStable(boxes, func(i, j int) bool { return boxes[i].rank < boxes[j].rank })
-	for len(boxes) > 0 {
-		r := boxes[0].rank
-		n := 1
-		for n < len(boxes) && boxes[n].rank == r {
-			n++
-		}
-		mine := boxes[:n]
-		boxes = boxes[n:]
-		if r == 0 {
+	// (b) slave-side validity, box elements ⊆ writes ∪ scattered, on
+	// each class's first member.
+	for _, cl := range rc.classes {
+		mine := rc.repBoxes[cl.from:cl.to]
+		if len(mine) == 0 {
 			continue
 		}
+		slices.SortFunc(mine, byLo)
 		if !rc.cover(mine) {
 			return false
 		}
 		for _, op := range ops {
-			rc.mark(rankRuns(op, lmad.Fine, r, procs, info.Schedule)) // exact writes
+			rc.mark(rankRuns(op, lmad.Fine, cl.rep, procs, info.Schedule)) // exact writes
 		}
 		for _, sop := range scatters {
-			rc.mark(rankRuns(sop, sop.Grain, r, procs, info.Schedule))
+			rc.mark(rankRuns(sop, sop.Grain, cl.rep, procs, info.Schedule))
 		}
 		if rc.set != rc.size {
 			return false
