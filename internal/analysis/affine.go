@@ -15,8 +15,6 @@ import (
 
 // Affine is a linear form over loop index variables:
 // Const + Σ t.Coeff·t.Var over Terms, at most one term per variable.
-// Forms share their Terms: add and scale build new slices and never
-// write to an operand's.
 type Affine struct {
 	Const int64
 	Terms []Term
@@ -48,33 +46,15 @@ func (a Affine) IsConst() bool {
 	return true
 }
 
-func (a Affine) add(b Affine, sign int64) Affine {
-	out := Affine{Const: a.Const + sign*b.Const, Terms: a.Terms}
-	if len(b.Terms) > 0 {
-		out.Terms = append(make([]Term, 0, len(a.Terms)+len(b.Terms)), a.Terms...)
-		out.addTerms(b.Terms, sign)
-	}
-	return out
-}
-
-func (a Affine) scale(k int64) Affine {
-	out := Affine{Const: a.Const * k}
-	out.addTerms(a.Terms, k)
-	return out
-}
-
-// addTerms adds k·terms to a's own Terms, which it must not share.
-func (a *Affine) addTerms(terms []Term, k int64) {
-next:
-	for _, t := range terms {
-		for i := range a.Terms {
-			if a.Terms[i].Var == t.Var {
-				a.Terms[i].Coeff += k * t.Coeff
-				continue next
-			}
+// addTerm adds c·v to a's own Terms.
+func (a *Affine) addTerm(v *f77.Symbol, c int64) {
+	for i := range a.Terms {
+		if a.Terms[i].Var == v {
+			a.Terms[i].Coeff += c
+			return
 		}
-		a.Terms = append(a.Terms, Term{t.Var, k * t.Coeff})
 	}
+	a.Terms = append(a.Terms, Term{v, c})
 }
 
 // ExtractAffine decomposes e into a linear form over the variables of
@@ -83,74 +63,95 @@ next:
 // real arithmetic) fails with ok=false — the conservative answer that
 // makes the caller treat the access as unanalyzable.
 func ExtractAffine(e f77.Expr, loops []LoopCtx) (Affine, bool) {
+	var a Affine
+	if !a.addExpr(e, 1, loops) {
+		return Affine{}, false
+	}
+	return a, true
+}
+
+// addExpr adds k·e into a, under ExtractAffine's rules. Sums,
+// differences, negation and a constant factor fold straight into a;
+// only a product's, quotient's or power's operands are extracted
+// apart, since whether they are constant decides the rule. On failure
+// a holds a partial sum.
+func (a *Affine) addExpr(e f77.Expr, k int64, loops []LoopCtx) bool {
 	switch x := e.(type) {
 	case *f77.IntLit:
-		return Affine{Const: x.Val}, true
+		a.Const += k * x.Val
+		return true
 	case *f77.VarExpr:
 		if x.Sym.IsConst {
 			if x.Sym.Type != f77.TInteger {
 				// A real PARAMETER in a subscript would be bizarre;
 				// accept exact integers only.
 				if x.Sym.Const != float64(int64(x.Sym.Const)) {
-					return Affine{}, false
+					return false
 				}
 			}
-			return Affine{Const: int64(x.Sym.Const)}, true
+			a.Const += k * int64(x.Sym.Const)
+			return true
 		}
 		if isLoopVar(x.Sym, loops) {
-			return Affine{Terms: []Term{{x.Sym, 1}}}, true
+			a.addTerm(x.Sym, k)
+			return true
 		}
-		return Affine{}, false
+		return false
 	case *f77.Un:
-		sub, ok := ExtractAffine(x.X, loops)
-		if !ok {
-			return Affine{}, false
-		}
 		switch x.Op {
 		case f77.OpNeg:
-			return sub.scale(-1), true
+			return a.addExpr(x.X, -k, loops)
 		case f77.OpPlus:
-			return sub, true
+			return a.addExpr(x.X, k, loops)
 		}
-		return Affine{}, false
+		return false
 	case *f77.Bin:
-		l, lok := ExtractAffine(x.L, loops)
-		r, rok := ExtractAffine(x.R, loops)
 		switch x.Op {
 		case f77.OpAdd:
-			if lok && rok {
-				return l.add(r, 1), true
-			}
+			return a.addExpr(x.L, k, loops) && a.addExpr(x.R, k, loops)
 		case f77.OpSub:
-			if lok && rok {
-				return l.add(r, -1), true
+			return a.addExpr(x.L, k, loops) && a.addExpr(x.R, -k, loops)
+		}
+		var l, r Affine
+		if !l.addExpr(x.L, 1, loops) {
+			return false
+		}
+		if x.Op == f77.OpMul && l.IsConst() {
+			return a.addExpr(x.R, k*l.Const, loops)
+		}
+		if !r.addExpr(x.R, 1, loops) || !r.IsConst() {
+			return false
+		}
+		if x.Op == f77.OpMul {
+			a.Const += k * l.Const * r.Const
+			for _, t := range l.Terms {
+				a.addTerm(t.Var, k*r.Const*t.Coeff)
 			}
-		case f77.OpMul:
-			if lok && rok {
-				if l.IsConst() {
-					return r.scale(l.Const), true
-				}
-				if r.IsConst() {
-					return l.scale(r.Const), true
-				}
-			}
+			return true
+		}
+		if !l.IsConst() {
+			return false
+		}
+		switch x.Op {
 		case f77.OpDiv:
 			// Integer division is affine only for exact constant/constant.
-			if lok && rok && l.IsConst() && r.IsConst() && r.Const != 0 && l.Const%r.Const == 0 {
-				return Affine{Const: l.Const / r.Const}, true
+			if r.Const != 0 && l.Const%r.Const == 0 {
+				a.Const += k * (l.Const / r.Const)
+				return true
 			}
 		case f77.OpPow:
-			if lok && rok && l.IsConst() && r.IsConst() && r.Const >= 0 {
+			if r.Const >= 0 {
 				v := int64(1)
 				for i := int64(0); i < r.Const; i++ {
 					v *= l.Const
 				}
-				return Affine{Const: v}, true
+				a.Const += k * v
+				return true
 			}
 		}
-		return Affine{}, false
+		return false
 	default:
-		return Affine{}, false
+		return false
 	}
 }
 
@@ -169,46 +170,44 @@ type ArrayLayout struct {
 // not constant-fold.
 func LayoutOf(sym *f77.Symbol) (ArrayLayout, error) {
 	lay := ArrayLayout{Sym: sym, Lows: make([]int64, 0, len(sym.Dims)), Mult: make([]int64, 0, len(sym.Dims))}
+	size, err := walkDims(sym, func(_ int, low, mult int64) {
+		lay.Lows = append(lay.Lows, low)
+		lay.Mult = append(lay.Mult, mult)
+	})
+	lay.Size = size
+	return lay, err
+}
+
+// walkDims folds sym's bounds, calling f with each dimension's lower
+// bound and multiplier in order until a bound fails to fold. It returns
+// the element count: 0 when the last dimension is assumed-size.
+func walkDims(sym *f77.Symbol, f func(i int, low, mult int64)) (int64, error) {
 	mult := int64(1)
 	for i, d := range sym.Dims {
 		low := int64(1)
 		if d.Low != nil {
 			v, ok := f77.ConstFold(d.Low)
 			if !ok {
-				return lay, fmt.Errorf("analysis: %s dimension %d lower bound is not constant", sym.Name, i+1)
+				return 0, fmt.Errorf("analysis: %s dimension %d lower bound is not constant", sym.Name, i+1)
 			}
 			low = int64(v)
 		}
-		lay.Lows = append(lay.Lows, low)
-		lay.Mult = append(lay.Mult, mult)
+		f(i, low, mult)
 		if d.High == nil {
 			if i != len(sym.Dims)-1 {
-				return lay, fmt.Errorf("analysis: %s has a non-final assumed dimension", sym.Name)
+				return 0, fmt.Errorf("analysis: %s has a non-final assumed dimension", sym.Name)
 			}
-			lay.Size = 0
-			return lay, nil
+			return 0, nil
 		}
 		hv, ok := f77.ConstFold(d.High)
 		if !ok {
-			return lay, fmt.Errorf("analysis: %s dimension %d upper bound is not constant", sym.Name, i+1)
+			return 0, fmt.Errorf("analysis: %s dimension %d upper bound is not constant", sym.Name, i+1)
 		}
 		extent := int64(hv) - low + 1
 		if extent <= 0 {
-			return lay, fmt.Errorf("analysis: %s dimension %d has non-positive extent %d", sym.Name, i+1, extent)
+			return 0, fmt.Errorf("analysis: %s dimension %d has non-positive extent %d", sym.Name, i+1, extent)
 		}
 		mult *= extent
 	}
-	lay.Size = mult
-	return lay, nil
-}
-
-// Linearize combines per-dimension affine subscripts into a single
-// affine element offset using the layout.
-func (lay ArrayLayout) Linearize(subs []Affine) Affine {
-	var out Affine
-	for i, s := range subs {
-		out.Const += (s.Const - lay.Lows[i]) * lay.Mult[i]
-		out.addTerms(s.Terms, lay.Mult[i])
-	}
-	return out
+	return mult, nil
 }

@@ -105,8 +105,10 @@ func TestExtractAffineRejectsNonlinear(t *testing.T) {
 
 // Edge cases of the term-slice affine form, through ExtractAffine and
 // BuildAccess: terms that cancel keep a zero coefficient and give no
-// dimension, terms that combine add up, a PARAMETER folds into the
-// constant, and products of variables or intrinsic calls still fail.
+// dimension, and a form whose terms all cancel counts as a constant
+// factor, divisor or power; terms that combine add up, a PARAMETER
+// folds into the constant, and products of variables, a variable
+// divided or intrinsic calls still fail.
 func TestAffineEdgeCases(t *testing.T) {
 	for _, tc := range []struct {
 		sub            string
@@ -119,6 +121,10 @@ func TestAffineEdgeCases(t *testing.T) {
 		{sub: "-(J - 2*I) + 3*J", ok: true, i: 2, j: 2, iDim: true},
 		{sub: "I + K", ok: true, constant: 7, i: 1, iDim: true},
 		{sub: "K*I - 6*I + J", ok: true, i: 1, j: 1, iDim: true},
+		{sub: "(I - I)*J", ok: true},
+		{sub: "J*(I - I)", ok: true},
+		{sub: "(I - I + 6)/3 + (J - J + 2)**3", ok: true, constant: 10},
+		{sub: "I/2"},
 		{sub: "I*I"},
 		{sub: "MOD(I,2)"},
 		{sub: "I*J"},
@@ -309,14 +315,14 @@ func TestRegionSummaryClassification(t *testing.T) {
 	if !ri.OK {
 		t.Fatalf("region unanalyzable: %s", ri.WhyNot)
 	}
-	if n := len(ri.Summary.ByArray(lmad.WriteFirst, "A")); n != 1 {
-		t.Fatalf("A WriteFirst count = %d\n%s", n, ri.Summary)
+	if n := len(ri.Summary().ByArray(lmad.WriteFirst, "A")); n != 1 {
+		t.Fatalf("A WriteFirst count = %d\n%s", n, ri.Summary())
 	}
-	if n := len(ri.Summary.ByArray(lmad.ReadOnly, "B")); n != 1 {
-		t.Fatalf("B ReadOnly count = %d\n%s", n, ri.Summary)
+	if n := len(ri.Summary().ByArray(lmad.ReadOnly, "B")); n != 1 {
+		t.Fatalf("B ReadOnly count = %d\n%s", n, ri.Summary())
 	}
-	if n := len(ri.Summary.ByArray(lmad.ReadWrite, "C")); n == 0 {
-		t.Fatalf("C not ReadWrite:\n%s", ri.Summary)
+	if n := len(ri.Summary().ByArray(lmad.ReadWrite, "C")); n == 0 {
+		t.Fatalf("C not ReadWrite:\n%s", ri.Summary())
 	}
 }
 
@@ -981,8 +987,8 @@ func TestAccessesOfClassification(t *testing.T) {
 	loop := firstLoop(t, u)
 	ctx, _ := ResolveLoop(loop, nil)
 	ri := Region(loop.Body, []LoopCtx{ctx}, map[*f77.Symbol]bool{loop.Var: true})
-	rw := ri.AccessesOf(lmad.ReadWrite)
-	ro := ri.AccessesOf(lmad.ReadOnly)
+	rw := ri.AccessesOf(ri.Summary(), lmad.ReadWrite)
+	ro := ri.AccessesOf(ri.Summary(), lmad.ReadOnly)
 	foundA, foundB := false, false
 	for _, a := range rw {
 		if a.Sym.Name == "A" {

@@ -130,45 +130,38 @@ func BuildAccess(sym *f77.Symbol, subs []f77.Expr, loops []LoopCtx) (Access, boo
 		acc.L = lmad.New(sym.Name, 0)
 		return acc, true
 	}
-	lay, err := LayoutOf(sym)
-	if err != nil {
+	// Fold each subscript straight into the linearised offset, in
+	// elements: subscript i adds (s_i - low_i)·mult_i.
+	lin, ok := Affine{Terms: make([]Term, 0, len(loops))}, true
+	if _, err := walkDims(sym, func(i int, low, mult int64) {
+		if ok && i < len(subs) {
+			ok = lin.addExpr(subs[i], mult, loops)
+			lin.Const -= low * mult
+		}
+	}); err != nil || !ok {
 		return acc, false
 	}
-	affs := make([]Affine, len(subs))
-	for i, s := range subs {
-		a, ok := ExtractAffine(s, loops)
-		if !ok {
-			return acc, false
-		}
-		affs[i] = a
-	}
-	lin := lay.Linearize(affs)
 
-	// Base offset: every loop variable at its first value.
-	off := lin.Const
-	for _, c := range loops {
-		off += lin.Coeff(c.Var) * c.From
-	}
-	l := lmad.New(sym.Name, off)
-	// Dimensions outermost-first (the contexts arrive outermost-first).
-	for _, c := range loops {
+	// Base offset: every loop variable at its first value. Dimensions
+	// outermost-first (the contexts arrive outermost-first).
+	acc.L, acc.terms = lmad.New(sym.Name, lin.Const), lin.Terms
+	for i, c := range loops {
 		co := lin.Coeff(c.Var)
 		if co == 0 {
 			continue
 		}
-		trips := c.Trips()
-		if trips <= 0 {
-			trips = 1
+		if acc.DimLoop == nil {
+			acc.L.Dims = make([]lmad.Dim, 0, len(loops)-i)
+			acc.DimLoop = make([]*f77.Symbol, 0, len(loops)-i)
 		}
+		acc.L.Offset += co * c.From
 		stride := co * c.Step
-		span := stride * (trips - 1)
-		before := l.Rank()
-		l = l.WithDim(stride, span)
-		if l.Rank() > before {
+		before := acc.L.Rank()
+		acc.L.AddDim(stride, stride*(max(c.Trips(), 1)-1))
+		if acc.L.Rank() > before {
 			acc.DimLoop = append(acc.DimLoop, c.Var)
 		}
 	}
-	acc.L, acc.terms = l, lin.Terms
 	return acc, true
 }
 
@@ -181,7 +174,6 @@ func BuildAccess(sym *f77.Symbol, subs []f77.Expr, loops []LoopCtx) (Access, boo
 // reduction variables). ok=false marks the region unanalyzable (a CALL,
 // GOTO, PRINT or non-affine access inside).
 type RegionInfo struct {
-	Summary  *lmad.Summary
 	Accesses []classified
 	OK       bool
 	// WhyNot explains the first reason analysis gave up.
@@ -194,23 +186,34 @@ type classified struct {
 	write bool
 }
 
-// Region analyzes a statement list under enclosing loops.
+// Region analyzes a statement list under enclosing loops. It builds
+// the accesses only; Summary derives the summary set from them.
 func Region(stmts []f77.Stmt, loops []LoopCtx, skip map[*f77.Symbol]bool) RegionInfo {
-	ri := RegionInfo{Summary: lmad.NewSummary(), OK: true}
+	ri := RegionInfo{OK: true}
 	ri.walk(stmts, loops, skip)
-	ri.Summary.Merge(lmad.NewSummary()) // normalize
 	return ri
 }
 
+// Summary returns the region's summary set (Figure 5): every access's
+// descriptor under its classification, normalized so that conflicting
+// ReadOnly/WriteFirst regions are promoted to ReadWrite.
+func (ri *RegionInfo) Summary() *lmad.Summary {
+	s := lmad.NewSummary()
+	for _, c := range ri.Accesses {
+		s.Add(c.typ, c.acc.L)
+	}
+	s.Merge(lmad.NewSummary()) // normalize
+	return s
+}
+
 // AccessesOf returns the region's accesses whose effective
-// classification (after summary normalization promoted conflicting
-// ReadOnly/WriteFirst regions to ReadWrite) equals t.
-func (ri *RegionInfo) AccessesOf(t lmad.AccType) []Access {
+// classification in sum, the region's Summary, equals t.
+func (ri *RegionInfo) AccessesOf(sum *lmad.Summary, t lmad.AccType) []Access {
 	var out []Access
 	for _, c := range ri.Accesses {
 		eff := c.typ
 		if eff != lmad.ReadWrite {
-			for _, rw := range ri.Summary.Sets[lmad.ReadWrite] {
+			for _, rw := range sum.Sets[lmad.ReadWrite] {
 				if rw.Equal(c.acc.L) {
 					eff = lmad.ReadWrite
 					break
@@ -274,7 +277,6 @@ func (ri *RegionInfo) walk(stmts []f77.Stmt, loops []LoopCtx, skip map[*f77.Symb
 }
 
 func (ri *RegionInfo) add(acc Access, typ lmad.AccType, write bool) {
-	ri.Summary.Add(typ, acc.L)
 	ri.Accesses = append(ri.Accesses, classified{acc: acc, typ: typ, write: write})
 }
 
@@ -319,6 +321,7 @@ func (ri *RegionInfo) assign(a *f77.Assign, loops []LoopCtx, skip map[*f77.Symbo
 	for _, sub := range a.LHS.Subs {
 		ri.reads(sub, loops, skip)
 	}
+	rhs := len(ri.Accesses)
 	ri.reads(a.RHS, loops, skip)
 	if skip[a.LHS.Sym] {
 		return
@@ -329,14 +332,16 @@ func (ri *RegionInfo) assign(a *f77.Assign, loops []LoopCtx, skip map[*f77.Symbo
 		return
 	}
 	// Same-statement read of the same region → ReadWrite (e.g. the
-	// C(I,J) = C(I,J) + ... pattern).
+	// C(I,J) = C(I,J) + ... pattern): reads just appended every
+	// analysable RHS reference to the array. A bare mention of the
+	// symbol counts whatever its bounds.
 	typ := lmad.WriteFirst
-	f77.WalkExpr(a.RHS, func(sub f77.Expr) {
-		if v, ok := sub.(*f77.ArrayExpr); ok && v.Sym == a.LHS.Sym {
-			if racc, rok := BuildAccess(v.Sym, v.Subs, loops); rok && lmad.BoundsOverlap(racc.L, wacc.L) {
-				typ = lmad.ReadWrite
-			}
+	for _, c := range ri.Accesses[rhs:] {
+		if c.acc.Sym == a.LHS.Sym && lmad.BoundsOverlap(c.acc.L, wacc.L) {
+			typ = lmad.ReadWrite
 		}
+	}
+	f77.WalkExpr(a.RHS, func(sub f77.Expr) {
 		if v, ok := sub.(*f77.VarExpr); ok && v.Sym == a.LHS.Sym {
 			typ = lmad.ReadWrite
 		}

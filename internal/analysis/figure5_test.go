@@ -47,9 +47,9 @@ func TestFigure5SummarySets(t *testing.T) {
 
 	// A(I,J,K) in a 100³ column-major array: strides — I:1, J:100,
 	// K:10000; loop nest order J,K,I gives dims (100, 10000, 1).
-	wf := ri.Summary.ByArray(lmad.WriteFirst, "A")
+	wf := ri.Summary().ByArray(lmad.WriteFirst, "A")
 	if len(wf) != 1 {
-		t.Fatalf("A WriteFirst count = %d\n%s", len(wf), ri.Summary)
+		t.Fatalf("A WriteFirst count = %d\n%s", len(wf), ri.Summary())
 	}
 	if got := wf[0].String(); got != "A^{100,10000,1}_{9900,990000,99}+0" {
 		t.Fatalf("A LMAD = %s", got)
@@ -58,17 +58,17 @@ func TestFigure5SummarySets(t *testing.T) {
 	// B(I,2*J,K+1) in a 100×200×101 array: I stride 1; J stride 2·100
 	// = 200 per J step... column-major mult for dim2 is 100, dim3 is
 	// 100·200=20000; offset of (1,2,2): (2-1)*100 + (2-1)*20000 = 20100.
-	ro := ri.Summary.ByArray(lmad.ReadOnly, "B")
+	ro := ri.Summary().ByArray(lmad.ReadOnly, "B")
 	if len(ro) != 1 {
-		t.Fatalf("B ReadOnly count = %d\n%s", len(ro), ri.Summary)
+		t.Fatalf("B ReadOnly count = %d\n%s", len(ro), ri.Summary())
 	}
 	if got := ro[0].String(); got != "B^{200,20000,1}_{19800,1980000,99}+20100" {
 		t.Fatalf("B LMAD = %s", got)
 	}
 
 	// The two summaries never conflict (different arrays): no ReadWrite.
-	if len(ri.Summary.Sets[lmad.ReadWrite]) != 0 {
-		t.Fatalf("unexpected ReadWrite promotion:\n%s", ri.Summary)
+	if len(ri.Summary().Sets[lmad.ReadWrite]) != 0 {
+		t.Fatalf("unexpected ReadWrite promotion:\n%s", ri.Summary())
 	}
 
 	// ---- Loop-level integration: the expansion across the parallel J

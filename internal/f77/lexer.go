@@ -10,10 +10,12 @@ import (
 // '!' anywhere; both styles are accepted. A trailing '&' joins the next
 // line.
 type Lexer struct {
-	src   string
-	pos   int
-	line  int
-	col   int
+	src  string
+	pos  int
+	line int
+	col  int
+	// peeks is the look-ahead queue. Next shifts it down in place, so
+	// one backing array serves the whole source.
 	peeks []Token
 }
 
@@ -58,9 +60,9 @@ func (lx *Lexer) skipToEOL() {
 
 // Next returns the next token.
 func (lx *Lexer) Next() (Token, error) {
-	if n := len(lx.peeks); n > 0 {
+	if len(lx.peeks) > 0 {
 		t := lx.peeks[0]
-		lx.peeks = lx.peeks[1:]
+		lx.peeks = lx.peeks[:copy(lx.peeks, lx.peeks[1:])]
 		return t, nil
 	}
 	return lx.scan()

@@ -3,6 +3,7 @@ package f77
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -68,5 +69,44 @@ func TestLexerLookahead(t *testing.T) {
 					file, i, got, got.Line, got.Col, want[i], want[i].Line, want[i].Col)
 			}
 		}
+	}
+}
+
+// TestLexerQueueAllocs holds the look-ahead queue to one backing array:
+// lexing with Peek interleaved costs what plain Next lexing costs plus
+// a small constant, and lexing a source repeated 8× costs at most 8×
+// lexing it once plus that constant, not one reallocation per token.
+func TestLexerQueueAllocs(t *testing.T) {
+	src, err := os.ReadFile("../../testdata/jacobi.f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lex := func(src string, lookahead bool) float64 {
+		return testing.AllocsPerRun(10, func() {
+			lx := NewLexer(src)
+			for i := 0; ; i++ {
+				for j := 0; lookahead && j <= i%4; j++ {
+					if _, err := lx.Peek(j); err != nil {
+						t.Fatal(err)
+					}
+				}
+				tok, err := lx.Next()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if tok.Kind == TokEOF {
+					return
+				}
+			}
+		})
+	}
+	const slack = 4
+	one, eight := string(src), strings.Repeat(string(src), 8)
+	once, repeated, plain := lex(one, true), lex(eight, true), lex(eight, false)
+	if repeated > plain+slack {
+		t.Errorf("look-ahead lexing of 8 copies: %.0f allocations, plain lexing %.0f", repeated, plain)
+	}
+	if repeated > 8*once+slack {
+		t.Errorf("look-ahead lexing: %.0f allocations for 8 copies, %.0f for one", repeated, once)
 	}
 }

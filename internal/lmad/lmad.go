@@ -61,35 +61,33 @@ func New(array string, offset int64) LMAD {
 }
 
 // WithDim returns a copy of l with an appended (outer → inner order)
-// dimension. Zero-stride or zero-trip dimensions are identity and
-// dropped; negative strides are normalized by moving the base offset to
-// the low end.
+// dimension, as AddDim appends it.
 func (l LMAD) WithDim(stride, span int64) LMAD {
-	out := l
-	out.Dims = append(append([]Dim(nil), l.Dims...), Dim{})
-	d := &out.Dims[len(out.Dims)-1]
+	l.Dims = append(make([]Dim, 0, len(l.Dims)+1), l.Dims...)
+	l.AddDim(stride, span)
+	return l
+}
+
+// AddDim appends an (outer → inner order) dimension to l in place.
+// Zero-stride or zero-trip dimensions are identity and dropped;
+// negative strides are normalized by moving the base offset to the low
+// end.
+func (l *LMAD) AddDim(stride, span int64) {
 	switch {
 	case stride == 0 || span == 0:
-		out.Dims = out.Dims[:len(out.Dims)-1]
-		return out
+		return
 	case stride < 0:
 		if span > 0 {
 			panic(fmt.Sprintf("lmad: negative stride %d with positive span %d", stride, span))
 		}
-		out.Offset += span
-		d.Stride, d.Span = -stride, -span
-	default:
-		if span < 0 {
-			panic(fmt.Sprintf("lmad: positive stride %d with negative span %d", stride, span))
-		}
-		d.Stride, d.Span = stride, span
+		l.Offset += span
+		stride, span = -stride, -span
+	case span < 0:
+		panic(fmt.Sprintf("lmad: positive stride %d with negative span %d", stride, span))
 	}
-	if d.Span%d.Stride != 0 {
-		// Round the span down to a whole number of strides; the last
-		// partial step cannot generate an access.
-		d.Span -= d.Span % d.Stride
-	}
-	return out
+	// Round the span down to a whole number of strides; the last
+	// partial step cannot generate an access.
+	l.Dims = append(l.Dims, Dim{Stride: stride, Span: span - span%stride})
 }
 
 // Rank reports the number of dimensions.

@@ -278,6 +278,7 @@ type translator struct {
 type parCandidate struct {
 	ctx analysis.LoopCtx
 	ri  analysis.RegionInfo
+	sum *lmad.Summary // ri.Summary(), which scatter-collect reads
 }
 
 // partition (§5.3) resolves every top-level parallel loop's bounds and
@@ -343,7 +344,7 @@ func partitionLoop(loop *f77.DoLoop) (*parCandidate, error) {
 	if !ri.OK {
 		return nil, fmt.Errorf("postpass: %s", ri.WhyNot)
 	}
-	return &parCandidate{ctx: ctx, ri: ri}, nil
+	return &parCandidate{ctx: ctx, ri: ri, sum: ri.Summary()}, nil
 }
 
 // spmdize (§5.5) segments the main body into schedulable regions:
@@ -416,7 +417,7 @@ func (t *translator) scatterCollect() string {
 		for _, typ := range []lmad.AccType{lmad.ReadOnly, lmad.WriteFirst, lmad.ReadWrite} {
 			var seen []lmad.LMAD // descriptors of this type already given an op
 		access:
-			for _, acc := range cand.ri.AccessesOf(typ) {
+			for _, acc := range cand.ri.AccessesOf(cand.sum, typ) {
 				for _, l := range seen {
 					if l.Equal(acc.L) {
 						continue access
