@@ -349,8 +349,9 @@ func compile24() []compileCase {
 
 // BenchmarkCompile24 is one round of the compile_cold workload: all 24
 // configs compiled once per iteration. After the timed rounds, one
-// traced round attributes a round's time to the three passes that
-// dominate it (parallel-detect-ns/op, partition-ns/op, grain-opt-ns/op).
+// traced round attributes a round's time to the passes that dominate
+// it (parse-ns/op, parallel-detect-ns/op, partition-ns/op,
+// grain-opt-ns/op, grain-select-ns/op).
 func BenchmarkCompile24(b *testing.B) {
 	cfgs := compile24()
 	b.ReportAllocs()
@@ -374,7 +375,7 @@ func BenchmarkCompile24(b *testing.B) {
 			wall[r.Name] += r.Wall
 		}
 	}
-	for _, pass := range []string{"parallel-detect", "partition", "grain-opt"} {
+	for _, pass := range []string{"parse", "parallel-detect", "partition", "grain-opt", "grain-select"} {
 		b.ReportMetric(float64(wall[pass].Nanoseconds()), pass+"-ns/op")
 	}
 }
