@@ -43,6 +43,51 @@ func InnermostForms(lw *Lowered) []LoopForm {
 	return out
 }
 
+// Form is one of the three executable forms of a straight DO loop.
+type Form int
+
+const (
+	NodeBody Form = iota // the ordinary node body
+	OneLane              // the tape, one iteration at a time
+	Strips               // the tape, a strip of lanes per instruction
+)
+
+// ForceForm makes the straight loop of lw's main unit whose DO is at
+// line run in form f from now on, building its tape for OneLane and
+// Strips. Strips are the tape's own choice at each entry (they need the
+// entry's disjointness proof); ForceForm refuses them, returning false,
+// when the tape has no strip, and refuses any form for a line with no
+// straight loop.
+func ForceForm(lw *Lowered, line int, f Form) bool {
+	var found *loop
+	var walk func(l *loop)
+	walk = func(l *loop) {
+		if l.line == line && l.straight {
+			found = l
+		}
+		for _, in := range l.inner {
+			walk(in)
+		}
+	}
+	for _, s := range lw.main.body.run {
+		if s.l != nil {
+			walk(s.l)
+		}
+	}
+	if found == nil {
+		return false
+	}
+	switch f {
+	case NodeBody:
+		found.straight = false
+	case OneLane:
+		found.code().lanes = 1
+	case Strips:
+		return found.code().lanes > 1
+	}
+	return true
+}
+
 // FrameSize is the length of lw's Full-mode array blocks.
 func FrameSize(lw *Lowered) int { return int(lw.frameSize) }
 
