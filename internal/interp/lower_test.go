@@ -1078,28 +1078,34 @@ func TestTapeShapes(t *testing.T) {
 	for _, tc := range []struct {
 		name, decl, body string
 		straight         bool
-		cursors, nodes   int // nodes: node and statement instructions
+		// cursors and values count the tape's array cursors and affine
+		// INTEGER values, nodes its node and statement instructions.
+		cursors, values, nodes int
 	}{
 		{"the MM kernel", "REAL A(4,4), B(4,4), C(4,4)\n      INTEGER I, J, K",
-			"C(I,J) = C(I,J) + A(I,K) * B(K,J)", true, 3, 0},
+			"C(I,J) = C(I,J) + A(I,K) * B(K,J)", true, 3, 0, 0},
 		{"one element read and written is one cursor", "REAL S(2), X(4)\n      INTEGER K",
-			"S(1) = S(1) + X(K)", true, 2, 0},
-		{"the variable twice in one reference, and as a value", "REAL A(4,4)\n      INTEGER K",
-			"A(K,K) = REAL(K) * 1.5", true, 1, 1},
+			"S(1) = S(1) + X(K)", true, 2, 0, 0},
+		{"the variable twice in one reference, and REAL of it a value", "REAL A(4,4)\n      INTEGER K",
+			"A(K,K) = REAL(K) * 1.5", true, 1, 1, 0},
 		{"an indirect subscript is a node", "REAL X(4), Y(4)\n      INTEGER IDX(4), K",
-			"Y(K) = X(IDX(K)) * 2.0", true, 1, 1},
+			"Y(K) = X(IDX(K)) * 2.0", true, 1, 0, 1},
 		{"a subscript the body writes keeps its statement", "REAL B(9), T\n      INTEGER I, M",
-			"T = B(I)\n        M = I + 1\n        B(M) = T + B(M-1)", true, 1, 2},
-		{"an intrinsic is one node, its argument included", "REAL A(4)\n      INTEGER N(4), I",
-			"N(K) = SQRT(A(K)) + 0.5", true, 1, 1},
+			"T = B(I)\n        M = I + 1\n        B(M) = T + B(M-1)", true, 1, 1, 1},
+		{"an intrinsic is an instruction, its argument a cursor", "REAL A(4)\n      INTEGER N(4), I",
+			"N(K) = SQRT(A(K)) + 0.5", true, 2, 0, 0},
+		{"REAL of a product of variables is a node", "REAL A(4)\n      INTEGER I",
+			"A(K) = REAL(I*K) + REAL(2*(I-K)+3)", true, 1, 1, 1},
+		{"a two-argument intrinsic is a node", "REAL A(4)\n      INTEGER I",
+			"A(K) = MOD(A(K), 2.0) + ATAN(REAL(I))", true, 1, 1, 1},
 		{"an IF is not straight", "REAL A(4)\n      INTEGER I",
-			"IF (A(I) .GT. 0.0) A(I) = 0.0", false, 0, 0},
+			"IF (A(I) .GT. 0.0) A(I) = 0.0", false, 0, 0, 0},
 		{"a COMMON loop variable is not straight", "REAL A(4)\n      INTEGER K\n      COMMON /C/ K",
-			"A(K) = 1.0", false, 0, 0},
+			"A(K) = 1.0", false, 0, 0, 0},
 		{"a COMMON store is not straight", "REAL A(4), S\n      INTEGER I\n      COMMON /C/ S",
-			"S = A(I)", false, 0, 0},
+			"S = A(I)", false, 0, 0, 0},
 		{"a user function is not straight", "REAL A(4)\n      INTEGER I",
-			"A(I) = F(A(I))", false, 0, 0},
+			"A(I) = F(A(I))", false, 0, 0, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			prog, err := f77.Parse("\n      PROGRAM P\n      " + tc.decl +
@@ -1118,14 +1124,22 @@ func TestTapeShapes(t *testing.T) {
 			if !l.straight {
 				return
 			}
-			nodes := 0
+			cursors, values, nodes := 0, 0, 0
 			for _, in := range l.code().code {
 				if in.op == opNode || in.op == opStmt {
 					nodes++
 				}
 			}
-			if len(l.tape.refs) != tc.cursors || nodes != tc.nodes {
-				t.Errorf("%d cursors and %d node instructions, want %d and %d", len(l.tape.refs), nodes, tc.cursors, tc.nodes)
+			for _, r := range l.tape.refs {
+				if r.slot < 0 {
+					values++
+				} else {
+					cursors++
+				}
+			}
+			if cursors != tc.cursors || values != tc.values || nodes != tc.nodes {
+				t.Errorf("%d cursors, %d values and %d node instructions, want %d, %d and %d",
+					cursors, values, nodes, tc.cursors, tc.values, tc.nodes)
 			}
 		})
 	}

@@ -161,3 +161,27 @@ func TestStraightLoopForms(t *testing.T) {
 	}
 	t.Logf("%d loops, %d with strips; %d initialisation loops, %d with strips", seeds, strips, inits, initStrips)
 }
+
+// TestInitialisationLoopsHaveStrips: every generated loop made only of
+// initialisation shapes (progen.StraightLoop.Init) — stores of
+// constants, of REAL of affine INTEGER values and of the one-argument
+// intrinsics — compiles a strip of lanes, as MM's and SWIM's
+// initialisation loops do.
+func TestInitialisationLoopsHaveStrips(t *testing.T) {
+	for seed := int64(0); seed < 2000; seed++ {
+		loop := progen.Straight(seed)
+		if !loop.Init {
+			continue
+		}
+		prog, err := f77.Parse(loop.Src)
+		if err == nil {
+			err = analysis.FrontEnd(prog)
+		}
+		if err != nil {
+			t.Fatalf("seed %d: %v\n%s", seed, err, loop.Src)
+		}
+		if !interp.ForceForm(interp.Lower(prog), loop.Line, interp.Strips) {
+			t.Errorf("seed %d: the initialisation loop at line %d has no strip\n%s", seed, loop.Line, loop.Src)
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package interp
 
 import (
+	"math"
 	"slices"
 
 	"vbuscluster/internal/f77"
@@ -15,11 +16,13 @@ import (
 // resolves to an offset and a stride (a cursor) and the whole iteration
 // range is proved in bounds from its two ends; an iteration is then a
 // switch per instruction over registers in the Env's scratch, with the
-// loop variable a Go int64. Everything else — intrinsics, INTEGER
-// arithmetic, REAL(I), **, logical values, indirect subscripts, a
-// target that is no cursor — is one instruction that calls the
-// ordinary lowered node, which reads the loop variable from its frame
-// cell. When the proof fails the loop runs its node body instead, which
+// loop variable a Go int64. An INTEGER expression affine in the loop
+// variable and in such scalars resolves at loop entry the same way, to
+// a value instead of an element, and the one-argument math intrinsics
+// are instructions of their own. Everything else — other INTEGER
+// arithmetic, **, logical values, indirect subscripts, a target that is
+// no cursor — is one instruction that calls the ordinary lowered node,
+// which reads the loop variable from its frame cell. When the proof fails the loop runs its node body instead, which
 // reports the bad access when and where it happens.
 //
 // A proved tape may also run a strip of iterations per instruction
@@ -44,6 +47,8 @@ const (
 	opStore                // cursor ref's element = r[a]
 	opSet                  // the scalar in slot = r[a]
 	opStmt                 // the ordinary assignment n, charged with the iteration
+	opAff                  // r[d] = float64 of affine ref's value
+	opMath                 // r[d] = laneMath[fn](r[d])
 	// The four arithmetic operations again, with the right operand
 	// cursor ref's element: r[d] = r[a] + (−, ·, /) element.
 	opAddC
@@ -56,6 +61,13 @@ const (
 	opFoldSub
 	opFoldMul
 	opFoldDiv
+	// Lanes only, a fold T = T ± e·Y with the multiply fused in: fold
+	// r[b]·Y (Mul), or X·Y (Dot), of every lane, where X is cursor x
+	// and Y cursor y.
+	opFoldAddMul
+	opFoldSubMul
+	opFoldAddDot
+	opFoldSubDot
 )
 
 // tapeRegs registers are indexed by a byte, so no index needs a check;
@@ -74,6 +86,8 @@ type instr struct {
 	op      tapeOp
 	d, a, b uint8
 	ref     uint8
+	x, y    uint8 // a fused fold's cursors
+	fn      uint8 // opMath's function
 	slot    int
 	k       float64
 	n       *node
@@ -94,7 +108,9 @@ type tape struct {
 }
 
 // tapeRef is one cursor's static half: the element for loop-variable
-// value v is base + Σ inv·m + v·step in the array in slot.
+// value v is base + Σ inv·m + v·step in the array in slot. A slot of −1
+// names no array: the tapeRef is an affine INTEGER value (opAff), and
+// base + Σ inv·m + v·step is the value itself.
 type tapeRef struct {
 	slot       int
 	size, base int64
@@ -110,6 +126,9 @@ type cursor struct {
 }
 
 func (c *cursor) at(v int64) *float64 { return &c.buf[c.off+v*c.step] }
+
+// value is an affine value's cursor (no buf) resolved for v.
+func (c *cursor) value(v int64) int64 { return c.off + v*c.step }
 
 // span is the lowest and highest element the cursor touches for
 // variable values between first and last.
@@ -229,8 +248,17 @@ func (b *tapeBuilder) assign(x *f77.Assign) {
 // register d; operands evaluate left then right.
 func (b *tapeBuilder) expr(e f77.Expr, d int) {
 	if f77.TypeOf(e) == f77.TInteger {
-		if v, ok := e.(*f77.IntLit); ok {
-			b.emit(instr{op: opConst, d: uint8(d), k: float64(v.Val)})
+		if c, ok := b.constant(e); ok {
+			b.emit(instr{op: opConst, d: uint8(d), k: float64(c)})
+			return
+		}
+		if ref := b.affine(e); ref >= 0 {
+			b.emit(instr{op: opAff, d: uint8(d), ref: uint8(ref)})
+			return
+		}
+		// An INTEGER intrinsic truncates its float value (lowerI).
+		if c, ok := e.(*f77.CallExpr); ok && b.call(c, d) {
+			b.emit(instr{op: opTrunc, d: uint8(d)})
 			return
 		}
 		b.node(e, d)
@@ -271,6 +299,10 @@ func (b *tapeBuilder) expr(e f77.Expr, d int) {
 			b.expr(x.X, d)
 			return
 		}
+	case *f77.CallExpr:
+		if b.call(x, d) {
+			return
+		}
 	case *f77.Bin:
 		if op, ok := tapeOps[x.Op]; ok && d+1 < tapeRegs {
 			// A right operand that is a cursor is read by the operation.
@@ -291,6 +323,34 @@ func (b *tapeBuilder) expr(e f77.Expr, d int) {
 }
 
 var tapeOps = map[f77.BinOp]tapeOp{f77.OpAdd: opAdd, f77.OpSub: opSub, f77.OpMul: opMul, f77.OpDiv: opDiv}
+
+// laneMath are the one-argument intrinsics opMath calls, by its fn:
+// the functions Lowered.intrinsic's nodes call.
+var (
+	laneMath   = [...]func(float64) float64{math.Abs, math.Sqrt, math.Exp, math.Log, math.Sin, math.Cos, math.Tan, math.Atan, math.Round}
+	laneMathOf = map[string]uint8{"ABS": 0, "IABS": 0, "SQRT": 1, "EXP": 2, "LOG": 3, "ALOG": 3,
+		"SIN": 4, "COS": 5, "TAN": 6, "ATAN": 7, "NINT": 8}
+)
+
+// call compiles the float value of an intrinsic call of one argument
+// that is a conversion to REAL (the argument's value, as
+// Lowered.intrinsic has it) or one of laneMath, into register d, and
+// reports whether it did.
+func (b *tapeBuilder) call(x *f77.CallExpr, d int) bool {
+	if !x.Intrinsic || len(x.Args) != 1 {
+		return false
+	}
+	switch fn, ok := laneMathOf[x.Name]; {
+	case ok:
+		b.expr(x.Args[0], d)
+		b.emit(instr{op: opMath, d: uint8(d), fn: fn})
+	case x.Name == "REAL" || x.Name == "FLOAT" || x.Name == "DBLE":
+		b.expr(x.Args[0], d)
+	default:
+		return false
+	}
+	return true
+}
 
 // node compiles e as one instruction calling its ordinary lowered node.
 func (b *tapeBuilder) node(e f77.Expr, d int) {
@@ -329,6 +389,12 @@ func (b *tapeBuilder) cursor(sym *f77.Symbol, subs []f77.Expr) int {
 		}
 		tr.inv = append(tr.inv, t)
 	}
+	return b.add(tr)
+}
+
+// add returns the index of the tape's ref equal to tr, adding it, or -1
+// when the tape has no cursor left.
+func (b *tapeBuilder) add(tr tapeRef) int {
 	for i, o := range b.t.refs {
 		if o.slot == tr.slot && o.base == tr.base && o.step == tr.step && slices.Equal(o.inv, tr.inv) {
 			return i
@@ -339,6 +405,92 @@ func (b *tapeBuilder) cursor(sym *f77.Symbol, subs []f77.Expr) int {
 	}
 	b.t.refs = append(b.t.refs, tr)
 	return len(b.t.refs) - 1
+}
+
+// affine returns the index of the value ref (slot −1) for the INTEGER
+// expression e, adding it, or -1 when e is not affine in the loop
+// variable and in local scalars the body never writes, with the
+// bounds a cursor has. int64 addition and multiplication wrap as a
+// ring, so base + Σ inv·m + v·step is the value the nodes compute
+// term by term, bit for bit.
+func (b *tapeBuilder) affine(e f77.Expr) int {
+	tr := tapeRef{slot: -1}
+	if !b.affineInto(&tr, e, 1) || !small(tr.base, 1<<32) || !small(tr.step, 1<<30) {
+		return -1
+	}
+	for _, t := range tr.inv {
+		if !small(t.m, 1<<30) {
+			return -1
+		}
+	}
+	return b.add(tr)
+}
+
+// affineInto adds k·e to tr, reporting false when e is not affine.
+func (b *tapeBuilder) affineInto(tr *tapeRef, e f77.Expr, k int64) bool {
+	switch x := e.(type) {
+	case *f77.IntLit:
+		tr.base += k * x.Val
+		return true
+	case *f77.VarExpr:
+		if x.Sym.IsConst {
+			tr.base += k * int64(x.Sym.Const)
+			return true
+		}
+		slot := b.lw.slots[x.Sym]
+		switch {
+		case x.Sym.IsArray() || x.Sym.Type != f77.TInteger:
+			return false
+		case slot == b.v:
+			tr.step += k
+			return true
+		case b.aliased(slot) || b.assigned[x.Sym]:
+			return false
+		}
+		for i := range tr.inv {
+			if tr.inv[i].v == slot {
+				tr.inv[i].m += k
+				return true
+			}
+		}
+		tr.inv = append(tr.inv, term{v: slot, m: k})
+		return true
+	case *f77.Un:
+		switch x.Op {
+		case f77.OpNeg:
+			return b.affineInto(tr, x.X, -k)
+		case f77.OpPlus:
+			return b.affineInto(tr, x.X, k)
+		}
+	case *f77.Bin:
+		if f77.TypeOf(x.L) != f77.TInteger || f77.TypeOf(x.R) != f77.TInteger {
+			return false
+		}
+		switch x.Op {
+		case f77.OpAdd:
+			return b.affineInto(tr, x.L, k) && b.affineInto(tr, x.R, k)
+		case f77.OpSub:
+			return b.affineInto(tr, x.L, k) && b.affineInto(tr, x.R, -k)
+		case f77.OpMul:
+			if c, ok := b.constant(x.L); ok {
+				return b.affineInto(tr, x.R, k*c)
+			}
+			if c, ok := b.constant(x.R); ok {
+				return b.affineInto(tr, x.L, k*c)
+			}
+		}
+	}
+	return false
+}
+
+// constant reports whether the INTEGER expression e is affine with no
+// variable term, and its value.
+func (b *tapeBuilder) constant(e f77.Expr) (int64, bool) {
+	var tr tapeRef
+	if !b.affineInto(&tr, e, 1) || tr.step != 0 || len(tr.inv) != 0 {
+		return 0, false
+	}
+	return tr.base, true
 }
 
 // small reports |x| ≤ lim: the bound under which the proof's
@@ -404,10 +556,12 @@ func (b *tapeBuilder) lanes(starts []int) {
 		}
 		folded[fold.ref] = true
 		n := len(stmt)
-		strip = append(strip, stmt[1:n-2]...)
+		e := stmt[1 : n-2 : n-2] // appending copies: t.code stays as it is
 		if op := stmt[n-2]; op.op >= opAddC {
-			strip = append(strip, instr{op: opLoad, d: 1, ref: op.ref})
+			e = append(e, instr{op: opLoad, d: 1, ref: op.ref})
 		}
+		e, fold = fuse(e, fold)
+		strip = append(strip, e...)
 		strip = append(strip, fold)
 	}
 	for i, r := range t.refs {
@@ -415,7 +569,7 @@ func (b *tapeBuilder) lanes(starts []int) {
 			return
 		}
 		for j := i + 1; j < len(t.refs); j++ {
-			if stores[i] == 0 && stores[j] == 0 {
+			if stores[i] == 0 && stores[j] == 0 || r.slot < 0 || t.refs[j].slot < 0 {
 				continue
 			}
 			if r.slot == t.refs[j].slot {
@@ -432,6 +586,28 @@ func (b *tapeBuilder) lanes(starts []int) {
 	if w := tapeRegs / regs; w >= minLanes {
 		t.lanes, t.strip, t.pairs = w, strip, pairs
 	}
+}
+
+// fuse folds the multiply that ends a fold's e, e' · Y with Y a cursor,
+// into the fold: T ± e'·Y, or T ± X·Y when e' is the cursor X alone.
+// The fused fold rounds each product before adding it, as the multiply
+// did.
+func fuse(e []instr, fold instr) ([]instr, instr) {
+	n := len(e)
+	if fold.op != opFoldAdd && fold.op != opFoldSub || n == 0 {
+		return e, fold
+	}
+	if mul := e[n-1]; mul.op != opMulC || mul.d != 1 || mul.a != 1 {
+		return e, fold
+	}
+	fold.y = e[n-1].ref
+	if n == 2 && e[0].op == opLoad && e[0].d == 1 {
+		fold.op += opFoldAddDot - opFoldAdd
+		fold.x = e[0].ref
+		return nil, fold
+	}
+	fold.op += opFoldAddMul - opFoldAdd
+	return e[:n-1], fold
 }
 
 // aliased reports whether the array in slot may share storage with
@@ -485,9 +661,11 @@ func (t *tape) prove(env *Env, s *scratch, first, last int64) bool {
 	}
 	for i := range t.refs {
 		r := &t.refs[i]
-		buf := env.mem[r.slot]
-		if buf == nil {
-			return false
+		var buf []float64
+		if r.slot >= 0 {
+			if buf = env.mem[r.slot]; buf == nil {
+				return false
+			}
 		}
 		off := r.base
 		for _, tm := range r.inv {
@@ -496,6 +674,10 @@ func (t *tape) prove(env *Env, s *scratch, first, last int64) bool {
 				return false
 			}
 			off += x * tm.m
+		}
+		if r.slot < 0 {
+			s.cur[i] = cursor{off: off, step: r.step}
+			continue
 		}
 		size := min(r.size, int64(len(buf)))
 		if lo, hi := off+first*r.step, off+last*r.step; lo < 0 || lo >= size || hi < 0 || hi >= size {
@@ -569,18 +751,22 @@ func (t *tape) run(env *Env, s *scratch, cell []float64, from, step, n int64, it
 		cell[0] = float64(v)
 		env.pending += iter
 		for j := s.exec(code, 0, v, env.mem); j < len(code); j = s.exec(code, j+1, v, env.mem) {
-			if in := &code[j]; in.op == opNode {
+			switch in := &code[j]; in.op {
+			case opNode:
 				s.regs[in.d] = in.n.f(in.n, env)
-			} else {
+			case opMath:
+				s.regs[in.d] = laneMath[in.fn%uint8(len(laneMath))](s.regs[in.d])
+			default:
 				in.n.s(in.n, env)
 			}
 		}
 	}
 }
 
-// exec runs code from j up to the next instruction that calls a node,
-// whose index it returns (len(code) at the end). It makes no call
-// itself, so its loop keeps its state in machine registers.
+// exec runs code from j up to the next instruction that calls a node
+// or a math function, whose index it returns (len(code) at the end). It
+// makes no call itself, so its loop keeps its state in machine
+// registers.
 func (s *scratch) exec(code []instr, j int, v int64, mem [][]float64) int {
 	r := &s.regs
 	for ; j < len(code); j++ {
@@ -616,7 +802,9 @@ func (s *scratch) exec(code []instr, j int, v int64, mem [][]float64) int {
 			r[in.d] = r[in.a] * *s.cur[in.ref%tapeCursors].at(v)
 		case opDivC:
 			r[in.d] = r[in.a] / *s.cur[in.ref%tapeCursors].at(v)
-		default: // opNode, opStmt
+		case opAff:
+			r[in.d] = float64(s.cur[in.ref%tapeCursors].value(v))
+		default: // opNode, opStmt, opMath
 			return j
 		}
 	}
@@ -626,16 +814,19 @@ func (s *scratch) exec(code []instr, j int, v int64, mem [][]float64) int {
 // lane is register r's lanes 0..m-1 when the tape runs w lanes.
 func (s *scratch) lane(r uint8, w, m int) []float64 { return s.regs[int(r)*w:][:m] }
 
-// stride is a cursor's first element in a strip whose variable values
-// run v, v+step, …, and the distance from one lane's element to the
-// next.
-func (c *cursor) stride(v, step int64) (e, de int64) { return c.off + v*c.step, step * c.step }
+// stride is a cursor's buffer, its first element in a strip whose
+// variable values run v, v+step, …, and the distance from one lane's
+// element to the next. A lane loop indexes the buffer it returns, held
+// in a local, which stores to the registers cannot change.
+func (c *cursor) stride(v, step int64) (buf []float64, e, de int64) {
+	return c.buf, c.off + v*c.step, step * c.step
+}
 
 // execLanes runs code over m lanes of w, lane l with the variable at
-// v + l·step. Like exec it makes no call; an operation with a cursor
-// operand reads the cursor in its own lane loop. A store to a cursor of
-// step 0 that is no fold writes only the last lane, the value every
-// lane's store would leave.
+// v + l·step. It makes no call but opMath's, one per lane in lane
+// order; an operation with a cursor operand reads the cursor in its own
+// lane loop. A store to a cursor of step 0 that is no fold writes only
+// the last lane, the value every lane's store would leave.
 func (s *scratch) execLanes(code []instr, w, m int, v, step int64, mem [][]float64) {
 	for j := range code {
 		in := &code[j]
@@ -651,10 +842,9 @@ func (s *scratch) execLanes(code []instr, w, m int, v, step int64, mem [][]float
 				d[l] = x
 			}
 		case opLoad:
-			c := &s.cur[in.ref%tapeCursors]
-			e, de := c.stride(v, step)
+			buf, e, de := s.cur[in.ref%tapeCursors].stride(v, step)
 			for l := range d {
-				d[l] = c.buf[e]
+				d[l] = buf[e]
 				e += de
 			}
 		case opNeg:
@@ -685,48 +875,60 @@ func (s *scratch) execLanes(code []instr, w, m int, v, step int64, mem [][]float
 			for l := range d {
 				d[l] = float64(int64(d[l]))
 			}
+		case opAff:
+			_, e, de := s.cur[in.ref%tapeCursors].stride(v, step)
+			for l := range d {
+				d[l] = float64(e)
+				e += de
+			}
+		case opMath:
+			f := laneMath[in.fn%uint8(len(laneMath))]
+			for l, x := range d {
+				d[l] = f(x)
+			}
 		case opStore:
 			a, c := s.lane(in.a, w, m), &s.cur[in.ref%tapeCursors]
 			if c.step == 0 {
 				*c.at(v) = a[m-1]
 				continue
 			}
-			e, de := c.stride(v, step)
+			buf, e, de := c.stride(v, step)
 			for _, x := range a {
-				c.buf[e] = x
+				buf[e] = x
 				e += de
 			}
 		case opAddC:
-			a, c := s.lane(in.a, w, m), &s.cur[in.ref%tapeCursors]
-			e, de := c.stride(v, step)
+			a := s.lane(in.a, w, m)
+			buf, e, de := s.cur[in.ref%tapeCursors].stride(v, step)
 			for l, x := range a {
-				d[l] = x + c.buf[e]
+				d[l] = x + buf[e]
 				e += de
 			}
 		case opSubC:
-			a, c := s.lane(in.a, w, m), &s.cur[in.ref%tapeCursors]
-			e, de := c.stride(v, step)
+			a := s.lane(in.a, w, m)
+			buf, e, de := s.cur[in.ref%tapeCursors].stride(v, step)
 			for l, x := range a {
-				d[l] = x - c.buf[e]
+				d[l] = x - buf[e]
 				e += de
 			}
 		case opMulC:
-			a, c := s.lane(in.a, w, m), &s.cur[in.ref%tapeCursors]
-			e, de := c.stride(v, step)
+			a := s.lane(in.a, w, m)
+			buf, e, de := s.cur[in.ref%tapeCursors].stride(v, step)
 			for l, x := range a {
-				d[l] = x * c.buf[e]
+				d[l] = x * buf[e]
 				e += de
 			}
 		case opDivC:
-			a, c := s.lane(in.a, w, m), &s.cur[in.ref%tapeCursors]
-			e, de := c.stride(v, step)
+			a := s.lane(in.a, w, m)
+			buf, e, de := s.cur[in.ref%tapeCursors].stride(v, step)
 			for l, x := range a {
-				d[l] = x / c.buf[e]
+				d[l] = x / buf[e]
 				e += de
 			}
 		// A fold's element is read and stored once; each lane's op
 		// rounds on its own, a product computed by an earlier
-		// instruction included, so nothing fuses into a multiply-add.
+		// instruction or converted explicitly included: the Go spec
+		// lets no compiler fuse a float64(x*y) into a multiply-add.
 		case opFoldAdd:
 			b, p := s.lane(in.b, w, m), s.cur[in.ref%tapeCursors].at(v)
 			acc := *p
@@ -753,6 +955,46 @@ func (s *scratch) execLanes(code []instr, w, m int, v, step int64, mem [][]float
 			acc := *p
 			for _, x := range b {
 				acc /= x
+			}
+			*p = acc
+		case opFoldAddMul:
+			b, p := s.lane(in.b, w, m), s.cur[in.ref%tapeCursors].at(v)
+			yb, e, de := s.cur[in.y%tapeCursors].stride(v, step)
+			acc := *p
+			for _, x := range b {
+				acc += float64(x * yb[e])
+				e += de
+			}
+			*p = acc
+		case opFoldSubMul:
+			b, p := s.lane(in.b, w, m), s.cur[in.ref%tapeCursors].at(v)
+			yb, e, de := s.cur[in.y%tapeCursors].stride(v, step)
+			acc := *p
+			for _, x := range b {
+				acc -= float64(x * yb[e])
+				e += de
+			}
+			*p = acc
+		case opFoldAddDot:
+			p := s.cur[in.ref%tapeCursors].at(v)
+			xb, ex, dx := s.cur[in.x%tapeCursors].stride(v, step)
+			yb, ey, dy := s.cur[in.y%tapeCursors].stride(v, step)
+			acc := *p
+			for range m {
+				acc += float64(xb[ex] * yb[ey])
+				ex += dx
+				ey += dy
+			}
+			*p = acc
+		case opFoldSubDot:
+			p := s.cur[in.ref%tapeCursors].at(v)
+			xb, ex, dx := s.cur[in.x%tapeCursors].stride(v, step)
+			yb, ey, dy := s.cur[in.y%tapeCursors].stride(v, step)
+			acc := *p
+			for range m {
+				acc -= float64(xb[ex] * yb[ey])
+				ex += dx
+				ey += dy
 			}
 			*p = acc
 		}
