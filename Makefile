@@ -1,13 +1,13 @@
 # Repository CI entry points. `make ci` is the gate: formatting, vet,
 # build, tests (tier-1 `go test ./...` holds the sweep goldens, the CLI
-# end-to-end rows and the doc check), the race detector over every
-# package, and the live-daemon service smokes.
+# end-to-end rows and the doc check), the fused multiply-add guard, the
+# race detector over every package, and the live-daemon service smokes.
 
 GO ?= go
 
-.PHONY: ci fmt vet build test race serve-smoke chaos-smoke peer-smoke bench
+.PHONY: ci fmt vet build test fma race serve-smoke chaos-smoke peer-smoke bench
 
-ci: fmt vet build test race serve-smoke chaos-smoke peer-smoke
+ci: fmt vet build test fma race serve-smoke chaos-smoke peer-smoke
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -23,6 +23,16 @@ build:
 
 test:
 	$(GO) test ./...
+
+# Fused multiply-add guard: the evaluator must round every product
+# before adding it (DESIGN §21), but Go may contract x*y + z into one
+# fused instruction, which rounds once. It does on arm64 and not on
+# amd64, so tests on amd64 cannot see it: compile internal/interp for
+# arm64 and fail on any fused multiply-add in its assembly.
+fma:
+	@out="$$(GOARCH=arm64 $(GO) build -o /dev/null -gcflags='vbuscluster/internal/interp=-S' ./internal/interp 2>&1)" || { echo "$$out" | tail -20; exit 1; }; \
+	echo "$$out" | grep -q 'TEXT.*interp' || { echo "fma: no assembly listing for internal/interp"; exit 1; }; \
+	if echo "$$out" | grep -E 'F(N?)M(ADD|SUB)'; then echo "fma: fused multiply-add in internal/interp"; exit 1; fi
 
 race:
 	$(GO) test -race ./...
