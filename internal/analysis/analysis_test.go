@@ -396,6 +396,26 @@ func TestOffsetWriteSerial(t *testing.T) {
 	}
 }
 
+// TestDistanceTwoRecurrenceSerial: A(I+2) = A(I) + 1.0 carries a flow
+// dependence at distance 2 between two regions one element wide. The
+// distance bound once summed the regions' widths, 0, tried distance 1
+// alone and marked the loop parallel; four ranks then printed "2 12"
+// where the sequential run prints "25 45" (core's soundness cases).
+func TestDistanceTwoRecurrenceSerial(t *testing.T) {
+	u := frontEnd(t, `
+      PROGRAM P
+      REAL A(100)
+      INTEGER I
+      DO I = 1, 90
+        A(I+2) = A(I) + 1.0
+      ENDDO
+      END
+`)
+	if firstLoop(t, u).Parallel {
+		t.Fatal("distance-2 recurrence marked parallel")
+	}
+}
+
 func TestStridedDisjointParallel(t *testing.T) {
 	u := frontEnd(t, `
       PROGRAM P

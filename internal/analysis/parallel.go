@@ -229,9 +229,11 @@ func crossIterationDisjoint(w, x *Access, v *f77.Symbol, ctx LoopCtx) bool {
 	if shift < 0 {
 		shift = -shift
 	}
-	// The regions are bounded; once the shift exceeds the combined
-	// extent the intervals cannot meet.
-	extent := (w.L.High() - w.L.Low()) + (x.L.High() - x.L.Low())
+	// The regions are bounded; once the shift exceeds the span of
+	// their union the intervals cannot meet. The span counts the gap
+	// between the regions, not only their widths: A(I+2) against A(I)
+	// meets at distance 2 although both regions are one element wide.
+	extent := max(w.L.High(), x.L.High()) - min(w.L.Low(), x.L.Low())
 	maxD := trips - 1
 	if lim := extent/shift + 1; lim < maxD {
 		maxD = lim

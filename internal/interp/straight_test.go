@@ -76,12 +76,10 @@ func (a formRun) diff(b formRun) string {
 // one-argument intrinsics, and values a fused multiply-add would round
 // differently, infinities, a NaN and a negative zero.
 //
-// Four ranks skip two kinds of loop whose parallel run is itself wrong
-// at every form, and racy, so no two runs can be compared: ROADMAP item
-// 19's findings, its oracle's to pin. A loop of fewer than two trips
-// leaves ranks with no iteration that still collect its step-0 stores
-// (finding 2); a loop that stores X and reads it elsewhere may carry a
-// dependence the Access Region Test misses (finding 1).
+// Four ranks skip loops of fewer than two trips: ranks with no
+// iteration still collect the loop's step-0 stores, so the parallel run
+// itself is wrong at every form, and racy, and no two runs can be
+// compared (ROADMAP item 19, finding 2; its oracle's to pin).
 func TestStraightLoopForms(t *testing.T) {
 	seeds := 2000
 	if testing.Short() {
@@ -119,7 +117,7 @@ func TestStraightLoopForms(t *testing.T) {
 			forms = append(forms, interp.Strips)
 		}
 		for _, c := range configs {
-			if c.procs > 1 && (loop.Trips < 2 || loop.Carried) {
+			if c.procs > 1 && loop.Trips < 2 {
 				continue
 			}
 			var pp *postpass.Program

@@ -13,9 +13,6 @@ type StraightLoop struct {
 	Line int // the straight loop's DO statement
 	// Trips is the straight loop's trip count.
 	Trips int
-	// Carried says the loop stores into X, which its statements also
-	// read at other elements: its iterations may depend on each other.
-	Carried bool
 	// Init says every statement of the loop is an initialisation shape:
 	// a store of a constant, a REAL or INTEGER value affine in the loop
 	// variable, or one of the nine one-argument intrinsics over such
@@ -33,7 +30,6 @@ type straightGen struct {
 	// vmin and vmax bound the values the variable takes; idx keeps every
 	// subscript between 1 and straightN for them.
 	vmin, vmax int
-	carried    bool
 }
 
 const straightN = 64
@@ -138,7 +134,6 @@ func (g *straightGen) stmt(target string) (string, bool) {
 	case 2: // the other folds
 		return fmt.Sprintf("%s = %s %s %s(%s)", t, t, g.pick("+", "-", "*", "/"), g.pick("X", "Y"), g.idx()), false
 	case 3: // an array read and stored, apart or not
-		g.carried = true
 		return fmt.Sprintf("X(%s) = X(%s) * 0.5 + Y(%s)", g.idx(), g.idx(), g.idx()), false
 	case 4: // a scalar accumulator: no strip
 		return fmt.Sprintf("S = S + %s", g.term()), false
@@ -217,5 +212,5 @@ func Straight(seed int64) StraightLoop {
 	}
 	g.line("      PRINT *, T(1), T(2), T(3), T(4), S")
 	g.line("      END")
-	return StraightLoop{Src: g.sb.String(), Line: line, Trips: trips, Carried: g.carried, Init: init}
+	return StraightLoop{Src: g.sb.String(), Line: line, Trips: trips, Init: init}
 }
