@@ -37,6 +37,28 @@ var soundnessCases = []struct {
 `,
 		out: "25 45\n",
 	},
+	{
+		// Rank 3's share of the second loop reads A(99) to A(126): the
+		// scatter's copy into a 100-element window panicked in mpi
+		// ("CopySpans "A" rank 3 [98,126) outside window size 100") and
+		// the process died with a Go stack, at every grain.
+		name: "a subscript out of bounds on one rank's share",
+		src: `
+      PROGRAM OOB
+      REAL A(100), B(40)
+      INTEGER I
+      DO I = 1, 100
+        A(I) = REAL(I)
+      ENDDO
+      DO I = 1, 40
+        B(I) = A(3*I+6)
+      ENDDO
+      PRINT *, B(1), B(40)
+      END
+`,
+		err:    "interp: line 0: A subscript out of bounds: linear index 101, size 100",
+		parErr: "interp: line 8: A subscript out of bounds: rank 3's share reaches linear indices 98 to 125, size 100",
+	},
 }
 
 func TestParallelMatchesSequentialOnSoundnessCases(t *testing.T) {

@@ -840,6 +840,7 @@ func (env *Env) runPartition(l *loop, ctx analysis.LoopCtx, first, step, count i
 // plan and SEND it (tag identifies the peer pairing).
 func (env *Env) sendOps(p *mpi.Proc, par *postpass.ParInfo, dir postpass.Direction, rank, tag int) {
 	for _, pl := range postpass.RankPlans(par, dir, rank) {
+		env.inBounds(par, &pl, rank)
 		dst := 0
 		if p.Rank() == 0 {
 			dst = rank
@@ -867,6 +868,7 @@ func (env *Env) recvOps(p *mpi.Proc, par *postpass.ParInfo, dir postpass.Directi
 		from = rank
 	}
 	for _, pl := range postpass.RankPlans(par, dir, rank) {
+		env.inBounds(par, &pl, rank)
 		for _, tr := range pl.Plan {
 			payload, err := p.RecvRegion(from, tag, int(tr.Elems))
 			mpi.Must(err)
@@ -878,6 +880,18 @@ func (env *Env) recvOps(p *mpi.Proc, par *postpass.ParInfo, dir postpass.Directi
 				buf[pl.Shift+tr.Offset+int64(i)*tr.Stride] = v
 			}
 		}
+	}
+}
+
+// inBounds fails a Full-mode run whose rank's plan pl reaches outside
+// its array (SymPlan.Outside, marked once when the plan is built): a
+// subscript of the region's loop runs out of bounds on rank's
+// iterations, which the sequential run reports as the loop executes.
+func (env *Env) inBounds(par *postpass.ParInfo, pl *postpass.SymPlan, rank int) {
+	if pl.Outside && env.mode == Full {
+		lo, hi := pl.Reach()
+		env.fail(par.Loop.Line(), "%s subscript out of bounds: rank %d's share reaches linear indices %d to %d, size %d",
+			pl.Sym.Name, rank, lo, hi-1, len(env.symStorage(pl.Sym)))
 	}
 }
 
@@ -901,6 +915,7 @@ func (env *Env) moveOps(p *mpi.Proc, wins []*mpi.Win, par *postpass.ParInfo, dir
 	}
 	for i, cover := range postpass.RankCovers(par, dir, rank) {
 		pl := plans[i]
+		env.inBounds(par, &pl, rank)
 		mpi.Must(p.CopySpans(wins[env.lw.slots[pl.Sym]], target, cover, pl.Shift, env.symStorage(pl.Sym), get))
 	}
 }

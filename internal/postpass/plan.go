@@ -2,6 +2,7 @@ package postpass
 
 import (
 	"encoding/binary"
+	"math"
 	"slices"
 	"sync"
 
@@ -102,10 +103,35 @@ func rankPart(op *CommOp, rank, procs int, sched f77.Schedule) (start, count, ba
 // SymPlan is one entry of a rank's transfer list: the transfers that
 // move one array's regions. The ranks of a class (classTable) share
 // Plan; each moves its transfers and cover displaced by its own Shift.
+// Outside says the displaced transfers reach an element outside the
+// array: a subscript of the region's loop runs out of bounds on this
+// rank's iterations, which a run must report instead of moving.
 type SymPlan struct {
-	Sym   *f77.Symbol
-	Plan  []lmad.Transfer
-	Shift int64
+	Sym     *f77.Symbol
+	Plan    []lmad.Transfer
+	Shift   int64
+	Outside bool
+}
+
+// Reach returns the lowest element pl's displaced transfers touch and
+// one past the highest (lo == hi for no element).
+func (pl *SymPlan) Reach() (lo, hi int64) {
+	lo, hi = reach(pl.Plan)
+	return lo + pl.Shift, hi + pl.Shift
+}
+
+func reach(plan []lmad.Transfer) (lo, hi int64) {
+	lo, hi = math.MaxInt64, math.MinInt64
+	for _, t := range plan {
+		if t.Elems > 0 {
+			a, b := t.Offset, t.Offset+(t.Elems-1)*t.Stride
+			lo, hi = min(lo, a, b), max(hi, a+1, b+1)
+		}
+	}
+	if lo > hi {
+		return 0, 0
+	}
+	return lo, hi
 }
 
 // Direction selects one of a parallel region's two transfer lists.
@@ -219,6 +245,17 @@ func (t *classTable) class(par *ParInfo, dir Direction, rank int) *rankClass {
 	cl := &t.classes[t.ranks[rank].class]
 	cl.once.Do(func() {
 		plans, n := planRank(par, dir, cl.rep), len(t.ref)
+		// Each entry's reach and array size, to mark each member's
+		// Outside once here rather than on every run.
+		lo, hi, size := make([]int64, n), make([]int64, n), make([]int64, n)
+		for e, pl := range plans {
+			lo[e], hi[e] = reach(pl.Plan)
+			if sz, err := layoutElems(pl.Sym); err == nil {
+				size[e] = sz
+			} else {
+				size[e] = math.MaxInt64 // no constant layout: not checked here
+			}
+		}
 		cl.views = make([]SymPlan, cl.size*n)
 		for r := cl.head; r >= 0; r = int(t.ranks[r].next) {
 			view := cl.views[int(t.ranks[r].slot)*n:][:n]
@@ -227,6 +264,7 @@ func (t *classTable) class(par *ParInfo, dir Direction, rank int) *rankClass {
 				_, _, b := rankPart(t.ops[i], r, par.Procs, par.Schedule)
 				_, _, b0 := rankPart(t.ops[i], cl.rep, par.Procs, par.Schedule)
 				view[e].Shift = b - b0
+				view[e].Outside = lo[e] < hi[e] && (lo[e]+view[e].Shift < 0 || hi[e]+view[e].Shift > size[e])
 			}
 		}
 	})
