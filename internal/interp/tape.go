@@ -22,8 +22,9 @@ import (
 // are instructions of their own. Everything else — other INTEGER
 // arithmetic, **, logical values, indirect subscripts, a target that is
 // no cursor — is one instruction that calls the ordinary lowered node,
-// which reads the loop variable from its frame cell. When the proof fails the loop runs its node body instead, which
-// reports the bad access when and where it happens.
+// which reads the loop variable from its frame cell. When the proof
+// fails the loop runs its node body instead, which reports the bad
+// access when and where it happens.
 //
 // A proved tape may also run a strip of iterations per instruction
 // (lanes), when no order between iterations can be observed: see
@@ -597,10 +598,11 @@ func fuse(e []instr, fold instr) ([]instr, instr) {
 	if fold.op != opFoldAdd && fold.op != opFoldSub || n == 0 {
 		return e, fold
 	}
-	if mul := e[n-1]; mul.op != opMulC || mul.d != 1 || mul.a != 1 {
+	mul := e[n-1]
+	if mul.op != opMulC || mul.d != 1 || mul.a != 1 {
 		return e, fold
 	}
-	fold.y = e[n-1].ref
+	fold.y = mul.ref
 	if n == 2 && e[0].op == opLoad && e[0].d == 1 {
 		fold.op += opFoldAddDot - opFoldAdd
 		fold.x = e[0].ref

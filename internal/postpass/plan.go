@@ -245,26 +245,24 @@ func (t *classTable) class(par *ParInfo, dir Direction, rank int) *rankClass {
 	cl := &t.classes[t.ranks[rank].class]
 	cl.once.Do(func() {
 		plans, n := planRank(par, dir, cl.rep), len(t.ref)
-		// Each entry's reach and array size, to mark each member's
-		// Outside once here rather than on every run.
-		lo, hi, size := make([]int64, n), make([]int64, n), make([]int64, n)
-		for e, pl := range plans {
-			lo[e], hi[e] = reach(pl.Plan)
-			if sz, err := layoutElems(pl.Sym); err == nil {
-				size[e] = sz
-			} else {
-				size[e] = math.MaxInt64 // no constant layout: not checked here
-			}
-		}
 		cl.views = make([]SymPlan, cl.size*n)
+		view := func(r int) []SymPlan { return cl.views[int(t.ranks[r].slot)*n:][:n] }
 		for r := cl.head; r >= 0; r = int(t.ranks[r].next) {
-			view := cl.views[int(t.ranks[r].slot)*n:][:n]
-			copy(view, plans)
-			for e, i := range t.ref {
+			copy(view(r), plans)
+		}
+		// Each member's Outside is marked here, once, not on every run.
+		for e, i := range t.ref {
+			lo, hi := reach(plans[e].Plan)
+			size, err := layoutElems(plans[e].Sym)
+			if err != nil {
+				size = math.MaxInt64 // no constant layout: not checked here
+			}
+			_, _, b0 := rankPart(t.ops[i], cl.rep, par.Procs, par.Schedule)
+			for r := cl.head; r >= 0; r = int(t.ranks[r].next) {
 				_, _, b := rankPart(t.ops[i], r, par.Procs, par.Schedule)
-				_, _, b0 := rankPart(t.ops[i], cl.rep, par.Procs, par.Schedule)
-				view[e].Shift = b - b0
-				view[e].Outside = lo[e] < hi[e] && (lo[e]+view[e].Shift < 0 || hi[e]+view[e].Shift > size[e])
+				pl := &view(r)[e]
+				pl.Shift = b - b0
+				pl.Outside = lo < hi && (lo+pl.Shift < 0 || hi+pl.Shift > size)
 			}
 		}
 	})
