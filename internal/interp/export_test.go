@@ -17,8 +17,7 @@ type LoopForm struct {
 // source order, without building any.
 func InnermostForms(lw *Lowered) []LoopForm {
 	var out []LoopForm
-	var walk func(l *loop)
-	walk = func(l *loop) {
+	mainLoops(lw, func(l *loop) {
 		if len(l.inner) == 0 {
 			f := LoopForm{Line: l.line, Tape: l.tape != nil, Body: l.body != nil}
 			if f.Tape {
@@ -31,6 +30,16 @@ func InnermostForms(lw *Lowered) []LoopForm {
 			}
 			out = append(out, f)
 		}
+	})
+	return out
+}
+
+// mainLoops calls visit on every loop of lw's main unit, outer before
+// inner, in source order.
+func mainLoops(lw *Lowered, visit func(*loop)) {
+	var walk func(l *loop)
+	walk = func(l *loop) {
+		visit(l)
 		for _, in := range l.inner {
 			walk(in)
 		}
@@ -40,7 +49,6 @@ func InnermostForms(lw *Lowered) []LoopForm {
 			walk(s.l)
 		}
 	}
-	return out
 }
 
 // Form is one of the three executable forms of a straight DO loop.
@@ -60,20 +68,11 @@ const (
 // straight loop.
 func ForceForm(lw *Lowered, line int, f Form) bool {
 	var found *loop
-	var walk func(l *loop)
-	walk = func(l *loop) {
+	mainLoops(lw, func(l *loop) {
 		if l.line == line && l.straight {
 			found = l
 		}
-		for _, in := range l.inner {
-			walk(in)
-		}
-	}
-	for _, s := range lw.main.body.run {
-		if s.l != nil {
-			walk(s.l)
-		}
-	}
+	})
 	if found == nil {
 		return false
 	}

@@ -123,9 +123,8 @@ func (pl *SymPlan) Reach() (lo, hi int64) {
 func reach(plan []lmad.Transfer) (lo, hi int64) {
 	lo, hi = math.MaxInt64, math.MinInt64
 	for _, t := range plan {
-		if t.Elems > 0 {
-			a, b := t.Offset, t.Offset+(t.Elems-1)*t.Stride
-			lo, hi = min(lo, a, b), max(hi, a+1, b+1)
+		if t.Elems > 0 { // a transfer's stride is positive
+			lo, hi = min(lo, t.Offset), max(hi, t.Offset+(t.Elems-1)*t.Stride+1)
 		}
 	}
 	if lo > hi {
