@@ -1086,7 +1086,7 @@ func TestTapeShapes(t *testing.T) {
 			"C(I,J) = C(I,J) + A(I,K) * B(K,J)", true, 3, 0, 0},
 		{"one element read and written is one cursor", "REAL S(2), X(4)\n      INTEGER K",
 			"S(1) = S(1) + X(K)", true, 2, 0, 0},
-		{"the variable twice in one reference, and REAL of it a value", "REAL A(4,4)\n      INTEGER K",
+		{"the variable twice in a reference, REAL of it a value", "REAL A(4,4)\n      INTEGER K",
 			"A(K,K) = REAL(K) * 1.5", true, 1, 1, 0},
 		{"an indirect subscript is a node", "REAL X(4), Y(4)\n      INTEGER IDX(4), K",
 			"Y(K) = X(IDX(K)) * 2.0", true, 1, 0, 1},
