@@ -15,6 +15,7 @@ var soundnessCases = []struct {
 	name, src string
 	out, err  string // the sequential run's output or error text
 	parErr    string // the parallel run's error text, when err is set
+	runs      int    // parallel runs, where a race shows only in some
 }{
 	{
 		// The Access Region Test tried distances only up to the sum of
@@ -59,6 +60,97 @@ var soundnessCases = []struct {
 		err:    "interp: line 0: A subscript out of bounds: linear index 101, size 100",
 		parErr: "interp: line 8: A subscript out of bounds: rank 3's share reaches linear indices 98 to 125, size 100",
 	},
+	{
+		// DO I was tested on iteration I = 1's one-element region of
+		// the triangle and marked parallel: four ranks printed "0 0"
+		// at every grain.
+		name: "a triangle whose first iteration touches one element",
+		src: `
+      PROGRAM TRI
+      REAL A(40)
+      INTEGER I, J
+      DO I = 1, 40
+        A(I) = 0.0
+      ENDDO
+      DO I = 1, 10
+        DO J = 1, I
+          A(2*I+J) = A(2*I+J) + REAL(I)
+        ENDDO
+      ENDDO
+      PRINT *, A(9), A(11)
+      END
+`,
+		out: "7 9\n",
+	},
+	{
+		// DO J was marked parallel, tested with I pinned to 1. Only a
+		// top-level loop runs on the ranks, so four ranks printed the
+		// right answer all the same; the analysis row
+		// (TestDependenceReproducersSerial) is the one that failed.
+		name: "an inner loop whose enclosing coefficients differ",
+		src: `
+      PROGRAM OUTER
+      REAL A(40)
+      INTEGER I, J
+      DO I = 1, 40
+        A(I) = REAL(I)
+      ENDDO
+      DO I = 1, 4
+        DO J = 1, 10
+          A(2*J) = A(2*J+I) + 1.0
+        ENDDO
+      ENDDO
+      PRINT *, A(2), A(20)
+      END
+`,
+		out: "11 25\n",
+	},
+	{
+		// The triangle's write was WriteFirst, so each rank collected
+		// the whole hull of its columns, M(1..I-1,I) included, which it
+		// never wrote: four ranks printed "0 1" at every grain.
+		name: "a write-only triangle over set values",
+		src: `
+      PROGRAM WTRI
+      REAL M(10,10)
+      INTEGER I, J
+      DO I = 1, 10
+        DO J = 1, 10
+          M(J,I) = 7.0
+        ENDDO
+      ENDDO
+      DO I = 1, 10
+        DO J = I, 10
+          M(J,I) = 1.0
+        ENDDO
+      ENDDO
+      PRINT *, M(1,10), M(10,10)
+      END
+`,
+		out: "7 1\n",
+	},
+	{
+		// A one-trip loop was a parallel region, and every rank without
+		// its iteration still collected X(53): at coarse grain the
+		// master's copy depended on the order of arrival, and six runs
+		// printed 3, 3, 0, 14.5, 0 and 14.5.
+		name: "a one-trip loop storing one element",
+		src: `
+      PROGRAM ONE
+      REAL X(64)
+      INTEGER I
+      DO I = 1, 64
+        X(I) = 14.5
+      ENDDO
+      DO I = 3, 3
+        X(53) = REAL(I)
+      ENDDO
+      PRINT *, X(53)
+      END
+`,
+		out:  "3\n",
+		runs: 8,
+	},
 }
 
 func TestParallelMatchesSequentialOnSoundnessCases(t *testing.T) {
@@ -87,12 +179,14 @@ func TestParallelMatchesSequentialOnSoundnessCases(t *testing.T) {
 					if seq.Output != tc.out {
 						t.Fatalf("sequential output %q, want %q", seq.Output, tc.out)
 					}
-					par, err := c.RunParallel(Full)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if par.Output != tc.out {
-						t.Errorf("four ranks print %q, the sequential run %q", par.Output, tc.out)
+					for range max(tc.runs, 1) {
+						par, err := c.RunParallel(Full)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if par.Output != tc.out {
+							t.Fatalf("four ranks print %q, the sequential run %q", par.Output, tc.out)
+						}
 					}
 				})
 			}

@@ -574,3 +574,58 @@ func TestEmitSPMDStridedVector(t *testing.T) {
 		t.Fatalf("strided vector-type PUT missing:\n%s", out)
 	}
 }
+
+// TestInexactWriteIsScattered: a triangle's write covers only part of
+// the hull its descriptor spans, so its collect ships cells the rank
+// never wrote; the slave must hold the master's values of them first.
+// The write was WriteFirst, with no scatter: four ranks printed M(1,10)
+// as 0 where the sequential run prints 7.
+func TestInexactWriteIsScattered(t *testing.T) {
+	p := translate(t, `
+      PROGRAM WTRI
+      REAL M(10,10)
+      INTEGER I, J
+      DO I = 1, 10
+        DO J = 1, 10
+          M(J,I) = 7.0
+        ENDDO
+      ENDDO
+      DO I = 1, 10
+        DO J = I, 10
+          M(J,I) = 1.0
+        ENDDO
+      ENDDO
+      PRINT *, M(1,10), M(10,10)
+      END
+`, Options{NumProcs: 4, Grain: lmad.Coarse, LiveOutAll: true})
+	par := p.Regions[1].Par
+	if par == nil {
+		t.Fatalf("the triangle is no parallel region:\n%s", p)
+	}
+	if len(par.Scatters) != 1 || par.Scatters[0].Type != lmad.ReadWrite || len(par.Collects) != 1 || par.Collects[0].Type != lmad.ReadWrite {
+		t.Fatalf("the triangle's write is not ReadWrite, scattered and collected:\n%s", p)
+	}
+}
+
+// TestOneTripLoopIsNoRegion: a loop of fewer than two trips runs on the
+// master. As a parallel region, every rank without the iteration still
+// collected the element it stores, racing the one that wrote it.
+func TestOneTripLoopIsNoRegion(t *testing.T) {
+	for _, loop := range []string{"DO I = 3, 3", "DO I = 3, 2", "DO I = 4, 3, 2"} {
+		p := translate(t, `
+      PROGRAM ONE
+      REAL X(64)
+      INTEGER I
+      `+loop+`
+        X(53) = REAL(I)
+      ENDDO
+      PRINT *, X(53)
+      END
+`, Options{NumProcs: 4, Grain: lmad.Coarse, LiveOutAll: true})
+		for _, r := range p.Regions {
+			if r.Par != nil {
+				t.Errorf("%s is a parallel region:\n%s", loop, p)
+			}
+		}
+	}
+}
