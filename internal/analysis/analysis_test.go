@@ -309,20 +309,18 @@ func TestRegionSummaryClassification(t *testing.T) {
       END
 `
 	u := parse(t, src).Main()
-	loop := firstLoop(t, u)
-	ctx, _ := ResolveLoop(loop, nil)
-	ri := Region(loop.Body, []LoopCtx{ctx}, map[*f77.Symbol]bool{loop.Var: true})
-	if !ri.OK {
-		t.Fatalf("region unanalyzable: %s", ri.WhyNot)
+	nest := buildNest(firstLoop(t, u))
+	if _, ok := nest.Outer(); !ok {
+		t.Fatalf("region unanalyzable: %v", nest.levels[0].why)
 	}
-	if n := len(ri.Summary().ByArray(lmad.WriteFirst, "A")); n != 1 {
-		t.Fatalf("A WriteFirst count = %d\n%s", n, ri.Summary())
+	if n := len(nest.Summary().ByArray(lmad.WriteFirst, "A")); n != 1 {
+		t.Fatalf("A WriteFirst count = %d\n%s", n, nest.Summary())
 	}
-	if n := len(ri.Summary().ByArray(lmad.ReadOnly, "B")); n != 1 {
-		t.Fatalf("B ReadOnly count = %d\n%s", n, ri.Summary())
+	if n := len(nest.Summary().ByArray(lmad.ReadOnly, "B")); n != 1 {
+		t.Fatalf("B ReadOnly count = %d\n%s", n, nest.Summary())
 	}
-	if n := len(ri.Summary().ByArray(lmad.ReadWrite, "C")); n == 0 {
-		t.Fatalf("C not ReadWrite:\n%s", ri.Summary())
+	if n := len(nest.Summary().ByArray(lmad.ReadWrite, "C")); n == 0 {
+		t.Fatalf("C not ReadWrite:\n%s", nest.Summary())
 	}
 }
 
@@ -341,10 +339,7 @@ func TestRegionUnanalyzableOnCall(t *testing.T) {
       END
 `
 	u := parse(t, src).Main()
-	loop := firstLoop(t, u)
-	ctx, _ := ResolveLoop(loop, nil)
-	ri := Region(loop.Body, []LoopCtx{ctx}, nil)
-	if ri.OK {
+	if _, ok := buildNest(firstLoop(t, u)).Outer(); ok {
 		t.Fatal("CALL region reported analyzable")
 	}
 }
@@ -1004,11 +999,9 @@ func TestAccessesOfClassification(t *testing.T) {
       END
 `
 	u := parse(t, src).Main()
-	loop := firstLoop(t, u)
-	ctx, _ := ResolveLoop(loop, nil)
-	ri := Region(loop.Body, []LoopCtx{ctx}, map[*f77.Symbol]bool{loop.Var: true})
-	rw := ri.AccessesOf(ri.Summary(), lmad.ReadWrite)
-	ro := ri.AccessesOf(ri.Summary(), lmad.ReadOnly)
+	nest := buildNest(firstLoop(t, u))
+	rw := nest.AccessesOf(nest.Summary(), lmad.ReadWrite)
+	ro := nest.AccessesOf(nest.Summary(), lmad.ReadOnly)
 	foundA, foundB := false, false
 	for _, a := range rw {
 		if a.Sym.Name == "A" {

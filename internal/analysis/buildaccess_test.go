@@ -155,14 +155,13 @@ func referenceAffine(e f77.Expr, loops []analysis.LoopCtx) (analysis.Affine, boo
 	return analysis.Affine{}, false
 }
 
-// pinned is the one-trip context IndependentIterations gives the
-// target loop and every loop outside it.
+// pinned is a one-trip context: the loop's variable at its first value.
 func pinned(c analysis.LoopCtx) analysis.LoopCtx {
 	return analysis.LoopCtx{Loop: c.Loop, Var: c.Var, From: c.From, To: c.From, Step: c.Step, Exact: c.Exact}
 }
 
-// resolveNest resolves nest[len(head):] under head, as Region's walk
-// does; ok=false when a bound does not resolve.
+// resolveNest resolves nest[len(head):] under head, as the record's
+// walk does; ok=false when a bound does not resolve.
 func resolveNest(head []analysis.LoopCtx, nest []*f77.DoLoop) ([]analysis.LoopCtx, bool) {
 	out := append([]analysis.LoopCtx(nil), head...)
 	for _, l := range nest[len(head):] {
@@ -175,10 +174,11 @@ func resolveNest(head []analysis.LoopCtx, nest []*f77.DoLoop) ([]analysis.LoopCt
 	return out, true
 }
 
-// loopLists returns every loop list BuildAccess is called with for a
+// loopLists returns loop lists to call BuildAccess with for a
 // reference inside nest: the full enclosing nest, for each loop the
-// iteration-pinned list IndependentIterations builds, and for each
-// loop the list partitionLoop builds from the loop alone.
+// list with it and the loops outside it pinned and the inner loops
+// resolved under those, and for each loop the list of it and the loops
+// inside it alone.
 func loopLists(nest []*f77.DoLoop) map[string][]analysis.LoopCtx {
 	lists := map[string][]analysis.LoopCtx{}
 	full, ok := resolveNest(nil, nest)
@@ -307,6 +307,21 @@ func TestBuildAccessMatchesReference(t *testing.T) {
 						for _, c := range loops {
 							if g, w := got.Coeff(c.Var), want.lin.Coeff(c.Var); g != w {
 								t.Fatalf("%s: Coeff(%s) = %d, reference %d", where, c.Var.Name, g, w)
+							}
+						}
+						if list != "full" {
+							continue
+						}
+						// The projection a loop's test derives: the
+						// full access with loops[:pin] pinned is what
+						// BuildAccess builds under those loops pinned.
+						for pin := 1; pin <= len(loops); pin++ {
+							head := append([]analysis.LoopCtx(nil), loops...)
+							for i := range head[:pin] {
+								head[i] = pinned(head[i])
+							}
+							if p, _ := analysis.BuildAccess(sym, subs, head); !got.At(loops, pin).Equal(p.L) {
+								t.Fatalf("%s: pinned to depth %d = %v, built %v", where, pin, got.At(loops, pin), p.L)
 							}
 						}
 					}

@@ -227,6 +227,11 @@ type DoLoop struct {
 	// Triangular notes that the trip count of an inner loop depends on
 	// this loop's index (drives the cyclic schedule).
 	Triangular bool
+	// Deps is the dependence record of the nest the loop belongs to,
+	// an *analysis.Nest: parallel-detect builds one per outermost loop
+	// and hangs it on every loop of the nest; partition and vbcc
+	// -explain read it. A clone does not carry it.
+	Deps any
 }
 
 // IfBlock is a block IF with optional ELSEIF arms and ELSE. A logical

@@ -536,11 +536,9 @@ func (l *loop) bounds(env *Env) (from, step, trips int64) {
 	if step == 0 {
 		env.fail(l.line, "DO step is zero")
 	}
-	trips = (to-from)/step + 1
-	if trips < 0 {
-		trips = 0
-	}
-	return from, step, trips
+	// A DO runs max(0, (to − from + step) / step) times: DO K = 5, 4, 2
+	// runs none.
+	return from, step, max((to-from+step)/step, 0)
 }
 
 func (l *loop) exec(env *Env) ctrl {

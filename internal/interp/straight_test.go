@@ -74,12 +74,9 @@ func (a formRun) diff(b formRun) string {
 // with step-0, strided and backward cursors, REAL of affine INTEGER
 // values over up, down, strided and zero-trip loops, the nine
 // one-argument intrinsics, and values a fused multiply-add would round
-// differently, infinities, a NaN and a negative zero.
-//
-// Four ranks skip loops of fewer than two trips: ranks with no
-// iteration still collect the loop's step-0 stores, so the parallel run
-// itself is wrong at every form, and racy, and no two runs can be
-// compared (ROADMAP item 19, finding 2; its oracle's to pin).
+// differently, infinities, a NaN and a negative zero. A loop of fewer
+// than two trips is no parallel region, so on four ranks the master
+// runs it.
 func TestStraightLoopForms(t *testing.T) {
 	seeds := 2000
 	if testing.Short() {
@@ -117,9 +114,6 @@ func TestStraightLoopForms(t *testing.T) {
 			forms = append(forms, interp.Strips)
 		}
 		for _, c := range configs {
-			if c.procs > 1 && loop.Trips < 2 {
-				continue
-			}
 			var pp *postpass.Program
 			if c.procs > 0 {
 				if pp, err = postpass.Translate(prog, postpass.Options{NumProcs: c.procs, Grain: c.grain, LiveOutAll: true}); err != nil {

@@ -286,25 +286,35 @@ func overlapExact(a, b LMAD, enumLimit int64) bool {
 // inside the bounding window already answers true. shift must be
 // positive.
 func OverlapShifts(a, b LMAD, shift, maxD, enumLimit int64) bool {
+	return MeetingShift(a, b, shift, maxD, enumLimit) > 0
+}
+
+// MeetingShift is OverlapShifts' search, returning the distance d at
+// which it found a and b to meet, or 0 when they meet at none. Where
+// Overlap is conservative for the pair, d is the first distance inside
+// the bounding window: they may meet there.
+func MeetingShift(a, b LMAD, shift, maxD, enumLimit int64) int64 {
 	if shift <= 0 {
 		panic(fmt.Sprintf("lmad: OverlapShifts with shift %d", shift))
 	}
 	exact := overlapExact(a, b, enumLimit)
-	return shiftedOverlap(a, b, shift, maxD, enumLimit, exact) ||
-		shiftedOverlap(b, a, shift, maxD, enumLimit, exact)
+	if d := shiftedOverlap(a, b, shift, maxD, enumLimit, exact); d > 0 {
+		return d
+	}
+	return shiftedOverlap(b, a, shift, maxD, enumLimit, exact)
 }
 
-// shiftedOverlap is one direction of OverlapShifts: does a meet
-// b+shift·d for some d in 1..maxD.
-func shiftedOverlap(a, b LMAD, shift, maxD, enumLimit int64, exact bool) bool {
+// shiftedOverlap is one direction of MeetingShift: the first d in
+// 1..maxD at which a meets b+shift·d, or 0.
+func shiftedOverlap(a, b LMAD, shift, maxD, enumLimit int64, exact bool) int64 {
 	// The bounding intervals meet iff shift·d lies in [lo, hi].
 	lo, hi := a.Low()-b.High(), a.High()-b.Low()
 	dLo, dHi := max64(1, ceilDiv(lo, shift)), min64(maxD, floorDiv(hi, shift))
 	if dLo > dHi {
-		return false
+		return 0
 	}
 	if !exact {
-		return true // Overlap(a, b+shift·dLo) is the bounding test
+		return dLo // Overlap(a, b+shift·dLo) is the bounding test
 	}
 	var g int64
 	for _, d := range a.Dims {
@@ -318,14 +328,14 @@ func shiftedOverlap(a, b LMAD, shift, maxD, enumLimit int64, exact bool) bool {
 	if g == 0 {
 		// Two single elements: they meet at exactly one distance.
 		if diff%shift != 0 || diff/shift < dLo || diff/shift > dHi {
-			return false
+			return 0
 		}
 		dLo, dHi = diff/shift, diff/shift
 	} else {
 		// shift·d ≡ diff (mod g) ⇔ d ≡ d0 (mod g/h), h = gcd(shift, g).
 		h := gcd(shift, g)
 		if diff%h != 0 {
-			return false
+			return 0
 		}
 		step = g / h
 		inv, _ := extgcd(shift/h, step)
@@ -336,10 +346,10 @@ func shiftedOverlap(a, b LMAD, shift, maxD, enumLimit int64, exact bool) bool {
 	for d := dLo; d <= dHi; d += step {
 		moved.Offset = b.Offset + shift*d
 		if Overlap(a, moved, enumLimit) {
-			return true
+			return d
 		}
 	}
-	return false
+	return 0
 }
 
 // floorDiv and ceilDiv divide by a positive m, rounding toward -∞ / +∞.

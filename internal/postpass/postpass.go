@@ -276,15 +276,15 @@ type translator struct {
 
 // parCandidate is the partition stage's result for one parallel loop.
 type parCandidate struct {
-	ctx analysis.LoopCtx
-	ri  analysis.RegionInfo
-	sum *lmad.Summary // ri.Summary(), which scatter-collect reads
+	ctx  analysis.LoopCtx
+	nest *analysis.Nest
+	sum  *lmad.Summary // nest.Summary(), which scatter-collect reads
 }
 
-// partition (§5.3) resolves every top-level parallel loop's bounds and
-// builds its region summary — the analysis that decides whether the
-// loop's iteration space can be split across ranks at all. Loops that
-// fail stay sequential. It also detects control flow that could jump
+// partition (§5.3) reads every top-level parallel loop's dependence
+// record for its bounds and region summary — whether the loop's
+// iteration space can be split across ranks at all. Loops that cannot
+// stay sequential. It also detects control flow that could jump
 // across region boundaries, which defeats the barrier-per-region SPMD
 // structure (§5.5 inserts synchronization at exactly these
 // control-flow points): if any GOTO targets a label carried by a
@@ -315,36 +315,28 @@ func (t *translator) partition() string {
 			continue
 		}
 		total++
-		if cand, err := partitionLoop(loop); err == nil {
+		if cand := partitionLoop(loop); cand != nil {
 			t.cands[loop] = cand
 		}
 	}
 	return fmt.Sprintf("%d/%d parallel loops partitionable", len(t.cands), total)
 }
 
-// partitionLoop analyzes one parallel loop for communication
-// generation: exact compile-time bounds plus an analyzable region
-// summary over the full nest.
-func partitionLoop(loop *f77.DoLoop) (*parCandidate, error) {
-	ctx, err := analysis.ResolveLoop(loop, nil)
-	if err != nil {
-		return nil, err
+// partitionLoop reads one parallel loop's record, built by
+// parallel-detect, for communication generation: exact compile-time
+// bounds, at least two trips (a rank without an iteration would still
+// collect the loop's stores) and a body the record analysed whole. It
+// returns nil when the loop stays sequential.
+func partitionLoop(loop *f77.DoLoop) *parCandidate {
+	nest, ok := loop.Deps.(*analysis.Nest)
+	if !ok {
+		return nil
 	}
-	if !ctx.Exact {
-		return nil, fmt.Errorf("postpass: loop %s bounds not compile-time constant", loop.Var.Name)
+	ctx, ok := nest.Outer()
+	if !ok || !ctx.Exact || ctx.Trips() < 2 {
+		return nil
 	}
-	skip := map[*f77.Symbol]bool{loop.Var: true}
-	for _, r := range loop.Reductions {
-		skip[r.Sym] = true
-	}
-	for _, pv := range loop.Private {
-		skip[pv] = true
-	}
-	ri := analysis.Region(loop.Body, []analysis.LoopCtx{ctx}, skip)
-	if !ri.OK {
-		return nil, fmt.Errorf("postpass: %s", ri.WhyNot)
-	}
-	return &parCandidate{ctx: ctx, ri: ri, sum: ri.Summary()}, nil
+	return &parCandidate{ctx: ctx, nest: nest, sum: nest.Summary()}
 }
 
 // spmdize (§5.5) segments the main body into schedulable regions:
@@ -403,37 +395,30 @@ func (t *translator) scatterCollect() string {
 		info := r.Par
 		cand := t.cands[info.Loop]
 		mk := func(acc analysis.Access, typ lmad.AccType) *CommOp {
-			op := &CommOp{Sym: acc.Sym, Acc: acc, Type: typ, Grain: t.p.Opts.Grain}
-			op.ParallelDim = acc.DimOf(info.Loop.Var)
-			if op.ParallelDim >= 0 {
-				// Negative coefficient: WithDim flipped the offset; the
-				// loop's trip order runs backwards along the lattice.
-				if c := acc.Coeff(info.Loop.Var); c*cand.ctx.Step < 0 {
-					op.Reversed = true
-				}
-			}
+			op := &CommOp{Sym: acc.Sym, Acc: acc, Type: typ, Grain: t.p.Opts.Grain, ParallelDim: acc.DimOf(info.Loop.Var)}
+			// Negative coefficient: WithDim flipped the offset; the
+			// loop's trip order runs backwards along the lattice.
+			op.Reversed = op.ParallelDim >= 0 && acc.Coeff(info.Loop.Var)*cand.ctx.Step < 0
 			return op
 		}
 		for _, typ := range []lmad.AccType{lmad.ReadOnly, lmad.WriteFirst, lmad.ReadWrite} {
-			var seen []lmad.LMAD // descriptors of this type already given an op
+			// Accesses of this type already given an op: one descriptor
+			// walked in opposite directions along the loop splits
+			// differently across ranks, so it is two ops.
+			var seen []analysis.Access
 		access:
-			for _, acc := range cand.ri.AccessesOf(cand.sum, typ) {
-				for _, l := range seen {
-					if l.Equal(acc.L) {
+			for _, acc := range cand.nest.AccessesOf(cand.sum, typ) {
+				for _, s := range seen {
+					if s.L.Equal(acc.L) && s.Coeff(info.Loop.Var) == acc.Coeff(info.Loop.Var) {
 						continue access
 					}
 				}
-				seen = append(seen, acc.L)
-				op := mk(acc, typ)
-				switch typ {
-				case lmad.ReadOnly:
-					info.Scatters = append(info.Scatters, op)
-				case lmad.WriteFirst:
-					info.Collects = append(info.Collects, op)
-				case lmad.ReadWrite:
-					info.Scatters = append(info.Scatters, op)
-					col := mk(acc, typ)
-					info.Collects = append(info.Collects, col)
+				seen = append(seen, acc)
+				if typ != lmad.WriteFirst {
+					info.Scatters = append(info.Scatters, mk(acc, typ))
+				}
+				if typ != lmad.ReadOnly {
+					info.Collects = append(info.Collects, mk(acc, typ))
 				}
 			}
 		}
