@@ -76,6 +76,32 @@ func TestCLIEndToEnd(t *testing.T) {
 		}
 	})
 
+	t.Run("vbcc-explain-reason", func(t *testing.T) {
+		// A triangle whose first iteration touches one element: each
+		// serial verdict carries the record's reason.
+		cmd := exec.Command(filepath.Join(bins, "vbcc"), "-explain")
+		cmd.Stdin = strings.NewReader(`
+      PROGRAM TRI
+      REAL A(40)
+      INTEGER I, J
+      DO I = 1, 10
+        DO J = 1, I
+          A(2*I+J) = A(2*I+J) + REAL(I)
+        ENDDO
+      ENDDO
+      PRINT *, A(9)
+      END
+`)
+		out, err := cmd.CombinedOutput()
+		if err != nil {
+			t.Fatalf("vbcc: %v\n%s", err, out)
+		}
+		want := "line 5: DO I: parallel=false schedule=cyclic private(J) because A(2 * I + J) and A(2 * I + J) meet at distance 1\n"
+		if !strings.Contains(string(out), want) {
+			t.Fatalf("no reason beside the serial DO I, want %q:\n%s", want, out)
+		}
+	})
+
 	t.Run("vbcc-spmd-listing", func(t *testing.T) {
 		out := run(t, filepath.Join(bins, "vbcc"), "-spmd", "testdata/dotprod.f")
 		for _, want := range []string{"CALL MPI_INIT", "MPI_ALLREDUCE", "CALL MPI_BARRIER"} {

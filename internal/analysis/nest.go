@@ -398,6 +398,6 @@ func crossIteration(w, x lmad.LMAD, cw, cx int64, ctx LoopCtx) (bool, int64) {
 	if maxD > maxShiftChecks {
 		return true, 0 // conservative for enormous loops
 	}
-	d := lmad.MeetingShift(w, x, shift, maxD, enumLimit)
+	d := lmad.OverlapShifts(w, x, shift, maxD, enumLimit)
 	return d > 0, d
 }

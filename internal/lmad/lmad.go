@@ -276,24 +276,17 @@ func overlapExact(a, b LMAD, enumLimit int64) bool {
 // d = 1..maxD of a loop that displaces them by shift elements per
 // iteration: Overlap(a, b+shift·d) or Overlap(b, a+shift·d) for some d
 // — the Access Region Test's question for two references with equal
-// loop coefficients. It gives the answer of that sweep without making
-// it. Distances whose bounding intervals miss are cut off in closed
-// form; where Overlap is exact for the pair, two lattices can only
-// share an element when their base offsets differ by a multiple of
-// g = gcd of all their strides, so shift·d ≡ a.Offset − b.Offset
+// loop coefficients. It returns a distance at which they meet, or 0
+// when they meet at none, giving the answer of that sweep without
+// making it. Distances whose bounding intervals miss are cut off in
+// closed form; where Overlap is exact for the pair, two lattices can
+// only share an element when their base offsets differ by a multiple
+// of g = gcd of all their strides, so shift·d ≡ a.Offset − b.Offset
 // (mod g) is solved once and only the d in that residue class reach
 // the exact test; where Overlap is conservative, the first distance
-// inside the bounding window already answers true. shift must be
-// positive.
-func OverlapShifts(a, b LMAD, shift, maxD, enumLimit int64) bool {
-	return MeetingShift(a, b, shift, maxD, enumLimit) > 0
-}
-
-// MeetingShift is OverlapShifts' search, returning the distance d at
-// which it found a and b to meet, or 0 when they meet at none. Where
-// Overlap is conservative for the pair, d is the first distance inside
-// the bounding window: they may meet there.
-func MeetingShift(a, b LMAD, shift, maxD, enumLimit int64) int64 {
+// inside the bounding window already answers: they may meet there.
+// shift must be positive.
+func OverlapShifts(a, b LMAD, shift, maxD, enumLimit int64) int64 {
 	if shift <= 0 {
 		panic(fmt.Sprintf("lmad: OverlapShifts with shift %d", shift))
 	}
@@ -304,7 +297,7 @@ func MeetingShift(a, b LMAD, shift, maxD, enumLimit int64) int64 {
 	return shiftedOverlap(b, a, shift, maxD, enumLimit, exact)
 }
 
-// shiftedOverlap is one direction of MeetingShift: the first d in
+// shiftedOverlap is one direction of OverlapShifts: the first d in
 // 1..maxD at which a meets b+shift·d, or 0.
 func shiftedOverlap(a, b LMAD, shift, maxD, enumLimit int64, exact bool) int64 {
 	// The bounding intervals meet iff shift·d lies in [lo, hi].
