@@ -647,6 +647,10 @@ func (env *Env) runParRegion(pp *postpass.Program, par *postpass.ParInfo, p *mpi
 	trips := par.Ctx.Trips()
 	first, step, count := postpass.RankTrips(trips, p.Rank(), P, par.Schedule)
 	env.runPartition(loop, par.Ctx, first, step, count)
+	if env.mode == Full {
+		// The rank's share is done: collects may land in its arrays.
+		p.Post()
+	}
 
 	// ---- Combine reductions.
 	if len(reds) > 0 {

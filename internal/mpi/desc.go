@@ -234,7 +234,8 @@ func (p *Proc) Charge(target int, d AccessDesc, get bool) error {
 // charges nothing and traces nothing — the transfers whose union the
 // spans are (lmad.Cover) were charged one by one with Charge — so each
 // element the plan moves lands once, however many transfers carry it,
-// before the epoch's fence returns. The spans must be sorted and
+// before the epoch's fence returns, and not before the target has
+// posted as often as the caller (Post). The spans must be sorted and
 // disjoint, as lmad.Cover returns them, so their hull bounds them all.
 func (p *Proc) CopySpans(win *Win, target int, spans []lmad.Span, shift int64, origin []float64, get bool) error {
 	if len(spans) == 0 {
@@ -244,6 +245,9 @@ func (p *Proc) CopySpans(win *Win, target int, spans []lmad.Span, shift int64, o
 		if s.Hi < s.Lo || i > 0 && s.Lo < spans[i-1].Hi {
 			panic(fmt.Sprintf("mpi: CopySpans span %d %v not sorted and disjoint", i, s))
 		}
+	}
+	if err := p.awaitPost(target); err != nil {
+		return err
 	}
 	lo, hi := shift+spans[0].Lo, shift+spans[len(spans)-1].Hi
 	buf, verr := p.validateAccess("CopySpans", win, target, ContigDesc(lo, hi-lo), origin)

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"vbuscluster/internal/cluster"
 	"vbuscluster/internal/interconnect"
@@ -440,5 +441,55 @@ func TestAccessThroughNilRegion(t *testing.T) {
 			t.Errorf("Put into the allocated region: err %v, window %v", err, win.Local(0))
 		}
 		Must(p.Barrier())
+	})
+}
+
+// TestCopySpansWaitsForTargetPost: a collect's data lands only after
+// the target has posted its share, in host time, and the wait charges
+// nothing. Rank 1 arrives first and posts; rank 0 writes its own cell
+// late and then posts; the PUT must overwrite the late write, not be
+// overwritten by it (and -race sees no conflicting access).
+func TestCopySpansWaitsForTargetPost(t *testing.T) {
+	var got float64
+	runWorld(t, 2, func(p *Proc) {
+		win := p.WinCreate("post", make([]float64, 4))
+		if p.Rank() == 0 {
+			time.Sleep(20 * time.Millisecond)
+			win.Local(0)[1] = 1
+			p.Post()
+		} else {
+			p.Post()
+			before := p.Wtime()
+			Must(p.CopySpans(win, 0, []lmad.Span{{Lo: 1, Hi: 2}}, 0, []float64{0, 7, 0, 0}, false))
+			if p.Wtime() != before {
+				t.Errorf("waiting for the post charged the clock: %v -> %v", before, p.Wtime())
+			}
+		}
+		Must(p.Fence(win))
+		if p.Rank() == 0 {
+			got = win.Local(0)[1]
+		}
+	})
+	if got != 7 {
+		t.Errorf("target cell = %v, want the collected 7", got)
+	}
+}
+
+// TestAwaitPostWakesOnRevoke: a rank waiting for a target that never
+// posts fails with ErrRevoked once the communicator is revoked, as a
+// blocked receive does.
+func TestAwaitPostWakesOnRevoke(t *testing.T) {
+	runWorld(t, 2, func(p *Proc) {
+		win := p.WinCreate("revoke", make([]float64, 4))
+		if p.Rank() == 0 {
+			time.Sleep(20 * time.Millisecond)
+			p.w.Revoke()
+			return
+		}
+		p.Post()
+		err := p.CopySpans(win, 0, []lmad.Span{{Lo: 0, Hi: 1}}, 0, make([]float64, 4), false)
+		if e, ok := err.(*Error); !ok || e.Kind != ErrRevoked {
+			t.Errorf("CopySpans to a target that never posts = %v, want ErrRevoked", err)
+		}
 	})
 }

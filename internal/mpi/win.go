@@ -115,6 +115,51 @@ func (p *Proc) Fence(win *Win) error {
 	return nil
 }
 
+// Post records that the calling rank has finished its local share of
+// the epoch: until the closing fence it neither reads nor writes its
+// window regions. CopySpans into or out of a target waits until the
+// target has posted as often as the origin, so a collect's data lands
+// only after the target's own share (MPI-2 forbids a local access that
+// conflicts with a PUT in one epoch). The wait is in host time only:
+// Post charges nothing, traces nothing and is no operation for fault
+// injection, so virtual time does not move, and ranks that never post
+// never wait.
+func (p *Proc) Post() {
+	w := p.w
+	w.mu.Lock()
+	if w.posted == nil {
+		w.posted = make([]int64, w.n)
+	}
+	w.posted[p.rank]++
+	w.cond.Broadcast()
+	w.mu.Unlock()
+}
+
+// awaitPost blocks until target has posted at least as often as the
+// caller. Like a blocked receive it fails when the run is cancelled,
+// the communicator revoked or target down.
+func (p *Proc) awaitPost(target int) *Error {
+	w := p.w
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	for w.posted != nil && w.posted[target] < w.posted[p.rank] {
+		var kind ErrorKind
+		switch {
+		case w.cancelled.Load():
+			kind = ErrCancelled
+		case w.revoked.Load():
+			kind = ErrRevoked
+		case w.down[target]:
+			kind = ErrPeerCrashed
+		default:
+			w.cond.Wait()
+			continue
+		}
+		return &Error{Kind: kind, Rank: p.rank, Op: "CopySpans", Peer: target, Time: w.cl.Clock(p.node())}
+	}
+	return nil
+}
+
 // Lock acquires an exclusive lock on target's region of the window
 // (MPI_WIN_LOCK). Used for passive-target critical sections such as
 // reductions into shared variables. Under fault injection a crashed

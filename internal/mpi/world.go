@@ -112,6 +112,10 @@ type World struct {
 	// lock acquisition) can select on cancellation.
 	cancelled atomic.Bool
 	cancelCh  chan struct{}
+
+	// posted counts each rank's Post calls (guarded by mu); nil until
+	// the first.
+	posted []int64
 }
 
 // NewWorld creates the communicator for all ranks of c.
