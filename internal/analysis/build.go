@@ -1,6 +1,8 @@
 package analysis
 
 import (
+	"fmt"
+
 	"vbuscluster/internal/f77"
 	"vbuscluster/internal/lmad"
 )
@@ -39,9 +41,9 @@ func resolveLoop(loop *f77.DoLoop, outer []LoopCtx) (LoopCtx, string) {
 		}
 		ctx.Step = int64(v)
 	}
-	lo, hiLo, exactF, okF := exprRange(loop.From, outer)
-	lo2, hi, exactT, okT := exprRange(loop.To, outer)
-	if !okF || !okT {
+	lo, hiLo, exactF, errF := exprRange(loop.From, outer)
+	lo2, hi, exactT, errT := exprRange(loop.To, outer)
+	if errF != nil || errT != nil {
 		return ctx, "DO %s bounds are not affine in the enclosing indices"
 	}
 	if ctx.Step > 0 {
@@ -58,21 +60,36 @@ func resolveLoop(loop *f77.DoLoop, outer []LoopCtx) (LoopCtx, string) {
 	return ctx, ""
 }
 
-// exprRange evaluates an integer expression to a [lo,hi] interval
+// exprRange evaluates an integer expression to a [min,max] interval
 // over the ranges of the outer loop variables. exact is true when the
-// expression is a constant; ok is false when it is not affine in the
-// outer loop indices.
-func exprRange(e f77.Expr, outer []LoopCtx) (lo, hi int64, exact, ok bool) {
+// expression is a constant.
+func exprRange(e f77.Expr, outer []LoopCtx) (min, max int64, exact bool, err error) {
 	if v, ok := f77.ConstFold(e); ok {
-		return int64(v), int64(v), true, true
+		return int64(v), int64(v), true, nil
 	}
 	aff, ok := ExtractAffine(e, outer)
-	lo, hi = aff.Const, aff.Const
-	for _, c := range outer {
-		a, b := aff.Coeff(c.Var)*c.From, aff.Coeff(c.Var)*c.To
-		lo, hi = lo+min(a, b), hi+max(a, b)
+	if !ok {
+		return 0, 0, false, fmt.Errorf("analysis: bound expression is not affine in loop indices")
 	}
-	return lo, hi, false, ok
+	min, max = aff.Const, aff.Const
+	for _, c := range outer {
+		co := aff.Coeff(c.Var)
+		if co == 0 {
+			continue
+		}
+		lo, hi := c.From, c.To
+		if c.Step < 0 {
+			lo, hi = hi, lo
+		}
+		if co > 0 {
+			min += co * lo
+			max += co * hi
+		} else {
+			min += co * hi
+			max += co * lo
+		}
+	}
+	return min, max, false, nil
 }
 
 // Access is one analyzed array (or scalar) reference, expanded over a

@@ -16,7 +16,11 @@ import (
 type Nest struct {
 	refs   []ref
 	levels []level // every DO loop of the nest, in walk order
-	open   []int   // while it is built: levels around the statement walked
+	// While it is built: the levels around the statement walked, and
+	// the resolved ones at the first iteration of the loops around them
+	// (To = From).
+	open  []int
+	first []LoopCtx
 }
 
 // ref is one reference of the nest.
@@ -48,6 +52,9 @@ type level struct {
 	ctx   LoopCtx
 	depth int
 	why   reason
+	// dry is an inner loop that, at the first iteration of the loops
+	// around it, runs no trip and starts outside its range (Nest.dry).
+	dry *f77.Symbol
 }
 
 // reason is a constant format and its operands, a name or a
@@ -55,17 +62,40 @@ type level struct {
 // formats it.
 type reason struct {
 	format, name string
-	w, x         *ref
+	w, x         refText
 	dist         int64
 }
 
+// refText is a reference as written, for Explain.
+type refText struct {
+	sym  *f77.Symbol
+	subs []f77.Expr
+}
+
 // buildNest walks the outermost loop root once, building its record.
+// Parallel-detect hangs the record on every loop of the nest.
 func buildNest(root *f77.DoLoop) *Nest {
 	n := &Nest{}
 	n.loop(root, nil, exact)
-	n.open = nil
+	n.open, n.first = nil, nil
 	return n
 }
+
+// NestOf returns the dependence record of the nest whose outermost
+// loop is root: the one parallel-detect hung on it while it holds its
+// references, or else a record built now (after Release, or for a loop
+// that only a !$PAR directive marked).
+func NestOf(root *f77.DoLoop) *Nest {
+	if n, ok := root.Deps.(*Nest); ok && n.refs != nil {
+		return n
+	}
+	return buildNest(root)
+}
+
+// Release drops the record's references, which only partition reads,
+// keeping the loops' verdicts and reasons: a compiled program holds no
+// more than those. A later partition builds the record again (NestOf).
+func (n *Nest) Release() { n.refs = nil }
 
 // fail gives why to every loop around the statement walked that has no
 // reason yet: each holds the statement in its body.
@@ -78,7 +108,6 @@ func (n *Nest) fail(format, name string) {
 }
 
 func (n *Nest) loop(x *f77.DoLoop, loops []LoopCtx, at reach) {
-	x.Deps = n
 	ctx, bad := resolveLoop(x, loops)
 	n.open = append(n.open, len(n.levels))
 	n.levels = append(n.levels, level{ctx: ctx, depth: len(loops)})
@@ -94,10 +123,32 @@ func (n *Nest) loop(x *f77.DoLoop, loops []LoopCtx, at reach) {
 		at = max(at, partial)
 	}
 	if bad == "" {
+		n.dry(x, ctx)
 		loops = append(loops[:len(loops):len(loops)], ctx)
 	}
 	n.stmts(x.Body, loops, at)
+	if bad == "" {
+		n.first = n.first[:len(n.first)-1]
+	}
 	n.open = n.open[:len(n.open)-1]
+}
+
+// dry resolves loop x, whose range over the loops around it is ctx, at
+// their first iterations, and pushes it on first. When x then runs no
+// trip and starts outside ctx, at a value it never takes, every level
+// around x is kept serial: conservatively, since a test pinned to that
+// first iteration would place x's references there.
+func (n *Nest) dry(x *f77.DoLoop, ctx LoopCtx) {
+	first, _ := resolveLoop(x, n.first)
+	if first.Trips() == 0 && (first.From < min(ctx.From, ctx.To) || first.From > max(ctx.From, ctx.To)) {
+		for _, i := range n.open[:len(n.open)-1] {
+			if n.levels[i].dry == nil {
+				n.levels[i].dry = x.Var
+			}
+		}
+	}
+	first.To = first.From
+	n.first = append(n.first, first)
 }
 
 func (n *Nest) stmts(stmts []f77.Stmt, loops []LoopCtx, at reach) {
@@ -285,6 +336,9 @@ func (n *Nest) independent(lv *level, list []entry) ([]entry, bool) {
 		return list, true
 	case lv.why.format != "":
 		return list, false
+	case lv.dry != nil:
+		lv.why = reason{format: "DO %s runs no trip at the loop's first iteration", name: lv.dry.Name}
+		return list, false
 	}
 	d, v := lv.depth, lv.ctx.Var
 	list = list[:0]
@@ -329,7 +383,7 @@ refs:
 				why = "%s and %s, apart in an enclosing loop's coefficient, meet"
 			}
 			if meet, dist := crossIteration(wl, xl, w.acc.Coeff(v), x.r.acc.Coeff(v), lv.ctx); meet {
-				lv.why = reason{format: why, w: w, x: x.r, dist: dist}
+				lv.why = reason{format: why, w: refText{w.acc.Sym, w.subs}, x: refText{x.r.acc.Sym, x.r.subs}, dist: dist}
 				return list, false
 			}
 		}

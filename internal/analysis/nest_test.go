@@ -120,3 +120,41 @@ func TestDependenceReproducersSerial(t *testing.T) {
 		})
 	}
 }
+
+// TestDryInnerLoopKeepsLevelSerial: a level whose first iteration
+// leaves an inner loop without a trip, starting outside every value it
+// takes, stays serial with that reason, and so do the generated nests
+// of that shape (each of them independent: the rule is conservative).
+func TestDryInnerLoopKeepsLevelSerial(t *testing.T) {
+	l := loopOf(t, frontEnd(t, `
+      PROGRAM DRY
+      REAL X(82), Y(15)
+      INTEGER I, J
+      DO I = 9, 3, -1
+        DO J = I+1, 3, 2
+          X(-2*I+21) = Y(J+11) * 0.5 + Y(2*J+7)
+          Y(-I+2*J+5) = X(3*I+3*J+23) * 0.5 + X(5*I+3*J+24)
+        ENDDO
+      ENDDO
+      END
+`), "I")
+	if want := "because DO J runs no trip at the loop's first iteration"; l.Parallel || !strings.HasSuffix(Explain(l), want) {
+		t.Errorf("%s, want serial %s", Explain(l), want)
+	}
+	for _, seed := range []int64{240, 2399, 3014, 5139, 9164, 13219, 14331, 15573, 16040, 18651} {
+		n := progen.NewNest(seed)
+		prog, err := f77.Parse(n.Src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := FrontEnd(prog); err != nil {
+			t.Fatal(err)
+		}
+		f77.WalkStmts(prog.Main().Body, func(s f77.Stmt) bool {
+			if l, ok := s.(*f77.DoLoop); ok && l.Line() == n.Loops[0].Line && (l.Parallel || n.Carried()[0]) {
+				t.Errorf("seed %d: %s, carried %v; want serial and independent\n%s", seed, Explain(l), n.Carried()[0], n.Src)
+			}
+			return true
+		})
+	}
+}

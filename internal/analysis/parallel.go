@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"fmt"
-	"slices"
 	"strings"
 
 	"vbuscluster/internal/f77"
@@ -32,9 +31,14 @@ func DetectParallel(u *f77.Unit) {
 			case *f77.DoLoop:
 				n := buildNest(x)
 				for i := range n.levels {
-					if lv := &n.levels[i]; lv.depth >= 0 {
+					lv := &n.levels[i]
+					lv.ctx.Loop.Deps = n
+					if lv.depth >= 0 {
 						list = analyzeLoop(u, n, lv, list)
 					}
+				}
+				if !x.Parallel {
+					n.Release() // partition splits parallel loops only
 				}
 			case *f77.IfBlock:
 				for _, blk := range x.Blocks {
@@ -78,10 +82,29 @@ func analyzeLoop(u *f77.Unit, n *Nest, lv *level, list []entry) []entry {
 // outside the given loop's subtree.
 func readOutsideLoop(u *f77.Unit, loop *f77.DoLoop, sym *f77.Symbol) bool {
 	found := false
-	f77.WalkStmts(u.Body, func(s f77.Stmt) bool {
-		found = found || s != f77.Stmt(loop) && stmtReads(s, sym)
-		return s != f77.Stmt(loop)
-	})
+	var visit func(stmts []f77.Stmt)
+	visit = func(stmts []f77.Stmt) {
+		for _, s := range stmts {
+			if s == f77.Stmt(loop) {
+				continue
+			}
+			f77.StmtExprs(s, func(e f77.Expr) {
+				if exprReads(e, sym) {
+					found = true
+				}
+			})
+			switch x := s.(type) {
+			case *f77.DoLoop:
+				visit(x.Body)
+			case *f77.IfBlock:
+				for _, blk := range x.Blocks {
+					visit(blk)
+				}
+				visit(x.Else)
+			}
+		}
+	}
+	visit(u.Body)
 	return found
 }
 
@@ -90,8 +113,18 @@ func readOutsideLoop(u *f77.Unit, loop *f77.DoLoop, sym *f77.Symbol) bool {
 func isTriangular(loop *f77.DoLoop) bool {
 	tri := false
 	f77.WalkStmts(loop.Body, func(s f77.Stmt) bool {
-		_, inner := s.(*f77.DoLoop)
-		tri = tri || inner && stmtReads(s, loop.Var)
+		if inner, ok := s.(*f77.DoLoop); ok {
+			check := func(e f77.Expr) {
+				f77.WalkExpr(e, func(sub f77.Expr) {
+					if v, ok := sub.(*f77.VarExpr); ok && v.Sym == loop.Var {
+						tri = true
+					}
+				})
+			}
+			check(inner.From)
+			check(inner.To)
+			check(inner.Step)
+		}
 		return true
 	})
 	return tri
@@ -146,32 +179,62 @@ func RecognizeReductions(loop *f77.DoLoop) {
 }
 
 // reductionOp matches S = S + e, S = S * e (either operand order for
-// commutative ops), S = e + S, S = S - e, S = MAX(S, e), S = MIN(S, e).
+// commutative ops), S = e + S, S = MAX(S, e), S = MIN(S, e).
 func reductionOp(a *f77.Assign) (string, bool) {
 	s := a.LHS.Sym
-	// either reports whether x is S and y never mentions it, or, when
-	// the operator commutes, the other way round.
-	either := func(x, y f77.Expr, commutes bool) bool {
-		isS := func(e f77.Expr) bool { v, ok := e.(*f77.VarExpr); return ok && v.Sym == s }
-		return isS(x) && !exprReads(y, s) || commutes && isS(y) && !exprReads(x, s)
+	isS := func(e f77.Expr) bool {
+		v, ok := e.(*f77.VarExpr)
+		return ok && v.Sym == s
+	}
+	mentionsS := func(e f77.Expr) bool {
+		found := false
+		f77.WalkExpr(e, func(sub f77.Expr) {
+			if isS(sub) {
+				found = true
+			}
+		})
+		return found
 	}
 	switch rhs := a.RHS.(type) {
 	case *f77.Bin:
-		op, ok := binReductions[rhs.Op]
-		return op, ok && either(rhs.L, rhs.R, rhs.Op != f77.OpSub)
+		switch rhs.Op {
+		case f77.OpAdd:
+			if isS(rhs.L) && !mentionsS(rhs.R) {
+				return "+", true
+			}
+			if isS(rhs.R) && !mentionsS(rhs.L) {
+				return "+", true
+			}
+		case f77.OpMul:
+			if isS(rhs.L) && !mentionsS(rhs.R) {
+				return "*", true
+			}
+			if isS(rhs.R) && !mentionsS(rhs.L) {
+				return "*", true
+			}
+		case f77.OpSub:
+			// S = S - e is a sum reduction of -e.
+			if isS(rhs.L) && !mentionsS(rhs.R) {
+				return "+", true
+			}
+		}
 	case *f77.CallExpr:
-		op, ok := callReductions[rhs.Name]
-		return op, ok && len(rhs.Args) == 2 && either(rhs.Args[0], rhs.Args[1], true)
+		if (rhs.Name == "MAX" || rhs.Name == "AMAX1" || rhs.Name == "MAX0" ||
+			rhs.Name == "MIN" || rhs.Name == "AMIN1" || rhs.Name == "MIN0") && len(rhs.Args) == 2 {
+			op := "MAX"
+			if rhs.Name[0] == 'M' && rhs.Name[1] == 'I' || rhs.Name == "AMIN1" {
+				op = "MIN"
+			}
+			if isS(rhs.Args[0]) && !mentionsS(rhs.Args[1]) {
+				return op, true
+			}
+			if isS(rhs.Args[1]) && !mentionsS(rhs.Args[0]) {
+				return op, true
+			}
+		}
 	}
 	return "", false
 }
-
-// binReductions and callReductions map what reductionOp matches to the
-// reduction's operator; S = S - e is a sum of -e.
-var (
-	binReductions  = map[f77.BinOp]string{f77.OpAdd: "+", f77.OpMul: "*", f77.OpSub: "+"}
-	callReductions = map[string]string{"MAX": "MAX", "AMAX1": "MAX", "MAX0": "MAX", "MIN": "MIN", "AMIN1": "MIN", "MIN0": "MIN"}
-)
 
 // flowState is the write-first lattice used by Privatize.
 type flowState int
@@ -188,25 +251,46 @@ const (
 // privatization technique). Inner loop indices are always private.
 func Privatize(loop *f77.DoLoop) {
 	loop.Private = nil
-	// Collect candidate scalars, written somewhere in the body: true
-	// for an inner loop's index.
+	// Collect candidate scalars: written somewhere in the body.
 	written := map[*f77.Symbol]bool{}
 	f77.WalkStmts(loop.Body, func(s f77.Stmt) bool {
-		if a, ok := s.(*f77.Assign); ok && len(a.LHS.Subs) == 0 && !written[a.LHS.Sym] {
-			written[a.LHS.Sym] = false
+		if a, ok := s.(*f77.Assign); ok && len(a.LHS.Subs) == 0 {
+			written[a.LHS.Sym] = true
 		}
 		if d, ok := s.(*f77.DoLoop); ok {
 			written[d.Var] = true
 		}
 		return true
 	})
-	for sym, index := range written {
-		if sym != loop.Var && (index || stmtsFlow(loop.Body, sym) == flowWF) {
+	for sym := range written {
+		if sym == loop.Var {
+			continue
+		}
+		if stmtsFlow(loop.Body, sym) == flowWF || isInnerLoopVar(loop.Body, sym) {
 			loop.Private = append(loop.Private, sym)
 		}
 	}
 	// Deterministic order for reproducible codegen.
-	slices.SortFunc(loop.Private, func(a, b *f77.Symbol) int { return strings.Compare(a.Name, b.Name) })
+	sortSymbols(loop.Private)
+}
+
+func isInnerLoopVar(stmts []f77.Stmt, sym *f77.Symbol) bool {
+	found := false
+	f77.WalkStmts(stmts, func(s f77.Stmt) bool {
+		if d, ok := s.(*f77.DoLoop); ok && d.Var == sym {
+			found = true
+		}
+		return true
+	})
+	return found
+}
+
+func sortSymbols(syms []*f77.Symbol) {
+	for i := 1; i < len(syms); i++ {
+		for j := i; j > 0 && syms[j].Name < syms[j-1].Name; j-- {
+			syms[j], syms[j-1] = syms[j-1], syms[j]
+		}
+	}
 }
 
 // stmtsFlow computes the write-first state of sym across a statement
@@ -232,27 +316,25 @@ func exprReads(e f77.Expr, sym *f77.Symbol) bool {
 	return found
 }
 
-// stmtReads reports whether an expression s holds itself (subscripts
-// and right-hand side, loop bounds, conditions, arguments) mentions sym.
-func stmtReads(s f77.Stmt, sym *f77.Symbol) bool {
-	found := false
-	f77.StmtExprs(s, func(e f77.Expr) { found = found || exprReads(e, sym) })
-	return found
-}
-
-// stmtFlow is s's write-first state of sym. Any mention of sym in the
-// statement's own expressions is read before its write; a call or I/O
-// might read anything it mentions.
 func stmtFlow(s f77.Stmt, sym *f77.Symbol) flowState {
-	if stmtReads(s, sym) {
-		return flowRF
-	}
 	switch x := s.(type) {
 	case *f77.Assign:
+		for _, sub := range x.LHS.Subs {
+			if exprReads(sub, sym) {
+				return flowRF
+			}
+		}
+		if exprReads(x.RHS, sym) {
+			return flowRF
+		}
 		if len(x.LHS.Subs) == 0 && x.LHS.Sym == sym {
 			return flowWF
 		}
+		return flowNone
 	case *f77.DoLoop:
+		if exprReads(x.From, sym) || exprReads(x.To, sym) || (x.Step != nil && exprReads(x.Step, sym)) {
+			return flowRF
+		}
 		if x.Var == sym {
 			// The DO statement writes the variable before the body runs.
 			return flowWF
@@ -268,16 +350,45 @@ func stmtFlow(s f77.Stmt, sym *f77.Symbol) flowState {
 		}
 		return inner
 	case *f77.IfBlock:
-		// Arms that disagree are RF, the conservative answer.
-		all := stmtsFlow(x.Else, sym)
+		for _, c := range x.Conds {
+			if exprReads(c, sym) {
+				return flowRF
+			}
+		}
+		arms := make([]flowState, 0, len(x.Blocks)+1)
 		for _, blk := range x.Blocks {
-			if stmtsFlow(blk, sym) != all {
+			arms = append(arms, stmtsFlow(blk, sym))
+		}
+		arms = append(arms, stmtsFlow(x.Else, sym))
+		all := arms[0]
+		for _, a := range arms[1:] {
+			if a != all {
+				// Mixed outcomes across branches: conservative RF if
+				// any access happens at all.
+				for _, b := range arms {
+					if b == flowRF {
+						return flowRF
+					}
+				}
 				return flowRF
 			}
 		}
 		return all
+	case *f77.CallStmt, *f77.PrintStmt:
+		// Conservative: a call or I/O might read anything it mentions.
+		reads := false
+		f77.StmtExprs(s, func(e f77.Expr) {
+			if exprReads(e, sym) {
+				reads = true
+			}
+		})
+		if reads {
+			return flowRF
+		}
+		return flowNone
+	default:
+		return flowNone
 	}
-	return flowNone
 }
 
 // Explain returns a human-readable report of the loop's analysis
@@ -297,7 +408,7 @@ func Explain(loop *f77.DoLoop) string {
 				switch {
 				case r.dist > 0:
 					out += fmt.Sprintf(" because "+r.format+" at distance %d", r.w, r.x, r.dist)
-				case r.w != nil:
+				case r.w.sym != nil:
 					out += fmt.Sprintf(" because "+r.format+" across iterations", r.w, r.x)
 				default:
 					out += " because " + strings.Replace(r.format, "%s", r.name, 1)
@@ -309,9 +420,9 @@ func Explain(loop *f77.DoLoop) string {
 }
 
 // String renders the reference as written.
-func (r *ref) String() string {
+func (r refText) String() string {
 	if len(r.subs) == 0 {
-		return r.acc.Sym.Name
+		return r.sym.Name
 	}
-	return f77.FormatExpr(&f77.ArrayExpr{Sym: r.acc.Sym, Subs: r.subs})
+	return f77.FormatExpr(&f77.ArrayExpr{Sym: r.sym, Subs: r.subs})
 }

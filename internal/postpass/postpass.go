@@ -261,6 +261,11 @@ func TranslateGrains(prog *f77.Program, opts Options, grains []lmad.Grain, hook 
 		}
 		out[i] = t.p
 	}
+	if first != nil {
+		for _, c := range first.cands {
+			c.nest.Release()
+		}
+	}
 	return out, nil
 }
 
@@ -322,16 +327,13 @@ func (t *translator) partition() string {
 	return fmt.Sprintf("%d/%d parallel loops partitionable", len(t.cands), total)
 }
 
-// partitionLoop reads one parallel loop's record, built by
-// parallel-detect, for communication generation: exact compile-time
-// bounds, at least two trips (a rank without an iteration would still
-// collect the loop's stores) and a body the record analysed whole. It
-// returns nil when the loop stays sequential.
+// partitionLoop reads one parallel loop's record for communication
+// generation: exact compile-time bounds, at least two trips (a rank
+// without an iteration would still collect the loop's stores) and a
+// body the record analysed whole. It returns nil when the loop stays
+// sequential.
 func partitionLoop(loop *f77.DoLoop) *parCandidate {
-	nest, ok := loop.Deps.(*analysis.Nest)
-	if !ok {
-		return nil
-	}
+	nest := analysis.NestOf(loop)
 	ctx, ok := nest.Outer()
 	if !ok || !ctx.Exact || ctx.Trips() < 2 {
 		return nil
@@ -395,10 +397,15 @@ func (t *translator) scatterCollect() string {
 		info := r.Par
 		cand := t.cands[info.Loop]
 		mk := func(acc analysis.Access, typ lmad.AccType) *CommOp {
-			op := &CommOp{Sym: acc.Sym, Acc: acc, Type: typ, Grain: t.p.Opts.Grain, ParallelDim: acc.DimOf(info.Loop.Var)}
-			// Negative coefficient: WithDim flipped the offset; the
-			// loop's trip order runs backwards along the lattice.
-			op.Reversed = op.ParallelDim >= 0 && acc.Coeff(info.Loop.Var)*cand.ctx.Step < 0
+			op := &CommOp{Sym: acc.Sym, Acc: acc, Type: typ, Grain: t.p.Opts.Grain}
+			op.ParallelDim = acc.DimOf(info.Loop.Var)
+			if op.ParallelDim >= 0 {
+				// Negative coefficient: WithDim flipped the offset; the
+				// loop's trip order runs backwards along the lattice.
+				if c := acc.Coeff(info.Loop.Var); c*cand.ctx.Step < 0 {
+					op.Reversed = true
+				}
+			}
 			return op
 		}
 		for _, typ := range []lmad.AccType{lmad.ReadOnly, lmad.WriteFirst, lmad.ReadWrite} {
@@ -414,11 +421,16 @@ func (t *translator) scatterCollect() string {
 					}
 				}
 				seen = append(seen, acc)
-				if typ != lmad.WriteFirst {
-					info.Scatters = append(info.Scatters, mk(acc, typ))
-				}
-				if typ != lmad.ReadOnly {
-					info.Collects = append(info.Collects, mk(acc, typ))
+				op := mk(acc, typ)
+				switch typ {
+				case lmad.ReadOnly:
+					info.Scatters = append(info.Scatters, op)
+				case lmad.WriteFirst:
+					info.Collects = append(info.Collects, op)
+				case lmad.ReadWrite:
+					info.Scatters = append(info.Scatters, op)
+					col := mk(acc, typ)
+					info.Collects = append(info.Collects, col)
 				}
 			}
 		}

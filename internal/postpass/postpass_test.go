@@ -629,3 +629,30 @@ func TestOneTripLoopIsNoRegion(t *testing.T) {
 		}
 	}
 }
+
+// TestDirectiveLoopWithoutFrontEnd: a loop marked by a !$PAR directive
+// in a program that never ran parallel-detect carries no record;
+// partition builds one and splits the loop.
+func TestDirectiveLoopWithoutFrontEnd(t *testing.T) {
+	prog, err := f77.Parse(`
+      PROGRAM DIR
+      REAL X(64)
+      INTEGER I
+!$PAR
+      DO I = 1, 64
+        X(I) = REAL(I)
+      ENDDO
+      PRINT *, X(53)
+      END
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := Translate(prog, Options{NumProcs: 4, Grain: lmad.Fine, LiveOutAll: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(p.Regions) < 1 || p.Regions[0].Par == nil || len(p.Regions[0].Par.Collects) != 1 {
+		t.Fatalf("the directive's loop is not a parallel region with one collect:\n%s", p)
+	}
+}
