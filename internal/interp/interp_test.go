@@ -189,6 +189,44 @@ func TestIntegerSemantics(t *testing.T) {
 	}
 }
 
+// TestDoTripCount: a DO runs max(0, (to − from + step) / step) times
+// and leaves its variable one step past the last trip, or at from when
+// it runs none: DO K = 5, 4, 2 runs no trip (a count of (to − from) /
+// step + 1 ran it once, leaving K at 7).
+func TestDoTripCount(t *testing.T) {
+	res := runSeq(t, `
+      PROGRAM TRIPS
+      INTEGER K, N
+      REAL X(8)
+      N = 0
+      DO K = 5, 4, 2
+        N = N + 1
+        X(8) = 1.0
+      ENDDO
+      X(1) = REAL(N)
+      X(2) = REAL(K)
+      N = 0
+      DO K = 4, 5, 2
+        N = N + 1
+      ENDDO
+      X(3) = REAL(N)
+      X(4) = REAL(K)
+      N = 0
+      DO K = 10, 1, -3
+        N = N + 1
+      ENDDO
+      X(5) = REAL(N)
+      X(6) = REAL(K)
+      N = 0
+      DO K = 5, 6, -1
+        N = N + 1
+      ENDDO
+      X(7) = REAL(N + K)
+      END
+`, Full)
+	sameArray(t, "X", []float64{0, 5, 1, 6, 4, -2, 5, 0}, res.Mem["X"], 0)
+}
+
 func TestIntrinsicEvaluation(t *testing.T) {
 	src := `
       PROGRAM P
