@@ -126,7 +126,7 @@ func TestDocsNameRealThings(t *testing.T) {
 // designCeiling is the most bytes DESIGN.md may hold: a ratchet toward
 // the 50 KB of ROADMAP item 9, so text a change adds must displace
 // text it retires. Lower it when the document shrinks; never raise it.
-const designCeiling = 80425
+const designCeiling = 80404
 
 func TestDesignSizeRatchet(t *testing.T) {
 	fi, err := os.Stat("DESIGN.md")
