@@ -208,7 +208,10 @@ func BenchmarkAblationAVPG(b *testing.B) {
 // BenchmarkAblationOneSidedVsTwoSided quantifies §2.2's case for
 // MPI_PUT/MPI_GET: the same contiguous scatter/collect plans issued as
 // one-sided DMA transfers versus MPI-1 SEND/RECEIVE pairs with their
-// pack/unpack copies and receiver involvement.
+// pack/unpack copies and receiver involvement, priced in Timing mode.
+// The swim_full rows run swim_full's plan (SWIM 192², 4 ranks, fine)
+// in Full mode under each scheme: the host time, bytes and allocations
+// the simulator spends, not the modelled cost.
 func BenchmarkAblationOneSidedVsTwoSided(b *testing.B) {
 	src := `
       PROGRAM P
@@ -246,6 +249,21 @@ func BenchmarkAblationOneSidedVsTwoSided(b *testing.B) {
 				comm = res.Report.TotalXferTime()
 			}
 			b.ReportMetric(comm.Seconds()*1e3, "comm-ms")
+		})
+		b.Run("swim_full/"+name, func(b *testing.B) {
+			c, err := core.Compile(bench.SwimSource(192, 192), core.Options{
+				NumProcs: 4, Grain: lmad.Fine, TwoSided: twoSided,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := c.RunParallelWith(core.Full, core.RunParams{}); err != nil {
+					b.Fatal(err)
+				}
+			}
 		})
 	}
 }

@@ -98,8 +98,8 @@ func TestPassTraceAddToRecorder(t *testing.T) {
 }
 
 // Timing mode must trace exactly what Full mode traces: every rank
-// event's op, peer, bytes, interval and transport, over the sample
-// corpus under each transfer scheme — push and pull one-sided, and
+// event's op, peer, bytes, payload, interval and transport, over the
+// sample corpus under each transfer scheme — push and pull one-sided, and
 // two-sided — at the fine and coarse grains. Only the compiler track is
 // left out; compile-pass spans are wall-clock measurements.
 func TestFullAndTimingTracesAgree(t *testing.T) {
@@ -108,11 +108,11 @@ func TestFullAndTimingTracesAgree(t *testing.T) {
 		t.Fatalf("no testdata programs found: %v", err)
 	}
 	type key struct {
-		rank, peer int
-		op         string
-		bytes      int64
-		begin, end sim.Time
-		transport  interconnect.Transport
+		rank, peer     int
+		op             string
+		bytes, payload int64
+		begin, end     sim.Time
+		transport      interconnect.Transport
 	}
 	events := func(t *testing.T, c *Compiled, mode Mode) []key {
 		rec := trace.New()
@@ -122,7 +122,7 @@ func TestFullAndTimingTracesAgree(t *testing.T) {
 		var out []key
 		for _, e := range rec.Events() {
 			if e.Rank != trace.CompilerRank {
-				out = append(out, key{e.Rank, e.Peer, e.Op, e.Bytes, e.Begin, e.End, e.Transport})
+				out = append(out, key{e.Rank, e.Peer, e.Op, e.Bytes, e.Payload, e.Begin, e.End, e.Transport})
 			}
 		}
 		return out

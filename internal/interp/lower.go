@@ -544,14 +544,25 @@ func (l *loop) bounds(env *Env) (from, step, trips int64) {
 func (l *loop) exec(env *Env) ctrl {
 	env.pending += 3 * env.cpu.IntOpTime // bound evaluation
 	from, step, trips := l.bounds(env)
-	if env.mode == Timing && l.bulkable {
-		env.pending += l.bulkCost(env, from, step, trips)
+	c := l.iterate(env, from, step, trips)
+	if c == ctrlNormal {
 		// The loop variable's post-loop value per the Fortran standard.
 		env.setInt(l.v, from+trips*step)
+	}
+	return c
+}
+
+// iterate runs trips iterations of the loop's body, the variable taking
+// from, from+step, …: priced in closed form when Timing mode can skip
+// the body (bulkCost), on the register tape when the body is straight,
+// otherwise node by node. A RETURN, STOP or jump out of the loop ends
+// it early and is returned.
+func (l *loop) iterate(env *Env, from, step, trips int64) ctrl {
+	if env.mode == Timing && l.bulkable {
+		env.pending += l.bulkCost(env, from, step, trips)
 		return ctrlNormal
 	}
 	if l.straight && l.onTape(env, from, step, trips) {
-		env.setInt(l.v, from+trips*step)
 		return ctrlNormal
 	}
 	// Per iteration only the body's chunk is read, not l.
@@ -563,11 +574,10 @@ func (l *loop) exec(env *Env) ctrl {
 		env.setInt(slot, v)
 		env.pending += iter
 		if c := body.exec(env); c != ctrlNormal {
-			return c // RETURN, STOP, or a jump out of the loop
+			return c
 		}
 		v += step
 	}
-	env.setInt(slot, v)
 	return ctrlNormal
 }
 

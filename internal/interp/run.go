@@ -625,10 +625,10 @@ func (env *Env) runParRegion(pp *postpass.Program, par *postpass.ParInfo, p *mpi
 		// RECEIVE on each slave (both processors involved).
 		if p.Rank() == 0 {
 			for dst := 1; dst < P; dst++ {
-				env.sendOps(p, par, postpass.Scatter, dst, dst)
+				env.sendOps(p, par, postpass.Scatter, dst)
 			}
 		} else {
-			env.recvOps(p, par, postpass.Scatter, p.Rank(), p.Rank())
+			env.recvOps(p, wins, par, postpass.Scatter, p.Rank())
 		}
 	} else if pp.Opts.PullScatter {
 		// One-sided pull: each slave GETs its own regions concurrently.
@@ -678,10 +678,10 @@ func (env *Env) runParRegion(pp *postpass.Program, par *postpass.ParInfo, p *mpi
 	env.flush()
 	if pp.Opts.TwoSided {
 		if p.Rank() != 0 {
-			env.sendOps(p, par, postpass.Collect, p.Rank(), p.Rank())
+			env.sendOps(p, par, postpass.Collect, p.Rank())
 		} else {
 			for src := 1; src < P; src++ {
-				env.recvOps(p, par, postpass.Collect, src, src)
+				env.recvOps(p, wins, par, postpass.Collect, src)
 			}
 		}
 	} else if p.Rank() != 0 {
@@ -809,64 +809,31 @@ func (env *Env) runPartition(l *loop, ctx analysis.LoopCtx, first, step, count i
 	// than the original sequential loops.
 	env.spmdTax = env.cpu.SPMDIterOverhead
 	defer func() { env.spmdTax = 0 }()
-	iterCost := env.cpu.LoopOverhead + env.spmdTax
-	from, stride := ctx.From+first*ctx.Step, step*ctx.Step
-	if env.mode == Timing && l.bulkable {
-		if !l.varDep {
-			env.setInt(l.v, ctx.From)
-			env.pending += sim.Time(count) * (iterCost + l.bodyCost(env))
-			return
-		}
-		var total sim.Time
-		for i := int64(0); i < count; i++ {
-			env.checkCancelled()
-			env.setInt(l.v, from+i*stride)
-			total += iterCost + l.bodyCost(env)
-		}
-		env.pending += total
-		return
-	}
-	if l.straight && l.onTape(env, from, stride, count) {
-		return
-	}
-	body := l.block()
-	for i := int64(0); i < count; i++ {
-		env.checkCancelled()
-		env.setInt(l.v, from+i*stride)
-		env.pending += iterCost
-		if body.exec(env) != ctrlNormal {
-			env.fail(l.line, "control transfer out of a parallel loop")
-		}
+	if l.iterate(env, ctx.From+first*ctx.Step, step*ctx.Step, count) != ctrlNormal {
+		env.fail(l.line, "control transfer out of a parallel loop")
 	}
 }
 
-// sendOps is the two-sided sending half: pack each transfer of rank's
-// plan and SEND it (tag identifies the peer pairing).
-func (env *Env) sendOps(p *mpi.Proc, par *postpass.ParInfo, dir postpass.Direction, rank, tag int) {
+// sendOps is the two-sided sending half: charge each transfer of
+// rank's plan as a packed SEND and post it, tagged rank. The message
+// carries no payload: the receiver copies the plan's cover.
+func (env *Env) sendOps(p *mpi.Proc, par *postpass.ParInfo, dir postpass.Direction, rank int) {
+	dst := 0
+	if p.Rank() == 0 {
+		dst = rank
+	}
 	for _, pl := range postpass.RankPlans(par, dir, rank) {
 		env.inBounds(par, &pl, rank)
-		dst := 0
-		if p.Rank() == 0 {
-			dst = rank
-		}
 		for _, tr := range pl.Plan {
-			if env.mode == Timing {
-				mpi.Must(p.SendRegion(dst, tag, int(tr.Elems), nil))
-				continue
-			}
-			src := env.symStorage(pl.Sym)
-			payload := make([]float64, tr.Elems)
-			for i := range payload {
-				payload[i] = src[pl.Shift+tr.Offset+int64(i)*tr.Stride]
-			}
-			mpi.Must(p.SendRegion(dst, tag, int(tr.Elems), payload))
+			mpi.Must(p.SendRegion(dst, rank, int(tr.Elems)))
 		}
 	}
 }
 
 // recvOps is the matching receiving half: receive each transfer of
-// rank's plan (enumerated identically) and unpack it into storage.
-func (env *Env) recvOps(p *mpi.Proc, par *postpass.ParInfo, dir postpass.Direction, rank, tag int) {
+// rank's plan (enumerated identically), charging its unpack, then copy
+// the plan's cover out of the sender's window.
+func (env *Env) recvOps(p *mpi.Proc, wins []*mpi.Win, par *postpass.ParInfo, dir postpass.Direction, rank int) {
 	from := 0
 	if p.Rank() == 0 {
 		from = rank
@@ -874,17 +841,10 @@ func (env *Env) recvOps(p *mpi.Proc, par *postpass.ParInfo, dir postpass.Directi
 	for _, pl := range postpass.RankPlans(par, dir, rank) {
 		env.inBounds(par, &pl, rank)
 		for _, tr := range pl.Plan {
-			payload, err := p.RecvRegion(from, tag, int(tr.Elems))
-			mpi.Must(err)
-			if env.mode == Timing || len(payload) == 0 {
-				continue
-			}
-			buf := env.symStorage(pl.Sym)
-			for i, v := range payload {
-				buf[pl.Shift+tr.Offset+int64(i)*tr.Stride] = v
-			}
+			mpi.Must(p.RecvRegion(from, rank, int(tr.Elems)))
 		}
 	}
+	env.copyCovers(p, wins, par, dir, rank, from, true)
 }
 
 // inBounds fails a Full-mode run whose rank's plan pl reaches outside
@@ -904,19 +864,26 @@ func (env *Env) inBounds(par *postpass.ParInfo, pl *postpass.SymPlan, rank int) 
 // window: PUTs (the master scattering to rank, or slave rank collecting
 // to the master), or with get set GETs (slave rank pulling its scatter
 // regions from the master). Both modes charge every planned transfer,
-// redundant bytes included; Full mode then copies each plan entry's
-// cover, every element the entry's transfers move, once.
+// redundant bytes included; Full mode then copies each plan's cover.
 func (env *Env) moveOps(p *mpi.Proc, wins []*mpi.Win, par *postpass.ParInfo, dir postpass.Direction, rank, target int, get bool) {
-	plans := postpass.RankPlans(par, dir, rank)
-	for _, pl := range plans {
+	for _, pl := range postpass.RankPlans(par, dir, rank) {
 		for _, tr := range pl.Plan {
 			tr.Offset += pl.Shift
 			mpi.Must(p.Charge(target, commcost.FromTransfer(pl.Sym.Name, tr), get))
 		}
 	}
+	env.copyCovers(p, wins, par, dir, rank, target, get)
+}
+
+// copyCovers lands rank's plans of dir in a Full-mode run, however
+// their transfers were charged: it copies each plan entry's cover,
+// every element the entry's transfers move, once between the caller's
+// storage and target's window (out of the window with get set).
+func (env *Env) copyCovers(p *mpi.Proc, wins []*mpi.Win, par *postpass.ParInfo, dir postpass.Direction, rank, target int, get bool) {
 	if env.mode == Timing {
 		return
 	}
+	plans := postpass.RankPlans(par, dir, rank)
 	for i, cover := range postpass.RankCovers(par, dir, rank) {
 		pl := plans[i]
 		env.inBounds(par, &pl, rank)

@@ -466,32 +466,17 @@ func TestWtimeMonotone(t *testing.T) {
 	})
 }
 
-func TestSendRecvRegion(t *testing.T) {
-	runWorld(t, 2, func(p *Proc) {
-		if p.Rank() == 0 {
-			Must(p.SendRegion(1, 7, 3, []float64{1, 2, 3}))
-		} else {
-			got := must(p.RecvRegion(0, 7, 3))
-			if len(got) != 3 || got[2] != 3 {
-				t.Errorf("region payload = %v", got)
-			}
-		}
-	})
-}
-
-func TestSendRegionNilPayloadTimingOnly(t *testing.T) {
+// A region message charges its sender the pack and the transfer.
+func TestSendRegionChargesSender(t *testing.T) {
 	_, cl := runWorld(t, 2, func(p *Proc) {
 		if p.Rank() == 0 {
-			Must(p.SendRegion(1, 0, 1024, nil))
+			Must(p.SendRegion(1, 0, 1024))
 		} else {
-			got := must(p.RecvRegion(0, 0, 1024))
-			if len(got) != 0 {
-				t.Errorf("nil payload should arrive empty, got %d", len(got))
-			}
+			Must(p.RecvRegion(0, 0, 1024))
 		}
 	})
 	if cl.Snapshot().CommTime[0] <= 0 {
-		t.Fatal("timing-only region send charged nothing")
+		t.Fatal("region send charged nothing")
 	}
 }
 
@@ -507,9 +492,9 @@ func TestRegionCostExceedsPut(t *testing.T) {
 	})
 	_, clReg := runWorld(t, 2, func(p *Proc) {
 		if p.Rank() == 0 {
-			Must(p.SendRegion(1, 0, 8192, make([]float64, 8192)))
+			Must(p.SendRegion(1, 0, 8192))
 		} else {
-			must(p.RecvRegion(0, 0, 8192))
+			Must(p.RecvRegion(0, 0, 8192))
 		}
 		Must(p.Barrier())
 	})

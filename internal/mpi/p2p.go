@@ -60,7 +60,7 @@ func (p *Proc) Send(dst, tag int, data []float64) error {
 // already booked).
 func (p *Proc) post(dst, tag int, data []float64) {
 	w := p.w
-	item := &pendingSend{
+	item := pendingSend{
 		data:    data,
 		src:     p.rank,
 		tag:     tag,
@@ -75,7 +75,7 @@ func (p *Proc) post(dst, tag int, data []float64) {
 
 // match pops the first pending message matching (src, dst, tag) with
 // wildcards. Caller holds w.mu.
-func (w *World) match(src, dst, tag int) *pendingSend {
+func (w *World) match(src, dst, tag int) (pendingSend, bool) {
 	// Deterministic scan order for wildcards: ascending source, then
 	// ascending tag, is enforced by scanning ranks and known keys in
 	// order.
@@ -84,11 +84,8 @@ func (w *World) match(src, dst, tag int) *pendingSend {
 			continue
 		}
 		if tag != AnyTag {
-			k := mbKey{src: s, dst: dst, tag: tag}
-			if q := w.boxes[k]; len(q) > 0 {
-				item := q[0]
-				w.boxes[k] = q[1:]
-				return item
+			if k := (mbKey{src: s, dst: dst, tag: tag}); len(w.boxes[k]) > 0 {
+				return w.pop(k), true
 			}
 			continue
 		}
@@ -103,14 +100,22 @@ func (w *World) match(src, dst, tag int) *pendingSend {
 			}
 		}
 		if best >= 0 {
-			k := mbKey{src: s, dst: dst, tag: best}
-			q := w.boxes[k]
-			item := q[0]
-			w.boxes[k] = q[1:]
-			return item
+			return w.pop(mbKey{src: s, dst: dst, tag: best}), true
 		}
 	}
-	return nil
+	return pendingSend{}, false
+}
+
+// pop takes the first message of mailbox k. A queue that drains keeps
+// its backing array for the next message. Caller holds w.mu.
+func (w *World) pop(k mbKey) pendingSend {
+	q := w.boxes[k]
+	if len(q) == 1 {
+		w.boxes[k] = q[:0]
+	} else {
+		w.boxes[k] = q[1:]
+	}
+	return q[0]
 }
 
 // Recv blocks until a matching message arrives and returns its payload
@@ -141,15 +146,15 @@ func (p *Proc) Recv(src, tag int) ([]float64, error) {
 	}
 	rec, begin := p.traceBegin()
 	w.mu.Lock()
-	var item *pendingSend
+	var item pendingSend
 	for {
-		item = w.match(src, p.rank, tag)
-		if item != nil {
+		var ok bool
+		if item, ok = w.match(src, p.rank, tag); ok {
 			if deadline > 0 && item.readyAt > entry+deadline {
 				// The message exists but lands after the deadline:
 				// deterministic timeout. Push it back unconsumed.
 				k := mbKey{src: item.src, dst: p.rank, tag: item.tag}
-				w.boxes[k] = append([]*pendingSend{item}, w.boxes[k]...)
+				w.boxes[k] = append([]pendingSend{item}, w.boxes[k]...)
 				w.mu.Unlock()
 				return nil, &Error{Kind: ErrTimeout, Rank: p.rank, Op: trace.OpRecv, Peer: src, Time: entry + deadline}
 			}
@@ -203,11 +208,12 @@ func (p *Proc) Sendrecv(dst, sendTag int, data []float64, src, recvTag int) ([]f
 }
 
 // SendRegion is the two-sided transfer of an elems-word region: the
-// sender packs the region into a message buffer (a per-word CPU copy —
-// the cost one-sided DMA avoids), then transmits. data carries the
-// packed payload and may be nil in timing-only runs; elems governs the
-// charges either way. Strided regions must be packed by the caller.
-func (p *Proc) SendRegion(dst, tag, elems int, data []float64) error {
+// sender is charged packing the region into a message buffer (a
+// per-word CPU copy — the cost one-sided DMA avoids) and transmitting
+// it, and posts a message that carries no payload. The receiver copies
+// the region itself, straight out of the sender's memory, as a
+// rendezvous protocol does with a large message.
+func (p *Proc) SendRegion(dst, tag, elems int) error {
 	w := p.w
 	if dst < 0 || dst >= w.n {
 		panic(fmt.Sprintf("mpi: SendRegion to rank %d out of range", dst))
@@ -218,27 +224,23 @@ func (p *Proc) SendRegion(dst, tag, elems int, data []float64) error {
 	if err := p.charge(trace.OpSend, dst, ContigDesc(0, int64(elems)), true); err != nil {
 		return err
 	}
-	payload := make([]float64, 0)
-	if data != nil {
-		payload = append([]float64(nil), data...)
-	}
-	p.post(dst, tag, payload)
+	p.post(dst, tag, nil)
 	return nil
 }
 
-// RecvRegion receives a region sent with SendRegion and charges the
-// receiver's unpack copy — the second processor's involvement that
-// makes two-sided communication costlier than MPI_PUT/MPI_GET ("two
-// processors are needed for MPI_SEND/MPI_RECEIVE"). It returns the
-// payload (empty in timing-only runs).
-func (p *Proc) RecvRegion(src, tag, elems int) ([]float64, error) {
-	data, err := p.Recv(src, tag)
-	if err != nil {
-		return nil, err
+// RecvRegion receives a region message sent with SendRegion and
+// charges the receiver's unpack copy — the second processor's
+// involvement that makes two-sided communication costlier than
+// MPI_PUT/MPI_GET ("two processors are needed for
+// MPI_SEND/MPI_RECEIVE"). The region's elems words are traced on the
+// unpack; the caller copies them.
+func (p *Proc) RecvRegion(src, tag, elems int) error {
+	if _, err := p.Recv(src, tag); err != nil {
+		return err
 	}
 	rec, begin := p.traceBegin()
 	cpu := p.w.cl.Params().CPU
 	p.w.cl.ChargeComm(p.node(), sim.Time(elems*WordBytes)*cpu.MemCopyPerByte, 0)
 	p.traceEnd(rec, begin, trace.OpUnpack, src, 0, int64(elems*WordBytes), interconnect.TransportLocal)
-	return data, nil
+	return nil
 }

@@ -74,9 +74,8 @@ func mixedWorkload(p *Proc) {
 	nextRank, prevRank := (p.Rank()+1)%n, (p.Rank()+n-1)%n
 	Must(p.Send(nextRank, 1, make([]float64, next(200))))
 	must(p.Recv(prevRank, 1))
-	elems := 64 + 8*p.Rank()
-	Must(p.SendRegion(nextRank, 2, elems, make([]float64, elems)))
-	must(p.RecvRegion(prevRank, 2, 64+8*prevRank))
+	Must(p.SendRegion(nextRank, 2, 64+8*p.Rank()))
+	Must(p.RecvRegion(prevRank, 2, 64+8*prevRank))
 
 	// Collectives.
 	var in []float64

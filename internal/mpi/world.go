@@ -75,7 +75,7 @@ type World struct {
 	wins map[string]*Win
 
 	// Two-sided mailboxes.
-	boxes map[mbKey][]*pendingSend
+	boxes map[mbKey][]pendingSend
 
 	barrierCost sim.Time
 
@@ -150,7 +150,7 @@ func newWorld(c *cluster.Cluster, nodes []int) *World {
 		n:        n,
 		nodes:    nodes,
 		wins:     make(map[string]*Win),
-		boxes:    make(map[mbKey][]*pendingSend),
+		boxes:    make(map[mbKey][]pendingSend),
 		inj:      c.Faults(),
 		down:     make([]bool, n),
 		crashed:  make([]bool, n),
