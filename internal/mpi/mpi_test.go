@@ -6,6 +6,7 @@ import (
 
 	"vbuscluster/internal/cluster"
 	"vbuscluster/internal/sim"
+	"vbuscluster/internal/trace"
 )
 
 // runWorld spawns one goroutine per rank, runs body, and waits.
@@ -464,6 +465,34 @@ func TestWtimeMonotone(t *testing.T) {
 			t.Errorf("Wtime not monotone: %v -> %v", t0, t1)
 		}
 	})
+}
+
+// RecvRegion takes the region message of its own tag, whatever arrived
+// first, and charges the receiver the unpack of that region's words.
+func TestSendRecvRegion(t *testing.T) {
+	rec, cl := runTraced(t, 2, "vbus", func(p *Proc) {
+		if p.Rank() == 0 {
+			Must(p.SendRegion(1, 5, 1))
+			Must(p.SendRegion(1, 7, 3000))
+		} else {
+			Must(p.RecvRegion(0, 7, 3000))
+			Must(p.RecvRegion(0, 5, 1))
+		}
+	})
+	var unpacks []int64
+	perByte := cl.Params().CPU.MemCopyPerByte
+	for _, ev := range rec.Events() {
+		if ev.Rank != 1 || ev.Op != trace.OpUnpack {
+			continue
+		}
+		unpacks = append(unpacks, ev.Payload)
+		if want := sim.Time(ev.Payload) * perByte; ev.Duration() != want {
+			t.Errorf("unpack of %d bytes took %v, want %v", ev.Payload, ev.Duration(), want)
+		}
+	}
+	if len(unpacks) != 2 || unpacks[0] != 3000*WordBytes || unpacks[1] != WordBytes {
+		t.Fatalf("receiver's unpacks = %v bytes, want [%d %d]", unpacks, 3000*WordBytes, WordBytes)
+	}
 }
 
 // A region message charges its sender the pack and the transfer.
